@@ -35,7 +35,7 @@ class RunConfig:
 
     @staticmethod
     def from_args(args) -> "RunConfig":
-        r, p, n = args.r, args.p, args.n
+        r, p, n = args.r, getattr(args, "p", 1), args.n
         if r < 1 or n < 1 or p < 1 or r % p:
             print("error: need r, n >= 1 and p | r", file=sys.stderr)
             raise SystemExit(2)
@@ -56,7 +56,11 @@ def _budget(args) -> int:
     if args.budget is not None:
         return args.budget
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            print(f"error: HECKEFORGE_BUDGET must be an integer, got {env!r}", file=sys.stderr)
+            raise SystemExit(2)
     return group.DEFAULT_BUDGET
 
 
@@ -302,10 +306,10 @@ def cmd_nc_verify(args) -> int:
     if args.preset != "hstar-iso":
         print("error: unknown preset", file=sys.stderr)
         return 2
+    budget = RunConfig.from_args(args).budget
     if args.n < 3:
         print("error: the bracket relation needs n >= 3", file=sys.stderr)
         return 2
-    budget = _budget(args)
     try:
         group.check_budget(args.r, 1, args.n, budget)
     except BudgetExceededError as exc:

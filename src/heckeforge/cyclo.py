@@ -8,7 +8,6 @@ operating.  All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -588,10 +587,3 @@ def echelon_rows(rows, key_sort=None) -> list[dict]:
     basis.sort(key=lambda t: key_sort(t[0]))
     return [row for _, row in basis]
 
-
-def vector_eq(u, v) -> bool:
-    return len(u) == len(v) and all(cyclo(a) == cyclo(b) for a, b in zip(u, v))
-
-
-def parse_cyclo_json(text: str) -> CycloNum:
-    return CycloNum.from_json(json.loads(text))

@@ -138,10 +138,12 @@ class SkewFormFamily:
     support: dict
 
     def __post_init__(self):
-        self.support = {g: A for g, A in self.support.items() if not A.is_zero()}
-        for g in self.support:
+        for g, A in self.support.items():
             if (g.r, g.n) != (self.r, self.n):
                 raise ValueError("support element outside the configured group")
+            if A.n != self.n:
+                raise ValueError(f"skew form at {g!r} is {A.n}x{A.n}, expected {self.n}x{self.n}")
+        self.support = {g: A for g, A in self.support.items() if not A.is_zero()}
 
     def form(self, g: GroupElement) -> SkewForm:
         return self.support.get(g, SkewForm.zero(self.n))
@@ -449,10 +451,6 @@ def psi2(k_exps, m_exps):
 
 
 # -- skew group algebra helpers (monomial-times-group terms) -------------------
-
-
-def sg_zero() -> dict:
-    return {}
 
 
 def sg_term(exps, g: GroupElement, coeff=1) -> dict:

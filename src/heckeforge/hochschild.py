@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cyclo import CycloMatrix, one
+from .cyclo import CycloMatrix, root_of_unity
 from .group import (
     DEFAULT_BUDGET,
     ConjClass,
@@ -26,14 +26,14 @@ from .group import (
     from_cycles,
     monomial_action,
     perm_cycles,
+    perm_sign,
     three_cycle,
 )
 from .polyforms import (
     CharacterTable,
     PolyForm,
-    restriction_matrix,
     reynolds_semiinvariant_basis,
-    subspace_pivot_data,
+    subspace_action,
 )
 
 
@@ -78,41 +78,32 @@ def acts_trivially(g: GroupElement, rep: RepKind) -> bool:
 def hochschild_character(
     g: GroupElement, rep: RepKind, p: int = 1, budget: int | None = DEFAULT_BUDGET
 ) -> CharacterTable:
-    """chi_g(h) = det of h restricted to (V^g)-perp, for h in Z_{G(r,p,n)}(g);
-    the trivial character when the perp space is zero."""
+    """chi_g(h) = det of h restricted to (V^g)-perp, for h in Z_{G(r,p,n)}(g),
+    computed as det(h|V) / det(h|V^g) from the monomial action on V^g."""
     centralizer(g, p, budget)  # budget check before using the cache
     return _hochschild_character(g, rep, p)
 
 
 @lru_cache(maxsize=4096)
 def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTable:
-    Z = centralizer(g, p, None)
-    perp = perp_space(g, rep)
-    if not perp:
-        return CharacterTable(tuple(Z), {h: one() for h in Z})
-    pivot_data = subspace_pivot_data(perp, g.n)
+    # V = V^g (+) im(g - 1) with both summands Z(g)-stable, so
+    # det(h | perp) = det(h | V) / det(h | V^g), and h permutes the fixed
+    # basis monomially: det(h | V^g) = sign(pi) zeta_r^{sum texp}
+    fixed = fixed_space(g, rep)
     values = {}
-    for h in Z:
-        C = restriction_matrix(h, rep, perp, pivot_data)
-        values[h] = C.determinant()
-    return CharacterTable(tuple(Z), values)
+    for h in centralizer(g, p, None):
+        pi, texp = subspace_action(h, rep, fixed)
+        sign = perm_sign(tuple(j + 1 for j in pi))
+        values[h] = det(h, rep) * root_of_unity(g.r, -sum(texp)) * sign
+    return CharacterTable(tuple(values), values)
 
 
 def _fixes_space_pointwise(h: GroupElement, rep: RepKind, vectors) -> bool:
-    """True iff h fixes every listed vector (so all of their span)."""
-    from .cyclo import root_of_unity, zero
-
-    pi, t = monomial_action(h, rep)
-    r = h.r
-    for v in vectors:
-        img = [zero() for _ in v]
-        for i, c in enumerate(v):
-            if not c.is_zero():
-                add = c * root_of_unity(r, t[i]) if t[i] % r else c
-                img[pi[i] - 1] = img[pi[i] - 1] + add
-        if any(not a == b for a, b in zip(img, v)):
-            return False
-    return True
+    """True iff h fixes every listed vector (so all of their span); the
+    vectors must be permuted monomially by h, as fixed-space bases are by
+    the centralizer."""
+    pi, texp = subspace_action(h, rep, vectors)
+    return pi == tuple(range(len(vectors))) and not any(texp)
 
 
 # -- class components ----------------------------------------------------------

@@ -24,11 +24,11 @@ from math import comb
 from .cyclo import cyclo, one, root_of_unity, zero
 from .group import (
     GroupElement,
-    RepKind,
     diag,
     from_cycles,
     group_order,
     identity,
+    monomial_action,
     monomial_image,
     multiply,
     transposition,
@@ -51,9 +51,6 @@ class NCElement:
 
     def filtration_degree(self) -> int:
         return max((sum(mu) for mu, _ in self.terms), default=-1)
-
-    def group_part_only(self) -> bool:
-        return all(not any(mu) for mu, _ in self.terms)
 
     def __add__(self, other):
         self._check(other)
@@ -314,7 +311,7 @@ class DrinfeldAlgebra(_AlgebraBase):
         # push gbar through v^nu letter by letter, keeping the image order:
         # the images v_{pi(s)} need not be sorted, and re-sorting them is
         # precisely where bracket corrections enter
-        pi, tvals = _mono_data(g, self.rep)
+        pi, tvals = monomial_action(g, self.rep)
         letters = _word_of(nu)
         mapped = [pi[s - 1] for s in letters]
         zexp = sum(tvals[s - 1] for s in letters) % self.r
@@ -343,7 +340,7 @@ class DrinfeldAlgebra(_AlgebraBase):
                 aval = A.matrix[k_ - 1][m_ - 1]
                 if aval.is_zero():
                     continue
-                pi, tvals = _mono_data(gp, self.rep)
+                pi, tvals = monomial_action(gp, self.rep)
                 mapped = [pi[s2 - 1] for s2 in suffix]
                 zexp2 = sum(tvals[s2 - 1] for s2 in suffix) % self.r
                 c2 = c * aval
@@ -351,12 +348,6 @@ class DrinfeldAlgebra(_AlgebraBase):
                     c2 = c2 * root_of_unity(self.r, zexp2)
                 stack.append((c2, prefix + mapped, multiply(gp, t)))
         return out
-
-
-def _mono_data(g: GroupElement, rep: RepKind):
-    from .group import monomial_action
-
-    return monomial_action(g, rep)
 
 
 # -- H* specific constructions -------------------------------------------------

@@ -452,35 +452,68 @@ def trivial_character(subgroup) -> CharacterTable:
     return CharacterTable(els, {h: one() for h in els})
 
 
-def _pivot_rows(vectors, n):
-    """Row indices making the n x m matrix of column vectors invertible."""
-    W = CycloMatrix([[vectors[j][i] for j in range(len(vectors))] for i in range(n)])
-    pivots = W.transpose()._rref()[1]
-    return W, list(pivots)
+def _root_exponents(v, r):
+    """{coordinate: t} for a vector whose nonzero entries are zeta_r^t."""
+    out = {}
+    for i, c in enumerate(v):
+        c = cyclo(c)
+        if c.is_zero():
+            continue
+        t = as_root_exponent(c, r)
+        if t is None:
+            raise ValueError("subspace vector entries must be r-th roots of unity")
+        out[i] = t
+    if not out:
+        raise ValueError("subspace basis contains the zero vector")
+    return out
 
 
-def subspace_pivot_data(subspace, n):
-    """Precomputed (W, pivot rows, inverse of the pivot block) for repeated
-    restrictions to one subspace."""
+def subspace_action(h: GroupElement, rep: RepKind, vectors):
+    """(pi, texp) with h.w_j = zeta_r^{texp[j]} w_{pi[j]} (0-based), for a
+    basis w of vectors with r-th root-of-unity entries on disjoint supports.
+
+    Raises ValueError if the span is not h-stable or h does not permute the
+    w_j up to powers of zeta_r.  Fixed-space bases always qualify for h in
+    Z(g): the RREF kernel basis of g - 1 has one such vector per cycle of g
+    with zeta-product 1, and h permutes the cycles of g.
+    """
+    r = h.r
+    hpi, ht = monomial_action(h, rep)
+    profiles = [_root_exponents(v, r) for v in vectors]
+    owner = {}
+    for j, prof in enumerate(profiles):
+        for i in prof:
+            if i in owner:
+                raise ValueError("subspace vectors must have disjoint supports")
+            owner[i] = j
+    pi, texp = [], []
+    for prof in profiles:
+        img = {hpi[i] - 1: t + ht[i] for i, t in prof.items()}
+        k = owner.get(next(iter(img)))
+        if k is None or profiles[k].keys() != img.keys():
+            raise ValueError("subspace is not permuted monomially by the group element")
+        shifts = {(t - profiles[k][i]) % r for i, t in img.items()}
+        if len(shifts) != 1:
+            raise ValueError("subspace is not permuted monomially by the group element")
+        pi.append(k)
+        texp.append(shifts.pop())
+    return tuple(pi), tuple(texp)
+
+
+def restriction_matrix(g: GroupElement, rep: RepKind, subspace):
+    """Matrix C of g on the span of the subspace vectors: g.w_j = sum C[i][j] w_i.
+
+    The dense reference for `subspace_action`; unlike it, accepts any
+    stable basis.  Raises ValueError if the subspace is not g-stable.
+    """
+    n = g.n
     vectors = [tuple(cyclo(x) for x in v) for v in subspace]
     m = len(vectors)
-    W, pivots = _pivot_rows(vectors, n)
+    W = CycloMatrix([[vectors[j][i] for j in range(m)] for i in range(n)])
+    pivots = W.transpose()._rref()[1]
     if len(pivots) != m:
         raise ValueError("subspace basis is linearly dependent")
     WR_inv = CycloMatrix([[W.entries[i][j] for j in range(m)] for i in pivots]).inverse()
-    return W, pivots, WR_inv
-
-
-def restriction_matrix(g: GroupElement, rep: RepKind, subspace, pivot_data=None):
-    """Matrix C of g on the span of the subspace vectors: g.w_j = sum C[i][j] w_i.
-
-    Raises ValueError if the subspace is not g-stable.
-    """
-    n = g.n
-    m = len(subspace)
-    if pivot_data is None:
-        pivot_data = subspace_pivot_data(subspace, n)
-    W, pivots, WR_inv = pivot_data
     pi, t = monomial_action(g, rep)
     # image matrix U = M_g W, using the monomial structure of M_g
     pi_inv = [0] * n
@@ -503,24 +536,6 @@ def restriction_matrix(g: GroupElement, rep: RepKind, subspace, pivot_data=None)
             if s != U[a][j]:
                 raise ValueError("subspace is not stable under the group element")
     return C
-
-
-def _monomial_profile(C: CycloMatrix, field_order: int):
-    """(pi, texp) if C is monomial with root-of-unity entries, else None.
-    C maps u_j to zeta^{texp[j]} u_{pi[j]} (0-based)."""
-    m = C.rows
-    pi = [None] * m
-    texp = [None] * m
-    for j in range(m):
-        nz = [i for i in range(m) if not C.entries[i][j].is_zero()]
-        if len(nz) != 1:
-            return None
-        t = as_root_exponent(C.entries[nz[0]][j], field_order)
-        if t is None:
-            return None
-        pi[j] = nz[0]
-        texp[j] = t
-    return tuple(pi), tuple(texp)
 
 
 def _monomials_of_degree(m: int, d: int):
@@ -565,9 +580,9 @@ def reynolds_semiinvariant_basis(
     (polynomial variables from the subspace basis, wedge factors from its
     duals).  `subspace=None` means the ambient coordinate space.
 
-    The projector is summed orbit-by-orbit when every subgroup element acts
-    monomially (with root-of-unity scalars) on the subspace; a dense
-    fallback handles arbitrary actions.
+    Every subgroup element must permute the subspace basis up to roots of
+    unity (see `subspace_action`), so the projector is summed orbit by orbit
+    with integer phase exponents.
     """
     elems = list(subgroup)
     if not elems:
@@ -579,11 +594,9 @@ def reynolds_semiinvariant_basis(
     if ambient:
         m = n
         vectors = None
-        pivot_data = None
     else:
         vectors = [tuple(cyclo(x) for x in v) for v in subspace]
         m = len(vectors)
-        pivot_data = subspace_pivot_data(vectors, n)
 
     if form_degree < 0 or form_degree > m or poly_degree < 0:
         return []
@@ -595,38 +608,20 @@ def reynolds_semiinvariant_basis(
         return []
     index = {b: i for i, b in enumerate(basis)}
 
-    # restriction matrices first, so the common field order F is final before
-    # any root-of-unity exponent is taken relative to it
-    F = lcm(2, r)
-    for v in chi.values.values():
-        F = lcm(F, v.order)
-    mats = []
-    if not ambient:
-        for h in elems:
-            C = restriction_matrix(h, rep, vectors, pivot_data)
-            F = lcm(F, C.order)
-            mats.append(C)
-
-    fast_actions = []
-    use_dense = False
-    for pos, h in enumerate(elems):
+    F = lcm(2, r, *(v.order for v in chi.values.values()))
+    actions = []
+    for h in elems:
         if ambient:
-            pi_raw, t_raw = monomial_action(h, rep)
-            profile = (tuple(p - 1 for p in pi_raw), tuple(t * (F // r) for t in t_raw))
+            pi_raw, texp = monomial_action(h, rep)
+            pi = tuple(p - 1 for p in pi_raw)
         else:
-            profile = _monomial_profile(mats[pos], F)
+            pi, texp = subspace_action(h, rep, vectors)
         ce = as_root_exponent(chi(h), F)
-        if profile is None or ce is None:
-            use_dense = True
-            break
-        fast_actions.append((profile[0], profile[1], ce))
+        if ce is None:
+            raise CharacterError(f"character value {chi(h)} is not an {F}-th root of unity")
+        actions.append((pi, tuple(t * (F // r) for t in texp), ce))
 
-    if use_dense:
-        rows = _reynolds_dense(elems, chi, rep, vectors, pivot_data, basis, index, m)
-    else:
-        rows = _reynolds_orbits(fast_actions, F, basis, index, len(elems))
-
-    rows = echelon_rows(rows)
+    rows = echelon_rows(_reynolds_orbits(actions, F, basis, index, len(elems)))
     return [
         _assemble_polyform(row, basis, n, m, vectors, complement, form_degree, ambient)
         for row in rows
@@ -673,55 +668,6 @@ def _reynolds_orbits(actions, F, basis, index, order):
                     coeff = coeff + zeta_cache[e] * cnt
             if not coeff.is_zero():
                 vec[idx] = coeff * inv_order
-        if vec:
-            out.append(vec)
-    return out
-
-
-def _reynolds_dense(elems, chi, rep, vectors, pivot_data, basis, index, m):
-    """Projector images of every basis element under arbitrary subspace actions."""
-    order = len(elems)
-    mats = []
-    for h in elems:
-        if vectors is None:
-            C = CycloMatrix(
-                [[matrix_entry(h, i, j, rep) for j in range(m)] for i in range(m)]
-            )
-        else:
-            C = restriction_matrix(h, rep, vectors, pivot_data)
-        D = C.inverse().transpose()  # contragredient action on the duals
-        mats.append((C, D, chi(h).invert()))
-    out = []
-    for mu, S in basis:
-        acc: dict = {}
-        for C, D, cval in mats:
-            # polynomial image: product over variables of (column j of C)^mu_j
-            polys = {(0,) * m: one()}
-            for j, k in enumerate(mu):
-                for _ in range(k):
-                    new: dict = {}
-                    for e, c in polys.items():
-                        for i in range(m):
-                            cij = C.entries[i][j]
-                            if cij.is_zero():
-                                continue
-                            key = tuple(x + (1 if t == i else 0) for t, x in enumerate(e))
-                            val = c * cij
-                            new[key] = new[key] + val if key in new else val
-                    polys = new
-            # wedge image: expand columns of D over k-subsets
-            for T in combinations(range(m), len(S)):
-                sub = CycloMatrix([[D.entries[a][b] for b in S] for a in T]) if S else None
-                dt = sub.determinant() if S else one()
-                if dt.is_zero():
-                    continue
-                for e, c in polys.items():
-                    key = index.get((e, T))
-                    if key is None:
-                        continue
-                    val = c * dt * cval
-                    acc[key] = acc[key] + val if key in acc else val
-        vec = {k: v * Fraction(1, order) for k, v in acc.items() if not v.is_zero()}
         if vec:
             out.append(vec)
     return out

@@ -21,17 +21,16 @@ from heckeforge.hochschild import (
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
 
+EXTENDED_CASES = [
+    (2, 1, 5, F, 4),
+    (4, 4, 4, F, 4),
+    (6, 6, 4, F, 3),
+    (2, 1, 5, P, 3),
+    (4, 1, 3, P, 4),
+]
 
-@pytest.mark.parametrize(
-    "r,p,n,rep,D",
-    [
-        (2, 1, 5, F, 4),
-        (4, 4, 4, F, 4),
-        (6, 6, 4, F, 3),
-        (2, 1, 5, P, 3),
-        (4, 1, 3, P, 4),
-    ],
-)
+
+@pytest.mark.parametrize("r,p,n,rep,D", EXTENDED_CASES)
 def test_extended_brute_vs_catalog(r, p, n, rep, D):
     comps = hh2_total(r, p, n, rep, D, validate_skipped=True)
     report = compare(comps, closed_form_catalog(r, p, n, rep), D)

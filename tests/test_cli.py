@@ -206,3 +206,36 @@ def test_budget_env_override(capsys, monkeypatch):
     code, _, err = run(capsys, "classes", "--r", "2", "--p", "1", "--n", "3")
     assert code == 2
     assert "budget" in err
+
+
+def _exit_code(capsys, *argv):
+    """Exit code of main, whether returned or raised, plus captured stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def test_budget_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("HECKEFORGE_BUDGET", "abc")
+    code, err = _exit_code(capsys, "classes", "--r", "2", "--n", "2")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_nc_verify_rejects_r_zero(capsys):
+    code, err = _exit_code(capsys, "nc-verify", "--preset", "hstar-iso", "--r", "0", "--n", "3")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_pbw_check_rejects_form_of_wrong_size(capsys, tmp_path):
+    code, out, _ = run(capsys, "gha-build", "--preset", "a_r1n", "--r", "1", "--n", "3")
+    data = json.loads(out)
+    data["forms"][0]["matrix"] = [row[:2] for row in data["forms"][0]["matrix"][:2]]
+    forms = tmp_path / "forms.json"
+    forms.write_text(json.dumps(data))
+    code, err = _exit_code(capsys, "pbw-check", str(forms))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -33,6 +33,7 @@ from heckeforge.hochschild import (
     perp_space,
     three_cycle_component_module,
 )
+from heckeforge.polyforms import restriction_matrix
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -240,3 +241,26 @@ def test_permutation_diag_degree0_detects_cross_block_invariants():
     assert comp.dims_by_degree[0] == 1
     comp = hh_component(identity(2, 3), P, 2, 0)
     assert comp.dims_by_degree[0] == 0
+
+
+def _character_cases():
+    from test_acceptance import FAITHFUL_CASES, NONFAITHFUL_CASES
+    from test_catalog_extended import EXTENDED_CASES
+
+    cases = {(r, p, n, F) for r, p, n in FAITHFUL_CASES}
+    cases |= {(r, 1, n, P) for r, n in NONFAITHFUL_CASES}
+    cases |= {(r, p, n, rep) for r, p, n, rep, _ in EXTENDED_CASES}
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("r,p,n,rep", _character_cases())
+def test_character_matches_dense_restriction(r, p, n, rep):
+    # the monomial det(h|V) / det(h|V^g) against the dense determinant of h
+    # on the perp basis, for every h in Z(g) and every class
+    for cls in conjugacy_classes(r, p, n):
+        g = cls.rep
+        chi = hochschild_character(g, rep, p)
+        perp = perp_space(g, rep)
+        for h in chi.subgroup:
+            dense = restriction_matrix(h, rep, perp).determinant() if perp else 1
+            assert chi(h) == dense, (g, h, rep)

@@ -28,6 +28,7 @@ from heckeforge.polyforms import (
     reynolds_apply,
     reynolds_semiinvariant_basis,
     solomon_check,
+    subspace_action,
     symmetric_group_derivations,
     trivial_character,
 )
@@ -225,16 +226,42 @@ def test_reynolds_dimension_independent_of_basis_order():
     assert dims[0] == dims[1]
 
 
-def test_reynolds_dense_path_matches_monomial_path():
-    # a non-monomial but stable basis of the full space forces the dense
-    # fallback; dimensions must agree with the coordinate computation
+def test_reynolds_rejects_non_monomial_subspace_basis():
+    # a stable basis that the group does not permute up to roots of unity
     s3 = sym_elements(3)
     chi = trivial_character(s3)
-    funny = [(1, 1, 1), (1, -1, 0), (0, 1, -1)]
-    for d, k in [(0, 2), (1, 0), (2, 1)]:
-        a = reynolds_semiinvariant_basis(s3, chi, F, d, k)
-        b = reynolds_semiinvariant_basis(s3, chi, F, d, k, subspace=funny, complement=[])
-        assert len(a) == len(b)
+    for funny in ([(1, 1, 1), (1, -1, 0), (0, 1, -1)], [(1, 1, 0), (0, 1, 1), (0, 0, 1)]):
+        with pytest.raises(ValueError):
+            reynolds_semiinvariant_basis(s3, chi, F, 1, 0, subspace=funny, complement=[])
+
+
+def test_reynolds_dims_independent_of_root_of_unity_scaling():
+    g = three_cycle(3, 4, 1, 2, 3)
+    chi = hochschild_character(g, F, 1)
+    fixed = fixed_space(g, F)
+    scaled = [
+        tuple(c * root_of_unity(3, j + 1) for c in v) for j, v in enumerate(fixed)
+    ]
+    for d, k in [(0, 0), (2, 0), (3, 1), (4, 2)]:
+        dims = [
+            len(
+                reynolds_semiinvariant_basis(
+                    list(chi.subgroup), chi, F, d, k, subspace=basis, complement=perp_space(g, F)
+                )
+            )
+            for basis in (fixed, scaled)
+        ]
+        assert dims[0] == dims[1], (d, k, dims)
+
+
+def test_subspace_action_on_fixed_space():
+    g = three_cycle(3, 4, 1, 2, 3)
+    fixed = fixed_space(g, F)
+    # xi_4 scales the v_4 line, the 3-cycle fixes the v_1 + v_2 + v_3 line
+    assert subspace_action(xi(3, 4, 4), F, fixed) == ((0, 1), (0, 1))
+    assert subspace_action(g, F, fixed) == ((0, 1), (0, 0))
+    with pytest.raises(ValueError):
+        subspace_action(transposition(3, 4, 3, 4), F, fixed)
 
 
 def test_character_table_validation():
