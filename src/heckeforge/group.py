@@ -145,6 +145,54 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(g.r, g.n, exps, perm)
 
 
+def generators_by_closure(elements):
+    """(gens, products) for a listed subgroup H.
+
+    gens indexes a generating set of H, found by scanning H in sorted order
+    and keeping each element that the closure of the kept ones has not
+    reached yet.  The closure grows incrementally: the elements reached
+    before a new generator s are multiplied by s only, each newly reached one
+    by every generator so far.  So products[i][j], the index of
+    elements[i] * elements[gens[j]], is formed exactly once per pair.
+    Raises ValueError if H lacks the identity, a product leaves H, or the
+    closure does not reach every listed element.
+    """
+    elements = tuple(elements)
+    index = {h: i for i, h in enumerate(elements)}
+    start = index.get(identity(elements[0].r, elements[0].n)) if elements else None
+    if start is None:
+        raise ValueError("the listed elements do not contain the identity")
+    gens: list[int] = []
+    products: list[list[int]] = [[] for _ in elements]
+    reached = [start]
+    seen = {start}
+
+    def extend(i, gen_ids):
+        for j in gen_ids:
+            k = index.get(multiply(elements[i], elements[j]))
+            if k is None:
+                raise ValueError("the listed elements are not closed under multiplication")
+            products[i].append(k)
+            if k not in seen:
+                seen.add(k)
+                reached.append(k)
+
+    for s in sorted(range(len(elements)), key=lambda i: elements[i].sort_key()):
+        if s in seen:
+            continue
+        old = len(reached)
+        gens.append(s)
+        for t in range(old):
+            extend(reached[t], (s,))
+        t = old
+        while t < len(reached):
+            extend(reached[t], gens)
+            t += 1
+    if len(reached) != len(elements):
+        raise ValueError("the closure does not reach every listed element")
+    return gens, products
+
+
 def inverse(g: GroupElement) -> GroupElement:
     inv = _perm_inverse(g.perm)
     exps = tuple((-g.exps[g.perm[i] - 1]) % g.r for i in range(g.n))

@@ -225,7 +225,7 @@ def param_space(
         codim = n - len(fixed)
         if codim == 2:
             chi = hochschild_character(g, rep, p, budget)
-            if all(chi(h) == 1 for h in chi.subgroup):
+            if chi.is_trivial():
                 d += 1
             lengths = sorted(len(c) for c in perm_cycles(g.perm))
             if rep == RepKind.PERMUTATION and lengths == [1] * (n - 3) + [3]:

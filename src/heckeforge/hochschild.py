@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import lcm
 
-from .cyclo import CycloMatrix, root_of_unity
+from .cyclo import CycloMatrix
 from .group import (
     DEFAULT_BUDGET,
     ConjClass,
@@ -34,6 +35,7 @@ from .polyforms import (
     PolyForm,
     reynolds_semiinvariant_basis,
     subspace_action,
+    subspace_actions,
 )
 
 
@@ -79,7 +81,9 @@ def hochschild_character(
     g: GroupElement, rep: RepKind, p: int = 1, budget: int | None = DEFAULT_BUDGET
 ) -> CharacterTable:
     """chi_g(h) = det of h restricted to (V^g)-perp, for h in Z_{G(r,p,n)}(g),
-    computed as det(h|V) / det(h|V^g) from the monomial action on V^g."""
+    computed as det(h|V) / det(h|V^g) from the monomial action on V^g and
+    held as exponents mod lcm(2, r).  One table per (g, rep, p) is cached,
+    so its verification and action data serve every degree."""
     centralizer(g, p, budget)  # budget check before using the cache
     return _hochschild_character(g, rep, p)
 
@@ -87,15 +91,24 @@ def hochschild_character(
 @lru_cache(maxsize=4096)
 def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTable:
     # V = V^g (+) im(g - 1) with both summands Z(g)-stable, so
-    # det(h | perp) = det(h | V) / det(h | V^g), and h permutes the fixed
-    # basis monomially: det(h | V^g) = sign(pi) zeta_r^{sum texp}
-    fixed = fixed_space(g, rep)
-    values = {}
-    for h in centralizer(g, p, None):
-        pi, texp = subspace_action(h, rep, fixed)
-        sign = perm_sign(tuple(j + 1 for j in pi))
-        values[h] = det(h, rep) * root_of_unity(g.r, -sum(texp)) * sign
-    return CharacterTable(tuple(values), values)
+    # det(h | perp) = det(h | V) / det(h | V^g).  det(h | V) is
+    # sign(h.perm) zeta_r^{sum h.exps}, or sign(h.perm) under the permutation
+    # action; h permutes the fixed basis monomially, so
+    # det(h | V^g) = sign(pi) zeta_r^{sum texp}.  Exponents are kept mod
+    # F = lcm(2, r), with the sign as F/2.
+    r = g.r
+    F = lcm(2, r)
+    Z = centralizer(g, p, None)
+    exps = {}
+    for h, (pi, texp) in zip(Z, subspace_actions(Z, rep, fixed_space(g, rep))):
+        e = -sum(texp)
+        if rep == RepKind.FAITHFUL:
+            e += sum(h.exps)
+        e *= F // r
+        if perm_sign(h.perm) != perm_sign(tuple(j + 1 for j in pi)):
+            e += F // 2
+        exps[h] = e
+    return CharacterTable.from_exponents(Z, F, exps)
 
 
 def _fixes_space_pointwise(h: GroupElement, rep: RepKind, vectors) -> bool:
@@ -135,14 +148,16 @@ class ClassComponent:
         return out
 
 
-def _is_standard_basis(vectors, n) -> bool:
-    if len(vectors) != n:
-        return False
-    for i, v in enumerate(vectors):
-        for j, c in enumerate(v):
-            if (j == i) != (not c.is_zero()) or (j == i and not c == 1):
-                return False
-    return True
+def _reynolds_subspace(fixed, n):
+    """The Reynolds subspace argument for V^g: None when the fixed basis is
+    the coordinate basis, so the ambient action is used."""
+    if len(fixed) == n and all(
+        (j == i) != c.is_zero() and (j != i or c == 1)
+        for i, v in enumerate(fixed)
+        for j, c in enumerate(v)
+    ):
+        return None
+    return fixed
 
 
 def hh_component(
@@ -167,7 +182,7 @@ def hh_component(
     if k < 0 or k > len(fixed):
         dims = {d: 0 for d in range(max_poly_degree + 1)}
         return ClassComponent(g, rep, codim, fixed, perp, chi, dims, bases if include_basis else None)
-    subspace = None if _is_standard_basis(fixed, g.n) else fixed
+    subspace = _reynolds_subspace(fixed, g.n)
     for d in range(max_poly_degree + 1):
         basis = reynolds_semiinvariant_basis(
             list(chi.subgroup), chi, rep, d, k, subspace=subspace, complement=perp
@@ -188,8 +203,11 @@ def _passes_det_filter(g: GroupElement, rep: RepKind, p: int, budget) -> bool:
     codim = g.n - len(fixed)
     if codim not in (0, 2):
         return False
-    for h in centralizer(g, p, budget):
-        if not det(h, rep) == 1 and _fixes_space_pointwise(h, rep, fixed):
+    # on an h fixing V^g pointwise, det(h | V^g) = 1, so chi_g(h) = det(h)
+    chi = hochschild_character(g, rep, p, budget)
+    identity_pi = tuple(range(len(fixed)))
+    for pi, texp, e in chi.actions(rep, _reynolds_subspace(fixed, g.n)):
+        if e and pi == identity_pi and not any(texp):
             return False
     return True
 

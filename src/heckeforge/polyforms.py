@@ -11,8 +11,8 @@ repeated runs agree byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -26,7 +26,7 @@ from .cyclo import (
     root_of_unity,
     zero,
 )
-from .group import GroupElement, RepKind, monomial_action, multiply
+from .group import GroupElement, RepKind, generators_by_closure, identity, monomial_action
 
 
 class Polynomial:
@@ -422,34 +422,128 @@ class CharacterError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    """A linear character of a listed subgroup: element -> CycloNum."""
+    """A linear character of a listed subgroup H of G(r,p,n), held as
+    exponents: chi(h) = zeta_F^{e(h)} with F = lcm(2, r, orders of the values).
 
-    subgroup: tuple[GroupElement, ...]
-    values: dict
+    `CharacterTable(H, values)` takes the values as cyclotomic numbers and
+    reads their exponents once, on first use; `from_exponents` takes the
+    integers directly.  The table is verified once (`check_multiplicative`)
+    and keeps its integer action data per subspace (`actions`), so every
+    polynomial degree of a class reuses both.
+    """
+
+    def __init__(self, subgroup, values):
+        self.subgroup = tuple(subgroup)
+        self._values = values
+        self._order = None
+        self._exps = None
+        self._verified = False
+        self._actions: dict = {}
+
+    @classmethod
+    def from_exponents(cls, subgroup, order: int, exponents: dict) -> "CharacterTable":
+        """chi(h) = zeta_order^{exponents[h]}; order must be a multiple of
+        lcm(2, r)."""
+        table = cls(subgroup, None)
+        if table.subgroup and order % lcm(2, table.subgroup[0].r):
+            raise ValueError("the exponent modulus must be a multiple of lcm(2, r)")
+        table._order = order
+        table._exps = {h: e % order for h, e in exponents.items()}
+        return table
 
     def __call__(self, h: GroupElement) -> CycloNum:
-        return self.values[h]
+        if self._values is not None:
+            return self._values[h]
+        return root_of_unity(self._order, self._exps[h])
 
-    def check_multiplicative(self, limit: int = 60):
-        """Verify value(gh) = value(g) value(h); exhaustive for small
-        subgroups, on a deterministic sample of pairs otherwise."""
-        els = self.subgroup
-        if len(els) <= limit:
-            pairs = [(g, h) for g in els for h in els]
-        else:
-            step = max(1, len(els) // limit)
-            sample = els[::step]
-            pairs = [(g, h) for g in sample for h in sample[:4]]
-        for g, h in pairs:
-            if self.values[multiply(g, h)] != self.values[g] * self.values[h]:
-                raise CharacterError("character is not multiplicative on the subgroup")
+    @property
+    def exponents(self) -> dict:
+        """h -> e(h) mod `order`; raises CharacterError for a value that is
+        not a root of unity."""
+        if self._exps is None:
+            r = self.subgroup[0].r if self.subgroup else 1
+            F = lcm(2, r, *(cyclo(v).order for v in self._values.values()))
+            exps = {}
+            for h in self.subgroup:
+                e = as_root_exponent(cyclo(self._values[h]), F)
+                if e is None:
+                    raise CharacterError(
+                        f"character value {self._values[h]} is not an {F}-th root of unity"
+                    )
+                exps[h] = e
+            self._order, self._exps = F, exps
+        return self._exps
+
+    @property
+    def order(self) -> int:
+        """The exponent modulus F."""
+        self.exponents
+        return self._order
+
+    def is_trivial(self) -> bool:
+        return not any(self.exponents.values())
+
+    def check_multiplicative(self):
+        """Prove chi(xy) = chi(x) chi(y) on H; the work is done once per table.
+
+        For the generating set S of `generators_by_closure`, checks e(1) = 0
+        and e(x s) = e(x) + e(s) mod F for every x in H and s in S.  Every
+        element of the finite group H is a word in S, so induction on word
+        length gives the identity for all pairs.  An all-zero table is a
+        character of any subgroup and needs no closure.  Raises
+        CharacterError otherwise, also when H is not a subgroup.
+        """
+        if self._verified:
+            return
+        if not self.is_trivial():
+            exps, els = self._exps, self.subgroup
+            if exps.get(identity(els[0].r, els[0].n)):
+                raise CharacterError("character is not 1 at the identity")
+            try:
+                gens, products = generators_by_closure(els)
+            except ValueError as exc:
+                raise CharacterError(str(exc)) from exc
+            F = self._order
+            e = [exps[h] for h in els]
+            for i, row in enumerate(products):
+                for s, k in zip(gens, row):
+                    if (e[i] + e[s] - e[k]) % F:
+                        raise CharacterError("character is not multiplicative on the subgroup")
+        self._verified = True
+
+    def actions(self, rep: RepKind, subspace=None) -> list:
+        """(pi, texp * F / r, e(h)) for each h of H in order, where
+        h.w_j = zeta_r^{texp[j]} w_{pi[j]} on the subspace basis w, or on the
+        coordinate basis when subspace is None (see `subspace_actions`).
+        Built once per (rep, subspace) and kept on the table."""
+        key = (rep, None if subspace is None else _vectors_key(subspace))
+        out = self._actions.get(key)
+        if out is None:
+            els = self.subgroup
+            step = self.order // els[0].r
+            if subspace is None:
+                pairs = [monomial_action(h, rep) for h in els]
+                pairs = [(tuple(i - 1 for i in pi), t) for pi, t in pairs]
+            else:
+                pairs = subspace_actions(els, rep, subspace)
+            out = [
+                (pi, tuple(t * step for t in texp), self._exps[h])
+                for h, (pi, texp) in zip(els, pairs)
+            ]
+            self._actions[key] = out
+        return out
 
 
 def trivial_character(subgroup) -> CharacterTable:
     els = tuple(subgroup)
-    return CharacterTable(els, {h: one() for h in els})
+    r = els[0].r if els else 1
+    return CharacterTable.from_exponents(els, lcm(2, r), {h: 0 for h in els})
+
+
+def _vectors_key(vectors):
+    """Hashable exact form of a list of vectors."""
+    return tuple(tuple((c.order, c.coeffs) for c in map(cyclo, v)) for v in vectors)
 
 
 def _root_exponents(v, r):
@@ -477,8 +571,15 @@ def subspace_action(h: GroupElement, rep: RepKind, vectors):
     Z(g): the RREF kernel basis of g - 1 has one such vector per cycle of g
     with zeta-product 1, and h permutes the cycles of g.
     """
-    r = h.r
-    hpi, ht = monomial_action(h, rep)
+    return subspace_actions([h], rep, vectors)[0]
+
+
+def subspace_actions(elements, rep: RepKind, vectors) -> list:
+    """`subspace_action` of each listed element, reading the basis once."""
+    elements = list(elements)
+    if not elements:
+        return []
+    r = elements[0].r
     profiles = [_root_exponents(v, r) for v in vectors]
     owner = {}
     for j, prof in enumerate(profiles):
@@ -486,34 +587,49 @@ def subspace_action(h: GroupElement, rep: RepKind, vectors):
             if i in owner:
                 raise ValueError("subspace vectors must have disjoint supports")
             owner[i] = j
-    pi, texp = [], []
-    for prof in profiles:
-        img = {hpi[i] - 1: t + ht[i] for i, t in prof.items()}
-        k = owner.get(next(iter(img)))
-        if k is None or profiles[k].keys() != img.keys():
-            raise ValueError("subspace is not permuted monomially by the group element")
-        shifts = {(t - profiles[k][i]) % r for i, t in img.items()}
-        if len(shifts) != 1:
-            raise ValueError("subspace is not permuted monomially by the group element")
-        pi.append(k)
-        texp.append(shifts.pop())
-    return tuple(pi), tuple(texp)
+    out = []
+    for h in elements:
+        hpi, ht = monomial_action(h, rep)
+        pi, texp = [], []
+        for prof in profiles:
+            img = {hpi[i] - 1: t + ht[i] for i, t in prof.items()}
+            k = owner.get(next(iter(img)))
+            if k is None or profiles[k].keys() != img.keys():
+                raise ValueError("subspace is not permuted monomially by the group element")
+            shifts = {(t - profiles[k][i]) % r for i, t in img.items()}
+            if len(shifts) != 1:
+                raise ValueError("subspace is not permuted monomially by the group element")
+            pi.append(k)
+            texp.append(shifts.pop())
+        out.append((tuple(pi), tuple(texp)))
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _subspace_frame(key):
+    """(W, pivots, inverse of W's pivot rows) for the subspace with exact
+    vectors `key` (see `_vectors_key`), W holding the vectors as columns."""
+    vectors = [[CycloNum(order, coeffs) for order, coeffs in v] for v in key]
+    m = len(vectors)
+    n = len(vectors[0]) if vectors else 0
+    W = CycloMatrix([[vectors[j][i] for j in range(m)] for i in range(n)])
+    pivots = W.transpose()._rref()[1]
+    if len(pivots) != m:
+        raise ValueError("subspace basis is linearly dependent")
+    WR_inv = CycloMatrix([[W.entries[i][j] for j in range(m)] for i in pivots]).inverse()
+    return W, pivots, WR_inv
 
 
 def restriction_matrix(g: GroupElement, rep: RepKind, subspace):
     """Matrix C of g on the span of the subspace vectors: g.w_j = sum C[i][j] w_i.
 
     The dense reference for `subspace_action`; unlike it, accepts any
-    stable basis.  Raises ValueError if the subspace is not g-stable.
+    stable basis.  Raises ValueError if the subspace is not g-stable.  The
+    pivot block of a subspace is inverted once and cached.
     """
     n = g.n
-    vectors = [tuple(cyclo(x) for x in v) for v in subspace]
-    m = len(vectors)
-    W = CycloMatrix([[vectors[j][i] for j in range(m)] for i in range(n)])
-    pivots = W.transpose()._rref()[1]
-    if len(pivots) != m:
-        raise ValueError("subspace basis is linearly dependent")
-    WR_inv = CycloMatrix([[W.entries[i][j] for j in range(m)] for i in pivots]).inverse()
+    W, pivots, WR_inv = _subspace_frame(_vectors_key(subspace))
+    m = len(pivots)
     pi, t = monomial_action(g, rep)
     # image matrix U = M_g W, using the monomial structure of M_g
     pi_inv = [0] * n
@@ -580,15 +696,19 @@ def reynolds_semiinvariant_basis(
     (polynomial variables from the subspace basis, wedge factors from its
     duals).  `subspace=None` means the ambient coordinate space.
 
-    Every subgroup element must permute the subspace basis up to roots of
-    unity (see `subspace_action`), so the projector is summed orbit by orbit
-    with integer phase exponents.
+    `subgroup` must list `chi.subgroup`, and every element must permute the
+    subspace basis up to roots of unity (see `subspace_action`), so the
+    projector is summed orbit by orbit with integer phase exponents.  The
+    character is verified and its action data are built on the first call
+    for a table and subspace (`CharacterTable.check_multiplicative`,
+    `CharacterTable.actions`); later degrees reuse both.
     """
-    elems = list(subgroup)
+    elems = tuple(subgroup)
     if not elems:
         raise ValueError("empty subgroup")
+    if elems != chi.subgroup:
+        raise ValueError("subgroup must list the character's subgroup")
     chi.check_multiplicative()
-    r = elems[0].r
     n = elems[0].n
     ambient = subspace is None
     if ambient:
@@ -608,20 +728,8 @@ def reynolds_semiinvariant_basis(
         return []
     index = {b: i for i, b in enumerate(basis)}
 
-    F = lcm(2, r, *(v.order for v in chi.values.values()))
-    actions = []
-    for h in elems:
-        if ambient:
-            pi_raw, texp = monomial_action(h, rep)
-            pi = tuple(p - 1 for p in pi_raw)
-        else:
-            pi, texp = subspace_action(h, rep, vectors)
-        ce = as_root_exponent(chi(h), F)
-        if ce is None:
-            raise CharacterError(f"character value {chi(h)} is not an {F}-th root of unity")
-        actions.append((pi, tuple(t * (F // r) for t in texp), ce))
-
-    rows = echelon_rows(_reynolds_orbits(actions, F, basis, index, len(elems)))
+    actions = chi.actions(rep, vectors)
+    rows = echelon_rows(_reynolds_orbits(actions, chi.order, basis, index, len(elems)))
     return [
         _assemble_polyform(row, basis, n, m, vectors, complement, form_degree, ambient)
         for row in rows

@@ -5,12 +5,15 @@ import pytest
 from heckeforge.cyclo import root_of_unity
 from heckeforge.group import (
     RepKind,
+    centralizer,
     conjugacy_classes,
     conjugate,
     diag,
     elements,
     from_cycles,
+    generators_by_closure,
     identity,
+    multiply,
     three_cycle,
     xi,
 )
@@ -33,7 +36,7 @@ from heckeforge.hochschild import (
     perp_space,
     three_cycle_component_module,
 )
-from heckeforge.polyforms import restriction_matrix
+from heckeforge.polyforms import CharacterError, CharacterTable, restriction_matrix
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -264,3 +267,49 @@ def test_character_matches_dense_restriction(r, p, n, rep):
         for h in chi.subgroup:
             dense = restriction_matrix(h, rep, perp).determinant() if perp else 1
             assert chi(h) == dense, (g, h, rep)
+
+
+def _passes(check):
+    try:
+        check()
+    except CharacterError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("r,p,n", [(3, 1, 3), (2, 1, 4)])
+def test_generator_check_matches_all_pairs_check(r, p, n):
+    # the closure's generators reach exactly Z(g), and the check on them
+    # accepts a table iff e(xy) = e(x) + e(y) holds for all pairs, on every
+    # class character and on a copy corrupted at one element
+    for cls in conjugacy_classes(r, p, n):
+        Z = centralizer(cls.rep, p)
+        gens, _ = generators_by_closure(Z)
+        reached, frontier = {identity(r, n)}, [identity(r, n)]
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                y = multiply(x, Z[s])
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        assert reached == set(Z)
+        assert 2 ** len(gens) <= len(Z)
+        index = {h: i for i, h in enumerate(Z)}
+        table = [[index[multiply(x, y)] for y in Z] for x in Z]
+        for rep in (F, P):
+            chi = hochschild_character(cls.rep, rep, p)
+            F_ = chi.order
+            corrupted = dict(chi.exponents)
+            corrupted[Z[-1]] += 1
+            results = []
+            for exps in (chi.exponents, corrupted):
+                e = [exps[h] for h in Z]
+                all_pairs = all(
+                    (e[i] + e[j] - e[k]) % F_ == 0
+                    for i, row in enumerate(table)
+                    for j, k in enumerate(row)
+                )
+                fresh = CharacterTable.from_exponents(Z, F_, exps)
+                results.append((_passes(fresh.check_multiplicative), all_pairs))
+            assert results == [(True, True), (False, False)], (cls.rep, rep)

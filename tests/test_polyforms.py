@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import heckeforge.group
+import heckeforge.polyforms
 from heckeforge.cyclo import one, root_of_unity
 from heckeforge.group import (
     GroupElement,
     RepKind,
+    det,
     elements,
     identity,
     multiply,
@@ -271,3 +274,60 @@ def test_character_table_validation():
         bad.check_multiplicative()
     with pytest.raises(CharacterError):
         reynolds_semiinvariant_basis(s2, bad, F, 1, 0)
+
+
+def test_multiplicativity_check_sees_every_element():
+    # det on all of G(2,1,4), corrupted at an element that a check sampling
+    # 60 x 4 pairs (every 6th element against the first four of those) never
+    # touches; the check on generators covers every element
+    els = elements(2, 1, 4)
+    sample = els[:: len(els) // 60]
+    touched = set(sample) | {multiply(g, h) for g in sample for h in sample[:4]}
+    target = next(h for h in els if h not in touched)
+    values = {h: det(h, F) for h in els}
+    CharacterTable(els, values).check_multiplicative()
+    values[target] = -values[target]
+    with pytest.raises(CharacterError):
+        CharacterTable(els, values).check_multiplicative()
+
+
+def test_reynolds_verifies_and_builds_action_data_once_per_table(monkeypatch):
+    g = three_cycle(3, 4, 1, 2, 3)
+    cached = hochschild_character(g, F, 1)
+    chi = CharacterTable.from_exponents(cached.subgroup, cached.order, cached.exponents)
+    assert not chi.is_trivial()
+    calls = {"multiply": 0, "subspace_actions": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(heckeforge.group, "multiply", counting("multiply", multiply))
+    monkeypatch.setattr(
+        heckeforge.polyforms,
+        "subspace_actions",
+        counting("subspace_actions", heckeforge.polyforms.subspace_actions),
+    )
+    fixed, perp = fixed_space(g, F), perp_space(g, F)
+    dims = []
+    for d in range(4):
+        dims.append(
+            len(reynolds_semiinvariant_basis(chi.subgroup, chi, F, d, 0, subspace=fixed, complement=perp))
+        )
+        if d == 0:
+            first = dict(calls)
+    assert first["multiply"] > 0 and first["subspace_actions"] == 1
+    assert calls == first
+    assert dims == [
+        len(reynolds_semiinvariant_basis(cached.subgroup, cached, F, d, 0, subspace=fixed, complement=perp))
+        for d in range(4)
+    ]
+
+
+def test_reynolds_requires_the_character_subgroup():
+    s3 = sym_elements(3)
+    with pytest.raises(ValueError):
+        reynolds_semiinvariant_basis(s3[:2], trivial_character(s3), F, 1, 0)
