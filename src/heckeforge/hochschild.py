@@ -74,6 +74,24 @@ def acts_trivially(g: GroupElement, rep: RepKind) -> bool:
     return pi == tuple(range(1, g.n + 1)) and all(x % g.r == 0 for x in t)
 
 
+def _reynolds_subspace(fixed, n):
+    """The Reynolds subspace argument for V^g: None when the fixed basis is
+    the coordinate basis, so the ambient action is used."""
+    if len(fixed) == n and all(
+        (j == i) != c.is_zero() and (j != i or c == 1)
+        for i, v in enumerate(fixed)
+        for j, c in enumerate(v)
+    ):
+        return None
+    return fixed
+
+
+def _is_identity_action(pi, texp) -> bool:
+    """True iff a (pi, texp) pair of `subspace_action`, with texp reduced or
+    rescaled, is the identity on the subspace."""
+    return not any(texp) and all(j == k for k, j in enumerate(pi))
+
+
 # -- Hochschild character ------------------------------------------------------
 
 
@@ -96,11 +114,15 @@ def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTab
     # action; h permutes the fixed basis monomially, so
     # det(h | V^g) = sign(pi) zeta_r^{sum texp}.  Exponents are kept mod
     # F = lcm(2, r), with the sign as F/2.
+    # The fixed-basis pairs are kept on the table for the Reynolds projector
+    # and the det filter.
     r = g.r
     F = lcm(2, r)
     Z = centralizer(g, p, None)
+    fixed = fixed_space(g, rep)
+    pairs = subspace_actions(Z, rep, fixed)
     exps = {}
-    for h, (pi, texp) in zip(Z, subspace_actions(Z, rep, fixed_space(g, rep))):
+    for h, (pi, texp) in zip(Z, pairs):
         e = -sum(texp)
         if rep == RepKind.FAITHFUL:
             e += sum(h.exps)
@@ -108,15 +130,16 @@ def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTab
         if perm_sign(h.perm) != perm_sign(tuple(j + 1 for j in pi)):
             e += F // 2
         exps[h] = e
-    return CharacterTable.from_exponents(Z, F, exps)
+    chi = CharacterTable.from_exponents(Z, F, exps)
+    chi.keep_actions(rep, _reynolds_subspace(fixed, g.n), pairs)
+    return chi
 
 
 def _fixes_space_pointwise(h: GroupElement, rep: RepKind, vectors) -> bool:
     """True iff h fixes every listed vector (so all of their span); the
     vectors must be permuted monomially by h, as fixed-space bases are by
     the centralizer."""
-    pi, texp = subspace_action(h, rep, vectors)
-    return pi == tuple(range(len(vectors))) and not any(texp)
+    return _is_identity_action(*subspace_action(h, rep, vectors))
 
 
 # -- class components ----------------------------------------------------------
@@ -146,18 +169,6 @@ class ClassComponent:
         if match is not None:
             out["match"] = match
         return out
-
-
-def _reynolds_subspace(fixed, n):
-    """The Reynolds subspace argument for V^g: None when the fixed basis is
-    the coordinate basis, so the ambient action is used."""
-    if len(fixed) == n and all(
-        (j == i) != c.is_zero() and (j != i or c == 1)
-        for i, v in enumerate(fixed)
-        for j, c in enumerate(v)
-    ):
-        return None
-    return fixed
 
 
 def hh_component(
@@ -205,9 +216,8 @@ def _passes_det_filter(g: GroupElement, rep: RepKind, p: int, budget) -> bool:
         return False
     # on an h fixing V^g pointwise, det(h | V^g) = 1, so chi_g(h) = det(h)
     chi = hochschild_character(g, rep, p, budget)
-    identity_pi = tuple(range(len(fixed)))
     for pi, texp, e in chi.actions(rep, _reynolds_subspace(fixed, g.n)):
-        if e and pi == identity_pi and not any(texp):
+        if e and _is_identity_action(pi, texp):
             return False
     return True
 

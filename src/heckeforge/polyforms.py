@@ -427,15 +427,16 @@ class CharacterTable:
     exponents: chi(h) = zeta_F^{e(h)} with F = lcm(2, r, orders of the values).
 
     `CharacterTable(H, values)` takes the values as cyclotomic numbers and
-    reads their exponents once, on first use; `from_exponents` takes the
-    integers directly.  The table is verified once (`check_multiplicative`)
-    and keeps its integer action data per subspace (`actions`), so every
-    polynomial degree of a class reuses both.
+    reads their exponents once, on first use, after which the values are
+    dropped; `from_exponents` takes the integers directly.  The table is
+    verified once (`check_multiplicative`) and keeps its integer action data
+    per subspace (`actions`), so every polynomial degree of a class reuses
+    both.
     """
 
     def __init__(self, subgroup, values):
         self.subgroup = tuple(subgroup)
-        self._values = values
+        self._values = values  # constructor input only, until `exponents` reads it
         self._order = None
         self._exps = None
         self._verified = False
@@ -453,9 +454,7 @@ class CharacterTable:
         return table
 
     def __call__(self, h: GroupElement) -> CycloNum:
-        if self._values is not None:
-            return self._values[h]
-        return root_of_unity(self._order, self._exps[h])
+        return root_of_unity(self.order, self.exponents[h])
 
     @property
     def exponents(self) -> dict:
@@ -473,6 +472,7 @@ class CharacterTable:
                     )
                 exps[h] = e
             self._order, self._exps = F, exps
+            self._values = None
         return self._exps
 
     @property
@@ -517,21 +517,28 @@ class CharacterTable:
         h.w_j = zeta_r^{texp[j]} w_{pi[j]} on the subspace basis w, or on the
         coordinate basis when subspace is None (see `subspace_actions`).
         Built once per (rep, subspace) and kept on the table."""
-        key = (rep, None if subspace is None else _vectors_key(subspace))
-        out = self._actions.get(key)
+        out = self._actions.get(_actions_key(rep, subspace))
         if out is None:
             els = self.subgroup
-            step = self.order // els[0].r
             if subspace is None:
                 pairs = [monomial_action(h, rep) for h in els]
                 pairs = [(tuple(i - 1 for i in pi), t) for pi, t in pairs]
             else:
                 pairs = subspace_actions(els, rep, subspace)
-            out = [
-                (pi, tuple(t * step for t in texp), self._exps[h])
-                for h, (pi, texp) in zip(els, pairs)
-            ]
-            self._actions[key] = out
+            out = self.keep_actions(rep, subspace, pairs)
+        return out
+
+    def keep_actions(self, rep: RepKind, subspace, pairs) -> list:
+        """Store the `subspace_actions(H, rep, subspace)` pairs of a caller
+        that already has them as `actions(rep, subspace)`, and return that
+        list."""
+        step = self.order // self.subgroup[0].r
+        exps = self.exponents
+        out = [
+            (pi, tuple(t * step for t in texp), exps[h])
+            for h, (pi, texp) in zip(self.subgroup, pairs)
+        ]
+        self._actions[_actions_key(rep, subspace)] = out
         return out
 
 
@@ -539,6 +546,10 @@ def trivial_character(subgroup) -> CharacterTable:
     els = tuple(subgroup)
     r = els[0].r if els else 1
     return CharacterTable.from_exponents(els, lcm(2, r), {h: 0 for h in els})
+
+
+def _actions_key(rep: RepKind, subspace):
+    return rep, None if subspace is None else _vectors_key(subspace)
 
 
 def _vectors_key(vectors):

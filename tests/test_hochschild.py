@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import heckeforge.hochschild
+import heckeforge.polyforms
 from heckeforge.cyclo import root_of_unity
 from heckeforge.group import (
     RepKind,
@@ -22,6 +24,8 @@ from heckeforge.hochschild import (
     FreeModuleDescription,
     NotApplicableError,
     ZERO_MODULE,
+    _passes_det_filter,
+    _reynolds_subspace,
     closed_form_catalog,
     compare,
     fixed_space,
@@ -313,3 +317,29 @@ def test_generator_check_matches_all_pairs_check(r, p, n):
                 fresh = CharacterTable.from_exponents(Z, F_, exps)
                 results.append((_passes(fresh.check_multiplicative), all_pairs))
             assert results == [(True, True), (False, False)], (cls.rep, rep)
+
+
+def test_class_action_data_are_built_once(monkeypatch):
+    # the Hochschild character computes the fixed-basis action of Z(g) once;
+    # the det filter and every Reynolds degree read it from the table, both
+    # for a proper fixed space and for the coordinate basis of the identity
+    calls = []
+    real = heckeforge.polyforms.subspace_actions
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(heckeforge.polyforms, "subspace_actions", counting)
+    monkeypatch.setattr(heckeforge.hochschild, "subspace_actions", counting)
+    heckeforge.hochschild._hochschild_character.cache_clear()
+    for g, m in [(three_cycle(3, 4, 1, 2, 3), 2), (identity(2, 3), 2)]:
+        del calls[:]
+        assert _passes_det_filter(g, F, 1, None)
+        dims = hh_component(g, F, m, 4).dims_by_degree
+        assert len(calls) == 1, g
+        assert any(dims.values())
+        chi = hochschild_character(g, F, 1)
+        fresh = CharacterTable.from_exponents(chi.subgroup, chi.order, chi.exponents)
+        subspace = _reynolds_subspace(fixed_space(g, F), g.n)
+        assert fresh.actions(F, subspace) == chi.actions(F, subspace)

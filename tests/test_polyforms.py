@@ -291,6 +291,16 @@ def test_multiplicativity_check_sees_every_element():
         CharacterTable(els, values).check_multiplicative()
 
 
+def test_value_table_answers_with_its_values():
+    # a table built from cyclotomic values keeps only their exponents and
+    # gives back equal values
+    els = elements(3, 1, 2)
+    values = {h: det(h, F) for h in els}
+    chi = CharacterTable(els, values)
+    assert chi.order == 6
+    assert all(chi(h) == values[h] for h in els)
+
+
 def test_reynolds_verifies_and_builds_action_data_once_per_table(monkeypatch):
     g = three_cycle(3, 4, 1, 2, 3)
     cached = hochschild_character(g, F, 1)
