@@ -3,8 +3,9 @@
 An element xi_1^{a_1}...xi_n^{a_n} sigma is stored as the exponent vector
 (a_1..a_n) over Z/r together with the permutation sigma (image list,
 1-based).  Its matrix has entry zeta^{a_{sigma(i)}} in row sigma(i),
-column i.  Conjugacy in G(r,1,n) is decided by (a,k)-cycle type; for
-p > 1 classes are computed by full orbit enumeration since they may split.
+column i.  Conjugacy in G(r,1,n) is decided by (a,k)-cycle type.  For every
+p, conjugacy classes are grown by breadth-first search under conjugation by
+a generating set, and centralizers are solved for from the cycle structure.
 """
 
 from __future__ import annotations
@@ -135,14 +136,20 @@ def _perm_inverse(perm):
     return tuple(inv)
 
 
+def _mul(r: int, a, sigma, b, tau):
+    """(exps, perm) of the product (a, sigma)(b, tau) over Z/r, as in
+    `multiply`: (sigma.b)_{sigma(j)} = b_j."""
+    exps = list(a)
+    for s, x in zip(sigma, b):
+        exps[s - 1] = (exps[s - 1] + x) % r
+    return tuple(exps), tuple([sigma[t - 1] for t in tau])
+
+
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     """(a, sigma)(b, tau) = (a + sigma.b, sigma o tau), (sigma.b)_i = b_{sigma^-1(i)}."""
     if g.r != h.r or g.n != h.n:
         raise ValueError("elements live in different groups")
-    ginv = _perm_inverse(g.perm)
-    exps = tuple((g.exps[i] + h.exps[ginv[i] - 1]) % g.r for i in range(g.n))
-    perm = tuple(g.perm[h.perm[i] - 1] for i in range(g.n))
-    return GroupElement(g.r, g.n, exps, perm)
+    return GroupElement(g.r, g.n, *_mul(g.r, g.exps, g.perm, h.exps, h.perm))
 
 
 def generators_by_closure(elements):
@@ -372,6 +379,17 @@ def elements(r: int, p: int, n: int, budget: int | None = DEFAULT_BUDGET):
     return _elements(r, p, n)
 
 
+def generators(r: int, p: int, n: int) -> list[GroupElement]:
+    """A generating set of G(r,p,n): the transpositions (i,i+1), which
+    generate S_n, then xi_1 xi_2^-1 (n >= 2), whose S_n-conjugates generate
+    the diagonal matrices of determinant 1, and xi_1^p; identities left out."""
+    gens = [transposition(r, n, i, i + 1) for i in range(1, n)]
+    if n >= 2:
+        gens.append(diag(r, n, [1, r - 1] + [0] * (n - 2)))
+    gens.append(xi(r, n, 1, p))
+    return [g for g in gens if not g.is_identity()]
+
+
 @dataclass(frozen=True)
 class ConjClass:
     rep: GroupElement
@@ -381,16 +399,26 @@ class ConjClass:
 
 @lru_cache(maxsize=None)
 def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
-    elems = _elements(r, p, n)
-    inverses = {g: inverse(g) for g in elems}
-    seen = set()
+    # Each class is the orbit of its first unseen element under x -> s^-1 x s
+    # for s in `generators(r, p, n)`, grown breadth first on (exps, perm)
+    # pairs; a set closed under conjugation by generators of a finite group
+    # is closed under conjugation by the whole group.
+    index = {(g.exps, g.perm): g for g in _elements(r, p, n)}
+    by = [(inverse(s), s) for s in generators(r, p, n)]
+    seen: set = set()
     classes = []
-    for g in elems:  # sorted, so the first unseen member is the lex-min rep
-        if g in seen:
+    for key, g in index.items():  # sorted, so the first unseen member is the lex-min rep
+        if key in seen:
             continue
-        orbit = {multiply(multiply(inverses[h], g), h) for h in elems}
-        seen.update(orbit)
-        classes.append(ConjClass(rep=g, size=len(orbit), members=frozenset(orbit)))
+        seen.add(key)
+        orbit = [key]
+        for x in orbit:  # the list grows while it is read
+            for t, s in by:
+                y = _mul(r, *_mul(r, t.exps, t.perm, *x), s.exps, s.perm)
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        classes.append(ConjClass(rep=g, size=len(orbit), members=frozenset(index[y] for y in orbit)))
     return tuple(classes)
 
 
@@ -401,10 +429,42 @@ def conjugacy_classes(r: int, p: int, n: int, budget: int | None = DEFAULT_BUDGE
 
 @lru_cache(maxsize=4096)
 def _centralizer(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
-    return tuple(h for h in _elements(g.r, p, g.n) if multiply(g, h) == multiply(h, g))
+    # h = (b, tau) commutes with g = (a, sigma) iff tau sigma = sigma tau and
+    # a + sigma.b = b + tau.a, that is b_{sigma(j)} = b_j + c_{sigma(j)} for
+    # every j, with c = a - tau.a.  Along each cycle of sigma this fixes b
+    # from one free value at the cycle's first point, and it is solvable iff
+    # c sums to 0 mod r over the cycle.
+    r, n, a, sigma = g.r, g.n, g.exps, g.perm
+    cycles = perm_cycles(sigma)
+    out = []
+    for tau in permutations(range(1, n + 1)):
+        if any(tau[s - 1] != sigma[t - 1] for s, t in zip(sigma, tau)):
+            continue
+        tau_inv = _perm_inverse(tau)
+        c = [(a[i] - a[tau_inv[i] - 1]) % r for i in range(n)]
+        offset = [0] * n  # b_j minus the free value of j's cycle
+        for cyc in cycles:
+            total = 0
+            for j in cyc[1:]:
+                total += c[j - 1]
+                offset[j - 1] = total
+            if (total + c[cyc[0] - 1]) % r:
+                break
+        else:
+            for free in product(range(r), repeat=len(cycles)):
+                b = [0] * n
+                for x, cyc in zip(free, cycles):
+                    for j in cyc:
+                        b[j - 1] = (x + offset[j - 1]) % r
+                if sum(b) % p == 0:
+                    out.append(GroupElement(r, n, tuple(b), tau))
+    out.sort(key=GroupElement.sort_key)
+    return tuple(out)
 
 
 def centralizer(g: GroupElement, p: int, budget: int | None = DEFAULT_BUDGET):
-    """Z_{G(r,p,n)}(g), by filtering the full element list."""
+    """Z_{G(r,p,n)}(g), sorted, solved for from the cycle structure of g:
+    O(n) work per permutation of n points and per element of Z_{G(r,1,n)}(g),
+    independent of |G|."""
     check_budget(g.r, p, g.n, budget)
     return list(_centralizer(g, p))

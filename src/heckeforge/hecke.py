@@ -24,8 +24,8 @@ from .group import (
     centralizer,
     check_budget,
     conjugacy_classes,
-    diag,
     elements,
+    generators,
     identity,
     inverse,
     monomial_action,
@@ -33,8 +33,6 @@ from .group import (
     perm_cycles,
     multiply,
     three_cycle,
-    transposition,
-    xi,
 )
 from .hochschild import (
     acts_trivially,
@@ -662,14 +660,6 @@ def forms_from_semiinvariants(
 # -- independent linear-system oracle ---------------------------------------------
 
 
-def _generators(r: int, p: int, n: int):
-    gens = [transposition(r, n, i, i + 1) for i in range(1, n)]
-    if r > 1:
-        gens.append(diag(r, n, [1, r - 1] + [0] * (n - 2)))
-        gens.append(xi(r, n, 1, p))
-    return [g for g in gens if not g.is_identity()]
-
-
 def param_space_linear_oracle(
     r: int, p: int, n: int, rep: RepKind, budget: int | None = DEFAULT_BUDGET
 ) -> int:
@@ -692,7 +682,7 @@ def param_space_linear_oracle(
 
     rows = []
     inverses = {h: inverse(h) for h in G}
-    for h in _generators(r, p, n):
+    for h in generators(r, p, n):
         pi, t = monomial_action(h, rep)
         for g in G:
             g1 = multiply(multiply(inverses[h], g), h)

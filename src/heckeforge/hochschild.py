@@ -102,7 +102,7 @@ def hochschild_character(
     computed as det(h|V) / det(h|V^g) from the monomial action on V^g and
     held as exponents mod lcm(2, r).  One table per (g, rep, p) is cached,
     so its verification and action data serve every degree."""
-    centralizer(g, p, budget)  # budget check before using the cache
+    check_budget(g.r, p, g.n, budget)
     return _hochschild_character(g, rep, p)
 
 

@@ -1,5 +1,6 @@
 import json
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -239,3 +240,22 @@ def test_pbw_check_rejects_form_of_wrong_size(capsys, tmp_path):
     code, err = _exit_code(capsys, "pbw-check", str(forms))
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# JSON stdout recorded before the class and centralizer enumeration was
+# rewritten; any intended change to one of these files is a change of output.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("classes_3_1_3", ["classes", "--r", "3", "--p", "1", "--n", "3"]),
+    ("classes_4_2_3", ["classes", "--r", "4", "--p", "2", "--n", "3"]),
+    ("gha_dim_3_1_4_permutation", ["gha-dim", "--r", "3", "--p", "1", "--n", "4", "--rep", "permutation"]),
+    ("gha_dim_2_1_4_faithful", ["gha-dim", "--r", "2", "--p", "1", "--n", "4", "--rep", "faithful"]),
+    ("hh_compare_2_1_4_faithful_D6", ["hh", "--r", "2", "--p", "1", "--n", "4", "--rep", "faithful",
+                                      "--compare", "--max-degree", "6"]),
+])
+def test_json_matches_golden_output(capsys, name, argv):
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()

@@ -18,6 +18,7 @@ from heckeforge.group import (
     diag,
     elements,
     from_cycles,
+    generators,
     group_order,
     identity,
     in_subgroup,
@@ -162,3 +163,66 @@ def test_permutation_action_factors_through_quotient():
     assert matrix(g, P) == CycloMatrix.identity(3, 1)
     s = transposition(3, 3, 1, 2)
     assert matrix(multiply(g, s), P) == matrix(s, P)
+
+
+# -- the combinatorial class and centralizer layer against brute force ---------
+
+# Every acceptance and extended group with |G| <= 5000, plus small edge cases:
+# rank 1, p = r, and p strictly between 1 and r.
+ORACLE_GROUPS = [
+    (1, 1, 3), (2, 1, 3), (3, 1, 3), (4, 1, 3),
+    (1, 1, 4), (2, 1, 4), (2, 2, 4), (3, 1, 4), (3, 3, 4), (4, 2, 4), (4, 4, 4),
+    (2, 1, 5),
+    (1, 1, 1), (2, 1, 1), (3, 3, 1), (2, 2, 2), (4, 4, 2), (6, 2, 3), (6, 3, 3),
+]
+
+
+def brute_force_classes(r, p, n):
+    """(rep, size, members) per class: each lex-min unseen element conjugated
+    by every element of G."""
+    elems = elements(r, p, n)
+    inverses = {g: inverse(g) for g in elems}
+    seen = set()
+    classes = []
+    for g in elems:
+        if g in seen:
+            continue
+        orbit = {multiply(multiply(inverses[h], g), h) for h in elems}
+        seen.update(orbit)
+        classes.append((g, len(orbit), frozenset(orbit)))
+    return classes
+
+
+def brute_force_centralizer(g, p):
+    return tuple(h for h in elements(g.r, p, g.n) if multiply(g, h) == multiply(h, g))
+
+
+@pytest.mark.parametrize("r,p,n", ORACLE_GROUPS)
+def test_classes_and_centralizers_match_brute_force(r, p, n):
+    classes = conjugacy_classes(r, p, n)
+    assert [(c.rep, c.size, c.members) for c in classes] == brute_force_classes(r, p, n)
+    for cls in classes:
+        assert tuple(centralizer(cls.rep, p)) == brute_force_centralizer(cls.rep, p)
+    # and at a member that is not the representative
+    g = max(classes[-1].members, key=GroupElement.sort_key)
+    assert tuple(centralizer(g, p)) == brute_force_centralizer(g, p)
+
+
+@pytest.mark.parametrize("r,p,n", ORACLE_GROUPS + [(4, 1, 4), (6, 6, 4)])
+def test_generators_close_to_the_group(r, p, n):
+    gens = generators(r, p, n)
+    reached = [identity(r, n)]
+    seen = set(reached)
+    for x in reached:
+        for s in gens:
+            y = multiply(x, s)
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    assert seen == set(elements(r, p, n))
+
+
+@pytest.mark.parametrize("r,p,n", ORACLE_GROUPS + [(4, 1, 4), (6, 6, 4)])
+def test_orbit_stabilizer_on_every_class(r, p, n):
+    for cls in conjugacy_classes(r, p, n):
+        assert cls.size * len(centralizer(cls.rep, p)) == group_order(r, p, n)

@@ -283,3 +283,10 @@ def test_family_json_rejects_non_skew():
 
 def test_linear_oracle_matches_reynolds_route():
     assert param_space_linear_oracle(1, 1, 3, F) == param_space(1, 1, 3, F).total == 1
+
+
+@pytest.mark.parametrize("r,p", [(1, 1), (2, 1), (3, 3), (4, 2), (6, 3)])
+@pytest.mark.parametrize("rep", [F, P])
+def test_linear_oracle_at_rank_one(r, p, rep):
+    # G(r,p,1) is cyclic, generated by xi_1^p alone; Lambda^2 V = 0
+    assert param_space_linear_oracle(r, p, 1, rep) == param_space(r, p, 1, rep).total == 0
