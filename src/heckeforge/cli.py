@@ -249,7 +249,7 @@ def cmd_gha_build(args) -> int:
     if args.scalars is not None:
         try:
             scalars = [Fraction(s) for s in args.scalars.split(",")]
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             print("error: scalars must be comma-separated rationals", file=sys.stderr)
             return 2
     try:
@@ -375,7 +375,10 @@ def _parse_token(tok: str, alg) -> "ncalg.NCElement":
             rr, k = int(m.group(1)), int(m.group(2))
             return alg.one().scale(cyclo.root_of_unity(rr, k))
         if kind == "rat":
-            return alg.one().scale(Fraction(tok))
+            try:
+                return alg.one().scale(Fraction(tok))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator: {tok}") from None
     raise ValueError(f"unrecognized token: {tok}")
 
 

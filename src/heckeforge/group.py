@@ -109,8 +109,12 @@ def xi(r: int, n: int, i: int, a: int = 1) -> GroupElement:
 
 
 def from_cycles(r: int, n: int, cycles, exps=None) -> GroupElement:
-    """Element with permutation given by disjoint cycles and optional exps."""
+    """Element with permutation given by disjoint cycles and optional exps.
+    Raises ValueError for an index outside 1..n or one used twice."""
     perm = list(range(1, n + 1))
+    used = [i for cyc in cycles for i in cyc]
+    if len(set(used)) < len(used) or not all(1 <= i <= n for i in used):
+        raise ValueError(f"cycles need distinct indices in 1..{n}: {list(cycles)}")
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             perm[a - 1] = b

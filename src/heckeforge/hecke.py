@@ -6,14 +6,14 @@ Hecke algebra exactly when it is conjugation-equivariant and satisfies the
 mixed Jacobi condition; `pbw_check` tests both directly.  The bridge to
 Hochschild cohomology goes through the chain maps psi_1, psi_2 from the bar
 resolution to the Koszul resolution of S(V): a family induces a two-cocycle
-mu_1 on S(V)#G via mu_1(r gbar, s hbar) = (f o psi_2)(1 (x) r (x) g(s) (x) 1) gbar hbar,
-and degree-0 class semi-invariants convert back into families.
+mu_1 on S(V)#G via mu_1(r gbar, s hbar) = (f o psi_2)(1 (x) r (x) g(s) (x) 1) gbar hbar
+(`ncalg.Mu1`, which computes in S(V)#G as the Drinfeld algebra of the empty
+family), and degree-0 class semi-invariants convert back into families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .cyclo import CycloMatrix, CycloNum, cyclo, echelon_rows, one, root_of_unity, zero
@@ -26,10 +26,8 @@ from .group import (
     conjugacy_classes,
     elements,
     generators,
-    identity,
     inverse,
     monomial_action,
-    monomial_image,
     perm_cycles,
     multiply,
     three_cycle,
@@ -230,7 +228,7 @@ def param_space(
                 paper_count += 1
         if acts_trivially(g, rep):
             Z = centralizer(g, p, budget)
-            basis = reynolds_semiinvariant_basis(Z, trivial_character(Z), rep, 0, 2)
+            basis = reynolds_semiinvariant_basis(trivial_character(Z), rep, 0, 2)
             lambda2[g] = len(basis)
     total = d + sum(lambda2.values())
     if rep == RepKind.PERMUTATION:
@@ -445,165 +443,6 @@ def psi2(k_exps, m_exps):
                         right[t] = m_exps[t]
                     right[j] = b - 1
                     out.append((tuple(left), tuple(right), (i + 1, j + 1)))
-    return out
-
-
-# -- skew group algebra helpers (monomial-times-group terms) -------------------
-
-
-def sg_term(exps, g: GroupElement, coeff=1) -> dict:
-    c = cyclo(coeff)
-    return {} if c.is_zero() else {(tuple(exps), g): c}
-
-
-def sg_add(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for key, c in y.items():
-        cur = out.get(key)
-        s = c if cur is None else cur + c
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
-
-
-def sg_scale(x: dict, c) -> dict:
-    c = cyclo(c)
-    if c.is_zero():
-        return {}
-    return {key: v * c for key, v in x.items()}
-
-
-def sg_mul(x: dict, y: dict, rep: RepKind) -> dict:
-    """Product in S(V)#G: (v^mu gbar)(v^nu hbar) = v^mu g(v^nu) (gh)bar."""
-    out: dict = {}
-    for (mu, g), c1 in x.items():
-        for (nu, h), c2 in y.items():
-            img, e = monomial_image(nu, g, rep)
-            key = (tuple(a + b for a, b in zip(mu, img)), multiply(g, h))
-            val = c1 * c2
-            if e:
-                val = val * root_of_unity(g.r, e)
-            cur = out.get(key)
-            s = val if cur is None else cur + val
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
-def sg_eq(x: dict, y: dict) -> bool:
-    keys = set(x) | set(y)
-    z = zero()
-    for key in keys:
-        if not x.get(key, z) == y.get(key, z):
-            return False
-    return True
-
-
-# -- the induced two-cocycle ----------------------------------------------------
-
-
-class Mu1:
-    """The Hochschild two-cocycle of S(V)#G induced by a skew-form family:
-    mu_1(r gbar (x) s hbar) = ((f o psi_2)(1 (x) r (x) g(s) (x) 1)) gbar hbar,
-    where f contracts the Koszul wedge slot against the family."""
-
-    def __init__(self, family: SkewFormFamily):
-        self.family = family
-        self.rep = family.repkind
-
-    def on_terms(self, mu, g: GroupElement, nu, h: GroupElement) -> dict:
-        gs, e0 = monomial_image(nu, g, self.rep)
-        gh = multiply(g, h)
-        out: dict = {}
-        scale0 = root_of_unity(g.r, e0) if e0 else one()
-        for left, right, (i, j) in psi2(mu, gs):
-            for gp, A in self.family.support.items():
-                aval = A.matrix[i - 1][j - 1]
-                if aval.is_zero():
-                    continue
-                img, e1 = monomial_image(right, gp, self.rep)
-                key = (
-                    tuple(a + b for a, b in zip(left, img)),
-                    multiply(gp, gh),
-                )
-                val = aval * scale0
-                if e1:
-                    val = val * root_of_unity(gp.r, e1)
-                cur = out.get(key)
-                s = val if cur is None else cur + val
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return out
-
-    def __call__(self, x: dict, y: dict) -> dict:
-        out: dict = {}
-        for (mu, g), c1 in x.items():
-            for (nu, h), c2 in y.items():
-                out = sg_add(out, sg_scale(self.on_terms(mu, g, nu, h), c1 * c2))
-        return out
-
-
-def mu1_from_family(F: SkewFormFamily) -> Mu1:
-    return Mu1(F)
-
-
-def cocycle_spot_check(mu1: Mu1, triples) -> bool:
-    """mu_1(a, bc) + a mu_1(b, c) = mu_1(ab, c) + mu_1(a, b) c on the samples.
-
-    The chain-map formula for mu_1 is a cocycle relative to the subalgebra
-    S(V): the identity holds whenever the left argument a is a pure
-    polynomial (b and c may carry group parts), which is the full range the
-    Jacobi-identity argument needs.  psi_2 itself is not equivariant, so the
-    identity genuinely fails for group-decorated left arguments; use
-    sample_cocycle_triples to stay in the valid range."""
-    rep = mu1.rep
-    for a, b, c in triples:
-        lhs = sg_add(mu1(a, sg_mul(b, c, rep)), sg_mul(a, mu1(b, c), rep))
-        rhs = sg_add(mu1(sg_mul(a, b, rep), c), sg_mul(mu1(a, b), c, rep))
-        if not sg_eq(lhs, rhs):
-            return False
-    return True
-
-
-def sample_cocycle_triples(
-    r: int, p: int, n: int, count: int, seed: int = 0, max_degree: int = 2
-):
-    """Deterministic low-degree sample triples for cocycle_spot_check:
-    a is a pure monomial, b and c are monomial-times-group terms."""
-    import random
-
-    rng = random.Random(seed)
-    G = elements(r, p, n)
-
-    def exps():
-        out = [0] * n
-        for _ in range(rng.randrange(max_degree + 1)):
-            out[rng.randrange(n)] += 1
-        return tuple(out)
-
-    triples = []
-    for _ in range(count):
-        a = sg_term(exps(), identity(r, n), Fraction(rng.randrange(1, 4)))
-        b = sg_term(exps(), rng.choice(G))
-        c = sg_term(exps(), rng.choice(G), Fraction(rng.randrange(1, 3)))
-        triples.append((a, b, c))
-    return triples
-
-
-def commutator_sum(F: SkewFormFamily, i: int, j: int) -> dict:
-    """sum_g a_g(v_i, v_j) gbar, as a skew group algebra element."""
-    n = F.n
-    out: dict = {}
-    for g, A in F.support.items():
-        c = A.entry(i, j)
-        if not c.is_zero():
-            out[((0,) * n, g)] = c
     return out
 
 

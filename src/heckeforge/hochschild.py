@@ -195,9 +195,7 @@ def hh_component(
         return ClassComponent(g, rep, codim, fixed, perp, chi, dims, bases if include_basis else None)
     subspace = _reynolds_subspace(fixed, g.n)
     for d in range(max_poly_degree + 1):
-        basis = reynolds_semiinvariant_basis(
-            list(chi.subgroup), chi, rep, d, k, subspace=subspace, complement=perp
-        )
+        basis = reynolds_semiinvariant_basis(chi, rep, d, k, subspace=subspace, complement=perp)
         dims[d] = len(basis)
         if include_basis:
             bases[d] = basis

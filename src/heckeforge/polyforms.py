@@ -693,7 +693,6 @@ def reynolds_apply(subgroup, chi: CharacterTable, rep: RepKind, form: PolyForm) 
 
 
 def reynolds_semiinvariant_basis(
-    subgroup,
     chi: CharacterTable,
     rep: RepKind,
     poly_degree: int,
@@ -707,18 +706,16 @@ def reynolds_semiinvariant_basis(
     (polynomial variables from the subspace basis, wedge factors from its
     duals).  `subspace=None` means the ambient coordinate space.
 
-    `subgroup` must list `chi.subgroup`, and every element must permute the
-    subspace basis up to roots of unity (see `subspace_action`), so the
-    projector is summed orbit by orbit with integer phase exponents.  The
-    character is verified and its action data are built on the first call
-    for a table and subspace (`CharacterTable.check_multiplicative`,
-    `CharacterTable.actions`); later degrees reuse both.
+    Every element of `chi.subgroup` must permute the subspace basis up to
+    roots of unity (see `subspace_action`), so the projector is summed orbit
+    by orbit with integer phase exponents.  The character is verified and
+    its action data are built on the first call for a table and subspace
+    (`CharacterTable.check_multiplicative`, `CharacterTable.actions`); later
+    degrees reuse both.
     """
-    elems = tuple(subgroup)
+    elems = chi.subgroup
     if not elems:
         raise ValueError("empty subgroup")
-    if elems != chi.subgroup:
-        raise ValueError("subgroup must list the character's subgroup")
     chi.check_multiplicative()
     n = elems[0].n
     ambient = subspace is None

@@ -21,12 +21,9 @@ from heckeforge.hecke import (
     SkewForm,
     SkewFormFamily,
     build_preset,
-    cocycle_spot_check,
-    mu1_from_family,
     param_space,
     param_space_linear_oracle,
     pbw_check,
-    sample_cocycle_triples,
 )
 from heckeforge.hochschild import (
     FreeModuleDescription,
@@ -36,7 +33,16 @@ from heckeforge.hochschild import (
     hh2_total,
     hh_component,
 )
-from heckeforge.ncalg import DrinfeldAlgebra, HStarAlgebra, pbw_dimension_check, verify_iso, verify_reln4
+from heckeforge.ncalg import (
+    DrinfeldAlgebra,
+    HStarAlgebra,
+    Mu1,
+    cocycle_spot_check,
+    pbw_dimension_check,
+    sample_cocycle_triples,
+    verify_iso,
+    verify_reln4,
+)
 from heckeforge.polyforms import basic_derivations, solomon_check
 
 F = RepKind.FAITHFUL
@@ -198,7 +204,7 @@ def test_criterion_8_structural_invariants():
 
     # mu_1 two-cocycle identity on 100 sampled triples
     fam = build_preset("a_r1n", 2, 3)
-    mu = mu1_from_family(fam)
+    mu = Mu1(fam)
     triples = sample_cocycle_triples(2, 1, 3, 100, seed=23)
     assert cocycle_spot_check(mu, triples)
     _passline(8, "centralizer orders, determinant filter, chain map, two-cocycle identity")

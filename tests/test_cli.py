@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeforge.cli import main
 
@@ -231,6 +235,19 @@ def test_nc_verify_rejects_r_zero(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "cycle(1,2,9)"],
+    ["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "cycle(1,1,2)"],
+    ["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "v1", "1/0"],
+    ["gha-build", "--preset", "generic", "--r", "2", "--n", "3", "--scalars", "1,1/0"],
+], ids=["cycle-index-out-of-range", "cycle-repeated-index", "token-zero-denominator",
+        "scalar-zero-denominator"])
+def test_malformed_input_is_bad_input(capsys, argv):
+    code, err = _exit_code(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_pbw_check_rejects_form_of_wrong_size(capsys, tmp_path):
     code, out, _ = run(capsys, "gha-build", "--preset", "a_r1n", "--r", "1", "--n", "3")
     data = json.loads(out)
@@ -243,7 +260,9 @@ def test_pbw_check_rejects_form_of_wrong_size(capsys, tmp_path):
 
 
 # JSON stdout recorded before the class and centralizer enumeration was
-# rewritten; any intended change to one of these files is a change of output.
+# rewritten (the first five) and before the skew group algebra became the
+# empty-family Drinfeld algebra (the rest); any intended change to one of
+# these files is a change of output.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -254,8 +273,51 @@ GOLDEN = Path(__file__).parent / "golden"
     ("gha_dim_2_1_4_faithful", ["gha-dim", "--r", "2", "--p", "1", "--n", "4", "--rep", "faithful"]),
     ("hh_compare_2_1_4_faithful_D6", ["hh", "--r", "2", "--p", "1", "--n", "4", "--rep", "faithful",
                                       "--compare", "--max-degree", "6"]),
+    ("hh_basis_2_2_4_faithful_D4", ["hh", "--r", "2", "--p", "2", "--n", "4", "--rep", "faithful",
+                                    "--basis", "--max-degree", "4"]),
+    ("gha_build_a_r1n_2_3", ["gha-build", "--preset", "a_r1n", "--r", "2", "--n", "3"]),
+    ("nc_verify_hstar_iso_3_3", ["nc-verify", "--preset", "hstar-iso", "--r", "3", "--n", "3"]),
+    ("nc_normal_form_hstar_3_4", ["nc-normal-form", "--algebra", "hstar", "--r", "3", "--n", "4",
+                                  "v1", "xi2^2", "s1", "v3", "cycle(1,3,4)", "s3", "v2", "xi4", "1/2", "v4"]),
+    ("nc_normal_form_a_drinfeld_2_3", ["nc-normal-form", "--algebra", "a-drinfeld", "--r", "2", "--n", "3",
+                                       "v3", "v1", "s2", "v2", "xi1", "v1", "cycle(1,3,2)", "v3", "s1", "1/3"]),
 ])
 def test_json_matches_golden_output(capsys, name, argv):
     code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+_INDEX = st.integers(0, 5)
+_NC_TOKENS = st.one_of(
+    st.builds("v{}".format, _INDEX),
+    st.builds("xi{}^{}".format, _INDEX, st.integers(-4, 4)),
+    st.builds("s{}".format, _INDEX),
+    st.builds("cycle({},{},{})".format, _INDEX, _INDEX, _INDEX),
+    st.builds("z{}^{}".format, st.integers(0, 4), st.integers(-3, 3)),
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(0, 3)),
+    st.sampled_from(["2", "-1", "w1", "v", "xi", "s-1", "cycle(1,2)", "z3", "1/", ""]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["hstar", "a-drinfeld"]),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.lists(_NC_TOKENS, min_size=1, max_size=6),
+)
+def test_nc_normal_form_keeps_the_exit_code_contract(algebra, r, n, tokens):
+    # tokens follow "--" so that a leading minus sign is not read as an option
+    argv = ["nc-normal-form", "--algebra", algebra, "--r", str(r), "--n", str(n), "--", *tokens]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, code)
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    else:
+        assert out.getvalue() and not err.getvalue(), argv

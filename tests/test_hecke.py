@@ -8,7 +8,6 @@ import pytest
 from heckeforge.cyclo import cyclo, one, zero
 from heckeforge.group import (
     RepKind,
-    identity,
     three_cycle,
     transposition,
     xi,
@@ -17,24 +16,17 @@ from heckeforge.hecke import (
     SkewForm,
     SkewFormFamily,
     build_preset,
-    cocycle_spot_check,
-    commutator_sum,
     conjugate_form,
     forms_from_semiinvariants,
-    mu1_from_family,
     param_space,
     param_space_linear_oracle,
     pbw_check,
     psi1,
     psi2,
-    sample_cocycle_triples,
-    sg_add,
-    sg_eq,
-    sg_scale,
-    sg_term,
     three_cycle_classes,
 )
 from heckeforge.hochschild import perp_space
+from heckeforge.ncalg import Mu1, cocycle_spot_check, commutator_sum, sample_cocycle_triples
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -200,28 +192,25 @@ def test_d1_psi1_is_multiplication_difference():
 def test_mu1_antisymmetrization_recovers_family():
     for (r, n) in [(1, 3), (2, 3)]:
         fam = build_preset("a_r1n", r, n)
-        mu = mu1_from_family(fam)
-        e = identity(r, n)
+        mu = Mu1(fam)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                vi = sg_term(tuple(1 if t == i - 1 else 0 for t in range(n)), e)
-                vj = sg_term(tuple(1 if t == j - 1 else 0 for t in range(n)), e)
-                diff = sg_add(mu(vi, vj), sg_scale(mu(vj, vi), -1))
-                assert sg_eq(diff, commutator_sum(fam, i, j))
+                vi, vj = mu.algebra.var(i), mu.algebra.var(j)
+                assert mu(vi, vj) - mu(vj, vi) == commutator_sum(fam, i, j)
 
 
 def test_mu1_on_unit_is_zero():
     fam = build_preset("a_r1n", 2, 3)
-    mu = mu1_from_family(fam)
-    unit = sg_term((0, 0, 0), identity(2, 3))
-    x = sg_term((1, 0, 2), three_cycle(2, 3, 1, 2, 3))
-    assert mu(unit, x) == {}
-    assert mu(x, unit) == {}
+    mu = Mu1(fam)
+    unit = mu.algebra.one()
+    x = mu.algebra.term((1, 0, 2), three_cycle(2, 3, 1, 2, 3))
+    assert mu(unit, x).is_zero()
+    assert mu(x, unit).is_zero()
 
 
 def test_cocycle_spot_check_100_triples():
     fam = build_preset("a_r1n", 2, 3)
-    mu = mu1_from_family(fam)
+    mu = Mu1(fam)
     triples = sample_cocycle_triples(2, 1, 3, 100, seed=11)
     assert cocycle_spot_check(mu, triples)
 

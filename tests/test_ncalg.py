@@ -4,30 +4,56 @@ from fractions import Fraction
 
 import pytest
 
+from heckeforge.cyclo import root_of_unity
 from heckeforge.group import (
     RepKind,
     diag,
     elements,
     from_cycles,
     identity,
+    monomial_image,
     multiply,
     three_cycle,
     transposition,
     xi,
 )
-from heckeforge.hecke import SkewForm, SkewFormFamily, build_preset, pbw_check, sg_eq, sg_mul, sg_term
+from heckeforge.hecke import SkewForm, SkewFormFamily, build_preset, pbw_check
 from heckeforge.ncalg import (
     DrinfeldAlgebra,
     HStarAlgebra,
     commutator,
     filtration_degree,
     pbw_dimension_check,
+    skew_group_algebra,
     tilde_generator,
     verify_iso,
     verify_reln4,
     _bubble_word,
 )
 
+
+def sg_mul(x: dict, y: dict, rep: RepKind) -> dict:
+    """Oracle product in S(V)#G on term dicts, written out from the
+    definition (v^mu gbar)(v^nu hbar) = v^mu g(v^nu) (gh)bar, with no
+    rewriting."""
+    out: dict = {}
+    for (mu, g), c1 in x.items():
+        for (nu, h), c2 in y.items():
+            img, e = monomial_image(nu, g, rep)
+            key = (tuple(a + b for a, b in zip(mu, img)), multiply(g, h))
+            val = c1 * c2
+            if e:
+                val = val * root_of_unity(g.r, e)
+            cur = out.get(key)
+            s = val if cur is None else cur + val
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return out
+
+
+F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
 
 
@@ -141,8 +167,25 @@ def test_filtration_subadditive_and_graded_product():
         prod = x * y
         assert prod.filtration_degree() <= sum(mu) + sum(nu)
         # dropping lower-degree corrections reproduces S(V)#G
-        top = {k: c for k, c in prod.terms.items() if sum(k[0]) == sum(mu) + sum(nu)}
-        assert sg_eq(top, sg_mul(sg_term(mu, a), sg_term(nu, b), P))
+        top = alg.element({k: c for k, c in prod.terms.items() if sum(k[0]) == sum(mu) + sum(nu)})
+        assert top == alg.element(sg_mul(x.terms, y.terms, P))
+
+
+@pytest.mark.parametrize("r,p,n", [(2, 1, 3), (3, 1, 3), (4, 2, 3), (3, 3, 4), (2, 1, 4)])
+@pytest.mark.parametrize("rep", [F, P])
+def test_empty_family_product_is_the_skew_group_algebra(r, p, n, rep):
+    # 150 random term pairs per group and action, 1500 in all
+    alg = skew_group_algebra(r, p, n, rep)
+    rng = random.Random(r * 100 + p * 10 + n)
+    els = elements(r, p, n)
+
+    def term():
+        mu = tuple(rng.randrange(3) for _ in range(n))
+        return alg.term(mu, rng.choice(els), rng.choice([2, 3]))
+
+    for _ in range(150):
+        x, y = term(), term()
+        assert x * y == alg.element(sg_mul(x.terms, y.terms, rep)), (x, y)
 
 
 def test_tilde_generators():
