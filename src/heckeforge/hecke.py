@@ -142,7 +142,8 @@ class SkewFormFamily:
         self.support = {g: A for g, A in self.support.items() if not A.is_zero()}
 
     def form(self, g: GroupElement) -> SkewForm:
-        return self.support.get(g, SkewForm.zero(self.n))
+        A = self.support.get(g)
+        return SkewForm.zero(self.n) if A is None else A
 
     def __eq__(self, other):
         if not isinstance(other, SkewFormFamily):
@@ -347,26 +348,40 @@ class PBWReport:
         return self.invariance and self.jacobi
 
 
+def _invariance_witness(F: SkewFormFamily, hs):
+    """The first (g, h), g over the support and h over hs, with
+    a_{h^-1gh} != a_g(h(.), h(.)); None if there is none."""
+    inverses = {h: inverse(h) for h in hs}
+    for g, A in F.support.items():
+        for h, h_inv in inverses.items():
+            if not F.form(multiply(multiply(h_inv, g), h)) == conjugate_form(A, h, F.repkind):
+                return g, h
+    return None
+
+
 def pbw_check(F: SkewFormFamily, budget: int | None = DEFAULT_BUDGET) -> PBWReport:
     """Test that the family defines a graded Hecke algebra:
-    conjugation equivariance a_{h^-1gh}(v,w) = a_g(h(v),h(w)) for all h, and
-    the per-group-element Jacobi condition
-    a_g(v,w)(u - g.u) + a_g(w,u)(v - g.v) + a_g(u,v)(w - g.w) = 0."""
-    G = elements(F.r, F.p, F.n, budget)
-    inverses = {h: inverse(h) for h in G}
-    rep = F.repkind
+    conjugation equivariance a_{h^-1gh}(v,w) = a_g(h(v),h(w)) for all g and
+    all h in G, and the per-group-element Jacobi condition
+    a_g(v,w)(u - g.u) + a_g(w,u)(v - g.v) + a_g(u,v)(w - g.w) = 0.
+
+    Equivariance is tested for g in the support and h in the generators of
+    G(r,p,n) only, which is exact.  A generator h that passes maps the
+    support into itself (h.a_g != 0 when a_g != 0) injectively, so onto
+    itself, and the condition then also holds off the support, where both
+    sides vanish.  The h passing at every g are closed under products,
+    since conjugate_form(A, h1 h2) = conjugate_form(conjugate_form(A, h1), h2),
+    so they are all of G once they include the generators.  When some
+    generator fails, the witness is the first failure of the scan over all
+    (g, h) in support x G."""
+    check_budget(F.r, F.p, F.n, budget)
     witnesses = []
-    invariance = True
-    for g, A in F.support.items():
-        for h in G:
-            g1 = multiply(multiply(inverses[h], g), h)
-            expected = conjugate_form(A, h, rep)
-            if not F.form(g1) == expected:
-                invariance = False
-                witnesses.append(("invariance", g, h))
-                break
-        if not invariance:
-            break
+    bad = _invariance_witness(F, generators(F.r, F.p, F.n))
+    if bad is not None:
+        bad = _invariance_witness(F, elements(F.r, F.p, F.n, budget))
+        witnesses.append(("invariance", *bad))
+    invariance = bad is None
+    rep = F.repkind
     jacobi = True
     n = F.n
     for g, A in F.support.items():

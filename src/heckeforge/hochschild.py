@@ -478,6 +478,8 @@ def _faithful_entry(r: int, p: int, n: int, cls: ConjClass) -> CatalogEntry:
         if r % 2 == 0:
             neg2 = from_cycles(r, n, [(1, 2)], exps=[0, r // 2] + [0] * (n - 2))
             if neg2 in cls.members:
+                if r != 2 * p:
+                    return CatalogEntry("neg_transposition_r_ne_2p", ZERO_MODULE)
                 return CatalogEntry(
                     "neg_transposition", neg_transposition_component_module(r, p, n)
                 )

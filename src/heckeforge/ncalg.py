@@ -9,6 +9,9 @@ relations; in a Drinfeld presentation via the representation), and variable
 words are sorted by adjacent transpositions, each swap inserting the
 degree-0 commutator correction of the presentation.  Termination follows
 from the lexicographic descent in (polynomial degree, inversion count).
+Normal forms are memoized per algebra: in H* that of gbar v^nu, in a
+Drinfeld algebra that of each variable word with identity group part, which
+every product with that word reuses by right-multiplying the group parts.
 Confluence is not assumed; it is certified by small-degree associativity
 checks, which fail for families violating the PBW conditions.
 
@@ -169,8 +172,7 @@ class _AlgebraBase:
         out: dict = {}
         for (mu, g), c1 in x.terms.items():
             for (nu, h), c2 in y.terms.items():
-                for key, c in self._term_product(mu, g, nu, h).items():
-                    _add_term(out, key, c * c1 * c2)
+                self._term_product(out, mu, g, nu, h, c1 * c2)
         return NCElement(self, out)
 
 
@@ -257,15 +259,23 @@ class HStarAlgebra(_AlgebraBase):
         self._move_cache[key] = out
         return out
 
-    def _term_product(self, mu, g, nu, h) -> dict:
-        out: dict = {}
+    def _term_product(self, out: dict, mu, g, nu, h, coeff) -> None:
+        """Add coeff * (v^mu gbar)(v^nu hbar) into the term dict out."""
         for (kappa, g2), c in self._move_through(g, nu).items():
-            _add_term(out, (tuple(a + b for a, b in zip(mu, kappa)), multiply(g2, h)), c)
-        return out
+            _add_term(out, (tuple(a + b for a, b in zip(mu, kappa)), multiply(g2, h)), c * coeff)
 
 
 class DrinfeldAlgebra(_AlgebraBase):
     """T(V)#G modulo vw - wv = sum_g a_g(v,w) gbar, for a skew-form family.
+
+    A product (v^mu gbar)(v^nu hbar) is v^mu g(v^nu) (gh)bar with the
+    variable word v^mu g(v^nu) still to be sorted.  `_word_form` sorts a
+    word by swapping at its first descent until none is left; each swap
+    v_k v_m -> v_m v_k adds the bracket corrections
+    a_gp(v_k, v_m) prefix . gp(suffix) . gpbar, whose words it sorts in
+    turn.  The normal form of each word it is asked for is memoized with
+    identity group part, so a product is one lookup followed by right
+    multiplication of the group parts by gh, a bijection on terms.
 
     Arithmetic is only trustworthy for families passing pbw_check; for bad
     families the rewriting is still deterministic but associativity fails,
@@ -277,6 +287,10 @@ class DrinfeldAlgebra(_AlgebraBase):
         self.r = family.r
         self.n = family.n
         self.rep = family.repkind
+        self._identity = identity(self.r, self.n)
+        self._word_cache: dict = {}
+        # one stored copy of each group element met in a cached normal form
+        self._shared: dict = {}
 
     def group_move(self, g: GroupElement, k: int) -> dict:
         """Normal form of gbar v_k: the single term rho(g)(v_k) gbar."""
@@ -286,41 +300,55 @@ class DrinfeldAlgebra(_AlgebraBase):
         c = root_of_unity(self.r, zexp) if zexp else one()
         return {(img, g): c}
 
-    def _term_product(self, mu, g, nu, h) -> dict:
-        # push gbar through v^nu letter by letter, keeping the image order:
-        # the images v_{pi(s)} need not be sorted, and re-sorting them is
-        # precisely where bracket corrections enter
-        pi, tvals = monomial_action(g, self.rep)
-        letters = _word_of(nu)
-        mapped = [pi[s - 1] for s in letters]
-        zexp = sum(tvals[s - 1] for s in letters) % self.r
-        coeff = root_of_unity(self.r, zexp) if zexp else one()
-        word = _word_of(mu) + mapped
-        tail = multiply(g, h)
+    def _word_form(self, word: tuple) -> dict:
+        """Normal form of the variable word v_{word[0]} v_{word[1]} ... as a
+        term dict (exps, group) -> coeff; memoized per word."""
+        cached = self._word_cache.get(word)
+        if cached is not None:
+            return cached
+        # the swaps run in a loop, so only corrections recurse, each on a
+        # word two letters shorter
         out: dict = {}
-        stack = [(coeff, word, tail)]
-        while stack:
-            c, w, t = stack.pop()
-            i = next((x for x in range(len(w) - 1) if w[x] > w[x + 1]), None)
-            if i is None:
-                _add_term(out, (_exps_of(w, self.n), t), c)
-                continue
-            k_, m_ = w[i], w[i + 1]
-            swapped = w[:i] + [m_, k_] + w[i + 2:]
-            stack.append((c, swapped, t))
-            prefix, suffix = w[:i], w[i + 2:]
-            for gp, A in self.family.support.items():
-                aval = A.matrix[k_ - 1][m_ - 1]
+        w = list(word)
+        i = 0
+        while True:
+            # w[:i] is sorted; find the first descent at or after i - 1
+            i = max(i - 1, 0)
+            while i < len(w) - 1 and w[i] <= w[i + 1]:
+                i += 1
+            if i >= len(w) - 1:
+                break
+            k, m = w[i], w[i + 1]
+            prefix, suffix = tuple(w[:i]), w[i + 2:]
+            # reverse support order, as a depth-first rewrite that stacks the
+            # corrections pops them: a coefficient's field order (the lcm
+            # over its additions since it was last zero) follows that order
+            for gp, A in reversed(self.family.support.items()):
+                aval = A.matrix[k - 1][m - 1]
                 if aval.is_zero():
                     continue
                 pi, tvals = monomial_action(gp, self.rep)
-                mapped = [pi[s2 - 1] for s2 in suffix]
-                zexp2 = sum(tvals[s2 - 1] for s2 in suffix) % self.r
-                c2 = c * aval
-                if zexp2:
-                    c2 = c2 * root_of_unity(self.r, zexp2)
-                stack.append((c2, prefix + mapped, multiply(gp, t)))
+                zexp = sum(tvals[s - 1] for s in suffix) % self.r
+                c = aval * root_of_unity(self.r, zexp) if zexp else aval
+                for (exps, t), c2 in self._word_form(prefix + tuple(pi[s - 1] for s in suffix)).items():
+                    tg = multiply(t, gp)
+                    _add_term(out, (exps, self._shared.setdefault(tg, tg)), c2 * c)
+            w[i], w[i + 1] = m, k
+        _add_term(out, (_exps_of(w, self.n), self._identity), one())
+        self._word_cache[word] = out
         return out
+
+    def _term_product(self, out: dict, mu, g, nu, h, coeff) -> None:
+        """Add coeff * (v^mu gbar)(v^nu hbar) into the term dict out."""
+        pi, tvals = monomial_action(g, self.rep)
+        letters = _word_of(nu)
+        zexp = sum(tvals[s - 1] for s in letters) % self.r
+        if zexp:
+            coeff = coeff * root_of_unity(self.r, zexp)
+        gh = multiply(g, h)
+        word = tuple(_word_of(mu)) + tuple(pi[s - 1] for s in letters)
+        for (exps, t), c in self._word_form(word).items():
+            _add_term(out, (exps, multiply(t, gh)), c * coeff)
 
 
 # -- S(V)#G and the two-cocycle mu_1 ----------------------------------------------

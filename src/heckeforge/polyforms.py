@@ -104,9 +104,6 @@ class Polynomial:
             return NotImplemented
         return (self - other).is_zero()
 
-    def homogeneous_part(self, d: int) -> "Polynomial":
-        return Polynomial(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def __repr__(self):
         return format_polynomial(self) or "0"
 
@@ -145,10 +142,6 @@ class PolyForm:
     @staticmethod
     def zero(n: int) -> "PolyForm":
         return PolyForm(n, {})
-
-    @staticmethod
-    def from_polynomial(p: Polynomial) -> "PolyForm":
-        return PolyForm(p.n, {(): p})
 
     def is_zero(self) -> bool:
         return not self.components

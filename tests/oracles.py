@@ -1,0 +1,115 @@
+"""Reference implementations kept as differential oracles for the fast
+paths in the library, and a faithful family shared by the tests:
+
+- `stack_multiply`: the Drinfeld product computed by rewriting every word
+  from scratch on an explicit stack (swap at the first descent, one
+  bracket correction per support element), with no memo;
+- `pbw_check_full_scan`: pbw_check with the equivariance condition tested
+  for every h in G, not only on generators;
+- `faithful_family_2_1_4`: a PBW family under the faithful action whose
+  monomial actions carry root-of-unity phases.
+"""
+
+from itertools import combinations
+
+from heckeforge.cyclo import one, root_of_unity, zero
+from heckeforge.group import (
+    RepKind,
+    elements,
+    from_cycles,
+    inverse,
+    monomial_action,
+    multiply,
+    three_cycle,
+)
+from heckeforge.hecke import PBWReport, conjugate_form, forms_from_semiinvariants
+from heckeforge.ncalg import NCElement, _add_term, _exps_of, _word_of
+
+
+def stack_term_product(alg, mu, g, nu, h) -> dict:
+    """Normal form of (v^mu gbar)(v^nu hbar) in the Drinfeld algebra alg."""
+    r, n, rep, support = alg.r, alg.n, alg.rep, alg.family.support
+    pi, tvals = monomial_action(g, rep)
+    letters = _word_of(nu)
+    mapped = [pi[s - 1] for s in letters]
+    zexp = sum(tvals[s - 1] for s in letters) % r
+    coeff = root_of_unity(r, zexp) if zexp else one()
+    out: dict = {}
+    stack = [(coeff, _word_of(mu) + mapped, multiply(g, h))]
+    while stack:
+        c, w, t = stack.pop()
+        i = next((x for x in range(len(w) - 1) if w[x] > w[x + 1]), None)
+        if i is None:
+            _add_term(out, (_exps_of(w, n), t), c)
+            continue
+        k_, m_ = w[i], w[i + 1]
+        stack.append((c, w[:i] + [m_, k_] + w[i + 2:], t))
+        prefix, suffix = w[:i], w[i + 2:]
+        for gp, A in support.items():
+            aval = A.matrix[k_ - 1][m_ - 1]
+            if aval.is_zero():
+                continue
+            pi2, tvals2 = monomial_action(gp, rep)
+            zexp2 = sum(tvals2[s - 1] for s in suffix) % r
+            c2 = c * aval
+            if zexp2:
+                c2 = c2 * root_of_unity(r, zexp2)
+            stack.append((c2, prefix + [pi2[s - 1] for s in suffix], multiply(gp, t)))
+    return out
+
+
+def stack_multiply(x: NCElement, y: NCElement) -> NCElement:
+    """x * y in x's Drinfeld algebra, through stack_term_product."""
+    out: dict = {}
+    for (mu, g), c1 in x.terms.items():
+        for (nu, h), c2 in y.terms.items():
+            for key, c in stack_term_product(x.algebra, mu, g, nu, h).items():
+                _add_term(out, key, c * c1 * c2)
+    return NCElement(x.algebra, out)
+
+
+def pbw_check_full_scan(F) -> PBWReport:
+    """Equivariance a_{h^-1gh} = h.a_g over every (g, h) in supp x G, then the
+    per-element Jacobi condition; witnesses as in hecke.pbw_check."""
+    G = elements(F.r, F.p, F.n, None)
+    rep = F.repkind
+    witnesses = []
+    invariance = True
+    for g, A in F.support.items():
+        for h in G:
+            g1 = multiply(multiply(inverse(h), g), h)
+            if not F.form(g1) == conjugate_form(A, h, rep):
+                invariance = False
+                witnesses.append(("invariance", g, h))
+                break
+        if not invariance:
+            break
+    jacobi = True
+    for g, A in F.support.items():
+        pi, t = monomial_action(g, rep)
+        for i, j, k in combinations(range(F.n), 3):
+            coords = [zero() for _ in range(F.n)]
+            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                val = A.matrix[b][c]
+                if val.is_zero():
+                    continue
+                coords[a] = coords[a] + val
+                e = t[a] % g.r
+                coords[pi[a] - 1] = coords[pi[a] - 1] - (val * root_of_unity(g.r, e) if e else val)
+            if any(not x.is_zero() for x in coords):
+                jacobi = False
+                witnesses.append(("jacobi", g, (i + 1, j + 1, k + 1)))
+                break
+        if not jacobi:
+            break
+    return PBWReport(invariance, jacobi, witnesses)
+
+
+def faithful_family_2_1_4():
+    """forms_from_semiinvariants on the two codimension-2 classes of G(2,1,4)
+    with trivial Hochschild character under the faithful action, each at
+    scalar 1; the xi4(3,4) class puts phases into the monomial actions."""
+    entries = [(three_cycle(2, 4, 2, 3, 4), 1), (from_cycles(2, 4, [(3, 4)], exps=[0, 0, 0, 1]), 1)]
+    fam = forms_from_semiinvariants(entries, 2, 1, 4, RepKind.FAITHFUL)
+    assert len(fam.support) == 44 and any(any(g.exps) for g in fam.support)
+    return fam

@@ -2,13 +2,14 @@
 
 These pick up catalog paths the rank-4 groups never exercise: n = 5 (a
 nonempty middle block of basic invariants in the 3-cycle component and a
-3-variable (1,-2) component), p = r with a half-turn diagonal class, and
-r = 6 arithmetic in the machinery end to end.
+3-variable (1,-2) component), p = r with a half-turn diagonal class,
+r = 6 arithmetic in the machinery end to end, and the (1,-2) class of
+G(r,1,4) at even r != 2p.
 """
 
 import pytest
 
-from heckeforge.group import RepKind, diag
+from heckeforge.group import RepKind, conjugate_in_full_group, diag, from_cycles
 from heckeforge.hochschild import (
     closed_form_catalog,
     compare,
@@ -56,3 +57,21 @@ def test_half_turn_diagonal_class_is_zero():
     # centralizing transposition with determinant -1 kills the component
     comp = hh_component(diag(4, 4, (2, 2, 0, 0)), F, 2, 4, p=4)
     assert comp.is_zero()
+
+
+@pytest.mark.parametrize("r", [4, 6])
+def test_even_r_ne_2p_neg_transposition_class_is_zero(r):
+    # G(r,1,4) faithful, r even and r != 2p: the catalog gives the (1,-2)
+    # class the zero module under its own case name, and brute force on that
+    # class agrees through degree 4 (hh2_total's filter skips it, so compare
+    # alone would not compute it)
+    catalog = closed_form_catalog(r, 1, 4, F)
+    neg2 = from_cycles(r, 4, [(1, 2)], exps=[0, r // 2, 0, 0])
+    [entry] = [e for g, e in catalog.items() if conjugate_in_full_group(g, neg2)]
+    assert entry.case == "neg_transposition_r_ne_2p"
+    assert entry.module.dims_up_to(4) == {d: 0 for d in range(5)}
+    assert hh_component(neg2, F, 2, 4).is_zero()
+    report = compare(hh2_total(r, 1, 4, F, 4), catalog, 4)
+    assert report.ok, [
+        (row.rep, row.case, row.brute_dims, row.closed_dims) for row in report.mismatches
+    ]

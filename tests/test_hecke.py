@@ -8,6 +8,9 @@ import pytest
 from heckeforge.cyclo import cyclo, one, zero
 from heckeforge.group import (
     RepKind,
+    elements,
+    identity,
+    inverse,
     three_cycle,
     transposition,
     xi,
@@ -27,6 +30,7 @@ from heckeforge.hecke import (
 )
 from heckeforge.hochschild import perp_space
 from heckeforge.ncalg import Mu1, cocycle_spot_check, commutator_sum, sample_cocycle_triples
+from oracles import faithful_family_2_1_4
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -212,6 +216,29 @@ def test_cocycle_spot_check_100_triples():
     fam = build_preset("a_r1n", 2, 3)
     mu = Mu1(fam)
     triples = sample_cocycle_triples(2, 1, 3, 100, seed=11)
+    assert cocycle_spot_check(mu, triples)
+
+
+def test_mu1_antisymmetrization_on_a_faithful_family():
+    # antisymmetrization through a group part: mu_1(v_i hbar, h^-1(v_j)) -
+    # mu_1(v_j hbar, h^-1(v_i)) = (sum_g a_g(v_i, v_j) gbar) hbar, where the
+    # phase of h(h^-1(v_j)) must cancel the coefficient of h^-1(v_j)
+    fam = faithful_family_2_1_4()
+    mu = Mu1(fam)
+    alg = mu.algebra
+    for h in [identity(2, 4)] + random.Random(5).sample(elements(2, 1, 4), 48):
+        hbar, h_inv = alg.group(h), alg.group(inverse(h))
+        for i in range(1, 5):
+            for j in range(i + 1, 5):
+                x, y = alg.var(i) * hbar, h_inv * alg.var(j) * hbar
+                x2, y2 = alg.var(j) * hbar, h_inv * alg.var(i) * hbar
+                expected = alg.element(commutator_sum(fam, i, j).terms) * hbar
+                assert mu(x, y) - mu(x2, y2) == expected, (h, i, j)
+
+
+def test_cocycle_spot_check_on_a_faithful_family():
+    mu = Mu1(faithful_family_2_1_4())
+    triples = sample_cocycle_triples(2, 1, 4, 100, seed=12)
     assert cocycle_spot_check(mu, triples)
 
 

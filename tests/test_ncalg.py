@@ -188,6 +188,13 @@ def test_empty_family_product_is_the_skew_group_algebra(r, p, n, rep):
         assert x * y == alg.element(sg_mul(x.terms, y.terms, rep)), (x, y)
 
 
+def test_long_word_sorts_without_deep_recursion():
+    # 1600 swaps: a call per swap would pass Python's recursion limit
+    alg = skew_group_algebra(2, 1, 4, P)
+    e = identity(2, 4)
+    assert alg.term((0, 0, 0, 40), e) * alg.term((40, 0, 0, 0), e) == alg.term((40, 0, 0, 40), e)
+
+
 def test_tilde_generators():
     alg = HStarAlgebra(1, 2)
     s = alg.group(transposition(1, 2, 1, 2))
