@@ -13,42 +13,19 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cyclo, group, hecke, hochschild, ncalg
 from .group import BudgetExceededError, RepKind
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the group-level commands."""
-
-    r: int
-    p: int
-    n: int
-    rep: RepKind
-    max_poly_degree: int = 6
-    budget: int = group.DEFAULT_BUDGET
-    format: str = "text"
-    seed: int = 0
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        r, p, n = args.r, getattr(args, "p", 1), args.n
-        if r < 1 or n < 1 or p < 1 or r % p:
-            print("error: need r, n >= 1 and p | r", file=sys.stderr)
-            raise SystemExit(2)
-        return RunConfig(
-            r=r,
-            p=p,
-            n=n,
-            rep=_rep(getattr(args, "rep", "faithful")),
-            max_poly_degree=getattr(args, "max_degree", 6),
-            budget=_budget(args),
-            format=args.format,
-            seed=args.seed,
-        )
+def _group_args(args) -> tuple[RepKind, int]:
+    """(rep, budget) for a group-level command, after checking r, p and n."""
+    r, p, n = args.r, getattr(args, "p", 1), args.n
+    if r < 1 or n < 1 or p < 1 or r % p:
+        print("error: need r, n >= 1 and p | r", file=sys.stderr)
+        raise SystemExit(2)
+    return RepKind(getattr(args, "rep", "faithful")), _budget(args)
 
 
 def _budget(args) -> int:
@@ -64,13 +41,6 @@ def _budget(args) -> int:
     return group.DEFAULT_BUDGET
 
 
-def _rep(name: str) -> RepKind:
-    try:
-        return RepKind(name)
-    except ValueError:
-        raise SystemExit(2)
-
-
 def _emit(data, args, text_renderer):
     if args.format == "json":
         print(json.dumps(data, indent=2))
@@ -82,13 +52,8 @@ def _emit(data, args, text_renderer):
 
 
 def cmd_classes(args) -> int:
-    cfg = RunConfig.from_args(args)
-    budget = cfg.budget
-    try:
-        classes = group.conjugacy_classes(args.r, args.p, args.n, budget)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _, budget = _group_args(args)
+    classes = group.conjugacy_classes(args.r, args.p, args.n, budget)
     rows = []
     for cls in classes:
         rows.append(
@@ -124,30 +89,24 @@ def cmd_classes(args) -> int:
 
 
 def cmd_hh(args) -> int:
-    cfg = RunConfig.from_args(args)
-    rep = cfg.rep
-    budget = cfg.budget
+    rep, budget = _group_args(args)
     if (args.closed_form or args.compare) and args.cohdeg != 2:
         print("error: closed forms exist only in cohomological degree 2", file=sys.stderr)
         return 2
-    try:
-        if args.cohdeg == 2:
-            comps = hochschild.hh2_total(
-                args.r, args.p, args.n, rep, args.max_degree,
+    if args.cohdeg == 2:
+        comps = hochschild.hh2_total(
+            args.r, args.p, args.n, rep, args.max_degree,
+            include_basis=args.basis, budget=budget,
+        )
+    else:
+        comps = []
+        for cls in group.conjugacy_classes(args.r, args.p, args.n, budget):
+            comp = hochschild.hh_component(
+                cls.rep, rep, args.cohdeg, args.max_degree, args.p,
                 include_basis=args.basis, budget=budget,
             )
-        else:
-            comps = []
-            for cls in group.conjugacy_classes(args.r, args.p, args.n, budget):
-                comp = hochschild.hh_component(
-                    cls.rep, rep, args.cohdeg, args.max_degree, args.p,
-                    include_basis=args.basis, budget=budget,
-                )
-                if not comp.is_zero():
-                    comps.append(comp)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            if not comp.is_zero():
+                comps.append(comp)
 
     rows = [c.to_json(source="brute") for c in comps]
     if args.basis:
@@ -215,14 +174,8 @@ def cmd_hh(args) -> int:
 
 
 def cmd_gha_dim(args) -> int:
-    cfg = RunConfig.from_args(args)
-    rep = cfg.rep
-    budget = cfg.budget
-    try:
-        report = hecke.param_space(args.r, args.p, args.n, rep, budget)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep, budget = _group_args(args)
+    report = hecke.param_space(args.r, args.p, args.n, rep, budget)
     data = report.to_json()
 
     def text(d):
@@ -254,7 +207,7 @@ def cmd_gha_build(args) -> int:
             return 2
     try:
         family = hecke.build_preset(args.preset, args.r, args.n, scalars, budget)
-    except (ValueError, BudgetExceededError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(family.to_json(), indent=2)
@@ -306,15 +259,11 @@ def cmd_nc_verify(args) -> int:
     if args.preset != "hstar-iso":
         print("error: unknown preset", file=sys.stderr)
         return 2
-    budget = RunConfig.from_args(args).budget
+    _, budget = _group_args(args)
     if args.n < 3:
         print("error: the bracket relation needs n >= 3", file=sys.stderr)
         return 2
-    try:
-        group.check_budget(args.r, 1, args.n, budget)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    group.check_budget(args.r, 1, args.n, budget)
     alg = ncalg.HStarAlgebra(args.r, args.n)
     reln4 = {}
     for j in range(1, args.n + 1):

@@ -111,11 +111,6 @@ class CycloNum:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational number")
-        return self.coeffs[0]
-
     # -- field operations --------------------------------------------------
 
     def embed(self, new_order: int) -> "CycloNum":
@@ -498,21 +493,6 @@ class CycloMatrix:
         rows, pivots = self.transpose()._rref()
         return [tuple(rows[t]) for t in range(len(pivots))]
 
-    def solve(self, b) -> tuple[CycloNum, ...]:
-        """One exact solution of M x = b (free variables set to zero);
-        raises ValueError on an inconsistent system."""
-        b = [cyclo(e) for e in b]
-        if len(b) != self.rows:
-            raise ValueError("dimension mismatch")
-        aug = CycloMatrix([list(row) + [b[i]] for i, row in enumerate(self.entries)])
-        rows, pivots = aug._rref()
-        if self.cols in pivots:
-            raise ValueError("inconsistent linear system")
-        x = [zero(self.order)] * self.cols
-        for t, p in enumerate(pivots):
-            x[p] = rows[t][self.cols]
-        return tuple(x)
-
     def inverse(self) -> "CycloMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
@@ -555,11 +535,9 @@ class CycloMatrix:
         return f"CycloMatrix[{body}]"
 
 
-def echelon_rows(rows, key_sort=None) -> list[dict]:
+def echelon_rows(rows) -> list[dict]:
     """Reduced echelon form of sparse rows (dicts key -> CycloNum), pivoting
     on the smallest key of each row; returns canonical rows sorted by lead."""
-    if key_sort is None:
-        key_sort = lambda k: k
     basis: list[tuple] = []  # (lead key, row dict)
     for row in rows:
         row = {k: v for k, v in row.items() if not v.is_zero()}
@@ -572,7 +550,7 @@ def echelon_rows(rows, key_sort=None) -> list[dict]:
                 row = {k: v for k, v in row.items() if not v.is_zero()}
         if not row:
             continue
-        lead = min(row, key=key_sort)
+        lead = min(row)
         inv = row[lead].invert()
         row = {k: v * inv for k, v in row.items()}
         for i, (l0, b0) in enumerate(basis):
@@ -584,6 +562,6 @@ def echelon_rows(rows, key_sort=None) -> list[dict]:
                     nb[k] = (cur - f * v) if cur is not None else -f * v
                 basis[i] = (l0, {k: v for k, v in nb.items() if not v.is_zero()})
         basis.append((lead, row))
-    basis.sort(key=lambda t: key_sort(t[0]))
+    basis.sort(key=lambda t: t[0])
     return [row for _, row in basis]
 

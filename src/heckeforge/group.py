@@ -215,18 +215,6 @@ def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:
     return multiply(multiply(inverse(h), g), h)
 
 
-def power(g: GroupElement, e: int) -> GroupElement:
-    out = identity(g.r, g.n)
-    if e < 0:
-        g, e = inverse(g), -e
-    while e:
-        if e & 1:
-            out = multiply(out, g)
-        g = multiply(g, g)
-        e >>= 1
-    return out
-
-
 # -- actions on V and V* -----------------------------------------------------
 
 

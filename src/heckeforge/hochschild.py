@@ -130,7 +130,7 @@ def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTab
         if perm_sign(h.perm) != perm_sign(tuple(j + 1 for j in pi)):
             e += F // 2
         exps[h] = e
-    chi = CharacterTable.from_exponents(Z, F, exps)
+    chi = CharacterTable(Z, F, exps)
     chi.keep_actions(rep, _reynolds_subspace(fixed, g.n), pairs)
     return chi
 

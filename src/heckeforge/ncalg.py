@@ -292,14 +292,6 @@ class DrinfeldAlgebra(_AlgebraBase):
         # one stored copy of each group element met in a cached normal form
         self._shared: dict = {}
 
-    def group_move(self, g: GroupElement, k: int) -> dict:
-        """Normal form of gbar v_k: the single term rho(g)(v_k) gbar."""
-        e = [0] * self.n
-        e[k - 1] = 1
-        img, zexp = monomial_image(tuple(e), g, self.rep)
-        c = root_of_unity(self.r, zexp) if zexp else one()
-        return {(img, g): c}
-
     def _word_form(self, word: tuple) -> dict:
         """Normal form of the variable word v_{word[0]} v_{word[1]} ... as a
         term dict (exps, group) -> coeff; memoized per word."""

@@ -4,14 +4,14 @@ G-actions: the algebra S(V) (x) Lambda(V*).
 A PolyForm maps strictly increasing wedge index sets x_S to polynomials.
 Group elements act on polynomials by substitution and on wedge factors by
 the contragredient action, with the sign of the permutation that re-sorts
-the wedge indices.  The Reynolds projector (1/|H|) sum chi(h)^{-1} h cuts
-out a chi-semi-invariant subspace; bases are returned echelon-canonical so
-repeated runs agree byte-for-byte.
+the wedge indices.  A chi-semi-invariant basis is read off the orbits of
+the monomial-times-wedge basis, with integer phases: one basis element per
+orbit on whose stabilizer chi agrees with the action, in reduced echelon
+form, so repeated runs agree byte-for-byte.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
@@ -21,7 +21,6 @@ from .cyclo import (
     CycloNum,
     as_root_exponent,
     cyclo,
-    echelon_rows,
     one,
     root_of_unity,
     zero,
@@ -149,9 +148,6 @@ class PolyForm:
     def poly_degree(self) -> int:
         """Degree of the polynomial of highest degree over all components."""
         return max((p.degree() for p in self.components.values()), default=-1)
-
-    def form_degrees(self) -> set[int]:
-        return {len(S) for S in self.components}
 
     def __add__(self, other):
         out = dict(self.components)
@@ -417,62 +413,25 @@ class CharacterError(ValueError):
 
 class CharacterTable:
     """A linear character of a listed subgroup H of G(r,p,n), held as
-    exponents: chi(h) = zeta_F^{e(h)} with F = lcm(2, r, orders of the values).
+    exponents: chi(h) = zeta_order^{exponents[h]}, where `order` is a
+    multiple of lcm(2, r), so a sign is order / 2.
 
-    `CharacterTable(H, values)` takes the values as cyclotomic numbers and
-    reads their exponents once, on first use, after which the values are
-    dropped; `from_exponents` takes the integers directly.  The table is
-    verified once (`check_multiplicative`) and keeps its integer action data
-    per subspace (`actions`), so every polynomial degree of a class reuses
-    both.
+    The table is verified once (`check_multiplicative`) and keeps its
+    integer action data per subspace (`actions`), so every polynomial degree
+    of a class reuses both.
     """
 
-    def __init__(self, subgroup, values):
+    def __init__(self, subgroup, order: int, exponents: dict):
         self.subgroup = tuple(subgroup)
-        self._values = values  # constructor input only, until `exponents` reads it
-        self._order = None
-        self._exps = None
+        if self.subgroup and order % lcm(2, self.subgroup[0].r):
+            raise ValueError("the exponent modulus must be a multiple of lcm(2, r)")
+        self.order = order
+        self.exponents = {h: e % order for h, e in exponents.items()}
         self._verified = False
         self._actions: dict = {}
 
-    @classmethod
-    def from_exponents(cls, subgroup, order: int, exponents: dict) -> "CharacterTable":
-        """chi(h) = zeta_order^{exponents[h]}; order must be a multiple of
-        lcm(2, r)."""
-        table = cls(subgroup, None)
-        if table.subgroup and order % lcm(2, table.subgroup[0].r):
-            raise ValueError("the exponent modulus must be a multiple of lcm(2, r)")
-        table._order = order
-        table._exps = {h: e % order for h, e in exponents.items()}
-        return table
-
     def __call__(self, h: GroupElement) -> CycloNum:
         return root_of_unity(self.order, self.exponents[h])
-
-    @property
-    def exponents(self) -> dict:
-        """h -> e(h) mod `order`; raises CharacterError for a value that is
-        not a root of unity."""
-        if self._exps is None:
-            r = self.subgroup[0].r if self.subgroup else 1
-            F = lcm(2, r, *(cyclo(v).order for v in self._values.values()))
-            exps = {}
-            for h in self.subgroup:
-                e = as_root_exponent(cyclo(self._values[h]), F)
-                if e is None:
-                    raise CharacterError(
-                        f"character value {self._values[h]} is not an {F}-th root of unity"
-                    )
-                exps[h] = e
-            self._order, self._exps = F, exps
-            self._values = None
-        return self._exps
-
-    @property
-    def order(self) -> int:
-        """The exponent modulus F."""
-        self.exponents
-        return self._order
 
     def is_trivial(self) -> bool:
         return not any(self.exponents.values())
@@ -490,14 +449,14 @@ class CharacterTable:
         if self._verified:
             return
         if not self.is_trivial():
-            exps, els = self._exps, self.subgroup
+            exps, els = self.exponents, self.subgroup
             if exps.get(identity(els[0].r, els[0].n)):
                 raise CharacterError("character is not 1 at the identity")
             try:
                 gens, products = generators_by_closure(els)
             except ValueError as exc:
                 raise CharacterError(str(exc)) from exc
-            F = self._order
+            F = self.order
             e = [exps[h] for h in els]
             for i, row in enumerate(products):
                 for s, k in zip(gens, row):
@@ -506,10 +465,12 @@ class CharacterTable:
         self._verified = True
 
     def actions(self, rep: RepKind, subspace=None) -> list:
-        """(pi, texp * F / r, e(h)) for each h of H in order, where
-        h.w_j = zeta_r^{texp[j]} w_{pi[j]} on the subspace basis w, or on the
-        coordinate basis when subspace is None (see `subspace_actions`).
-        Built once per (rep, subspace) and kept on the table."""
+        """The distinct triples (pi, texp * F / r, e(h)) over h in H, in the
+        order of their first h, where h.w_j = zeta_r^{texp[j]} w_{pi[j]} on
+        the subspace basis w, or on the coordinate basis when subspace is
+        None (see `subspace_actions`).  Elements with equal triples act
+        alike on every monomial-times-wedge element, so readers need each
+        triple once.  Built once per (rep, subspace) and kept on the table."""
         out = self._actions.get(_actions_key(rep, subspace))
         if out is None:
             els = self.subgroup
@@ -527,10 +488,10 @@ class CharacterTable:
         list."""
         step = self.order // self.subgroup[0].r
         exps = self.exponents
-        out = [
+        out = list(dict.fromkeys(
             (pi, tuple(t * step for t in texp), exps[h])
             for h, (pi, texp) in zip(self.subgroup, pairs)
-        ]
+        ))
         self._actions[_actions_key(rep, subspace)] = out
         return out
 
@@ -538,7 +499,7 @@ class CharacterTable:
 def trivial_character(subgroup) -> CharacterTable:
     els = tuple(subgroup)
     r = els[0].r if els else 1
-    return CharacterTable.from_exponents(els, lcm(2, r), {h: 0 for h in els})
+    return CharacterTable(els, lcm(2, r), {h: 0 for h in els})
 
 
 def _actions_key(rep: RepKind, subspace):
@@ -676,15 +637,6 @@ def _monomials_of_degree(m: int, d: int):
     return out
 
 
-def reynolds_apply(subgroup, chi: CharacterTable, rep: RepKind, form: PolyForm) -> PolyForm:
-    """The projector (1/|H|) sum_h chi(h)^{-1} h applied to an ambient form."""
-    els = list(subgroup)
-    acc = PolyForm.zero(form.n)
-    for h in els:
-        acc = acc + act_form(h, form, rep).scale(chi(h).invert())
-    return acc.scale(Fraction(1, len(els)))
-
-
 def reynolds_semiinvariant_basis(
     chi: CharacterTable,
     rep: RepKind,
@@ -693,16 +645,22 @@ def reynolds_semiinvariant_basis(
     subspace=None,
     complement=None,
 ) -> list[PolyForm]:
-    """Echelon-canonical basis of the chi-semi-invariants of polynomial
+    """Reduced echelon basis of the chi-semi-invariants of polynomial
     degree exactly `poly_degree` and form degree `form_degree`, inside the
     span of monomial-times-wedge elements built on the given subspace
     (polynomial variables from the subspace basis, wedge factors from its
     duals).  `subspace=None` means the ambient coordinate space.
 
     Every element of `chi.subgroup` must permute the subspace basis up to
-    roots of unity (see `subspace_action`), so the projector is summed orbit
-    by orbit with integer phase exponents.  The character is verified and
-    its action data are built on the first call for a table and subspace
+    roots of unity (see `subspace_action`), so H = chi.subgroup permutes the
+    monomial-times-wedge basis up to phases zeta_F^e.  The Reynolds
+    projector (1/|H|) sum chi(h)^{-1} h then maps a basis element b into
+    the span of its orbit, and is nonzero there exactly when every h in the
+    stabilizer of b has h.b = chi(h) b: the stabilizer's twisted character
+    is otherwise nontrivial and sums to 0.  So each surviving orbit gives
+    one basis element, read off by comparing integer phases, with no
+    projector sum (see `_phase_rows`).  The character is verified and its
+    action data are built on the first call for a table and subspace
     (`CharacterTable.check_multiplicative`, `CharacterTable.actions`); later
     degrees reuse both.
     """
@@ -727,31 +685,36 @@ def reynolds_semiinvariant_basis(
     basis = [(mu, S) for mu in monos for S in wedges]
     if not basis:
         return []
-    index = {b: i for i, b in enumerate(basis)}
-
-    actions = chi.actions(rep, vectors)
-    rows = echelon_rows(_reynolds_orbits(actions, chi.order, basis, index, len(elems)))
+    rows = _phase_rows(chi.actions(rep, vectors), chi.order, basis)
     return [
         _assemble_polyform(row, basis, n, m, vectors, complement, form_degree, ambient)
         for row in rows
     ]
 
 
-def _reynolds_orbits(actions, F, basis, index, order):
-    """Projector images of one representative per monomial orbit.
+def _phase_rows(actions, F, basis):
+    """Reduced echelon basis, as sparse rows over `basis`, of the span of
+    the chi-semi-invariants; `actions` as in `CharacterTable.actions`.
 
-    Each (pi, texp, chi_e) sends (mu, S) to zeta_F^e (mu', S') with a single
-    integer exponent e, so coefficient sums are accumulated as counters per
-    exponent class and materialized into cyclotomic numbers once."""
-    visited = [False] * len(basis)
-    out = []
+    Each (pi, texp, chi_e) sends b = (mu, S) to zeta_F^e b' with a single
+    integer exponent e (chi's inverse folded in), so one walk over the
+    actions from b reaches its orbit with a phase per element.  When two
+    elements send b to the same b' with different phases, the stabilizer of
+    b acts by a nontrivial character, whose sum is 0, so the projector kills
+    the orbit.  Otherwise the projector's image of b is a multiple of
+    sum_{b'} zeta_F^{e(b') - e(b)} b'.  Orbits are disjoint and each walk
+    starts at the smallest index of its orbit, so these rows, taken in scan
+    order, are already the reduced echelon form."""
+    index = {b: i for i, b in enumerate(basis)}
+    reached = [False] * len(basis)
     half = F // 2
-    zeta_cache = [root_of_unity(F, e) for e in range(F)]
-    inv_order = Fraction(1, order)
+    zeta = [root_of_unity(F, e) for e in range(F)]
+    rows = []
     for start, (mu, S) in enumerate(basis):
-        if visited[start]:
+        if reached[start]:
             continue
-        counts: dict = {}
+        phases: dict = {}
+        agree = True
         for pi, texp, chi_e in actions:
             img_mu = [0] * len(mu)
             e = -chi_e
@@ -764,22 +727,15 @@ def _reynolds_orbits(actions, F, basis, index, order):
                 e -= texp[j]
             if sign < 0:
                 e += half
-            key = (tuple(img_mu), imgS)
-            slot = counts.setdefault(key, [0] * F)
-            slot[e % F] += 1
-        vec = {}
-        for key, slot in counts.items():
-            idx = index[key]
-            visited[idx] = True
-            coeff = zero(F)
-            for e, cnt in enumerate(slot):
-                if cnt:
-                    coeff = coeff + zeta_cache[e] * cnt
-            if not coeff.is_zero():
-                vec[idx] = coeff * inv_order
-        if vec:
-            out.append(vec)
-    return out
+            e %= F
+            if phases.setdefault(index[tuple(img_mu), imgS], e) != e:
+                agree = False
+        for idx in phases:
+            reached[idx] = True
+        if agree:
+            e0 = phases[start]
+            rows.append({idx: zeta[(e - e0) % F] for idx, e in phases.items()})
+    return rows
 
 
 def _assemble_polyform(row, basis, n, m, vectors, complement, form_degree, ambient):

@@ -6,13 +6,18 @@ paths in the library, and a faithful family shared by the tests:
   bracket correction per support element), with no memo;
 - `pbw_check_full_scan`: pbw_check with the equivariance condition tested
   for every h in G, not only on generators;
+- `reynolds_rows_by_projector`: the semi-invariant rows from the Reynolds
+  projector summed over every h in the subgroup, orbit by orbit, then
+  echelon-reduced;
 - `faithful_family_2_1_4`: a PBW family under the faithful action whose
   monomial actions carry root-of-unity phases.
 """
 
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
-from heckeforge.cyclo import one, root_of_unity, zero
+from heckeforge.cyclo import echelon_rows, one, root_of_unity, zero
 from heckeforge.group import (
     RepKind,
     elements,
@@ -24,6 +29,7 @@ from heckeforge.group import (
 )
 from heckeforge.hecke import PBWReport, conjugate_form, forms_from_semiinvariants
 from heckeforge.ncalg import NCElement, _add_term, _exps_of, _word_of
+from heckeforge.polyforms import _sort_with_sign
 
 
 def stack_term_product(alg, mu, g, nu, h) -> dict:
@@ -113,3 +119,54 @@ def faithful_family_2_1_4():
     fam = forms_from_semiinvariants(entries, 2, 1, 4, RepKind.FAITHFUL)
     assert len(fam.support) == 44 and any(any(g.exps) for g in fam.support)
     return fam
+
+
+def reynolds_rows_by_projector(actions, F, basis) -> list[dict]:
+    """Reduced echelon rows, over `basis`, of the projector images
+    (1/|H|) sum_h chi(h)^{-1} h.b of one b per orbit, where `actions` holds
+    one (pi, texp * F / r, e(h)) triple per h in H, repeats included.
+
+    Each triple sends (mu, S) to zeta_F^e (mu', S') with a single integer
+    exponent e, so coefficient sums are accumulated as counters per exponent
+    class and materialized into cyclotomic numbers once.  Equal triples add
+    to the same counter, so each distinct triple is applied once and counted
+    with its multiplicity."""
+    index = {b: i for i, b in enumerate(basis)}
+    visited = [False] * len(basis)
+    out = []
+    half = F // 2
+    zeta_cache = [root_of_unity(F, e) for e in range(F)]
+    inv_order = Fraction(1, len(actions))
+    weights = Counter(actions)
+    for start, (mu, S) in enumerate(basis):
+        if visited[start]:
+            continue
+        counts: dict = {}
+        for (pi, texp, chi_e), weight in weights.items():
+            img_mu = [0] * len(mu)
+            e = -chi_e
+            for j, k in enumerate(mu):
+                if k:
+                    img_mu[pi[j]] = k
+                    e += texp[j] * k
+            imgS, sign = _sort_with_sign(pi[j] for j in S)
+            for j in S:
+                e -= texp[j]
+            if sign < 0:
+                e += half
+            key = (tuple(img_mu), imgS)
+            slot = counts.setdefault(key, [0] * F)
+            slot[e % F] += weight
+        vec = {}
+        for key, slot in counts.items():
+            idx = index[key]
+            visited[idx] = True
+            coeff = zero(F)
+            for e, cnt in enumerate(slot):
+                if cnt:
+                    coeff = coeff + zeta_cache[e] * cnt
+            if not coeff.is_zero():
+                vec[idx] = coeff * inv_order
+        if vec:
+            out.append(vec)
+    return echelon_rows(out)

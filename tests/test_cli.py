@@ -281,6 +281,8 @@ GOLDEN = Path(__file__).parent / "golden"
                                   "v1", "xi2^2", "s1", "v3", "cycle(1,3,4)", "s3", "v2", "xi4", "1/2", "v4"]),
     ("nc_normal_form_a_drinfeld_2_3", ["nc-normal-form", "--algebra", "a-drinfeld", "--r", "2", "--n", "3",
                                        "v3", "v1", "s2", "v2", "xi1", "v1", "cycle(1,3,2)", "v3", "s1", "1/3"]),
+    ("hh_compare_4_1_4_faithful_D4", ["hh", "--r", "4", "--p", "1", "--n", "4", "--rep", "faithful",
+                                      "--max-degree", "4", "--compare"]),
 ])
 def test_json_matches_golden_output(capsys, name, argv):
     code, out, _ = run(capsys, "--format", "json", *argv)

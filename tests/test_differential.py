@@ -6,7 +6,11 @@ in `oracles`:
   fail the PBW conditions;
 - generator-only pbw_check against the scan over all of G, verdict and
   witnesses, on every group with |G| <= 400 that the acceptance and
-  extended tests use, under both actions.
+  extended tests use, under both actions;
+- the semi-invariant rows from phase agreement against the Reynolds
+  projector sums followed by echelon reduction, index, field order and
+  coefficients, on every class of the acceptance and extended groups under
+  both actions, and on three non-standard subspace bases.
 """
 
 import random
@@ -14,10 +18,23 @@ from itertools import product
 
 import pytest
 
-from heckeforge.group import GroupElement, RepKind, elements, identity, three_cycle, transposition
+import heckeforge.polyforms
+from heckeforge.cyclo import root_of_unity
+from heckeforge.group import (
+    GroupElement,
+    RepKind,
+    conjugacy_classes,
+    elements,
+    group_order,
+    identity,
+    three_cycle,
+    transposition,
+)
 from heckeforge.hecke import SkewForm, SkewFormFamily, _extend_by_conjugation, build_preset, pbw_check
+from heckeforge.hochschild import _reynolds_subspace, fixed_space, hochschild_character, perp_space
 from heckeforge.ncalg import DrinfeldAlgebra
-from oracles import faithful_family_2_1_4, pbw_check_full_scan, stack_multiply
+from heckeforge.polyforms import reynolds_semiinvariant_basis, subspace_actions, trivial_character
+from oracles import faithful_family_2_1_4, pbw_check_full_scan, reynolds_rows_by_projector, stack_multiply
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -143,3 +160,101 @@ def test_generator_pbw_check_matches_the_full_scan(name):
     fam = PBW_FAMILIES[name]
     fast, full = pbw_check(fam), pbw_check_full_scan(fam)
     assert (fast.invariance, fast.jacobi, fast.witnesses) == (full.invariance, full.jacobi, full.witnesses)
+
+
+# -- semi-invariant rows from phase agreement against the projector sums ----------
+
+
+def _reynolds_groups():
+    from test_acceptance import FAITHFUL_CASES, NONFAITHFUL_CASES
+    from test_catalog_extended import EXTENDED_CASES
+
+    groups = set(FAITHFUL_CASES) | {(r, 1, n) for r, n in NONFAITHFUL_CASES}
+    groups |= {(r, p, n) for r, p, n, _, _ in EXTENDED_CASES}
+    return [(r, p, n, rep) for r, p, n in sorted(groups) for rep in (F, P)]
+
+
+def _max_degree(r, p, n):
+    return 6 if group_order(r, p, n) <= 400 else 4
+
+
+def _class_cases(r, p, n, rep):
+    """(chi, rep, subspace, complement, D) for every class, as hh_component
+    passes them."""
+    out = []
+    for cls in conjugacy_classes(r, p, n):
+        g = cls.rep
+        subspace = _reynolds_subspace(fixed_space(g, rep), n)
+        out.append((hochschild_character(g, rep, p), rep, subspace, perp_space(g, rep), _max_degree(r, p, n)))
+    return out
+
+
+def _scaled_fixed_basis_case():
+    # the fixed basis of (1,2,3) in G(3,1,4), each vector scaled by a power of zeta_3
+    g = three_cycle(3, 4, 1, 2, 3)
+    scaled = [tuple(c * root_of_unity(3, j + 1) for c in v) for j, v in enumerate(fixed_space(g, F))]
+    return [(hochschild_character(g, F, 1), F, scaled, perp_space(g, F), _max_degree(3, 1, 4))]
+
+
+def _reversed_basis_case():
+    # S_3 with the trivial character on the coordinate basis in reverse order
+    std = [tuple(1 if j == i else 0 for j in range(3)) for i in range(3)]
+    return [(trivial_character(elements(1, 1, 3)), F, std[::-1], [], _max_degree(1, 1, 3))]
+
+
+def _scaled_coordinate_basis_case():
+    # the permutation matrices of G(3,1,3) with the trivial character on
+    # w_j = zeta_3^j v_j: a transposition sends w_i to a nonreal multiple of
+    # w_j, so the rows carry nonreal phases, which the fixed bases of the
+    # class cases never do
+    S3 = [h for h in elements(3, 1, 3) if not any(h.exps)]
+    scaled = [tuple(root_of_unity(3, j) if i == j else 0 for i in range(3)) for j in range(3)]
+    return [(trivial_character(S3), F, scaled, [], _max_degree(1, 1, 3))]
+
+
+REYNOLDS_CASES = {
+    f"G({r},{p},{n}) {rep.value}": (lambda a=(r, p, n, rep): _class_cases(*a))
+    for r, p, n, rep in _reynolds_groups()
+}
+REYNOLDS_CASES["scaled fixed basis"] = _scaled_fixed_basis_case
+REYNOLDS_CASES["reversed coordinate basis"] = _reversed_basis_case
+REYNOLDS_CASES["scaled coordinate basis"] = _scaled_coordinate_basis_case
+
+
+def _per_element_actions(chi, rep, subspace):
+    """(pi, texp * F / r, e(h)) for every h of chi.subgroup, repeats kept."""
+    H = chi.subgroup
+    n, step = H[0].n, chi.order // H[0].r
+    if subspace is None:
+        subspace = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    pairs = subspace_actions(H, rep, subspace)
+    return [(pi, tuple(t * step for t in texp), chi.exponents[h]) for h, (pi, texp) in zip(H, pairs)]
+
+
+@pytest.mark.parametrize("name", list(REYNOLDS_CASES))
+def test_phase_rows_match_the_projector_sums(monkeypatch, name):
+    # every polynomial degree up to D and every form degree, through the
+    # public entry point; the projector sums run over every element of the
+    # subgroup.  Some orbit must be killed, or the comparison would not
+    # reach the stabilizer condition
+    seen = {"calls": 0, "killed": 0}
+    real = heckeforge.polyforms._phase_rows
+
+    def as_data(rows):
+        return [[(i, c.order, c.coeffs) for i, c in row.items()] for row in rows]
+
+    def compared(actions, order, basis):
+        rows = real(actions, order, basis)
+        assert as_data(rows) == as_data(reynolds_rows_by_projector(per_element, order, basis))
+        seen["calls"] += 1
+        seen["killed"] += sum(map(len, rows)) < len(basis)
+        return rows
+
+    monkeypatch.setattr(heckeforge.polyforms, "_phase_rows", compared)
+    for chi, rep, subspace, complement, D in REYNOLDS_CASES[name]():
+        per_element = _per_element_actions(chi, rep, subspace)
+        m = chi.subgroup[0].n if subspace is None else len(subspace)
+        for d in range(D + 1):
+            for k in range(m + 1):
+                reynolds_semiinvariant_basis(chi, rep, d, k, subspace=subspace, complement=complement)
+    assert seen["calls"] and seen["killed"], seen

@@ -97,7 +97,8 @@ def character_dimension(subgroup, chi, rep, subspace, d, k):
         ek = _elementary([lam.invert() for lam in lams], k)
         total = total + chi(h).invert() * hd * ek
     val = total * Fraction(1, len(subgroup))
-    q = val.rational_value()
+    assert val.is_rational()
+    q = val.coeffs[0]
     assert q.denominator == 1
     return int(q)
 

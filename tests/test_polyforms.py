@@ -1,11 +1,10 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 import heckeforge.group
 import heckeforge.polyforms
-from heckeforge.cyclo import one, root_of_unity
+from heckeforge.cyclo import as_root_exponent, one, root_of_unity
 from heckeforge.group import (
     GroupElement,
     RepKind,
@@ -28,7 +27,6 @@ from heckeforge.polyforms import (
     basic_derivations,
     elementary_symmetric,
     invariant_ring_generators,
-    reynolds_apply,
     reynolds_semiinvariant_basis,
     solomon_check,
     subspace_action,
@@ -78,7 +76,7 @@ def test_act_form_preserves_bidegree():
     w = PolyForm(3, {(1, 2): Polynomial.monomial(3, (2, 1, 0))})
     res = act_form(three_cycle(3, 3, 1, 2, 3), w, F)
     assert res.poly_degree() == 3
-    assert res.form_degrees() == {2}
+    assert {len(S) for S in res.components} == {2}
 
 
 def test_elementary_symmetric():
@@ -190,20 +188,6 @@ def test_reynolds_centralizer_example():
         assert any(b == e for e in expected)
 
 
-def test_reynolds_projector_idempotent():
-    s3 = sym_elements(3)
-    chi = trivial_character(s3)
-    pf = PolyForm(
-        3,
-        {
-            (1,): Polynomial.monomial(3, (1, 0, 2)),
-            (2,): Polynomial.monomial(3, (0, 1, 1), Fraction(2, 3)),
-        },
-    )
-    p1 = reynolds_apply(s3, chi, F, pf)
-    assert reynolds_apply(s3, chi, F, p1) == p1
-
-
 def test_reynolds_outputs_are_semiinvariant():
     g = three_cycle(3, 4, 1, 2, 3)
     chi = hochschild_character(g, F, 1)
@@ -268,8 +252,9 @@ def test_subspace_action_on_fixed_space():
 
 
 def test_character_table_validation():
+    # zeta_3 on a transposition: a root of unity, but not a character of S_2
     s2 = sym_elements(2)
-    bad = CharacterTable(tuple(s2), {s2[0]: one(), s2[1]: one() + one()})
+    bad = CharacterTable(s2, 6, {s2[0]: 0, s2[1]: 2})
     with pytest.raises(CharacterError):
         bad.check_multiplicative()
     with pytest.raises(CharacterError):
@@ -284,27 +269,29 @@ def test_multiplicativity_check_sees_every_element():
     sample = els[:: len(els) // 60]
     touched = set(sample) | {multiply(g, h) for g in sample for h in sample[:4]}
     target = next(h for h in els if h not in touched)
-    values = {h: det(h, F) for h in els}
-    CharacterTable(els, values).check_multiplicative()
-    values[target] = -values[target]
+    exps = {h: as_root_exponent(det(h, F), 2) for h in els}
+    CharacterTable(els, 2, exps).check_multiplicative()
+    exps[target] += 1
     with pytest.raises(CharacterError):
-        CharacterTable(els, values).check_multiplicative()
+        CharacterTable(els, 2, exps).check_multiplicative()
 
 
-def test_value_table_answers_with_its_values():
-    # a table built from cyclotomic values keeps only their exponents and
-    # gives back equal values
+def test_exponent_table_answers_with_root_values():
+    # det on G(3,1,2) as exponents mod 6 gives back the determinants; the
+    # modulus must hold the sign and zeta_3
     els = elements(3, 1, 2)
-    values = {h: det(h, F) for h in els}
-    chi = CharacterTable(els, values)
-    assert chi.order == 6
-    assert all(chi(h) == values[h] for h in els)
+    exps = {h: as_root_exponent(det(h, F), 6) for h in els}
+    chi = CharacterTable(els, 6, exps)
+    chi.check_multiplicative()
+    assert all(chi(h) == det(h, F) for h in els)
+    with pytest.raises(ValueError):
+        CharacterTable(els, 3, exps)
 
 
 def test_reynolds_verifies_and_builds_action_data_once_per_table(monkeypatch):
     g = three_cycle(3, 4, 1, 2, 3)
     cached = hochschild_character(g, F, 1)
-    chi = CharacterTable.from_exponents(cached.subgroup, cached.order, cached.exponents)
+    chi = CharacterTable(cached.subgroup, cached.order, cached.exponents)
     assert not chi.is_trivial()
     calls = {"multiply": 0, "subspace_actions": 0}
 
