@@ -132,7 +132,7 @@ def cmd_hh(args) -> int:
                 rows.append(
                     {
                         "class": crow.rep.to_json(),
-                        "codim": crow.rep.n - len(hochschild.fixed_space(crow.rep, rep)),
+                        "codim": crow.rep.n - len(hochschild.fixed_basis(crow.rep, rep)),
                         "dims": {str(d): v for d, v in sorted(crow.closed_dims.items())},
                         "source": "closed",
                         "match": crow.match,
@@ -197,7 +197,7 @@ def cmd_gha_build(args) -> int:
     if args.n < 3:
         print("error: presets need n >= 3", file=sys.stderr)
         return 2
-    budget = _budget(args)
+    _, budget = _group_args(args)
     scalars = None
     if args.scalars is not None:
         try:
@@ -242,13 +242,14 @@ def cmd_pbw_check(args) -> int:
             {"kind": kind, "g": g.to_json(), "at": repr(w)} for kind, g, w in report.witnesses
         ],
     }
-    if args.format == "json":
-        print(json.dumps(data, indent=2))
-    else:
-        print(f"invariance: {report.invariance}")
-        print(f"jacobi:     {report.jacobi}")
-        for w in data["witnesses"]:
+
+    def text(d):
+        print(f"invariance: {d['invariance']}")
+        print(f"jacobi:     {d['jacobi']}")
+        for w in d["witnesses"]:
             print(f"  witness [{w['kind']}] g={w['g']} at {w['at']}")
+
+    _emit(data, args, text)
     return 0 if report.ok else 1
 
 
@@ -273,9 +274,8 @@ def cmd_nc_verify(args) -> int:
     iso = ncalg.verify_iso(args.r, args.n)
     ok = all(reln4.values()) and iso.ok
     data = {"reln4": reln4, "iso": iso.to_json(), "ok": ok}
-    if args.format == "json":
-        print(json.dumps(data, indent=2))
-    else:
+
+    def text(d):
         bad = [k for k, v in reln4.items() if not v]
         print(f"transposition relations: {len(reln4) - len(bad)}/{len(reln4)} verified")
         for k in bad:
@@ -283,6 +283,8 @@ def cmd_nc_verify(args) -> int:
         for name, val in iso.checks.items():
             print(f"  {name}: {'ok' if val else 'FAILED'}")
         print("all relations verified" if ok else "verification FAILED")
+
+    _emit(data, args, text)
     return 0 if ok else 1
 
 
@@ -332,11 +334,12 @@ def _parse_token(tok: str, alg) -> "ncalg.NCElement":
 
 
 def cmd_nc_normal_form(args) -> int:
+    _, budget = _group_args(args)
     if args.algebra == "hstar":
         alg = ncalg.HStarAlgebra(args.r, args.n)
     elif args.algebra == "a-drinfeld":
         try:
-            alg = ncalg.DrinfeldAlgebra(hecke.build_preset("a_r1n", args.r, args.n, budget=_budget(args)))
+            alg = ncalg.DrinfeldAlgebra(hecke.build_preset("a_r1n", args.r, args.n, budget=budget))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -353,11 +356,7 @@ def cmd_nc_normal_form(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    data = acc.to_json()
-    if args.format == "json":
-        print(json.dumps(data, indent=2))
-    else:
-        print(repr(acc))
+    _emit(acc.to_json(), args, lambda d: print(repr(acc)))
     return 0
 
 
@@ -370,13 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Hochschild-cohomology and graded-Hecke computations for G(r,p,n)",
     )
     parser.add_argument("--budget", type=int, default=None, help="max group order (default 10^6)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized verification")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     # the shared flags are also accepted after the subcommand; SUPPRESS keeps
     # an unset subcommand flag from clobbering the top-level value
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--budget", type=int, default=argparse.SUPPRESS)
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     shared.add_argument("--format", choices=["text", "json"], default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -336,23 +336,6 @@ def root_of_unity(r: int, k: int = 1) -> CycloNum:
     return CycloNum(r, _reduce_power(r, k))
 
 
-@lru_cache(maxsize=None)
-def _root_lookup(r: int) -> dict:
-    """Map power-basis coordinates of zeta_r^t to t, for root-of-unity detection."""
-    return {tuple(_reduce_power(r, t)): t for t in range(r)}
-
-
-def as_root_exponent(x: CycloNum, r: int) -> int | None:
-    """If x equals zeta_r^t for some t, return t, else None."""
-    if r % x.order:
-        x = x.embed(lcm(x.order, r))
-        if x.order != r:
-            return None
-    elif x.order != r:
-        x = x.embed(r)
-    return _root_lookup(r).get(x.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Exact dense linear algebra
 # ---------------------------------------------------------------------------

@@ -78,17 +78,7 @@ class GroupElement:
 
 
 def _cycle_notation(perm) -> str:
-    seen, out = set(), []
-    for start in range(1, len(perm) + 1):
-        if start in seen or perm[start - 1] == start:
-            continue
-        cyc, cur = [start], perm[start - 1]
-        while cur != start:
-            cyc.append(cur)
-            cur = perm[cur - 1]
-        seen.update(cyc)
-        out.append("(" + ",".join(map(str, cyc)) + ")")
-    return "".join(out)
+    return "".join("(" + ",".join(map(str, c)) + ")" for c in perm_cycles(perm) if len(c) > 1)
 
 
 # -- constructors ------------------------------------------------------------
@@ -257,7 +247,6 @@ def matrix(g: GroupElement, rep: RepKind = RepKind.FAITHFUL) -> CycloMatrix:
     return CycloMatrix(rows)
 
 
-
 def perm_cycles(perm):
     """Cycles of a permutation (image list, 1-based), fixed points included."""
     seen, cycles = set(), []
@@ -275,18 +264,13 @@ def perm_cycles(perm):
 
 
 def perm_sign(perm) -> int:
-    sign, seen = 1, set()
-    for start in range(1, len(perm) + 1):
-        if start in seen:
-            continue
-        length, cur = 0, start
-        while cur not in seen:
-            seen.add(cur)
-            cur = perm[cur - 1]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return (-1) ** (len(perm) - len(perm_cycles(perm)))
+
+
+def is_three_cycle(perm) -> bool:
+    """True iff the permutation is a single 3-cycle: it moves exactly three
+    points, and a nontrivial cycle has length at least 2."""
+    return sum(i != v for i, v in enumerate(perm, 1)) == 3
 
 
 def det(g: GroupElement, rep: RepKind) -> CycloNum:

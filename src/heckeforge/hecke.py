@@ -27,13 +27,14 @@ from .group import (
     elements,
     generators,
     inverse,
+    is_three_cycle,
     monomial_action,
-    perm_cycles,
     multiply,
     three_cycle,
 )
 from .hochschild import (
     acts_trivially,
+    fixed_basis,
     fixed_space,
     hochschild_character,
     perp_space,
@@ -218,14 +219,11 @@ def param_space(
     paper_count = 0
     for cls in conjugacy_classes(r, p, n, budget):
         g = cls.rep
-        fixed = fixed_space(g, rep)
-        codim = n - len(fixed)
-        if codim == 2:
+        if n - len(fixed_basis(g, rep)) == 2:
             chi = hochschild_character(g, rep, p, budget)
             if chi.is_trivial():
                 d += 1
-            lengths = sorted(len(c) for c in perm_cycles(g.perm))
-            if rep == RepKind.PERMUTATION and lengths == [1] * (n - 3) + [3]:
+            if rep == RepKind.PERMUTATION and is_three_cycle(g.perm):
                 paper_count += 1
         if acts_trivially(g, rep):
             Z = centralizer(g, p, budget)
@@ -244,8 +242,7 @@ def three_cycle_classes(r: int, n: int, budget: int | None = DEFAULT_BUDGET):
     """Conjugacy classes of G(r,1,n) of diagonal-times-3-cycle form."""
     out = []
     for cls in conjugacy_classes(r, 1, n, budget):
-        lengths = sorted(len(c) for c in perm_cycles(cls.rep.perm))
-        if lengths == [1] * (n - 3) + [3]:
+        if is_three_cycle(cls.rep.perm):
             out.append(cls)
     return out
 

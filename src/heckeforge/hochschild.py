@@ -2,7 +2,13 @@
 
 The brute-force path realizes each class contribution as the chi_g-semi-
 invariant part of S(V^g) (x) Lambda^{m-codim}((V^g)*) over the centralizer
-Z(g), computed degree by degree with the Reynolds projector.  The closed-
+Z(g), computed degree by degree with the Reynolds projector.  V^g is read
+off the cycles of g as integers (`fixed_basis`): one vector per cycle whose
+phases sum to 0 mod r, with root-of-unity entries on the cycle's support,
+so Z(g) permutes the basis up to phases and the wedge duals are read off
+the same integers, dual to V^g along im(g - 1).  No matrix is reduced,
+inverted or expanded on this path; `fixed_space` and `perp_space` build
+cyclotomic vectors from the same data for other readers.  The closed-
 form path emits free-module descriptions (base generator degrees plus
 module generator degrees) for the known class cases, and `compare` checks
 the two against each other at every polynomial degree up to a bound.
@@ -12,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 
-from .cyclo import CycloMatrix
+from .cyclo import one, root_of_unity, zero
 from .group import (
     DEFAULT_BUDGET,
     ConjClass,
@@ -25,6 +32,7 @@ from .group import (
     conjugacy_classes,
     det,
     from_cycles,
+    is_three_cycle,
     monomial_action,
     perm_cycles,
     perm_sign,
@@ -51,39 +59,67 @@ class FilterDiscrepancyError(RuntimeError):
 
 
 @lru_cache(maxsize=4096)
-def _spaces(g: GroupElement, rep: RepKind):
-    from .group import matrix
+def fixed_basis(g: GroupElement, rep: RepKind) -> tuple:
+    """V^g = ker(g - 1) as integer data: one tuple of (coordinate, t) pairs
+    per basis vector u, 0-based and sorted, meaning u = sum zeta_r^t v_i.
 
-    M = matrix(g, rep)
-    D = M - CycloMatrix.identity(g.n, M.order)
-    return tuple(D.kernel_basis()), tuple(D.column_space_basis())
+    g sends v_i to zeta_r^{t_i} v_{pi(i)}, so a cycle c of pi carries one
+    fixed vector iff sum_{i in c} t_i = 0 mod r: u_m = 1 at m = max(c) and
+    u_{pi(i)} = zeta_r^{t_i} u_i around the cycle.  Ordered by m, these are
+    the reduced echelon kernel basis of g - 1.  The centralizer permutes
+    the cycles of g, so it permutes this basis up to powers of zeta_r."""
+    pi, t = monomial_action(g, rep)
+    out = []
+    for cyc in sorted(perm_cycles(pi), key=max):
+        if sum(t[i - 1] for i in cyc) % g.r:
+            continue
+        k = cyc.index(max(cyc))
+        walk = cyc[k:] + cyc[:k]  # from m, following pi
+        phases = accumulate((t[i - 1] for i in walk[:-1]), initial=0)
+        out.append(tuple(sorted((i - 1, e % g.r) for i, e in zip(walk, phases))))
+    return tuple(out)
 
 
 def fixed_space(g: GroupElement, rep: RepKind):
-    """Canonical basis of V^g = ker(g - 1)."""
-    return list(_spaces(g, rep)[0])
+    """`fixed_basis` as vectors of cyclotomic numbers."""
+    r, n = g.r, g.n
+    out = []
+    for u in fixed_basis(g, rep):
+        vec = [zero(r)] * n
+        for i, e in u:
+            vec[i] = root_of_unity(r, e)
+        out.append(tuple(vec))
+    return out
 
 
 def perp_space(g: GroupElement, rep: RepKind):
-    """Canonical basis of (V^g)-perp = im(g - 1); valid since g is normal."""
-    return list(_spaces(g, rep)[1])
+    """Basis of (V^g)-perp = im(g - 1), the Z(g)-stable complement of V^g
+    (g is normal), as vectors of cyclotomic numbers, sorted by i: for each
+    fixed vector u with last coordinate m, e_i - u_i^{-1} e_m for the other
+    i of its support; e_i for each i outside every fixed support.  These are
+    the reduced echelon rows of the column space of g - 1."""
+    r, n = g.r, g.n
+    tied, lasts = {}, set()  # i -> (m, t) for the non-last i of a fixed support
+    for u in fixed_basis(g, rep):
+        m = u[-1][0]
+        lasts.add(m)
+        tied.update((i, (m, e)) for i, e in u[:-1])
+    out = []
+    for i in range(n):
+        if i in lasts:
+            continue
+        vec = [zero(r)] * n
+        vec[i] = one(r)
+        if i in tied:
+            m, e = tied[i]
+            vec[m] = -root_of_unity(r, -e)
+        out.append(tuple(vec))
+    return out
 
 
 def acts_trivially(g: GroupElement, rep: RepKind) -> bool:
     pi, t = monomial_action(g, rep)
     return pi == tuple(range(1, g.n + 1)) and all(x % g.r == 0 for x in t)
-
-
-def _reynolds_subspace(fixed, n):
-    """The Reynolds subspace argument for V^g: None when the fixed basis is
-    the coordinate basis, so the ambient action is used."""
-    if len(fixed) == n and all(
-        (j == i) != c.is_zero() and (j != i or c == 1)
-        for i, v in enumerate(fixed)
-        for j, c in enumerate(v)
-    ):
-        return None
-    return fixed
 
 
 def _is_identity_action(pi, texp) -> bool:
@@ -119,7 +155,7 @@ def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTab
     r = g.r
     F = lcm(2, r)
     Z = centralizer(g, p, None)
-    fixed = fixed_space(g, rep)
+    fixed = fixed_basis(g, rep)
     pairs = subspace_actions(Z, rep, fixed)
     exps = {}
     for h, (pi, texp) in zip(Z, pairs):
@@ -131,14 +167,14 @@ def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTab
             e += F // 2
         exps[h] = e
     chi = CharacterTable(Z, F, exps)
-    chi.keep_actions(rep, _reynolds_subspace(fixed, g.n), pairs)
+    chi.keep_actions(rep, fixed, pairs)
     return chi
 
 
 def _fixes_space_pointwise(h: GroupElement, rep: RepKind, vectors) -> bool:
-    """True iff h fixes every listed vector (so all of their span); the
-    vectors must be permuted monomially by h, as fixed-space bases are by
-    the centralizer."""
+    """True iff h fixes every vector of an integer basis (so all of their
+    span); the basis must be permuted monomially by h, as `fixed_basis` is
+    by the centralizer."""
     return _is_identity_action(*subspace_action(h, rep, vectors))
 
 
@@ -150,8 +186,7 @@ class ClassComponent:
     rep: GroupElement
     repkind: RepKind
     codim: int
-    fixed_basis: list
-    perp_basis: list
+    fixed_basis: tuple
     chi: CharacterTable
     dims_by_degree: dict[int, int]
     basis_by_degree: dict[int, list[PolyForm]] | None = None
@@ -183,8 +218,7 @@ def hh_component(
     """The g-class contribution in cohomological degree m:
     (S(V^g) (x) Lambda^{m - codim V^g}((V^g)*))^{chi_g}, per polynomial degree
     up to max_poly_degree.  A negative exterior power gives the zero space."""
-    fixed = fixed_space(g, rep)
-    perp = perp_space(g, rep)
+    fixed = fixed_basis(g, rep)
     codim = g.n - len(fixed)
     k = m - codim
     chi = hochschild_character(g, rep, p, budget)
@@ -192,14 +226,13 @@ def hh_component(
     bases: dict[int, list[PolyForm]] = {}
     if k < 0 or k > len(fixed):
         dims = {d: 0 for d in range(max_poly_degree + 1)}
-        return ClassComponent(g, rep, codim, fixed, perp, chi, dims, bases if include_basis else None)
-    subspace = _reynolds_subspace(fixed, g.n)
+        return ClassComponent(g, rep, codim, fixed, chi, dims, bases if include_basis else None)
     for d in range(max_poly_degree + 1):
-        basis = reynolds_semiinvariant_basis(chi, rep, d, k, subspace=subspace, complement=perp)
+        basis = reynolds_semiinvariant_basis(chi, rep, d, k, fixed)
         dims[d] = len(basis)
         if include_basis:
             bases[d] = basis
-    return ClassComponent(g, rep, codim, fixed, perp, chi, dims, bases if include_basis else None)
+    return ClassComponent(g, rep, codim, fixed, chi, dims, bases if include_basis else None)
 
 
 def _passes_det_filter(g: GroupElement, rep: RepKind, p: int, budget) -> bool:
@@ -208,13 +241,13 @@ def _passes_det_filter(g: GroupElement, rep: RepKind, p: int, budget) -> bool:
     on V^g with determinant != 1."""
     if not det(g, rep) == 1:
         return False
-    fixed = fixed_space(g, rep)
+    fixed = fixed_basis(g, rep)
     codim = g.n - len(fixed)
     if codim not in (0, 2):
         return False
     # on an h fixing V^g pointwise, det(h | V^g) = 1, so chi_g(h) = det(h)
     chi = hochschild_character(g, rep, p, budget)
-    for pi, texp, e in chi.actions(rep, _reynolds_subspace(fixed, g.n)):
+    for pi, texp, e in chi.actions(rep, fixed):
         if e and _is_identity_action(pi, texp):
             return False
     return True
@@ -458,8 +491,6 @@ def _faithful_entry(r: int, p: int, n: int, cls: ConjClass) -> CatalogEntry:
         return CatalogEntry("identity", identity_component_module(r, p, n))
     if not det(g, RepKind.FAITHFUL) == 1:
         return CatalogEntry("det_ne_1", ZERO_MODULE)
-    cycles = perm_cycles(g.perm)
-    lengths = sorted(len(c) for c in cycles)
     if g.is_diagonal():
         nonzero = [a for a in g.exps if a]
         if len(nonzero) != 2:
@@ -470,11 +501,11 @@ def _faithful_entry(r: int, p: int, n: int, cls: ConjClass) -> CatalogEntry:
         if 2 * l1 % r == 0:
             return CatalogEntry("opposed_diagonal_half_turn", ZERO_MODULE)
         return CatalogEntry("opposed_diagonal", opposed_diagonal_component_module(r, n))
-    if lengths == [1] * (n - 3) + [3]:
+    if is_three_cycle(g.perm):
         if three_cycle(r, n, 1, 2, 3) in cls.members:
             return CatalogEntry("three_cycle", three_cycle_component_module(r, p, n))
         return CatalogEntry("three_cycle_unmatched", ZERO_MODULE)
-    if lengths == [1] * (n - 2) + [2]:
+    if sorted(map(len, perm_cycles(g.perm))) == [1] * (n - 2) + [2]:
         if r % 2 == 0:
             neg2 = from_cycles(r, n, [(1, 2)], exps=[0, r // 2] + [0] * (n - 2))
             if neg2 in cls.members:
@@ -491,9 +522,7 @@ def _permutation_entry(r: int, n: int, cls: ConjClass) -> CatalogEntry:
     g = cls.rep
     if g.is_diagonal():
         return CatalogEntry("diagonal", permutation_diagonal_module(_diag_blocks(g.exps)))
-    cycles = perm_cycles(g.perm)
-    lengths = sorted(len(c) for c in cycles)
-    if lengths == [1] * (n - 3) + [3]:
+    if is_three_cycle(g.perm):
         tail = [i for i in range(1, n + 1) if g.perm[i - 1] == i]
         blocks = _diag_blocks(tuple(g.exps[i - 1] for i in tail)) if tail else ()
         return CatalogEntry("diagonal_three_cycle", permutation_three_cycle_module(blocks))

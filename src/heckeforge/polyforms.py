@@ -8,23 +8,23 @@ the wedge indices.  A chi-semi-invariant basis is read off the orbits of
 the monomial-times-wedge basis, with integer phases: one basis element per
 orbit on whose stabilizer chi agrees with the action, in reduced echelon
 form, so repeated runs agree byte-for-byte.
+
+A subspace is given by an integer basis: one tuple of (coordinate, t)
+pairs per vector, w = sum zeta_r^t v_i, on disjoint supports.  A group
+element's action on it and the wedge duals of its vectors are read off
+these integers, with no elimination, inverse or determinant.
+`restriction_matrix` is the dense reference, on bases of cyclotomic
+vectors.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import lcm
+from itertools import combinations, product
+from math import lcm, prod
 
-from .cyclo import (
-    CycloMatrix,
-    CycloNum,
-    as_root_exponent,
-    cyclo,
-    one,
-    root_of_unity,
-    zero,
-)
+from .cyclo import CycloMatrix, CycloNum, cyclo, one, root_of_unity, zero
 from .group import GroupElement, RepKind, generators_by_closure, identity, monomial_action
 
 
@@ -464,22 +464,16 @@ class CharacterTable:
                         raise CharacterError("character is not multiplicative on the subgroup")
         self._verified = True
 
-    def actions(self, rep: RepKind, subspace=None) -> list:
+    def actions(self, rep: RepKind, subspace) -> list:
         """The distinct triples (pi, texp * F / r, e(h)) over h in H, in the
         order of their first h, where h.w_j = zeta_r^{texp[j]} w_{pi[j]} on
-        the subspace basis w, or on the coordinate basis when subspace is
-        None (see `subspace_actions`).  Elements with equal triples act
-        alike on every monomial-times-wedge element, so readers need each
-        triple once.  Built once per (rep, subspace) and kept on the table."""
-        out = self._actions.get(_actions_key(rep, subspace))
+        the integer subspace basis w (see `subspace_actions`).  Elements
+        with equal triples act alike on every monomial-times-wedge element,
+        so readers need each triple once.  Built once per (rep, subspace)
+        and kept on the table."""
+        out = self._actions.get((rep, subspace))
         if out is None:
-            els = self.subgroup
-            if subspace is None:
-                pairs = [monomial_action(h, rep) for h in els]
-                pairs = [(tuple(i - 1 for i in pi), t) for pi, t in pairs]
-            else:
-                pairs = subspace_actions(els, rep, subspace)
-            out = self.keep_actions(rep, subspace, pairs)
+            out = self.keep_actions(rep, subspace, subspace_actions(self.subgroup, rep, subspace))
         return out
 
     def keep_actions(self, rep: RepKind, subspace, pairs) -> list:
@@ -492,7 +486,7 @@ class CharacterTable:
             (pi, tuple(t * step for t in texp), exps[h])
             for h, (pi, texp) in zip(self.subgroup, pairs)
         ))
-        self._actions[_actions_key(rep, subspace)] = out
+        self._actions[rep, subspace] = out
         return out
 
 
@@ -502,39 +496,15 @@ def trivial_character(subgroup) -> CharacterTable:
     return CharacterTable(els, lcm(2, r), {h: 0 for h in els})
 
 
-def _actions_key(rep: RepKind, subspace):
-    return rep, None if subspace is None else _vectors_key(subspace)
-
-
-def _vectors_key(vectors):
-    """Hashable exact form of a list of vectors."""
-    return tuple(tuple((c.order, c.coeffs) for c in map(cyclo, v)) for v in vectors)
-
-
-def _root_exponents(v, r):
-    """{coordinate: t} for a vector whose nonzero entries are zeta_r^t."""
-    out = {}
-    for i, c in enumerate(v):
-        c = cyclo(c)
-        if c.is_zero():
-            continue
-        t = as_root_exponent(c, r)
-        if t is None:
-            raise ValueError("subspace vector entries must be r-th roots of unity")
-        out[i] = t
-    if not out:
-        raise ValueError("subspace basis contains the zero vector")
-    return out
-
-
 def subspace_action(h: GroupElement, rep: RepKind, vectors):
-    """(pi, texp) with h.w_j = zeta_r^{texp[j]} w_{pi[j]} (0-based), for a
-    basis w of vectors with r-th root-of-unity entries on disjoint supports.
+    """(pi, texp) with h.w_j = zeta_r^{texp[j]} w_{pi[j]} (0-based), for an
+    integer subspace basis w: one tuple of (coordinate, t) pairs per vector,
+    meaning w_j = sum zeta_r^t v_i over its pairs, on disjoint supports.
 
     Raises ValueError if the span is not h-stable or h does not permute the
-    w_j up to powers of zeta_r.  Fixed-space bases always qualify for h in
-    Z(g): the RREF kernel basis of g - 1 has one such vector per cycle of g
-    with zeta-product 1, and h permutes the cycles of g.
+    w_j up to powers of zeta_r.  `hochschild.fixed_basis` always qualifies
+    for h in Z(g): it has one vector per cycle of g with phase sum 0, and h
+    permutes the cycles of g.
     """
     return subspace_actions([h], rep, vectors)[0]
 
@@ -545,29 +515,37 @@ def subspace_actions(elements, rep: RepKind, vectors) -> list:
     if not elements:
         return []
     r = elements[0].r
-    profiles = [_root_exponents(v, r) for v in vectors]
-    owner = {}
-    for j, prof in enumerate(profiles):
-        for i in prof:
+    owner = {}  # coordinate -> (index of the vector it supports, its t)
+    for k, v in enumerate(vectors):
+        if not v:
+            raise ValueError("subspace basis contains the zero vector")
+        for i, t in v:
             if i in owner:
                 raise ValueError("subspace vectors must have disjoint supports")
-            owner[i] = j
+            owner[i] = (k, t)
     out = []
     for h in elements:
         hpi, ht = monomial_action(h, rep)
         pi, texp = [], []
-        for prof in profiles:
-            img = {hpi[i] - 1: t + ht[i] for i, t in prof.items()}
-            k = owner.get(next(iter(img)))
-            if k is None or profiles[k].keys() != img.keys():
-                raise ValueError("subspace is not permuted monomially by the group element")
-            shifts = {(t - profiles[k][i]) % r for i, t in img.items()}
-            if len(shifts) != 1:
+        for v in vectors:
+            # h.w = sum zeta^{t + ht[i]} v_{hpi[i]}: a multiple of one w_k iff
+            # every image lands on w_k's support with one shift of phase
+            hits = set()
+            for i, t in v:
+                k, tk = owner.get(hpi[i] - 1, (None, 0))
+                hits.add((k, (t + ht[i] - tk) % r))
+            (k, shift) = hits.pop()
+            if hits or k is None or len(vectors[k]) != len(v):
                 raise ValueError("subspace is not permuted monomially by the group element")
             pi.append(k)
-            texp.append(shifts.pop())
+            texp.append(shift)
         out.append((tuple(pi), tuple(texp)))
     return out
+
+
+def _vectors_key(vectors):
+    """Hashable exact form of a list of vectors."""
+    return tuple(tuple((c.order, c.coeffs) for c in map(cyclo, v)) for v in vectors)
 
 
 @lru_cache(maxsize=1024)
@@ -588,8 +566,8 @@ def _subspace_frame(key):
 def restriction_matrix(g: GroupElement, rep: RepKind, subspace):
     """Matrix C of g on the span of the subspace vectors: g.w_j = sum C[i][j] w_i.
 
-    The dense reference for `subspace_action`; unlike it, accepts any
-    stable basis.  Raises ValueError if the subspace is not g-stable.  The
+    The dense reference for `subspace_action`, on vectors of cyclotomic
+    numbers; unlike it, accepts any stable basis.  Raises ValueError if the subspace is not g-stable.  The
     pivot block of a subspace is inverted once and cached.
     """
     n = g.n
@@ -643,24 +621,29 @@ def reynolds_semiinvariant_basis(
     poly_degree: int,
     form_degree: int,
     subspace=None,
-    complement=None,
 ) -> list[PolyForm]:
     """Reduced echelon basis of the chi-semi-invariants of polynomial
     degree exactly `poly_degree` and form degree `form_degree`, inside the
-    span of monomial-times-wedge elements built on the given subspace
-    (polynomial variables from the subspace basis, wedge factors from its
-    duals).  `subspace=None` means the ambient coordinate space.
+    span of monomial-times-wedge elements built on an integer subspace
+    basis w, a tuple of tuples of pairs (see `subspace_action`): polynomial
+    variables from the w_j, wedge factors from their duals.
+    `subspace=None` means the coordinate basis.  The dual of w_j = sum zeta_r^t v_i is (1/|c_j|) sum zeta_r^{-t} x_i
+    over its support c_j: it is 1 on w_j and vanishes on the other w_k, on
+    the coordinates outside every support, and on the vectors of each
+    support orthogonal to w_j in this pairing.  For `hochschild.fixed_basis`
+    that complement is im(g - 1), so the duals are those of V^g in
+    V = V^g (+) im(g - 1).
 
     Every element of `chi.subgroup` must permute the subspace basis up to
-    roots of unity (see `subspace_action`), so H = chi.subgroup permutes the
-    monomial-times-wedge basis up to phases zeta_F^e.  The Reynolds
-    projector (1/|H|) sum chi(h)^{-1} h then maps a basis element b into
-    the span of its orbit, and is nonzero there exactly when every h in the
-    stabilizer of b has h.b = chi(h) b: the stabilizer's twisted character
-    is otherwise nontrivial and sums to 0.  So each surviving orbit gives
-    one basis element, read off by comparing integer phases, with no
-    projector sum (see `_phase_rows`).  The character is verified and its
-    action data are built on the first call for a table and subspace
+    roots of unity, so H = chi.subgroup permutes the monomial-times-wedge
+    basis up to phases zeta_F^e.  The Reynolds projector
+    (1/|H|) sum chi(h)^{-1} h then maps a basis element b into the span of
+    its orbit, and is nonzero there exactly when every h in the stabilizer
+    of b has h.b = chi(h) b: the stabilizer's twisted character is
+    otherwise nontrivial and sums to 0.  So each surviving orbit gives one
+    basis element, read off by comparing integer phases, with no projector
+    sum (see `_phase_rows`).  The character is verified and its action data
+    are built on the first call for a table and subspace
     (`CharacterTable.check_multiplicative`, `CharacterTable.actions`); later
     degrees reuse both.
     """
@@ -668,15 +651,10 @@ def reynolds_semiinvariant_basis(
     if not elems:
         raise ValueError("empty subgroup")
     chi.check_multiplicative()
-    n = elems[0].n
-    ambient = subspace is None
-    if ambient:
-        m = n
-        vectors = None
-    else:
-        vectors = [tuple(cyclo(x) for x in v) for v in subspace]
-        m = len(vectors)
-
+    r, n = elems[0].r, elems[0].n
+    if subspace is None:
+        subspace = tuple(((i, 0),) for i in range(n))
+    m = len(subspace)
     if form_degree < 0 or form_degree > m or poly_degree < 0:
         return []
 
@@ -685,16 +663,14 @@ def reynolds_semiinvariant_basis(
     basis = [(mu, S) for mu in monos for S in wedges]
     if not basis:
         return []
-    rows = _phase_rows(chi.actions(rep, vectors), chi.order, basis)
-    return [
-        _assemble_polyform(row, basis, n, m, vectors, complement, form_degree, ambient)
-        for row in rows
-    ]
+    rows = _phase_rows(chi.actions(rep, subspace), chi.order, basis)
+    return [_assemble_polyform(row, basis, n, r, chi.order, subspace) for row in rows]
 
 
 def _phase_rows(actions, F, basis):
-    """Reduced echelon basis, as sparse rows over `basis`, of the span of
-    the chi-semi-invariants; `actions` as in `CharacterTable.actions`.
+    """Reduced echelon basis of the span of the chi-semi-invariants, as
+    sparse rows {index into `basis`: e}, each entry meaning zeta_F^e;
+    `actions` as in `CharacterTable.actions`.
 
     Each (pi, texp, chi_e) sends b = (mu, S) to zeta_F^e b' with a single
     integer exponent e (chi's inverse folded in), so one walk over the
@@ -708,7 +684,6 @@ def _phase_rows(actions, F, basis):
     index = {b: i for i, b in enumerate(basis)}
     reached = [False] * len(basis)
     half = F // 2
-    zeta = [root_of_unity(F, e) for e in range(F)]
     rows = []
     for start, (mu, S) in enumerate(basis):
         if reached[start]:
@@ -734,69 +709,61 @@ def _phase_rows(actions, F, basis):
             reached[idx] = True
         if agree:
             e0 = phases[start]
-            rows.append({idx: zeta[(e - e0) % F] for idx, e in phases.items()})
+            rows.append({idx: (e - e0) % F for idx, e in phases.items()})
     return rows
 
 
-def _assemble_polyform(row, basis, n, m, vectors, complement, form_degree, ambient):
-    """Convert a sparse row over the (monomial, wedge) basis into an ambient
-    PolyForm, substituting subspace vectors and expanding subspace duals."""
-    if ambient:
-        comps: dict = {}
-        for idx, c in row.items():
-            mu, S = basis[idx]
-            wedge = tuple(i + 1 for i in S)
-            p = Polynomial.monomial(n, mu, c)
-            comps[wedge] = comps[wedge] + p if wedge in comps else p
-        return PolyForm(n, comps)
+def _duals(vectors) -> list:
+    """The covector dual to each integer subspace vector w = sum zeta_r^t v_i
+    over its support c, as (|c|, ((i, -t), ...)), meaning
+    (1/|c|) sum zeta_r^{-t} x_i.  It is 1 on w and vanishes on the other
+    vectors and on the complement named in `reynolds_semiinvariant_basis`."""
+    return [(len(v), tuple((i, -t) for i, t in v)) for v in vectors]
 
-    # powers of the subspace vectors as ambient polynomials, cached
-    subs_polys = []
-    for v in vectors:
-        f = Polynomial(n, {})
-        for i, c in enumerate(v):
-            if not c.is_zero():
-                f = f + Polynomial.monomial(n, tuple(1 if t == i else 0 for t in range(n)), c)
-        subs_polys.append(f)
-    pow_cache: dict = {}
 
-    def vec_power(j, k):
-        key = (j, k)
-        if key not in pow_cache:
-            pow_cache[key] = subs_polys[j] ** k
-        return pow_cache[key]
+def _assemble_polyform(row, basis, n, r, F, vectors):
+    """The ambient PolyForm of a row of `_phase_rows`, with the subspace
+    vectors substituted and their duals (`_duals`) expanded.
 
-    dual_rows = None
-    if form_degree > 0:
-        if m == n:
-            B = CycloMatrix([[vectors[j][i] for j in range(m)] for i in range(n)])
-        else:
-            if complement is None:
-                raise ValueError(
-                    "a complement basis is required to express subspace duals "
-                    "in ambient coordinates"
-                )
-            cols = list(vectors) + [tuple(cyclo(x) for x in v) for v in complement]
-            if len(cols) != n:
-                raise ValueError("subspace plus complement must span the ambient space")
-            B = CycloMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-        dual_rows = B.inverse().entries[:m]  # row j = ambient covector of u_j-dual
-
-    out = PolyForm.zero(n)
-    for idx, c in row.items():
+    Every coefficient is carried as an integer phase mod F with a rational
+    weight, and becomes a cyclotomic number once per ambient term.  A
+    product of the vectors has the phase sum e_i t_i on its ambient term
+    v^e, since each coordinate lies in one support.  The duals' supports are
+    disjoint too, so a wedge of them is the sum, over one coordinate taken
+    from each support, of the product of the entries times the sign that
+    sorts the coordinates."""
+    step = F // r
+    phase_at = {i: t for v in vectors for i, t in v}
+    duals = _duals(vectors)
+    acc: dict = {}  # wedge -> exponents -> {phase mod F: weight}
+    for idx, a in row.items():
         mu, S = basis[idx]
-        p = Polynomial.constant(n, c)
+        poly = {(0,) * n: 1}  # prod w_j^{mu_j} without its phases
         for j, k in enumerate(mu):
-            if k:
-                p = p * vec_power(j, k)
-        if not S:
-            out = out + PolyForm(n, {(): p})
-            continue
-        for T in combinations(range(n), form_degree):
-            sub = CycloMatrix([[dual_rows[a][b] for b in T] for a in S])
-            dt = sub.determinant()
-            if dt.is_zero():
-                continue
-            wedge = tuple(i + 1 for i in T)
-            out = out + PolyForm(n, {wedge: p * dt})
-    return out
+            for _ in range(k):
+                nxt: dict = {}
+                for e, c in poly.items():
+                    for i, _ in vectors[j]:
+                        f = e[:i] + (e[i] + 1,) + e[i + 1:]
+                        nxt[f] = nxt.get(f, 0) + c
+                poly = nxt
+        size = prod(duals[j][0] for j in S)
+        for choice in product(*(duals[j][1] for j in S)):
+            T, sign = _sort_with_sign(i + 1 for i, _ in choice)
+            weight = sign if size == 1 else Fraction(sign, size)
+            dual_phase = sum(t for _, t in choice)
+            terms = acc.setdefault(T, {})
+            for e, c in poly.items():
+                ph = dual_phase + sum(k * phase_at[i] for i, k in enumerate(e) if k)
+                slot = terms.setdefault(e, {})
+                x = (a + step * ph) % F
+                slot[x] = slot.get(x, 0) + c * weight
+    zeta = [root_of_unity(F, x) for x in range(F)]
+
+    def value(slot):
+        parts = [zeta[x] if w == 1 else zeta[x] * w for x, w in slot.items() if w]
+        return sum(parts[1:], parts[0]) if parts else zero(F)
+
+    return PolyForm(n, {
+        T: Polynomial(n, {e: value(slot) for e, slot in terms.items()}) for T, terms in acc.items()
+    })

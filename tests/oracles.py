@@ -9,6 +9,9 @@ paths in the library, and a faithful family shared by the tests:
 - `reynolds_rows_by_projector`: the semi-invariant rows from the Reynolds
   projector summed over every h in the subgroup, orbit by orbit, then
   echelon-reduced;
+- `dense_spaces`: V^g and im(g - 1) as the reduced echelon kernel and
+  column-space bases of the dense matrix g - 1;
+- `root_exponent`: the t with x = zeta_r^t, by search;
 - `faithful_family_2_1_4`: a PBW family under the faithful action whose
   monomial actions carry root-of-unity phases.
 """
@@ -17,12 +20,13 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from heckeforge.cyclo import echelon_rows, one, root_of_unity, zero
+from heckeforge.cyclo import CycloMatrix, echelon_rows, one, root_of_unity, zero
 from heckeforge.group import (
     RepKind,
     elements,
     from_cycles,
     inverse,
+    matrix,
     monomial_action,
     multiply,
     three_cycle,
@@ -170,3 +174,16 @@ def reynolds_rows_by_projector(actions, F, basis) -> list[dict]:
         if vec:
             out.append(vec)
     return echelon_rows(out)
+
+
+def dense_spaces(g, rep):
+    """(kernel basis, column-space basis) of matrix(g) - 1, each read off a
+    dense reduced row echelon form."""
+    M = matrix(g, rep)
+    D = M - CycloMatrix.identity(g.n, M.order)
+    return D.kernel_basis(), D.column_space_basis()
+
+
+def root_exponent(x, r):
+    """The t in [0, r) with x = zeta_r^t, or None."""
+    return next((t for t in range(r) if x == root_of_unity(r, t)), None)

@@ -235,17 +235,20 @@ def test_nc_verify_rejects_r_zero(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "cycle(1,2,9)"],
-    ["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "cycle(1,1,2)"],
-    ["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "v1", "1/0"],
-    ["gha-build", "--preset", "generic", "--r", "2", "--n", "3", "--scalars", "1,1/0"],
+@pytest.mark.parametrize("argv,message", [
+    (["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "cycle(1,2,9)"], None),
+    (["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "cycle(1,1,2)"], None),
+    (["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "v1", "1/0"], None),
+    (["gha-build", "--preset", "generic", "--r", "2", "--n", "3", "--scalars", "1,1/0"], None),
+    (["gha-build", "--preset", "a_r1n", "--r", "0", "--n", "3"], "error: need r, n >= 1 and p | r\n"),
+    (["nc-normal-form", "--algebra", "a-drinfeld", "--r", "0", "--n", "3", "v1"], "error: need r, n >= 1 and p | r\n"),
 ], ids=["cycle-index-out-of-range", "cycle-repeated-index", "token-zero-denominator",
-        "scalar-zero-denominator"])
-def test_malformed_input_is_bad_input(capsys, argv):
+        "scalar-zero-denominator", "gha-build-r-zero", "nc-normal-form-r-zero"])
+def test_malformed_input_is_bad_input(capsys, argv, message):
     code, err = _exit_code(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+    assert message is None or err == message
 
 
 def test_pbw_check_rejects_form_of_wrong_size(capsys, tmp_path):
@@ -260,9 +263,11 @@ def test_pbw_check_rejects_form_of_wrong_size(capsys, tmp_path):
 
 
 # JSON stdout recorded before the class and centralizer enumeration was
-# rewritten (the first five) and before the skew group algebra became the
-# empty-family Drinfeld algebra (the rest); any intended change to one of
-# these files is a change of output.
+# rewritten (the first five), before the skew group algebra became the
+# empty-family Drinfeld algebra (the next six), and before V^g and its
+# wedge duals were read off g's cycles (the last three, which cover the
+# wedge duals, with 1/3 and zeta_3 in them, and the permutation action);
+# any intended change to one of these files is a change of output.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -283,6 +288,12 @@ GOLDEN = Path(__file__).parent / "golden"
                                        "v3", "v1", "s2", "v2", "xi1", "v1", "cycle(1,3,2)", "v3", "s1", "1/3"]),
     ("hh_compare_4_1_4_faithful_D4", ["hh", "--r", "4", "--p", "1", "--n", "4", "--rep", "faithful",
                                       "--max-degree", "4", "--compare"]),
+    ("hh_basis_3_3_4_faithful_D4", ["hh", "--r", "3", "--p", "3", "--n", "4", "--rep", "faithful",
+                                    "--max-degree", "4", "--basis"]),
+    ("hh_basis_3_3_3_faithful_cohdeg3_D2", ["hh", "--r", "3", "--p", "3", "--n", "3", "--rep", "faithful",
+                                            "--cohdeg", "3", "--max-degree", "2", "--basis"]),
+    ("hh_basis_3_1_3_permutation_cohdeg3_D1", ["hh", "--r", "3", "--p", "1", "--n", "3", "--rep", "permutation",
+                                               "--cohdeg", "3", "--max-degree", "1", "--basis"]),
 ])
 def test_json_matches_golden_output(capsys, name, argv):
     code, out, _ = run(capsys, "--format", "json", *argv)

@@ -10,16 +10,21 @@ in `oracles`:
 - the semi-invariant rows from phase agreement against the Reynolds
   projector sums followed by echelon reduction, index, field order and
   coefficients, on every class of the acceptance and extended groups under
-  both actions, and on three non-standard subspace bases.
+  both actions, and on three non-standard subspace bases;
+- V^g, im(g - 1) and the wedge duals read off g's cycles against the dense
+  kernel and column space of g - 1 and the inverse of [V^g | im(g - 1)],
+  values and field orders, on each class representative and its lex-max
+  member, for the same groups and actions.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import heckeforge.polyforms
-from heckeforge.cyclo import root_of_unity
+from heckeforge.cyclo import CycloMatrix, root_of_unity, zero
 from heckeforge.group import (
     GroupElement,
     RepKind,
@@ -31,10 +36,16 @@ from heckeforge.group import (
     transposition,
 )
 from heckeforge.hecke import SkewForm, SkewFormFamily, _extend_by_conjugation, build_preset, pbw_check
-from heckeforge.hochschild import _reynolds_subspace, fixed_space, hochschild_character, perp_space
+from heckeforge.hochschild import fixed_basis, fixed_space, hochschild_character, perp_space
 from heckeforge.ncalg import DrinfeldAlgebra
-from heckeforge.polyforms import reynolds_semiinvariant_basis, subspace_actions, trivial_character
-from oracles import faithful_family_2_1_4, pbw_check_full_scan, reynolds_rows_by_projector, stack_multiply
+from heckeforge.polyforms import _duals, reynolds_semiinvariant_basis, subspace_actions, trivial_character
+from oracles import (
+    dense_spaces,
+    faithful_family_2_1_4,
+    pbw_check_full_scan,
+    reynolds_rows_by_projector,
+    stack_multiply,
+)
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -179,27 +190,25 @@ def _max_degree(r, p, n):
 
 
 def _class_cases(r, p, n, rep):
-    """(chi, rep, subspace, complement, D) for every class, as hh_component
-    passes them."""
+    """(chi, rep, subspace, D) for every class, as hh_component passes them."""
     out = []
     for cls in conjugacy_classes(r, p, n):
         g = cls.rep
-        subspace = _reynolds_subspace(fixed_space(g, rep), n)
-        out.append((hochschild_character(g, rep, p), rep, subspace, perp_space(g, rep), _max_degree(r, p, n)))
+        out.append((hochschild_character(g, rep, p), rep, fixed_basis(g, rep), _max_degree(r, p, n)))
     return out
 
 
 def _scaled_fixed_basis_case():
     # the fixed basis of (1,2,3) in G(3,1,4), each vector scaled by a power of zeta_3
     g = three_cycle(3, 4, 1, 2, 3)
-    scaled = [tuple(c * root_of_unity(3, j + 1) for c in v) for j, v in enumerate(fixed_space(g, F))]
-    return [(hochschild_character(g, F, 1), F, scaled, perp_space(g, F), _max_degree(3, 1, 4))]
+    scaled = tuple(tuple((i, t + j + 1) for i, t in v) for j, v in enumerate(fixed_basis(g, F)))
+    return [(hochschild_character(g, F, 1), F, scaled, _max_degree(3, 1, 4))]
 
 
 def _reversed_basis_case():
     # S_3 with the trivial character on the coordinate basis in reverse order
-    std = [tuple(1 if j == i else 0 for j in range(3)) for i in range(3)]
-    return [(trivial_character(elements(1, 1, 3)), F, std[::-1], [], _max_degree(1, 1, 3))]
+    std = tuple(((i, 0),) for i in range(3))
+    return [(trivial_character(elements(1, 1, 3)), F, std[::-1], _max_degree(1, 1, 3))]
 
 
 def _scaled_coordinate_basis_case():
@@ -208,8 +217,8 @@ def _scaled_coordinate_basis_case():
     # w_j, so the rows carry nonreal phases, which the fixed bases of the
     # class cases never do
     S3 = [h for h in elements(3, 1, 3) if not any(h.exps)]
-    scaled = [tuple(root_of_unity(3, j) if i == j else 0 for i in range(3)) for j in range(3)]
-    return [(trivial_character(S3), F, scaled, [], _max_degree(1, 1, 3))]
+    scaled = tuple(((j, j),) for j in range(3))
+    return [(trivial_character(S3), F, scaled, _max_degree(1, 1, 3))]
 
 
 REYNOLDS_CASES = {
@@ -224,9 +233,7 @@ REYNOLDS_CASES["scaled coordinate basis"] = _scaled_coordinate_basis_case
 def _per_element_actions(chi, rep, subspace):
     """(pi, texp * F / r, e(h)) for every h of chi.subgroup, repeats kept."""
     H = chi.subgroup
-    n, step = H[0].n, chi.order // H[0].r
-    if subspace is None:
-        subspace = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    step = chi.order // H[0].r
     pairs = subspace_actions(H, rep, subspace)
     return [(pi, tuple(t * step for t in texp), chi.exponents[h]) for h, (pi, texp) in zip(H, pairs)]
 
@@ -245,16 +252,43 @@ def test_phase_rows_match_the_projector_sums(monkeypatch, name):
 
     def compared(actions, order, basis):
         rows = real(actions, order, basis)
-        assert as_data(rows) == as_data(reynolds_rows_by_projector(per_element, order, basis))
+        values = [{i: root_of_unity(order, e) for i, e in row.items()} for row in rows]
+        assert as_data(values) == as_data(reynolds_rows_by_projector(per_element, order, basis))
         seen["calls"] += 1
         seen["killed"] += sum(map(len, rows)) < len(basis)
         return rows
 
     monkeypatch.setattr(heckeforge.polyforms, "_phase_rows", compared)
-    for chi, rep, subspace, complement, D in REYNOLDS_CASES[name]():
+    for chi, rep, subspace, D in REYNOLDS_CASES[name]():
         per_element = _per_element_actions(chi, rep, subspace)
-        m = chi.subgroup[0].n if subspace is None else len(subspace)
         for d in range(D + 1):
-            for k in range(m + 1):
-                reynolds_semiinvariant_basis(chi, rep, d, k, subspace=subspace, complement=complement)
+            for k in range(len(subspace) + 1):
+                reynolds_semiinvariant_basis(chi, rep, d, k, subspace)
     assert seen["calls"] and seen["killed"], seen
+
+
+# -- V^g, im(g - 1) and the wedge duals from cycles against dense elimination ------
+
+
+def _exact(vectors):
+    return [[(c.order, c.coeffs) for c in v] for v in vectors]
+
+
+@pytest.mark.parametrize("r,p,n,rep", _reynolds_groups(), ids=lambda a: str(getattr(a, "value", a)))
+def test_spaces_from_cycles_match_dense_elimination(r, p, n, rep):
+    for cls in conjugacy_classes(r, p, n):
+        for g in dict.fromkeys([cls.rep, max(cls.members, key=GroupElement.sort_key)]):
+            kernel, image = dense_spaces(g, rep)
+            assert _exact(fixed_space(g, rep)) == _exact(kernel), (g, rep)
+            assert _exact(perp_space(g, rep)) == _exact(image), (g, rep)
+            if not kernel:
+                continue
+            duals = []
+            for size, pairs in _duals(fixed_basis(g, rep)):
+                row = [zero(r)] * n
+                for i, t in pairs:
+                    row[i] = root_of_unity(r, t) * Fraction(1, size)
+                duals.append(row)
+            cols = kernel + image
+            inverse = CycloMatrix([[v[i] for v in cols] for i in range(n)]).inverse()
+            assert _exact(duals) == _exact(inverse.entries[: len(kernel)]), (g, rep)

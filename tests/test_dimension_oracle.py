@@ -11,15 +11,11 @@ constructing a basis -- independent of the Reynolds projector path.
 from fractions import Fraction
 from math import lcm
 
-from heckeforge.cyclo import as_root_exponent, cyclo, one, root_of_unity, zero
+from heckeforge.cyclo import one, root_of_unity, zero
 from heckeforge.group import RepKind, diag, from_cycles, identity, three_cycle, xi
-from heckeforge.hochschild import (
-    fixed_space,
-    hh_component,
-    hochschild_character,
-    perp_space,
-)
+from heckeforge.hochschild import fixed_space, hh_component, hochschild_character
 from heckeforge.polyforms import restriction_matrix
+from oracles import root_exponent
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -54,7 +50,7 @@ def _eigenvalues(C):
             cur = pi[cur]
         k = len(cyc)
         base = lcm(2, sigma.order)
-        e = as_root_exponent(sigma, base)
+        e = root_exponent(sigma, base)
         assert e is not None
         big = base * k
         out.extend(root_of_unity(big, e + base * j) for j in range(k))

@@ -26,9 +26,9 @@ from heckeforge.hochschild import (
     NotApplicableError,
     ZERO_MODULE,
     _passes_det_filter,
-    _reynolds_subspace,
     closed_form_catalog,
     compare,
+    fixed_basis,
     fixed_space,
     hh2_total,
     hh_component,
@@ -348,5 +348,4 @@ def test_class_action_data_are_built_once(monkeypatch):
         assert any(dims.values())
         chi = hochschild_character(g, F, 1)
         fresh = CharacterTable(chi.subgroup, chi.order, chi.exponents)
-        subspace = _reynolds_subspace(fixed_space(g, F), g.n)
-        assert fresh.actions(F, subspace) == chi.actions(F, subspace)
+        assert fresh.actions(F, fixed_basis(g, F)) == chi.actions(F, fixed_basis(g, F))

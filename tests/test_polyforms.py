@@ -4,19 +4,20 @@ import pytest
 
 import heckeforge.group
 import heckeforge.polyforms
-from heckeforge.cyclo import as_root_exponent, one, root_of_unity
+from heckeforge.cyclo import one, root_of_unity
 from heckeforge.group import (
     GroupElement,
     RepKind,
     det,
     elements,
+    from_cycles,
     identity,
     multiply,
     three_cycle,
     transposition,
     xi,
 )
-from heckeforge.hochschild import fixed_space, hochschild_character, perp_space
+from heckeforge.hochschild import fixed_basis, hochschild_character
 from heckeforge.polyforms import (
     CharacterError,
     CharacterTable,
@@ -33,6 +34,7 @@ from heckeforge.polyforms import (
     symmetric_group_derivations,
     trivial_character,
 )
+from oracles import root_exponent
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -175,10 +177,7 @@ def test_reynolds_centralizer_example():
     # Z((1,2,3)) in G(1,1,4), chi = chi_g, degree 1, form degree 0 on V^g
     g = three_cycle(1, 4, 1, 2, 3)
     chi = hochschild_character(g, F, 1)
-    basis = reynolds_semiinvariant_basis(
-        chi, F, 1, 0,
-        subspace=fixed_space(g, F), complement=perp_space(g, F),
-    )
+    basis = reynolds_semiinvariant_basis(chi, F, 1, 0, fixed_basis(g, F))
     assert len(basis) == 2
     expected = [
         PolyForm(4, {(): Polynomial(4, {(1, 0, 0, 0): one(), (0, 1, 0, 0): one(), (0, 0, 1, 0): one()})}),
@@ -191,59 +190,61 @@ def test_reynolds_centralizer_example():
 def test_reynolds_outputs_are_semiinvariant():
     g = three_cycle(3, 4, 1, 2, 3)
     chi = hochschild_character(g, F, 1)
-    basis = reynolds_semiinvariant_basis(
-        chi, F, 2, 0,
-        subspace=fixed_space(g, F), complement=perp_space(g, F),
-    )
+    basis = reynolds_semiinvariant_basis(chi, F, 2, 0, fixed_basis(g, F))
     for s in basis:
         for h in chi.subgroup:
             assert act_form(h, s, F) == s.scale(chi(h))
 
 
+def test_forms_on_interleaved_cycles_with_phases_are_invariant():
+    # V^g has u_1 = zeta_3 v_1 + v_3 and u_2 = v_2 + v_4: powers of u_1 carry
+    # phases, its dual carries the inverse phase and 1/2, and a wedge of the
+    # two duals picks coordinates out of order (x_3 ^ x_2), where the
+    # sorting sign matters
+    g = from_cycles(3, 4, [(1, 3), (2, 4)], exps=(1, 0, 2, 0))
+    fixed = fixed_basis(g, F)
+    assert fixed == (((0, 1), (2, 0)), ((1, 0), (3, 0)))
+    chi = trivial_character(hochschild_character(g, F, 1).subgroup)
+    for d, k in [(3, 0), (1, 1), (5, 2)]:
+        basis = reynolds_semiinvariant_basis(chi, F, d, k, fixed)
+        assert basis, (d, k)
+        for s in basis:
+            for h in chi.subgroup:
+                assert act_form(h, s, F) == s, (d, k, h)
+
+
 def test_reynolds_dimension_independent_of_basis_order():
     s3 = sym_elements(3)
     chi = trivial_character(s3)
-    std = [tuple(1 if j == i else 0 for j in range(3)) for i in range(3)]
+    std = tuple(((i, 0),) for i in range(3))
     dims = []
-    for subspace in (std, list(reversed(std))):
-        basis = reynolds_semiinvariant_basis(
-            chi, F, 2, 1, subspace=subspace, complement=[]
-        )
+    for subspace in (std, std[::-1]):
+        basis = reynolds_semiinvariant_basis(chi, F, 2, 1, subspace)
         dims.append(len(basis))
     assert dims[0] == dims[1]
 
 
 def test_reynolds_rejects_non_monomial_subspace_basis():
-    # a stable basis that the group does not permute up to roots of unity
-    s3 = sym_elements(3)
-    chi = trivial_character(s3)
-    for funny in ([(1, 1, 1), (1, -1, 0), (0, 1, -1)], [(1, 1, 0), (0, 1, 1), (0, 0, 1)]):
-        with pytest.raises(ValueError):
-            reynolds_semiinvariant_basis(chi, F, 1, 0, subspace=funny, complement=[])
+    # v_1 + v_2, v_2 + v_3, v_3: a stable basis, but not on disjoint
+    # supports, so S_3 does not permute it up to roots of unity
+    chi = trivial_character(sym_elements(3))
+    with pytest.raises(ValueError):
+        reynolds_semiinvariant_basis(chi, F, 1, 0, (((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0),)))
 
 
 def test_reynolds_dims_independent_of_root_of_unity_scaling():
     g = three_cycle(3, 4, 1, 2, 3)
     chi = hochschild_character(g, F, 1)
-    fixed = fixed_space(g, F)
-    scaled = [
-        tuple(c * root_of_unity(3, j + 1) for c in v) for j, v in enumerate(fixed)
-    ]
+    fixed = fixed_basis(g, F)
+    scaled = tuple(tuple((i, t + j + 1) for i, t in v) for j, v in enumerate(fixed))
     for d, k in [(0, 0), (2, 0), (3, 1), (4, 2)]:
-        dims = [
-            len(
-                reynolds_semiinvariant_basis(
-                    chi, F, d, k, subspace=basis, complement=perp_space(g, F)
-                )
-            )
-            for basis in (fixed, scaled)
-        ]
+        dims = [len(reynolds_semiinvariant_basis(chi, F, d, k, basis)) for basis in (fixed, scaled)]
         assert dims[0] == dims[1], (d, k, dims)
 
 
 def test_subspace_action_on_fixed_space():
     g = three_cycle(3, 4, 1, 2, 3)
-    fixed = fixed_space(g, F)
+    fixed = fixed_basis(g, F)
     # xi_4 scales the v_4 line, the 3-cycle fixes the v_1 + v_2 + v_3 line
     assert subspace_action(xi(3, 4, 4), F, fixed) == ((0, 1), (0, 1))
     assert subspace_action(g, F, fixed) == ((0, 1), (0, 0))
@@ -269,7 +270,7 @@ def test_multiplicativity_check_sees_every_element():
     sample = els[:: len(els) // 60]
     touched = set(sample) | {multiply(g, h) for g in sample for h in sample[:4]}
     target = next(h for h in els if h not in touched)
-    exps = {h: as_root_exponent(det(h, F), 2) for h in els}
+    exps = {h: root_exponent(det(h, F), 2) for h in els}
     CharacterTable(els, 2, exps).check_multiplicative()
     exps[target] += 1
     with pytest.raises(CharacterError):
@@ -280,7 +281,7 @@ def test_exponent_table_answers_with_root_values():
     # det on G(3,1,2) as exponents mod 6 gives back the determinants; the
     # modulus must hold the sign and zeta_3
     els = elements(3, 1, 2)
-    exps = {h: as_root_exponent(det(h, F), 6) for h in els}
+    exps = {h: root_exponent(det(h, F), 6) for h in els}
     chi = CharacterTable(els, 6, exps)
     chi.check_multiplicative()
     assert all(chi(h) == det(h, F) for h in els)
@@ -308,17 +309,15 @@ def test_reynolds_verifies_and_builds_action_data_once_per_table(monkeypatch):
         "subspace_actions",
         counting("subspace_actions", heckeforge.polyforms.subspace_actions),
     )
-    fixed, perp = fixed_space(g, F), perp_space(g, F)
+    fixed = fixed_basis(g, F)
     dims = []
     for d in range(4):
-        dims.append(
-            len(reynolds_semiinvariant_basis(chi, F, d, 0, subspace=fixed, complement=perp))
-        )
+        dims.append(len(reynolds_semiinvariant_basis(chi, F, d, 0, fixed)))
         if d == 0:
             first = dict(calls)
     assert first["multiply"] > 0 and first["subspace_actions"] == 1
     assert calls == first
     assert dims == [
-        len(reynolds_semiinvariant_basis(cached, F, d, 0, subspace=fixed, complement=perp))
+        len(reynolds_semiinvariant_basis(cached, F, d, 0, fixed))
         for d in range(4)
     ]
