@@ -21,9 +21,10 @@ from .group import BudgetExceededError, RepKind
 
 def _group_args(args) -> tuple[RepKind, int]:
     """(rep, budget) for a group-level command, after checking r, p and n."""
-    r, p, n = args.r, getattr(args, "p", 1), args.n
-    if r < 1 or n < 1 or p < 1 or r % p:
-        print("error: need r, n >= 1 and p | r", file=sys.stderr)
+    try:
+        group.check_group(args.r, getattr(args, "p", 1), args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     return RepKind(getattr(args, "rep", "faithful")), _budget(args)
 
@@ -212,8 +213,12 @@ def cmd_gha_build(args) -> int:
         return 2
     text = json.dumps(family.to_json(), indent=2)
     if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0

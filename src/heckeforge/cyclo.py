@@ -305,8 +305,12 @@ class CycloNum:
     @staticmethod
     def from_json(data: dict) -> "CycloNum":
         r = int(data["order"])
+        if r < 1:
+            raise ValueError(f"a cyclotomic order must be positive, got {r}")
         out = CycloNum(r, _zero_coeffs(r))
         for t in data["terms"]:
+            if not int(t["den"]):
+                raise ValueError("a coefficient has a zero denominator")
             c = Fraction(int(t["num"]), int(t["den"]))
             out = out + CycloNum(r, _reduce_power(r, int(t["exp"]))) * c
         return out

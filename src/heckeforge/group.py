@@ -331,6 +331,12 @@ def group_order(r: int, p: int, n: int) -> int:
     return r**n * math.factorial(n) // p
 
 
+def check_group(r: int, p: int, n: int) -> None:
+    """ValueError unless G(r,p,n) is defined: r, n >= 1 and p | r."""
+    if r < 1 or n < 1 or p < 1 or r % p:
+        raise ValueError("need r, n >= 1 and p | r")
+
+
 def check_budget(r: int, p: int, n: int, budget: int | None = DEFAULT_BUDGET):
     if budget is not None and group_order(r, p, n) > budget:
         raise BudgetExceededError(

@@ -23,6 +23,7 @@ from .group import (
     RepKind,
     centralizer,
     check_budget,
+    check_group,
     conjugacy_classes,
     elements,
     generators,
@@ -171,14 +172,27 @@ class SkewFormFamily:
 
     @staticmethod
     def from_json(data: dict) -> "SkewFormFamily":
-        support = {}
-        for item in data["forms"]:
-            g = GroupElement.from_json(item["g"])
-            A = SkewForm([[CycloNum.from_json(e) for e in row] for row in item["matrix"]])
-            support[g] = A
-        return SkewFormFamily(
-            int(data["r"]), int(data["p"]), int(data["n"]), RepKind(data["rep"]), support
-        )
+        """The family `to_json` wrote; ValueError (KeyError for a missing
+        key) on data that is not one, before any group arithmetic runs."""
+        if not isinstance(data, dict):
+            raise ValueError("a forms file holds a JSON object")
+        try:
+            r, p, n = int(data["r"]), int(data["p"]), int(data["n"])
+            check_group(r, p, n)
+            rep = RepKind(data["rep"])
+            if not isinstance(data["forms"], list):
+                raise ValueError("forms must be a list")
+            support = {}
+            for item in data["forms"]:
+                if (int(item["g"]["r"]), int(item["g"]["n"])) != (r, n):
+                    raise ValueError("support element outside the configured group")
+                if not isinstance(item["matrix"], list):
+                    raise ValueError("a form's matrix must be a list of rows")
+                A = SkewForm([[CycloNum.from_json(e) for e in row] for row in item["matrix"]])
+                support[GroupElement.from_json(item["g"])] = A
+        except (TypeError, OverflowError) as exc:  # a value of the wrong JSON type, or infinite
+            raise ValueError(str(exc)) from None
+        return SkewFormFamily(r, p, n, rep, support)
 
 
 # -- parameter space (Reynolds route) ----------------------------------------

@@ -2,18 +2,15 @@
 generators-and-relations algebra H*(r,n).
 
 Elements are stored as sum of c * v^mu gbar with the group element on the
-right and the variables sorted.  Multiplication rewrites words into this
-normal form: group elements are pushed rightward one variable at a time
-(in H* via a bubble-sort word of simple reflections and the defining
-relations; in a Drinfeld presentation via the representation), and variable
-words are sorted by adjacent transpositions, each swap inserting the
-degree-0 commutator correction of the presentation.  Termination follows
-from the lexicographic descent in (polynomial degree, inversion count).
-Normal forms are memoized per algebra: in H* that of gbar v^nu, in a
-Drinfeld algebra that of each variable word with identity group part, which
-every product with that word reuses by right-multiplying the group parts.
-Confluence is not assumed; it is certified by small-degree associativity
-checks, which fail for families violating the PBW conditions.
+right and the variables sorted.  One rewriting core (`_AlgebraBase`)
+multiplies in every presentation, which supplies two rules: `_push` moves a
+group element rightward past a variable word, and `_bracket` gives the
+degree-0 corrections of a swap of adjacent variables.  Words are sorted at
+their first descent; termination follows from the lexicographic descent in
+(polynomial degree, inversion count).  The core memoizes the normal form of
+each variable word, and H* also memoizes its pushes.  Confluence is not
+assumed; it is certified by small-degree associativity checks, which fail
+for families violating the PBW conditions.
 
 S(V)#G itself is the Drinfeld algebra of the empty family
 (`skew_group_algebra`), so the two-cocycle mu_1 that a family induces on it
@@ -44,6 +41,9 @@ from .group import (
     xi,
 )
 from .hecke import SkewFormFamily, build_preset, psi2
+
+# the unit coefficient of the rewriting rules; the core skips multiplying by it
+_ONE = one()
 
 
 def _add_term(out: dict, key, c) -> None:
@@ -137,10 +137,7 @@ def filtration_degree(x: NCElement) -> int:
 
 
 def _word_of(mu):
-    out = []
-    for i, k in enumerate(mu):
-        out.extend([i + 1] * k)
-    return out
+    return [i + 1 for i, k in enumerate(mu) for _ in range(k)]
 
 
 def _exps_of(word, n):
@@ -151,6 +148,24 @@ def _exps_of(word, n):
 
 
 class _AlgebraBase:
+    """The rewriting core of H* and the Drinfeld algebras.  A presentation
+    supplies two rules, the two kinds of overlap of the diamond lemma:
+    - `_push(g, word)`: the normal form of gbar v_word, a term dict
+      (word, group) -> coeff with the group on the right and the words not
+      yet sorted;
+    - `_bracket(k, m)`: the (group, coeff) corrections in
+      v_k v_m = v_m v_k + sum c gbar, for k > m.
+    `_word_cache` memoizes the normal form of each variable word,
+    `_push_cache` serves a presentation that memoizes its pushes, and
+    `_shared` keeps one copy of each group element in a cached word form."""
+
+    def __init__(self, r: int, p: int, n: int):
+        self.r, self.p, self.n = r, p, n
+        self._identity = identity(r, n)
+        self._word_cache: dict = {}
+        self._push_cache: dict = {}
+        self._shared: dict = {}
+
     def element(self, terms: dict) -> NCElement:
         return NCElement(self, terms)
 
@@ -158,12 +173,10 @@ class _AlgebraBase:
         return NCElement(self, {(tuple(exps), g): cyclo(coeff)})
 
     def one(self) -> NCElement:
-        return self.term((0,) * self.n, identity(self.r, self.n))
+        return self.term((0,) * self.n, self._identity)
 
     def var(self, k: int) -> NCElement:
-        e = [0] * self.n
-        e[k - 1] = 1
-        return self.term(e, identity(self.r, self.n))
+        return self.term(_exps_of((k,), self.n), self._identity)
 
     def group(self, g: GroupElement) -> NCElement:
         return self.term((0,) * self.n, g)
@@ -175,126 +188,11 @@ class _AlgebraBase:
                 self._term_product(out, mu, g, nu, h, c1 * c2)
         return NCElement(self, out)
 
-
-def _bubble_word(perm):
-    """Indices w with perm = s_{w[0]} o s_{w[1]} o ... (rightmost applied
-    first), from bubble-sorting the one-line notation."""
-    L = list(perm)
-    collected = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(L) - 1):
-            if L[i] > L[i + 1]:
-                L[i], L[i + 1] = L[i + 1], L[i]
-                collected.append(i + 1)
-                changed = True
-    return list(reversed(collected))
-
-
-class HStarAlgebra(_AlgebraBase):
-    """The algebra generated by CG(r,1,n) and commuting variables v_1..v_n
-    with xibar_i v_k = v_k xibar_i and
-    sbar_i v_{i+1} = v_i sbar_i + sum_a xibar_i^a xibar_{i+1}^{-a}."""
-
-    def __init__(self, r: int, n: int):
-        self.r = r
-        self.n = n
-        self._move_cache: dict = {}
-        self._gm_cache: dict = {}
-
-    def group_move(self, g: GroupElement, k: int) -> dict:
-        """Normal form of gbar v_k as a term dict; the polynomial part is the
-        single term v_{sigma(k)} gbar, every correction has degree 0."""
-        key = (g, k)
-        cached = self._gm_cache.get(key)
-        if cached is not None:
-            return cached
-        r, n = self.r, self.n
-        word = _bubble_word(g.perm)
-        # terms: (variable index or 0, tail group element) -> coeff; the
-        # tails accumulate the suffix of the word
-        terms: dict = {(k, identity(r, n)): one()}
-        for i in reversed(word):
-            s_i = transposition(r, n, i, i + 1)
-            new: dict = {}
-            for (vk, tail), c in terms.items():
-                if vk == i:  # sbar_i v_i = v_{i+1} sbar_i - sum_a ...
-                    _add_term(new, (i + 1, multiply(s_i, tail)), c)
-                    corr_sign = -1
-                elif vk == i + 1:  # sbar_i v_{i+1} = v_i sbar_i + sum_a ...
-                    _add_term(new, (i, multiply(s_i, tail)), c)
-                    corr_sign = 1
-                else:  # a degree-0 term (vk == 0) or a variable sbar_i fixes
-                    _add_term(new, (vk, multiply(s_i, tail)), c)
-                    continue
-                for a in range(r):
-                    _add_term(new, (0, multiply(_xi_pair(r, n, i, i + 1, a), tail)), c * corr_sign)
-            terms = new
-        D = diag(r, n, g.exps)
-        out: dict = {}
-        for (vk, tail), c in terms.items():
-            mu = (0,) * n if vk == 0 else tuple(1 if t == vk - 1 else 0 for t in range(n))
-            _add_term(out, (mu, multiply(D, tail)), c)
-        # shape invariant: one main term v_{sigma(k)}, degree-0 corrections
-        mains = [mu for (mu, _t) in out if any(mu)]
-        assert mains == [tuple(1 if t == g.perm[k - 1] - 1 else 0 for t in range(n))], (g, k)
-        self._gm_cache[key] = out
-        return out
-
-    def _move_through(self, g: GroupElement, nu) -> dict:
-        """Normal form of gbar v^nu: dict (exps, group) -> coeff."""
-        if not any(nu):
-            return {((0,) * self.n, g): one()}
-        key = (g, nu)
-        cached = self._move_cache.get(key)
-        if cached is not None:
-            return cached
-        k = next(i for i, x in enumerate(nu) if x) + 1
-        rest = tuple(x - 1 if i == k - 1 else x for i, x in enumerate(nu))
-        out: dict = {}
-        for (lam, g1), c in self.group_move(g, k).items():
-            for (kappa, g2), c2 in self._move_through(g1, rest).items():
-                _add_term(out, (tuple(a + b for a, b in zip(lam, kappa)), g2), c * c2)
-        self._move_cache[key] = out
-        return out
-
-    def _term_product(self, out: dict, mu, g, nu, h, coeff) -> None:
-        """Add coeff * (v^mu gbar)(v^nu hbar) into the term dict out."""
-        for (kappa, g2), c in self._move_through(g, nu).items():
-            _add_term(out, (tuple(a + b for a, b in zip(mu, kappa)), multiply(g2, h)), c * coeff)
-
-
-class DrinfeldAlgebra(_AlgebraBase):
-    """T(V)#G modulo vw - wv = sum_g a_g(v,w) gbar, for a skew-form family.
-
-    A product (v^mu gbar)(v^nu hbar) is v^mu g(v^nu) (gh)bar with the
-    variable word v^mu g(v^nu) still to be sorted.  `_word_form` sorts a
-    word by swapping at its first descent until none is left; each swap
-    v_k v_m -> v_m v_k adds the bracket corrections
-    a_gp(v_k, v_m) prefix . gp(suffix) . gpbar, whose words it sorts in
-    turn.  The normal form of each word it is asked for is memoized with
-    identity group part, so a product is one lookup followed by right
-    multiplication of the group parts by gh, a bijection on terms.
-
-    Arithmetic is only trustworthy for families passing pbw_check; for bad
-    families the rewriting is still deterministic but associativity fails,
-    which pbw_dimension_check detects.
-    """
-
-    def __init__(self, family: SkewFormFamily):
-        self.family = family
-        self.r = family.r
-        self.n = family.n
-        self.rep = family.repkind
-        self._identity = identity(self.r, self.n)
-        self._word_cache: dict = {}
-        # one stored copy of each group element met in a cached normal form
-        self._shared: dict = {}
-
     def _word_form(self, word: tuple) -> dict:
         """Normal form of the variable word v_{word[0]} v_{word[1]} ... as a
-        term dict (exps, group) -> coeff; memoized per word."""
+        term dict (exps, group) -> coeff.  Each swap at the first descent
+        adds prefix . c gpbar . suffix per bracket correction, with gpbar
+        pushed past the suffix and the words it gives sorted in turn."""
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached
@@ -311,36 +209,107 @@ class DrinfeldAlgebra(_AlgebraBase):
             if i >= len(w) - 1:
                 break
             k, m = w[i], w[i + 1]
-            prefix, suffix = tuple(w[:i]), w[i + 2:]
-            # reverse support order, as a depth-first rewrite that stacks the
-            # corrections pops them: a coefficient's field order (the lcm
-            # over its additions since it was last zero) follows that order
-            for gp, A in reversed(self.family.support.items()):
-                aval = A.matrix[k - 1][m - 1]
-                if aval.is_zero():
-                    continue
-                pi, tvals = monomial_action(gp, self.rep)
-                zexp = sum(tvals[s - 1] for s in suffix) % self.r
-                c = aval * root_of_unity(self.r, zexp) if zexp else aval
-                for (exps, t), c2 in self._word_form(prefix + tuple(pi[s - 1] for s in suffix)).items():
-                    tg = multiply(t, gp)
-                    _add_term(out, (exps, self._shared.setdefault(tg, tg)), c2 * c)
+            prefix, suffix = tuple(w[:i]), tuple(w[i + 2:])
+            for gp, a in self._bracket(k, m):
+                for (pushed, g2), c in self._push(gp, suffix).items():
+                    c = a if c is _ONE else a * c
+                    for (exps, t), c2 in self._word_form(prefix + pushed).items():
+                        tg = multiply(t, g2)
+                        _add_term(out, (exps, self._shared.setdefault(tg, tg)), c if c2 is _ONE else c2 * c)
             w[i], w[i + 1] = m, k
-        _add_term(out, (_exps_of(w, self.n), self._identity), one())
+        _add_term(out, (_exps_of(w, self.n), self._identity), _ONE)
         self._word_cache[word] = out
         return out
 
     def _term_product(self, out: dict, mu, g, nu, h, coeff) -> None:
         """Add coeff * (v^mu gbar)(v^nu hbar) into the term dict out."""
+        prefix = tuple(_word_of(mu))
+        for (pushed, g2), c in self._push(g, tuple(_word_of(nu))).items():
+            c = coeff if c is _ONE else coeff * c
+            g2h = multiply(g2, h)
+            for (exps, t), c2 in self._word_form(prefix + pushed).items():
+                _add_term(out, (exps, multiply(t, g2h)), c if c2 is _ONE else c2 * c)
+
+
+class HStarAlgebra(_AlgebraBase):
+    """The algebra generated by CG(r,1,n) and commuting variables v_1..v_n
+    with xibar_i v_k = v_k xibar_i and
+    sbar_i v_{i+1} = v_i sbar_i + sum_a xibar_i^a xibar_{i+1}^{-a}.
+
+    The variables commute, so `_bracket` is empty, and `_push` keeps sorted
+    words, memoized in `_push_cache` per (g, word).  gbar v_k is
+    sbar_i (g'bar v_k) at a left descent i of g's permutation, and a longer
+    word is pushed one letter at a time."""
+
+    def __init__(self, r: int, n: int):
+        super().__init__(r, 1, n)
+
+    def group_move(self, g: GroupElement, k: int) -> dict:
+        """Normal form of gbar v_k as a term dict; the one main term is
+        v_{sigma(k)} gbar, every correction has degree 0."""
+        return self._push(g, (k,))
+
+    def _bracket(self, k: int, m: int):
+        return ()
+
+    def _push(self, g: GroupElement, word: tuple) -> dict:
+        key = (g, word)
+        cached = self._push_cache.get(key)
+        if cached is not None:
+            return cached
+        r, n = self.r, self.n
+        i = next((i for i in range(1, n) if g.perm.index(i) > g.perm.index(i + 1)), None)
+        out: dict = {}
+        if len(word) > 1:
+            for (w1, g1), c1 in self._push(g, word[:1]).items():
+                for (w2, g2), c2 in self._push(g1, word[1:]).items():
+                    _add_term(out, (tuple(sorted(w1 + w2)), g2), c1 * c2)
+        elif not word or i is None:  # a diagonal g commutes with v_k
+            out[(word, g)] = _ONE
+        else:
+            s_i = transposition(r, n, i, i + 1)
+            for (w, h), c in self._push(multiply(s_i, g), word).items():
+                _add_term(out, (tuple(s_i.perm[j - 1] for j in w), multiply(s_i, h)), c)
+                if w and w[0] in (i, i + 1):
+                    # sbar_i v_{i+1} = v_i sbar_i + sum_a ..., sbar_i v_i = v_{i+1} sbar_i - sum_a ...
+                    for a in range(r):
+                        _add_term(out, ((), multiply(_xi_pair(r, n, i, i + 1, a), h)), c if w[0] > i else -c)
+            assert [w for (w, _t) in out if w] == [(g.perm[word[0] - 1],)], (g, word)
+        self._push_cache[key] = out
+        return out
+
+
+class DrinfeldAlgebra(_AlgebraBase):
+    """T(V)#G modulo vw - wv = sum_g a_g(v,w) gbar, for a skew-form family.
+
+    `_push` gives the one term zeta^{sum t} g(v_word) gbar, its phase a
+    single exponent sum, and is not memoized.  `_bracket` yields the
+    family's nonzero a_g(v_k, v_m) in reverse support order, as a
+    depth-first rewrite that stacks the corrections pops them: a
+    coefficient's field order (the lcm over its additions since it was last
+    zero) follows that order.  A cached word form has identity group part,
+    so a product reuses it by right-multiplying the group parts by gh.
+
+    Arithmetic is only trustworthy for families passing pbw_check; for bad
+    families the rewriting is still deterministic but associativity fails,
+    which pbw_dimension_check detects.
+    """
+
+    def __init__(self, family: SkewFormFamily):
+        super().__init__(family.r, family.p, family.n)
+        self.family = family
+        self.rep = family.repkind
+
+    def _push(self, g: GroupElement, word: tuple) -> dict:
         pi, tvals = monomial_action(g, self.rep)
-        letters = _word_of(nu)
-        zexp = sum(tvals[s - 1] for s in letters) % self.r
-        if zexp:
-            coeff = coeff * root_of_unity(self.r, zexp)
-        gh = multiply(g, h)
-        word = tuple(_word_of(mu)) + tuple(pi[s - 1] for s in letters)
-        for (exps, t), c in self._word_form(word).items():
-            _add_term(out, (exps, multiply(t, gh)), c * coeff)
+        zexp = sum(tvals[s - 1] for s in word) % self.r
+        return {(tuple(pi[s - 1] for s in word), g): root_of_unity(self.r, zexp) if zexp else _ONE}
+
+    def _bracket(self, k: int, m: int):
+        for gp, A in reversed(self.family.support.items()):
+            a = A.matrix[k - 1][m - 1]
+            if not a.is_zero():
+                yield gp, a
 
 
 # -- S(V)#G and the two-cocycle mu_1 ----------------------------------------------
@@ -614,7 +583,7 @@ def pbw_dimension_check(
     C(n+N, n) |G|, and re-multiply sampled triples to confirm the normal
     forms compose associatively (the confluence surrogate)."""
     r, n = algebra.r, algebra.n
-    p = getattr(getattr(algebra, "family", None), "p", 1)
+    p = algebra.p
     count = 0
     for mu in product(range(N + 1), repeat=n):
         if sum(mu) <= N:

@@ -4,6 +4,10 @@ paths in the library, and a faithful family shared by the tests:
 - `stack_multiply`: the Drinfeld product computed by rewriting every word
   from scratch on an explicit stack (swap at the first descent, one
   bracket correction per support element), with no memo;
+- `hstar_reference_multiply`: the H* product that moves a group element
+  past one variable at a time along a bubble-sort word of simple
+  reflections, kept from before H* and the Drinfeld algebras shared one
+  rewriting core;
 - `pbw_check_full_scan`: pbw_check with the equivariance condition tested
   for every h in G, not only on generators;
 - `reynolds_rows_by_projector`: the semi-invariant rows from the Reynolds
@@ -18,21 +22,25 @@ paths in the library, and a faithful family shared by the tests:
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from heckeforge.cyclo import CycloMatrix, echelon_rows, one, root_of_unity, zero
 from heckeforge.group import (
     RepKind,
+    diag,
     elements,
     from_cycles,
+    identity,
     inverse,
     matrix,
     monomial_action,
     multiply,
     three_cycle,
+    transposition,
 )
 from heckeforge.hecke import PBWReport, conjugate_form, forms_from_semiinvariants
-from heckeforge.ncalg import NCElement, _add_term, _exps_of, _word_of
+from heckeforge.ncalg import NCElement, _add_term, _exps_of, _word_of, _xi_pair
 from heckeforge.polyforms import _sort_with_sign
 
 
@@ -76,6 +84,101 @@ def stack_multiply(x: NCElement, y: NCElement) -> NCElement:
             for key, c in stack_term_product(x.algebra, mu, g, nu, h).items():
                 _add_term(out, key, c * c1 * c2)
     return NCElement(x.algebra, out)
+
+
+def _bubble_word(perm):
+    """Indices w with perm = s_{w[0]} o s_{w[1]} o ... (rightmost applied
+    first), from bubble-sorting the one-line notation."""
+    L = list(perm)
+    collected = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(L) - 1):
+            if L[i] > L[i + 1]:
+                L[i], L[i + 1] = L[i + 1], L[i]
+                collected.append(i + 1)
+                changed = True
+    return list(reversed(collected))
+
+
+class _HStarReference:
+    """Normal forms in H*(r,n) by pushing gbar past one variable at a time."""
+
+    def __init__(self, r: int, n: int):
+        self.r = r
+        self.n = n
+        self._move_cache: dict = {}
+        self._gm_cache: dict = {}
+
+    def group_move(self, g, k: int) -> dict:
+        """Normal form of gbar v_k as a term dict (exps, group) -> coeff."""
+        key = (g, k)
+        cached = self._gm_cache.get(key)
+        if cached is not None:
+            return cached
+        r, n = self.r, self.n
+        # terms: (variable index or 0, tail group element) -> coeff; the
+        # tails accumulate the suffix of the bubble word
+        terms: dict = {(k, identity(r, n)): one()}
+        for i in reversed(_bubble_word(g.perm)):
+            s_i = transposition(r, n, i, i + 1)
+            new: dict = {}
+            for (vk, tail), c in terms.items():
+                if vk == i:  # sbar_i v_i = v_{i+1} sbar_i - sum_a ...
+                    _add_term(new, (i + 1, multiply(s_i, tail)), c)
+                    corr_sign = -1
+                elif vk == i + 1:  # sbar_i v_{i+1} = v_i sbar_i + sum_a ...
+                    _add_term(new, (i, multiply(s_i, tail)), c)
+                    corr_sign = 1
+                else:  # a degree-0 term (vk == 0) or a variable sbar_i fixes
+                    _add_term(new, (vk, multiply(s_i, tail)), c)
+                    continue
+                for a in range(r):
+                    _add_term(new, (0, multiply(_xi_pair(r, n, i, i + 1, a), tail)), c * corr_sign)
+            terms = new
+        D = diag(r, n, g.exps)
+        out: dict = {}
+        for (vk, tail), c in terms.items():
+            mu = (0,) * n if vk == 0 else tuple(1 if t == vk - 1 else 0 for t in range(n))
+            _add_term(out, (mu, multiply(D, tail)), c)
+        self._gm_cache[key] = out
+        return out
+
+    def move_through(self, g, nu) -> dict:
+        """Normal form of gbar v^nu: dict (exps, group) -> coeff."""
+        if not any(nu):
+            return {((0,) * self.n, g): one()}
+        key = (g, nu)
+        cached = self._move_cache.get(key)
+        if cached is not None:
+            return cached
+        k = next(i for i, x in enumerate(nu) if x) + 1
+        rest = tuple(x - 1 if i == k - 1 else x for i, x in enumerate(nu))
+        out: dict = {}
+        for (lam, g1), c in self.group_move(g, k).items():
+            for (kappa, g2), c2 in self.move_through(g1, rest).items():
+                _add_term(out, (tuple(a + b for a, b in zip(lam, kappa)), g2), c * c2)
+        self._move_cache[key] = out
+        return out
+
+
+@lru_cache(maxsize=None)
+def _hstar_reference(r: int, n: int) -> _HStarReference:
+    return _HStarReference(r, n)
+
+
+def hstar_reference_multiply(x: NCElement, y: NCElement) -> NCElement:
+    """x * y in x's H* algebra, through one _HStarReference per (r, n)."""
+    alg = x.algebra
+    ref = _hstar_reference(alg.r, alg.n)
+    out: dict = {}
+    for (mu, g), c1 in x.terms.items():
+        for (nu, h), c2 in y.terms.items():
+            coeff = c1 * c2
+            for (kappa, g2), c in ref.move_through(g, nu).items():
+                _add_term(out, (tuple(a + b for a, b in zip(mu, kappa)), multiply(g2, h)), c * coeff)
+    return NCElement(alg, out)
 
 
 def pbw_check_full_scan(F) -> PBWReport:

@@ -1,14 +1,17 @@
 import contextlib
+import copy
 import io
 import json
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckeforge.cli import main
+from heckeforge.hecke import build_preset
 
 
 def run(capsys, *argv):
@@ -262,6 +265,47 @@ def test_pbw_check_rejects_form_of_wrong_size(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _preset_forms_with(path, value):
+    """The a_r1n(2,3) forms JSON with the entry at `path` set to `value`."""
+    data = build_preset("a_r1n", 2, 3).to_json()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+_EMPTY_FAMILY = {"r": 2, "p": 1, "n": 3, "rep": "permutation", "forms": []}
+
+
+@pytest.mark.parametrize("forms", [
+    dict(_EMPTY_FAMILY, r=0),
+    dict(_EMPTY_FAMILY, n=0),
+    dict(_EMPTY_FAMILY, p=0),
+    dict(_EMPTY_FAMILY, r=3, p=2),
+    [],
+    dict(_EMPTY_FAMILY, forms=3),
+    _preset_forms_with(["forms", 0, "matrix"], 0),
+    _preset_forms_with(["forms", 0, "matrix", 0, 1, "terms", 0, "den"], "0"),
+    _preset_forms_with(["forms", 0, "matrix", 0, 0], {"order": 0, "terms": []}),
+], ids=["r-zero", "n-zero", "p-zero", "p-not-dividing-r", "top-level-list", "forms-not-a-list",
+        "matrix-not-a-list", "zero-denominator", "order-zero"])
+def test_pbw_check_rejects_malformed_forms(capsys, tmp_path, forms):
+    path = tmp_path / "forms.json"
+    path.write_text(json.dumps(forms))
+    code, err = _exit_code(capsys, "pbw-check", str(path))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_gha_build_to_a_missing_directory_is_bad_input(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    code, err = _exit_code(capsys, "gha-build", "--preset", "a_r1n", "--r", "2", "--n", "3", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 # JSON stdout recorded before the class and centralizer enumeration was
 # rewritten (the first five), before the skew group algebra became the
 # empty-family Drinfeld algebra (the next six), and before V^g and its
@@ -301,6 +345,24 @@ def test_json_matches_golden_output(capsys, name, argv):
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+def _run_quietly(argv, stdin=""):
+    """(exit code, stdout, stderr) of main, whether it returns or raises
+    SystemExit; any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_bad_input_message(code, err, argv):
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
 _INDEX = st.integers(0, 5)
 _NC_TOKENS = st.one_of(
     st.builds("v{}".format, _INDEX),
@@ -323,14 +385,97 @@ _NC_TOKENS = st.one_of(
 def test_nc_normal_form_keeps_the_exit_code_contract(algebra, r, n, tokens):
     # tokens follow "--" so that a leading minus sign is not read as an option
     argv = ["nc-normal-form", "--algebra", algebra, "--r", str(r), "--n", str(n), "--", *tokens]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    code, out, err = _run_quietly(argv)
     assert code in (0, 2), (argv, code)
-    if code == 2:
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    _assert_bad_input_message(code, err, argv)
+    if code == 0:
+        assert out and not err, argv
+
+
+_PRESET_FORMS = build_preset("a_r1n", 2, 3).to_json()
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6),
+    st.floats(-3, 3) | st.sampled_from([float("inf"), float("nan")]),
+    st.sampled_from(["", "0", "-1", "3", "x", "1/2", "faithful", "permutation"]),
+    st.sampled_from([[], {}, [[]], [{}]]),
+)
+
+
+def _mutate(forms, data):
+    """One random edit of a forms document: drop or retype the value at a
+    path (biased towards the top-level keys and the coefficient fields),
+    set an entry pair a_ij = -a_ji to a new rational, or replace the whole
+    document."""
+    kind = data.draw(st.sampled_from(["drop", "set", "set", "skew", "skew", "document"]))
+    if kind == "document":
+        return data.draw(_JSON_VALUES)
+    if kind == "skew":
+        if not (isinstance(forms, dict) and isinstance(forms.get("forms"), list) and forms["forms"]):
+            return forms
+        item = data.draw(st.sampled_from(forms["forms"]))
+        matrix = item.get("matrix") if isinstance(item, dict) else None
+        i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        if isinstance(matrix, list) and len(matrix) == 3 and all(isinstance(row, list) for row in matrix):
+            a = data.draw(st.integers(-2, 2))
+            for (x, y, v) in ((i, j, a), (j, i, -a)):
+                if y < len(matrix[x]):
+                    matrix[x][y] = {"order": 1, "terms": [{"exp": 0, "num": str(v), "den": "1"}]}
+        return forms
+    paths = [p for p in _json_paths(forms) if p]
+    if not paths:
+        return forms
+    targets = [p for p in paths if len(p) == 1 or p[-1] in ("order", "terms", "num", "den", "exp")]
+    path = data.draw(st.sampled_from(targets or paths) | st.sampled_from(paths))
+    parent = forms
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
     else:
-        assert out.getvalue() and not err.getvalue(), argv
+        parent[path[-1]] = data.draw(_JSON_VALUES)
+    return forms
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_pbw_check_keeps_the_exit_code_contract(data):
+    forms = copy.deepcopy(_PRESET_FORMS)
+    for _ in range(data.draw(st.integers(0, 3))):
+        forms = _mutate(forms, data)
+    code, out, err = _run_quietly(["--format", "json", "pbw-check", "-"], json.dumps(forms))
+    assert code in (0, 1, 2), (forms, code)
+    _assert_bad_input_message(code, err, forms)
+    if code != 2:
+        report = json.loads(out)
+        assert (code == 0) == (report["invariance"] and report["jacobi"]), (forms, report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["a_r1n", "generic"]),
+    st.sampled_from([1, 2, 3, 0, -1]),
+    st.sampled_from([3, 4, 3, 4, 2, 0, -1]),
+    st.none() | st.lists(st.sampled_from(["1", "0", "-2", "1/2"]), max_size=4).map(",".join)
+    | st.sampled_from(["1/0", "x", "1,,2", ""]),
+    st.sampled_from(["-", "ok", "missing", "directory"]),
+)
+def test_gha_build_keeps_the_exit_code_contract(tmp_path_factory, preset, r, n, scalars, out):
+    where = tmp_path_factory.mktemp("gha-build")
+    out = {"ok": where / "x.json", "missing": where / "missing" / "x.json", "directory": where}.get(out, out)
+    argv = ["gha-build", "--preset", preset, "--r", str(r), "--n", str(n), "--out", str(out)]
+    if scalars is not None:
+        argv.append(f"--scalars={scalars}")  # one token, as a scalar may start with a minus sign
+    code, stdout, err = _run_quietly(argv)
+    assert code in (0, 2), (argv, code)
+    _assert_bad_input_message(code, err, argv)
+    if code == 0:
+        assert not err and (stdout if out == "-" else out.read_text())

@@ -4,6 +4,9 @@ in `oracles`:
 - the memoized Drinfeld rewriter against the stack rewriter, term for term
   (JSON, so the coefficients' field orders too), on families that pass and
   fail the PBW conditions;
+- the H* product against the bubble-word rewriter, term for term, on every
+  gbar v_a v_b v_c over G(2,1,3), every gbar v_a v_b over G(3,1,3) and
+  seeded term pairs in H*(3,4) with zeta_3 in the coefficients;
 - generator-only pbw_check against the scan over all of G, verdict and
   witnesses, on every group with |G| <= 400 that the acceptance and
   extended tests use, under both actions;
@@ -37,11 +40,12 @@ from heckeforge.group import (
 )
 from heckeforge.hecke import SkewForm, SkewFormFamily, _extend_by_conjugation, build_preset, pbw_check
 from heckeforge.hochschild import fixed_basis, fixed_space, hochschild_character, perp_space
-from heckeforge.ncalg import DrinfeldAlgebra
+from heckeforge.ncalg import DrinfeldAlgebra, HStarAlgebra
 from heckeforge.polyforms import _duals, reynolds_semiinvariant_basis, subspace_actions, trivial_character
 from oracles import (
     dense_spaces,
     faithful_family_2_1_4,
+    hstar_reference_multiply,
     pbw_check_full_scan,
     reynolds_rows_by_projector,
     stack_multiply,
@@ -106,6 +110,48 @@ def test_memoized_rewriter_matches_the_stack_rewriter(name):
 
     for _ in range(20):
         _assert_same_product(term(), term())
+
+
+# -- the H* product against the bubble-word rewriter --------------------------------
+
+
+def _hstar_words(r, n, length):
+    """Every gbar v_a v_b ... (length letters) over G(r,1,n), as the factor
+    lists of a left fold."""
+    alg = HStarAlgebra(r, n)
+    for g in elements(r, 1, n):
+        for word in product(range(1, n + 1), repeat=length):
+            yield [alg.group(g)] + [alg.var(k) for k in word]
+
+
+def _hstar_term_pairs():
+    """20 seeded pairs of terms of degree <= 3 in H*(3,4); a coefficient is a
+    rational times zeta_3^e, e in {0, 1, 2}, with e = 0 left rational."""
+    alg = HStarAlgebra(3, 4)
+    G = elements(3, 1, 4)
+    rng = random.Random(34)
+
+    def term():
+        mu = [0] * 4
+        for _ in range(rng.randrange(4)):
+            mu[rng.randrange(4)] += 1
+        e = rng.randrange(3)
+        c = Fraction(rng.randrange(1, 5), rng.randrange(1, 4))
+        return alg.term(mu, rng.choice(G), root_of_unity(3, e) * c if e else c)
+
+    for _ in range(20):
+        yield [term() + term(), term() + term()]
+
+
+@pytest.mark.parametrize("cases", [
+    lambda: _hstar_words(2, 3, 3), lambda: _hstar_words(3, 3, 2), _hstar_term_pairs,
+], ids=["G(2,1,3)-gbar-vvv", "G(3,1,3)-gbar-vv", "H*(3,4)-zeta3-pairs"])
+def test_hstar_core_matches_the_bubble_word_rewriter(cases):
+    for factors in cases():
+        x = ref = factors[0]
+        for y in factors[1:]:
+            x, ref = x * y, hstar_reference_multiply(ref, y)
+            assert x.to_json() == ref.to_json(), factors
 
 
 # -- generator-only pbw_check against the scan over G ------------------------------
