@@ -63,7 +63,7 @@ def cmd_classes(args) -> int:
                 "size": cls.size,
                 "cycle_type": [[a, k, m] for a, k, m in group.cycle_type(cls.rep).pairs],
                 "centralizer_formula": group.centralizer_order_formula(cls.rep),
-                "centralizer_brute": len(group.centralizer(cls.rep, args.p, budget)),
+                "centralizer_order": len(group.centralizer(cls.rep, args.p, budget)),
             }
         )
     data = {
@@ -79,7 +79,7 @@ def cmd_classes(args) -> int:
             ct = " ".join(f"({a},{k})x{m}" for a, k, m in row["cycle_type"])
             print(
                 f"  {g!r:<24} size {row['size']:<5} type {ct:<20} "
-                f"|Z| formula {row['centralizer_formula']} brute {row['centralizer_brute']}"
+                f"|Z| formula {row['centralizer_formula']} solved {row['centralizer_order']}"
             )
 
     _emit(data, args, text)

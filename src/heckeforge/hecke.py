@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 from .cyclo import CycloMatrix, CycloNum, cyclo, echelon_rows, one, root_of_unity, zero
 from .group import (
@@ -525,62 +526,110 @@ def forms_from_semiinvariants(
 # -- independent linear-system oracle ---------------------------------------------
 
 
+class PhaseClasses:
+    """Union-find over unknowns x_0 .. x_{size-1} tied by x_a = zeta_M^e x_b.
+
+    Each node keeps one phase exponent mod M against its parent.  An edge
+    that closes a cycle with a phase other than the path's gives
+    x = zeta_M^d x with d != 0, which forces the class to 0."""
+
+    def __init__(self, size: int, M: int):
+        self.M = M
+        self.parent = list(range(size))
+        self.phase = [0] * size  # x_a = zeta_M^phase[a] x_parent[a]
+        self.dead = [False] * size
+
+    def find(self, a: int) -> tuple[int, int]:
+        """(root, e) with x_a = zeta_M^e x_root; compresses the path."""
+        path = []
+        while self.parent[a] != a:
+            path.append(a)
+            a = self.parent[a]
+        e = 0
+        for b in reversed(path):
+            e = (e + self.phase[b]) % self.M
+            self.parent[b], self.phase[b] = a, e
+        return a, e
+
+    def union(self, a: int, b: int, e: int) -> None:
+        """Impose x_a = zeta_M^e x_b."""
+        (ra, ea), (rb, eb) = self.find(a), self.find(b)
+        d = (e + eb - ea) % self.M  # x_ra = zeta_M^d x_rb
+        if ra != rb:
+            self.parent[ra], self.phase[ra] = rb, d
+        self.dead[rb] = self.dead[rb] or self.dead[ra] or (ra == rb and d != 0)
+
+
+def _equivariance_classes(r: int, p: int, n: int, rep: RepKind, budget):
+    """(classes, var) for the unknowns x_{g,(i,j)} = a_g(v_{i+1}, v_{j+1}),
+    i < j, numbered by g's index in `elements` and the pair's in
+    `combinations`.  var(gi, i, j), i != j, is (node, e) with
+    a_g(v_{i+1}, v_{j+1}) = zeta_M^e x_node, M = lcm(2, r).  classes holds
+    every equivariance row: for each generator h of G,
+    x_{h^-1gh,(i,j)} = +-zeta_r^e x_{g,(pi i, pi j)}."""
+    G = elements(r, p, n, budget)
+    idx = {g: i for i, g in enumerate(G)}
+    pos = {pair: t for t, pair in enumerate(combinations(range(n), 2))}
+    M = lcm(2, r)
+
+    def var(gi, i, j):
+        return (gi * len(pos) + pos[i, j], 0) if i < j else (gi * len(pos) + pos[j, i], M // 2)
+
+    classes = PhaseClasses(len(G) * len(pos), M)
+    for h in generators(r, p, n):
+        pi, t = monomial_action(h, rep)
+        h_inv = inverse(h)
+        for gi, g in enumerate(G):
+            g1 = idx[multiply(multiply(h_inv, g), h)]
+            for i, j in pos:
+                b, e = var(gi, pi[i] - 1, pi[j] - 1)
+                classes.union(var(g1, i, j)[0], b, e + (t[i] + t[j]) * M // r)
+    return classes, var
+
+
 def param_space_linear_oracle(
     r: int, p: int, n: int, rep: RepKind, budget: int | None = DEFAULT_BUDGET
 ) -> int:
-    """Dimension of the space of families passing pbw_check, computed by
-    assembling the equivariance and Jacobi conditions as one exact linear
-    system over free per-element forms.  Independent of the Reynolds route."""
-    G = elements(r, p, n, budget)
-    idx = {g: i for i, g in enumerate(G)}
-    pairs = list(combinations(range(n), 2))
-    pair_pos = {pr: t for t, pr in enumerate(pairs)}
-    nvars = len(G) * len(pairs)
+    """Dimension of the space of families passing pbw_check, computed as an
+    exact linear system over free per-element forms.  Independent of the
+    Reynolds route: no characters, semi-invariants or Hochschild data.
 
-    def var(g, i, j):
-        """(coefficient sign, variable index) for a_g(v_{i+1}, v_{j+1})."""
-        if i == j:
-            return 0, None
-        if i < j:
-            return 1, idx[g] * len(pairs) + pair_pos[(i, j)]
-        return -1, idx[g] * len(pairs) + pair_pos[(j, i)]
-
-    rows = []
-    inverses = {h: inverse(h) for h in G}
-    for h in generators(r, p, n):
-        pi, t = monomial_action(h, rep)
-        for g in G:
-            g1 = multiply(multiply(inverses[h], g), h)
-            for (i, j) in pairs:
-                row: dict = {}
-                s, v = var(g1, i, j)
-                row[v] = cyclo(s)
-                s2, v2 = var(g, pi[i] - 1, pi[j] - 1)
-                if v2 is not None:
-                    e = (t[i] + t[j]) % r
-                    coeff = cyclo(-s2) * root_of_unity(r, e)
-                    cur = row.get(v2)
-                    row[v2] = cur + coeff if cur is not None else coeff
-                rows.append(row)
-    for g in G:
+    Each equivariance row links exactly two unknowns, so those rows are
+    solved as orbits by `_equivariance_classes`.  The Jacobi rows are then
+    written over the live roots, with coefficients kept as integer counts
+    of powers of zeta_M until exact repeats are removed, and reduced by
+    `echelon_rows`.  The dimension is the number of live roots minus their
+    rank."""
+    classes, var = _equivariance_classes(r, p, n, rep, budget)
+    M = classes.M
+    half = M // 2
+    jacobi = set()
+    for gi, g in enumerate(elements(r, p, n, budget)):
         pi, t = monomial_action(g, rep)
         for i, j, k in combinations(range(n), 3):
-            for coord in range(n):
-                row: dict = {}
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    s, v = var(g, b, c)
-                    if v is None:
-                        continue
-                    coeff = zero()
-                    if coord == a:
-                        coeff = coeff + s
-                    if coord == pi[a] - 1:
-                        e = t[a] % r
-                        coeff = coeff - cyclo(s) * root_of_unity(r, e)
-                    if not coeff.is_zero():
-                        cur = row.get(v)
-                        row[v] = cur + coeff if cur is not None else coeff
-                if row:
-                    rows.append(row)
-    rank = len(echelon_rows(rows))
-    return nvars - rank
+            # a(v_j,v_k)(v_i - g v_i) + cyclic, as {(coord, root, e): count}
+            # over zeta_M^e, e < half, since zeta_M^(e + half) = -zeta_M^e
+            counts: dict = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                node, e = var(gi, b, c)
+                root, f = classes.find(node)
+                if classes.dead[root]:
+                    continue
+                e += f
+                for coord, f in ((a, e), (pi[a] - 1, e + t[a] * M // r + half)):
+                    key = (coord, root, f % half)
+                    counts[key] = counts.get(key, 0) + (1 if f % M < half else -1)
+            by_coord: dict = {}
+            for (coord, root, f), c in counts.items():
+                if c:
+                    by_coord.setdefault(coord, []).append((root, f, c))
+            jacobi.update(tuple(sorted(row)) for row in by_coord.values())
+    powers = [root_of_unity(M, f) for f in range(half)]
+    rows = []
+    for terms in sorted(jacobi):
+        row: dict = {}
+        for root, f, c in terms:
+            row[root] = row.get(root, zero()) + powers[f] * c
+        rows.append(row)
+    live = sum(a == b and not classes.dead[a] for a, b in enumerate(classes.parent))
+    return live - len(echelon_rows(rows))

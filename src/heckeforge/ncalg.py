@@ -284,10 +284,11 @@ class DrinfeldAlgebra(_AlgebraBase):
 
     `_push` gives the one term zeta^{sum t} g(v_word) gbar, its phase a
     single exponent sum, and is not memoized.  `_bracket` yields the
-    family's nonzero a_g(v_k, v_m) in reverse support order, as a
-    depth-first rewrite that stacks the corrections pops them: a
+    family's nonzero a_g(v_k, v_m) in reverse support order, the order in
+    which a depth-first rewrite that stacks the corrections pops them.  A
     coefficient's field order (the lcm over its additions since it was last
-    zero) follows that order.  A cached word form has identity group part,
+    zero) can depend on that order when corrections of different orders
+    cancel.  A cached word form has identity group part,
     so a product reuses it by right-multiplying the group parts by gh.
 
     Arithmetic is only trustworthy for families passing pbw_check; for bad

@@ -15,6 +15,9 @@ paths in the library, and a faithful family shared by the tests:
   echelon-reduced;
 - `dense_spaces`: V^g and im(g - 1) as the reduced echelon kernel and
   column-space bases of the dense matrix g - 1;
+- `param_space_dense_oracle`: the dimension of the parameter space from
+  every equivariance and Jacobi row assembled into one sparse system and
+  echelon-reduced, with no elimination by orbits;
 - `root_exponent`: the t with x = zeta_r^t, by search;
 - `faithful_family_2_1_4`: a PBW family under the faithful action whose
   monomial actions carry root-of-unity phases.
@@ -25,12 +28,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from heckeforge.cyclo import CycloMatrix, echelon_rows, one, root_of_unity, zero
+from heckeforge.cyclo import CycloMatrix, cyclo, echelon_rows, one, root_of_unity, zero
 from heckeforge.group import (
     RepKind,
     diag,
     elements,
     from_cycles,
+    generators,
     identity,
     inverse,
     matrix,
@@ -290,3 +294,62 @@ def dense_spaces(g, rep):
 def root_exponent(x, r):
     """The t in [0, r) with x = zeta_r^t, or None."""
     return next((t for t in range(r) if x == root_of_unity(r, t)), None)
+
+
+def param_space_dense_oracle(r, p, n, rep):
+    """Dimension of the space of families passing pbw_check, computed by
+    assembling the equivariance and Jacobi conditions as one exact linear
+    system over free per-element forms."""
+    G = elements(r, p, n)
+    idx = {g: i for i, g in enumerate(G)}
+    pairs = list(combinations(range(n), 2))
+    pair_pos = {pr: t for t, pr in enumerate(pairs)}
+    nvars = len(G) * len(pairs)
+
+    def var(g, i, j):
+        """(coefficient sign, variable index) for a_g(v_{i+1}, v_{j+1})."""
+        if i == j:
+            return 0, None
+        if i < j:
+            return 1, idx[g] * len(pairs) + pair_pos[(i, j)]
+        return -1, idx[g] * len(pairs) + pair_pos[(j, i)]
+
+    rows = []
+    inverses = {h: inverse(h) for h in G}
+    for h in generators(r, p, n):
+        pi, t = monomial_action(h, rep)
+        for g in G:
+            g1 = multiply(multiply(inverses[h], g), h)
+            for (i, j) in pairs:
+                row: dict = {}
+                s, v = var(g1, i, j)
+                row[v] = cyclo(s)
+                s2, v2 = var(g, pi[i] - 1, pi[j] - 1)
+                if v2 is not None:
+                    e = (t[i] + t[j]) % r
+                    coeff = cyclo(-s2) * root_of_unity(r, e)
+                    cur = row.get(v2)
+                    row[v2] = cur + coeff if cur is not None else coeff
+                rows.append(row)
+    for g in G:
+        pi, t = monomial_action(g, rep)
+        for i, j, k in combinations(range(n), 3):
+            for coord in range(n):
+                row: dict = {}
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    s, v = var(g, b, c)
+                    if v is None:
+                        continue
+                    coeff = zero()
+                    if coord == a:
+                        coeff = coeff + s
+                    if coord == pi[a] - 1:
+                        e = t[a] % r
+                        coeff = coeff - cyclo(s) * root_of_unity(r, e)
+                    if not coeff.is_zero():
+                        cur = row.get(v)
+                        row[v] = cur + coeff if cur is not None else coeff
+                if row:
+                    rows.append(row)
+    rank = len(echelon_rows(rows))
+    return nvars - rank

@@ -49,7 +49,7 @@ def test_classes_matches_multiset_count(capsys):
     sizes = sum(row["size"] for row in data["classes"])
     assert sizes == data["group"]["order"] == 8
     for row in data["classes"]:
-        assert row["centralizer_formula"] == row["centralizer_brute"]
+        assert row["centralizer_formula"] == row["centralizer_order"]
 
 
 def test_classes_s3(capsys):
@@ -406,7 +406,8 @@ _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 6),
     st.floats(-3, 3) | st.sampled_from([float("inf"), float("nan")]),
     st.sampled_from(["", "0", "-1", "3", "x", "1/2", "faithful", "permutation"]),
-    st.sampled_from([[], {}, [[]], [{}]]),
+    # a fresh copy per draw: the edits mutate the containers they reach
+    st.sampled_from([[], {}, [[]], [{}]]).map(copy.deepcopy),
 )
 
 
@@ -479,3 +480,51 @@ def test_gha_build_keeps_the_exit_code_contract(tmp_path_factory, preset, r, n, 
     _assert_bad_input_message(code, err, argv)
     if code == 0:
         assert not err and (stdout if out == "-" else out.read_text())
+
+
+_GROUP_COMMAND_ARGS = (
+    st.sampled_from([1, 2, 3, 0, -1]),
+    st.sampled_from([1, 1, 2, 3, 0, -1]),
+    st.sampled_from([1, 2, 3, 4, 0, -1]),
+    st.sampled_from(["faithful", "permutation"]),
+    st.none() | st.sampled_from([-1, 0, 1, 10, 400, 10**6]),
+    st.sampled_from(["text", "json"]),
+)
+
+
+def _group_command_argv(command, r, p, n, rep, budget, fmt):
+    argv = ["--format", fmt, command, "--r", str(r), "--p", str(p), "--n", str(n), "--rep", rep]
+    return argv if budget is None else [*argv, f"--budget={budget}"]
+
+
+def _assert_checkless_contract(argv, fmt):
+    # neither command runs a mathematical check whose failure exits 1, so
+    # it must answer (0) or reject its input (2), never raise
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 2), (argv, code)
+    _assert_bad_input_message(code, err, argv)
+    if code == 0:
+        assert out and not err, argv
+        if fmt == "json":
+            json.loads(out)
+    return code, out
+
+
+@settings(max_examples=80, deadline=None)
+@given(*_GROUP_COMMAND_ARGS)
+def test_gha_dim_keeps_the_exit_code_contract(r, p, n, rep, budget, fmt):
+    argv = _group_command_argv("gha-dim", r, p, n, rep, budget, fmt)
+    code, out = _assert_checkless_contract(argv, fmt)
+    if code == 0 and fmt == "json":
+        report = json.loads(out)
+        assert report["total"] == report["d"] + sum(item["dim"] for item in report["lambda2_dims"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(*_GROUP_COMMAND_ARGS)
+def test_classes_keeps_the_exit_code_contract(r, p, n, rep, budget, fmt):
+    argv = _group_command_argv("classes", r, p, n, rep, budget, fmt)
+    code, out = _assert_checkless_contract(argv, fmt)
+    if code == 0 and fmt == "json":
+        data = json.loads(out)
+        assert sum(row["size"] for row in data["classes"]) == data["group"]["order"]

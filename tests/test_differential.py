@@ -3,7 +3,8 @@ in `oracles`:
 
 - the memoized Drinfeld rewriter against the stack rewriter, term for term
   (JSON, so the coefficients' field orders too), on families that pass and
-  fail the PBW conditions;
+  fail the PBW conditions, and on one product whose field orders depend on
+  the order in which the bracket corrections are added;
 - the H* product against the bubble-word rewriter, term for term, on every
   gbar v_a v_b v_c over G(2,1,3), every gbar v_a v_b over G(3,1,3) and
   seeded term pairs in H*(3,4) with zeta_3 in the coefficients;
@@ -17,9 +18,14 @@ in `oracles`:
 - V^g, im(g - 1) and the wedge duals read off g's cycles against the dense
   kernel and column space of g - 1 and the inverse of [V^g | im(g - 1)],
   values and field orders, on each class representative and its lex-max
-  member, for the same groups and actions.
+  member, for the same groups and actions;
+- the parameter-space oracle, which solves the equivariance rows as orbits
+  with phases, against the dense assembly of every row and against the
+  Reynolds route, on every G(r,p,n) with |G| <= 400, n <= 5 and r <= 12
+  (r <= 6 at n = 1), under both actions.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -27,18 +33,27 @@ from itertools import product
 import pytest
 
 import heckeforge.polyforms
-from heckeforge.cyclo import CycloMatrix, root_of_unity, zero
+from heckeforge.cyclo import CycloMatrix, one, root_of_unity, zero
 from heckeforge.group import (
     GroupElement,
     RepKind,
     conjugacy_classes,
+    diag,
     elements,
     group_order,
     identity,
     three_cycle,
     transposition,
 )
-from heckeforge.hecke import SkewForm, SkewFormFamily, _extend_by_conjugation, build_preset, pbw_check
+from heckeforge.hecke import (
+    SkewForm,
+    SkewFormFamily,
+    _extend_by_conjugation,
+    build_preset,
+    param_space,
+    param_space_linear_oracle,
+    pbw_check,
+)
 from heckeforge.hochschild import fixed_basis, fixed_space, hochschild_character, perp_space
 from heckeforge.ncalg import DrinfeldAlgebra, HStarAlgebra
 from heckeforge.polyforms import _duals, reynolds_semiinvariant_basis, subspace_actions, trivial_character
@@ -46,6 +61,7 @@ from oracles import (
     dense_spaces,
     faithful_family_2_1_4,
     hstar_reference_multiply,
+    param_space_dense_oracle,
     pbw_check_full_scan,
     reynolds_rows_by_projector,
     stack_multiply,
@@ -110,6 +126,24 @@ def test_memoized_rewriter_matches_the_stack_rewriter(name):
 
     for _ in range(20):
         _assert_same_product(term(), term())
+
+
+def test_bracket_order_fixes_the_field_orders():
+    # a family failing equivariance, supported on xi_1 and xi_1^2 xi_2 xi_3,
+    # both with a(v_2, v_3) = -1.  In (v_3 v_3)(v_2 v_2) the degree-0 term at
+    # xi_2 xi_3 collects corrections of field orders 1 and 3; popped in
+    # reverse support order, a partial sum at that term is 0 just before the
+    # last, rational correction, so the result keeps order 1.  Taken in
+    # support order, the result is the same number with order 3
+    def form(c):
+        return SkewForm([[0, 0, 0], [0, 0, c], [0, -c, 0]])
+
+    support = {diag(3, 3, [1, 0, 0]): form(-1), diag(3, 3, [2, 1, 1]): form(-1)}
+    alg = DrinfeldAlgebra(SkewFormFamily(3, 1, 3, F, support))
+    x, y = alg.var(3) * alg.var(3), alg.var(2) * alg.var(2)
+    _assert_same_product(x, y)
+    c = (x * y).terms[((0, 0, 0), diag(3, 3, [0, 1, 1]))]
+    assert (c.order, c) == (1, one())
 
 
 # -- the H* product against the bubble-word rewriter --------------------------------
@@ -338,3 +372,23 @@ def test_spaces_from_cycles_match_dense_elimination(r, p, n, rep):
             cols = kernel + image
             inverse = CycloMatrix([[v[i] for v in cols] for i in range(n)]).inverse()
             assert _exact(duals) == _exact(inverse.entries[: len(kernel)]), (g, rep)
+
+
+# -- parameter spaces: orbits with phases against the dense assembly ---------------
+
+
+def _small_groups():
+    return [
+        (r, p, n, rep)
+        for n in range(1, 6)
+        for r in range(1, 13 if n > 1 else 7)
+        for p in range(1, r + 1)
+        if r % p == 0 and r**n * math.factorial(n) // p <= 400
+        for rep in (F, P)
+    ]
+
+
+@pytest.mark.parametrize("r,p,n,rep", _small_groups(), ids=lambda a: str(getattr(a, "value", a)))
+def test_linear_oracle_matches_the_dense_assembly(r, p, n, rep):
+    dim = param_space_linear_oracle(r, p, n, rep)
+    assert dim == param_space_dense_oracle(r, p, n, rep) == param_space(r, p, n, rep).total

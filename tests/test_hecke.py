@@ -16,8 +16,10 @@ from heckeforge.group import (
     xi,
 )
 from heckeforge.hecke import (
+    PhaseClasses,
     SkewForm,
     SkewFormFamily,
+    _equivariance_classes,
     build_preset,
     conjugate_form,
     forms_from_semiinvariants,
@@ -306,3 +308,46 @@ def test_linear_oracle_matches_reynolds_route():
 def test_linear_oracle_at_rank_one(r, p, rep):
     # G(r,p,1) is cyclic, generated by xi_1^p alone; Lambda^2 V = 0
     assert param_space_linear_oracle(r, p, 1, rep) == param_space(r, p, 1, rep).total == 0
+
+
+@pytest.mark.parametrize("r,p,n,rep,dim", [
+    (3, 1, 4, P, 27),
+    (2, 1, 4, F, 2),
+    (2, 1, 5, P, 10),
+])
+def test_linear_oracle_on_larger_groups(r, p, n, rep, dim):
+    assert param_space_linear_oracle(r, p, n, rep) == param_space(r, p, n, rep).total == dim
+
+
+def _live_roots(classes):
+    return [a for a, b in enumerate(classes.parent) if a == b and not classes.dead[a]]
+
+
+def test_phase_classes_force_a_cycle_with_disagreeing_phases_to_zero():
+    # x_0 = zeta_6 x_1, x_1 = zeta_6^2 x_2, and x_2 = zeta_6^e x_0 closes the
+    # cycle: consistent only for e = 3
+    for e, live in ((3, [2, 3]), (1, [3])):
+        classes = PhaseClasses(4, 6)
+        classes.union(0, 1, 1)
+        classes.union(1, 2, 2)
+        classes.union(2, 0, e)
+        assert _live_roots(classes) == live, e
+        assert classes.find(0) == (2, 3)
+    # a self-loop with a nontrivial phase, then merged into a live class
+    classes = PhaseClasses(3, 2)
+    classes.union(0, 0, 0)
+    assert _live_roots(classes) == [0, 1, 2]
+    classes.union(0, 0, 1)
+    classes.union(1, 0, 1)
+    assert _live_roots(classes) == [2]
+
+
+def test_equivariance_phases_kill_every_class_of_g313_faithful():
+    # the same orbits under both actions; the faithful phases disagree on a
+    # cycle in each of them, so the faithful parameter space is 0
+    faithful, _ = _equivariance_classes(3, 1, 3, F, None)
+    permutation, _ = _equivariance_classes(3, 1, 3, P, None)
+    assert sum(a == b for a, b in enumerate(faithful.parent)) == 39
+    assert _live_roots(faithful) == []
+    assert len(_live_roots(permutation)) == 21
+    assert param_space_linear_oracle(3, 1, 3, F) == param_space(3, 1, 3, F).total == 0
