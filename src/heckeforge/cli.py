@@ -329,7 +329,7 @@ def _parse_token(tok: str, alg) -> "ncalg.NCElement":
             return alg.group(group.from_cycles(alg.r, alg.n, [(i, j, k)]))
         if kind == "zeta":
             rr, k = int(m.group(1)), int(m.group(2))
-            return alg.one().scale(cyclo.root_of_unity(rr, k))
+            return alg.one().scale(cyclo.root_of_unity(cyclo.check_order(rr, alg.r), k))
         if kind == "rat":
             try:
                 return alg.one().scale(Fraction(tok))

@@ -333,6 +333,16 @@ def one(order: int = 1) -> CycloNum:
     return CycloNum.from_rational(1, order)
 
 
+def check_order(order: int, r: int) -> int:
+    """`order` if it divides lcm(2, r), which holds for every field order
+    that data over G(r,p,n) needs; ValueError otherwise.  Readers of outside
+    input call it before building Q(zeta_order), whose power table costs
+    time and memory quadratic in the order."""
+    if order < 1 or lcm(2, r) % order:
+        raise ValueError(f"a cyclotomic order must divide lcm(2, r) = {lcm(2, r)}, got {order}")
+    return order
+
+
 def root_of_unity(r: int, k: int = 1) -> CycloNum:
     """zeta_r^k, reduced to the power basis."""
     if r < 1:

@@ -376,7 +376,6 @@ def generators(r: int, p: int, n: int) -> list[GroupElement]:
 class ConjClass:
     rep: GroupElement
     size: int
-    members: frozenset
 
 
 @lru_cache(maxsize=None)
@@ -385,11 +384,11 @@ def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
     # for s in `generators(r, p, n)`, grown breadth first on (exps, perm)
     # pairs; a set closed under conjugation by generators of a finite group
     # is closed under conjugation by the whole group.
-    index = {(g.exps, g.perm): g for g in _elements(r, p, n)}
     by = [(inverse(s), s) for s in generators(r, p, n)]
     seen: set = set()
     classes = []
-    for key, g in index.items():  # sorted, so the first unseen member is the lex-min rep
+    for g in _elements(r, p, n):  # sorted, so the first unseen member is the lex-min rep
+        key = (g.exps, g.perm)
         if key in seen:
             continue
         seen.add(key)
@@ -400,7 +399,7 @@ def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
-        classes.append(ConjClass(rep=g, size=len(orbit), members=frozenset(index[y] for y in orbit)))
+        classes.append(ConjClass(rep=g, size=len(orbit)))
     return tuple(classes)
 
 

@@ -14,10 +14,11 @@ family), and degree-0 class semi-invariants convert back into families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .cyclo import CycloMatrix, CycloNum, cyclo, echelon_rows, one, root_of_unity, zero
+from .cyclo import CycloNum, check_order, cyclo, echelon_rows, one, root_of_unity, zero
 from .group import (
     DEFAULT_BUDGET,
     GroupElement,
@@ -26,6 +27,7 @@ from .group import (
     check_budget,
     check_group,
     conjugacy_classes,
+    cycle_type,
     elements,
     generators,
     inverse,
@@ -34,13 +36,7 @@ from .group import (
     multiply,
     three_cycle,
 )
-from .hochschild import (
-    acts_trivially,
-    fixed_basis,
-    fixed_space,
-    hochschild_character,
-    perp_space,
-)
+from .hochschild import acts_trivially, fixed_basis, hochschild_character
 from .polyforms import reynolds_semiinvariant_basis, trivial_character
 
 
@@ -189,6 +185,8 @@ class SkewFormFamily:
                     raise ValueError("support element outside the configured group")
                 if not isinstance(item["matrix"], list):
                     raise ValueError("a form's matrix must be a list of rows")
+                for e in (e for row in item["matrix"] for e in row):
+                    check_order(int(e["order"]), r)
                 A = SkewForm([[CycloNum.from_json(e) for e in row] for row in item["matrix"]])
                 support[GroupElement.from_json(item["g"])] = A
         except (TypeError, OverflowError) as exc:  # a value of the wrong JSON type, or infinite
@@ -262,28 +260,31 @@ def three_cycle_classes(r: int, n: int, budget: int | None = DEFAULT_BUDGET):
     return out
 
 
-def _class_base_form(g0: GroupElement, scalar) -> SkewForm:
-    """The defining form on a class member whose permutation part is (1,2,3):
-    a(v_1 - v_2, v_2 - v_3) = scalar and a(V^{(1,2,3)}, V) = 0."""
-    n = g0.n
-    w1 = [0] * n
-    w1[0], w1[1] = 1, -1
-    w2 = [0] * n
-    w2[1], w2[2] = 1, -1
-    f0 = [0] * n
-    f0[0] = f0[1] = f0[2] = 1
-    cols = [w1, w2, f0] + [
-        [1 if t == i else 0 for t in range(n)] for i in range(3, n)
-    ]
-    B = CycloMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-    Binv = B.inverse()
-    x1, x2 = Binv.entries[0], Binv.entries[1]
-    c = cyclo(scalar)
-    A = [
-        [(x1[i] * x2[j] - x1[j] * x2[i]) * c for j in range(n)]
-        for i in range(n)
-    ]
-    return SkewForm(A)
+def _codim2_form(g: GroupElement, rep: RepKind, c: CycloNum) -> SkewForm:
+    """c (y_a (x) y_b - y_b (x) y_a) for g with codim V^g = 2: y_a, y_b are
+    dual to the basis of im(g - 1) along V^g, indexed by the two coordinates
+    a < b that are not the last of a fixed support, and are read off
+    `fixed_basis`.  For a fixed vector u = sum zeta_r^{t_j} v_j over a
+    support s with last coordinate m (t_m = 0), each other i in s has
+    y_i = x_i - (zeta_r^{t_i} / |s|) sum_{j in s} zeta_r^{-t_j} x_j; an i
+    outside every fixed support has y_i = x_i.  Every entry is one phase
+    times a rational, and stays rational when the phase is 0 mod r."""
+    r, n = g.r, g.n
+    duals = {i: [(i, 0, 1)] for i in range(n)}  # i -> y_i as (coordinate, phase, weight)
+    for u in fixed_basis(g, rep):
+        del duals[u[-1][0]]
+        for i, ti in u[:-1]:
+            duals[i] = [(k, ti - tk, (k == i) - Fraction(1, len(u))) for k, tk in u]
+    ya, yb = (duals[i] for i in sorted(duals))
+    terms: dict = {}  # (i, j) -> [phase, weight]; both products at (i, j) share the phase
+    for i, e, w in ya:
+        for j, f, x in yb:
+            terms.setdefault((i, j), [e + f, 0])[1] += w * x
+            terms.setdefault((j, i), [e + f, 0])[1] -= w * x
+    grid = [[zero()] * n for _ in range(n)]
+    for (i, j), (e, w) in terms.items():
+        grid[i][j] = (root_of_unity(r, e) * w if e % r else cyclo(w)) * c
+    return SkewForm(grid)
 
 
 def _extend_by_conjugation(
@@ -324,8 +325,8 @@ def build_preset(
         raise ValueError("presets need n >= 3")
     classes = three_cycle_classes(r, n, budget)
     if preset == "a_r1n":
-        base = three_cycle(r, n, 1, 2, 3)
-        weights = [one() if base in cls.members else zero() for cls in classes]
+        base = cycle_type(three_cycle(r, n, 1, 2, 3))  # a complete invariant for p = 1
+        weights = [one() if cycle_type(cls.rep) == base else zero() for cls in classes]
     elif preset == "generic":
         if scalars is None or len(scalars) != len(classes):
             raise ValueError(
@@ -334,14 +335,11 @@ def build_preset(
         weights = [cyclo(c) for c in scalars]
     else:
         raise ValueError(f"unknown preset {preset!r}")
-    seeds = {}
-    for cls, w in zip(classes, weights):
-        if w.is_zero():
-            continue
-        # seed on a member whose permutation part is exactly (1,2,3)
-        target = (2, 3, 1) + tuple(range(4, n + 1))
-        member = min((m for m in cls.members if m.perm == target), key=GroupElement.sort_key)
-        seeds[member] = _class_base_form(member, w)
+    seeds = {
+        cls.rep: _codim2_form(cls.rep, RepKind.PERMUTATION, w)
+        for cls, w in zip(classes, weights)
+        if not w.is_zero()
+    }
     support = _extend_by_conjugation(seeds, r, 1, n, RepKind.PERMUTATION, budget)
     return SkewFormFamily(r, 1, n, RepKind.PERMUTATION, support)
 
@@ -483,27 +481,19 @@ def forms_from_semiinvariants(
 
     Each entry is (class representative g, data): for a codimension-2 class
     the data is the scalar value of f_g (its wedge part is the dual wedge of
-    the perp basis of g); for a trivially-acting class it is a dict
-    {(i, j): coeff} describing an invariant 2-form, 1-based i < j.  The
-    result is extended by conjugation and must pass pbw_check."""
+    the basis of im(g - 1) read off g's cycles, see `_codim2_form`); for a
+    trivially-acting class it is a dict {(i, j): coeff} describing an
+    invariant 2-form, 1-based i < j.  The result is extended by conjugation
+    and must pass pbw_check."""
     seeds = {}
     for g, data in entries:
-        fixed = fixed_space(g, rep)
-        codim = n - len(fixed)
+        codim = n - len(fixed_basis(g, rep))
         if codim == 2:
-            c = cyclo(data)
-            if c.is_zero():
-                continue
-            perp = perp_space(g, rep)
-            cols = [list(v) for v in fixed] + [list(v) for v in perp]
-            B = CycloMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-            Binv = B.inverse()
-            x1, x2 = Binv.entries[n - 2], Binv.entries[n - 1]
-            A = [
-                [(x1[i] * x2[j] - x1[j] * x2[i]) * c for j in range(n)]
-                for i in range(n)
-            ]
-            seeds[g] = SkewForm(A)
+            # c in Q(zeta_r), so every nonzero entry of the family has one
+            # field order and no rewriting order can change a coefficient's
+            c = cyclo(data, r)
+            if not c.is_zero():
+                seeds[g] = _codim2_form(g, rep, c)
         elif codim == 0:
             grid = [[zero() for _ in range(n)] for _ in range(n)]
             for (i, j), cval in data.items():

@@ -7,11 +7,12 @@ off the cycles of g as integers (`fixed_basis`): one vector per cycle whose
 phases sum to 0 mod r, with root-of-unity entries on the cycle's support,
 so Z(g) permutes the basis up to phases and the wedge duals are read off
 the same integers, dual to V^g along im(g - 1).  No matrix is reduced,
-inverted or expanded on this path; `fixed_space` and `perp_space` build
-cyclotomic vectors from the same data for other readers.  The closed-
-form path emits free-module descriptions (base generator degrees plus
-module generator degrees) for the known class cases, and `compare` checks
-the two against each other at every polynomial degree up to a bound.
+inverted or expanded on this path; `fixed_space` builds cyclotomic
+vectors from the same data for the dense references.  The closed-form
+path emits free-module descriptions (base generator degrees plus module
+generator degrees) for the known class cases, telling classes apart by
+(a,k)-cycle type, and `compare` checks the two against each other at
+every polynomial degree up to a bound.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 
-from .cyclo import one, root_of_unity, zero
+from .cyclo import root_of_unity, zero
 from .group import (
     DEFAULT_BUDGET,
-    ConjClass,
     GroupElement,
     RepKind,
     centralizer,
     check_budget,
     conjugacy_classes,
+    cycle_type,
     det,
     from_cycles,
     is_three_cycle,
@@ -55,7 +56,7 @@ class FilterDiscrepancyError(RuntimeError):
     """A class skipped by the determinant filter has nonzero semi-invariants."""
 
 
-# -- fixed and perpendicular spaces ------------------------------------------
+# -- fixed spaces --------------------------------------------------------------
 
 
 @lru_cache(maxsize=4096)
@@ -80,6 +81,7 @@ def fixed_basis(g: GroupElement, rep: RepKind) -> tuple:
     return tuple(out)
 
 
+# bench/tracer.py binds this function by name
 def fixed_space(g: GroupElement, rep: RepKind):
     """`fixed_basis` as vectors of cyclotomic numbers."""
     r, n = g.r, g.n
@@ -88,31 +90,6 @@ def fixed_space(g: GroupElement, rep: RepKind):
         vec = [zero(r)] * n
         for i, e in u:
             vec[i] = root_of_unity(r, e)
-        out.append(tuple(vec))
-    return out
-
-
-def perp_space(g: GroupElement, rep: RepKind):
-    """Basis of (V^g)-perp = im(g - 1), the Z(g)-stable complement of V^g
-    (g is normal), as vectors of cyclotomic numbers, sorted by i: for each
-    fixed vector u with last coordinate m, e_i - u_i^{-1} e_m for the other
-    i of its support; e_i for each i outside every fixed support.  These are
-    the reduced echelon rows of the column space of g - 1."""
-    r, n = g.r, g.n
-    tied, lasts = {}, set()  # i -> (m, t) for the non-last i of a fixed support
-    for u in fixed_basis(g, rep):
-        m = u[-1][0]
-        lasts.add(m)
-        tied.update((i, (m, e)) for i, e in u[:-1])
-    out = []
-    for i in range(n):
-        if i in lasts:
-            continue
-        vec = [zero(r)] * n
-        vec[i] = one(r)
-        if i in tied:
-            m, e = tied[i]
-            vec[m] = -root_of_unity(r, -e)
         out.append(tuple(vec))
     return out
 
@@ -479,14 +456,13 @@ def closed_form_catalog(
     out = {}
     for cls in conjugacy_classes(r, p, n, budget):
         if rep == RepKind.FAITHFUL:
-            out[cls.rep] = _faithful_entry(r, p, n, cls)
+            out[cls.rep] = _faithful_entry(r, p, n, cls.rep)
         else:
-            out[cls.rep] = _permutation_entry(r, n, cls)
+            out[cls.rep] = _permutation_entry(r, n, cls.rep)
     return out
 
 
-def _faithful_entry(r: int, p: int, n: int, cls: ConjClass) -> CatalogEntry:
-    g = cls.rep
+def _faithful_entry(r: int, p: int, n: int, g: GroupElement) -> CatalogEntry:
     if g.is_identity():
         return CatalogEntry("identity", identity_component_module(r, p, n))
     if not det(g, RepKind.FAITHFUL) == 1:
@@ -501,14 +477,16 @@ def _faithful_entry(r: int, p: int, n: int, cls: ConjClass) -> CatalogEntry:
         if 2 * l1 % r == 0:
             return CatalogEntry("opposed_diagonal_half_turn", ZERO_MODULE)
         return CatalogEntry("opposed_diagonal", opposed_diagonal_component_module(r, n))
+    # n >= 4, so xi_4 centralizes (1,2,3) and xi_3 centralizes xi_2^{r/2} (1,2):
+    # neither class splits in G(r,p,n), and cycle type decides membership
     if is_three_cycle(g.perm):
-        if three_cycle(r, n, 1, 2, 3) in cls.members:
+        if cycle_type(g) == cycle_type(three_cycle(r, n, 1, 2, 3)):
             return CatalogEntry("three_cycle", three_cycle_component_module(r, p, n))
         return CatalogEntry("three_cycle_unmatched", ZERO_MODULE)
     if sorted(map(len, perm_cycles(g.perm))) == [1] * (n - 2) + [2]:
         if r % 2 == 0:
             neg2 = from_cycles(r, n, [(1, 2)], exps=[0, r // 2] + [0] * (n - 2))
-            if neg2 in cls.members:
+            if cycle_type(g) == cycle_type(neg2):
                 if r != 2 * p:
                     return CatalogEntry("neg_transposition_r_ne_2p", ZERO_MODULE)
                 return CatalogEntry(
@@ -518,8 +496,7 @@ def _faithful_entry(r: int, p: int, n: int, cls: ConjClass) -> CatalogEntry:
     return CatalogEntry("other", ZERO_MODULE)
 
 
-def _permutation_entry(r: int, n: int, cls: ConjClass) -> CatalogEntry:
-    g = cls.rep
+def _permutation_entry(r: int, n: int, g: GroupElement) -> CatalogEntry:
     if g.is_diagonal():
         return CatalogEntry("diagonal", permutation_diagonal_module(_diag_blocks(g.exps)))
     if is_three_cycle(g.perm):

@@ -12,9 +12,10 @@ form, so repeated runs agree byte-for-byte.
 A subspace is given by an integer basis: one tuple of (coordinate, t)
 pairs per vector, w = sum zeta_r^t v_i, on disjoint supports.  A group
 element's action on it and the wedge duals of its vectors are read off
-these integers, with no elimination, inverse or determinant.
+these integers, with no elimination, inverse or determinant.  So are the
+reflection roots behind Solomon's check (`reflection_root`).
 `restriction_matrix` is the dense reference, on bases of cyclotomic
-vectors.
+vectors, and the one reader of dense algebra left here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations, product
 from math import lcm, prod
 
 from .cyclo import CycloMatrix, CycloNum, cyclo, one, root_of_unity, zero
-from .group import GroupElement, RepKind, generators_by_closure, identity, monomial_action
+from .group import GroupElement, RepKind, generators_by_closure, identity, monomial_action, monomial_image
 
 
 class Polynomial:
@@ -217,17 +218,10 @@ def _sort_with_sign(indices):
 
 def act_poly(g: GroupElement, f: Polynomial, rep: RepKind) -> Polynomial:
     """Substitution action: v_i |-> g(v_i)."""
-    pi, t = monomial_action(g, rep)
     out: dict = {}
     for e, c in f.terms.items():
-        img = [0] * f.n
-        zexp = 0
-        for i, k in enumerate(e):
-            if k:
-                img[pi[i] - 1] = k
-                zexp += t[i] * k
-        key = tuple(img)
-        val = c * root_of_unity(g.r, zexp) if zexp % g.r else c
+        key, zexp = monomial_image(e, g, rep)
+        val = c * root_of_unity(g.r, zexp) if zexp else c
         out[key] = out[key] + val if key in out else val
     return Polynomial(f.n, out)
 
@@ -236,15 +230,15 @@ def act_form(g: GroupElement, w: PolyForm, rep: RepKind) -> PolyForm:
     """Action on S(V) (x) Lambda(V*): substitution on the polynomial part,
     contragredient action with sorting sign on the wedge part."""
     pi, t = monomial_action(g, rep)
-    out = PolyForm.zero(w.n)
+    out = {}
     for S, p in w.components.items():
         imgS, sign = _sort_with_sign(pi[i - 1] for i in S)
         if sign == 0:
             continue
         zexp = -sum(t[i - 1] for i in S)
         coeff = root_of_unity(g.r, zexp) * sign if zexp % g.r else cyclo(sign)
-        out = out + PolyForm(w.n, {imgS: act_poly(g, p, rep) * coeff})
-    return out
+        out[imgS] = act_poly(g, p, rep) * coeff  # pi is a bijection, so imgS is new
+    return PolyForm(w.n, out)
 
 
 # -- classical invariant theory ----------------------------------------------
@@ -340,6 +334,25 @@ def _poly_matrix_determinant(rows: list[list[Polynomial]]) -> Polynomial:
     return out
 
 
+def reflection_root(g: GroupElement, rep: RepKind):
+    """The root of g, a vector of Q(zeta_r) numbers spanning im(g - 1), if g
+    is a reflection; None otherwise.  Read off the monomial action: a single
+    moved coordinate i gives e_i, a transposition (i j), i < j, with
+    t_i + t_j = 0 mod r and every other coordinate fixed gives
+    e_i - zeta_r^{t_i} e_j.  Scaled so its first nonzero entry is 1, as a
+    reduced echelon basis of the column space of g - 1 is."""
+    r, n = g.r, g.n
+    pi, t = monomial_action(g, rep)
+    moved = [i for i in range(n) if pi[i] != i + 1 or t[i] % r]
+    vec = [zero(r)] * n
+    if len(moved) == 2 and pi[moved[0]] == moved[1] + 1 and (t[moved[0]] + t[moved[1]]) % r == 0:
+        vec[moved[1]] = -root_of_unity(r, t[moved[0]])
+    elif len(moved) != 1:
+        return None
+    vec[moved[0]] = one(r)
+    return tuple(vec)
+
+
 def reflection_arrangement_polynomial(group_elements, rep: RepKind) -> Polynomial:
     """Q = product of the (deduplicated) linear forms cutting out the moved
     lines of the reflections in the listed group, computed in S(V)."""
@@ -347,36 +360,15 @@ def reflection_arrangement_polynomial(group_elements, rep: RepKind) -> Polynomia
     n = elems[0].n
     lines = {}
     for g in elems:
-        M = CycloMatrix(
-            [
-                [
-                    matrix_entry(g, i, j, rep) - (one(g.r) if i == j else zero(g.r))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-        basis = M.column_space_basis()
-        if len(basis) != 1:
-            continue
-        # canonical generator of the moved line, keyed hashably for dedup
-        key = tuple((e.order, e.coeffs) for e in basis[0])
-        lines[key] = basis[0]
+        root = reflection_root(g, rep)
+        if root is not None:
+            lines.setdefault(tuple((c.order, c.coeffs) for c in root), root)
     Q = Polynomial.constant(n, 1)
     for vec in lines.values():
-        form = Polynomial(n, {})
-        for i, c in enumerate(vec):
-            if not c.is_zero():
-                form = form + Polynomial.monomial(n, tuple(1 if t == i else 0 for t in range(n)), c)
-        Q = Q * form
+        Q = Q * Polynomial(n, {
+            tuple(1 if t == i else 0 for t in range(n)): c for i, c in enumerate(vec) if not c.is_zero()
+        })
     return Q
-
-
-def matrix_entry(g: GroupElement, i: int, j: int, rep: RepKind) -> CycloNum:
-    pi, t = monomial_action(g, rep)
-    if pi[j] - 1 == i:
-        return root_of_unity(g.r, t[j])
-    return zero(g.r)
 
 
 def solomon_check(thetas: list[PolyForm], group_elements, rep: RepKind) -> dict:
@@ -563,6 +555,7 @@ def _subspace_frame(key):
     return W, pivots, WR_inv
 
 
+# bench/tracer.py binds this function by name
 def restriction_matrix(g: GroupElement, rep: RepKind, subspace):
     """Matrix C of g on the span of the subspace vectors: g.w_j = sum C[i][j] w_i.
 

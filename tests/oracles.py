@@ -15,6 +15,11 @@ paths in the library, and a faithful family shared by the tests:
   echelon-reduced;
 - `dense_spaces`: V^g and im(g - 1) as the reduced echelon kernel and
   column-space bases of the dense matrix g - 1;
+- `dense_codim2_form`: the skew form c (x_1 (x) x_2 - x_2 (x) x_1) of a
+  codimension-2 element, x_1, x_2 read off the inverse of the dense matrix
+  [V^g | im(g - 1)];
+- `class_members`: the conjugacy class of g in G(r,p,n), conjugated by
+  every element;
 - `param_space_dense_oracle`: the dimension of the parameter space from
   every equivariance and Jacobi row assembled into one sparse system and
   echelon-reduced, with no elimination by orbits;
@@ -43,7 +48,7 @@ from heckeforge.group import (
     three_cycle,
     transposition,
 )
-from heckeforge.hecke import PBWReport, conjugate_form, forms_from_semiinvariants
+from heckeforge.hecke import PBWReport, SkewForm, conjugate_form, forms_from_semiinvariants
 from heckeforge.ncalg import NCElement, _add_term, _exps_of, _word_of, _xi_pair
 from heckeforge.polyforms import _sort_with_sign
 
@@ -289,6 +294,28 @@ def dense_spaces(g, rep):
     M = matrix(g, rep)
     D = M - CycloMatrix.identity(g.n, M.order)
     return D.kernel_basis(), D.column_space_basis()
+
+
+def dense_codim2_form(g, rep, c):
+    """c (x_1 (x) x_2 - x_2 (x) x_1) for g with codim V^g = 2, where x_1, x_2
+    are the last two rows of the inverse of the matrix whose columns are
+    `dense_spaces`' kernel basis, then its column-space basis."""
+    n = g.n
+    kernel, image = dense_spaces(g, rep)
+    cols = kernel + image
+    x1, x2 = CycloMatrix([[v[i] for v in cols] for i in range(n)]).inverse().entries[n - 2:]
+    return SkewForm([[(x1[i] * x2[j] - x1[j] * x2[i]) * c for j in range(n)] for i in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _inverse_pairs(r, p, n):
+    return tuple((inverse(h), h) for h in elements(r, p, n))
+
+
+@lru_cache(maxsize=None)
+def class_members(g, r, p, n):
+    """{h^-1 g h : h in G(r,p,n)}, as a frozenset."""
+    return frozenset(multiply(multiply(h_inv, g), h) for h_inv, h in _inverse_pairs(r, p, n))
 
 
 def root_exponent(x, r):

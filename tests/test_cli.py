@@ -190,6 +190,12 @@ def test_nc_normal_form_scalars_and_cycles(capsys):
     assert len(data["terms"]) >= 1
 
 
+def test_nc_normal_form_accepts_the_orders_of_lcm_2_r(capsys):
+    for token in ("z3^1", "z6^1", "z2^1", "z1^0"):
+        code, out, _ = run(capsys, "--format", "json", "nc-normal-form", "--r", "3", "--n", "3", token, "v1")
+        assert code == 0 and json.loads(out)["terms"], token
+
+
 def test_nc_normal_form_bad_token(capsys):
     code, _, err = run(capsys, "nc-normal-form", "--r", "2", "--n", "2", "w9")
     assert code == 2
@@ -245,8 +251,11 @@ def test_nc_verify_rejects_r_zero(capsys):
     (["gha-build", "--preset", "generic", "--r", "2", "--n", "3", "--scalars", "1,1/0"], None),
     (["gha-build", "--preset", "a_r1n", "--r", "0", "--n", "3"], "error: need r, n >= 1 and p | r\n"),
     (["nc-normal-form", "--algebra", "a-drinfeld", "--r", "0", "--n", "3", "v1"], "error: need r, n >= 1 and p | r\n"),
+    (["nc-normal-form", "--algebra", "hstar", "--r", "3", "--n", "3", "z6400^1"], None),
+    (["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "z4^1"], None),
 ], ids=["cycle-index-out-of-range", "cycle-repeated-index", "token-zero-denominator",
-        "scalar-zero-denominator", "gha-build-r-zero", "nc-normal-form-r-zero"])
+        "scalar-zero-denominator", "gha-build-r-zero", "nc-normal-form-r-zero",
+        "zeta-order-6400", "zeta-order-not-dividing-lcm-2-r"])
 def test_malformed_input_is_bad_input(capsys, argv, message):
     code, err = _exit_code(capsys, *argv)
     assert code == 2
@@ -288,8 +297,10 @@ _EMPTY_FAMILY = {"r": 2, "p": 1, "n": 3, "rep": "permutation", "forms": []}
     _preset_forms_with(["forms", 0, "matrix"], 0),
     _preset_forms_with(["forms", 0, "matrix", 0, 1, "terms", 0, "den"], "0"),
     _preset_forms_with(["forms", 0, "matrix", 0, 0], {"order": 0, "terms": []}),
+    _preset_forms_with(["forms", 0, "matrix", 0, 0], {"order": 1601, "terms": []}),
+    _preset_forms_with(["forms", 0, "matrix", 0, 0], {"order": 3, "terms": []}),
 ], ids=["r-zero", "n-zero", "p-zero", "p-not-dividing-r", "top-level-list", "forms-not-a-list",
-        "matrix-not-a-list", "zero-denominator", "order-zero"])
+        "matrix-not-a-list", "zero-denominator", "order-zero", "order-1601", "order-not-dividing-lcm-2-r"])
 def test_pbw_check_rejects_malformed_forms(capsys, tmp_path, forms):
     path = tmp_path / "forms.json"
     path.write_text(json.dumps(forms))
@@ -528,3 +539,55 @@ def test_classes_keeps_the_exit_code_contract(r, p, n, rep, budget, fmt):
     if code == 0 and fmt == "json":
         data = json.loads(out)
         assert sum(row["size"] for row in data["classes"]) == data["group"]["order"]
+
+
+# (r, p, n) weighted towards groups the catalogs cover, so most runs compare
+_HH_GROUPS = [(2, 1, 4), (1, 1, 4), (2, 2, 4), (3, 3, 4), (2, 1, 3), (3, 1, 3), (1, 1, 2)] * 2 + [
+    (0, 1, 3), (3, 2, 4), (2, 1, 0), (-1, 1, 4), (2, 0, 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_HH_GROUPS),
+    st.sampled_from(["faithful", "permutation"]),
+    st.sampled_from([2, 2, 2, 2, 0, 1, 3, -1]),
+    st.sampled_from([0, 1, 2, -1]),
+    st.lists(st.sampled_from(["--compare", "--closed-form", "--basis"]), unique=True),
+    st.sampled_from([None, None, None, None, -1, 10]),
+    st.sampled_from(["text", "json"]),
+)
+def test_hh_keeps_the_exit_code_contract(group, rep, cohdeg, max_degree, flags, budget, fmt):
+    argv = [*_group_command_argv("hh", *group, rep, budget, fmt),
+            "--cohdeg", str(cohdeg), "--max-degree", str(max_degree), *flags]
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 1, 2), (argv, code)
+    _assert_bad_input_message(code, err, argv)
+    if code == 1:
+        # only the comparison with the closed forms is a check that can fail
+        assert "--compare" in flags and not err, argv
+        assert ("MISMATCH" in out) if fmt == "text" else any(
+            row.get("match") is False for row in json.loads(out)["components"]), argv
+    if code == 0:
+        assert out and not err, argv
+        if fmt == "json":
+            json.loads(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (3, 3), (1, 3), (2, 4), (1, 4)] * 2 + [(0, 3), (2, 2), (3, 1), (-1, 3), (2, 0)]),
+    st.sampled_from([None, None, None, None, -1, 10]),
+    st.sampled_from(["text", "json"]),
+)
+def test_nc_verify_keeps_the_exit_code_contract(group, budget, fmt):
+    r, n = group
+    argv = ["--format", fmt, "nc-verify", "--preset", "hstar-iso", "--r", str(r), "--n", str(n)]
+    if budget is not None:
+        argv.append(f"--budget={budget}")
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 1, 2), (argv, code)
+    _assert_bad_input_message(code, err, argv)
+    if code != 2:
+        assert out and not err, argv
+        ok = json.loads(out)["ok"] if fmt == "json" else "verification FAILED" not in out
+        assert (code == 0) == ok, argv

@@ -15,10 +15,19 @@ in `oracles`:
   projector sums followed by echelon reduction, index, field order and
   coefficients, on every class of the acceptance and extended groups under
   both actions, and on three non-standard subspace bases;
-- V^g, im(g - 1) and the wedge duals read off g's cycles against the dense
-  kernel and column space of g - 1 and the inverse of [V^g | im(g - 1)],
-  values and field orders, on each class representative and its lex-max
-  member, for the same groups and actions;
+- V^g and the wedge duals read off g's cycles against the dense kernel of
+  g - 1 and the inverse of [V^g | im(g - 1)], values and field orders, on
+  each class representative and its lex-max member, for the same groups
+  and actions;
+- the codimension-2 skew form read off g's cycles against the inverse of
+  the dense [V^g | im(g - 1)], on every codimension-2 action of those
+  groups and of the pbw_check groups, under both actions;
+- reflection roots read off the monomial action against the column space
+  of g - 1, values and field orders, on every element of the pbw_check
+  groups, under both actions;
+- class membership by (a,k)-cycle type, as the catalog and the presets
+  test it, against each class conjugated by every element, on every class
+  of the acceptance and extended groups;
 - the parameter-space oracle, which solves the equivariance rows as orbits
   with phases, against the dense assembly of every row and against the
   Reynolds route, on every G(r,p,n) with |G| <= 400, n <= 5 and r <= 12
@@ -38,26 +47,38 @@ from heckeforge.group import (
     GroupElement,
     RepKind,
     conjugacy_classes,
+    cycle_type,
     diag,
     elements,
+    from_cycles,
     group_order,
     identity,
+    monomial_action,
     three_cycle,
     transposition,
 )
 from heckeforge.hecke import (
     SkewForm,
     SkewFormFamily,
+    _codim2_form,
     _extend_by_conjugation,
     build_preset,
     param_space,
     param_space_linear_oracle,
     pbw_check,
 )
-from heckeforge.hochschild import fixed_basis, fixed_space, hochschild_character, perp_space
+from heckeforge.hochschild import fixed_basis, fixed_space, hochschild_character
 from heckeforge.ncalg import DrinfeldAlgebra, HStarAlgebra
-from heckeforge.polyforms import _duals, reynolds_semiinvariant_basis, subspace_actions, trivial_character
+from heckeforge.polyforms import (
+    _duals,
+    reflection_root,
+    reynolds_semiinvariant_basis,
+    subspace_actions,
+    trivial_character,
+)
 from oracles import (
+    class_members,
+    dense_codim2_form,
     dense_spaces,
     faithful_family_2_1_4,
     hstar_reference_multiply,
@@ -347,7 +368,7 @@ def test_phase_rows_match_the_projector_sums(monkeypatch, name):
     assert seen["calls"] and seen["killed"], seen
 
 
-# -- V^g, im(g - 1) and the wedge duals from cycles against dense elimination ------
+# -- V^g, the wedge duals and the codimension-2 forms from cycles against dense elimination
 
 
 def _exact(vectors):
@@ -357,10 +378,9 @@ def _exact(vectors):
 @pytest.mark.parametrize("r,p,n,rep", _reynolds_groups(), ids=lambda a: str(getattr(a, "value", a)))
 def test_spaces_from_cycles_match_dense_elimination(r, p, n, rep):
     for cls in conjugacy_classes(r, p, n):
-        for g in dict.fromkeys([cls.rep, max(cls.members, key=GroupElement.sort_key)]):
+        for g in dict.fromkeys([cls.rep, max(class_members(cls.rep, r, p, n), key=GroupElement.sort_key)]):
             kernel, image = dense_spaces(g, rep)
             assert _exact(fixed_space(g, rep)) == _exact(kernel), (g, rep)
-            assert _exact(perp_space(g, rep)) == _exact(image), (g, rep)
             if not kernel:
                 continue
             duals = []
@@ -372,6 +392,59 @@ def test_spaces_from_cycles_match_dense_elimination(r, p, n, rep):
             cols = kernel + image
             inverse = CycloMatrix([[v[i] for v in cols] for i in range(n)]).inverse()
             assert _exact(duals) == _exact(inverse.entries[: len(kernel)]), (g, rep)
+
+
+def _form_groups():
+    groups = {(r, p, n) for r, p, n, _ in _reynolds_groups()} | set(SMALL_GROUPS)
+    return [(r, p, n, rep) for r, p, n in sorted(groups) for rep in (F, P)]
+
+
+@pytest.mark.parametrize("r,p,n,rep", _form_groups(), ids=lambda a: str(getattr(a, "value", a)))
+def test_codim2_forms_from_cycles_match_the_dense_inverse(r, p, n, rep):
+    # one element per monomial action, since the form depends on nothing
+    # else.  With c in Q(zeta_r), every nonzero entry has the dense path's
+    # field order too.  Under the permutation action every phase is 0, so a
+    # rational c gives a form in Q, as the preset goldens need
+    c = root_of_unity(r, 1) * Fraction(-3, 2) + one(r)
+    actions = {monomial_action(g, rep): g for g in elements(r, p, n) if n - len(fixed_basis(g, rep)) == 2}
+    assert actions
+    for g in actions.values():
+        A, dense = _codim2_form(g, rep, c), dense_codim2_form(g, rep, c)
+        assert A == dense, (g, rep)
+        assert [e.order for row in A.matrix for e in row if e] == [e.order for row in dense.matrix for e in row if e]
+        if rep == P:
+            assert {e.order for row in _codim2_form(g, rep, one()).matrix for e in row} == {1}, g
+
+
+@pytest.mark.parametrize("r,p,n", SMALL_GROUPS)
+def test_reflection_roots_match_the_dense_column_space(r, p, n):
+    for rep in (F, P):
+        for g in elements(r, p, n):
+            image = dense_spaces(g, rep)[1]
+            root = reflection_root(g, rep)
+            if len(image) == 1:
+                assert root is not None and _exact([root]) == _exact(image), (g, rep)
+            else:
+                assert root is None, (g, rep)
+
+
+@pytest.mark.parametrize("r,p,n", sorted({(r, p, n) for r, p, n, _ in _reynolds_groups()}))
+def test_cycle_type_membership_matches_the_conjugacy_classes(r, p, n):
+    # for p = 1 cycle type is a complete invariant; for n >= 4 it decides
+    # membership of the two probes of the faithful catalog in G(r,p,n)
+    probes = [three_cycle(r, n, 1, 2, 3)]
+    if r % 2 == 0:
+        probes.append(from_cycles(r, n, [(1, 2)], exps=[0, r // 2] + [0] * (n - 2)))
+    by_type: dict = {}
+    for g in elements(r, 1, n) if p == 1 else ():
+        by_type.setdefault(cycle_type(g), set()).add(g)
+    for cls in conjugacy_classes(r, p, n):
+        members = class_members(cls.rep, r, p, n)
+        if p == 1:
+            assert members == by_type[cycle_type(cls.rep)], cls.rep
+        if n >= 4:
+            for probe in probes:
+                assert (probe in members) == (cycle_type(probe) == cycle_type(cls.rep)), (cls.rep, probe)
 
 
 # -- parameter spaces: orbits with phases against the dense assembly ---------------

@@ -30,9 +30,8 @@ from heckeforge.hecke import (
     psi2,
     three_cycle_classes,
 )
-from heckeforge.hochschild import perp_space
 from heckeforge.ncalg import Mu1, cocycle_spot_check, commutator_sum, sample_cocycle_triples
-from oracles import faithful_family_2_1_4
+from oracles import class_members, dense_spaces, faithful_family_2_1_4
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -82,8 +81,7 @@ def test_build_preset_generic_zero():
 def test_build_preset_support_is_whole_class():
     fam = build_preset("a_r1n", 2, 3)
     assert len(fam.support) == 8
-    cls = next(c for c in three_cycle_classes(2, 3) if three_cycle(2, 3, 1, 2, 3) in c.members)
-    assert set(fam.support) == set(cls.members)
+    assert set(fam.support) == class_members(three_cycle(2, 3, 1, 2, 3), 2, 1, 3)
 
 
 def test_generic_preset_needs_matching_scalars():
@@ -250,7 +248,7 @@ def test_cocycle_spot_check_on_a_faithful_family():
 def test_forms_from_semiinvariants_matches_preset():
     fam = build_preset("a_r1n", 1, 3)
     g = three_cycle(1, 3, 1, 2, 3)
-    perp = perp_space(g, P)
+    perp = dense_spaces(g, P)[1]
     scalar = fam.form(g)(perp[0], perp[1])
     rebuilt = forms_from_semiinvariants([(g, scalar)], 1, 1, 3, P)
     assert rebuilt == fam
@@ -267,7 +265,7 @@ def test_forms_round_trip_r2():
     seen = set()
     for cls in three_cycle_classes(2, 3):
         g = cls.rep
-        perp = perp_space(g, P)
+        perp = dense_spaces(g, P)[1]
         entries.append((g, fam.form(g)(perp[0], perp[1])))
         seen.add(g)
     rebuilt = forms_from_semiinvariants(entries, 2, 1, 3, P)

@@ -38,10 +38,10 @@ from heckeforge.hochschild import (
     opposed_diagonal_component_module,
     permutation_diagonal_module,
     permutation_three_cycle_module,
-    perp_space,
     three_cycle_component_module,
 )
 from heckeforge.polyforms import CharacterError, CharacterTable, restriction_matrix
+from oracles import dense_spaces
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -50,15 +50,14 @@ P = RepKind.PERMUTATION
 def test_fixed_and_perp_spaces():
     g = three_cycle(3, 4, 1, 2, 3)
     fixed = fixed_space(g, F)
-    perp = perp_space(g, F)
-    assert len(fixed) == 2 and len(perp) == 2
+    assert len(fixed) == 2 and len(dense_spaces(g, F)[1]) == 2
     # V^g contains v_1+v_2+v_3 and v_4
     span_check = [v for v in fixed if all(v[i] == v[0] for i in range(3))]
     assert span_check
     g = identity(3, 3)
-    assert len(fixed_space(g, F)) == 3 and not perp_space(g, F)
+    assert len(fixed_space(g, F)) == 3 and not dense_spaces(g, F)[1]
     # diagonal matrices act trivially under the permutation representation
-    assert len(fixed_space(xi(3, 3, 1), P)) == 3 and not perp_space(xi(3, 3, 1), P)
+    assert len(fixed_space(xi(3, 3, 1), P)) == 3 and not dense_spaces(xi(3, 3, 1), P)[1]
 
 
 def test_hochschild_character_values():
@@ -273,7 +272,7 @@ def test_character_matches_dense_restriction(r, p, n, rep):
         g = cls.rep
         chi = hochschild_character(g, rep, p)
         chi.check_multiplicative()
-        perp = perp_space(g, rep)
+        perp = dense_spaces(g, rep)[1]
         Z = chi.subgroup
         for h in Z if every else [Z[s] for s in generators_by_closure(Z)[0]]:
             dense = restriction_matrix(h, rep, perp).determinant() if perp else 1
