@@ -91,6 +91,9 @@ def cmd_classes(args) -> int:
 
 def cmd_hh(args) -> int:
     rep, budget = _group_args(args)
+    if args.max_degree < 0:
+        print("error: --max-degree must be nonnegative", file=sys.stderr)
+        return 2
     if (args.closed_form or args.compare) and args.cohdeg != 2:
         print("error: closed forms exist only in cohomological degree 2", file=sys.stderr)
         return 2

@@ -304,16 +304,25 @@ class CycloNum:
 
     @staticmethod
     def from_json(data: dict) -> "CycloNum":
-        r = int(data["order"])
+        r = json_int(data["order"])
         if r < 1:
             raise ValueError(f"a cyclotomic order must be positive, got {r}")
         out = CycloNum(r, _zero_coeffs(r))
         for t in data["terms"]:
-            if not int(t["den"]):
+            if not json_int(t["den"]):
                 raise ValueError("a coefficient has a zero denominator")
-            c = Fraction(int(t["num"]), int(t["den"]))
-            out = out + CycloNum(r, _reduce_power(r, int(t["exp"]))) * c
+            c = Fraction(json_int(t["num"]), json_int(t["den"]))
+            out = out + CycloNum(r, _reduce_power(r, json_int(t["exp"]))) * c
         return out
+
+
+def json_int(value) -> int:
+    """An integer read from JSON, given as a number or a decimal string;
+    ValueError for a float or a boolean, which int() would truncate or
+    read as 0 and 1."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def cyclo(value, order: int = 1) -> CycloNum:

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import permutations, product
 
-from .cyclo import CycloMatrix, CycloNum, cyclo, root_of_unity, zero
+from .cyclo import CycloNum, cyclo, json_int, root_of_unity
 
 DEFAULT_BUDGET = 10**6
 
@@ -64,11 +64,12 @@ class GroupElement:
 
     @staticmethod
     def from_json(data: dict) -> "GroupElement":
+        r = json_int(data["r"])
         return GroupElement(
-            int(data["r"]),
-            int(data["n"]),
-            tuple(int(a) % int(data["r"]) for a in data["exps"]),
-            tuple(int(i) for i in data["perm"]),
+            r,
+            json_int(data["n"]),
+            tuple(json_int(a) % r for a in data["exps"]),
+            tuple(json_int(i) for i in data["perm"]),
         )
 
     def __repr__(self):
@@ -227,26 +228,6 @@ def monomial_image(exps, g: GroupElement, rep: RepKind):
     return tuple(img), e % g.r
 
 
-def act(g: GroupElement, i: int, rep: RepKind):
-    """Image of the basis vector v_i: a pair (index, scalar)."""
-    pi, t = monomial_action(g, rep)
-    return pi[i - 1], root_of_unity(g.r, t[i - 1])
-
-
-def coact(g: GroupElement, i: int, rep: RepKind):
-    """Contragredient image of the dual vector x_i: (g.x)(v) = x(g^-1 v)."""
-    pi, t = monomial_action(g, rep)
-    return pi[i - 1], root_of_unity(g.r, -t[i - 1])
-
-
-def matrix(g: GroupElement, rep: RepKind = RepKind.FAITHFUL) -> CycloMatrix:
-    pi, t = monomial_action(g, rep)
-    rows = [[zero(g.r)] * g.n for _ in range(g.n)]
-    for i in range(g.n):
-        rows[pi[i] - 1][i] = root_of_unity(g.r, t[i])
-    return CycloMatrix(rows)
-
-
 def perm_cycles(perm):
     """Cycles of a permutation (image list, 1-based), fixed points included."""
     seen, cycles = set(), []
@@ -263,8 +244,11 @@ def perm_cycles(perm):
     return cycles
 
 
-def perm_sign(perm) -> int:
-    return (-1) ** (len(perm) - len(perm_cycles(perm)))
+@lru_cache(maxsize=None)
+def perm_sign(perm: tuple) -> int:
+    """(-1)^(inversions) of a tuple of distinct values, so a permutation's
+    sign in one-line notation, 0- or 1-based alike."""
+    return (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
 
 
 def is_three_cycle(perm) -> bool:
@@ -307,11 +291,6 @@ def cycle_type(g: GroupElement) -> CycleType:
         key = (a, len(cyc))
         counts[key] = counts.get(key, 0) + 1
     return CycleType(tuple(sorted((a, k, m) for (a, k), m in counts.items())))
-
-
-def conjugate_in_full_group(g: GroupElement, h: GroupElement) -> bool:
-    """Conjugacy test in G(r,1,n): equality of (a,k)-cycle types."""
-    return cycle_type(g) == cycle_type(h)
 
 
 def centralizer_order_formula(g: GroupElement) -> int:

@@ -18,12 +18,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .cyclo import CycloNum, check_order, cyclo, echelon_rows, one, root_of_unity, zero
+from .cyclo import CycloNum, check_order, cyclo, echelon_rows, json_int, one, root_of_unity, zero
 from .group import (
     DEFAULT_BUDGET,
     GroupElement,
     RepKind,
-    centralizer,
     check_budget,
     check_group,
     conjugacy_classes,
@@ -36,8 +35,7 @@ from .group import (
     multiply,
     three_cycle,
 )
-from .hochschild import acts_trivially, fixed_basis, hochschild_character
-from .polyforms import reynolds_semiinvariant_basis, trivial_character
+from .hochschild import fixed_basis, hh2_total
 
 
 class IllDefinedFamilyError(ValueError):
@@ -174,19 +172,19 @@ class SkewFormFamily:
         if not isinstance(data, dict):
             raise ValueError("a forms file holds a JSON object")
         try:
-            r, p, n = int(data["r"]), int(data["p"]), int(data["n"])
+            r, p, n = (json_int(data[k]) for k in "rpn")
             check_group(r, p, n)
             rep = RepKind(data["rep"])
             if not isinstance(data["forms"], list):
                 raise ValueError("forms must be a list")
             support = {}
             for item in data["forms"]:
-                if (int(item["g"]["r"]), int(item["g"]["n"])) != (r, n):
+                if (json_int(item["g"]["r"]), json_int(item["g"]["n"])) != (r, n):
                     raise ValueError("support element outside the configured group")
                 if not isinstance(item["matrix"], list):
                     raise ValueError("a form's matrix must be a list of rows")
                 for e in (e for row in item["matrix"] for e in row):
-                    check_order(int(e["order"]), r)
+                    check_order(json_int(e["order"]), r)
                 A = SkewForm([[CycloNum.from_json(e) for e in row] for row in item["matrix"]])
                 support[GroupElement.from_json(item["g"])] = A
         except (TypeError, OverflowError) as exc:  # a value of the wrong JSON type, or infinite
@@ -194,7 +192,7 @@ class SkewFormFamily:
         return SkewFormFamily(r, p, n, rep, support)
 
 
-# -- parameter space (Reynolds route) ----------------------------------------
+# -- parameter space (degree-0 HH^2) ------------------------------------------
 
 
 @dataclass
@@ -222,28 +220,23 @@ class GHAParamReport:
 def param_space(
     r: int, p: int, n: int, rep: RepKind, budget: int | None = DEFAULT_BUDGET
 ) -> GHAParamReport:
-    """Dimension data for the space of graded-Hecke parameters: the count d
-    of codimension-2 classes with trivial Hochschild character, plus, for
-    every class acting trivially on V, the dimension of the Z(g)-invariant
-    alternating 2-forms."""
-    check_budget(r, p, n, budget)
-    d = 0
-    lambda2: dict = {}
-    paper_count = 0
-    for cls in conjugacy_classes(r, p, n, budget):
-        g = cls.rep
-        if n - len(fixed_basis(g, rep)) == 2:
-            chi = hochschild_character(g, rep, p, budget)
-            if chi.is_trivial():
-                d += 1
-            if rep == RepKind.PERMUTATION and is_three_cycle(g.perm):
-                paper_count += 1
-        if acts_trivially(g, rep):
-            Z = centralizer(g, p, budget)
-            basis = reynolds_semiinvariant_basis(trivial_character(Z), rep, 0, 2)
-            lambda2[g] = len(basis)
+    """Dimension data for the space of graded-Hecke parameters, read off the
+    polynomial-degree-0 part of HH^2 (`hh2_total` at degree 0): d counts the
+    codimension-2 classes with a component there (those whose Hochschild
+    character is trivial), and every class acting trivially on V
+    (codimension 0) contributes the Z(g)-invariant alternating 2-forms,
+    0 where `hh2_total` dropped the class."""
+    comps = {c.rep: c for c in hh2_total(r, p, n, rep, 0, budget=budget)}
+    d = sum(c.codim == 2 for c in comps.values())
+    classes = [cls.rep for cls in conjugacy_classes(r, p, n, budget)]
+    lambda2 = {
+        g: comps[g].dims_by_degree[0] if g in comps else 0
+        for g in classes
+        if not n - len(fixed_basis(g, rep))
+    }
     total = d + sum(lambda2.values())
     if rep == RepKind.PERMUTATION:
+        paper_count = sum(is_three_cycle(g.perm) for g in classes)
         return GHAParamReport(d, lambda2, total, paper_count, paper_count != total)
     return GHAParamReport(d, lambda2, total, None, False)
 

@@ -94,11 +94,6 @@ def fixed_space(g: GroupElement, rep: RepKind):
     return out
 
 
-def acts_trivially(g: GroupElement, rep: RepKind) -> bool:
-    pi, t = monomial_action(g, rep)
-    return pi == tuple(range(1, g.n + 1)) and all(x % g.r == 0 for x in t)
-
-
 def _is_identity_action(pi, texp) -> bool:
     """True iff a (pi, texp) pair of `subspace_action`, with texp reduced or
     rescaled, is the identity on the subspace."""
@@ -140,7 +135,7 @@ def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTab
         if rep == RepKind.FAITHFUL:
             e += sum(h.exps)
         e *= F // r
-        if perm_sign(h.perm) != perm_sign(tuple(j + 1 for j in pi)):
+        if perm_sign(h.perm) != perm_sign(pi):
             e += F // 2
         exps[h] = e
     chi = CharacterTable(Z, F, exps)
@@ -293,30 +288,6 @@ class FreeModuleDescription:
 
     def dimension(self, d: int) -> int:
         return sum(self.base_monomial_count(d - g) for g in self.module_generator_degrees)
-
-    def dimension_by_enumeration(self, d: int) -> int:
-        """Independent oracle: directly enumerate (generator, base-monomial)
-        pairs of total degree d."""
-        count = 0
-        base = self.base_generator_degrees
-
-        def mono_count(idx: int, remaining: int) -> int:
-            if remaining == 0:
-                return 1
-            if idx == len(base):
-                return 0
-            total = 0
-            step = base[idx]
-            k = 0
-            while k * step <= remaining:
-                total += mono_count(idx + 1, remaining - k * step)
-                k += 1
-            return total
-
-        for gdeg in self.module_generator_degrees:
-            if gdeg <= d:
-                count += mono_count(0, d - gdeg)
-        return count
 
     def dims_up_to(self, D: int) -> dict[int, int]:
         return {d: self.dimension(d) for d in range(D + 1)}

@@ -580,9 +580,14 @@ class PBWDimensionReport:
 def pbw_dimension_check(
     algebra, N: int, n_triples: int = 100, seed: int = 0
 ) -> PBWDimensionReport:
-    """Count normal-form basis elements of filtration degree <= N against
-    C(n+N, n) |G|, and re-multiply sampled triples to confirm the normal
-    forms compose associatively (the confluence surrogate)."""
+    """Re-multiply every variable triple and sampled triples to confirm the
+    normal forms compose associatively (the confluence surrogate), and
+    report `count` next to `expected` = C(n+N, n) |G|.
+
+    `count` adds |G| for each monomial of degree <= N, so it equals
+    `expected` by construction: it counts the candidate normal words and
+    does not test that they are independent.  Only the associativity
+    samples can fail."""
     r, n = algebra.r, algebra.n
     p = algebra.p
     count = 0

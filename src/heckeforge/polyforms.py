@@ -482,12 +482,6 @@ class CharacterTable:
         return out
 
 
-def trivial_character(subgroup) -> CharacterTable:
-    els = tuple(subgroup)
-    r = els[0].r if els else 1
-    return CharacterTable(els, lcm(2, r), {h: 0 for h in els})
-
-
 def subspace_action(h: GroupElement, rep: RepKind, vectors):
     """(pi, texp) with h.w_j = zeta_r^{texp[j]} w_{pi[j]} (0-based), for an
     integer subspace basis w: one tuple of (coordinate, t) pairs per vector,

@@ -23,34 +23,100 @@ paths in the library, and a faithful family shared by the tests:
 - `param_space_dense_oracle`: the dimension of the parameter space from
   every equivariance and Jacobi row assembled into one sparse system and
   echelon-reduced, with no elimination by orbits;
+- `param_space_by_reynolds`: the parameter-space report by its own loop
+  over the classes, as `hecke.param_space` computed it before it read
+  `hh2_total`: the Hochschild character's triviality for each
+  codimension-2 class, and the trivial character of the centralizer on
+  Lambda^2 V* for each class acting trivially;
 - `root_exponent`: the t with x = zeta_r^t, by search;
 - `faithful_family_2_1_4`: a PBW family under the faithful action whose
-  monomial actions carry root-of-unity phases.
+  monomial actions carry root-of-unity phases;
+- the dense and brute-force helpers the tests read: `trivial_character`,
+  `act`, `coact`, `matrix`, `conjugate_in_full_group` and
+  `dimension_by_enumeration`.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from heckeforge.cyclo import CycloMatrix, cyclo, echelon_rows, one, root_of_unity, zero
 from heckeforge.group import (
     RepKind,
+    centralizer,
+    conjugacy_classes,
+    cycle_type,
     diag,
     elements,
     from_cycles,
     generators,
     identity,
     inverse,
-    matrix,
+    is_three_cycle,
     monomial_action,
     multiply,
     three_cycle,
     transposition,
 )
-from heckeforge.hecke import PBWReport, SkewForm, conjugate_form, forms_from_semiinvariants
+from heckeforge.hecke import (
+    GHAParamReport,
+    PBWReport,
+    SkewForm,
+    conjugate_form,
+    forms_from_semiinvariants,
+)
+from heckeforge.hochschild import fixed_basis, hochschild_character
 from heckeforge.ncalg import NCElement, _add_term, _exps_of, _word_of, _xi_pair
-from heckeforge.polyforms import _sort_with_sign
+from heckeforge.polyforms import CharacterTable, _sort_with_sign, reynolds_semiinvariant_basis
+
+
+def act(g, i, rep):
+    """Image of the basis vector v_i: a pair (index, scalar)."""
+    pi, t = monomial_action(g, rep)
+    return pi[i - 1], root_of_unity(g.r, t[i - 1])
+
+
+def coact(g, i, rep):
+    """Contragredient image of the dual vector x_i: (g.x)(v) = x(g^-1 v)."""
+    pi, t = monomial_action(g, rep)
+    return pi[i - 1], root_of_unity(g.r, -t[i - 1])
+
+
+def matrix(g, rep=RepKind.FAITHFUL):
+    """The dense matrix of g: zeta_r^{t_i} in row pi(i), column i."""
+    pi, t = monomial_action(g, rep)
+    rows = [[zero(g.r)] * g.n for _ in range(g.n)]
+    for i in range(g.n):
+        rows[pi[i] - 1][i] = root_of_unity(g.r, t[i])
+    return CycloMatrix(rows)
+
+
+def conjugate_in_full_group(g, h):
+    """Conjugacy test in G(r,1,n): equality of (a,k)-cycle types."""
+    return cycle_type(g) == cycle_type(h)
+
+
+def trivial_character(subgroup):
+    els = tuple(subgroup)
+    r = els[0].r if els else 1
+    return CharacterTable(els, lcm(2, r), {h: 0 for h in els})
+
+
+def dimension_by_enumeration(module, d):
+    """The degree-d dimension of a FreeModuleDescription, by enumerating
+    its (generator, base-monomial) pairs of total degree d directly."""
+    base = module.base_generator_degrees
+
+    def mono_count(idx, remaining):
+        if remaining == 0:
+            return 1
+        if idx == len(base):
+            return 0
+        return sum(mono_count(idx + 1, remaining - k * base[idx]) for k in range(remaining // base[idx] + 1))
+
+    return sum(mono_count(0, d - gdeg) for gdeg in module.module_generator_degrees if gdeg <= d)
 
 
 def stack_term_product(alg, mu, g, nu, h) -> dict:
@@ -380,3 +446,28 @@ def param_space_dense_oracle(r, p, n, rep):
                     rows.append(row)
     rank = len(echelon_rows(rows))
     return nvars - rank
+
+
+def param_space_by_reynolds(r, p, n, rep):
+    """hecke.param_space's report, by a loop over the classes: d counts the
+    codimension-2 classes whose Hochschild character is trivial, and each
+    class acting trivially on V gets the dimension of the Z(g)-invariant
+    alternating 2-forms, from the trivial character of its centralizer."""
+    d = 0
+    lambda2 = {}
+    paper_count = 0
+    for cls in conjugacy_classes(r, p, n):
+        g = cls.rep
+        if n - len(fixed_basis(g, rep)) == 2:
+            if hochschild_character(g, rep, p).is_trivial():
+                d += 1
+            if rep == RepKind.PERMUTATION and is_three_cycle(g.perm):
+                paper_count += 1
+        pi, t = monomial_action(g, rep)
+        if pi == tuple(range(1, n + 1)) and all(x % r == 0 for x in t):
+            chi = trivial_character(centralizer(g, p))
+            lambda2[g] = len(reynolds_semiinvariant_basis(chi, rep, 0, 2))
+    total = d + sum(lambda2.values())
+    if rep == RepKind.PERMUTATION:
+        return GHAParamReport(d, lambda2, total, paper_count, paper_count != total)
+    return GHAParamReport(d, lambda2, total, None, False)

@@ -9,7 +9,7 @@ G(r,1,4) at even r != 2p.
 
 import pytest
 
-from heckeforge.group import RepKind, conjugate_in_full_group, diag, from_cycles
+from heckeforge.group import RepKind, diag, from_cycles
 from heckeforge.hochschild import (
     closed_form_catalog,
     compare,
@@ -18,6 +18,7 @@ from heckeforge.hochschild import (
     neg_transposition_component_module,
     three_cycle_component_module,
 )
+from oracles import conjugate_in_full_group
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION

@@ -253,9 +253,11 @@ def test_nc_verify_rejects_r_zero(capsys):
     (["nc-normal-form", "--algebra", "a-drinfeld", "--r", "0", "--n", "3", "v1"], "error: need r, n >= 1 and p | r\n"),
     (["nc-normal-form", "--algebra", "hstar", "--r", "3", "--n", "3", "z6400^1"], None),
     (["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "z4^1"], None),
+    (["hh", "--r", "2", "--n", "4", "--rep", "faithful", "--max-degree", "-1", "--compare"],
+     "error: --max-degree must be nonnegative\n"),
 ], ids=["cycle-index-out-of-range", "cycle-repeated-index", "token-zero-denominator",
         "scalar-zero-denominator", "gha-build-r-zero", "nc-normal-form-r-zero",
-        "zeta-order-6400", "zeta-order-not-dividing-lcm-2-r"])
+        "zeta-order-6400", "zeta-order-not-dividing-lcm-2-r", "hh-negative-max-degree"])
 def test_malformed_input_is_bad_input(capsys, argv, message):
     code, err = _exit_code(capsys, *argv)
     assert code == 2
@@ -299,8 +301,24 @@ _EMPTY_FAMILY = {"r": 2, "p": 1, "n": 3, "rep": "permutation", "forms": []}
     _preset_forms_with(["forms", 0, "matrix", 0, 0], {"order": 0, "terms": []}),
     _preset_forms_with(["forms", 0, "matrix", 0, 0], {"order": 1601, "terms": []}),
     _preset_forms_with(["forms", 0, "matrix", 0, 0], {"order": 3, "terms": []}),
+    # a float that int() truncates, or a boolean it reads as 0 or 1, in
+    # every integer field: each reads as the preset's own value
+    _preset_forms_with(["r"], 2.5),
+    _preset_forms_with(["p"], True),
+    _preset_forms_with(["n"], 3.9),
+    _preset_forms_with(["forms", 0, "g", "r"], 2.5),
+    _preset_forms_with(["forms", 0, "g", "n"], 3.2),
+    _preset_forms_with(["forms", 0, "g", "exps"], [0, 0, 0.5]),
+    _preset_forms_with(["forms", 0, "g", "perm"], [2.7, 3, 1]),
+    _preset_forms_with(["forms", 0, "matrix", 0, 1, "order"], 1.7),
+    _preset_forms_with(["forms", 0, "matrix", 0, 1, "terms", 0, "exp"], 0.5),
+    _preset_forms_with(["forms", 0, "matrix", 0, 1, "terms", 0, "num"], 1.5),
+    _preset_forms_with(["forms", 0, "matrix", 0, 1, "terms", 0, "num"], True),
+    _preset_forms_with(["forms", 0, "matrix", 0, 1, "terms", 0, "den"], 3.5),
 ], ids=["r-zero", "n-zero", "p-zero", "p-not-dividing-r", "top-level-list", "forms-not-a-list",
-        "matrix-not-a-list", "zero-denominator", "order-zero", "order-1601", "order-not-dividing-lcm-2-r"])
+        "matrix-not-a-list", "zero-denominator", "order-zero", "order-1601", "order-not-dividing-lcm-2-r",
+        "r-float", "p-bool", "n-float", "g-r-float", "g-n-float", "exps-float", "perm-float",
+        "order-float", "exp-float", "num-float", "num-bool", "den-float"])
 def test_pbw_check_rejects_malformed_forms(capsys, tmp_path, forms):
     path = tmp_path / "forms.json"
     path.write_text(json.dumps(forms))

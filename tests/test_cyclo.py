@@ -1,4 +1,6 @@
+import ast
 import cmath
+import inspect
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from sympy import Poly, cyclotomic_poly
 from sympy.abc import x as sym_x
 
+from heckeforge import group, hecke, hochschild, ncalg
 from heckeforge.cyclo import (
     CycloMatrix,
     CycloNum,
@@ -173,3 +176,14 @@ def test_echelon_rows_rank():
     assert len(echelon_rows(rows)) == 3
     rows = [{0: z, 1: z}, {0: z, 1: z}]
     assert len(echelon_rows(rows)) == 1
+
+
+@pytest.mark.parametrize("module", [group, hochschild, hecke, ncalg], ids=lambda m: m.__name__)
+def test_library_modules_build_no_dense_matrix(module):
+    # dense linear algebra serves the tests and the dense references in
+    # polyforms only; these modules neither import nor name CycloMatrix
+    tree = ast.parse(inspect.getsource(module))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "CycloMatrix" not in names

@@ -74,7 +74,6 @@ from heckeforge.polyforms import (
     reflection_root,
     reynolds_semiinvariant_basis,
     subspace_actions,
-    trivial_character,
 )
 from oracles import (
     class_members,
@@ -82,10 +81,12 @@ from oracles import (
     dense_spaces,
     faithful_family_2_1_4,
     hstar_reference_multiply,
+    param_space_by_reynolds,
     param_space_dense_oracle,
     pbw_check_full_scan,
     reynolds_rows_by_projector,
     stack_multiply,
+    trivial_character,
 )
 
 F = RepKind.FAITHFUL
@@ -464,4 +465,6 @@ def _small_groups():
 @pytest.mark.parametrize("r,p,n,rep", _small_groups(), ids=lambda a: str(getattr(a, "value", a)))
 def test_linear_oracle_matches_the_dense_assembly(r, p, n, rep):
     dim = param_space_linear_oracle(r, p, n, rep)
-    assert dim == param_space_dense_oracle(r, p, n, rep) == param_space(r, p, n, rep).total
+    report = param_space(r, p, n, rep)
+    assert dim == param_space_dense_oracle(r, p, n, rep) == report.total
+    assert report.to_json() == param_space_by_reynolds(r, p, n, rep).to_json()

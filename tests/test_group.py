@@ -7,13 +7,10 @@ from heckeforge.group import (
     BudgetExceededError,
     GroupElement,
     RepKind,
-    act,
     centralizer,
     centralizer_order_formula,
-    coact,
     conjugacy_classes,
     conjugate,
-    conjugate_in_full_group,
     cycle_type,
     diag,
     elements,
@@ -23,13 +20,12 @@ from heckeforge.group import (
     identity,
     in_subgroup,
     inverse,
-    matrix,
     multiply,
     three_cycle,
     transposition,
     xi,
 )
-from oracles import class_members
+from oracles import act, class_members, coact, conjugate_in_full_group, matrix
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION

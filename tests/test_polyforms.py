@@ -32,9 +32,8 @@ from heckeforge.polyforms import (
     solomon_check,
     subspace_action,
     symmetric_group_derivations,
-    trivial_character,
 )
-from oracles import root_exponent
+from oracles import root_exponent, trivial_character
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
