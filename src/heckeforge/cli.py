@@ -63,7 +63,7 @@ def cmd_classes(args) -> int:
                 "size": cls.size,
                 "cycle_type": [[a, k, m] for a, k, m in group.cycle_type(cls.rep).pairs],
                 "centralizer_formula": group.centralizer_order_formula(cls.rep),
-                "centralizer_order": len(group.centralizer(cls.rep, args.p, budget)),
+                "centralizer_order": len(group.centralizer(cls.rep, args.p)),
             }
         )
     data = {
@@ -106,8 +106,7 @@ def cmd_hh(args) -> int:
         comps = []
         for cls in group.conjugacy_classes(args.r, args.p, args.n, budget):
             comp = hochschild.hh_component(
-                cls.rep, rep, args.cohdeg, args.max_degree, args.p,
-                include_basis=args.basis, budget=budget,
+                cls.rep, rep, args.cohdeg, args.max_degree, args.p, include_basis=args.basis
             )
             if not comp.is_zero():
                 comps.append(comp)
@@ -279,7 +278,7 @@ def cmd_nc_verify(args) -> int:
         for k in range(j + 1, args.n + 1):
             for m in range(1, args.n + 1):
                 reln4[f"({j},{k})v{m}"] = ncalg.verify_reln4(j, k, m, args.r, args.n, alg)
-    iso = ncalg.verify_iso(args.r, args.n)
+    iso = ncalg.verify_iso(args.r, args.n, budget)
     ok = all(reln4.values()) and iso.ok
     data = {"reln4": reln4, "iso": iso.to_json(), "ok": ok}
 

@@ -359,6 +359,22 @@ def root_of_unity(r: int, k: int = 1) -> CycloNum:
     return CycloNum(r, _reduce_power(r, k))
 
 
+def twist(c, r: int, e: int):
+    """c * zeta_r^e, and c itself when e = 0 mod r, so a zero phase leaves c
+    in its own field."""
+    return c * root_of_unity(r, e) if e % r else c
+
+
+def add_term(out: dict, key, c) -> None:
+    """out[key] += c, dropping the key when the sum is zero."""
+    cur = out.get(key)
+    s = c if cur is None else cur + c
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 # ---------------------------------------------------------------------------
 # Exact dense linear algebra
 # ---------------------------------------------------------------------------
@@ -549,11 +565,9 @@ def echelon_rows(rows) -> list[dict]:
         row = {k: v for k, v in row.items() if not v.is_zero()}
         for lead, brow in basis:
             if lead in row:
-                f = row[lead]
+                f = -row[lead]
                 for k, v in brow.items():
-                    cur = row.get(k)
-                    row[k] = (cur - f * v) if cur is not None else -f * v
-                row = {k: v for k, v in row.items() if not v.is_zero()}
+                    add_term(row, k, f * v)
         if not row:
             continue
         lead = min(row)
@@ -561,12 +575,11 @@ def echelon_rows(rows) -> list[dict]:
         row = {k: v * inv for k, v in row.items()}
         for i, (l0, b0) in enumerate(basis):
             if lead in b0:
-                f = b0[lead]
+                f = -b0[lead]
                 nb = dict(b0)
                 for k, v in row.items():
-                    cur = nb.get(k)
-                    nb[k] = (cur - f * v) if cur is not None else -f * v
-                basis[i] = (l0, {k: v for k, v in nb.items() if not v.is_zero()})
+                    add_term(nb, k, f * v)
+                basis[i] = (l0, nb)
         basis.append((lead, row))
     basis.sort(key=lambda t: t[0])
     return [row for _, row in basis]

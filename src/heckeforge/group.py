@@ -16,7 +16,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import permutations, product
 
-from .cyclo import CycloNum, cyclo, json_int, root_of_unity
+from .cyclo import CycloNum, json_int, root_of_unity
 
 DEFAULT_BUDGET = 10**6
 
@@ -64,12 +64,11 @@ class GroupElement:
 
     @staticmethod
     def from_json(data: dict) -> "GroupElement":
-        r = json_int(data["r"])
+        r, exps, perm = json_int(data["r"]), data["exps"], data["perm"]
+        if not (isinstance(exps, list) and isinstance(perm, list)):
+            raise ValueError("exps and perm must be lists of integers")
         return GroupElement(
-            r,
-            json_int(data["n"]),
-            tuple(json_int(a) % r for a in data["exps"]),
-            tuple(json_int(i) for i in data["perm"]),
+            r, json_int(data["n"]), tuple(json_int(a) % r for a in exps), tuple(map(json_int, perm))
         )
 
     def __repr__(self):
@@ -257,11 +256,16 @@ def is_three_cycle(perm) -> bool:
     return sum(i != v for i, v in enumerate(perm, 1)) == 3
 
 
+def det_exponent(pi, t, r: int) -> int:
+    """The e with sign(pi) zeta_r^{sum t} = zeta_F^e, F = lcm(2, r): the
+    determinant of the monomial action v_i -> zeta_r^{t_i} v_{pi(i)}, with
+    the sign as F/2."""
+    F = math.lcm(2, r)
+    return (sum(t) * (F // r) + (F // 2 if perm_sign(pi) < 0 else 0)) % F
+
+
 def det(g: GroupElement, rep: RepKind) -> CycloNum:
-    s = perm_sign(g.perm)
-    if rep == RepKind.PERMUTATION:
-        return cyclo(s)
-    return root_of_unity(g.r, sum(g.exps)) * s
+    return root_of_unity(math.lcm(2, g.r), det_exponent(*monomial_action(g, rep), g.r))
 
 
 # -- subgroup membership, cycle types, conjugacy -----------------------------
@@ -422,9 +426,8 @@ def _centralizer(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
     return tuple(out)
 
 
-def centralizer(g: GroupElement, p: int, budget: int | None = DEFAULT_BUDGET):
+def centralizer(g: GroupElement, p: int):
     """Z_{G(r,p,n)}(g), sorted, solved for from the cycle structure of g:
     O(n) work per permutation of n points and per element of Z_{G(r,1,n)}(g),
-    independent of |G|."""
-    check_budget(g.r, p, g.n, budget)
+    independent of |G|, so no budget applies."""
     return list(_centralizer(g, p))

@@ -18,7 +18,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .cyclo import CycloNum, check_order, cyclo, echelon_rows, json_int, one, root_of_unity, zero
+from .cyclo import (
+    CycloNum, add_term, check_order, cyclo, echelon_rows, json_int, one, root_of_unity, twist, zero
+)
 from .group import (
     DEFAULT_BUDGET,
     GroupElement,
@@ -115,8 +117,7 @@ def conjugate_form(A: SkewForm, h: GroupElement, rep: RepKind) -> SkewForm:
         for j in range(n):
             val = A.matrix[pi[i] - 1][pi[j] - 1]
             if not val.is_zero():
-                e = (t[i] + t[j]) % h.r
-                out[i][j] = val * root_of_unity(h.r, e) if e else val
+                out[i][j] = twist(val, h.r, t[i] + t[j])
     return SkewForm(out)
 
 
@@ -276,7 +277,7 @@ def _codim2_form(g: GroupElement, rep: RepKind, c: CycloNum) -> SkewForm:
             terms.setdefault((j, i), [e + f, 0])[1] -= w * x
     grid = [[zero()] * n for _ in range(n)]
     for (i, j), (e, w) in terms.items():
-        grid[i][j] = (root_of_unity(r, e) * w if e % r else cyclo(w)) * c
+        grid[i][j] = twist(cyclo(w), r, e) * c
     return SkewForm(grid)
 
 
@@ -397,9 +398,7 @@ def pbw_check(F: SkewFormFamily, budget: int | None = DEFAULT_BUDGET) -> PBWRepo
                 if val.is_zero():
                     continue
                 coords[a] = coords[a] + val
-                e = t[a] % g.r
-                img = val * root_of_unity(g.r, e) if e else val
-                coords[pi[a] - 1] = coords[pi[a] - 1] - img
+                coords[pi[a] - 1] = coords[pi[a] - 1] - twist(val, g.r, t[a])
             if any(not x.is_zero() for x in coords):
                 jacobi = False
                 witnesses.append(("jacobi", g, (i + 1, j + 1, k + 1)))
@@ -612,7 +611,7 @@ def param_space_linear_oracle(
     for terms in sorted(jacobi):
         row: dict = {}
         for root, f, c in terms:
-            row[root] = row.get(root, zero()) + powers[f] * c
+            add_term(row, root, powers[f] * c)
         rows.append(row)
     live = sum(a == b and not classes.dead[a] for a, b in enumerate(classes.parent))
     return live - len(echelon_rows(rows))

@@ -28,15 +28,13 @@ from .group import (
     GroupElement,
     RepKind,
     centralizer,
-    check_budget,
     conjugacy_classes,
     cycle_type,
-    det,
+    det_exponent,
     from_cycles,
     is_three_cycle,
     monomial_action,
     perm_cycles,
-    perm_sign,
     three_cycle,
 )
 from .polyforms import (
@@ -103,14 +101,12 @@ def _is_identity_action(pi, texp) -> bool:
 # -- Hochschild character ------------------------------------------------------
 
 
-def hochschild_character(
-    g: GroupElement, rep: RepKind, p: int = 1, budget: int | None = DEFAULT_BUDGET
-) -> CharacterTable:
+def hochschild_character(g: GroupElement, rep: RepKind, p: int = 1) -> CharacterTable:
     """chi_g(h) = det of h restricted to (V^g)-perp, for h in Z_{G(r,p,n)}(g),
     computed as det(h|V) / det(h|V^g) from the monomial action on V^g and
     held as exponents mod lcm(2, r).  One table per (g, rep, p) is cached,
-    so its verification and action data serve every degree."""
-    check_budget(g.r, p, g.n, budget)
+    however p is passed, so its verification and action data serve every
+    degree."""
     return _hochschild_character(g, rep, p)
 
 
@@ -120,25 +116,20 @@ def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTab
     # det(h | perp) = det(h | V) / det(h | V^g).  det(h | V) is
     # sign(h.perm) zeta_r^{sum h.exps}, or sign(h.perm) under the permutation
     # action; h permutes the fixed basis monomially, so
-    # det(h | V^g) = sign(pi) zeta_r^{sum texp}.  Exponents are kept mod
-    # F = lcm(2, r), with the sign as F/2.
+    # det(h | V^g) = sign(pi) zeta_r^{sum texp}.  Both are `det_exponent`s
+    # mod F = lcm(2, r).
     # The fixed-basis pairs are kept on the table for the Reynolds projector
     # and the det filter.
     r = g.r
-    F = lcm(2, r)
-    Z = centralizer(g, p, None)
+    Z = centralizer(g, p)
     fixed = fixed_basis(g, rep)
     pairs = subspace_actions(Z, rep, fixed)
-    exps = {}
-    for h, (pi, texp) in zip(Z, pairs):
-        e = -sum(texp)
-        if rep == RepKind.FAITHFUL:
-            e += sum(h.exps)
-        e *= F // r
-        if perm_sign(h.perm) != perm_sign(pi):
-            e += F // 2
-        exps[h] = e
-    chi = CharacterTable(Z, F, exps)
+    faithful = rep == RepKind.FAITHFUL
+    exps = {
+        h: det_exponent(h.perm, h.exps if faithful else (), r) - det_exponent(pi, texp, r)
+        for h, (pi, texp) in zip(Z, pairs)
+    }
+    chi = CharacterTable(Z, lcm(2, r), exps)
     chi.keep_actions(rep, fixed, pairs)
     return chi
 
@@ -185,7 +176,6 @@ def hh_component(
     max_poly_degree: int,
     p: int = 1,
     include_basis: bool = False,
-    budget: int | None = DEFAULT_BUDGET,
 ) -> ClassComponent:
     """The g-class contribution in cohomological degree m:
     (S(V^g) (x) Lambda^{m - codim V^g}((V^g)*))^{chi_g}, per polynomial degree
@@ -193,7 +183,7 @@ def hh_component(
     fixed = fixed_basis(g, rep)
     codim = g.n - len(fixed)
     k = m - codim
-    chi = hochschild_character(g, rep, p, budget)
+    chi = hochschild_character(g, rep, p)
     dims: dict[int, int] = {}
     bases: dict[int, list[PolyForm]] = {}
     if k < 0 or k > len(fixed):
@@ -207,18 +197,18 @@ def hh_component(
     return ClassComponent(g, rep, codim, fixed, chi, dims, bases if include_basis else None)
 
 
-def _passes_det_filter(g: GroupElement, rep: RepKind, p: int, budget) -> bool:
+def _passes_det_filter(g: GroupElement, rep: RepKind, p: int) -> bool:
     """Necessary conditions for HH^2(g) != 0: det(g) = 1,
     codim V^g in {0, 2}, and no centralizer element acting as the identity
     on V^g with determinant != 1."""
-    if not det(g, rep) == 1:
+    if det_exponent(*monomial_action(g, rep), g.r):
         return False
     fixed = fixed_basis(g, rep)
     codim = g.n - len(fixed)
     if codim not in (0, 2):
         return False
     # on an h fixing V^g pointwise, det(h | V^g) = 1, so chi_g(h) = det(h)
-    chi = hochschild_character(g, rep, p, budget)
+    chi = hochschild_character(g, rep, p)
     for pi, texp, e in chi.actions(rep, fixed):
         if e and _is_identity_action(pi, texp):
             return False
@@ -240,16 +230,15 @@ def hh2_total(
     Classes failing the determinant/codimension filter are skipped; with
     validate_skipped=True each skipped class is recomputed at degree <= 2
     and a FilterDiscrepancyError is raised if anything nonzero shows up."""
-    check_budget(r, p, n, budget)
     out = []
     for cls in conjugacy_classes(r, p, n, budget):
         g = cls.rep
-        if _passes_det_filter(g, rep, p, budget):
-            comp = hh_component(g, rep, 2, max_poly_degree, p, include_basis, budget)
+        if _passes_det_filter(g, rep, p):
+            comp = hh_component(g, rep, 2, max_poly_degree, p, include_basis)
             if not comp.is_zero():
                 out.append(comp)
         elif validate_skipped:
-            comp = hh_component(g, rep, 2, min(2, max_poly_degree), p, False, budget)
+            comp = hh_component(g, rep, 2, min(2, max_poly_degree), p)
             if not comp.is_zero():
                 raise FilterDiscrepancyError(
                     f"class of {g!r} was skipped by the determinant filter "
@@ -436,7 +425,7 @@ def closed_form_catalog(
 def _faithful_entry(r: int, p: int, n: int, g: GroupElement) -> CatalogEntry:
     if g.is_identity():
         return CatalogEntry("identity", identity_component_module(r, p, n))
-    if not det(g, RepKind.FAITHFUL) == 1:
+    if det_exponent(g.perm, g.exps, r):
         return CatalogEntry("det_ne_1", ZERO_MODULE)
     if g.is_diagonal():
         nonzero = [a for a in g.exps if a]

@@ -25,8 +25,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .cyclo import cyclo, one, root_of_unity, zero
+from .cyclo import add_term, cyclo, one, twist, zero
 from .group import (
+    DEFAULT_BUDGET,
     GroupElement,
     RepKind,
     diag,
@@ -44,16 +45,6 @@ from .hecke import SkewFormFamily, build_preset, psi2
 
 # the unit coefficient of the rewriting rules; the core skips multiplying by it
 _ONE = one()
-
-
-def _add_term(out: dict, key, c) -> None:
-    """out[key] += c, dropping the key when the sum is zero."""
-    cur = out.get(key)
-    s = c if cur is None else cur + c
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
 
 
 def _term_order(item):
@@ -81,7 +72,7 @@ class NCElement:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            _add_term(out, k, c)
+            add_term(out, k, c)
         return NCElement(self.algebra, out)
 
     def __sub__(self, other):
@@ -215,9 +206,9 @@ class _AlgebraBase:
                     c = a if c is _ONE else a * c
                     for (exps, t), c2 in self._word_form(prefix + pushed).items():
                         tg = multiply(t, g2)
-                        _add_term(out, (exps, self._shared.setdefault(tg, tg)), c if c2 is _ONE else c2 * c)
+                        add_term(out, (exps, self._shared.setdefault(tg, tg)), c if c2 is _ONE else c2 * c)
             w[i], w[i + 1] = m, k
-        _add_term(out, (_exps_of(w, self.n), self._identity), _ONE)
+        add_term(out, (_exps_of(w, self.n), self._identity), _ONE)
         self._word_cache[word] = out
         return out
 
@@ -228,7 +219,7 @@ class _AlgebraBase:
             c = coeff if c is _ONE else coeff * c
             g2h = multiply(g2, h)
             for (exps, t), c2 in self._word_form(prefix + pushed).items():
-                _add_term(out, (exps, multiply(t, g2h)), c if c2 is _ONE else c2 * c)
+                add_term(out, (exps, multiply(t, g2h)), c if c2 is _ONE else c2 * c)
 
 
 class HStarAlgebra(_AlgebraBase):
@@ -263,17 +254,17 @@ class HStarAlgebra(_AlgebraBase):
         if len(word) > 1:
             for (w1, g1), c1 in self._push(g, word[:1]).items():
                 for (w2, g2), c2 in self._push(g1, word[1:]).items():
-                    _add_term(out, (tuple(sorted(w1 + w2)), g2), c1 * c2)
+                    add_term(out, (tuple(sorted(w1 + w2)), g2), c1 * c2)
         elif not word or i is None:  # a diagonal g commutes with v_k
             out[(word, g)] = _ONE
         else:
             s_i = transposition(r, n, i, i + 1)
             for (w, h), c in self._push(multiply(s_i, g), word).items():
-                _add_term(out, (tuple(s_i.perm[j - 1] for j in w), multiply(s_i, h)), c)
+                add_term(out, (tuple(s_i.perm[j - 1] for j in w), multiply(s_i, h)), c)
                 if w and w[0] in (i, i + 1):
                     # sbar_i v_{i+1} = v_i sbar_i + sum_a ..., sbar_i v_i = v_{i+1} sbar_i - sum_a ...
                     for a in range(r):
-                        _add_term(out, ((), multiply(_xi_pair(r, n, i, i + 1, a), h)), c if w[0] > i else -c)
+                        add_term(out, ((), multiply(_xi_pair(r, n, i, i + 1, a), h)), c if w[0] > i else -c)
             assert [w for (w, _t) in out if w] == [(g.perm[word[0] - 1],)], (g, word)
         self._push_cache[key] = out
         return out
@@ -303,8 +294,8 @@ class DrinfeldAlgebra(_AlgebraBase):
 
     def _push(self, g: GroupElement, word: tuple) -> dict:
         pi, tvals = monomial_action(g, self.rep)
-        zexp = sum(tvals[s - 1] for s in word) % self.r
-        return {(tuple(pi[s - 1] for s in word), g): root_of_unity(self.r, zexp) if zexp else _ONE}
+        zexp = sum(tvals[s - 1] for s in word)
+        return {(tuple(pi[s - 1] for s in word), g): twist(_ONE, self.r, zexp)}
 
     def _bracket(self, k: int, m: int):
         for gp, A in reversed(self.family.support.items()):
@@ -338,18 +329,15 @@ class Mu1:
         """Add coeff * mu_1(v^mu gbar, v^nu hbar) into the term dict out."""
         gs, e0 = monomial_image(nu, g, self.rep)
         gh = multiply(g, h)
-        if e0:
-            coeff = coeff * root_of_unity(g.r, e0)
+        coeff = twist(coeff, g.r, e0)
         for left, right, (i, j) in psi2(mu, gs):
             for gp, A in self.family.support.items():
                 aval = A.matrix[i - 1][j - 1]
                 if aval.is_zero():
                     continue
                 img, e1 = monomial_image(right, gp, self.rep)
-                val = aval * coeff
-                if e1:
-                    val = val * root_of_unity(gp.r, e1)
-                _add_term(out, (tuple(a + b for a, b in zip(left, img)), multiply(gp, gh)), val)
+                val = twist(aval * coeff, gp.r, e1)
+                add_term(out, (tuple(a + b for a, b in zip(left, img)), multiply(gp, gh)), val)
 
     def __call__(self, x: NCElement, y: NCElement) -> NCElement:
         out: dict = {}
@@ -486,7 +474,7 @@ class IsoReport:
         return {"r": self.r, "n": self.n, "checks": dict(self.checks), "ok": self.ok}
 
 
-def verify_iso(r: int, n: int) -> IsoReport:
+def verify_iso(r: int, n: int, budget: int | None = DEFAULT_BUDGET) -> IsoReport:
     """Mechanical verification that the tilde generators of H*(r,n) satisfy
     the relations of the Drinfeld-presented deformation supported on the
     class of (1,2,3): the xibar and sbar exchange relations, the bracket
@@ -497,7 +485,7 @@ def verify_iso(r: int, n: int) -> IsoReport:
         raise ValueError("the bracket relation needs n >= 3")
     alg = HStarAlgebra(r, n)
     tildes = {k: tilde_generator(k, alg) for k in range(1, n + 1)}
-    family = build_preset("a_r1n", r, n)
+    family = build_preset("a_r1n", r, n, budget=budget)
     drin = DrinfeldAlgebra(family)
     checks = {}
 

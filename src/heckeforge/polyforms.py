@@ -25,8 +25,10 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import lcm, prod
 
-from .cyclo import CycloMatrix, CycloNum, cyclo, one, root_of_unity, zero
-from .group import GroupElement, RepKind, generators_by_closure, identity, monomial_action, monomial_image
+from .cyclo import CycloMatrix, CycloNum, add_term, cyclo, one, root_of_unity, twist, zero
+from .group import (
+    GroupElement, RepKind, generators_by_closure, identity, monomial_action, monomial_image, perm_sign
+)
 
 
 class Polynomial:
@@ -66,7 +68,7 @@ class Polynomial:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
+            add_term(out, e, c)
         return Polynomial(self.n, out)
 
     def __neg__(self):
@@ -153,7 +155,7 @@ class PolyForm:
     def __add__(self, other):
         out = dict(self.components)
         for S, p in other.components.items():
-            out[S] = out[S] + p if S in out else p
+            add_term(out, S, p)
         return PolyForm(self.n, out)
 
     def __neg__(self):
@@ -197,22 +199,6 @@ class PolyForm:
         }
 
 
-def _sort_with_sign(indices):
-    """(sorted tuple, sign); sign 0 when an index repeats."""
-    lst = list(indices)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return tuple(lst), 0
-    return tuple(lst), sign
-
-
 # -- group actions -----------------------------------------------------------
 
 
@@ -221,8 +207,7 @@ def act_poly(g: GroupElement, f: Polynomial, rep: RepKind) -> Polynomial:
     out: dict = {}
     for e, c in f.terms.items():
         key, zexp = monomial_image(e, g, rep)
-        val = c * root_of_unity(g.r, zexp) if zexp else c
-        out[key] = out[key] + val if key in out else val
+        add_term(out, key, twist(c, g.r, zexp))
     return Polynomial(f.n, out)
 
 
@@ -232,12 +217,9 @@ def act_form(g: GroupElement, w: PolyForm, rep: RepKind) -> PolyForm:
     pi, t = monomial_action(g, rep)
     out = {}
     for S, p in w.components.items():
-        imgS, sign = _sort_with_sign(pi[i - 1] for i in S)
-        if sign == 0:
-            continue
-        zexp = -sum(t[i - 1] for i in S)
-        coeff = root_of_unity(g.r, zexp) * sign if zexp % g.r else cyclo(sign)
-        out[imgS] = act_poly(g, p, rep) * coeff  # pi is a bijection, so imgS is new
+        img = tuple(pi[i - 1] for i in S)
+        coeff = twist(cyclo(perm_sign(img)), g.r, -sum(t[i - 1] for i in S))
+        out[tuple(sorted(img))] = act_poly(g, p, rep) * coeff  # pi is a bijection: a new key
     return PolyForm(w.n, out)
 
 
@@ -684,13 +666,13 @@ def _phase_rows(actions, F, basis):
                 if k:
                     img_mu[pi[j]] = k
                     e += texp[j] * k
-            imgS, sign = _sort_with_sign(pi[j] for j in S)
+            img = tuple([pi[j] for j in S])
             for j in S:
                 e -= texp[j]
-            if sign < 0:
+            if perm_sign(img) < 0:
                 e += half
             e %= F
-            if phases.setdefault(index[tuple(img_mu), imgS], e) != e:
+            if phases.setdefault(index[tuple(img_mu), tuple(sorted(img))], e) != e:
                 agree = False
         for idx in phases:
             reached[idx] = True
@@ -736,10 +718,11 @@ def _assemble_polyform(row, basis, n, r, F, vectors):
                 poly = nxt
         size = prod(duals[j][0] for j in S)
         for choice in product(*(duals[j][1] for j in S)):
-            T, sign = _sort_with_sign(i + 1 for i, _ in choice)
+            coords = tuple(i + 1 for i, _ in choice)
+            sign = perm_sign(coords)
             weight = sign if size == 1 else Fraction(sign, size)
             dual_phase = sum(t for _, t in choice)
-            terms = acc.setdefault(T, {})
+            terms = acc.setdefault(tuple(sorted(coords)), {})
             for e, c in poly.items():
                 ph = dual_phase + sum(k * phase_at[i] for i, k in enumerate(e) if k)
                 slot = terms.setdefault(e, {})

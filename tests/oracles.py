@@ -12,7 +12,9 @@ paths in the library, and a faithful family shared by the tests:
   for every h in G, not only on generators;
 - `reynolds_rows_by_projector`: the semi-invariant rows from the Reynolds
   projector summed over every h in the subgroup, orbit by orbit, then
-  echelon-reduced;
+  echelon-reduced, with wedge signs from `sort_with_sign`;
+- `sort_with_sign`: a sorted tuple and the sign of its sorting permutation,
+  by insertion sort, independent of `group.perm_sign`;
 - `dense_spaces`: V^g and im(g - 1) as the reduced echelon kernel and
   column-space bases of the dense matrix g - 1;
 - `dense_codim2_form`: the skew form c (x_1 (x) x_2 - x_2 (x) x_1) of a
@@ -42,7 +44,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
-from heckeforge.cyclo import CycloMatrix, cyclo, echelon_rows, one, root_of_unity, zero
+from heckeforge.cyclo import CycloMatrix, add_term, cyclo, echelon_rows, one, root_of_unity, zero
 from heckeforge.group import (
     RepKind,
     centralizer,
@@ -68,8 +70,8 @@ from heckeforge.hecke import (
     forms_from_semiinvariants,
 )
 from heckeforge.hochschild import fixed_basis, hochschild_character
-from heckeforge.ncalg import NCElement, _add_term, _exps_of, _word_of, _xi_pair
-from heckeforge.polyforms import CharacterTable, _sort_with_sign, reynolds_semiinvariant_basis
+from heckeforge.ncalg import NCElement, _exps_of, _word_of, _xi_pair
+from heckeforge.polyforms import CharacterTable, reynolds_semiinvariant_basis
 
 
 def act(g, i, rep):
@@ -133,7 +135,7 @@ def stack_term_product(alg, mu, g, nu, h) -> dict:
         c, w, t = stack.pop()
         i = next((x for x in range(len(w) - 1) if w[x] > w[x + 1]), None)
         if i is None:
-            _add_term(out, (_exps_of(w, n), t), c)
+            add_term(out, (_exps_of(w, n), t), c)
             continue
         k_, m_ = w[i], w[i + 1]
         stack.append((c, w[:i] + [m_, k_] + w[i + 2:], t))
@@ -157,7 +159,7 @@ def stack_multiply(x: NCElement, y: NCElement) -> NCElement:
     for (mu, g), c1 in x.terms.items():
         for (nu, h), c2 in y.terms.items():
             for key, c in stack_term_product(x.algebra, mu, g, nu, h).items():
-                _add_term(out, key, c * c1 * c2)
+                add_term(out, key, c * c1 * c2)
     return NCElement(x.algebra, out)
 
 
@@ -201,22 +203,22 @@ class _HStarReference:
             new: dict = {}
             for (vk, tail), c in terms.items():
                 if vk == i:  # sbar_i v_i = v_{i+1} sbar_i - sum_a ...
-                    _add_term(new, (i + 1, multiply(s_i, tail)), c)
+                    add_term(new, (i + 1, multiply(s_i, tail)), c)
                     corr_sign = -1
                 elif vk == i + 1:  # sbar_i v_{i+1} = v_i sbar_i + sum_a ...
-                    _add_term(new, (i, multiply(s_i, tail)), c)
+                    add_term(new, (i, multiply(s_i, tail)), c)
                     corr_sign = 1
                 else:  # a degree-0 term (vk == 0) or a variable sbar_i fixes
-                    _add_term(new, (vk, multiply(s_i, tail)), c)
+                    add_term(new, (vk, multiply(s_i, tail)), c)
                     continue
                 for a in range(r):
-                    _add_term(new, (0, multiply(_xi_pair(r, n, i, i + 1, a), tail)), c * corr_sign)
+                    add_term(new, (0, multiply(_xi_pair(r, n, i, i + 1, a), tail)), c * corr_sign)
             terms = new
         D = diag(r, n, g.exps)
         out: dict = {}
         for (vk, tail), c in terms.items():
             mu = (0,) * n if vk == 0 else tuple(1 if t == vk - 1 else 0 for t in range(n))
-            _add_term(out, (mu, multiply(D, tail)), c)
+            add_term(out, (mu, multiply(D, tail)), c)
         self._gm_cache[key] = out
         return out
 
@@ -233,7 +235,7 @@ class _HStarReference:
         out: dict = {}
         for (lam, g1), c in self.group_move(g, k).items():
             for (kappa, g2), c2 in self.move_through(g1, rest).items():
-                _add_term(out, (tuple(a + b for a, b in zip(lam, kappa)), g2), c * c2)
+                add_term(out, (tuple(a + b for a, b in zip(lam, kappa)), g2), c * c2)
         self._move_cache[key] = out
         return out
 
@@ -252,7 +254,7 @@ def hstar_reference_multiply(x: NCElement, y: NCElement) -> NCElement:
         for (nu, h), c2 in y.terms.items():
             coeff = c1 * c2
             for (kappa, g2), c in ref.move_through(g, nu).items():
-                _add_term(out, (tuple(a + b for a, b in zip(mu, kappa)), multiply(g2, h)), c * coeff)
+                add_term(out, (tuple(a + b for a, b in zip(mu, kappa)), multiply(g2, h)), c * coeff)
     return NCElement(alg, out)
 
 
@@ -303,6 +305,20 @@ def faithful_family_2_1_4():
     return fam
 
 
+def sort_with_sign(indices):
+    """(sorted tuple, sign of the sorting permutation) of distinct indices,
+    by insertion sort: one sign flip per swap."""
+    lst = list(indices)
+    sign = 1
+    for i in range(1, len(lst)):
+        j = i
+        while j > 0 and lst[j - 1] > lst[j]:
+            lst[j - 1], lst[j] = lst[j], lst[j - 1]
+            sign = -sign
+            j -= 1
+    return tuple(lst), sign
+
+
 def reynolds_rows_by_projector(actions, F, basis) -> list[dict]:
     """Reduced echelon rows, over `basis`, of the projector images
     (1/|H|) sum_h chi(h)^{-1} h.b of one b per orbit, where `actions` holds
@@ -331,7 +347,7 @@ def reynolds_rows_by_projector(actions, F, basis) -> list[dict]:
                 if k:
                     img_mu[pi[j]] = k
                     e += texp[j] * k
-            imgS, sign = _sort_with_sign(pi[j] for j in S)
+            imgS, sign = sort_with_sign(pi[j] for j in S)
             for j in S:
                 e -= texp[j]
             if sign < 0:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import inspect
 import io
 import json
 from math import comb
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckeforge import ncalg
 from heckeforge.cli import main
 from heckeforge.hecke import build_preset
 
@@ -238,6 +240,21 @@ def test_budget_env_not_an_integer(capsys, monkeypatch):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_nc_verify_passes_the_budget_to_the_preset(capsys, monkeypatch):
+    seen = []
+
+    def recording_build_preset(*args, **kwargs):
+        bound = inspect.signature(build_preset).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["budget"])
+        return build_preset(*args, **kwargs)
+
+    monkeypatch.setattr(ncalg, "build_preset", recording_build_preset)
+    code, _ = _exit_code(capsys, "--budget", "12345", "nc-verify", "--preset", "hstar-iso", "--r", "2", "--n", "3")
+    assert code == 0
+    assert seen == [12345]
+
+
 def test_nc_verify_rejects_r_zero(capsys):
     code, err = _exit_code(capsys, "nc-verify", "--preset", "hstar-iso", "--r", "0", "--n", "3")
     assert code == 2
@@ -315,10 +332,14 @@ _EMPTY_FAMILY = {"r": 2, "p": 1, "n": 3, "rep": "permutation", "forms": []}
     _preset_forms_with(["forms", 0, "matrix", 0, 1, "terms", 0, "num"], 1.5),
     _preset_forms_with(["forms", 0, "matrix", 0, 1, "terms", 0, "num"], True),
     _preset_forms_with(["forms", 0, "matrix", 0, 1, "terms", 0, "den"], 3.5),
+    # a string where a list belongs, spelling the preset's own (0, 0, 0) and
+    # (2, 3, 1) digit by digit
+    _preset_forms_with(["forms", 0, "g", "exps"], "000"),
+    _preset_forms_with(["forms", 0, "g", "perm"], "231"),
 ], ids=["r-zero", "n-zero", "p-zero", "p-not-dividing-r", "top-level-list", "forms-not-a-list",
         "matrix-not-a-list", "zero-denominator", "order-zero", "order-1601", "order-not-dividing-lcm-2-r",
         "r-float", "p-bool", "n-float", "g-r-float", "g-n-float", "exps-float", "perm-float",
-        "order-float", "exp-float", "num-float", "num-bool", "den-float"])
+        "order-float", "exp-float", "num-float", "num-bool", "den-float", "exps-string", "perm-string"])
 def test_pbw_check_rejects_malformed_forms(capsys, tmp_path, forms):
     path = tmp_path / "forms.json"
     path.write_text(json.dumps(forms))

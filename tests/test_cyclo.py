@@ -14,10 +14,12 @@ from heckeforge import group, hecke, hochschild, ncalg
 from heckeforge.cyclo import (
     CycloMatrix,
     CycloNum,
+    cyclo,
     cyclotomic_polynomial,
     echelon_rows,
     one,
     root_of_unity,
+    twist,
     zero,
 )
 
@@ -167,6 +169,16 @@ def test_kernel_vectors_are_in_kernel():
     for v in M.kernel_basis():
         img = M * CycloMatrix([[e] for e in v])
         assert img.is_zero()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
+def test_twist_keeps_a_zero_phase_in_the_field(r):
+    c = cyclo(Fraction(3, 2))
+    for e in (0, r, -2 * r):
+        assert twist(c, r, e) is c
+    for e in range(1, r):
+        z = twist(c, r, e)
+        assert z.order == r and z == root_of_unity(r, e) * Fraction(3, 2)
 
 
 def test_echelon_rows_rank():

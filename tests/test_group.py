@@ -1,4 +1,6 @@
 import random
+from itertools import permutations
+from math import lcm
 
 import pytest
 
@@ -12,6 +14,8 @@ from heckeforge.group import (
     conjugacy_classes,
     conjugate,
     cycle_type,
+    det,
+    det_exponent,
     diag,
     elements,
     from_cycles,
@@ -20,12 +24,14 @@ from heckeforge.group import (
     identity,
     in_subgroup,
     inverse,
+    monomial_action,
     multiply,
+    perm_sign,
     three_cycle,
     transposition,
     xi,
 )
-from oracles import act, class_members, coact, conjugate_in_full_group, matrix
+from oracles import act, class_members, coact, conjugate_in_full_group, matrix, sort_with_sign
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -153,6 +159,33 @@ def test_json_round_trip():
     g = from_cycles(3, 4, [(1, 2, 3)], exps=(0, 0, 1, 0))
     assert GroupElement.from_json(g.to_json()) == g
     assert g.to_json() == {"r": 3, "n": 4, "exps": [0, 0, 1, 0], "perm": [2, 3, 1, 4]}
+
+
+def test_perm_sign_matches_insertion_sort():
+    # every tuple of distinct values from range(6), of every length 0..6
+    for k in range(7):
+        for t in permutations(range(6), k):
+            assert perm_sign(t) == sort_with_sign(t)[1], t
+
+
+def _det_groups():
+    from test_acceptance import FAITHFUL_CASES, NONFAITHFUL_CASES
+    from test_catalog_extended import EXTENDED_CASES
+
+    groups = set(FAITHFUL_CASES) | {(r, 1, n) for r, n in NONFAITHFUL_CASES}
+    groups |= {(r, p, n) for r, p, n, _, _ in EXTENDED_CASES}
+    return sorted(g for g in groups if group_order(*g) <= 400)
+
+
+@pytest.mark.parametrize("r,p,n", _det_groups())
+@pytest.mark.parametrize("rep", [RepKind.FAITHFUL, RepKind.PERMUTATION], ids=lambda k: k.value)
+def test_det_exponent_matches_the_dense_determinant(r, p, n, rep):
+    order = lcm(2, r)
+    for g in elements(r, p, n):
+        e = det_exponent(*monomial_action(g, rep), r)
+        assert 0 <= e < order
+        dense = matrix(g, rep).determinant()
+        assert root_of_unity(order, e) == dense and det(g, rep) == dense, (g, rep)
 
 
 def test_permutation_action_factors_through_quotient():

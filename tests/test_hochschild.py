@@ -236,6 +236,16 @@ def test_compare_detects_corruption():
     assert len(report.mismatches) >= 1
 
 
+def test_compare_reports_a_class_the_catalog_lacks():
+    comps = hh2_total(2, 1, 4, F, 4)
+    cat = {g: entry for g, entry in closed_form_catalog(2, 1, 4, F).items() if not g.is_identity()}
+    report = compare(comps, cat, 4)
+    (row,) = report.mismatches
+    assert row.rep == identity(2, 4) and row.case == "missing_from_catalog"
+    assert row.brute_dims == {0: 0, 1: 0, 2: 0, 3: 0, 4: 1}
+    assert row.closed_dims == {d: 0 for d in range(5)}
+
+
 def test_validate_skipped_passes_on_small_groups():
     hh2_total(2, 2, 3, F, 2, validate_skipped=True)
     hh2_total(2, 1, 3, P, 2, validate_skipped=True)
@@ -341,7 +351,7 @@ def test_class_action_data_are_built_once(monkeypatch):
     heckeforge.hochschild._hochschild_character.cache_clear()
     for g, m in [(three_cycle(3, 4, 1, 2, 3), 2), (identity(2, 3), 2)]:
         del calls[:]
-        assert _passes_det_filter(g, F, 1, None)
+        assert _passes_det_filter(g, F, 1)
         dims = hh_component(g, F, m, 4).dims_by_degree
         assert len(calls) == 1, g
         assert any(dims.values())
