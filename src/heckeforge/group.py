@@ -5,7 +5,7 @@ An element xi_1^{a_1}...xi_n^{a_n} sigma is stored as the exponent vector
 1-based).  Its matrix has entry zeta^{a_{sigma(i)}} in row sigma(i),
 column i.  Conjugacy in G(r,1,n) is decided by (a,k)-cycle type.  For every
 p, conjugacy classes are grown by breadth-first search under conjugation by
-a generating set, and centralizers are solved for from the cycle structure.
+a generating set; centralizers and their generators are read off cycles.
 """
 
 from __future__ import annotations
@@ -146,52 +146,21 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(g.r, g.n, *_mul(g.r, g.exps, g.perm, h.exps, h.perm))
 
 
-def generators_by_closure(elements):
-    """(gens, products) for a listed subgroup H.
-
-    gens indexes a generating set of H, found by scanning H in sorted order
-    and keeping each element that the closure of the kept ones has not
-    reached yet.  The closure grows incrementally: the elements reached
-    before a new generator s are multiplied by s only, each newly reached one
-    by every generator so far.  So products[i][j], the index of
-    elements[i] * elements[gens[j]], is formed exactly once per pair.
-    Raises ValueError if H lacks the identity, a product leaves H, or the
-    closure does not reach every listed element.
-    """
-    elements = tuple(elements)
-    index = {h: i for i, h in enumerate(elements)}
-    start = index.get(identity(elements[0].r, elements[0].n)) if elements else None
-    if start is None:
-        raise ValueError("the listed elements do not contain the identity")
-    gens: list[int] = []
-    products: list[list[int]] = [[] for _ in elements]
-    reached = [start]
-    seen = {start}
-
-    def extend(i, gen_ids):
-        for j in gen_ids:
-            k = index.get(multiply(elements[i], elements[j]))
-            if k is None:
-                raise ValueError("the listed elements are not closed under multiplication")
-            products[i].append(k)
-            if k not in seen:
-                seen.add(k)
-                reached.append(k)
-
-    for s in sorted(range(len(elements)), key=lambda i: elements[i].sort_key()):
-        if s in seen:
-            continue
-        old = len(reached)
-        gens.append(s)
-        for t in range(old):
-            extend(reached[t], (s,))
-        t = old
-        while t < len(reached):
-            extend(reached[t], gens)
-            t += 1
-    if len(reached) != len(elements):
-        raise ValueError("the closure does not reach every listed element")
-    return gens, products
+def closure(r: int, n: int, gens):
+    """(reached, products): the group that gens generate, listed breadth
+    first from the identity under right multiplication, and
+    products[i][j], the index in reached of reached[i] * gens[j]."""
+    reached = [identity(r, n)]
+    index = {reached[0]: 0}
+    products = []
+    for x in reached:  # the list grows while it is read
+        products.append([])
+        for s in gens:
+            y = multiply(x, s)
+            if index.setdefault(y, len(reached)) == len(reached):
+                reached.append(y)
+            products[-1].append(index[y])
+    return reached, products
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -431,3 +400,51 @@ def centralizer(g: GroupElement, p: int):
     O(n) work per permutation of n points and per element of Z_{G(r,1,n)}(g),
     independent of |G|, so no budget applies."""
     return list(_centralizer(g, p))
+
+
+@lru_cache(maxsize=4096)
+def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
+    """Generators of Z_{G(r,p,n)}(g) read off g's cycles, with no identity
+    or repeat.  Per (a,k) type: the scalar xi on its first cycle's support
+    and that cycle, which generate that cycle's cyclic centralizer of order
+    rk, and a swap of each adjacent pair of its cycles (exponents solved
+    from `_centralizer`'s equation), which permute the cycles and conjugate
+    the first two onto each: `centralizer_order_formula` in all.  For p > 1,
+    the Schreier generators t s u^-1 of the kernel of h -> sum(h.exps) mod p
+    (Schreier's lemma): t over one coset representative per value, s over
+    the generators above, u the representative of t s."""
+    r, n, a, sigma = g.r, g.n, g.exps, g.perm
+    gens, by_type = [], {}
+    for cyc in perm_cycles(sigma):
+        same = by_type.setdefault((sum(a[i - 1] for i in cyc) % r, len(cyc)), [])
+        if not same:  # the swaps conjugate these onto the other cycles of the type
+            on = [i + 1 in cyc for i in range(n)]
+            gens.append(diag(r, n, on))
+            gens.append(GroupElement(
+                r, n, tuple(a[i] if on[i] else 0 for i in range(n)),
+                tuple(sigma[i] if on[i] else i + 1 for i in range(n)),
+            ))
+        same.append(cyc)
+    for same in by_type.values():
+        for c1, c2 in zip(same, same[1:]):
+            # tau swaps the j-th points of c1 and c2, and b solves
+            # b_{sigma(x)} = b_x + a_{sigma(x)} - a_{tau^-1 sigma(x)}
+            b, perm, t = [0] * n, list(range(1, n + 1)), 0
+            for x, y in zip(c1, c2):
+                t += a[x - 1] - a[y - 1]
+                b[x - 1], b[y - 1] = t % r, -t % r
+                perm[x - 1], perm[y - 1] = y, x
+            gens.append(GroupElement(r, n, tuple(b), tuple(perm)))
+    if p > 1:
+        reps = {0: identity(r, n)}  # sum(exps) mod p -> a coset representative
+        todo, schreier = list(reps.values()), []
+        for t in todo:  # the list grows while it is read
+            for s in gens:
+                ts = multiply(t, s)
+                u = reps.setdefault(sum(ts.exps) % p, ts)
+                if u is ts:
+                    todo.append(ts)
+                else:
+                    schreier.append(multiply(ts, inverse(u)))
+        gens = schreier
+    return tuple(h for h in dict.fromkeys(gens) if not h.is_identity())

@@ -25,7 +25,6 @@ from .group import (
     DEFAULT_BUDGET,
     GroupElement,
     RepKind,
-    check_budget,
     check_group,
     conjugacy_classes,
     cycle_type,
@@ -377,8 +376,7 @@ def pbw_check(F: SkewFormFamily, budget: int | None = DEFAULT_BUDGET) -> PBWRepo
     since conjugate_form(A, h1 h2) = conjugate_form(conjugate_form(A, h1), h2),
     so they are all of G once they include the generators.  When some
     generator fails, the witness is the first failure of the scan over all
-    (g, h) in support x G."""
-    check_budget(F.r, F.p, F.n, budget)
+    (g, h) in support x G, which lists G under the budget."""
     witnesses = []
     bad = _invariance_witness(F, generators(F.r, F.p, F.n))
     if bad is not None:

@@ -28,6 +28,7 @@ from .group import (
     GroupElement,
     RepKind,
     centralizer,
+    centralizer_generators,
     conjugacy_classes,
     cycle_type,
     det_exponent,
@@ -40,6 +41,7 @@ from .group import (
 from .polyforms import (
     CharacterTable,
     PolyForm,
+    is_identity_action,
     reynolds_semiinvariant_basis,
     subspace_action,
     subspace_actions,
@@ -92,12 +94,6 @@ def fixed_space(g: GroupElement, rep: RepKind):
     return out
 
 
-def _is_identity_action(pi, texp) -> bool:
-    """True iff a (pi, texp) pair of `subspace_action`, with texp reduced or
-    rescaled, is the identity on the subspace."""
-    return not any(texp) and all(j == k for k, j in enumerate(pi))
-
-
 # -- Hochschild character ------------------------------------------------------
 
 
@@ -118,8 +114,7 @@ def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTab
     # action; h permutes the fixed basis monomially, so
     # det(h | V^g) = sign(pi) zeta_r^{sum texp}.  Both are `det_exponent`s
     # mod F = lcm(2, r).
-    # The fixed-basis pairs are kept on the table for the Reynolds projector
-    # and the det filter.
+    # The table keeps the fixed-basis pairs and the generators' among them.
     r = g.r
     Z = centralizer(g, p)
     fixed = fixed_basis(g, rep)
@@ -129,7 +124,7 @@ def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTab
         h: det_exponent(h.perm, h.exps if faithful else (), r) - det_exponent(pi, texp, r)
         for h, (pi, texp) in zip(Z, pairs)
     }
-    chi = CharacterTable(Z, lcm(2, r), exps)
+    chi = CharacterTable(Z, lcm(2, r), exps, centralizer_generators(g, p))
     chi.keep_actions(rep, fixed, pairs)
     return chi
 
@@ -138,7 +133,7 @@ def _fixes_space_pointwise(h: GroupElement, rep: RepKind, vectors) -> bool:
     """True iff h fixes every vector of an integer basis (so all of their
     span); the basis must be permuted monomially by h, as `fixed_basis` is
     by the centralizer."""
-    return _is_identity_action(*subspace_action(h, rep, vectors))
+    return is_identity_action(*subspace_action(h, rep, vectors))
 
 
 # -- class components ----------------------------------------------------------
@@ -210,7 +205,7 @@ def _passes_det_filter(g: GroupElement, rep: RepKind, p: int) -> bool:
     # on an h fixing V^g pointwise, det(h | V^g) = 1, so chi_g(h) = det(h)
     chi = hochschild_character(g, rep, p)
     for pi, texp, e in chi.actions(rep, fixed):
-        if e and _is_identity_action(pi, texp):
+        if e and is_identity_action(pi, texp):
             return False
     return True
 

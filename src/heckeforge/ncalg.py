@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .cyclo import add_term, cyclo, one, twist, zero
+from .cyclo import add_term, cyclo, one, root_of_unity, twist, zero
 from .group import (
     DEFAULT_BUDGET,
     GroupElement,
@@ -295,7 +295,8 @@ class DrinfeldAlgebra(_AlgebraBase):
     def _push(self, g: GroupElement, word: tuple) -> dict:
         pi, tvals = monomial_action(g, self.rep)
         zexp = sum(tvals[s - 1] for s in word)
-        return {(tuple(pi[s - 1] for s in word), g): twist(_ONE, self.r, zexp)}
+        c = root_of_unity(self.r, zexp) if zexp % self.r else _ONE
+        return {(tuple(pi[s - 1] for s in word), g): c}
 
     def _bracket(self, k: int, m: int):
         for gp, A in reversed(self.family.support.items()):

@@ -5,9 +5,10 @@ A PolyForm maps strictly increasing wedge index sets x_S to polynomials.
 Group elements act on polynomials by substitution and on wedge factors by
 the contragredient action, with the sign of the permutation that re-sorts
 the wedge indices.  A chi-semi-invariant basis is read off the orbits of
-the monomial-times-wedge basis, with integer phases: one basis element per
-orbit on whose stabilizer chi agrees with the action, in reduced echelon
-form, so repeated runs agree byte-for-byte.
+the monomial-times-wedge basis, walked breadth first under generators of
+the subgroup with integer phases: one basis element per orbit on whose
+stabilizer chi agrees with the action, in reduced echelon form, so
+repeated runs agree byte-for-byte.
 
 A subspace is given by an integer basis: one tuple of (coordinate, t)
 pairs per vector, w = sum zeta_r^t v_i, on disjoint supports.  A group
@@ -27,7 +28,7 @@ from math import lcm, prod
 
 from .cyclo import CycloMatrix, CycloNum, add_term, cyclo, one, root_of_unity, twist, zero
 from .group import (
-    GroupElement, RepKind, generators_by_closure, identity, monomial_action, monomial_image, perm_sign
+    GroupElement, RepKind, closure, monomial_action, monomial_image, perm_sign
 )
 
 
@@ -251,53 +252,29 @@ def invariant_ring_generators(r: int, p: int, m: int) -> list[Polynomial]:
     return gens
 
 
+def _power_derivation(m: int, e: int) -> PolyForm:
+    """sum_i v_i^e (x) x_i."""
+    monos = [tuple(e * (t == i) for t in range(m)) for i in range(m)]
+    return PolyForm(m, {(i + 1,): Polynomial.monomial(m, mu) for i, mu in enumerate(monos)})
+
+
 def basic_derivations(r: int, p: int, m: int) -> list[PolyForm]:
-    """theta_j = sum_i v_i^{(j-1)r+1} (x) x_i for j < m, with the alternative
+    """theta_j = sum_i v_i^{(j-1)r+1} (x) x_i for j <= m, with the alternative
     last derivation sum_i (v_1..v^_i..v_m)^{r-1} (x) x_i when p = r."""
     if r % p:
         raise ValueError("p must divide r")
-    out = []
-    for j in range(1, m):
-        e = (j - 1) * r + 1
-        out.append(
-            PolyForm(
-                m,
-                {
-                    (i,): Polynomial.monomial(m, tuple(e if t == i - 1 else 0 for t in range(m)))
-                    for i in range(1, m + 1)
-                },
-            )
-        )
-    if p != r:
-        e = (m - 1) * r + 1
-        last = {
-            (i,): Polynomial.monomial(m, tuple(e if t == i - 1 else 0 for t in range(m)))
-            for i in range(1, m + 1)
-        }
-    else:
-        last = {
-            (i,): Polynomial.monomial(m, tuple(0 if t == i - 1 else r - 1 for t in range(m)))
-            for i in range(1, m + 1)
-        }
-    out.append(PolyForm(m, last))
+    out = [_power_derivation(m, (j - 1) * r + 1) for j in range(1, m + (p != r))]
+    if p == r:
+        out.append(PolyForm(m, {
+            (i + 1,): Polynomial.monomial(m, tuple((r - 1) * (t != i) for t in range(m))) for i in range(m)
+        }))
     return out
 
 
 def symmetric_group_derivations(m: int) -> list[PolyForm]:
     """Corrected basic derivations for the permutation action of S_m:
     theta_j = sum_i v_i^{j-1} (x) x_i, degrees 0..m-1."""
-    out = []
-    for j in range(1, m + 1):
-        out.append(
-            PolyForm(
-                m,
-                {
-                    (i,): Polynomial.monomial(m, tuple(j - 1 if t == i - 1 else 0 for t in range(m)))
-                    for i in range(1, m + 1)
-                },
-            )
-        )
-    return out
+    return [_power_derivation(m, j) for j in range(m)]
 
 
 def _poly_matrix_determinant(rows: list[list[Polynomial]]) -> Polynomial:
@@ -388,19 +365,20 @@ class CharacterError(ValueError):
 class CharacterTable:
     """A linear character of a listed subgroup H of G(r,p,n), held as
     exponents: chi(h) = zeta_order^{exponents[h]}, where `order` is a
-    multiple of lcm(2, r), so a sign is order / 2.
+    multiple of lcm(2, r), so a sign is order / 2, and a generating set of H.
 
     The table is verified once (`check_multiplicative`) and keeps its
     integer action data per subspace (`actions`), so every polynomial degree
     of a class reuses both.
     """
 
-    def __init__(self, subgroup, order: int, exponents: dict):
+    def __init__(self, subgroup, order: int, exponents: dict, generators):
         self.subgroup = tuple(subgroup)
         if self.subgroup and order % lcm(2, self.subgroup[0].r):
             raise ValueError("the exponent modulus must be a multiple of lcm(2, r)")
         self.order = order
         self.exponents = {h: e % order for h, e in exponents.items()}
+        self.generators = tuple(generators)
         self._verified = False
         self._actions: dict = {}
 
@@ -411,57 +389,58 @@ class CharacterTable:
         return not any(self.exponents.values())
 
     def check_multiplicative(self):
-        """Prove chi(xy) = chi(x) chi(y) on H; the work is done once per table.
-
-        For the generating set S of `generators_by_closure`, checks e(1) = 0
-        and e(x s) = e(x) + e(s) mod F for every x in H and s in S.  Every
-        element of the finite group H is a word in S, so induction on word
-        length gives the identity for all pairs.  An all-zero table is a
-        character of any subgroup and needs no closure.  Raises
-        CharacterError otherwise, also when H is not a subgroup.
-        """
+        """Prove, once per table, that the generators S generate H and that
+        chi(xy) = chi(x) chi(y) on H: the breadth-first closure of S from
+        the identity (`group.closure`) must be exactly H, with e(1) = 0 and
+        e(x s) = e(x) + e(s) mod F on every edge, and induction on word
+        length in S gives all pairs.  An all-zero table is a character of
+        any subgroup and is not walked, so its generators are taken as
+        given.  Raises CharacterError otherwise."""
         if self._verified:
             return
         if not self.is_trivial():
-            exps, els = self.exponents, self.subgroup
-            if exps.get(identity(els[0].r, els[0].n)):
-                raise CharacterError("character is not 1 at the identity")
-            try:
-                gens, products = generators_by_closure(els)
-            except ValueError as exc:
-                raise CharacterError(str(exc)) from exc
-            F = self.order
-            e = [exps[h] for h in els]
-            for i, row in enumerate(products):
-                for s, k in zip(gens, row):
-                    if (e[i] + e[s] - e[k]) % F:
-                        raise CharacterError("character is not multiplicative on the subgroup")
+            els, F = self.subgroup, self.order
+            reached, products = closure(els[0].r, els[0].n, self.generators)
+            if set(reached) != set(els):
+                raise CharacterError("the generators do not generate the listed subgroup")
+            e = [self.exponents[x] for x in reached]  # e[0] at the identity
+            edges = ((i, s, k) for i, row in enumerate(products) for s, k in zip(products[0], row))
+            if e[0] or any((e[i] + e[s] - e[k]) % F for i, s, k in edges):
+                raise CharacterError("character is not multiplicative on the listed subgroup")
         self._verified = True
 
-    def actions(self, rep: RepKind, subspace) -> list:
-        """The distinct triples (pi, texp * F / r, e(h)) over h in H, in the
-        order of their first h, where h.w_j = zeta_r^{texp[j]} w_{pi[j]} on
-        the integer subspace basis w (see `subspace_actions`).  Elements
-        with equal triples act alike on every monomial-times-wedge element,
-        so readers need each triple once.  Built once per (rep, subspace)
-        and kept on the table."""
-        out = self._actions.get((rep, subspace))
-        if out is None:
-            out = self.keep_actions(rep, subspace, subspace_actions(self.subgroup, rep, subspace))
-        return out
+    def actions(self, rep: RepKind, subspace, generators_only: bool = False) -> list:
+        """The distinct triples (pi, texp * F / r, e(h)) over h in H, or over
+        the generators only, in the order of their first h, where
+        h.w_j = zeta_r^{texp[j]} w_{pi[j]} on the integer subspace basis w
+        (see `subspace_actions`); equal triples act alike on every
+        monomial-times-wedge element.  Built once and kept on the table."""
+        key = (rep, subspace, generators_only)
+        if key not in self._actions:
+            els = self.generators if generators_only else self.subgroup
+            self._keep(key, els, subspace_actions(els, rep, subspace))
+        return self._actions[key]
 
-    def keep_actions(self, rep: RepKind, subspace, pairs) -> list:
-        """Store the `subspace_actions(H, rep, subspace)` pairs of a caller
-        that already has them as `actions(rep, subspace)`, and return that
-        list."""
+    def keep_actions(self, rep: RepKind, subspace, pairs) -> None:
+        """Keep the `subspace_actions(H, rep, subspace)` pairs of a caller
+        that already has them as `actions(rep, subspace)`, and the
+        generators' pairs among them for `generators_only`."""
+        pair_of = dict(zip(self.subgroup, pairs))
+        self._keep((rep, subspace, False), self.subgroup, pairs)
+        self._keep((rep, subspace, True), self.generators, [pair_of[s] for s in self.generators])
+
+    def _keep(self, key, elements, pairs) -> None:
         step = self.order // self.subgroup[0].r
-        exps = self.exponents
-        out = list(dict.fromkeys(
-            (pi, tuple(t * step for t in texp), exps[h])
-            for h, (pi, texp) in zip(self.subgroup, pairs)
+        self._actions[key] = list(dict.fromkeys(
+            (pi, tuple(t * step for t in texp), self.exponents[h])
+            for h, (pi, texp) in zip(elements, pairs)
         ))
-        self._actions[rep, subspace] = out
-        return out
+
+
+def is_identity_action(pi, texp) -> bool:
+    """True iff a (pi, texp) pair of `subspace_action`, with texp reduced or
+    rescaled, is the identity on the subspace."""
+    return not any(texp) and all(j == k for k, j in enumerate(pi))
 
 
 def subspace_action(h: GroupElement, rep: RepKind, vectors):
@@ -610,11 +589,11 @@ def reynolds_semiinvariant_basis(
     its orbit, and is nonzero there exactly when every h in the stabilizer
     of b has h.b = chi(h) b: the stabilizer's twisted character is
     otherwise nontrivial and sums to 0.  So each surviving orbit gives one
-    basis element, read off by comparing integer phases, with no projector
-    sum (see `_phase_rows`).  The character is verified and its action data
-    are built on the first call for a table and subspace
-    (`CharacterTable.check_multiplicative`, `CharacterTable.actions`); later
-    degrees reuse both.
+    basis element, read off by walking the orbit under `chi.generators`
+    only and comparing integer phases (see `_phase_rows`).  The character
+    and its generators are verified and their action data built on the
+    first call for a table and subspace (`CharacterTable.check_multiplicative`,
+    `CharacterTable.actions`); later degrees reuse both.
     """
     elems = chi.subgroup
     if not elems:
@@ -632,53 +611,63 @@ def reynolds_semiinvariant_basis(
     basis = [(mu, S) for mu in monos for S in wedges]
     if not basis:
         return []
-    rows = _phase_rows(chi.actions(rep, subspace), chi.order, basis)
+    rows = _phase_rows(chi.actions(rep, subspace, generators_only=True), chi.order, basis)
     return [_assemble_polyform(row, basis, n, r, chi.order, subspace) for row in rows]
 
 
 def _phase_rows(actions, F, basis):
     """Reduced echelon basis of the span of the chi-semi-invariants, as
     sparse rows {index into `basis`: e}, each entry meaning zeta_F^e;
-    `actions` as in `CharacterTable.actions`.
+    `actions` as in `CharacterTable.actions` over a generating set S of H.
 
     Each (pi, texp, chi_e) sends b = (mu, S) to zeta_F^e b' with a single
-    integer exponent e (chi's inverse folded in), so one walk over the
-    actions from b reaches its orbit with a phase per element.  When two
-    elements send b to the same b' with different phases, the stabilizer of
-    b acts by a nontrivial character, whose sum is 0, so the projector kills
-    the orbit.  Otherwise the projector's image of b is a multiple of
-    sum_{b'} zeta_F^{e(b') - e(b)} b'.  Orbits are disjoint and each walk
-    starts at the smallest index of its orbit, so these rows, taken in scan
-    order, are already the reduced echelon form."""
+    integer exponent e (chi's inverse folded in).  A breadth-first walk
+    from each unreached b follows these edges through b's orbit, giving
+    s.b' the phase of b' plus e.  The projector's image of b is a multiple
+    of sum zeta_F^{phase(b')} b' over the orbit if every h in the
+    stabilizer of b has h.b = chi(h) b, and 0 otherwise.  An edge into an
+    element already reached with another phase kills the orbit, and this
+    is exact: if every edge agrees, every word in S, so every stabilizer
+    element, acts on b by chi; if one disagrees, the loop it closes is a
+    Schreier generator of the stabilizer that does not (Schreier's lemma).
+    Orbits are disjoint and each walk starts at the smallest index of its
+    orbit, so these rows, taken in scan order, are already the reduced
+    echelon form.  The work is |basis| * |S| edges."""
+    # a triple that acts as the identity gives self-loops only
+    actions = [(pi, texp, e) for pi, texp, e in actions if e or not is_identity_action(pi, texp)]
     index = {b: i for i, b in enumerate(basis)}
-    reached = [False] * len(basis)
+    phase: list = [None] * len(basis)
     half = F // 2
     rows = []
-    for start, (mu, S) in enumerate(basis):
-        if reached[start]:
+    for start in range(len(basis)):
+        if phase[start] is not None:
             continue
-        phases: dict = {}
+        phase[start] = 0
+        orbit = [start]
         agree = True
-        for pi, texp, chi_e in actions:
-            img_mu = [0] * len(mu)
-            e = -chi_e
-            for j, k in enumerate(mu):
-                if k:
-                    img_mu[pi[j]] = k
-                    e += texp[j] * k
-            img = tuple([pi[j] for j in S])
-            for j in S:
-                e -= texp[j]
-            if perm_sign(img) < 0:
-                e += half
-            e %= F
-            if phases.setdefault(index[tuple(img_mu), tuple(sorted(img))], e) != e:
-                agree = False
-        for idx in phases:
-            reached[idx] = True
+        for i in orbit:  # the list grows while it is read
+            mu, S = basis[i]
+            for pi, texp, chi_e in actions:
+                img_mu = [0] * len(mu)
+                e = phase[i] - chi_e
+                for j, k in enumerate(mu):
+                    if k:
+                        img_mu[pi[j]] = k
+                        e += texp[j] * k
+                img = tuple([pi[j] for j in S])
+                for j in S:
+                    e -= texp[j]
+                if perm_sign(img) < 0:
+                    e += half
+                e %= F
+                target = index[tuple(img_mu), tuple(sorted(img))]
+                if phase[target] is None:
+                    phase[target] = e
+                    orbit.append(target)
+                elif phase[target] != e:
+                    agree = False
         if agree:
-            e0 = phases[start]
-            rows.append({idx: (e - e0) % F for idx, e in phases.items()})
+            rows.append({i: phase[i] for i in orbit})
     return rows
 
 

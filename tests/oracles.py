@@ -33,6 +33,8 @@ paths in the library, and a faithful family shared by the tests:
 - `root_exponent`: the t with x = zeta_r^t, by search;
 - `faithful_family_2_1_4`: a PBW family under the faithful action whose
   monomial actions carry root-of-unity phases;
+- `generators_by_closure`: a generating set of a listed subgroup, found
+  by incremental closure, independent of `group.centralizer_generators`;
 - the dense and brute-force helpers the tests read: `trivial_character`,
   `act`, `coact`, `matrix`, `conjugate_in_full_group` and
   `dimension_by_enumeration`.
@@ -100,10 +102,61 @@ def conjugate_in_full_group(g, h):
     return cycle_type(g) == cycle_type(h)
 
 
+def generators_by_closure(elements):
+    """(gens, products) for a listed subgroup H.
+
+    gens indexes a generating set of H, found by scanning H in sorted order
+    and keeping each element that the closure of the kept ones has not
+    reached yet.  The closure grows incrementally: the elements reached
+    before a new generator s are multiplied by s only, each newly reached one
+    by every generator so far.  So products[i][j], the index of
+    elements[i] * elements[gens[j]], is formed exactly once per pair.
+    Raises ValueError if H lacks the identity, a product leaves H, or the
+    closure does not reach every listed element.
+    """
+    elements = tuple(elements)
+    index = {h: i for i, h in enumerate(elements)}
+    start = index.get(identity(elements[0].r, elements[0].n)) if elements else None
+    if start is None:
+        raise ValueError("the listed elements do not contain the identity")
+    gens: list[int] = []
+    products: list[list[int]] = [[] for _ in elements]
+    reached = [start]
+    seen = {start}
+
+    def extend(i, gen_ids):
+        for j in gen_ids:
+            k = index.get(multiply(elements[i], elements[j]))
+            if k is None:
+                raise ValueError("the listed elements are not closed under multiplication")
+            products[i].append(k)
+            if k not in seen:
+                seen.add(k)
+                reached.append(k)
+
+    for s in sorted(range(len(elements)), key=lambda i: elements[i].sort_key()):
+        if s in seen:
+            continue
+        old = len(reached)
+        gens.append(s)
+        for t in range(old):
+            extend(reached[t], (s,))
+        t = old
+        while t < len(reached):
+            extend(reached[t], gens)
+            t += 1
+    if len(reached) != len(elements):
+        raise ValueError("the closure does not reach every listed element")
+    return gens, products
+
+
 def trivial_character(subgroup):
+    """The trivial character of a listed subgroup, on the generating set of
+    `generators_by_closure`."""
     els = tuple(subgroup)
     r = els[0].r if els else 1
-    return CharacterTable(els, lcm(2, r), {h: 0 for h in els})
+    gens = [els[s] for s in generators_by_closure(els)[0]] if els else []
+    return CharacterTable(els, lcm(2, r), {h: 0 for h in els}, gens)
 
 
 def dimension_by_enumeration(module, d):

@@ -630,3 +630,23 @@ def test_nc_verify_keeps_the_exit_code_contract(group, budget, fmt):
         assert out and not err, argv
         ok = json.loads(out)["ok"] if fmt == "json" else "verification FAILED" not in out
         assert (code == 0) == ok, argv
+
+
+def test_pbw_check_over_the_budget_lists_g_only_when_a_generator_fails():
+    # |G(4,1,6)| = 2949120 exceeds the default budget.  The empty family
+    # passes on the generators, so no listing of G is needed; a form on one
+    # 3-cycle without its conjugates fails on a transposition, and the scan
+    # for the witness over all of G exits 2
+    family = {"r": 4, "p": 1, "n": 6, "rep": "permutation", "forms": []}
+    code, out, err = _run_quietly(["pbw-check", "-"], json.dumps(family))
+    assert code == 0 and "invariance: True" in out, err
+
+    def entry(num):
+        return {"order": 1, "terms": [{"exp": 0, "num": num, "den": "1"}] if num else []}
+
+    matrix = [[entry(None)] * 6 for _ in range(6)]
+    matrix[0][1], matrix[1][0] = entry("1"), entry("-1")
+    g = {"r": 4, "n": 6, "exps": [0] * 6, "perm": [2, 3, 1, 4, 5, 6]}
+    family["forms"] = [{"g": g, "matrix": matrix}]
+    code, out, err = _run_quietly(["pbw-check", "-"], json.dumps(family))
+    assert code == 2 and "exceeds the budget" in err, (out, err)

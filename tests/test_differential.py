@@ -349,8 +349,8 @@ def test_phase_rows_match_the_projector_sums(monkeypatch, name):
     seen = {"calls": 0, "killed": 0}
     real = heckeforge.polyforms._phase_rows
 
-    def as_data(rows):
-        return [[(i, c.order, c.coeffs) for i, c in row.items()] for row in rows]
+    def as_data(rows):  # each row as index -> value, whatever order its keys came in
+        return [{i: (c.order, c.coeffs) for i, c in row.items()} for row in rows]
 
     def compared(actions, order, basis):
         rows = real(actions, order, basis)

@@ -7,9 +7,11 @@ import pytest
 from heckeforge.cyclo import CycloMatrix, root_of_unity
 from heckeforge.group import (
     BudgetExceededError,
+    _mul,
     GroupElement,
     RepKind,
     centralizer,
+    centralizer_generators,
     centralizer_order_formula,
     conjugacy_classes,
     conjugate,
@@ -249,6 +251,38 @@ def test_generators_close_to_the_group(r, p, n):
                 seen.add(y)
                 reached.append(y)
     assert seen == set(elements(r, p, n))
+
+
+def _every_p(groups):
+    """(r, p, n) for each (r, n) of the listed groups and each p dividing r,
+    up to the largest listed order."""
+    top = max(group_order(*g) for g in groups)
+    return [(r, p, n) for r, n in sorted({(r, n) for r, _, n in groups})
+            for p in range(1, r + 1) if r % p == 0 and group_order(r, p, n) <= top]
+
+
+@pytest.mark.parametrize("r,p,n", _every_p(ORACLE_GROUPS + [(4, 1, 4), (6, 6, 4)]))
+def test_centralizer_generators_generate_the_solved_centralizer(r, p, n):
+    # the generators read off the cycles of each class representative
+    # generate exactly Z_{G(r,p,n)}(g), with no identity among them; at
+    # p = 1 the closure has the order of the formula.  The closure runs on
+    # (exps, perm) pairs
+    for cls in conjugacy_classes(r, p, n):
+        g = cls.rep
+        gens = centralizer_generators(g, p)
+        assert not any(h.is_identity() for h in gens), g
+        one = identity(r, n)
+        reached = [(one.exps, one.perm)]
+        seen = set(reached)
+        for x in reached:
+            for s in gens:
+                y = _mul(r, *x, s.exps, s.perm)
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+        assert seen == {(h.exps, h.perm) for h in centralizer(g, p)}, g
+        if p == 1:
+            assert len(seen) == centralizer_order_formula(g), g
 
 
 @pytest.mark.parametrize("r,p,n", ORACLE_GROUPS + [(4, 1, 4), (6, 6, 4)])

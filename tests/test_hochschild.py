@@ -8,12 +8,12 @@ from heckeforge.cyclo import root_of_unity
 from heckeforge.group import (
     RepKind,
     centralizer,
+    centralizer_generators,
     conjugacy_classes,
     conjugate,
     diag,
     elements,
     from_cycles,
-    generators_by_closure,
     group_order,
     identity,
     multiply,
@@ -41,7 +41,7 @@ from heckeforge.hochschild import (
     three_cycle_component_module,
 )
 from heckeforge.polyforms import CharacterError, CharacterTable, restriction_matrix
-from oracles import dense_spaces, dimension_by_enumeration
+from oracles import dense_spaces, dimension_by_enumeration, generators_by_closure
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -299,9 +299,10 @@ def _passes(check):
 
 @pytest.mark.parametrize("r,p,n", [(3, 1, 3), (2, 1, 4)])
 def test_generator_check_matches_all_pairs_check(r, p, n):
-    # the closure's generators reach exactly Z(g), and the check on them
-    # accepts a table iff e(xy) = e(x) + e(y) holds for all pairs, on every
-    # class character and on a copy corrupted at one element
+    # the closure's generators reach exactly Z(g), and the check on the
+    # character's own generators accepts a table iff e(xy) = e(x) + e(y)
+    # holds for all pairs, on every class character and on a copy corrupted
+    # at one element
     for cls in conjugacy_classes(r, p, n):
         Z = centralizer(cls.rep, p)
         gens, _ = generators_by_closure(Z)
@@ -330,7 +331,7 @@ def test_generator_check_matches_all_pairs_check(r, p, n):
                     for i, row in enumerate(table)
                     for j, k in enumerate(row)
                 )
-                fresh = CharacterTable(Z, F_, exps)
+                fresh = CharacterTable(Z, F_, exps, chi.generators)
                 results.append((_passes(fresh.check_multiplicative), all_pairs))
             assert results == [(True, True), (False, False)], (cls.rep, rep)
 
@@ -356,5 +357,23 @@ def test_class_action_data_are_built_once(monkeypatch):
         assert len(calls) == 1, g
         assert any(dims.values())
         chi = hochschild_character(g, F, 1)
-        fresh = CharacterTable(chi.subgroup, chi.order, chi.exponents)
+        fresh = CharacterTable(chi.subgroup, chi.order, chi.exponents, chi.generators)
         assert fresh.actions(F, fixed_basis(g, F)) == chi.actions(F, fixed_basis(g, F))
+
+
+def test_phase_rows_walk_the_generators_only(monkeypatch):
+    # the identity class of G(2,1,4) under the faithful action: the walk
+    # receives one action per generator of Z(1) = G at most, not one per
+    # distinct action of its 384 elements
+    sizes = []
+    real = heckeforge.polyforms._phase_rows
+
+    def recording(actions, order, basis):
+        sizes.append(len(actions))
+        return real(actions, order, basis)
+
+    monkeypatch.setattr(heckeforge.polyforms, "_phase_rows", recording)
+    g = identity(2, 4)
+    assert len(hochschild_character(g, F, 1).actions(F, fixed_basis(g, F))) == 384
+    assert any(hh_component(g, F, 2, 4).dims_by_degree.values())
+    assert sizes and max(sizes) <= len(centralizer_generators(g, 1)) < 384, sizes

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckeforge.cyclo import root_of_unity
+from heckeforge.cyclo import one, root_of_unity, twist
 from heckeforge.group import (
     RepKind,
     diag,
@@ -17,6 +17,7 @@ from heckeforge.group import (
     xi,
 )
 from heckeforge.hecke import SkewForm, SkewFormFamily, build_preset, pbw_check
+import heckeforge.ncalg
 from heckeforge.ncalg import (
     DrinfeldAlgebra,
     HStarAlgebra,
@@ -266,3 +267,17 @@ def test_pbw_dimension_detects_bad_family():
 def test_associativity_hstar_sample():
     report = pbw_dimension_check(HStarAlgebra(2, 3), 2, n_triples=60, seed=4)
     assert report.associative
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 6])
+def test_drinfeld_push_phase_is_the_twisted_one(r):
+    # xi_1^a v_1^k: the phase a k runs past r; value and field order agree
+    # with twist(1, r, a k), and a zero phase is the shared unit
+    alg = skew_group_algebra(r, 1, 2, RepKind.FAITHFUL)
+    for a in range(r):
+        for k in range(3):
+            ((word, g), c), = alg._push(xi(r, 2, 1, a), (1,) * k).items()
+            ref = twist(one(), r, a * k)
+            assert (word, g) == ((1,) * k, xi(r, 2, 1, a))
+            assert (c.order, c.coeffs) == (ref.order, ref.coeffs), (a, k)
+            assert (c is heckeforge.ncalg._ONE) == (a * k % r == 0)

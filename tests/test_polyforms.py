@@ -11,6 +11,7 @@ from heckeforge.group import (
     det,
     elements,
     from_cycles,
+    generators,
     identity,
     multiply,
     three_cycle,
@@ -254,7 +255,7 @@ def test_subspace_action_on_fixed_space():
 def test_character_table_validation():
     # zeta_3 on a transposition: a root of unity, but not a character of S_2
     s2 = sym_elements(2)
-    bad = CharacterTable(s2, 6, {s2[0]: 0, s2[1]: 2})
+    bad = CharacterTable(s2, 6, {s2[0]: 0, s2[1]: 2}, s2[1:])
     with pytest.raises(CharacterError):
         bad.check_multiplicative()
     with pytest.raises(CharacterError):
@@ -270,10 +271,10 @@ def test_multiplicativity_check_sees_every_element():
     touched = set(sample) | {multiply(g, h) for g in sample for h in sample[:4]}
     target = next(h for h in els if h not in touched)
     exps = {h: root_exponent(det(h, F), 2) for h in els}
-    CharacterTable(els, 2, exps).check_multiplicative()
+    CharacterTable(els, 2, exps, generators(2, 1, 4)).check_multiplicative()
     exps[target] += 1
     with pytest.raises(CharacterError):
-        CharacterTable(els, 2, exps).check_multiplicative()
+        CharacterTable(els, 2, exps, generators(2, 1, 4)).check_multiplicative()
 
 
 def test_exponent_table_answers_with_root_values():
@@ -281,17 +282,17 @@ def test_exponent_table_answers_with_root_values():
     # modulus must hold the sign and zeta_3
     els = elements(3, 1, 2)
     exps = {h: root_exponent(det(h, F), 6) for h in els}
-    chi = CharacterTable(els, 6, exps)
+    chi = CharacterTable(els, 6, exps, generators(3, 1, 2))
     chi.check_multiplicative()
     assert all(chi(h) == det(h, F) for h in els)
     with pytest.raises(ValueError):
-        CharacterTable(els, 3, exps)
+        CharacterTable(els, 3, exps, generators(3, 1, 2))
 
 
 def test_reynolds_verifies_and_builds_action_data_once_per_table(monkeypatch):
     g = three_cycle(3, 4, 1, 2, 3)
     cached = hochschild_character(g, F, 1)
-    chi = CharacterTable(cached.subgroup, cached.order, cached.exponents)
+    chi = CharacterTable(cached.subgroup, cached.order, cached.exponents, cached.generators)
     assert not chi.is_trivial()
     calls = {"multiply": 0, "subspace_actions": 0}
 
