@@ -140,6 +140,8 @@ class CycloNum:
         return self.embed(r), other.embed(r)
 
     def __add__(self, other):
+        if other.__class__ is CycloNum and other.order == self.order and len(self.coeffs) == 1:
+            return CycloNum(self.order, (self.coeffs[0] + other.coeffs[0],))
         a, b = self._pair(other)
         return CycloNum(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
@@ -156,6 +158,8 @@ class CycloNum:
         return (-self) + other
 
     def __mul__(self, other):
+        if other.__class__ is CycloNum and other.order == self.order and len(self.coeffs) == 1:
+            return CycloNum(self.order, (self.coeffs[0] * other.coeffs[0],))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return CycloNum(self.order, _zero_coeffs(self.order))
@@ -164,8 +168,6 @@ class CycloNum:
         a, b = self._pair(other)
         r = a.order
         phi = len(a.coeffs)
-        if phi == 1:
-            return CycloNum(r, (a.coeffs[0] * b.coeffs[0],))
         conv = [_F0] * (2 * phi - 1)
         for i, ai in enumerate(a.coeffs):
             if ai:

@@ -7,7 +7,8 @@ multiplies in every presentation, which supplies two rules: `_push` moves a
 group element rightward past a variable word, and `_bracket` gives the
 degree-0 corrections of a swap of adjacent variables.  Words are sorted at
 their first descent; termination follows from the lexicographic descent in
-(polynomial degree, inversion count).  The core memoizes the normal form of
+(polynomial degree, inversion count).  The core keeps group parts as
+indices of interned elements, memoizes their products and the normal form of
 each variable word, and H* also memoizes its pushes.  Confluence is not
 assumed; it is certified by small-degree associativity checks, which fail
 for families violating the PBW conditions.
@@ -138,6 +139,19 @@ def _exps_of(word, n):
     return tuple(mu)
 
 
+class _Products(dict):
+    """t -> the index of elems[t] * elems[j] in an algebra's interned
+    elements, for one right factor j; each product is made on first lookup."""
+
+    def __init__(self, algebra, j: int):
+        self.algebra, self.j = algebra, j
+
+    def __missing__(self, t: int) -> int:
+        elems = self.algebra._elems
+        self[t] = k = self.algebra._id(multiply(elems[t], elems[self.j]))
+        return k
+
+
 class _AlgebraBase:
     """The rewriting core of H* and the Drinfeld algebras.  A presentation
     supplies two rules, the two kinds of overlap of the diamond lemma:
@@ -146,16 +160,19 @@ class _AlgebraBase:
       yet sorted;
     - `_bracket(k, m)`: the (group, coeff) corrections in
       v_k v_m = v_m v_k + sum c gbar, for k > m.
-    `_word_cache` memoizes the normal form of each variable word,
-    `_push_cache` serves a presentation that memoizes its pushes, and
-    `_shared` keeps one copy of each group element in a cached word form."""
+    Inside the core a group part is its index in `_elems` (`_ids` maps
+    back), and `_prod[j][i]` memoizes the index of elems[i] * elems[j];
+    `_word_cache` memoizes the normal form of each variable word as
+    (exps, index) -> coeff, its equal coefficients shared through `_coeffs`,
+    and `_push_cache` serves a presentation that memoizes its pushes."""
 
     def __init__(self, r: int, p: int, n: int):
         self.r, self.p, self.n = r, p, n
         self._identity = identity(r, n)
-        self._word_cache: dict = {}
-        self._push_cache: dict = {}
-        self._shared: dict = {}
+        self._elems, self._ids, self._prod = [], {}, []
+        self._id(self._identity)  # index 0
+        self._word_cache, self._push_cache = {}, {}
+        self._coeffs = {(_ONE.order, _ONE.coeffs): _ONE}
 
     def element(self, terms: dict) -> NCElement:
         return NCElement(self, terms)
@@ -176,12 +193,21 @@ class _AlgebraBase:
         out: dict = {}
         for (mu, g), c1 in x.terms.items():
             for (nu, h), c2 in y.terms.items():
-                self._term_product(out, mu, g, nu, h, c1 * c2)
-        return NCElement(self, out)
+                self._term_product(out, mu, g, nu, self._id(h), c1 * c2)
+        elems = self._elems
+        return NCElement(self, {(exps, elems[t]): c for (exps, t), c in out.items()})
+
+    def _id(self, g: GroupElement) -> int:
+        """The index of g, interning it on first sight."""
+        i = self._ids.setdefault(g, len(self._elems))
+        if i == len(self._elems):
+            self._elems.append(g)
+            self._prod.append(_Products(self, i))
+        return i
 
     def _word_form(self, word: tuple) -> dict:
         """Normal form of the variable word v_{word[0]} v_{word[1]} ... as a
-        term dict (exps, group) -> coeff.  Each swap at the first descent
+        term dict (exps, group index) -> coeff.  Each swap at the first descent
         adds prefix . c gpbar . suffix per bracket correction, with gpbar
         pushed past the suffix and the words it gives sorted in turn."""
         cached = self._word_cache.get(word)
@@ -204,22 +230,24 @@ class _AlgebraBase:
             for gp, a in self._bracket(k, m):
                 for (pushed, g2), c in self._push(gp, suffix).items():
                     c = a if c is _ONE else a * c
+                    times_g2 = self._prod[self._id(g2)]
                     for (exps, t), c2 in self._word_form(prefix + pushed).items():
-                        tg = multiply(t, g2)
-                        add_term(out, (exps, self._shared.setdefault(tg, tg)), c if c2 is _ONE else c2 * c)
+                        add_term(out, (exps, times_g2[t]), c if c2 is _ONE else c2 * c)
             w[i], w[i + 1] = m, k
-        add_term(out, (_exps_of(w, self.n), self._identity), _ONE)
-        self._word_cache[word] = out
+        add_term(out, (_exps_of(w, self.n), 0), _ONE)
+        shared = self._coeffs
+        self._word_cache[word] = out = {k: shared.setdefault((c.order, c.coeffs), c) for k, c in out.items()}
         return out
 
-    def _term_product(self, out: dict, mu, g, nu, h, coeff) -> None:
-        """Add coeff * (v^mu gbar)(v^nu hbar) into the term dict out."""
+    def _term_product(self, out: dict, mu, g, nu, h: int, coeff) -> None:
+        """Add coeff * (v^mu gbar)(v^nu hbar) into the term dict out, keyed
+        (exps, group index), for h the index of hbar."""
         prefix = tuple(_word_of(mu))
         for (pushed, g2), c in self._push(g, tuple(_word_of(nu))).items():
             c = coeff if c is _ONE else coeff * c
-            g2h = multiply(g2, h)
+            times_g2h = self._prod[self._prod[h][self._id(g2)]]
             for (exps, t), c2 in self._word_form(prefix + pushed).items():
-                add_term(out, (exps, multiply(t, g2h)), c if c2 is _ONE else c2 * c)
+                add_term(out, (exps, times_g2h[t]), c if c2 is _ONE else c2 * c)
 
 
 class HStarAlgebra(_AlgebraBase):
@@ -279,8 +307,8 @@ class DrinfeldAlgebra(_AlgebraBase):
     which a depth-first rewrite that stacks the corrections pops them.  A
     coefficient's field order (the lcm over its additions since it was last
     zero) can depend on that order when corrections of different orders
-    cancel.  A cached word form has identity group part,
-    so a product reuses it by right-multiplying the group parts by gh.
+    cancel.  A product reuses a cached word form by right-multiplying its
+    group parts by the pushed g times h, one `_prod` lookup per term.
 
     Arithmetic is only trustworthy for families passing pbw_check; for bad
     families the rewriting is still deterministic but associativity fails,
@@ -490,30 +518,13 @@ def verify_iso(r: int, n: int, budget: int | None = DEFAULT_BUDGET) -> IsoReport
     drin = DrinfeldAlgebra(family)
     checks = {}
 
-    ok = True
-    for i in range(1, n + 1):
-        xbar = alg.group(xi(r, n, i))
-        for k in range(1, n + 1):
-            if not (xbar * tildes[k]) == (tildes[k] * xbar):
-                ok = False
-    checks["xi_commutes"] = ok
-
-    ok = True
-    for i in range(1, n):
-        sbar = alg.group(transposition(r, n, i, i + 1))
-        for k in range(1, n + 1):
-            if k in (i, i + 1):
-                continue
-            if not (sbar * tildes[k]) == (tildes[k] * sbar):
-                ok = False
-    checks["s_commutes_off_support"] = ok
-
-    ok = True
-    for i in range(1, n):
-        sbar = alg.group(transposition(r, n, i, i + 1))
-        if not (sbar * tildes[i]) == (tildes[i + 1] * sbar):
-            ok = False
-    checks["s_intertwines"] = ok
+    xbars = [alg.group(xi(r, n, i)) for i in range(1, n + 1)]
+    checks["xi_commutes"] = all(x * t == t * x for x in xbars for t in tildes.values())
+    sbars = {i: alg.group(transposition(r, n, i, i + 1)) for i in range(1, n)}
+    checks["s_commutes_off_support"] = all(
+        s * tildes[k] == tildes[k] * s for i, s in sbars.items() for k in tildes if k not in (i, i + 1)
+    )
+    checks["s_intertwines"] = all(s * tildes[i] == tildes[i + 1] * s for i, s in sbars.items())
 
     ok = True
     quarter = Fraction(1, 4)
@@ -526,27 +537,16 @@ def verify_iso(r: int, n: int, budget: int | None = DEFAULT_BUDGET) -> IsoReport
                     continue
                 for a in range(r):
                     for b in range(r):
-                        d = diag(
-                            r,
-                            n,
-                            [
-                                a if t == m_ - 1 else b if t == k_ - 1 else (-a - b) % r if t == i - 1 else 0
-                                for t in range(n)
-                            ],
-                        )
+                        exps = [0] * n
+                        exps[m_ - 1], exps[k_ - 1], exps[i - 1] = a, b, -a - b
+                        d = diag(r, n, exps)
                         plus = multiply(d, from_cycles(r, n, [(m_, k_, i)]))
                         minus = multiply(d, from_cycles(r, n, [(m_, i, k_)]))
                         rhs = rhs + alg.group(plus).scale(quarter) - alg.group(minus).scale(quarter)
-            if not lhs == rhs:
-                ok = False
             # the 4/3-scaled bracket must match the Drinfeld commutator sum
             scaled = lhs.scale(Fraction(4, 3))
-            target = commutator_sum(family, m_, k_)
-            if not scaled == target:
-                ok = False
             drin_comm = commutator(drin.var(m_), drin.var(k_))
-            if not scaled == drin_comm:
-                ok = False
+            ok = ok and lhs == rhs and scaled == commutator_sum(family, m_, k_) and scaled == drin_comm
     checks["tilde_bracket"] = ok
     return IsoReport(r, n, checks)
 
@@ -579,10 +579,7 @@ def pbw_dimension_check(
     samples can fail."""
     r, n = algebra.r, algebra.n
     p = algebra.p
-    count = 0
-    for mu in product(range(N + 1), repeat=n):
-        if sum(mu) <= N:
-            count += group_order(r, p, n)
+    count = group_order(r, p, n) * sum(sum(mu) <= N for mu in product(range(N + 1), repeat=n))
     expected = comb(n + N, n) * group_order(r, p, n)
     rng = random.Random(seed)
     G = elements(r, p, n)

@@ -107,6 +107,41 @@ def test_embed_injective(a, b):
         assert not a == b
 
 
+class _GeneralPath(CycloNum):
+    """A CycloNum that the same-order fast paths of + and * do not take,
+    so `a + _GeneralPath(b)` runs `_pair` and the general arithmetic."""
+
+    __slots__ = ()
+
+
+@st.composite
+def cyclonum_pairs(draw):
+    ra, rb = draw(st.sampled_from([(1, 1), (2, 2), (1, 3), (3, 1), (2, 4), (4, 2)]))
+
+    def num(r):
+        phi = len(zero(r).coeffs)
+        return CycloNum(r, tuple(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))) for _ in range(phi)))
+
+    return num(ra), num(rb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclonum_pairs())
+def test_same_order_fast_path_matches_the_general_path(pair):
+    from math import lcm
+
+    a, b = pair
+    slow_b = _GeneralPath(b.order, b.coeffs)
+    for fast, slow in [(a + b, a + slow_b), (a * b, a * slow_b)]:
+        assert type(slow) is CycloNum
+        assert (fast.order, fast.coeffs) == (slow.order, slow.coeffs)
+    # mixed orders still embed both operands into Q(zeta_lcm)
+    big = lcm(a.order, b.order)
+    assert (a + b).order == (a * b).order == big
+    assert (a + b).coeffs == (a.embed(big) + b.embed(big)).coeffs
+    assert (a * b).coeffs == (a.embed(big) * b.embed(big)).coeffs
+
+
 def test_embed_injective_many_random_samples():
     rng = random.Random(1)
     for _ in range(1000):

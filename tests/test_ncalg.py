@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from heckeforge.cyclo import one, root_of_unity, twist
 from heckeforge.group import (
+    GroupElement,
     RepKind,
     diag,
     elements,
@@ -133,6 +135,61 @@ def test_normal_forms_reproducible():
     x = alg.group(transposition(2, 3, 1, 3)) * alg.var(2)
     y = alg.group(transposition(2, 3, 1, 3)) * alg.var(2)
     assert x.terms == y.terms
+
+
+CACHE_ALGEBRAS = {
+    "a_r1n(3,3)": lambda: DrinfeldAlgebra(build_preset("a_r1n", 3, 3)),
+    "empty(3,1,3) faithful": lambda: skew_group_algebra(3, 1, 3, F),
+    "H*(3,4)": lambda: HStarAlgebra(3, 4),
+}
+
+
+def _random_element(alg, rng, els, count=2):
+    x = alg.element({})
+    for _ in range(count):
+        mu = tuple(rng.randrange(3) for _ in range(alg.n))
+        x = x + alg.term(mu, rng.choice(els), Fraction(rng.randrange(1, 4)))
+    return x
+
+
+@pytest.mark.parametrize("name", list(CACHE_ALGEBRAS))
+def test_products_do_not_depend_on_what_the_caches_hold(name):
+    # the same product, on a fresh algebra and after unrelated products
+    # have filled the product memo, the word forms and (for H*) the pushes
+    fresh, warm = CACHE_ALGEBRAS[name](), CACHE_ALGEBRAS[name]()
+    els = elements(fresh.r, fresh.p, fresh.n)
+    rng = random.Random(7)
+    x, y = _random_element(fresh, rng, els), _random_element(fresh, rng, els)
+    want = json.dumps((x * y).to_json())
+    wx, wy = warm.element(x.terms), warm.element(y.terms)
+    for _ in range(6):
+        _random_element(warm, rng, els) * _random_element(warm, rng, els)
+    assert warm._prod and warm._word_cache
+    assert isinstance(warm, DrinfeldAlgebra) or warm._push_cache
+    assert json.dumps((wx * wy).to_json()) == want
+    assert json.dumps((wy * wx).to_json()) == json.dumps((y * x).to_json())
+
+
+@pytest.mark.parametrize("name", list(CACHE_ALGEBRAS))
+def test_a_repeated_product_builds_no_group_element(name, monkeypatch):
+    # the core relabels terms through its product memo, so a product whose
+    # group products were all seen before builds no GroupElement
+    alg = CACHE_ALGEBRAS[name]()
+    els = elements(alg.r, alg.p, alg.n)
+    x, y = _random_element(alg, random.Random(3), els), _random_element(alg, random.Random(4), els)
+    built = []
+    post_init = GroupElement.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GroupElement, "__post_init__", counted)
+    first = x * y
+    assert built
+    built.clear()
+    assert x * y == first
+    assert built == []
 
 
 def test_group_subalgebra_multiplies_as_group_algebra():
