@@ -1,7 +1,9 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_r), plus exact linear algebra.
 
-A field element is stored in the power basis 1, zeta, ..., zeta^(phi(r)-1)
-of Q[x]/Phi_r(x), so equality and zero testing are exact and cheap.
+A field element is stored as integer numerators on the power basis
+1, zeta, ..., zeta^(phi(r)-1) of Q[x]/Phi_r(x) over one positive common
+denominator, in lowest terms (Cohen, GTM 138, 4.2), so equality and zero
+testing are exact and cheap and arithmetic costs one gcd per operation.
 Mixed-order arithmetic embeds both operands into Q(zeta_lcm) before
 operating.  All values are immutable; every operation is a pure function.
 """
@@ -14,9 +16,6 @@ from math import gcd, lcm
 
 Rational = Fraction
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 @lru_cache(maxsize=None)
 def euler_phi(r: int) -> int:
@@ -24,13 +23,13 @@ def euler_phi(r: int) -> int:
 
 
 def _poly_divmod(num, den):
-    """Exact division of Fraction coefficient lists (low degree first)."""
+    """Exact division of coefficient lists (low degree first); over Z for a monic den."""
     num = list(num)
     dd = len(den) - 1
     lead = den[-1]
-    quot = [_F0] * max(len(num) - dd, 0)
+    quot = [0] * max(len(num) - dd, 0)
     for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] / lead
+        c = num[k] if lead == 1 else num[k] / lead
         if c:
             quot[k - dd] = c
             for i, dc in enumerate(den):
@@ -41,35 +40,33 @@ def _poly_divmod(num, den):
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(r: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_r, low degree first; computed as
-    (x^r - 1) / prod of Phi_d over proper divisors d of r."""
+def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_r, low degree first; computed as
+    (x^r - 1) / prod of Phi_d over proper divisors d of r, each division
+    exact over Z because every Phi_d is monic."""
     if r < 1:
         raise ValueError("r must be positive")
-    num = [_F0] * (r + 1)
-    num[0], num[r] = -_F1, _F1
+    num = [0] * (r + 1)
+    num[0], num[r] = -1, 1
     for d in range(1, r):
         if r % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
+            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
             if rem:
                 raise ArithmeticError("cyclotomic division left a remainder")
     return tuple(num)
 
 
 @lru_cache(maxsize=None)
-def _power_table(r: int) -> tuple[tuple[Fraction, ...], ...]:
+def _power_table(r: int) -> tuple[tuple[int, ...], ...]:
     """zeta_r^k in the power basis, for 0 <= k < max(r, 2*phi(r)-1)."""
     phi = euler_phi(r)
-    phi_poly = cyclotomic_polynomial(r)
     # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1})
-    top = [-c for c in phi_poly[:phi]]
+    top = [-c for c in cyclotomic_polynomial(r)[:phi]]
     rows = []
-    cur = [_F0] * phi
-    cur[0] = _F1
-    count = max(r, 2 * phi - 1)
-    for _ in range(count):
+    cur = [1] + [0] * (phi - 1)
+    for _ in range(max(r, 2 * phi - 1)):
         rows.append(tuple(cur))
-        nxt = [_F0] + cur[:-1]
+        nxt = [0] + cur[:-1]
         overflow = cur[-1]
         if overflow:
             nxt = [a + overflow * b for a, b in zip(nxt, top)]
@@ -77,44 +74,63 @@ def _power_table(r: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _zero_coeffs(r: int) -> tuple[Fraction, ...]:
-    return (_F0,) * euler_phi(r)
-
-
-def _reduce_power(r: int, k: int) -> tuple[Fraction, ...]:
+def _reduce_power(r: int, k: int) -> tuple[int, ...]:
     return _power_table(r)[k % r]
 
 
+def _rational(q) -> Fraction | int:
+    """q as an exact rational; TypeError for a float or a boolean, which
+    would enter as a binary fraction or as 0 and 1."""
+    if isinstance(q, (bool, float)):
+        raise TypeError(f"expected an int or a Fraction, got {q!r}")
+    return q if isinstance(q, (int, Fraction)) else Fraction(q)
+
+
+def _lowest(order: int, nums, den: int) -> "CycloNum":
+    """The CycloNum sum nums[k] zeta^k / den, for den > 0, in lowest terms."""
+    g = gcd(den, *nums)
+    return CycloNum(order, tuple(a // g for a in nums), den // g)
+
+
 class CycloNum:
-    """An element of Q(zeta_order) in canonical power-basis coordinates."""
+    """An element of Q(zeta_order): integer numerators `nums` on the power
+    basis over one positive denominator `den`, in lowest terms."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
-        self.order = order
-        self.coeffs = coeffs
+    def __init__(self, order: int, coeffs, den: int | None = None):
+        """sum coeffs[k] zeta^k for ints or Fractions coeffs; given `den`,
+        coeffs are the integer numerators over it, already in lowest terms."""
+        if den is None:
+            qs = [_rational(c) for c in coeffs]
+            den = lcm(*(q.denominator for q in qs))
+            coeffs = tuple(q.numerator * (den // q.denominator) for q in qs)
+        self.order, self.nums, self.den = order, coeffs, den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(q, order: int = 1) -> "CycloNum":
-        c = list(_zero_coeffs(order))
-        c[0] = Fraction(q)
-        return CycloNum(order, tuple(c))
+        q = _rational(q)
+        return CycloNum(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     # -- field operations --------------------------------------------------
 
     def embed(self, new_order: int) -> "CycloNum":
-        """Embed into Q(zeta_new_order); requires order | new_order."""
+        """Embed into Q(zeta_new_order); requires order | new_order.  Lowest
+        terms are kept, as Z[zeta_order] is saturated in Z[zeta_new_order]."""
         r, big = self.order, new_order
         if big == r:
             return self
@@ -122,14 +138,13 @@ class CycloNum:
             raise ValueError("embedding target must be a multiple of the order")
         step = big // r
         table = _power_table(big)
-        out = list(_zero_coeffs(big))
-        for k, c in enumerate(self.coeffs):
+        out = [0] * euler_phi(big)
+        for k, c in enumerate(self.nums):
             if c:
-                row = table[(k * step) % big]
-                for t, rv in enumerate(row):
+                for t, rv in enumerate(table[(k * step) % big]):
                     if rv:
                         out[t] += c * rv
-        return CycloNum(big, tuple(out))
+        return CycloNum(big, tuple(out), self.den)
 
     def _pair(self, other):
         if not isinstance(other, CycloNum):
@@ -140,111 +155,103 @@ class CycloNum:
         return self.embed(r), other.embed(r)
 
     def __add__(self, other):
-        if other.__class__ is CycloNum and other.order == self.order and len(self.coeffs) == 1:
-            return CycloNum(self.order, (self.coeffs[0] + other.coeffs[0],))
-        a, b = self._pair(other)
-        return CycloNum(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if other.__class__ is CycloNum and other.order == self.order and len(self.nums) == 1:
+            (a,), d, (b,), e = self.nums, self.den, other.nums, other.den
+            if d == e:
+                a += b
+            else:
+                a, d = a * e + b * d, d * e
+            g = gcd(a, d)
+            return CycloNum(self.order, (a // g,), d // g)
+        x, y = self._pair(other)
+        d, e = x.den, y.den
+        if d == e:
+            return _lowest(x.order, [a + b for a, b in zip(x.nums, y.nums)], d)
+        return _lowest(x.order, [a * e + b * d for a, b in zip(x.nums, y.nums)], d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.order, tuple(-x for x in self.coeffs))
+        return CycloNum(self.order, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return CycloNum(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self + -cyclo(other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if other.__class__ is CycloNum and other.order == self.order and len(self.coeffs) == 1:
-            return CycloNum(self.order, (self.coeffs[0] * other.coeffs[0],))
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return CycloNum(self.order, _zero_coeffs(self.order))
-            q = Fraction(other)
-            return CycloNum(self.order, tuple(x * q for x in self.coeffs))
-        a, b = self._pair(other)
-        r = a.order
-        phi = len(a.coeffs)
-        conv = [_F0] * (2 * phi - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    if bj:
-                        conv[i + j] += ai * bj
-        table = _power_table(r)
+        if other.__class__ is CycloNum and other.order == self.order and len(self.nums) == 1:
+            a, d = self.nums[0] * other.nums[0], self.den * other.den
+            g = gcd(a, d)
+            return CycloNum(self.order, (a // g,), d // g)
+        if not isinstance(other, CycloNum):
+            q = _rational(other)
+            return _lowest(self.order, [a * q.numerator for a in self.nums], self.den * q.denominator)
+        x, y = self._pair(other)
+        phi = len(x.nums)
+        conv = [0] * (2 * phi - 1)
+        for i, a in enumerate(x.nums):
+            if a:
+                for j, b in enumerate(y.nums):
+                    if b:
+                        conv[i + j] += a * b
+        table = _power_table(x.order)
         out = conv[:phi]
         for k in range(phi, 2 * phi - 1):
             c = conv[k]
             if c:
-                row = table[k]
-                for t, rv in enumerate(row):
+                for t, rv in enumerate(table[k]):
                     if rv:
                         out[t] += c * rv
-        return CycloNum(r, tuple(out))
+        return _lowest(x.order, out, x.den * y.den)
 
     __rmul__ = __mul__
 
     def invert(self) -> "CycloNum":
         """Multiplicative inverse via the extended Euclidean algorithm
-        on the power-basis polynomial modulo Phi_order."""
+        on the power-basis polynomial modulo Phi_order, over Q."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
+        r, a = self.order, self.nums[0]
         if self.is_rational():
-            return CycloNum.from_rational(1 / self.coeffs[0], self.order)
-        r = self.order
-        r0 = list(cyclotomic_polynomial(r))
+            return CycloNum(r, (self.den if a > 0 else -self.den,) + self.nums[1:], abs(a))
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(r)]
         r1 = list(self.coeffs)
         while r1 and not r1[-1]:
             r1.pop()
-        s0, s1 = [], [_F1]  # Bezout coefficients on the self side
+        s0, s1 = [], [Fraction(1)]  # Bezout coefficients on the self side
         while len(r1) > 1:
             q, rem = _poly_divmod(r0, r1)
-            s_new = list(s0)
-            # s_new = s0 - q*s1
-            prod_len = len(q) + len(s1) - 1 if q and s1 else 0
-            prod = [_F0] * prod_len
+            s_new = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))  # s0 - q*s1
             for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if sc:
-                            prod[i + j] += qc * sc
-            width = max(len(s_new), len(prod))
-            s_new += [_F0] * (width - len(s_new))
-            for i, pc in enumerate(prod):
-                s_new[i] -= pc
+                for j, sc in enumerate(s1):
+                    s_new[i + j] -= qc * sc
             r0, r1, s0, s1 = r1, rem, s1, s_new
         if not r1:
             raise ArithmeticError("element not invertible modulo Phi_r")
-        unit = r1[0]
-        out = list(_zero_coeffs(r))
-        for i, sc in enumerate(s1):
-            if sc and i < len(out):
-                out[i] = sc / unit
-        # degrees >= phi cannot appear: s1 has degree < deg(Phi_r)
-        return CycloNum(r, tuple(out))
+        # s1 has degree < deg(Phi_r) = phi(r)
+        out = [sc / r1[0] for sc in s1] + [0] * (len(self.nums) - len(s1))
+        return CycloNum(r, out)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return self * other.invert()
+        if isinstance(other, CycloNum):
+            return self * other.invert()
+        return self * (1 / Fraction(_rational(other)))
 
     def __rtruediv__(self, other):
         return CycloNum.from_rational(other) / self
 
     def conjugate(self) -> "CycloNum":
-        """The ring automorphism sending every root of unity to its inverse."""
+        """The automorphism zeta -> zeta^-1 of Z[zeta], so lowest terms are kept."""
         r = self.order
-        out = list(_zero_coeffs(r))
-        for k, c in enumerate(self.coeffs):
+        out = [0] * len(self.nums)
+        for k, c in enumerate(self.nums):
             if c:
-                row = _reduce_power(r, (-k) % r)
-                for t, rv in enumerate(row):
+                for t, rv in enumerate(_reduce_power(r, -k)):
                     if rv:
                         out[t] += c * rv
-        return CycloNum(r, tuple(out))
+        return CycloNum(r, tuple(out), self.den)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -260,11 +267,11 @@ class CycloNum:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.nums[0] * other.denominator == other.numerator * self.den
         if not isinstance(other, CycloNum):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        x, y = self._pair(other)
+        return x.den == y.den and x.nums == y.nums
 
     def __bool__(self):
         return not self.is_zero()
@@ -297,11 +304,12 @@ class CycloNum:
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> dict:
-        terms = [
-            {"exp": k, "num": str(c.numerator), "den": str(c.denominator)}
-            for k, c in enumerate(self.coeffs)
-            if c
-        ]
+        """Each nonzero coefficient as its own reduced num/den."""
+        terms = []
+        for k, a in enumerate(self.nums):
+            if a:
+                g = gcd(a, self.den)
+                terms.append({"exp": k, "num": str(a // g), "den": str(self.den // g)})
         return {"order": self.order, "terms": terms}
 
     @staticmethod
@@ -309,12 +317,12 @@ class CycloNum:
         r = json_int(data["order"])
         if r < 1:
             raise ValueError(f"a cyclotomic order must be positive, got {r}")
-        out = CycloNum(r, _zero_coeffs(r))
+        out = zero(r)
         for t in data["terms"]:
             if not json_int(t["den"]):
                 raise ValueError("a coefficient has a zero denominator")
             c = Fraction(json_int(t["num"]), json_int(t["den"]))
-            out = out + CycloNum(r, _reduce_power(r, json_int(t["exp"]))) * c
+            out = out + root_of_unity(r, json_int(t["exp"])) * c
         return out
 
 
@@ -328,7 +336,8 @@ def json_int(value) -> int:
 
 
 def cyclo(value, order: int = 1) -> CycloNum:
-    """Coerce an int/Fraction/CycloNum to a CycloNum (of at least `order`)."""
+    """Coerce an int/Fraction/CycloNum to a CycloNum (of at least `order`);
+    TypeError for a float or a boolean."""
     if isinstance(value, CycloNum):
         if order == value.order:
             return value
@@ -337,7 +346,7 @@ def cyclo(value, order: int = 1) -> CycloNum:
 
 
 def zero(order: int = 1) -> CycloNum:
-    return CycloNum(order, _zero_coeffs(order))
+    return CycloNum(order, (0,) * euler_phi(order), 1)
 
 
 def one(order: int = 1) -> CycloNum:
@@ -358,7 +367,7 @@ def root_of_unity(r: int, k: int = 1) -> CycloNum:
     """zeta_r^k, reduced to the power basis."""
     if r < 1:
         raise ValueError("r must be positive")
-    return CycloNum(r, _reduce_power(r, k))
+    return CycloNum(r, _reduce_power(r, k), 1)
 
 
 def twist(c, r: int, e: int):

@@ -32,23 +32,35 @@ class RepKind(str, Enum):
 
 @dataclass(frozen=True)
 class GroupElement:
+    __slots__ = ("r", "n", "exps", "perm", "_hash")
     r: int
     n: int
     exps: tuple[int, ...]
     perm: tuple[int, ...]  # perm[i-1] = sigma(i)
 
-    def __post_init__(self):
-        n, r = self.n, self.r
-        if len(self.exps) != n or len(self.perm) != n:
+    def __new__(cls, r, n, exps, perm):
+        # checks outside data; the library builds from valid parts with `_element`
+        if len(exps) != n or len(perm) != n:
             raise ValueError("exps and perm must have length n")
-        for a in self.exps:
+        for a in exps:
             if not 0 <= a < r:
                 raise ValueError("exponents must lie in [0, r)")
         seen = 0
-        for v in self.perm:
+        for v in perm:
             if not 1 <= v <= n or seen >> v & 1:
                 raise ValueError("perm is not a bijection of 1..n")
             seen |= 1 << v
+        return object.__new__(cls)
+
+    def __post_init__(self):
+        # runs once for every element built, checked or not
+        object.__setattr__(self, "_hash", hash((self.exps, self.perm)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return GroupElement, (self.r, self.n, self.exps, self.perm)
 
     def is_identity(self) -> bool:
         return not any(self.exps) and self.perm == tuple(range(1, self.n + 1))
@@ -75,6 +87,13 @@ class GroupElement:
         xs = "".join(f"xi{i+1}^{a}" if a > 1 else f"xi{i+1}" for i, a in enumerate(self.exps) if a)
         cyc = _cycle_notation(self.perm)
         return (xs + cyc) or "1"
+
+
+def _element(r: int, n: int, exps: tuple, perm: tuple) -> GroupElement:
+    """The GroupElement (exps, perm), unchecked: for parts of valid elements."""
+    g = object.__new__(GroupElement)
+    g.__init__(r, n, exps, perm)
+    return g
 
 
 def _cycle_notation(perm) -> str:
@@ -143,7 +162,7 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     """(a, sigma)(b, tau) = (a + sigma.b, sigma o tau), (sigma.b)_i = b_{sigma^-1(i)}."""
     if g.r != h.r or g.n != h.n:
         raise ValueError("elements live in different groups")
-    return GroupElement(g.r, g.n, *_mul(g.r, g.exps, g.perm, h.exps, h.perm))
+    return _element(g.r, g.n, *_mul(g.r, g.exps, g.perm, h.exps, h.perm))
 
 
 def closure(r: int, n: int, gens):
@@ -166,7 +185,7 @@ def closure(r: int, n: int, gens):
 def inverse(g: GroupElement) -> GroupElement:
     inv = _perm_inverse(g.perm)
     exps = tuple((-g.exps[g.perm[i] - 1]) % g.r for i in range(g.n))
-    return GroupElement(g.r, g.n, exps, inv)
+    return _element(g.r, g.n, exps, inv)
 
 
 def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -303,7 +322,7 @@ def _elements(r: int, p: int, n: int) -> tuple[GroupElement, ...]:
         if sum(exps) % p:
             continue
         for perm in permutations(range(1, n + 1)):
-            out.append(GroupElement(r, n, exps, perm))
+            out.append(_element(r, n, exps, perm))
     out.sort(key=GroupElement.sort_key)
     return tuple(out)
 
@@ -390,7 +409,7 @@ def _centralizer(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
                     for j in cyc:
                         b[j - 1] = (x + offset[j - 1]) % r
                 if sum(b) % p == 0:
-                    out.append(GroupElement(r, n, tuple(b), tau))
+                    out.append(_element(r, n, tuple(b), tau))
     out.sort(key=GroupElement.sort_key)
     return tuple(out)
 
@@ -420,7 +439,7 @@ def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
         if not same:  # the swaps conjugate these onto the other cycles of the type
             on = [i + 1 in cyc for i in range(n)]
             gens.append(diag(r, n, on))
-            gens.append(GroupElement(
+            gens.append(_element(
                 r, n, tuple(a[i] if on[i] else 0 for i in range(n)),
                 tuple(sigma[i] if on[i] else i + 1 for i in range(n)),
             ))
@@ -434,7 +453,7 @@ def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
                 t += a[x - 1] - a[y - 1]
                 b[x - 1], b[y - 1] = t % r, -t % r
                 perm[x - 1], perm[y - 1] = y, x
-            gens.append(GroupElement(r, n, tuple(b), tuple(perm)))
+            gens.append(_element(r, n, tuple(b), tuple(perm)))
     if p > 1:
         reps = {0: identity(r, n)}  # sum(exps) mod p -> a coset representative
         todo, schreier = list(reps.values()), []

@@ -172,7 +172,7 @@ class _AlgebraBase:
         self._elems, self._ids, self._prod = [], {}, []
         self._id(self._identity)  # index 0
         self._word_cache, self._push_cache = {}, {}
-        self._coeffs = {(_ONE.order, _ONE.coeffs): _ONE}
+        self._coeffs = {(_ONE.order, _ONE.nums, _ONE.den): _ONE}
 
     def element(self, terms: dict) -> NCElement:
         return NCElement(self, terms)
@@ -236,7 +236,7 @@ class _AlgebraBase:
             w[i], w[i + 1] = m, k
         add_term(out, (_exps_of(w, self.n), 0), _ONE)
         shared = self._coeffs
-        self._word_cache[word] = out = {k: shared.setdefault((c.order, c.coeffs), c) for k, c in out.items()}
+        self._word_cache[word] = out = {k: shared.setdefault((c.order, c.nums, c.den), c) for k, c in out.items()}
         return out
 
     def _term_product(self, out: dict, mu, g, nu, h: int, coeff) -> None:

@@ -321,7 +321,7 @@ def reflection_arrangement_polynomial(group_elements, rep: RepKind) -> Polynomia
     for g in elems:
         root = reflection_root(g, rep)
         if root is not None:
-            lines.setdefault(tuple((c.order, c.coeffs) for c in root), root)
+            lines.setdefault(tuple((c.order, c.nums, c.den) for c in root), root)
     Q = Polynomial.constant(n, 1)
     for vec in lines.values():
         Q = Q * Polynomial(n, {
@@ -492,14 +492,14 @@ def subspace_actions(elements, rep: RepKind, vectors) -> list:
 
 def _vectors_key(vectors):
     """Hashable exact form of a list of vectors."""
-    return tuple(tuple((c.order, c.coeffs) for c in map(cyclo, v)) for v in vectors)
+    return tuple(tuple((c.order, c.nums, c.den) for c in map(cyclo, v)) for v in vectors)
 
 
 @lru_cache(maxsize=1024)
 def _subspace_frame(key):
     """(W, pivots, inverse of W's pivot rows) for the subspace with exact
     vectors `key` (see `_vectors_key`), W holding the vectors as columns."""
-    vectors = [[CycloNum(order, coeffs) for order, coeffs in v] for v in key]
+    vectors = [[CycloNum(*c) for c in v] for v in key]
     m = len(vectors)
     n = len(vectors[0]) if vectors else 0
     W = CycloMatrix([[vectors[j][i] for j in range(m)] for i in range(n)])

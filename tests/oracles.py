@@ -35,6 +35,10 @@ paths in the library, and a faithful family shared by the tests:
   monomial actions carry root-of-unity phases;
 - `generators_by_closure`: a generating set of a listed subgroup, found
   by incremental closure, independent of `group.centralizer_generators`;
+- `FractionCyclo`: cyclotomic arithmetic on tuples of Fractions, with
+  its own Fraction tables (`fraction_cyclotomic_polynomial`,
+  `fraction_power_table`), the reference for `CycloNum`'s integer
+  numerators over one denominator;
 - the dense and brute-force helpers the tests read: `trivial_character`,
   `act`, `coact`, `matrix`, `conjugate_in_full_group` and
   `dimension_by_enumeration`.
@@ -540,3 +544,122 @@ def param_space_by_reynolds(r, p, n, rep):
     if rep == RepKind.PERMUTATION:
         return GHAParamReport(d, lambda2, total, paper_count, paper_count != total)
     return GHAParamReport(d, lambda2, total, None, False)
+
+
+# -- the Fraction-tuple cyclotomic arithmetic ---------------------------------
+
+
+def _fraction_divmod(num, den):
+    """Division of Fraction coefficient lists (low degree first)."""
+    num, dd = list(num), len(den) - 1
+    quot = [Fraction(0)] * max(len(num) - dd, 0)
+    for k in range(len(num) - 1, dd - 1, -1):
+        c = num[k] / den[-1]
+        if c:
+            quot[k - dd] = c
+            for i, dc in enumerate(den):
+                num[k - dd + i] -= c * dc
+    while num and not num[-1]:
+        num.pop()
+    return quot, num
+
+
+@lru_cache(maxsize=None)
+def fraction_cyclotomic_polynomial(r: int) -> tuple:
+    num = [Fraction(0)] * (r + 1)
+    num[0], num[r] = Fraction(-1), Fraction(1)
+    for d in range(1, r):
+        if r % d == 0:
+            num, rem = _fraction_divmod(num, fraction_cyclotomic_polynomial(d))
+            assert not rem
+    return tuple(num)
+
+
+@lru_cache(maxsize=None)
+def fraction_power_table(r: int) -> tuple:
+    """zeta_r^k in the power basis as Fractions, for 0 <= k < max(r, 2 phi - 1)."""
+    poly = fraction_cyclotomic_polynomial(r)
+    phi = len(poly) - 1
+    cur, rows = [Fraction(1)] + [Fraction(0)] * (phi - 1), []
+    for _ in range(max(r, 2 * phi - 1)):
+        rows.append(tuple(cur))
+        # x * cur, with x^phi = -(poly[0] + ... + poly[phi-1] x^(phi-1))
+        cur = [a - cur[-1] * c for a, c in zip([Fraction(0)] + cur[:-1], poly)]
+    return tuple(rows)
+
+
+class FractionCyclo:
+    """An element of Q(zeta_order) as a tuple of Fractions on the power
+    basis, with the mixed-order rule of `cyclo.CycloNum` (operands embed
+    into Q(zeta_lcm)): the arithmetic CycloNum used before it held integer
+    numerators over one denominator."""
+
+    def __init__(self, order: int, coeffs):
+        self.order, self.coeffs = order, tuple(map(Fraction, coeffs))
+
+    def embed(self, big: int) -> "FractionCyclo":
+        assert big % self.order == 0
+        table, step = fraction_power_table(big), big // self.order
+        out = [Fraction(0)] * len(table[0])
+        for k, c in enumerate(self.coeffs):
+            for t, rv in enumerate(table[k * step % big]):
+                out[t] += c * rv
+        return FractionCyclo(big, out)
+
+    def _pair(self, other):
+        r = lcm(self.order, other.order)
+        return self.embed(r), other.embed(r)
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        return FractionCyclo(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __sub__(self, other):
+        a, b = self._pair(other)
+        return FractionCyclo(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        table, phi = fraction_power_table(a.order), len(a.coeffs)
+        out = [Fraction(0)] * phi
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                for t, rv in enumerate(table[i + j]):
+                    out[t] += x * y * rv
+        return FractionCyclo(a.order, out)
+
+    def conjugate(self) -> "FractionCyclo":
+        r, table = self.order, fraction_power_table(self.order)
+        out = [Fraction(0)] * len(self.coeffs)
+        for k, c in enumerate(self.coeffs):
+            for t, rv in enumerate(table[-k % r]):
+                out[t] += c * rv
+        return FractionCyclo(r, out)
+
+    def invert(self) -> "FractionCyclo":
+        """By the extended Euclidean algorithm modulo Phi_order."""
+        r0, r1 = list(fraction_cyclotomic_polynomial(self.order)), list(self.coeffs)
+        while r1 and not r1[-1]:
+            r1.pop()
+        s0, s1 = [], [Fraction(1)]
+        while len(r1) > 1:
+            q, rem = _fraction_divmod(r0, r1)
+            s_new = list(s0) + [Fraction(0)] * max(len(q) + len(s1) - 1 - len(s0), 0)
+            for i, qc in enumerate(q):
+                for j, sc in enumerate(s1):
+                    s_new[i + j] -= qc * sc
+            r0, r1, s0, s1 = r1, rem, s1, s_new
+        out = [sc / r1[0] for sc in s1] + [Fraction(0)] * (len(self.coeffs) - len(s1))
+        return FractionCyclo(self.order, out)
+
+    def __eq__(self, other):
+        a, b = self._pair(other)
+        return a.coeffs == b.coeffs
+
+    def to_json(self) -> dict:
+        terms = [
+            {"exp": k, "num": str(c.numerator), "den": str(c.denominator)}
+            for k, c in enumerate(self.coeffs)
+            if c
+        ]
+        return {"order": self.order, "terms": terms}

@@ -3,6 +3,7 @@ import cmath
 import inspect
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +15,17 @@ from heckeforge import group, hecke, hochschild, ncalg
 from heckeforge.cyclo import (
     CycloMatrix,
     CycloNum,
+    _power_table,
     cyclo,
     cyclotomic_polynomial,
     echelon_rows,
+    euler_phi,
     one,
     root_of_unity,
     twist,
     zero,
 )
+from oracles import FractionCyclo
 
 
 def test_cyclotomic_poly_small():
@@ -140,6 +144,82 @@ def test_same_order_fast_path_matches_the_general_path(pair):
     assert (a + b).order == (a * b).order == big
     assert (a + b).coeffs == (a.embed(big) + b.embed(big)).coeffs
     assert (a * b).coeffs == (a.embed(big) * b.embed(big)).coeffs
+
+
+@pytest.mark.parametrize("r", range(1, 31))
+def test_tables_hold_only_ints(r):
+    assert all(type(c) is int for c in cyclotomic_polynomial(r))
+    assert all(type(c) is int for row in _power_table(r) for c in row)
+
+
+@st.composite
+def cyclo_with_reference(draw):
+    r = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    cs = [Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 6))) for _ in range(euler_phi(r))]
+    return CycloNum(r, cs), FractionCyclo(r, cs)
+
+
+def _matches(x, ref):
+    """x is the reference's number in the same field, in lowest terms."""
+    assert type(x) is CycloNum
+    assert (x.order, x.coeffs) == (ref.order, ref.coeffs)
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert x.to_json() == ref.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclo_with_reference(), cyclo_with_reference(), st.sampled_from(["drawn", "negated", "integral sum"]))
+def test_integer_arithmetic_matches_the_fraction_reference(p, q, second):
+    (a, ra), (b, rb) = p, q
+    if second == "negated":  # a + b cancels to zero
+        rb = FractionCyclo(a.order, [-c for c in ra.coeffs])
+    elif second == "integral sum":  # a + b has integer coefficients
+        rb = FractionCyclo(b.order, [c.numerator for c in rb.coeffs]) - ra
+    b = CycloNum(rb.order, rb.coeffs)
+    _matches(b, rb)
+    _matches(a + b, ra + rb)
+    _matches(a - b, ra - rb)
+    _matches(a * b, ra * rb)
+    _matches(-a, FractionCyclo(a.order, [-c for c in ra.coeffs]))
+    _matches(a.conjugate(), ra.conjugate())
+    for big in (12, 24):
+        _matches(a.embed(big), ra.embed(big))
+    if any(ra.coeffs):
+        _matches(a.invert(), ra.invert())
+    assert (a == b) == (ra == rb)
+    assert a == a.embed(12) and a.embed(12) == a
+    if second == "negated":
+        assert (a + b).nums == (0,) * euler_phi(a.order) and (a + b).den == 1
+    if second == "integral sum":
+        assert (a + b).den == 1
+
+
+def test_sums_cancel_and_reduce_to_lowest_terms():
+    s = cyclo(Fraction(1, 3)) + cyclo(Fraction(2, 3))
+    assert s == 1 and (s.nums, s.den) == ((1,), 1)
+    z = root_of_unity(3)
+    t = (z * Fraction(1, 6) + Fraction(1, 3)) + (z * Fraction(-1, 6) + Fraction(1, 6))
+    assert (t.order, t.nums, t.den) == (3, (1, 0), 2)
+    u = (z + Fraction(1, 2)) - (z + Fraction(1, 2))
+    assert (u.order, u.nums, u.den) == (3, (0, 0), 1) and u.is_zero()
+    v = cyclo(Fraction(2, 3)) * cyclo(Fraction(3, 2))
+    assert (v.nums, v.den) == ((1,), 1)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True])
+def test_floats_and_booleans_are_not_coefficients(bad):
+    x = one(3)
+    for make in (
+        lambda: cyclo(bad),
+        lambda: CycloNum.from_rational(bad),
+        lambda: x * bad,
+        lambda: bad * x,
+        lambda: x + bad,
+        lambda: CycloNum(1, (bad,)),
+        lambda: ncalg.skew_group_algebra(2, 1, 2, group.RepKind.FAITHFUL).one().scale(bad),
+    ):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_embed_injective_many_random_samples():

@@ -163,6 +163,30 @@ def test_json_round_trip():
     assert g.to_json() == {"r": 3, "n": 4, "exps": [0, 0, 1, 0], "perm": [2, 3, 1, 4]}
 
 
+@pytest.mark.parametrize("fields", [
+    (3, 2, (0, 3), (1, 2)),  # exponent out of range
+    (3, 2, (0, -1), (1, 2)),
+    (3, 2, (0, 1), (1, 1)),  # not a bijection
+    (3, 2, (0, 1), (2, 3)),
+    (3, 2, (0, 1, 2), (1, 2)),  # wrong length
+])
+def test_an_invalid_element_raises(fields):
+    with pytest.raises(ValueError):
+        GroupElement(*fields)
+
+
+def test_products_and_inverses_equal_validated_elements():
+    els = elements(2, 1, 3)
+    for g in els:
+        for h in els:
+            for built in (multiply(g, h), inverse(g), conjugate(g, h)):
+                fresh = GroupElement(built.r, built.n, built.exps, built.perm)
+                assert built == fresh and fresh == built
+                assert hash(built) == hash(fresh)
+                assert {built: 1}[fresh] == 1
+    assert len(set(multiply(g, h) for g in els for h in els)) == len(els)
+
+
 def test_perm_sign_matches_insertion_sort():
     # every tuple of distinct values from range(6), of every length 0..6
     for k in range(7):
