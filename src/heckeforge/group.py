@@ -3,9 +3,11 @@
 An element xi_1^{a_1}...xi_n^{a_n} sigma is stored as the exponent vector
 (a_1..a_n) over Z/r together with the permutation sigma (image list,
 1-based).  Its matrix has entry zeta^{a_{sigma(i)}} in row sigma(i),
-column i.  Conjugacy in G(r,1,n) is decided by (a,k)-cycle type.  For every
-p, conjugacy classes are grown by breadth-first search under conjugation by
-a generating set; centralizers and their generators are read off cycles.
+column i.  Conjugacy in G(r,1,n) is decided by (a,k)-cycle type, so its
+classes are built from the coloured cycle types, with no listing of the
+group; a class of G(r,1,n) that splits in G(r,p,n) is grown and split on
+its own.  Centralizers, their generators and the generators of the
+pointwise stabilizer of V^g are read off cycles.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 from .cyclo import CycloNum, json_int, root_of_unity
 
@@ -256,14 +258,7 @@ def det(g: GroupElement, rep: RepKind) -> CycloNum:
     return root_of_unity(math.lcm(2, g.r), det_exponent(*monomial_action(g, rep), g.r))
 
 
-# -- subgroup membership, cycle types, conjugacy -----------------------------
-
-
-def in_subgroup(g: GroupElement, p: int) -> bool:
-    """g lies in G(r,p,n) iff the exponent sum is 0 mod p."""
-    if g.r % p:
-        raise ValueError("p must divide r")
-    return sum(g.exps) % p == 0
+# -- cycle types, conjugacy -------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -349,28 +344,67 @@ class ConjClass:
     size: int
 
 
+def _full_group_reps(r: int, n: int) -> list[GroupElement]:
+    """The least member of each class of G(r,1,n), unsorted.  A class is a
+    multiset of (colour, length) cycles.  Each of its c cycles of nonzero
+    colour needs a nonzero exponent, so its least exponent vector is
+    (0, ..., 0, a_1, ..., a_c), the nonzero colours ascending, one on each
+    of those cycles, and its least permutation is the first, in
+    lexicographic order, whose cycles take these colours."""
+    reps = []
+    for c in range(n + 1):
+        for colours in combinations_with_replacement(range(1, r), c):
+            exps = (0,) * (n - c) + colours
+            found = set()
+            for perm in permutations(range(1, n + 1)):
+                cycles = perm_cycles(perm)
+                kind = tuple(sorted((sum(exps[i - 1] for i in cyc) % r, len(cyc)) for cyc in cycles))
+                if kind not in found and tuple(a for a, _ in kind if a) == colours:
+                    found.add(kind)
+                    reps.append(_element(r, n, exps, perm))
+    return reps
+
+
+def _conjugation_orbit(key, r: int, gens) -> list:
+    """The (exps, perm) pairs conjugate to `key` under the group that gens
+    generate, grown breadth first under x -> s^-1 x s: a set closed under
+    conjugation by generators of a finite group is closed under the group."""
+    by = [(inverse(s), s) for s in gens]
+    orbit, seen = [key], {key}
+    for x in orbit:  # the list grows while it is read
+        for t, s in by:
+            y = _mul(r, *_mul(r, t.exps, t.perm, *x), s.exps, s.perm)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
+
+
 @lru_cache(maxsize=None)
 def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
-    # Each class is the orbit of its first unseen element under x -> s^-1 x s
-    # for s in `generators(r, p, n)`, grown breadth first on (exps, perm)
-    # pairs; a set closed under conjugation by generators of a finite group
-    # is closed under conjugation by the whole group.
-    by = [(inverse(s), s) for s in generators(r, p, n)]
-    seen: set = set()
+    # The classes of G(r,1,n) come from their coloured cycle types, of size
+    # |G(r,1,n)| / |Z(g)|.  The class of g lies in G(r,p,n) iff its colours
+    # sum to 0 mod p, and splits there into s classes, s the index of the
+    # image of Z_{G(r,1,n)}(g) under h -> sum(h.exps) mod p, which its
+    # generators span.  Only a class that splits is listed: grown under
+    # G(r,1,n), then cut into G(r,p,n)-orbits in sorted order, so each is
+    # represented by its least member.
+    order = r**n * math.factorial(n)
     classes = []
-    for g in _elements(r, p, n):  # sorted, so the first unseen member is the lex-min rep
-        key = (g.exps, g.perm)
-        if key in seen:
+    for g in _full_group_reps(r, n):
+        if sum(g.exps) % p:
             continue
-        seen.add(key)
-        orbit = [key]
-        for x in orbit:  # the list grows while it is read
-            for t, s in by:
-                y = _mul(r, *_mul(r, t.exps, t.perm, *x), s.exps, s.perm)
-                if y not in seen:
-                    seen.add(y)
-                    orbit.append(y)
-        classes.append(ConjClass(rep=g, size=len(orbit)))
+        if p == 1 or math.gcd(p, *(sum(h.exps) for h in centralizer_generators(g, 1))) == 1:
+            classes.append(ConjClass(g, order // centralizer_order_formula(g)))
+            continue
+        seen: set = set()
+        by = generators(r, p, n)
+        for key in sorted(_conjugation_orbit((g.exps, g.perm), r, generators(r, 1, n))):
+            if key not in seen:
+                orbit = _conjugation_orbit(key, r, by)
+                seen.update(orbit)
+                classes.append(ConjClass(_element(r, n, *key), len(orbit)))
+    classes.sort(key=lambda cls: cls.rep.sort_key())
     return tuple(classes)
 
 
@@ -379,7 +413,6 @@ def conjugacy_classes(r: int, p: int, n: int, budget: int | None = DEFAULT_BUDGE
     return _conjugacy_classes(r, p, n)
 
 
-@lru_cache(maxsize=4096)
 def _centralizer(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
     # h = (b, tau) commutes with g = (a, sigma) iff tau sigma = sigma tau and
     # a + sigma.b = b + tau.a, that is b_{sigma(j)} = b_j + c_{sigma(j)} for
@@ -421,39 +454,49 @@ def centralizer(g: GroupElement, p: int):
     return list(_centralizer(g, p))
 
 
-@lru_cache(maxsize=4096)
-def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
-    """Generators of Z_{G(r,p,n)}(g) read off g's cycles, with no identity
-    or repeat.  Per (a,k) type: the scalar xi on its first cycle's support
-    and that cycle, which generate that cycle's cyclic centralizer of order
-    rk, and a swap of each adjacent pair of its cycles (exponents solved
-    from `_centralizer`'s equation), which permute the cycles and conjugate
-    the first two onto each: `centralizer_order_formula` in all.  For p > 1,
-    the Schreier generators t s u^-1 of the kernel of h -> sum(h.exps) mod p
-    (Schreier's lemma): t over one coset representative per value, s over
-    the generators above, u the representative of t s."""
-    r, n, a, sigma = g.r, g.n, g.exps, g.perm
-    gens, by_type = [], {}
-    for cyc in perm_cycles(sigma):
-        same = by_type.setdefault((sum(a[i - 1] for i in cyc) % r, len(cyc)), [])
-        if not same:  # the swaps conjugate these onto the other cycles of the type
-            on = [i + 1 in cyc for i in range(n)]
-            gens.append(diag(r, n, on))
-            gens.append(_element(
-                r, n, tuple(a[i] if on[i] else 0 for i in range(n)),
-                tuple(sigma[i] if on[i] else i + 1 for i in range(n)),
-            ))
-        same.append(cyc)
-    for same in by_type.values():
-        for c1, c2 in zip(same, same[1:]):
-            # tau swaps the j-th points of c1 and c2, and b solves
-            # b_{sigma(x)} = b_x + a_{sigma(x)} - a_{tau^-1 sigma(x)}
-            b, perm, t = [0] * n, list(range(1, n + 1)), 0
-            for x, y in zip(c1, c2):
-                t += a[x - 1] - a[y - 1]
-                b[x - 1], b[y - 1] = t % r, -t % r
-                perm[x - 1], perm[y - 1] = y, x
-            gens.append(_element(r, n, tuple(b), tuple(perm)))
+def _cycles_by_type(g: GroupElement) -> dict:
+    """g's cycles grouped by (a,k) type, the types in order of first cycle."""
+    by_type: dict = {}
+    for cyc in perm_cycles(g.perm):
+        by_type.setdefault((sum(g.exps[i - 1] for i in cyc) % g.r, len(cyc)), []).append(cyc)
+    return by_type
+
+
+def _scalar_and_cycle(g: GroupElement, cyc) -> list[GroupElement]:
+    """The scalar xi on the support of the cycle cyc of g, and the element
+    that is g on that support and the identity off it; they generate the
+    cycle's cyclic centralizer of order rk."""
+    r, n = g.r, g.n
+    on = [i + 1 in cyc for i in range(n)]
+    return [diag(r, n, on), _element(
+        r, n, tuple(g.exps[i] if on[i] else 0 for i in range(n)),
+        tuple(g.perm[i] if on[i] else i + 1 for i in range(n)),
+    )]
+
+
+def _swaps(g: GroupElement, same) -> list[GroupElement]:
+    """A swap of each adjacent pair c1, c2 of the cycles `same` of one (a,k)
+    type: tau swaps the j-th points of c1 and c2, and b solves
+    b_{sigma(x)} = b_x + a_{sigma(x)} - a_{tau^-1 sigma(x)} (see
+    `_centralizer`).  They permute the cycles and conjugate the first
+    cycle's `_scalar_and_cycle` onto each."""
+    r, n, a = g.r, g.n, g.exps
+    out = []
+    for c1, c2 in zip(same, same[1:]):
+        b, perm, t = [0] * n, list(range(1, n + 1)), 0
+        for x, y in zip(c1, c2):
+            t += a[x - 1] - a[y - 1]
+            b[x - 1], b[y - 1] = t % r, -t % r
+            perm[x - 1], perm[y - 1] = y, x
+        out.append(_element(r, n, tuple(b), tuple(perm)))
+    return out
+
+
+def _within(gens, r: int, n: int, p: int) -> tuple[GroupElement, ...]:
+    """Generators of the intersection of <gens> with G(r,p,n), with no
+    identity or repeat.  For p > 1, the Schreier generators t s u^-1 of the
+    kernel of h -> sum(h.exps) mod p (Schreier's lemma): t over one coset
+    representative per value, s over gens, u the representative of t s."""
     if p > 1:
         reps = {0: identity(r, n)}  # sum(exps) mod p -> a coset representative
         todo, schreier = list(reps.values()), []
@@ -467,3 +510,37 @@ def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
                     schreier.append(multiply(ts, inverse(u)))
         gens = schreier
     return tuple(h for h in dict.fromkeys(gens) if not h.is_identity())
+
+
+@lru_cache(maxsize=4096)
+def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
+    """Generators of Z_{G(r,p,n)}(g) read off g's cycles, with no identity
+    or repeat.  Per (a,k) type: `_scalar_and_cycle` of its first cycle, and
+    the `_swaps` of its cycles: `centralizer_order_formula` in all.  For
+    p > 1, cut down by `_within`."""
+    by_type = _cycles_by_type(g).values()
+    gens = [h for same in by_type for h in _scalar_and_cycle(g, same[0])]
+    gens += [h for same in by_type for h in _swaps(g, same)]
+    return _within(gens, g.r, g.n, p)
+
+
+def kernel_generators(g: GroupElement, rep: RepKind, p: int) -> tuple[GroupElement, ...]:
+    """Generators of K = ker(Z_{G(r,p,n)}(g) -> GL(V^g)), the centralizer
+    elements fixing V^g pointwise, read off g's cycles.  Z(g) is a direct
+    product over g's (a,k) types, and so is K.  V^g has one vector on each
+    cycle of colour 0 under the faithful action, and on each cycle under the
+    permutation action.  A type without fixed vectors puts its whole factor
+    into K, as in `centralizer_generators`.  On a type with them, no
+    element that moves its cycles is in K, and per cycle K takes the cycle,
+    which fixes the cycle's vector, and under the permutation action, where
+    scalars act trivially, its scalar; under the faithful action the scalar
+    moves that vector by zeta_r.  For p > 1, cut down by `_within`."""
+    faithful = rep == RepKind.FAITHFUL
+    gens: list = []
+    for (a, _), same in _cycles_by_type(g).items():
+        if faithful and a:
+            gens += _scalar_and_cycle(g, same[0]) + _swaps(g, same)
+        else:
+            for cyc in same:
+                gens += _scalar_and_cycle(g, cyc)[faithful:]  # faithful: no scalar
+    return _within(gens, g.r, g.n, p)

@@ -4,7 +4,7 @@ A candidate deformation parameter is a finitely supported family of
 skew-symmetric bilinear forms g |-> a_g on V.  The family defines a graded
 Hecke algebra exactly when it is conjugation-equivariant and satisfies the
 mixed Jacobi condition; `pbw_check` tests both directly.  The bridge to
-Hochschild cohomology goes through the chain maps psi_1, psi_2 from the bar
+Hochschild cohomology goes through the chain map psi_2 from the bar
 resolution to the Koszul resolution of S(V): a family induces a two-cocycle
 mu_1 on S(V)#G via mu_1(r gbar, s hbar) = (f o psi_2)(1 (x) r (x) g(s) (x) 1) gbar hbar
 (`ncalg.Mu1`, which computes in S(V)#G as the Drinfeld algebra of the empty
@@ -406,26 +406,7 @@ def pbw_check(F: SkewFormFamily, budget: int | None = DEFAULT_BUDGET) -> PBWRepo
     return PBWReport(invariance, jacobi, witnesses)
 
 
-# -- chain maps psi_1, psi_2 ---------------------------------------------------
-
-
-def psi1(exps):
-    """Bar-to-Koszul chain map in degree 1 on the monomial v^exps: a list of
-    (left exps, right exps, variable index) with unit coefficients."""
-    n = len(exps)
-    out = []
-    for i in range(n):
-        for a in range(1, exps[i] + 1):
-            left = [0] * n
-            left[i] = exps[i] - a
-            for t in range(i + 1, n):
-                left[t] = exps[t]
-            right = [0] * n
-            for t in range(i):
-                right[t] = exps[t]
-            right[i] = a - 1
-            out.append((tuple(left), tuple(right), i + 1))
-    return out
+# -- the chain map psi_2 -------------------------------------------------------
 
 
 def psi2(k_exps, m_exps):

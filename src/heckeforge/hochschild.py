@@ -34,6 +34,7 @@ from .group import (
     det_exponent,
     from_cycles,
     is_three_cycle,
+    kernel_generators,
     monomial_action,
     perm_cycles,
     three_cycle,
@@ -100,9 +101,11 @@ def fixed_space(g: GroupElement, rep: RepKind):
 def hochschild_character(g: GroupElement, rep: RepKind, p: int = 1) -> CharacterTable:
     """chi_g(h) = det of h restricted to (V^g)-perp, for h in Z_{G(r,p,n)}(g),
     computed as det(h|V) / det(h|V^g) from the monomial action on V^g and
-    held as exponents mod lcm(2, r).  One table per (g, rep, p) is cached,
-    however p is passed, so its verification and action data serve every
-    degree."""
+    held as exponents mod lcm(2, r).  A ratio of the determinants of two
+    representations of Z(g) is a homomorphism, so the table holds its values
+    on `centralizer_generators` only, and lists Z(g) only if `subgroup`,
+    `exponents` or `chi(h)` are read.  One table per (g, rep, p) is cached,
+    however p is passed, so its action data serve every degree."""
     return _hochschild_character(g, rep, p)
 
 
@@ -113,18 +116,17 @@ def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTab
     # sign(h.perm) zeta_r^{sum h.exps}, or sign(h.perm) under the permutation
     # action; h permutes the fixed basis monomially, so
     # det(h | V^g) = sign(pi) zeta_r^{sum texp}.  Both are `det_exponent`s
-    # mod F = lcm(2, r).
-    # The table keeps the fixed-basis pairs and the generators' among them.
+    # mod F = lcm(2, r).  The table keeps the generators' fixed-basis pairs.
     r = g.r
-    Z = centralizer(g, p)
+    gens = centralizer_generators(g, p)
     fixed = fixed_basis(g, rep)
-    pairs = subspace_actions(Z, rep, fixed)
+    pairs = subspace_actions(gens, rep, fixed)
     faithful = rep == RepKind.FAITHFUL
-    exps = {
-        h: det_exponent(h.perm, h.exps if faithful else (), r) - det_exponent(pi, texp, r)
-        for h, (pi, texp) in zip(Z, pairs)
-    }
-    chi = CharacterTable(Z, lcm(2, r), exps, centralizer_generators(g, p))
+    exps = [
+        det_exponent(h.perm, h.exps if faithful else (), r) - det_exponent(pi, texp, r)
+        for h, (pi, texp) in zip(gens, pairs)
+    ]
+    chi = CharacterTable.on_generators(r, g.n, lcm(2, r), gens, exps, lambda: centralizer(g, p))
     chi.keep_actions(rep, fixed, pairs)
     return chi
 
@@ -198,16 +200,11 @@ def _passes_det_filter(g: GroupElement, rep: RepKind, p: int) -> bool:
     on V^g with determinant != 1."""
     if det_exponent(*monomial_action(g, rep), g.r):
         return False
-    fixed = fixed_basis(g, rep)
-    codim = g.n - len(fixed)
-    if codim not in (0, 2):
+    if g.n - len(fixed_basis(g, rep)) not in (0, 2):
         return False
-    # on an h fixing V^g pointwise, det(h | V^g) = 1, so chi_g(h) = det(h)
-    chi = hochschild_character(g, rep, p)
-    for pi, texp, e in chi.actions(rep, fixed):
-        if e and is_identity_action(pi, texp):
-            return False
-    return True
+    # on an h fixing V^g pointwise, det(h | V^g) = 1, so chi_g(h) = det(h);
+    # chi_g is a homomorphism, so it is trivial on K iff on K's generators
+    return not any(det_exponent(*monomial_action(h, rep), g.r) for h in kernel_generators(g, rep, p))
 
 
 def hh2_total(

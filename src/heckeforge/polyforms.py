@@ -227,31 +227,6 @@ def act_form(g: GroupElement, w: PolyForm, rep: RepKind) -> PolyForm:
 # -- classical invariant theory ----------------------------------------------
 
 
-def elementary_symmetric(k: int, polys) -> Polynomial:
-    polys = list(polys)
-    if not 1 <= k <= len(polys):
-        raise ValueError("k out of range")
-    n = polys[0].n
-    out = Polynomial.zero(n)
-    for combo in combinations(polys, k):
-        prod = Polynomial.constant(n, 1)
-        for f in combo:
-            prod = prod * f
-        out = out + prod
-    return out
-
-
-def invariant_ring_generators(r: int, p: int, m: int) -> list[Polynomial]:
-    """Basic invariants of G(r,p,m): e_1..e_{m-1} in the r-th powers of the
-    variables, then (v_1...v_m)^{r/p}."""
-    if r % p:
-        raise ValueError("p must divide r")
-    powers = [Polynomial.monomial(m, tuple(r if j == i else 0 for j in range(m))) for i in range(m)]
-    gens = [elementary_symmetric(k, powers) for k in range(1, m)]
-    gens.append(Polynomial.monomial(m, (r // p,) * m))
-    return gens
-
-
 def _power_derivation(m: int, e: int) -> PolyForm:
     """sum_i v_i^e (x) x_i."""
     monos = [tuple(e * (t == i) for t in range(m)) for i in range(m)]
@@ -269,12 +244,6 @@ def basic_derivations(r: int, p: int, m: int) -> list[PolyForm]:
             (i + 1,): Polynomial.monomial(m, tuple((r - 1) * (t != i) for t in range(m))) for i in range(m)
         }))
     return out
-
-
-def symmetric_group_derivations(m: int) -> list[PolyForm]:
-    """Corrected basic derivations for the permutation action of S_m:
-    theta_j = sum_i v_i^{j-1} (x) x_i, degrees 0..m-1."""
-    return [_power_derivation(m, j) for j in range(m)]
 
 
 def _poly_matrix_determinant(rows: list[list[Polynomial]]) -> Polynomial:
@@ -363,47 +332,93 @@ class CharacterError(ValueError):
 
 
 class CharacterTable:
-    """A linear character of a listed subgroup H of G(r,p,n), held as
-    exponents: chi(h) = zeta_order^{exponents[h]}, where `order` is a
-    multiple of lcm(2, r), so a sign is order / 2, and a generating set of H.
+    """A linear character of a subgroup H of G(r,p,n), held as exponents:
+    chi(h) = zeta_order^{exponents[h]}, where `order` is a multiple of
+    lcm(2, r), so a sign is order / 2, with a generating set of H.
 
-    The table is verified once (`check_multiplicative`) and keeps its
-    integer action data per subspace (`actions`), so every polynomial degree
-    of a class reuses both.
+    `CharacterTable(subgroup, order, exponents, generators)` takes H listed
+    with every exponent, and is verified once (`check_multiplicative`)
+    before a Reynolds basis reads it.  `on_generators` takes a homomorphism
+    by its values on the generators alone; it lists H and extends the values
+    to `exponents` only if `subgroup`, `exponents`, `chi(h)` or the actions
+    of all of H are read.  Either keeps its integer action data per
+    subspace (`actions`), so every polynomial degree of a class reuses them.
     """
 
     def __init__(self, subgroup, order: int, exponents: dict, generators):
-        self.subgroup = tuple(subgroup)
-        if self.subgroup and order % lcm(2, self.subgroup[0].r):
+        self._subgroup = tuple(subgroup)
+        self.r, self.n = (self._subgroup[0].r, self._subgroup[0].n) if self._subgroup else (None, None)
+        if self._subgroup and order % lcm(2, self.r):
             raise ValueError("the exponent modulus must be a multiple of lcm(2, r)")
         self.order = order
-        self.exponents = {h: e % order for h, e in exponents.items()}
+        self._exponents = {h: e % order for h, e in exponents.items()}
         self.generators = tuple(generators)
+        self._generator_exponents = None
         self._verified = False
         self._actions: dict = {}
+
+    @classmethod
+    def on_generators(cls, r: int, n: int, order: int, generators, exponents, list_subgroup):
+        """The homomorphism H -> mu_order with exponents[j] at generators[j],
+        H the group they generate; the caller vouches that it is one.
+        `list_subgroup()` returns H sorted, and is called at most once."""
+        chi = cls.__new__(cls)
+        chi.r, chi.n, chi.order = r, n, order
+        chi.generators = tuple(generators)
+        chi._generator_exponents = tuple(e % order for e in exponents)
+        chi._subgroup = chi._exponents = None
+        chi._list_subgroup = list_subgroup
+        chi._verified = True
+        chi._actions = {}
+        return chi
+
+    @property
+    def subgroup(self) -> tuple:
+        if self._subgroup is None:
+            self._subgroup = tuple(self._list_subgroup())
+        return self._subgroup
+
+    @property
+    def exponents(self) -> dict:
+        """Every exponent, keyed in `subgroup` order.  From generators, each
+        element takes its value along the breadth-first walk from the
+        identity (`group.closure`): e(x s) = e(x) + e(s)."""
+        if self._exponents is None:
+            reached, products = closure(self.r, self.n, self.generators)
+            e = [0] + [None] * (len(reached) - 1)
+            for i, row in enumerate(products):
+                for k, es in zip(row, self._generator_exponents):
+                    if e[k] is None:
+                        e[k] = (e[i] + es) % self.order
+            walked = dict(zip(reached, e))
+            self._exponents = {h: walked[h] for h in self.subgroup}
+        return self._exponents
 
     def __call__(self, h: GroupElement) -> CycloNum:
         return root_of_unity(self.order, self.exponents[h])
 
     def is_trivial(self) -> bool:
-        return not any(self.exponents.values())
+        if self._generator_exponents is not None:
+            return not any(self._generator_exponents)
+        return not any(self._exponents.values())
 
     def check_multiplicative(self):
-        """Prove, once per table, that the generators S generate H and that
-        chi(xy) = chi(x) chi(y) on H: the breadth-first closure of S from
-        the identity (`group.closure`) must be exactly H, with e(1) = 0 and
-        e(x s) = e(x) + e(s) mod F on every edge, and induction on word
+        """Prove, once per listed table, that the generators S generate H and
+        that chi(xy) = chi(x) chi(y) on H: the breadth-first closure of S
+        from the identity (`group.closure`) must be exactly H, with e(1) = 0
+        and e(x s) = e(x) + e(s) mod F on every edge, and induction on word
         length in S gives all pairs.  An all-zero table is a character of
         any subgroup and is not walked, so its generators are taken as
-        given.  Raises CharacterError otherwise."""
+        given; a table `on_generators` is a homomorphism by construction.
+        Raises CharacterError otherwise."""
         if self._verified:
             return
         if not self.is_trivial():
-            els, F = self.subgroup, self.order
-            reached, products = closure(els[0].r, els[0].n, self.generators)
-            if set(reached) != set(els):
+            F = self.order
+            reached, products = closure(self.r, self.n, self.generators)
+            if set(reached) != set(self._subgroup):
                 raise CharacterError("the generators do not generate the listed subgroup")
-            e = [self.exponents[x] for x in reached]  # e[0] at the identity
+            e = [self._exponents[x] for x in reached]  # e[0] at the identity
             edges = ((i, s, k) for i, row in enumerate(products) for s, k in zip(products[0], row))
             if e[0] or any((e[i] + e[s] - e[k]) % F for i, s, k in edges):
                 raise CharacterError("character is not multiplicative on the listed subgroup")
@@ -418,22 +433,23 @@ class CharacterTable:
         key = (rep, subspace, generators_only)
         if key not in self._actions:
             els = self.generators if generators_only else self.subgroup
-            self._keep(key, els, subspace_actions(els, rep, subspace))
+            self._keep(key, subspace_actions(els, rep, subspace), self._exponents_of(els, generators_only))
         return self._actions[key]
 
     def keep_actions(self, rep: RepKind, subspace, pairs) -> None:
-        """Keep the `subspace_actions(H, rep, subspace)` pairs of a caller
-        that already has them as `actions(rep, subspace)`, and the
-        generators' pairs among them for `generators_only`."""
-        pair_of = dict(zip(self.subgroup, pairs))
-        self._keep((rep, subspace, False), self.subgroup, pairs)
-        self._keep((rep, subspace, True), self.generators, [pair_of[s] for s in self.generators])
+        """Keep the `subspace_actions(generators, rep, subspace)` pairs of a
+        caller that already has them, as `actions(rep, subspace, True)`."""
+        self._keep((rep, subspace, True), pairs, self._exponents_of(self.generators, True))
 
-    def _keep(self, key, elements, pairs) -> None:
-        step = self.order // self.subgroup[0].r
+    def _exponents_of(self, elements, generators_only: bool):
+        if generators_only and self._generator_exponents is not None:
+            return self._generator_exponents
+        return [self.exponents[h] for h in elements]
+
+    def _keep(self, key, pairs, exponents) -> None:
+        step = self.order // self.r
         self._actions[key] = list(dict.fromkeys(
-            (pi, tuple(t * step for t in texp), self.exponents[h])
-            for h, (pi, texp) in zip(elements, pairs)
+            (pi, tuple(t * step for t in texp), e) for (pi, texp), e in zip(pairs, exponents)
         ))
 
 
@@ -582,24 +598,24 @@ def reynolds_semiinvariant_basis(
     that complement is im(g - 1), so the duals are those of V^g in
     V = V^g (+) im(g - 1).
 
-    Every element of `chi.subgroup` must permute the subspace basis up to
-    roots of unity, so H = chi.subgroup permutes the monomial-times-wedge
-    basis up to phases zeta_F^e.  The Reynolds projector
+    Every generator of H, the group of chi, must permute the subspace basis
+    up to roots of unity, so H permutes the monomial-times-wedge basis up
+    to phases zeta_F^e.  The Reynolds projector
     (1/|H|) sum chi(h)^{-1} h then maps a basis element b into the span of
     its orbit, and is nonzero there exactly when every h in the stabilizer
     of b has h.b = chi(h) b: the stabilizer's twisted character is
     otherwise nontrivial and sums to 0.  So each surviving orbit gives one
     basis element, read off by walking the orbit under `chi.generators`
-    only and comparing integer phases (see `_phase_rows`).  The character
-    and its generators are verified and their action data built on the
-    first call for a table and subspace (`CharacterTable.check_multiplicative`,
-    `CharacterTable.actions`); later degrees reuse both.
+    only and comparing integer phases (see `_phase_rows`); H itself is
+    never listed.  A listed table is verified on the first call
+    (`CharacterTable.check_multiplicative`), and the generators' action
+    data are built on the first call for a table and subspace
+    (`CharacterTable.actions`); later degrees reuse both.
     """
-    elems = chi.subgroup
-    if not elems:
+    if chi.r is None:
         raise ValueError("empty subgroup")
     chi.check_multiplicative()
-    r, n = elems[0].r, elems[0].n
+    r, n = chi.r, chi.n
     if subspace is None:
         subspace = tuple(((i, 0),) for i in range(n))
     m = len(subspace)

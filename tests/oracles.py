@@ -39,6 +39,16 @@ paths in the library, and a faithful family shared by the tests:
   its own Fraction tables (`fraction_cyclotomic_polynomial`,
   `fraction_power_table`), the reference for `CycloNum`'s integer
   numerators over one denominator;
+- `classes_by_search`: the conjugacy classes of G(r,p,n) found by walking
+  the group in sorted order and growing the class of each first unseen
+  element breadth first under conjugation by generators;
+- `listed_hochschild_character`: the Hochschild character as a listed
+  table, det(h|V) / det(h|V^g) computed on every element of the solved
+  centralizer, and `passes_det_filter_by_listing`, the determinant filter
+  read off that table's action on V^g, element by element;
+- `in_subgroup`, `elementary_symmetric`, `invariant_ring_generators` and
+  `symmetric_group_derivations`: membership in G(r,p,n), basic invariants
+  and the derivations of the symmetric group, which only tests read;
 - the dense and brute-force helpers the tests read: `trivial_character`,
   `act`, `coact`, `matrix`, `conjugate_in_full_group` and
   `dimension_by_enumeration`.
@@ -47,15 +57,20 @@ paths in the library, and a faithful family shared by the tests:
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import lcm
 
 from heckeforge.cyclo import CycloMatrix, add_term, cyclo, echelon_rows, one, root_of_unity, zero
 from heckeforge.group import (
+    ConjClass,
+    GroupElement,
     RepKind,
+    _mul,
     centralizer,
+    centralizer_generators,
     conjugacy_classes,
     cycle_type,
+    det_exponent,
     diag,
     elements,
     from_cycles,
@@ -77,7 +92,15 @@ from heckeforge.hecke import (
 )
 from heckeforge.hochschild import fixed_basis, hochschild_character
 from heckeforge.ncalg import NCElement, _exps_of, _word_of, _xi_pair
-from heckeforge.polyforms import CharacterTable, reynolds_semiinvariant_basis
+from heckeforge.polyforms import (
+    CharacterTable,
+    PolyForm,
+    Polynomial,
+    _power_derivation,
+    is_identity_action,
+    reynolds_semiinvariant_basis,
+    subspace_actions,
+)
 
 
 def act(g, i, rep):
@@ -519,6 +542,94 @@ def param_space_dense_oracle(r, p, n, rep):
                     rows.append(row)
     rank = len(echelon_rows(rows))
     return nvars - rank
+
+
+def classes_by_search(r, p, n):
+    """The conjugacy classes of G(r,p,n) as ConjClasses, by listing: each
+    class is the orbit of the first element, in sorted order, that no earlier
+    class holds, grown breadth first on (exps, perm) pairs under
+    x -> s^-1 x s for s in `generators(r, p, n)`."""
+    by = [(inverse(s), s) for s in generators(r, p, n)]
+    seen: set = set()
+    classes = []
+    # exponent vectors, then permutations, in lexicographic order: sorted
+    for key in product(product(range(r), repeat=n), permutations(range(1, n + 1))):
+        if key in seen or sum(key[0]) % p:
+            continue
+        seen.add(key)
+        orbit = [key]
+        for x in orbit:  # the list grows while it is read
+            for t, s in by:
+                y = _mul(r, *_mul(r, t.exps, t.perm, *x), s.exps, s.perm)
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        classes.append(ConjClass(rep=GroupElement(r, n, *key), size=len(orbit)))
+    return classes
+
+
+def listed_hochschild_character(g, rep, p):
+    """chi_g as a listed CharacterTable over the solved Z_{G(r,p,n)}(g):
+    det(h|V) minus det(h|V^g), both as `det_exponent`s mod lcm(2, r), on
+    every h, the second read off h's action on `fixed_basis`."""
+    r = g.r
+    Z = centralizer(g, p)
+    pairs = subspace_actions(Z, rep, fixed_basis(g, rep))
+    faithful = rep == RepKind.FAITHFUL
+    exps = {
+        h: det_exponent(h.perm, h.exps if faithful else (), r) - det_exponent(pi, texp, r)
+        for h, (pi, texp) in zip(Z, pairs)
+    }
+    return CharacterTable(Z, lcm(2, r), exps, centralizer_generators(g, p))
+
+
+def passes_det_filter_by_listing(g, rep, p):
+    """The determinant filter by scanning the listed character: det(g) = 1,
+    codim V^g in {0, 2}, and chi_g(h) = 1 on every h of Z(g) that acts as
+    the identity on V^g."""
+    fixed = fixed_basis(g, rep)
+    if det_exponent(*monomial_action(g, rep), g.r) or g.n - len(fixed) not in (0, 2):
+        return False
+    chi = listed_hochschild_character(g, rep, p)
+    return not any(e and is_identity_action(pi, texp) for pi, texp, e in chi.actions(rep, fixed))
+
+
+def in_subgroup(g, p):
+    """g lies in G(r,p,n) iff the exponent sum is 0 mod p."""
+    if g.r % p:
+        raise ValueError("p must divide r")
+    return sum(g.exps) % p == 0
+
+
+def elementary_symmetric(k, polys):
+    polys = list(polys)
+    if not 1 <= k <= len(polys):
+        raise ValueError("k out of range")
+    n = polys[0].n
+    out = Polynomial.zero(n)
+    for combo in combinations(polys, k):
+        prod = Polynomial.constant(n, 1)
+        for f in combo:
+            prod = prod * f
+        out = out + prod
+    return out
+
+
+def invariant_ring_generators(r, p, m):
+    """Basic invariants of G(r,p,m): e_1..e_{m-1} in the r-th powers of the
+    variables, then (v_1...v_m)^{r/p}."""
+    if r % p:
+        raise ValueError("p must divide r")
+    powers = [Polynomial.monomial(m, tuple(r if j == i else 0 for j in range(m))) for i in range(m)]
+    gens = [elementary_symmetric(k, powers) for k in range(1, m)]
+    gens.append(Polynomial.monomial(m, (r // p,) * m))
+    return gens
+
+
+def symmetric_group_derivations(m) -> list[PolyForm]:
+    """Corrected basic derivations for the permutation action of S_m:
+    theta_j = sum_i v_i^{j-1} (x) x_i, degrees 0..m-1."""
+    return [_power_derivation(m, j) for j in range(m)]
 
 
 def param_space_by_reynolds(r, p, n, rep):

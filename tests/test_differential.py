@@ -28,6 +28,16 @@ in `oracles`:
 - class membership by (a,k)-cycle type, as the catalog and the presets
   test it, against each class conjugated by every element, on every class
   of the acceptance and extended groups;
+- the conjugacy classes built from coloured cycle types against the
+  classes grown breadth first over the whole group, representative, size
+  and order, on every G(r,p,n) with r <= 12 and |G| <= 50,000;
+- the Hochschild character held on generators against the table computed
+  on every element of the solved centralizer, on every class of the
+  groups `test_character_matches_dense_restriction` reads;
+- the generators of the pointwise stabilizer of V^g read off g's cycles
+  against the listed stabilizer, and the determinant filter on them
+  against the scan of the listed character, on every class of the
+  acceptance and extended groups under both actions;
 - the parameter-space oracle, which solves the equivariance rows as orbits
   with phases, against the dense assembly of every row and against the
   Reynolds route, on every G(r,p,n) with |G| <= 400, n <= 5 and r <= 12
@@ -46,6 +56,8 @@ from heckeforge.cyclo import CycloMatrix, one, root_of_unity, zero
 from heckeforge.group import (
     GroupElement,
     RepKind,
+    centralizer,
+    closure,
     conjugacy_classes,
     cycle_type,
     diag,
@@ -53,6 +65,7 @@ from heckeforge.group import (
     from_cycles,
     group_order,
     identity,
+    kernel_generators,
     monomial_action,
     three_cycle,
     transposition,
@@ -67,7 +80,13 @@ from heckeforge.hecke import (
     param_space_linear_oracle,
     pbw_check,
 )
-from heckeforge.hochschild import fixed_basis, fixed_space, hochschild_character
+from heckeforge.hochschild import (
+    _fixes_space_pointwise,
+    _passes_det_filter,
+    fixed_basis,
+    fixed_space,
+    hochschild_character,
+)
 from heckeforge.ncalg import DrinfeldAlgebra, HStarAlgebra
 from heckeforge.polyforms import (
     _duals,
@@ -77,12 +96,15 @@ from heckeforge.polyforms import (
 )
 from oracles import (
     class_members,
+    classes_by_search,
     dense_codim2_form,
     dense_spaces,
     faithful_family_2_1_4,
     hstar_reference_multiply,
+    listed_hochschild_character,
     param_space_by_reynolds,
     param_space_dense_oracle,
+    passes_det_filter_by_listing,
     pbw_check_full_scan,
     reynolds_rows_by_projector,
     stack_multiply,
@@ -446,6 +468,52 @@ def test_cycle_type_membership_matches_the_conjugacy_classes(r, p, n):
         if n >= 4:
             for probe in probes:
                 assert (probe in members) == (cycle_type(probe) == cycle_type(cls.rep)), (cls.rep, probe)
+
+
+# -- classes, characters and the det filter without listing -------------------
+
+
+def _class_groups():
+    return [
+        (r, p, n)
+        for n in range(1, 8)
+        for r in range(1, 13)
+        for p in range(1, r + 1)
+        if r % p == 0 and group_order(r, p, n) <= 50000
+    ]
+
+
+@pytest.mark.parametrize("r,p,n", _class_groups())
+def test_classes_from_cycle_types_match_the_search(r, p, n):
+    built = [(c.rep.exps, c.rep.perm, c.size) for c in conjugacy_classes(r, p, n)]
+    assert built == [(c.rep.exps, c.rep.perm, c.size) for c in classes_by_search(r, p, n)]
+
+
+def _character_groups():
+    from test_hochschild import _character_cases
+
+    return _character_cases()
+
+
+@pytest.mark.parametrize("r,p,n,rep", _character_groups(), ids=lambda a: str(getattr(a, "value", a)))
+def test_generator_character_matches_the_listed_table(r, p, n, rep):
+    for cls in conjugacy_classes(r, p, n):
+        chi = hochschild_character(cls.rep, rep, p)
+        listed = listed_hochschild_character(cls.rep, rep, p)
+        listed.check_multiplicative()
+        assert chi.subgroup == listed.subgroup, cls.rep
+        assert list(chi.exponents.items()) == list(listed.exponents.items()), (cls.rep, rep)
+        assert chi.is_trivial() == listed.is_trivial(), (cls.rep, rep)
+
+
+@pytest.mark.parametrize("r,p,n,rep", _reynolds_groups(), ids=lambda a: str(getattr(a, "value", a)))
+def test_kernel_generators_generate_the_listed_stabilizer(r, p, n, rep):
+    for cls in conjugacy_classes(r, p, n):
+        g = cls.rep
+        fixed = fixed_basis(g, rep)
+        stabilizer = {h for h in centralizer(g, p) if _fixes_space_pointwise(h, rep, fixed)}
+        assert set(closure(r, n, kernel_generators(g, rep, p))[0]) == stabilizer, (g, rep)
+        assert _passes_det_filter(g, rep, p) == passes_det_filter_by_listing(g, rep, p), (g, rep)
 
 
 # -- parameter spaces: orbits with phases against the dense assembly ---------------

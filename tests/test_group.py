@@ -24,7 +24,6 @@ from heckeforge.group import (
     generators,
     group_order,
     identity,
-    in_subgroup,
     inverse,
     monomial_action,
     multiply,
@@ -33,7 +32,7 @@ from heckeforge.group import (
     transposition,
     xi,
 )
-from oracles import act, class_members, coact, conjugate_in_full_group, matrix, sort_with_sign
+from oracles import act, class_members, coact, conjugate_in_full_group, in_subgroup, matrix, sort_with_sign
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION

@@ -26,11 +26,11 @@ from heckeforge.hecke import (
     param_space,
     param_space_linear_oracle,
     pbw_check,
-    psi1,
     psi2,
     three_cycle_classes,
 )
 from heckeforge.ncalg import Mu1, cocycle_spot_check, commutator_sum, sample_cocycle_triples
+from chain_support import psi1
 from oracles import class_members, dense_spaces, faithful_family_2_1_4
 
 F = RepKind.FAITHFUL

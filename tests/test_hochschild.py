@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import heckeforge.group
 import heckeforge.hochschild
 import heckeforge.polyforms
 from heckeforge.cyclo import root_of_unity
@@ -40,6 +41,7 @@ from heckeforge.hochschild import (
     permutation_three_cycle_module,
     three_cycle_component_module,
 )
+from heckeforge.hecke import param_space, three_cycle_classes
 from heckeforge.polyforms import CharacterError, CharacterTable, restriction_matrix
 from oracles import dense_spaces, dimension_by_enumeration, generators_by_closure
 
@@ -377,3 +379,37 @@ def test_phase_rows_walk_the_generators_only(monkeypatch):
     assert len(hochschild_character(g, F, 1).actions(F, fixed_basis(g, F))) == 384
     assert any(hh_component(g, F, 2, 4).dims_by_degree.values())
     assert sizes and max(sizes) <= len(centralizer_generators(g, 1)) < 384, sizes
+
+
+def test_the_class_path_lists_no_group_or_centralizer(monkeypatch):
+    # classes, characters, the det filter and the Reynolds walk read cycles
+    # and generators only: with every listing route raising, the parameter
+    # spaces, brute-force HH^2, the catalog and the three-cycle classes come
+    # out as before
+    cases = [
+        lambda: param_space(4, 1, 4, F).to_json(),
+        lambda: param_space(3, 1, 4, P).to_json(),
+        lambda: [c.to_json() for c in hh2_total(2, 1, 5, F, 4)],
+        lambda: closed_form_catalog(2, 1, 5, F),
+        lambda: three_cycle_classes(3, 4),
+    ]
+    before = [case() for case in cases]
+
+    def refuse(*args):
+        raise AssertionError(f"listed {args}")
+
+    for module, name in [
+        (heckeforge.group, "_elements"),
+        (heckeforge.group, "_centralizer"),
+        (heckeforge.group, "closure"),
+        (heckeforge.polyforms, "closure"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    for cached in (
+        heckeforge.group._conjugacy_classes,
+        heckeforge.group.centralizer_generators,
+        heckeforge.hochschild._hochschild_character,
+        heckeforge.hochschild.fixed_basis,
+    ):
+        cached.cache_clear()
+    assert [case() for case in cases] == before

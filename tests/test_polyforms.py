@@ -27,14 +27,17 @@ from heckeforge.polyforms import (
     act_form,
     act_poly,
     basic_derivations,
-    elementary_symmetric,
-    invariant_ring_generators,
     reynolds_semiinvariant_basis,
     solomon_check,
     subspace_action,
-    symmetric_group_derivations,
 )
-from oracles import root_exponent, trivial_character
+from oracles import (
+    elementary_symmetric,
+    invariant_ring_generators,
+    root_exponent,
+    symmetric_group_derivations,
+    trivial_character,
+)
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
