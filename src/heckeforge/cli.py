@@ -343,6 +343,7 @@ def _parse_token(tok: str, alg) -> "ncalg.NCElement":
 def cmd_nc_normal_form(args) -> int:
     _, budget = _group_args(args)
     if args.algebra == "hstar":
+        group.check_budget(args.r, 1, args.n, budget)
         alg = ncalg.HStarAlgebra(args.r, args.n)
     elif args.algebra == "a-drinfeld":
         try:

@@ -332,45 +332,26 @@ class CharacterError(ValueError):
 
 
 class CharacterTable:
-    """A linear character of a subgroup H of G(r,p,n), held as exponents:
-    chi(h) = zeta_order^{exponents[h]}, where `order` is a multiple of
-    lcm(2, r), so a sign is order / 2, with a generating set of H.
+    """A linear character chi of a subgroup H of G(r,p,n), held by its
+    values on a generating set: chi(generators[j]) = zeta_order^{exponents[j]},
+    where `order` is a multiple of lcm(2, r), so a sign is order / 2.
 
-    `CharacterTable(subgroup, order, exponents, generators)` takes H listed
-    with every exponent, and is verified once (`check_multiplicative`)
-    before a Reynolds basis reads it.  `on_generators` takes a homomorphism
-    by its values on the generators alone; it lists H and extends the values
-    to `exponents` only if `subgroup`, `exponents`, `chi(h)` or the actions
-    of all of H are read.  Either keeps its integer action data per
-    subspace (`actions`), so every polynomial degree of a class reuses them.
+    `list_subgroup()` returns H sorted; it is called at most once, and only
+    if `subgroup`, `exponents` or `chi(h)` are read.  Reading `exponents`
+    extends the values over H and proves that they define a homomorphism
+    on H (see `exponents`).  The table keeps the generators' integer action
+    data per subspace (`actions`), so every polynomial degree reuses them.
     """
 
-    def __init__(self, subgroup, order: int, exponents: dict, generators):
-        self._subgroup = tuple(subgroup)
-        self.r, self.n = (self._subgroup[0].r, self._subgroup[0].n) if self._subgroup else (None, None)
-        if self._subgroup and order % lcm(2, self.r):
+    def __init__(self, r: int, n: int, order: int, generators, exponents, list_subgroup):
+        if order % lcm(2, r):
             raise ValueError("the exponent modulus must be a multiple of lcm(2, r)")
-        self.order = order
-        self._exponents = {h: e % order for h, e in exponents.items()}
+        self.r, self.n, self.order = r, n, order
         self.generators = tuple(generators)
-        self._generator_exponents = None
-        self._verified = False
+        self._generator_exponents = tuple(e % order for e in exponents)
+        self._list_subgroup = list_subgroup
+        self._subgroup = self._exponents = None
         self._actions: dict = {}
-
-    @classmethod
-    def on_generators(cls, r: int, n: int, order: int, generators, exponents, list_subgroup):
-        """The homomorphism H -> mu_order with exponents[j] at generators[j],
-        H the group they generate; the caller vouches that it is one.
-        `list_subgroup()` returns H sorted, and is called at most once."""
-        chi = cls.__new__(cls)
-        chi.r, chi.n, chi.order = r, n, order
-        chi.generators = tuple(generators)
-        chi._generator_exponents = tuple(e % order for e in exponents)
-        chi._subgroup = chi._exponents = None
-        chi._list_subgroup = list_subgroup
-        chi._verified = True
-        chi._actions = {}
-        return chi
 
     @property
     def subgroup(self) -> tuple:
@@ -380,16 +361,25 @@ class CharacterTable:
 
     @property
     def exponents(self) -> dict:
-        """Every exponent, keyed in `subgroup` order.  From generators, each
-        element takes its value along the breadth-first walk from the
-        identity (`group.closure`): e(x s) = e(x) + e(s)."""
+        """Every exponent, keyed in `subgroup` order.  Each element takes its
+        value along the breadth-first walk from the identity under the
+        generators S (`group.closure`), e(x s) = e(x) + e(s) mod `order`,
+        and every other edge of the walk must agree.  The walk must also
+        reach exactly `subgroup`.  Then S generates H, and induction on word
+        length in S gives e(xy) = e(x) + e(y) for all x, y in H.  Raises
+        CharacterError otherwise."""
         if self._exponents is None:
             reached, products = closure(self.r, self.n, self.generators)
             e = [0] + [None] * (len(reached) - 1)
             for i, row in enumerate(products):
-                for k, es in zip(row, self._generator_exponents):
+                for k, es in zip(row, self._generator_exponents, strict=True):
+                    x = (e[i] + es) % self.order
                     if e[k] is None:
-                        e[k] = (e[i] + es) % self.order
+                        e[k] = x
+                    elif e[k] != x:
+                        raise CharacterError("the generator values do not extend to a homomorphism")
+            if set(reached) != set(self.subgroup):
+                raise CharacterError("the generators do not generate the listed subgroup")
             walked = dict(zip(reached, e))
             self._exponents = {h: walked[h] for h in self.subgroup}
         return self._exponents
@@ -398,58 +388,24 @@ class CharacterTable:
         return root_of_unity(self.order, self.exponents[h])
 
     def is_trivial(self) -> bool:
-        if self._generator_exponents is not None:
-            return not any(self._generator_exponents)
-        return not any(self._exponents.values())
+        return not any(self._generator_exponents)
 
-    def check_multiplicative(self):
-        """Prove, once per listed table, that the generators S generate H and
-        that chi(xy) = chi(x) chi(y) on H: the breadth-first closure of S
-        from the identity (`group.closure`) must be exactly H, with e(1) = 0
-        and e(x s) = e(x) + e(s) mod F on every edge, and induction on word
-        length in S gives all pairs.  An all-zero table is a character of
-        any subgroup and is not walked, so its generators are taken as
-        given; a table `on_generators` is a homomorphism by construction.
-        Raises CharacterError otherwise."""
-        if self._verified:
-            return
-        if not self.is_trivial():
-            F = self.order
-            reached, products = closure(self.r, self.n, self.generators)
-            if set(reached) != set(self._subgroup):
-                raise CharacterError("the generators do not generate the listed subgroup")
-            e = [self._exponents[x] for x in reached]  # e[0] at the identity
-            edges = ((i, s, k) for i, row in enumerate(products) for s, k in zip(products[0], row))
-            if e[0] or any((e[i] + e[s] - e[k]) % F for i, s, k in edges):
-                raise CharacterError("character is not multiplicative on the listed subgroup")
-        self._verified = True
-
-    def actions(self, rep: RepKind, subspace, generators_only: bool = False) -> list:
-        """The distinct triples (pi, texp * F / r, e(h)) over h in H, or over
-        the generators only, in the order of their first h, where
-        h.w_j = zeta_r^{texp[j]} w_{pi[j]} on the integer subspace basis w
-        (see `subspace_actions`); equal triples act alike on every
-        monomial-times-wedge element.  Built once and kept on the table."""
-        key = (rep, subspace, generators_only)
-        if key not in self._actions:
-            els = self.generators if generators_only else self.subgroup
-            self._keep(key, subspace_actions(els, rep, subspace), self._exponents_of(els, generators_only))
-        return self._actions[key]
+    def actions(self, rep: RepKind, subspace) -> list:
+        """The distinct triples (pi, texp * F / r, e(s)) over the generators
+        s, in the order of their first s, where s.w_j = zeta_r^{texp[j]}
+        w_{pi[j]} on the integer subspace basis w (see `subspace_actions`);
+        equal triples act alike on every monomial-times-wedge element.
+        Built once and kept on the table."""
+        if (rep, subspace) not in self._actions:
+            self.keep_actions(rep, subspace, subspace_actions(self.generators, rep, subspace))
+        return self._actions[rep, subspace]
 
     def keep_actions(self, rep: RepKind, subspace, pairs) -> None:
         """Keep the `subspace_actions(generators, rep, subspace)` pairs of a
-        caller that already has them, as `actions(rep, subspace, True)`."""
-        self._keep((rep, subspace, True), pairs, self._exponents_of(self.generators, True))
-
-    def _exponents_of(self, elements, generators_only: bool):
-        if generators_only and self._generator_exponents is not None:
-            return self._generator_exponents
-        return [self.exponents[h] for h in elements]
-
-    def _keep(self, key, pairs, exponents) -> None:
+        caller that already has them, as `actions(rep, subspace)`."""
         step = self.order // self.r
-        self._actions[key] = list(dict.fromkeys(
-            (pi, tuple(t * step for t in texp), e) for (pi, texp), e in zip(pairs, exponents)
+        self._actions[rep, subspace] = list(dict.fromkeys(
+            (pi, tuple(t * step for t in texp), e) for (pi, texp), e in zip(pairs, self._generator_exponents)
         ))
 
 
@@ -607,14 +563,10 @@ def reynolds_semiinvariant_basis(
     otherwise nontrivial and sums to 0.  So each surviving orbit gives one
     basis element, read off by walking the orbit under `chi.generators`
     only and comparing integer phases (see `_phase_rows`); H itself is
-    never listed.  A listed table is verified on the first call
-    (`CharacterTable.check_multiplicative`), and the generators' action
-    data are built on the first call for a table and subspace
-    (`CharacterTable.actions`); later degrees reuse both.
+    never listed, and chi is taken as the homomorphism its table claims.
+    The generators' action data are built on the first call for a table
+    and subspace (`CharacterTable.actions`); later degrees reuse them.
     """
-    if chi.r is None:
-        raise ValueError("empty subgroup")
-    chi.check_multiplicative()
     r, n = chi.r, chi.n
     if subspace is None:
         subspace = tuple(((i, 0),) for i in range(n))
@@ -627,7 +579,7 @@ def reynolds_semiinvariant_basis(
     basis = [(mu, S) for mu in monos for S in wedges]
     if not basis:
         return []
-    rows = _phase_rows(chi.actions(rep, subspace, generators_only=True), chi.order, basis)
+    rows = _phase_rows(chi.actions(rep, subspace), chi.order, basis)
     return [_assemble_polyform(row, basis, n, r, chi.order, subspace) for row in rows]
 
 

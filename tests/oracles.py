@@ -33,8 +33,6 @@ paths in the library, and a faithful family shared by the tests:
 - `root_exponent`: the t with x = zeta_r^t, by search;
 - `faithful_family_2_1_4`: a PBW family under the faithful action whose
   monomial actions carry root-of-unity phases;
-- `generators_by_closure`: a generating set of a listed subgroup, found
-  by incremental closure, independent of `group.centralizer_generators`;
 - `FractionCyclo`: cyclotomic arithmetic on tuples of Fractions, with
   its own Fraction tables (`fraction_cyclotomic_polynomial`,
   `fraction_power_table`), the reference for `CycloNum`'s integer
@@ -42,16 +40,17 @@ paths in the library, and a faithful family shared by the tests:
 - `classes_by_search`: the conjugacy classes of G(r,p,n) found by walking
   the group in sorted order and growing the class of each first unseen
   element breadth first under conjugation by generators;
-- `listed_hochschild_character`: the Hochschild character as a listed
-  table, det(h|V) / det(h|V^g) computed on every element of the solved
-  centralizer, and `passes_det_filter_by_listing`, the determinant filter
-  read off that table's action on V^g, element by element;
+- `listed_hochschild_character`: the Hochschild character listed as
+  plain data, the solved centralizer and det(h|V) / det(h|V^g) as an
+  exponent computed on each of its elements, and
+  `passes_det_filter_by_listing`, the determinant filter read off those
+  exponents and each element's action on V^g;
 - `in_subgroup`, `elementary_symmetric`, `invariant_ring_generators` and
   `symmetric_group_derivations`: membership in G(r,p,n), basic invariants
   and the derivations of the symmetric group, which only tests read;
-- the dense and brute-force helpers the tests read: `trivial_character`,
-  `act`, `coact`, `matrix`, `conjugate_in_full_group` and
-  `dimension_by_enumeration`.
+- the dense and brute-force helpers the tests read: `trivial_character`
+  (a table held on every element of its subgroup), `act`, `coact`,
+  `matrix`, `conjugate_in_full_group` and `dimension_by_enumeration`.
 """
 
 from collections import Counter
@@ -67,7 +66,6 @@ from heckeforge.group import (
     RepKind,
     _mul,
     centralizer,
-    centralizer_generators,
     conjugacy_classes,
     cycle_type,
     det_exponent,
@@ -129,61 +127,11 @@ def conjugate_in_full_group(g, h):
     return cycle_type(g) == cycle_type(h)
 
 
-def generators_by_closure(elements):
-    """(gens, products) for a listed subgroup H.
-
-    gens indexes a generating set of H, found by scanning H in sorted order
-    and keeping each element that the closure of the kept ones has not
-    reached yet.  The closure grows incrementally: the elements reached
-    before a new generator s are multiplied by s only, each newly reached one
-    by every generator so far.  So products[i][j], the index of
-    elements[i] * elements[gens[j]], is formed exactly once per pair.
-    Raises ValueError if H lacks the identity, a product leaves H, or the
-    closure does not reach every listed element.
-    """
-    elements = tuple(elements)
-    index = {h: i for i, h in enumerate(elements)}
-    start = index.get(identity(elements[0].r, elements[0].n)) if elements else None
-    if start is None:
-        raise ValueError("the listed elements do not contain the identity")
-    gens: list[int] = []
-    products: list[list[int]] = [[] for _ in elements]
-    reached = [start]
-    seen = {start}
-
-    def extend(i, gen_ids):
-        for j in gen_ids:
-            k = index.get(multiply(elements[i], elements[j]))
-            if k is None:
-                raise ValueError("the listed elements are not closed under multiplication")
-            products[i].append(k)
-            if k not in seen:
-                seen.add(k)
-                reached.append(k)
-
-    for s in sorted(range(len(elements)), key=lambda i: elements[i].sort_key()):
-        if s in seen:
-            continue
-        old = len(reached)
-        gens.append(s)
-        for t in range(old):
-            extend(reached[t], (s,))
-        t = old
-        while t < len(reached):
-            extend(reached[t], gens)
-            t += 1
-    if len(reached) != len(elements):
-        raise ValueError("the closure does not reach every listed element")
-    return gens, products
-
-
 def trivial_character(subgroup):
-    """The trivial character of a listed subgroup, on the generating set of
-    `generators_by_closure`."""
+    """The trivial character of a listed subgroup, held on all of its
+    elements as generators."""
     els = tuple(subgroup)
-    r = els[0].r if els else 1
-    gens = [els[s] for s in generators_by_closure(els)[0]] if els else []
-    return CharacterTable(els, lcm(2, r), {h: 0 for h in els}, gens)
+    return CharacterTable(els[0].r, els[0].n, lcm(2, els[0].r), els, [0] * len(els), lambda: els)
 
 
 def dimension_by_enumeration(module, d):
@@ -569,18 +517,19 @@ def classes_by_search(r, p, n):
 
 
 def listed_hochschild_character(g, rep, p):
-    """chi_g as a listed CharacterTable over the solved Z_{G(r,p,n)}(g):
-    det(h|V) minus det(h|V^g), both as `det_exponent`s mod lcm(2, r), on
-    every h, the second read off h's action on `fixed_basis`."""
+    """chi_g listed over the solved Z_{G(r,p,n)}(g): (Z, {h: e}) with
+    e = det(h|V) minus det(h|V^g), both as `det_exponent`s mod lcm(2, r),
+    on every h, the second read off h's action on `fixed_basis`."""
     r = g.r
-    Z = centralizer(g, p)
+    F = lcm(2, r)
+    Z = tuple(centralizer(g, p))
     pairs = subspace_actions(Z, rep, fixed_basis(g, rep))
     faithful = rep == RepKind.FAITHFUL
     exps = {
-        h: det_exponent(h.perm, h.exps if faithful else (), r) - det_exponent(pi, texp, r)
+        h: (det_exponent(h.perm, h.exps if faithful else (), r) - det_exponent(pi, texp, r)) % F
         for h, (pi, texp) in zip(Z, pairs)
     }
-    return CharacterTable(Z, lcm(2, r), exps, centralizer_generators(g, p))
+    return Z, exps
 
 
 def passes_det_filter_by_listing(g, rep, p):
@@ -590,8 +539,8 @@ def passes_det_filter_by_listing(g, rep, p):
     fixed = fixed_basis(g, rep)
     if det_exponent(*monomial_action(g, rep), g.r) or g.n - len(fixed) not in (0, 2):
         return False
-    chi = listed_hochschild_character(g, rep, p)
-    return not any(e and is_identity_action(pi, texp) for pi, texp, e in chi.actions(rep, fixed))
+    Z, exps = listed_hochschild_character(g, rep, p)
+    return not any(exps[h] and is_identity_action(*pair) for h, pair in zip(Z, subspace_actions(Z, rep, fixed)))
 
 
 def in_subgroup(g, p):

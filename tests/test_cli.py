@@ -272,9 +272,12 @@ def test_nc_verify_rejects_r_zero(capsys):
     (["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "z4^1"], None),
     (["hh", "--r", "2", "--n", "4", "--rep", "faithful", "--max-degree", "-1", "--compare"],
      "error: --max-degree must be nonnegative\n"),
+    (["nc-normal-form", "--algebra", "hstar", "--r", "5000", "--n", "2", "z5000^1", "v1"],
+     "error: |G(5000,1,2)| = 50000000 exceeds the budget 1000000\n"),
 ], ids=["cycle-index-out-of-range", "cycle-repeated-index", "token-zero-denominator",
         "scalar-zero-denominator", "gha-build-r-zero", "nc-normal-form-r-zero",
-        "zeta-order-6400", "zeta-order-not-dividing-lcm-2-r", "hh-negative-max-degree"])
+        "zeta-order-6400", "zeta-order-not-dividing-lcm-2-r", "hh-negative-max-degree",
+        "hstar-over-the-budget"])
 def test_malformed_input_is_bad_input(capsys, argv, message):
     code, err = _exit_code(capsys, *argv)
     assert code == 2

@@ -42,8 +42,8 @@ from heckeforge.hochschild import (
     three_cycle_component_module,
 )
 from heckeforge.hecke import param_space, three_cycle_classes
-from heckeforge.polyforms import CharacterError, CharacterTable, restriction_matrix
-from oracles import dense_spaces, dimension_by_enumeration, generators_by_closure
+from heckeforge.polyforms import CharacterError, CharacterTable, restriction_matrix, subspace_actions
+from oracles import dense_spaces, dimension_by_enumeration
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -275,18 +275,18 @@ def _character_cases():
 @pytest.mark.parametrize("r,p,n,rep", _character_cases())
 def test_character_matches_dense_restriction(r, p, n, rep):
     # the monomial det(h|V) / det(h|V^g) against the dense determinant of h
-    # on the perp basis, for every class.  Once check_multiplicative passes,
-    # both sides are homomorphisms Z(g) -> mu_F, so they agree on Z(g) iff
-    # they agree on a generating set: above |G| = 400 only the generators
-    # that generators_by_closure returns are compared, below it every h
+    # on the perp basis, for every class.  Reading chi.exponents walks Z(g)
+    # and proves that chi.generators generate Z(g) and that chi is a
+    # homomorphism Z(g) -> mu_F; the dense side is one too, so they agree on
+    # Z(g) iff they agree on the generators: above |G| = 400 only those are
+    # compared, below it every h
     every = group_order(r, p, n) <= 400
     for cls in conjugacy_classes(r, p, n):
         g = cls.rep
         chi = hochschild_character(g, rep, p)
-        chi.check_multiplicative()
+        Z = tuple(chi.exponents)  # keyed in subgroup order
         perp = dense_spaces(g, rep)[1]
-        Z = chi.subgroup
-        for h in Z if every else [Z[s] for s in generators_by_closure(Z)[0]]:
+        for h in Z if every else chi.generators:
             dense = restriction_matrix(h, rep, perp).determinant() if perp else 1
             assert chi(h) == dense, (g, h, rep)
 
@@ -301,41 +301,45 @@ def _passes(check):
 
 @pytest.mark.parametrize("r,p,n", [(3, 1, 3), (2, 1, 4)])
 def test_generator_check_matches_all_pairs_check(r, p, n):
-    # the closure's generators reach exactly Z(g), and the check on the
-    # character's own generators accepts a table iff e(xy) = e(x) + e(y)
-    # holds for all pairs, on every class character and on a copy corrupted
-    # at one element
-    for cls in conjugacy_classes(r, p, n):
+    # the walk that reads `exponents` accepts generator values iff the
+    # generators reach exactly Z(g) and the values, extended along the
+    # test's own spanning tree, satisfy e(xy) = e(x) + e(y) on all pairs:
+    # on every class character and on a copy with one generator value
+    # corrupted
+    verdicts = []
+    for c, cls in enumerate(conjugacy_classes(r, p, n)):
         Z = centralizer(cls.rep, p)
-        gens, _ = generators_by_closure(Z)
-        reached, frontier = {identity(r, n)}, [identity(r, n)]
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                y = multiply(x, Z[s])
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-        assert reached == set(Z)
-        assert 2 ** len(gens) <= len(Z)
         index = {h: i for i, h in enumerate(Z)}
         table = [[index[multiply(x, y)] for y in Z] for x in Z]
         for rep in (F, P):
             chi = hochschild_character(cls.rep, rep, p)
-            F_ = chi.order
-            corrupted = dict(chi.exponents)
-            corrupted[Z[-1]] += 1
-            results = []
-            for exps in (chi.exponents, corrupted):
-                e = [exps[h] for h in Z]
+            gens, F_ = chi.generators, chi.order
+            values = [chi.exponents[s] for s in gens]
+            corrupted = values[:]
+            corrupted[c % len(gens)] += 1
+            for vals in (values, corrupted):
+                tree, frontier = {identity(r, n): 0}, [identity(r, n)]
+                while frontier:
+                    x = frontier.pop()
+                    for s, v in zip(gens, vals):
+                        y = multiply(x, s)
+                        if y not in tree:
+                            tree[y] = (tree[x] + v) % F_
+                            frontier.append(y)
+                assert tree.keys() == set(Z)
+                e = [tree[h] for h in Z]
                 all_pairs = all(
                     (e[i] + e[j] - e[k]) % F_ == 0
                     for i, row in enumerate(table)
                     for j, k in enumerate(row)
                 )
-                fresh = CharacterTable(Z, F_, exps, chi.generators)
-                results.append((_passes(fresh.check_multiplicative), all_pairs))
-            assert results == [(True, True), (False, False)], (cls.rep, rep)
+                fresh = CharacterTable(r, n, F_, gens, vals, lambda: Z)
+                walk = _passes(lambda: fresh.exponents)
+                assert walk == all_pairs, (cls.rep, rep, vals)
+                assert not walk or list(fresh.exponents.values()) == e
+                verdicts.append(walk)
+    # every class character passes, and some corrupted copy fails
+    assert all(verdicts[::2]) and not all(verdicts[1::2])
 
 
 def test_class_action_data_are_built_once(monkeypatch):
@@ -358,9 +362,19 @@ def test_class_action_data_are_built_once(monkeypatch):
         dims = hh_component(g, F, m, 4).dims_by_degree
         assert len(calls) == 1, g
         assert any(dims.values())
+        # the kept generator triples are those a fresh table builds, and
+        # each is the triple of its generator among all of Z(g)'s
         chi = hochschild_character(g, F, 1)
-        fresh = CharacterTable(chi.subgroup, chi.order, chi.exponents, chi.generators)
-        assert fresh.actions(F, fixed_basis(g, F)) == chi.actions(F, fixed_basis(g, F))
+        fixed = fixed_basis(g, F)
+        values = [chi.exponents[s] for s in chi.generators]
+        fresh = CharacterTable(chi.r, chi.n, chi.order, chi.generators, values, lambda: chi.subgroup)
+        assert fresh.actions(F, fixed) == chi.actions(F, fixed)
+        step = chi.order // g.r
+        every = {
+            (pi, tuple(t * step for t in texp), chi.exponents[h])
+            for h, (pi, texp) in zip(chi.subgroup, real(chi.subgroup, F, fixed))
+        }
+        assert set(chi.actions(F, fixed)) <= every
 
 
 def test_phase_rows_walk_the_generators_only(monkeypatch):
@@ -376,7 +390,8 @@ def test_phase_rows_walk_the_generators_only(monkeypatch):
 
     monkeypatch.setattr(heckeforge.polyforms, "_phase_rows", recording)
     g = identity(2, 4)
-    assert len(hochschild_character(g, F, 1).actions(F, fixed_basis(g, F))) == 384
+    Z = hochschild_character(g, F, 1).subgroup
+    assert len(set(subspace_actions(Z, F, fixed_basis(g, F)))) == 384
     assert any(hh_component(g, F, 2, 4).dims_by_degree.values())
     assert sizes and max(sizes) <= len(centralizer_generators(g, 1)) < 384, sizes
 

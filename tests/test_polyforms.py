@@ -256,46 +256,71 @@ def test_subspace_action_on_fixed_space():
 
 
 def test_character_table_validation():
-    # zeta_3 on a transposition: a root of unity, but not a character of S_2
+    # zeta_3 on a transposition: a root of unity, but not a character of
+    # S_2; the table is held until a value is read
     s2 = sym_elements(2)
-    bad = CharacterTable(s2, 6, {s2[0]: 0, s2[1]: 2}, s2[1:])
+    bad = CharacterTable(1, 2, 6, s2[1:], [2], lambda: s2)
     with pytest.raises(CharacterError):
-        bad.check_multiplicative()
+        bad(s2[1])
+
+
+def test_exponent_walk_rejects_a_non_homomorphism():
+    # s = (1,2) with chi(s) = zeta_6^2: s^2 = 1 but 2 * 2 != 0 mod 6.  The
+    # walk that extends the values must also reach exactly the listed
+    # subgroup: S_2's generator does not generate S_3, and S_3's generators
+    # leave S_2
+    s = transposition(1, 2, 1, 2)
     with pytest.raises(CharacterError):
-        reynolds_semiinvariant_basis(bad, F, 1, 0)
+        CharacterTable(1, 2, 6, [s], [2], lambda: sym_elements(2)).exponents
+    assert CharacterTable(1, 2, 6, [s], [3], lambda: sym_elements(2)).exponents == {identity(1, 2): 0, s: 3}
+    s3, gens3 = sym_elements(3), generators(1, 1, 3)
+    with pytest.raises(CharacterError):
+        CharacterTable(1, 3, 2, gens3[:1], [1], lambda: s3).exponents
+    with pytest.raises(CharacterError):
+        CharacterTable(1, 3, 2, gens3, [1] * len(gens3), lambda: s3[:2]).exponents
+    assert len(CharacterTable(1, 3, 2, gens3, [1] * len(gens3), lambda: s3).exponents) == 6
 
 
 def test_multiplicativity_check_sees_every_element():
-    # det on all of G(2,1,4), corrupted at an element that a check sampling
-    # 60 x 4 pairs (every 6th element against the first four of those) never
-    # touches; the check on generators covers every element
+    # det on G(2,1,4) held on its generators and one more: an element that
+    # a check sampling 60 x 4 pairs (every 6th element against the first
+    # four of those) never touches.  The walk extends the values to det on
+    # every element, and rejects the table once that element's value is
+    # corrupted
     els = elements(2, 1, 4)
     sample = els[:: len(els) // 60]
     touched = set(sample) | {multiply(g, h) for g in sample for h in sample[:4]}
     target = next(h for h in els if h not in touched)
-    exps = {h: root_exponent(det(h, F), 2) for h in els}
-    CharacterTable(els, 2, exps, generators(2, 1, 4)).check_multiplicative()
-    exps[target] += 1
+    gens = [*generators(2, 1, 4), target]
+    exps = [root_exponent(det(h, F), 2) for h in gens]
+    chi = CharacterTable(2, 4, 2, gens, exps, lambda: els)
+    assert all(chi(h) == det(h, F) for h in els)
+    exps[-1] += 1
     with pytest.raises(CharacterError):
-        CharacterTable(els, 2, exps, generators(2, 1, 4)).check_multiplicative()
+        CharacterTable(2, 4, 2, gens, exps, lambda: els).exponents
 
 
 def test_exponent_table_answers_with_root_values():
-    # det on G(3,1,2) as exponents mod 6 gives back the determinants; the
-    # modulus must hold the sign and zeta_3
+    # det on G(3,1,2) as exponents mod 6 on generators gives back the
+    # determinants on every element; the modulus must hold the sign and
+    # zeta_3
     els = elements(3, 1, 2)
-    exps = {h: root_exponent(det(h, F), 6) for h in els}
-    chi = CharacterTable(els, 6, exps, generators(3, 1, 2))
-    chi.check_multiplicative()
+    gens = generators(3, 1, 2)
+    exps = [root_exponent(det(h, F), 6) for h in gens]
+    chi = CharacterTable(3, 2, 6, gens, exps, lambda: els)
     assert all(chi(h) == det(h, F) for h in els)
     with pytest.raises(ValueError):
-        CharacterTable(els, 3, exps, generators(3, 1, 2))
+        CharacterTable(3, 2, 3, gens, exps, lambda: els)
 
 
-def test_reynolds_verifies_and_builds_action_data_once_per_table(monkeypatch):
+def test_reynolds_builds_action_data_once_per_table(monkeypatch):
+    # a fresh table on the generators of a cached one: no degree lists or
+    # walks the subgroup, the generators' action data are built on the
+    # first degree only, and every degree gives the cached table's dims
     g = three_cycle(3, 4, 1, 2, 3)
     cached = hochschild_character(g, F, 1)
-    chi = CharacterTable(cached.subgroup, cached.order, cached.exponents, cached.generators)
+    values = [cached.exponents[s] for s in cached.generators]
+    chi = CharacterTable(3, 4, cached.order, cached.generators, values, lambda: pytest.fail("listed"))
     assert not chi.is_trivial()
     calls = {"multiply": 0, "subspace_actions": 0}
 
@@ -318,7 +343,7 @@ def test_reynolds_verifies_and_builds_action_data_once_per_table(monkeypatch):
         dims.append(len(reynolds_semiinvariant_basis(chi, F, d, 0, fixed)))
         if d == 0:
             first = dict(calls)
-    assert first["multiply"] > 0 and first["subspace_actions"] == 1
+    assert first == {"multiply": 0, "subspace_actions": 1}
     assert calls == first
     assert dims == [
         len(reynolds_semiinvariant_basis(cached, F, d, 0, fixed))
