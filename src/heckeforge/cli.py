@@ -79,7 +79,8 @@ def cmd_classes(args) -> int:
             ct = " ".join(f"({a},{k})x{m}" for a, k, m in row["cycle_type"])
             print(
                 f"  {g!r:<24} size {row['size']:<5} type {ct:<20} "
-                f"|Z| formula {row['centralizer_formula']} solved {row['centralizer_order']}"
+                f"|Z| in G({args.r},1,{args.n}) {row['centralizer_formula']} "
+                f"in G({args.r},{args.p},{args.n}) {row['centralizer_order']}"
             )
 
     _emit(data, args, text)
@@ -111,7 +112,7 @@ def cmd_hh(args) -> int:
             if not comp.is_zero():
                 comps.append(comp)
 
-    rows = [c.to_json(source="brute") for c in comps]
+    rows = [c.to_json() for c in comps]
     if args.basis:
         for row, comp in zip(rows, comps):
             row["basis"] = {
@@ -241,7 +242,7 @@ def cmd_pbw_check(args) -> int:
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: invalid forms file: {exc}", file=sys.stderr)
         return 2
-    report = hecke.pbw_check(family, _budget(args))
+    report = hecke.pbw_check(family)
     data = {
         "invariance": report.invariance,
         "jacobi": report.jacobi,

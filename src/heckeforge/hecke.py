@@ -30,6 +30,7 @@ from .group import (
     cycle_type,
     elements,
     generators,
+    identity,
     inverse,
     is_three_cycle,
     monomial_action,
@@ -47,12 +48,13 @@ class IllDefinedFamilyError(ValueError):
 
 
 class SkewForm:
-    """Skew-symmetric bilinear form a(v,w) = v^T A w on coordinate vectors."""
+    """Skew-symmetric bilinear form a(v,w) = v^T A w on coordinate vectors.
+    A zero entry is held as `zero()`, whatever field it was computed in."""
 
     __slots__ = ("n", "matrix")
 
     def __init__(self, matrix):
-        grid = tuple(tuple(cyclo(e) for e in row) for row in matrix)
+        grid = tuple(tuple(cyclo(e) if e else zero() for e in row) for row in matrix)
         n = len(grid)
         if any(len(row) != n for row in grid):
             raise ValueError("skew form matrix must be square")
@@ -95,17 +97,6 @@ class SkewForm:
             for j in range(self.n)
         )
 
-    def __add__(self, other):
-        return SkewForm(
-            [
-                [self.matrix[i][j] + other.matrix[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
-
-    def scale(self, c) -> "SkewForm":
-        return SkewForm([[e * c for e in row] for row in self.matrix])
-
 
 def conjugate_form(A: SkewForm, h: GroupElement, rep: RepKind) -> SkewForm:
     """The form (v,w) |-> a(h(v), h(w)), using the monomial structure of h."""
@@ -132,7 +123,7 @@ class SkewFormFamily:
 
     def __post_init__(self):
         for g, A in self.support.items():
-            if (g.r, g.n) != (self.r, self.n):
+            if (g.r, g.n) != (self.r, self.n) or sum(g.exps) % self.p:
                 raise ValueError("support element outside the configured group")
             if A.n != self.n:
                 raise ValueError(f"skew form at {g!r} is {A.n}x{A.n}, expected {self.n}x{self.n}")
@@ -280,25 +271,32 @@ def _codim2_form(g: GroupElement, rep: RepKind, c: CycloNum) -> SkewForm:
     return SkewForm(grid)
 
 
-def _extend_by_conjugation(
-    seeds: dict, r: int, p: int, n: int, rep: RepKind, budget
-) -> dict:
-    """Extend class-representative forms to their full classes by
-    a_{h^-1 g h}(v, w) = a_g(h(v), h(w)), checking well-definedness."""
+def _extend_by_conjugation(seeds: dict, r: int, p: int, n: int, rep: RepKind) -> dict:
+    """Extend class-representative forms to their full classes, growing
+    each class breadth first under `generators(r, p, n)` and carrying the
+    form along each edge x -> s^-1 x s as a_x(s(.), s(.)).
+
+    A member reached again with another form, a seed's class included,
+    raises IllDefinedFamilyError, and the check is exact: every edge agrees
+    iff a_g is Z(g)-invariant.  Both x -> h^-1 x h and A -> a(h(.), h(.))
+    are right actions (see `pbw_check`).  If every edge agrees, the class's
+    forms are equivariant under the generators, so under G, and z in Z(g)
+    gives a_g = a_{z^-1 g z} = a_g(z(.), z(.)).  If Z(g) fixes a_g, then
+    a_{h^-1 g h} = a_g(h(.), h(.)) does not depend on h, since any h' with
+    the same conjugate is z h, z in Z(g); a path of edges with product h
+    carries a_g to a_g(h(.), h(.)), so every edge reaches that one form."""
+    by = [(inverse(s), s) for s in generators(r, p, n)]
     support: dict = {}
-    G = elements(r, p, n, budget)
-    inverses = {h: inverse(h) for h in G}
     for g0, A0 in seeds.items():
-        for h in G:
-            g1 = multiply(multiply(inverses[h], g0), h)
-            A1 = conjugate_form(A0, h, rep)
-            if g1 in support:
-                if not support[g1] == A1:
-                    raise IllDefinedFamilyError(
-                        f"conjugation extension is inconsistent at {g1!r} (via {h!r})"
-                    )
-            else:
-                support[g1] = A1
+        reached = [(g0, A0, identity(r, n))]
+        for x, A, via in reached:  # the list grows while it is read
+            if x not in support:
+                support[x] = A
+                reached.extend(
+                    (multiply(multiply(s_inv, x), s), conjugate_form(A, s, rep), s) for s_inv, s in by
+                )
+            elif not support[x] == A:
+                raise IllDefinedFamilyError(f"conjugation extension is inconsistent at {x!r} (via {via!r})")
     return support
 
 
@@ -333,7 +331,7 @@ def build_preset(
         for cls, w in zip(classes, weights)
         if not w.is_zero()
     }
-    support = _extend_by_conjugation(seeds, r, 1, n, RepKind.PERMUTATION, budget)
+    support = _extend_by_conjugation(seeds, r, 1, n, RepKind.PERMUTATION)
     return SkewFormFamily(r, 1, n, RepKind.PERMUTATION, support)
 
 
@@ -351,18 +349,7 @@ class PBWReport:
         return self.invariance and self.jacobi
 
 
-def _invariance_witness(F: SkewFormFamily, hs):
-    """The first (g, h), g over the support and h over hs, with
-    a_{h^-1gh} != a_g(h(.), h(.)); None if there is none."""
-    inverses = {h: inverse(h) for h in hs}
-    for g, A in F.support.items():
-        for h, h_inv in inverses.items():
-            if not F.form(multiply(multiply(h_inv, g), h)) == conjugate_form(A, h, F.repkind):
-                return g, h
-    return None
-
-
-def pbw_check(F: SkewFormFamily, budget: int | None = DEFAULT_BUDGET) -> PBWReport:
+def pbw_check(F: SkewFormFamily) -> PBWReport:
     """Test that the family defines a graded Hecke algebra:
     conjugation equivariance a_{h^-1gh}(v,w) = a_g(h(v),h(w)) for all g and
     all h in G, and the per-group-element Jacobi condition
@@ -374,15 +361,13 @@ def pbw_check(F: SkewFormFamily, budget: int | None = DEFAULT_BUDGET) -> PBWRepo
     itself, and the condition then also holds off the support, where both
     sides vanish.  The h passing at every g are closed under products,
     since conjugate_form(A, h1 h2) = conjugate_form(conjugate_form(A, h1), h2),
-    so they are all of G once they include the generators.  When some
-    generator fails, the witness is the first failure of the scan over all
-    (g, h) in support x G, which lists G under the budget."""
-    witnesses = []
-    bad = _invariance_witness(F, generators(F.r, F.p, F.n))
-    if bad is not None:
-        bad = _invariance_witness(F, elements(F.r, F.p, F.n, budget))
-        witnesses.append(("invariance", *bad))
+    so they are all of G once they include the generators.  The witness of
+    a failure is the first (g, s) of the scan, s a generator."""
+    by = [(inverse(s), s) for s in generators(F.r, F.p, F.n)]
+    bad = next(((g, s) for g, A in F.support.items() for s_inv, s in by
+                if not F.form(multiply(multiply(s_inv, g), s)) == conjugate_form(A, s, F.repkind)), None)
     invariance = bad is None
+    witnesses = [] if invariance else [("invariance", *bad)]
     rep = F.repkind
     jacobi = True
     n = F.n
@@ -445,17 +430,17 @@ def psi2(k_exps, m_exps):
 # -- forms from degree-0 semi-invariants -----------------------------------------
 
 
-def forms_from_semiinvariants(
-    entries, r: int, p: int, n: int, rep: RepKind, budget: int | None = DEFAULT_BUDGET
-) -> SkewFormFamily:
+def forms_from_semiinvariants(entries, r: int, p: int, n: int, rep: RepKind) -> SkewFormFamily:
     """Convert per-class degree-0 Hochschild data into a skew-form family.
 
     Each entry is (class representative g, data): for a codimension-2 class
     the data is the scalar value of f_g (its wedge part is the dual wedge of
     the basis of im(g - 1) read off g's cycles, see `_codim2_form`); for a
     trivially-acting class it is a dict {(i, j): coeff} describing an
-    invariant 2-form, 1-based i < j.  The result is extended by conjugation
-    and must pass pbw_check."""
+    invariant 2-form, 1-based i < j.  The seeds are extended by conjugation
+    on generators (`_extend_by_conjugation`, IllDefinedFamilyError unless
+    each is Z(g)-invariant), and the family must pass pbw_check; neither
+    step lists G."""
     seeds = {}
     for g, data in entries:
         codim = n - len(fixed_basis(g, rep))
@@ -476,9 +461,8 @@ def forms_from_semiinvariants(
                 seeds[g] = A
         else:
             raise ValueError("class data is not degree-0 (codimension not in {0, 2})")
-    support = _extend_by_conjugation(seeds, r, p, n, rep, budget)
-    family = SkewFormFamily(r, p, n, rep, support)
-    report = pbw_check(family, budget)
+    family = SkewFormFamily(r, p, n, rep, _extend_by_conjugation(seeds, r, p, n, rep))
+    report = pbw_check(family)
     if not report.ok:
         raise IllDefinedFamilyError(f"converted family fails pbw_check: {report.witnesses}")
     return family

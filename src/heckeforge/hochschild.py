@@ -156,16 +156,13 @@ class ClassComponent:
     def is_zero(self) -> bool:
         return not any(self.dims_by_degree.values())
 
-    def to_json(self, source: str = "brute", match: bool | None = None) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "class": self.rep.to_json(),
             "codim": self.codim,
             "dims": {str(d): v for d, v in sorted(self.dims_by_degree.items())},
-            "source": source,
+            "source": "brute",
         }
-        if match is not None:
-            out["match"] = match
-        return out
 
 
 def hh_component(

@@ -10,6 +10,9 @@ paths in the library, and a faithful family shared by the tests:
   rewriting core;
 - `pbw_check_full_scan`: pbw_check with the equivariance condition tested
   for every h in G, not only on generators;
+- `extend_by_listing`: the extension of class forms by conjugation under
+  every element of G, each member's form checked against every
+  conjugation that reaches it;
 - `reynolds_rows_by_projector`: the semi-invariant rows from the Reynolds
   projector summed over every h in the subgroup, orbit by orbit, then
   echelon-reduced, with wedge signs from `sort_with_sign`;
@@ -32,7 +35,8 @@ paths in the library, and a faithful family shared by the tests:
   Lambda^2 V* for each class acting trivially;
 - `root_exponent`: the t with x = zeta_r^t, by search;
 - `faithful_family_2_1_4`: a PBW family under the faithful action whose
-  monomial actions carry root-of-unity phases;
+  monomial actions carry root-of-unity phases, built from
+  `FAITHFUL_ENTRIES_2_1_4`;
 - `FractionCyclo`: cyclotomic arithmetic on tuples of Fractions, with
   its own Fraction tables (`fraction_cyclotomic_polynomial`,
   `fraction_power_table`), the reference for `CycloNum`'s integer
@@ -83,6 +87,7 @@ from heckeforge.group import (
 )
 from heckeforge.hecke import (
     GHAParamReport,
+    IllDefinedFamilyError,
     PBWReport,
     SkewForm,
     conjugate_form,
@@ -288,7 +293,8 @@ def hstar_reference_multiply(x: NCElement, y: NCElement) -> NCElement:
 
 def pbw_check_full_scan(F) -> PBWReport:
     """Equivariance a_{h^-1gh} = h.a_g over every (g, h) in supp x G, then the
-    per-element Jacobi condition; witnesses as in hecke.pbw_check."""
+    per-element Jacobi condition; witnesses in the form hecke.pbw_check
+    gives them, the invariance one the first failing (g, h), h in G."""
     G = elements(F.r, F.p, F.n, None)
     rep = F.repkind
     witnesses = []
@@ -323,12 +329,29 @@ def pbw_check_full_scan(F) -> PBWReport:
     return PBWReport(invariance, jacobi, witnesses)
 
 
+def extend_by_listing(seeds, r, p, n, rep):
+    """Each seed form conjugated by every element of G(r,p,n),
+    a_{h^-1 g h} = a_g(h(.), h(.)); IllDefinedFamilyError where two
+    conjugations give one member different forms."""
+    support = {}
+    for g0, A0 in seeds.items():
+        for h_inv, h in _inverse_pairs(r, p, n):
+            g1 = multiply(multiply(h_inv, g0), h)
+            A1 = conjugate_form(A0, h, rep)
+            if support.setdefault(g1, A1) != A1:
+                raise IllDefinedFamilyError(f"conjugation extension is inconsistent at {g1!r} (via {h!r})")
+    return support
+
+
+# the two codimension-2 classes of G(2,1,4) with trivial Hochschild character
+# under the faithful action, each at scalar 1
+FAITHFUL_ENTRIES_2_1_4 = [(three_cycle(2, 4, 2, 3, 4), 1), (from_cycles(2, 4, [(3, 4)], exps=[0, 0, 0, 1]), 1)]
+
+
 def faithful_family_2_1_4():
-    """forms_from_semiinvariants on the two codimension-2 classes of G(2,1,4)
-    with trivial Hochschild character under the faithful action, each at
-    scalar 1; the xi4(3,4) class puts phases into the monomial actions."""
-    entries = [(three_cycle(2, 4, 2, 3, 4), 1), (from_cycles(2, 4, [(3, 4)], exps=[0, 0, 0, 1]), 1)]
-    fam = forms_from_semiinvariants(entries, 2, 1, 4, RepKind.FAITHFUL)
+    """forms_from_semiinvariants on `FAITHFUL_ENTRIES_2_1_4`; the xi4(3,4)
+    class puts phases into the monomial actions."""
+    fam = forms_from_semiinvariants(FAITHFUL_ENTRIES_2_1_4, 2, 1, 4, RepKind.FAITHFUL)
     assert len(fam.support) == 44 and any(any(g.exps) for g in fam.support)
     return fam
 

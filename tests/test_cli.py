@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from heckeforge import ncalg
 from heckeforge.cli import main
+from heckeforge.group import generators
 from heckeforge.hecke import build_preset
 
 
@@ -261,6 +262,13 @@ def test_nc_verify_rejects_r_zero(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+_FORM_OUTSIDE_G = {"r": 2, "p": 2, "n": 3, "rep": "permutation", "forms": [{
+    "g": {"r": 2, "n": 3, "exps": [1, 0, 0], "perm": [1, 2, 3]},
+    "matrix": [[{"order": 1, "terms": [{"exp": 0, "num": str(j - i), "den": "1"}]} for j in range(3)]
+               for i in range(3)],
+}]}
+
+
 @pytest.mark.parametrize("argv,message", [
     (["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "cycle(1,2,9)"], None),
     (["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "cycle(1,1,2)"], None),
@@ -274,12 +282,15 @@ def test_nc_verify_rejects_r_zero(capsys):
      "error: --max-degree must be nonnegative\n"),
     (["nc-normal-form", "--algebra", "hstar", "--r", "5000", "--n", "2", "z5000^1", "v1"],
      "error: |G(5000,1,2)| = 50000000 exceeds the budget 1000000\n"),
+    (["pbw-check", "-"], "error: invalid forms file: support element outside the configured group\n"),
 ], ids=["cycle-index-out-of-range", "cycle-repeated-index", "token-zero-denominator",
         "scalar-zero-denominator", "gha-build-r-zero", "nc-normal-form-r-zero",
         "zeta-order-6400", "zeta-order-not-dividing-lcm-2-r", "hh-negative-max-degree",
-        "hstar-over-the-budget"])
+        "hstar-over-the-budget", "g-outside-G(r,p,n)"])
 def test_malformed_input_is_bad_input(capsys, argv, message):
-    code, err = _exit_code(capsys, *argv)
+    # the pbw-check row reads a form at xi_1, which is not in G(2,2,3)
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(_FORM_OUTSIDE_G))):
+        code, err = _exit_code(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert message is None or err == message
@@ -635,11 +646,11 @@ def test_nc_verify_keeps_the_exit_code_contract(group, budget, fmt):
         assert (code == 0) == ok, argv
 
 
-def test_pbw_check_over_the_budget_lists_g_only_when_a_generator_fails():
-    # |G(4,1,6)| = 2949120 exceeds the default budget.  The empty family
-    # passes on the generators, so no listing of G is needed; a form on one
-    # 3-cycle without its conjugates fails on a transposition, and the scan
-    # for the witness over all of G exits 2
+def test_pbw_check_over_the_budget_lists_no_g():
+    # |G(4,1,6)| = 2949120 exceeds the default budget, and pbw-check reads
+    # no budget: it tests equivariance on the generators only.  The empty
+    # family passes; a form on one 3-cycle without its conjugates fails, with
+    # a generator as the witness
     family = {"r": 4, "p": 1, "n": 6, "rep": "permutation", "forms": []}
     code, out, err = _run_quietly(["pbw-check", "-"], json.dumps(family))
     assert code == 0 and "invariance: True" in out, err
@@ -651,5 +662,9 @@ def test_pbw_check_over_the_budget_lists_g_only_when_a_generator_fails():
     matrix[0][1], matrix[1][0] = entry("1"), entry("-1")
     g = {"r": 4, "n": 6, "exps": [0] * 6, "perm": [2, 3, 1, 4, 5, 6]}
     family["forms"] = [{"g": g, "matrix": matrix}]
-    code, out, err = _run_quietly(["pbw-check", "-"], json.dumps(family))
-    assert code == 2 and "exceeds the budget" in err, (out, err)
+    code, out, err = _run_quietly(["--format", "json", "pbw-check", "-"], json.dumps(family))
+    assert code == 1 and not err, (out, err)
+    report = json.loads(out)
+    assert not report["invariance"] and report["witnesses"][0]["kind"] == "invariance", report
+    assert report["witnesses"][0]["g"] == g
+    assert report["witnesses"][0]["at"] in {repr(s) for s in generators(4, 1, 6)}, report

@@ -8,9 +8,15 @@ in `oracles`:
 - the H* product against the bubble-word rewriter, term for term, on every
   gbar v_a v_b v_c over G(2,1,3), every gbar v_a v_b over G(3,1,3) and
   seeded term pairs in H*(3,4) with zeta_3 in the coefficients;
-- generator-only pbw_check against the scan over all of G, verdict and
-  witnesses, on every group with |G| <= 400 that the acceptance and
-  extended tests use, under both actions;
+- generator-only pbw_check against the scan over all of G, verdicts and
+  Jacobi witnesses (an invariance witness is a generator failing the
+  scan's condition), on every group with |G| <= 400 that the acceptance
+  and extended tests use, under both actions;
+- the extension of class forms grown on generators against their
+  conjugation by every element, as mappings, and as JSON under the
+  permutation action, or both raising IllDefinedFamilyError, on the
+  presets of the p = 1 groups among those, the seeds `_pbw_families`
+  extends and those of `faithful_family_2_1_4`, under both actions;
 - the semi-invariant rows from phase agreement against the Reynolds
   projector sums followed by echelon reduction, index, field order and
   coefficients, on every class of the acceptance and extended groups under
@@ -52,7 +58,7 @@ from itertools import product
 import pytest
 
 import heckeforge.polyforms
-from heckeforge.cyclo import CycloMatrix, one, root_of_unity, zero
+from heckeforge.cyclo import CycloMatrix, cyclo, one, root_of_unity, zero
 from heckeforge.group import (
     GroupElement,
     RepKind,
@@ -63,22 +69,28 @@ from heckeforge.group import (
     diag,
     elements,
     from_cycles,
+    generators,
     group_order,
     identity,
+    inverse,
     kernel_generators,
     monomial_action,
+    multiply,
     three_cycle,
     transposition,
 )
 from heckeforge.hecke import (
+    IllDefinedFamilyError,
     SkewForm,
     SkewFormFamily,
     _codim2_form,
     _extend_by_conjugation,
     build_preset,
+    conjugate_form,
     param_space,
     param_space_linear_oracle,
     pbw_check,
+    three_cycle_classes,
 )
 from heckeforge.hochschild import (
     _fixes_space_pointwise,
@@ -95,10 +107,12 @@ from heckeforge.polyforms import (
     subspace_actions,
 )
 from oracles import (
+    FAITHFUL_ENTRIES_2_1_4,
     class_members,
     classes_by_search,
     dense_codim2_form,
     dense_spaces,
+    extend_by_listing,
     faithful_family_2_1_4,
     hstar_reference_multiply,
     listed_hochschild_character,
@@ -269,12 +283,12 @@ def _pbw_families():
     # G(3,3,3)-class of (1,2,3) is a third of its G(3,1,3)-class
     g0 = three_cycle(3, 3, 1, 2, 3)
     seed = {g0: build_preset("a_r1n", 3, 3).support[g0]}
-    out["a_r1n(3,3) over G(3,3,3)"] = SkewFormFamily(3, 1, 3, P, _extend_by_conjugation(seed, 3, 3, 3, P, None))
+    out["a_r1n(3,3) over G(3,3,3)"] = SkewFormFamily(3, 1, 3, P, _extend_by_conjugation(seed, 3, 3, 3, P))
     out["faithful(2,1,4)"] = faithful_family_2_1_4()
     # equivariant, but failing Jacobi: the transpositions of S_3, with
     # a_{(1,2)}(v_1, v_3) = a_{(1,2)}(v_2, v_3) = 1 extended by conjugation
     seed = {transposition(1, 3, 1, 2): SkewForm([[0, 0, 1], [0, 0, 1], [-1, -1, 0]])}
-    out["transpositions(1,1,3)"] = SkewFormFamily(1, 1, 3, P, _extend_by_conjugation(seed, 1, 1, 3, P, None))
+    out["transpositions(1,1,3)"] = SkewFormFamily(1, 1, 3, P, _extend_by_conjugation(seed, 1, 1, 3, P))
     return {
         f"{name} {rep.value}": SkewFormFamily(fam.r, fam.p, fam.n, rep, fam.support)
         for name, fam in out.items()
@@ -292,9 +306,80 @@ def test_pbw_families_cover_every_verdict():
 
 @pytest.mark.parametrize("name", list(PBW_FAMILIES))
 def test_generator_pbw_check_matches_the_full_scan(name):
+    # the verdicts and the Jacobi witness match; an invariance witness is a
+    # generator that fails the full scan's own condition
     fam = PBW_FAMILIES[name]
     fast, full = pbw_check(fam), pbw_check_full_scan(fam)
-    assert (fast.invariance, fast.jacobi, fast.witnesses) == (full.invariance, full.jacobi, full.witnesses)
+    assert (fast.invariance, fast.jacobi) == (full.invariance, full.jacobi)
+    assert [w for w in fast.witnesses if w[0] == "jacobi"] == [w for w in full.witnesses if w[0] == "jacobi"]
+    for _, g, s in (w for w in fast.witnesses if w[0] == "invariance"):
+        assert s in generators(fam.r, fam.p, fam.n)
+        assert not fam.form(multiply(multiply(inverse(s), g), s)) == conjugate_form(fam.form(g), s, fam.repkind)
+
+
+# -- extension by conjugation on generators against the listing of G ------------
+
+
+def _extension_cases():
+    """(name, seeds, r, p, n): the seeds of the presets over every p = 1 group
+    of SMALL_GROUPS, of the two families `_pbw_families` extends itself, and
+    of `faithful_family_2_1_4`."""
+    out = []
+    for r, p, n in SMALL_GROUPS:
+        if p != 1:
+            continue
+        classes = three_cycle_classes(r, n)
+        scalars = [(k + 1) * root_of_unity(r, k) for k in range(len(classes))]
+        for name, fam in [("a_r1n", build_preset("a_r1n", r, n)),
+                          ("generic", build_preset("generic", r, n, scalars))]:
+            seeds = {cls.rep: fam.support[cls.rep] for cls in classes if cls.rep in fam.support}
+            out.append((f"{name}({r},{n})", seeds, r, 1, n))
+    g0 = three_cycle(3, 3, 1, 2, 3)
+    out.append(("a_r1n(3,3) over G(3,3,3)", {g0: build_preset("a_r1n", 3, 3).support[g0]}, 3, 3, 3))
+    seed = {transposition(1, 3, 1, 2): SkewForm([[0, 0, 1], [0, 0, 1], [-1, -1, 0]])}
+    out.append(("transpositions(1,1,3)", seed, 1, 1, 3))
+    seeds = {g: _codim2_form(g, F, cyclo(c, 2)) for g, c in FAITHFUL_ENTRIES_2_1_4}
+    out.append(("faithful(2,1,4)", seeds, 2, 1, 4))
+    return out
+
+
+def _extension(extend, seeds, r, p, n, rep):
+    """The extended mapping g -> form, or the name of the error it raised."""
+    try:
+        return extend(seeds, r, p, n, rep)
+    except IllDefinedFamilyError:
+        return "IllDefinedFamilyError"
+
+
+@pytest.mark.parametrize("case", _extension_cases(), ids=lambda case: case[0])
+def test_extension_on_generators_matches_the_listing(case):
+    # under both actions, so the seeds that are not Z(g)-invariant under the
+    # other action raise on both routes.  Under the faithful action a
+    # rational entry reached along a path of phases that cancel keeps the
+    # field order the phases passed through, so the JSON, field orders
+    # included, is compared under the permutation action, where no edge
+    # applies a phase
+    _, seeds, r, p, n = case
+    for rep in (F, P):
+        walk = _extension(_extend_by_conjugation, seeds, r, p, n, rep)
+        listed = _extension(extend_by_listing, seeds, r, p, n, rep)
+        assert walk == listed, rep
+        if rep == P and listed != "IllDefinedFamilyError":
+            assert SkewFormFamily(r, p, n, P, walk).to_json() == SkewFormFamily(r, p, n, P, listed).to_json()
+
+
+def test_both_extensions_reject_a_seed_that_is_not_centralizer_invariant():
+    # a_{(1,2)}(v_1, v_3) = 1 alone: (1,2) centralizes itself and moves the
+    # form to a_{(1,2)}(v_2, v_3) = 1; and two seeds in one class whose
+    # forms are not conjugate
+    s12, s23 = transposition(1, 3, 1, 2), transposition(1, 3, 2, 3)
+    lone = SkewForm([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
+    pair = SkewForm([[0, 0, 1], [0, 0, 1], [-1, -1, 0]])
+    double = SkewForm([[0, 0, 2], [0, 0, 2], [-2, -2, 0]])
+    for seeds in ({s12: lone}, {s12: pair, s23: double}):
+        for extend in (_extend_by_conjugation, extend_by_listing):
+            with pytest.raises(IllDefinedFamilyError):
+                extend(seeds, 1, 1, 3, P)
 
 
 # -- semi-invariant rows from phase agreement against the projector sums ----------

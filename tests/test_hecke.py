@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import heckeforge.group
 from heckeforge.cyclo import cyclo, one, zero
 from heckeforge.group import (
     RepKind,
@@ -31,7 +32,7 @@ from heckeforge.hecke import (
 )
 from heckeforge.ncalg import Mu1, cocycle_spot_check, commutator_sum, sample_cocycle_triples
 from chain_support import psi1
-from oracles import class_members, dense_spaces, faithful_family_2_1_4
+from oracles import FAITHFUL_ENTRIES_2_1_4, class_members, dense_spaces, faithful_family_2_1_4
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -120,6 +121,33 @@ def test_pbw_check_perturbation_fails_with_witness():
     report = pbw_check(SkewFormFamily(2, 1, 3, P, support))
     assert not report.invariance
     assert report.witnesses and report.witnesses[0][0] == "invariance"
+
+
+def test_hecke_lists_g_only_in_its_linear_oracle(monkeypatch):
+    # presets, forms from semi-invariants and pbw_check walk generators
+    # only: with the listing of G refusing, each answer is the one computed
+    # with listing allowed
+    n_generic = len(three_cycle_classes(2, 4))
+    perturbed = dict(build_preset("a_r1n", 3, 4).support)
+    g0 = three_cycle(3, 4, 1, 2, 3)
+    grid = [list(row) for row in perturbed[g0].matrix]
+    grid[0][1], grid[1][0] = grid[0][1] + 1, grid[1][0] - 1
+    perturbed[g0] = SkewForm(grid)
+    cases = [
+        lambda: build_preset("a_r1n", 3, 4).to_json(),
+        lambda: build_preset("generic", 2, 4, list(range(1, n_generic + 1))).to_json(),
+        lambda: forms_from_semiinvariants(FAITHFUL_ENTRIES_2_1_4, 2, 1, 4, F).to_json(),
+        lambda: vars(pbw_check(SkewFormFamily(3, 1, 4, P, perturbed))),
+    ]
+    before = [case() for case in cases]
+    assert not before[-1]["invariance"] and before[-1]["witnesses"]
+
+    def refuse(*args):
+        raise AssertionError(f"listed {args}")
+
+    monkeypatch.setattr(heckeforge.group, "_elements", refuse)
+    heckeforge.group._conjugacy_classes.cache_clear()
+    assert [case() for case in cases] == before
 
 
 def test_skew_form_validation():
