@@ -6,6 +6,8 @@ denominator, in lowest terms (Cohen, GTM 138, 4.2), so equality and zero
 testing are exact and cheap and arithmetic costs one gcd per operation.
 Mixed-order arithmetic embeds both operands into Q(zeta_lcm) before
 operating.  All values are immutable; every operation is a pure function.
+`add_term` and `SparseSum` are the one arithmetic of finite sums of
+terms, which polynomials, forms and normal-form elements share.
 """
 
 from __future__ import annotations
@@ -177,9 +179,6 @@ class CycloNum:
     def __sub__(self, other):
         return self + -cyclo(other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if other.__class__ is CycloNum and other.order == self.order and len(self.nums) == 1:
             a, d = self.nums[0] * other.nums[0], self.den * other.den
@@ -239,9 +238,6 @@ class CycloNum:
             return self * other.invert()
         return self * (1 / Fraction(_rational(other)))
 
-    def __rtruediv__(self, other):
-        return CycloNum.from_rational(other) / self
-
     def conjugate(self) -> "CycloNum":
         """The automorphism zeta -> zeta^-1 of Z[zeta], so lowest terms are kept."""
         r = self.order
@@ -252,18 +248,6 @@ class CycloNum:
                     if rv:
                         out[t] += c * rv
         return CycloNum(r, tuple(out), self.den)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.invert() ** (-e)
-        out = CycloNum.from_rational(1, self.order)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -386,6 +370,49 @@ def add_term(out: dict, key, c) -> None:
         out[key] = s
 
 
+class SparseSum:
+    """A finite sum held as `terms`, a dict from key to nonzero coefficient;
+    a coefficient is a CycloNum or itself a SparseSum.  A subclass keeps its
+    constructor and its product, builds a sum of its own kind from a term
+    dict in `_like`, and may refuse an operand of + and - in `_check`.
+    Equality compares terms only: neither side stores a zero, so equal sums
+    have the same keys."""
+
+    __slots__ = ("terms",)
+
+    def _check(self, other) -> None:
+        pass
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(out, k, c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """Every coefficient times the number c."""
+        c = cyclo(c)
+        return self._like({
+            k: v.scale(c) if isinstance(v, SparseSum) else v * c for k, v in self.terms.items()
+        })
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        theirs = other.terms
+        return self.terms.keys() == theirs.keys() and all(c == theirs[k] for k, c in self.terms.items())
+
+
 # ---------------------------------------------------------------------------
 # Exact dense linear algebra
 # ---------------------------------------------------------------------------
@@ -417,9 +444,6 @@ class CycloMatrix:
         return CycloMatrix(
             [[one(order) if i == j else zero(order) for j in range(n)] for i in range(n)]
         )
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
 
     def __eq__(self, other):
         if not isinstance(other, CycloMatrix):
@@ -456,16 +480,6 @@ class CycloMatrix:
         return CycloMatrix(
             [
                 [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return CycloMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
                 for i in range(self.rows)
             ]
         )

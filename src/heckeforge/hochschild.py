@@ -1,18 +1,20 @@
-"""Per-conjugacy-class degree-2 Hochschild components of S(V)#G(r,p,n).
+"""Per-conjugacy-class Hochschild components of S(V)#G(r,p,n) in a
+cohomological degree m, 2 by default.
 
 The brute-force path realizes each class contribution as the chi_g-semi-
 invariant part of S(V^g) (x) Lambda^{m-codim}((V^g)*) over the centralizer
-Z(g), computed degree by degree with the Reynolds projector.  V^g is read
-off the cycles of g as integers (`fixed_basis`): one vector per cycle whose
-phases sum to 0 mod r, with root-of-unity entries on the cycle's support,
-so Z(g) permutes the basis up to phases and the wedge duals are read off
-the same integers, dual to V^g along im(g - 1).  No matrix is reduced,
-inverted or expanded on this path; `fixed_space` builds cyclotomic
-vectors from the same data for the dense references.  The closed-form
-path emits free-module descriptions (base generator degrees plus module
-generator degrees) for the known class cases, telling classes apart by
-(a,k)-cycle type, and `compare` checks the two against each other at
-every polynomial degree up to a bound.
+Z(g), computed degree by degree with the Reynolds projector, on every class
+that a determinant filter, valid in each degree m, does not prove zero.
+V^g is read off the cycles of g as integers (`fixed_basis`): one vector per
+cycle whose phases sum to 0 mod r, with root-of-unity entries on the
+cycle's support, so Z(g) permutes the basis up to phases and the wedge
+duals are read off the same integers, dual to V^g along im(g - 1).  No
+matrix is reduced, inverted or expanded on this path; `fixed_space` builds
+cyclotomic vectors from the same data for the dense references.  The
+closed-form path emits free-module descriptions (base generator degrees
+plus module generator degrees) for the known degree-2 class cases, telling
+classes apart by (a,k)-cycle type, and `compare` checks the two against
+each other at every polynomial degree up to a bound.
 """
 
 from __future__ import annotations
@@ -182,9 +184,6 @@ def hh_component(
     chi = hochschild_character(g, rep, p)
     dims: dict[int, int] = {}
     bases: dict[int, list[PolyForm]] = {}
-    if k < 0 or k > len(fixed):
-        dims = {d: 0 for d in range(max_poly_degree + 1)}
-        return ClassComponent(g, rep, codim, fixed, chi, dims, bases if include_basis else None)
     for d in range(max_poly_degree + 1):
         basis = reynolds_semiinvariant_basis(chi, rep, d, k, fixed)
         dims[d] = len(basis)
@@ -193,13 +192,20 @@ def hh_component(
     return ClassComponent(g, rep, codim, fixed, chi, dims, bases if include_basis else None)
 
 
-def _passes_det_filter(g: GroupElement, rep: RepKind, p: int) -> bool:
-    """Necessary conditions for HH^2(g) != 0: det(g) = 1,
-    codim V^g in {0, 2}, and no centralizer element acting as the identity
-    on V^g with determinant != 1."""
+def _passes_det_filter(g: GroupElement, rep: RepKind, p: int, m: int = 2) -> bool:
+    """Necessary conditions for a nonzero g-class component in cohomological
+    degree m: det(g) = 1, codim V^g <= m <= n, and chi_g trivial on the
+    pointwise stabilizer K of V^g in Z(g).
+
+    K acts trivially on S(V^g) (x) Lambda((V^g)*), so a chi_g-semi-invariant
+    there is zero unless chi_g is trivial on K; g lies in K, and
+    chi_g(g) = det(g), as g fixes V^g.  The exterior power Lambda^{m - codim}
+    of the (n - codim)-dimensional (V^g)* is zero unless codim <= m <= n.
+    At m = 2 a g with det(g) = 1 is not a reflection, so codim <= 2 is
+    codim in {0, 2}."""
     if det_exponent(*monomial_action(g, rep), g.r):
         return False
-    if g.n - len(fixed_basis(g, rep)) not in (0, 2):
+    if not g.n - len(fixed_basis(g, rep)) <= m <= g.n:
         return False
     # on an h fixing V^g pointwise, det(h | V^g) = 1, so chi_g(h) = det(h);
     # chi_g is a homomorphism, so it is trivial on K iff on K's generators
@@ -215,8 +221,10 @@ def hh2_total(
     include_basis: bool = False,
     validate_skipped: bool = False,
     budget: int | None = DEFAULT_BUDGET,
+    m: int = 2,
 ) -> list[ClassComponent]:
-    """All nonzero HH^2 class components, one per conjugacy class of G(r,p,n).
+    """All nonzero class components in cohomological degree m (HH^2 by
+    default), one per conjugacy class of G(r,p,n).
 
     Classes failing the determinant/codimension filter are skipped; with
     validate_skipped=True each skipped class is recomputed at degree <= 2
@@ -224,12 +232,12 @@ def hh2_total(
     out = []
     for cls in conjugacy_classes(r, p, n, budget):
         g = cls.rep
-        if _passes_det_filter(g, rep, p):
-            comp = hh_component(g, rep, 2, max_poly_degree, p, include_basis)
+        if _passes_det_filter(g, rep, p, m):
+            comp = hh_component(g, rep, m, max_poly_degree, p, include_basis)
             if not comp.is_zero():
                 out.append(comp)
         elif validate_skipped:
-            comp = hh_component(g, rep, 2, min(2, max_poly_degree), p)
+            comp = hh_component(g, rep, m, min(2, max_poly_degree), p)
             if not comp.is_zero():
                 raise FilterDiscrepancyError(
                     f"class of {g!r} was skipped by the determinant filter "

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .cyclo import add_term, cyclo, one, root_of_unity, twist, zero
+from .cyclo import SparseSum, add_term, cyclo, one, root_of_unity, twist
 from .group import (
     DEFAULT_BUDGET,
     GroupElement,
@@ -54,53 +54,28 @@ def _term_order(item):
     return sum(mu), mu, g.sort_key()
 
 
-class NCElement:
+class NCElement(SparseSum):
     """Sum of c * v^mu gbar in a fixed presentation."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, terms: dict):
         self.algebra = algebra
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, terms: dict) -> "NCElement":
+        return NCElement(self.algebra, terms)
 
     def filtration_degree(self) -> int:
         return max((sum(mu) for mu, _ in self.terms), default=-1)
 
-    def __add__(self, other):
+    def __mul__(self, other: "NCElement") -> "NCElement":
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(out, k, c)
-        return NCElement(self.algebra, out)
+        return self.algebra.multiply(self, other)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "NCElement":
-        c = cyclo(c)
-        if c.is_zero():
-            return NCElement(self.algebra, {})
-        return NCElement(self.algebra, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, NCElement):
-            self._check(other)
-            return self.algebra.multiply(self, other)
-        return self.scale(other)
-
-    __rmul__ = scale
-
-    def __eq__(self, other):
-        if not isinstance(other, NCElement):
-            return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        z = zero()
-        return all(self.terms.get(k, z) == other.terms.get(k, z) for k in keys)
-
-    def _check(self, other):
+    def _check(self, other) -> None:
+        """+, - and * stay inside one presentation; == does not check it, so
+        an H* element compares with an S(V)#G element (`verify_iso`)."""
         if self.algebra is not other.algebra:
             raise ValueError("elements belong to different presentations")
 

@@ -26,20 +26,23 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import lcm, prod
 
-from .cyclo import CycloMatrix, CycloNum, add_term, cyclo, one, root_of_unity, twist, zero
+from .cyclo import CycloMatrix, CycloNum, SparseSum, add_term, cyclo, one, root_of_unity, twist, zero
 from .group import (
     GroupElement, RepKind, closure, monomial_action, monomial_image, perm_sign
 )
 
 
-class Polynomial:
+class Polynomial(SparseSum):
     """Exact polynomial in n variables: a map exponent vector -> CycloNum."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: dict):
         self.n = n
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+
+    def _like(self, terms: dict) -> "Polynomial":
+        return Polynomial(self.n, terms)
 
     @staticmethod
     def zero(n: int) -> "Polynomial":
@@ -59,53 +62,16 @@ class Polynomial:
     def monomial(n: int, exps, c=1) -> "Polynomial":
         return Polynomial(n, {tuple(exps): cyclo(c)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            add_term(out, e, c)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return Polynomial(self.n, out)
-
-    def __neg__(self):
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out: dict = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    prod = c1 * c2
-                    out[key] = out[key] + prod if key in out else prod
-            return Polynomial(self.n, out)
-        c = cyclo(other)
-        return Polynomial(self.n, {e: v * c for e, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = Polynomial.constant(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (self - other).is_zero()
 
     def __repr__(self):
         return format_polynomial(self) or "0"
@@ -126,57 +92,33 @@ def format_polynomial(f: Polynomial) -> str:
     return " + ".join(bits)
 
 
-class PolyForm:
+class PolyForm(SparseSum):
     """Element of S(V) (x) Lambda(V*): wedge index set -> Polynomial."""
 
-    __slots__ = ("n", "components")
+    __slots__ = ("n",)
 
-    def __init__(self, n: int, components: dict):
+    def __init__(self, n: int, terms: dict):
         comps = {}
-        for S, p in components.items():
+        for S, p in terms.items():
             S = tuple(S)
             if list(S) != sorted(set(S)):
                 raise ValueError("wedge index sets must be strictly increasing")
             if not p.is_zero():
                 comps[S] = p
         self.n = n
-        self.components = comps
+        self.terms = comps
 
-    @staticmethod
-    def zero(n: int) -> "PolyForm":
-        return PolyForm(n, {})
-
-    def is_zero(self) -> bool:
-        return not self.components
+    def _like(self, terms: dict) -> "PolyForm":
+        return PolyForm(self.n, terms)
 
     def poly_degree(self) -> int:
         """Degree of the polynomial of highest degree over all components."""
-        return max((p.degree() for p in self.components.values()), default=-1)
-
-    def __add__(self, other):
-        out = dict(self.components)
-        for S, p in other.components.items():
-            add_term(out, S, p)
-        return PolyForm(self.n, out)
-
-    def __neg__(self):
-        return PolyForm(self.n, {S: -p for S, p in self.components.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "PolyForm":
-        return PolyForm(self.n, {S: p * c for S, p in self.components.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyForm):
-            return NotImplemented
-        return (self - other).is_zero()
+        return max((p.degree() for p in self.terms.values()), default=-1)
 
     def __repr__(self):
         bits = []
-        for S in sorted(self.components):
-            poly = format_polynomial(self.components[S])
+        for S in sorted(self.terms):
+            poly = format_polynomial(self.terms[S])
             if S:
                 wedge = "^".join(f"x{i}" for i in S)
                 bits.append(f"({poly}) ^ {wedge}")
@@ -195,7 +137,7 @@ class PolyForm:
                         for e, c in sorted(p.terms.items(), reverse=True)
                     ],
                 }
-                for S, p in sorted(self.components.items())
+                for S, p in sorted(self.terms.items())
             ],
         }
 
@@ -217,10 +159,10 @@ def act_form(g: GroupElement, w: PolyForm, rep: RepKind) -> PolyForm:
     contragredient action with sorting sign on the wedge part."""
     pi, t = monomial_action(g, rep)
     out = {}
-    for S, p in w.components.items():
+    for S, p in w.terms.items():
         img = tuple(pi[i - 1] for i in S)
         coeff = twist(cyclo(perm_sign(img)), g.r, -sum(t[i - 1] for i in S))
-        out[tuple(sorted(img))] = act_poly(g, p, rep) * coeff  # pi is a bijection: a new key
+        out[tuple(sorted(img))] = act_poly(g, p, rep).scale(coeff)  # pi is a bijection: a new key
     return PolyForm(w.n, out)
 
 
@@ -307,7 +249,7 @@ def solomon_check(thetas: list[PolyForm], group_elements, rep: RepKind) -> dict:
     n = thetas[0].n
     invariant = all(act_form(g, th, rep) == th for g in elems for th in thetas)
     rows = [
-        [th.components.get((i,), Polynomial.zero(n)) for i in range(1, n + 1)]
+        [th.terms.get((i,), Polynomial.zero(n)) for i in range(1, n + 1)]
         for th in thetas
     ]
     det = _poly_matrix_determinant(rows)
@@ -320,7 +262,7 @@ def solomon_check(thetas: list[PolyForm], group_elements, rep: RepKind) -> dict:
             determinant_is_q = False
         else:
             c = det.terms[key] / Q.terms[key]
-            determinant_is_q = (not c.is_zero()) and det == Q * c
+            determinant_is_q = (not c.is_zero()) and det == Q.scale(c)
     return {"invariant": invariant, "determinant_is_Q": determinant_is_q}
 
 

@@ -3,6 +3,9 @@ import copy
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -668,3 +671,39 @@ def test_pbw_check_over_the_budget_lists_no_g():
     assert not report["invariance"] and report["witnesses"][0]["kind"] == "invariance", report
     assert report["witnesses"][0]["g"] == g
     assert report["witnesses"][0]["at"] in {repr(s) for s in generators(4, 1, 6)}, report
+
+
+def _bad_family_4_1_6():
+    """The G(4,1,6) family of the test above with one form on a 3-cycle and
+    none on its conjugates: pbw-check exits 1."""
+    def entry(num):
+        return {"order": 1, "terms": [{"exp": 0, "num": num, "den": "1"}] if num else []}
+
+    matrix = [[entry(None)] * 6 for _ in range(6)]
+    matrix[0][1], matrix[1][0] = entry("1"), entry("-1")
+    g = {"r": 4, "n": 6, "exps": [0] * 6, "perm": [2, 3, 1, 4, 5, 6]}
+    return json.dumps({"r": 4, "p": 1, "n": 6, "rep": "permutation", "forms": [{"g": g, "matrix": matrix}]})
+
+
+@pytest.mark.parametrize("argv,stdin,verdict", [
+    (["--format", "json", "classes", "--r", "4", "--p", "2", "--n", "3"], "", 0),
+    (["classes", "--r", "2", "--p", "1", "--n", "3"], "", 0),
+    (["gha-build", "--preset", "a_r1n", "--r", "2", "--n", "3"], "", 0),
+    (["pbw-check", "-"], _bad_family_4_1_6(), 1),
+], ids=["json", "text", "gha-build", "verdict-1"])
+def test_closed_stdout_keeps_the_verdict_and_writes_no_traceback(argv, stdin, verdict):
+    # the pipe's read end is closed before the command starts, so every
+    # write to stdout fails, as it does under `heckeforge ... | head -3`
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "heckeforge.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            input=stdin, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == verdict, proc.stderr
+    assert proc.stderr == "", proc.stderr

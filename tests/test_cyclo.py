@@ -1,6 +1,7 @@
 import ast
 import cmath
 import inspect
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -15,6 +16,7 @@ from heckeforge import group, hecke, hochschild, ncalg
 from heckeforge.cyclo import (
     CycloMatrix,
     CycloNum,
+    SparseSum,
     _power_table,
     cyclo,
     cyclotomic_polynomial,
@@ -25,6 +27,8 @@ from heckeforge.cyclo import (
     twist,
     zero,
 )
+from heckeforge.ncalg import NCElement
+from heckeforge.polyforms import PolyForm, Polynomial
 from oracles import FractionCyclo
 
 
@@ -314,3 +318,115 @@ def test_library_modules_build_no_dense_matrix(module):
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
     assert "CycloMatrix" not in names
+
+
+# -- one sparse-sum arithmetic for Polynomial, PolyForm and NCElement -------------
+
+
+_SKEW_2_1_2 = ncalg.skew_group_algebra(2, 1, 2, group.RepKind.FAITHFUL)
+# few keys per type, so sums of drawn terms collide and cancel
+_SUM_KEYS = {
+    Polynomial: [(0, 0), (1, 0), (0, 2)],
+    PolyForm: [(), (1,), (1, 2)],
+    NCElement: [(mu, g) for mu in [(0, 0), (1, 0)] for g in group.elements(2, 1, 2)[:2]],
+}
+
+
+def _coefficients():
+    """Nonzero numbers of field order 1, 2, 3, 4 or 6."""
+    return st.builds(
+        lambda r, k, a, d: root_of_unity(r, k) * Fraction(a, d),
+        st.sampled_from([1, 2, 3, 4, 6]), st.integers(0, 5), st.sampled_from([-2, -1, 1, 2]), st.integers(1, 2),
+    )
+
+
+def _raw_terms(cls):
+    """A term dict for cls: key -> number, or for a PolyForm wedge -> the
+    term dict of a Polynomial."""
+    values = _raw_terms(Polynomial) if cls is PolyForm else _coefficients()
+    return st.dictionaries(st.sampled_from(_SUM_KEYS[cls]), values, max_size=3)
+
+
+def _negated(raw):
+    return {k: _negated(c) if isinstance(c, dict) else -c for k, c in raw.items()}
+
+
+def _embedded(raw, order):
+    return {k: _embedded(c, order) if isinstance(c, dict) else c.embed(order) for k, c in raw.items()}
+
+
+def _build(cls, raw):
+    if cls is Polynomial:
+        return Polynomial(2, raw)
+    if cls is PolyForm:
+        return PolyForm(2, {S: Polynomial(2, t) for S, t in raw.items()})
+    return _SKEW_2_1_2.element(raw)
+
+
+def _reference_sum(x, y):
+    """The sum of two term dicts, key by key: a key in one operand keeps its
+    number, a key in both gets the CycloNum sum (nested dicts are summed the
+    same way), and a zero sum is dropped."""
+    out = dict(x)
+    for k, c in y.items():
+        if k in out:
+            s = _reference_sum(out[k], c) if isinstance(c, dict) else out[k] + c
+            if (bool(s) if isinstance(s, dict) else not s.is_zero()):
+                out[k] = s
+            else:
+                del out[k]
+        else:
+            out[k] = c
+    return out
+
+
+def _flat(terms, prefix=()):
+    """(key path, field order, numerators, denominator) of every number."""
+    out = set()
+    for k, c in terms.items():
+        if isinstance(c, (dict, SparseSum)):
+            out |= _flat(c if isinstance(c, dict) else c.terms, prefix + (k,))
+        else:
+            out.add((prefix + (k,), c.order, c.nums, c.den))
+    return out
+
+
+@pytest.mark.parametrize("cls", list(_SUM_KEYS), ids=lambda c: c.__name__)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_sparse_sums_share_one_arithmetic(cls, data):
+    raw_a = data.draw(_raw_terms(cls))
+    # b cancels some of a's terms outright and adds terms of its own
+    cancel = data.draw(st.sets(st.sampled_from(sorted(raw_a, key=repr)))) if raw_a else set()
+    raw_b = {**data.draw(_raw_terms(cls)), **_negated({k: raw_a[k] for k in cancel})}
+    a, b = _build(cls, raw_a), _build(cls, raw_b)
+    scalars = _coefficients() | st.sampled_from([0, 2, Fraction(-1, 3)])
+    c, d = data.draw(scalars), data.draw(scalars)
+    assert a + b == b + a
+    assert (a + b) - b == a
+    assert (a - a).is_zero()
+    assert a.scale(c).scale(d) == a.scale(c * d)
+    assert _flat((a + b).terms) == _flat(_reference_sum(raw_a, raw_b))
+    # == compares values, whatever field holds them
+    assert a == _build(cls, _embedded(raw_a, 12))
+    assert (a == b) == (a - b).is_zero()
+    assert (a + b == a) == b.is_zero()
+
+
+def test_sum_types_hold_no_arithmetic_of_their_own():
+    shared = {"is_zero", "__add__", "__sub__", "__neg__", "scale", "__eq__"}
+    for cls in _SUM_KEYS:
+        assert issubclass(cls, SparseSum)
+        assert not shared & set(vars(cls)), cls
+
+
+def test_two_presentations_compare_but_do_not_add():
+    # verify_iso compares H* elements with S(V)#G elements, so == ignores the
+    # presentation; +, - and * refuse to mix two
+    hstar = ncalg.HStarAlgebra(2, 2)
+    x, y = hstar.var(1), _SKEW_2_1_2.var(1)
+    assert x == y
+    assert not x == _SKEW_2_1_2.var(2)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(x, y)

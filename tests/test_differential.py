@@ -44,6 +44,10 @@ in `oracles`:
   against the listed stabilizer, and the determinant filter on them
   against the scan of the listed character, on every class of the
   acceptance and extended groups under both actions;
+- the filtered class loop of `hh2_total` in cohomological degree
+  m = 0..n+1 against `hh_component` on every class, as JSON, on the same
+  groups and actions, and the filter at m = 2 against the scan of the
+  listed character with codim V^g in {0, 2};
 - the parameter-space oracle, which solves the equivariance rows as orbits
   with phases, against the dense assembly of every row and against the
   Reynolds route, on every G(r,p,n) with |G| <= 400, n <= 5 and r <= 12
@@ -97,6 +101,8 @@ from heckeforge.hochschild import (
     _passes_det_filter,
     fixed_basis,
     fixed_space,
+    hh2_total,
+    hh_component,
     hochschild_character,
 )
 from heckeforge.ncalg import DrinfeldAlgebra, HStarAlgebra
@@ -600,6 +606,21 @@ def test_kernel_generators_generate_the_listed_stabilizer(r, p, n, rep):
         stabilizer = {h for h in centralizer(g, p) if _fixes_space_pointwise(h, rep, fixed)}
         assert set(closure(r, n, kernel_generators(g, rep, p))[0]) == stabilizer, (g, rep)
         assert _passes_det_filter(g, rep, p) == passes_det_filter_by_listing(g, rep, p), (g, rep)
+
+
+@pytest.mark.parametrize("r,p,n,rep", _reynolds_groups(), ids=lambda a: str(getattr(a, "value", a)))
+def test_filtered_class_loop_matches_every_class_in_every_degree(r, p, n, rep):
+    # the filter only skips classes whose component is zero, in every
+    # cohomological degree m, including m < codim and m > n; at m = 2 it
+    # gives the verdict of the HH^2 filter it replaced, codim in {0, 2}
+    classes = conjugacy_classes(r, p, n)
+    for m in range(n + 2):
+        every = [hh_component(cls.rep, rep, m, 3, p) for cls in classes]
+        expect = [comp.to_json() for comp in every if not comp.is_zero()]
+        assert [comp.to_json() for comp in hh2_total(r, p, n, rep, 3, m=m)] == expect, m
+    for cls in classes:
+        g = cls.rep
+        assert _passes_det_filter(g, rep, p, 2) == passes_det_filter_by_listing(g, rep, p), (g, rep)
 
 
 # -- parameter spaces: orbits with phases against the dense assembly ---------------

@@ -81,7 +81,7 @@ def test_act_form_preserves_bidegree():
     w = PolyForm(3, {(1, 2): Polynomial.monomial(3, (2, 1, 0))})
     res = act_form(three_cycle(3, 3, 1, 2, 3), w, F)
     assert res.poly_degree() == 3
-    assert {len(S) for S in res.components} == {2}
+    assert {len(S) for S in res.terms} == {2}
 
 
 def test_elementary_symmetric():
@@ -154,8 +154,8 @@ def test_solomon_check_flags_wrong_exponents_for_symmetric_blocks():
     res = solomon_check(thetas, s2, P)
     assert res == {"invariant": True, "determinant_is_Q": False}
     det = (
-        thetas[0].components[(1,)] * thetas[1].components[(2,)]
-        - thetas[0].components[(2,)] * thetas[1].components[(1,)]
+        thetas[0].terms[(1,)] * thetas[1].terms[(2,)]
+        - thetas[0].terms[(2,)] * thetas[1].terms[(1,)]
     )
     assert det == Polynomial(2, {(1, 3): one(), (3, 1): -one()})
     # the corrected exponents j-1 do satisfy the determinant hypothesis
