@@ -68,6 +68,7 @@ def _emit(data, args, text_renderer):
 def cmd_classes(args) -> int:
     _, budget = _group_args(args)
     classes = group.conjugacy_classes(args.r, args.p, args.n, budget)
+    order = group.group_order(args.r, args.p, args.n)
     rows = []
     for cls in classes:
         rows.append(
@@ -76,11 +77,11 @@ def cmd_classes(args) -> int:
                 "size": cls.size,
                 "cycle_type": [[a, k, m] for a, k, m in group.cycle_type(cls.rep).pairs],
                 "centralizer_formula": group.centralizer_order_formula(cls.rep),
-                "centralizer_order": len(group.centralizer(cls.rep, args.p)),
+                "centralizer_order": order // cls.size,
             }
         )
     data = {
-        "group": {"r": args.r, "p": args.p, "n": args.n, "order": group.group_order(args.r, args.p, args.n)},
+        "group": {"r": args.r, "p": args.p, "n": args.n, "order": order},
         "class_count": len(rows),
         "classes": rows,
     }

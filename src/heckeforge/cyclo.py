@@ -374,7 +374,8 @@ class SparseSum:
     """A finite sum held as `terms`, a dict from key to nonzero coefficient;
     a coefficient is a CycloNum or itself a SparseSum.  A subclass keeps its
     constructor and its product, builds a sum of its own kind from a term
-    dict in `_like`, and may refuse an operand of + and - in `_check`.
+    dict in `_like`, and may refuse an operand of + and - in `_check`.  The
+    subclass constructor is the one zero filter, so `+` sums plainly.
     Equality compares terms only: neither side stores a zero, so equal sums
     have the same keys."""
 
@@ -390,7 +391,7 @@ class SparseSum:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            add_term(out, k, c)
+            out[k] = out[k] + c if k in out else c
         return self._like(out)
 
     def __neg__(self):

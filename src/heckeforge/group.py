@@ -6,8 +6,8 @@ An element xi_1^{a_1}...xi_n^{a_n} sigma is stored as the exponent vector
 column i.  Conjugacy in G(r,1,n) is decided by (a,k)-cycle type, so its
 classes are built from the coloured cycle types, with no listing of the
 group; a class of G(r,1,n) that splits in G(r,p,n) is grown and split on
-its own.  Centralizers, their generators and the generators of the
-pointwise stabilizer of V^g are read off cycles.
+its own.  Centralizers are held on generators read off cycles, with their
+orders from the cycle type, as is the pointwise stabilizer of V^g.
 """
 
 from __future__ import annotations
@@ -144,13 +144,6 @@ def three_cycle(r: int, n: int, i: int, j: int, k: int) -> GroupElement:
 # -- group operations --------------------------------------------------------
 
 
-def _perm_inverse(perm):
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
 def _mul(r: int, a, sigma, b, tau):
     """(exps, perm) of the product (a, sigma)(b, tau) over Z/r, as in
     `multiply`: (sigma.b)_{sigma(j)} = b_j."""
@@ -170,24 +163,29 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
 def closure(r: int, n: int, gens):
     """(reached, products): the group that gens generate, listed breadth
     first from the identity under right multiplication, and
-    products[i][j], the index in reached of reached[i] * gens[j]."""
-    reached = [identity(r, n)]
-    index = {reached[0]: 0}
+    products[i][j], the index in reached of reached[i] * gens[j], walked on
+    (exps, perm) pairs."""
+    by = [(s.exps, s.perm) for s in gens]
+    keys = [((0,) * n, tuple(range(1, n + 1)))]
+    index = {keys[0]: 0}
     products = []
-    for x in reached:  # the list grows while it is read
+    for a, sigma in keys:  # the list grows while it is read
         products.append([])
-        for s in gens:
-            y = multiply(x, s)
-            if index.setdefault(y, len(reached)) == len(reached):
-                reached.append(y)
-            products[-1].append(index[y])
-    return reached, products
+        for b, tau in by:
+            y = _mul(r, a, sigma, b, tau)
+            k = index.setdefault(y, len(keys))
+            if k == len(keys):
+                keys.append(y)
+            products[-1].append(k)
+    return [_element(r, n, *key) for key in keys], products
 
 
 def inverse(g: GroupElement) -> GroupElement:
-    inv = _perm_inverse(g.perm)
+    inv = [0] * g.n
+    for i, v in enumerate(g.perm):
+        inv[v - 1] = i + 1
     exps = tuple((-g.exps[g.perm[i] - 1]) % g.r for i in range(g.n))
-    return _element(g.r, g.n, exps, inv)
+    return _element(g.r, g.n, exps, tuple(inv))
 
 
 def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -384,9 +382,8 @@ def _conjugation_orbit(key, r: int, gens) -> list:
 def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
     # The classes of G(r,1,n) come from their coloured cycle types, of size
     # |G(r,1,n)| / |Z(g)|.  The class of g lies in G(r,p,n) iff its colours
-    # sum to 0 mod p, and splits there into s classes, s the index of the
-    # image of Z_{G(r,1,n)}(g) under h -> sum(h.exps) mod p, which its
-    # generators span.  Only a class that splits is listed: grown under
+    # sum to 0 mod p, and splits there into `_split_count` classes.  Only a
+    # class that splits is listed: grown under
     # G(r,1,n), then cut into G(r,p,n)-orbits in sorted order, so each is
     # represented by its least member.
     order = r**n * math.factorial(n)
@@ -394,7 +391,7 @@ def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
     for g in _full_group_reps(r, n):
         if sum(g.exps) % p:
             continue
-        if p == 1 or math.gcd(p, *(sum(h.exps) for h in centralizer_generators(g, 1))) == 1:
+        if p == 1 or _split_count(g, p) == 1:
             classes.append(ConjClass(g, order // centralizer_order_formula(g)))
             continue
         seen: set = set()
@@ -411,47 +408,6 @@ def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
 def conjugacy_classes(r: int, p: int, n: int, budget: int | None = DEFAULT_BUDGET):
     check_budget(r, p, n, budget)
     return _conjugacy_classes(r, p, n)
-
-
-def _centralizer(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
-    # h = (b, tau) commutes with g = (a, sigma) iff tau sigma = sigma tau and
-    # a + sigma.b = b + tau.a, that is b_{sigma(j)} = b_j + c_{sigma(j)} for
-    # every j, with c = a - tau.a.  Along each cycle of sigma this fixes b
-    # from one free value at the cycle's first point, and it is solvable iff
-    # c sums to 0 mod r over the cycle.
-    r, n, a, sigma = g.r, g.n, g.exps, g.perm
-    cycles = perm_cycles(sigma)
-    out = []
-    for tau in permutations(range(1, n + 1)):
-        if any(tau[s - 1] != sigma[t - 1] for s, t in zip(sigma, tau)):
-            continue
-        tau_inv = _perm_inverse(tau)
-        c = [(a[i] - a[tau_inv[i] - 1]) % r for i in range(n)]
-        offset = [0] * n  # b_j minus the free value of j's cycle
-        for cyc in cycles:
-            total = 0
-            for j in cyc[1:]:
-                total += c[j - 1]
-                offset[j - 1] = total
-            if (total + c[cyc[0] - 1]) % r:
-                break
-        else:
-            for free in product(range(r), repeat=len(cycles)):
-                b = [0] * n
-                for x, cyc in zip(free, cycles):
-                    for j in cyc:
-                        b[j - 1] = (x + offset[j - 1]) % r
-                if sum(b) % p == 0:
-                    out.append(_element(r, n, tuple(b), tau))
-    out.sort(key=GroupElement.sort_key)
-    return tuple(out)
-
-
-def centralizer(g: GroupElement, p: int):
-    """Z_{G(r,p,n)}(g), sorted, solved for from the cycle structure of g:
-    O(n) work per permutation of n points and per element of Z_{G(r,1,n)}(g),
-    independent of |G|, so no budget applies."""
-    return list(_centralizer(g, p))
 
 
 def _cycles_by_type(g: GroupElement) -> dict:
@@ -477,9 +433,9 @@ def _scalar_and_cycle(g: GroupElement, cyc) -> list[GroupElement]:
 def _swaps(g: GroupElement, same) -> list[GroupElement]:
     """A swap of each adjacent pair c1, c2 of the cycles `same` of one (a,k)
     type: tau swaps the j-th points of c1 and c2, and b solves
-    b_{sigma(x)} = b_x + a_{sigma(x)} - a_{tau^-1 sigma(x)} (see
-    `_centralizer`).  They permute the cycles and conjugate the first
-    cycle's `_scalar_and_cycle` onto each."""
+    b_{sigma(x)} = b_x + a_{sigma(x)} - a_{tau^-1 sigma(x)}, which (b, tau)
+    must solve to commute with g = (a, sigma).  They permute the cycles and
+    conjugate the first cycle's `_scalar_and_cycle` onto each."""
     r, n, a = g.r, g.n, g.exps
     out = []
     for c1, c2 in zip(same, same[1:]):
@@ -522,6 +478,24 @@ def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
     gens = [h for same in by_type for h in _scalar_and_cycle(g, same[0])]
     gens += [h for same in by_type for h in _swaps(g, same)]
     return _within(gens, g.r, g.n, p)
+
+
+def _split_count(g: GroupElement, p: int) -> int:
+    """The number of G(r,p,n)-classes in g's G(r,1,n)-class: the index in Z/p
+    of the image of Z_{G(r,1,n)}(g) under h -> sum(h.exps), which its generators span."""
+    return math.gcd(p, *(sum(h.exps) for h in centralizer_generators(g, 1)))
+
+
+def centralizer_order(g: GroupElement, p: int) -> int:
+    """|Z_{G(r,p,n)}(g)|: the kernel of h -> sum(h.exps) mod p on
+    Z_{G(r,1,n)}(g), whose image has order p / `_split_count`."""
+    return centralizer_order_formula(g) * _split_count(g, p) // p
+
+
+def centralizer(g: GroupElement, p: int) -> list[GroupElement]:
+    """Z_{G(r,p,n)}(g), sorted: the `closure` of `centralizer_generators`,
+    work in |Z(g)| and independent of |G|, so no budget applies."""
+    return sorted(closure(g.r, g.n, centralizer_generators(g, p))[0], key=GroupElement.sort_key)
 
 
 def kernel_generators(g: GroupElement, rep: RepKind, p: int) -> tuple[GroupElement, ...]:

@@ -29,8 +29,8 @@ from .group import (
     DEFAULT_BUDGET,
     GroupElement,
     RepKind,
-    centralizer,
     centralizer_generators,
+    centralizer_order,
     conjugacy_classes,
     cycle_type,
     det_exponent,
@@ -105,11 +105,11 @@ def hochschild_character(g: GroupElement, rep: RepKind, p: int = 1) -> Character
     computed as det(h|V) / det(h|V^g) from the monomial action on V^g and
     held as exponents mod lcm(2, r).  A ratio of the determinants of two
     representations of Z(g) is a homomorphism, so the table holds its values
-    on `centralizer_generators` only.  It lists Z(g), through the solved
-    `centralizer`, only if `subgroup`, `exponents` or `chi(h)` are read, and
-    reading `exponents` proves the claim by the walk that extends the values
-    over Z(g).  One table per (g, rep, p) is cached,
-    however p is passed, so its action data serve every degree."""
+    on `centralizer_generators` only, and claims |Z(g)| = `centralizer_order`.
+    Z(g) is listed only if `subgroup`, `exponents` or `chi(h)` are read, by
+    the walk over the generators that proves the claim.  One table per
+    (g, rep, p) is cached, however p is passed, so its action data serve
+    every degree."""
     return _hochschild_character(g, rep, p)
 
 
@@ -130,7 +130,7 @@ def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTab
         det_exponent(h.perm, h.exps if faithful else (), r) - det_exponent(pi, texp, r)
         for h, (pi, texp) in zip(gens, pairs)
     ]
-    chi = CharacterTable(r, g.n, lcm(2, r), gens, exps, lambda: centralizer(g, p))
+    chi = CharacterTable(r, g.n, lcm(2, r), gens, exps, centralizer_order(g, p))
     chi.keep_actions(rep, fixed, pairs)
     return chi
 

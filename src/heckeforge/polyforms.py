@@ -276,40 +276,39 @@ class CharacterError(ValueError):
 class CharacterTable:
     """A linear character chi of a subgroup H of G(r,p,n), held by its
     values on a generating set: chi(generators[j]) = zeta_order^{exponents[j]},
-    where `order` is a multiple of lcm(2, r), so a sign is order / 2.
+    where `order` is a multiple of lcm(2, r), so a sign is order / 2, and
+    `subgroup_order` is the claimed |H|.
 
-    `list_subgroup()` returns H sorted; it is called at most once, and only
-    if `subgroup`, `exponents` or `chi(h)` are read.  Reading `exponents`
-    extends the values over H and proves that they define a homomorphism
-    on H (see `exponents`).  The table keeps the generators' integer action
-    data per subspace (`actions`), so every polynomial degree reuses them.
+    H is listed only if `subgroup`, `exponents` or `chi(h)` are read, by the
+    walk that extends the values over H and proves the claim (`exponents`).
+    The table keeps the generators' integer action data per subspace
+    (`actions`), so every polynomial degree reuses them.
     """
 
-    def __init__(self, r: int, n: int, order: int, generators, exponents, list_subgroup):
+    def __init__(self, r: int, n: int, order: int, generators, exponents, subgroup_order: int):
         if order % lcm(2, r):
             raise ValueError("the exponent modulus must be a multiple of lcm(2, r)")
         self.r, self.n, self.order = r, n, order
         self.generators = tuple(generators)
         self._generator_exponents = tuple(e % order for e in exponents)
-        self._list_subgroup = list_subgroup
-        self._subgroup = self._exponents = None
+        self.subgroup_order = subgroup_order
+        self._exponents = None
         self._actions: dict = {}
 
     @property
     def subgroup(self) -> tuple:
-        if self._subgroup is None:
-            self._subgroup = tuple(self._list_subgroup())
-        return self._subgroup
+        """H, sorted: the keys of `exponents`."""
+        return tuple(self.exponents)
 
     @property
     def exponents(self) -> dict:
-        """Every exponent, keyed in `subgroup` order.  Each element takes its
-        value along the breadth-first walk from the identity under the
+        """Every exponent, keyed by H in sorted order.  Each element takes
+        its value along the breadth-first walk from the identity under the
         generators S (`group.closure`), e(x s) = e(x) + e(s) mod `order`,
         and every other edge of the walk must agree.  The walk must also
-        reach exactly `subgroup`.  Then S generates H, and induction on word
-        length in S gives e(xy) = e(x) + e(y) for all x, y in H.  Raises
-        CharacterError otherwise."""
+        reach exactly `subgroup_order` elements.  Then S generates H, and
+        induction on word length in S gives e(xy) = e(x) + e(y) for all x, y
+        in H.  Raises CharacterError otherwise."""
         if self._exponents is None:
             reached, products = closure(self.r, self.n, self.generators)
             e = [0] + [None] * (len(reached) - 1)
@@ -320,10 +319,9 @@ class CharacterTable:
                         e[k] = x
                     elif e[k] != x:
                         raise CharacterError("the generator values do not extend to a homomorphism")
-            if set(reached) != set(self.subgroup):
-                raise CharacterError("the generators do not generate the listed subgroup")
-            walked = dict(zip(reached, e))
-            self._exponents = {h: walked[h] for h in self.subgroup}
+            if len(reached) != self.subgroup_order:
+                raise CharacterError(f"the generators reach {len(reached)} elements, not {self.subgroup_order}")
+            self._exponents = dict(sorted(zip(reached, e), key=lambda item: item[0].sort_key()))
         return self._exponents
 
     def __call__(self, h: GroupElement) -> CycloNum:

@@ -41,11 +41,14 @@ paths in the library, and a faithful family shared by the tests:
   its own Fraction tables (`fraction_cyclotomic_polynomial`,
   `fraction_power_table`), the reference for `CycloNum`'s integer
   numerators over one denominator;
+- `solved_centralizer`: Z_{G(r,p,n)}(g) solved for from the cycle
+  structure of g, one candidate permutation at a time over all n! of
+  them, independent of the generators read off the cycles;
 - `classes_by_search`: the conjugacy classes of G(r,p,n) found by walking
   the group in sorted order and growing the class of each first unseen
   element breadth first under conjugation by generators;
 - `listed_hochschild_character`: the Hochschild character listed as
-  plain data, the solved centralizer and det(h|V) / det(h|V^g) as an
+  plain data, `solved_centralizer` and det(h|V) / det(h|V^g) as an
   exponent computed on each of its elements, and
   `passes_det_filter_by_listing`, the determinant filter read off those
   exponents and each element's action on V^g;
@@ -68,8 +71,8 @@ from heckeforge.group import (
     ConjClass,
     GroupElement,
     RepKind,
+    _element,
     _mul,
-    centralizer,
     conjugacy_classes,
     cycle_type,
     det_exponent,
@@ -82,6 +85,7 @@ from heckeforge.group import (
     is_three_cycle,
     monomial_action,
     multiply,
+    perm_cycles,
     three_cycle,
     transposition,
 )
@@ -136,7 +140,7 @@ def trivial_character(subgroup):
     """The trivial character of a listed subgroup, held on all of its
     elements as generators."""
     els = tuple(subgroup)
-    return CharacterTable(els[0].r, els[0].n, lcm(2, els[0].r), els, [0] * len(els), lambda: els)
+    return CharacterTable(els[0].r, els[0].n, lcm(2, els[0].r), els, [0] * len(els), len(els))
 
 
 def dimension_by_enumeration(module, d):
@@ -539,13 +543,49 @@ def classes_by_search(r, p, n):
     return classes
 
 
+def solved_centralizer(g, p) -> tuple:
+    """Z_{G(r,p,n)}(g), sorted.  h = (b, tau) commutes with g = (a, sigma)
+    iff tau sigma = sigma tau and a + sigma.b = b + tau.a, that is
+    b_{sigma(j)} = b_j + c_{sigma(j)} for every j, with c = a - tau.a.
+    Along each cycle of sigma this fixes b from one free value at the
+    cycle's first point, and it is solvable iff c sums to 0 mod r over the
+    cycle."""
+    r, n, a, sigma = g.r, g.n, g.exps, g.perm
+    cycles = perm_cycles(sigma)
+    out = []
+    for tau in permutations(range(1, n + 1)):
+        if any(tau[s - 1] != sigma[t - 1] for s, t in zip(sigma, tau)):
+            continue
+        c = [0] * n  # c_{tau(j)} = a_{tau(j)} - a_j
+        for j, t in enumerate(tau):
+            c[t - 1] = (a[t - 1] - a[j]) % r
+        offset = [0] * n  # b_j minus the free value of j's cycle
+        for cyc in cycles:
+            total = 0
+            for j in cyc[1:]:
+                total += c[j - 1]
+                offset[j - 1] = total
+            if (total + c[cyc[0] - 1]) % r:
+                break
+        else:
+            for free in product(range(r), repeat=len(cycles)):
+                b = [0] * n
+                for x, cyc in zip(free, cycles):
+                    for j in cyc:
+                        b[j - 1] = (x + offset[j - 1]) % r
+                if sum(b) % p == 0:
+                    out.append(_element(r, n, tuple(b), tau))
+    out.sort(key=GroupElement.sort_key)
+    return tuple(out)
+
+
 def listed_hochschild_character(g, rep, p):
-    """chi_g listed over the solved Z_{G(r,p,n)}(g): (Z, {h: e}) with
+    """chi_g listed over `solved_centralizer`: (Z, {h: e}) with
     e = det(h|V) minus det(h|V^g), both as `det_exponent`s mod lcm(2, r),
     on every h, the second read off h's action on `fixed_basis`."""
     r = g.r
     F = lcm(2, r)
-    Z = tuple(centralizer(g, p))
+    Z = solved_centralizer(g, p)
     pairs = subspace_actions(Z, rep, fixed_basis(g, rep))
     faithful = rep == RepKind.FAITHFUL
     exps = {
@@ -621,7 +661,7 @@ def param_space_by_reynolds(r, p, n, rep):
                 paper_count += 1
         pi, t = monomial_action(g, rep)
         if pi == tuple(range(1, n + 1)) and all(x % r == 0 for x in t):
-            chi = trivial_character(centralizer(g, p))
+            chi = trivial_character(solved_centralizer(g, p))
             lambda2[g] = len(reynolds_semiinvariant_basis(chi, rep, 0, 2))
     total = d + sum(lambda2.values())
     if rep == RepKind.PERMUTATION:

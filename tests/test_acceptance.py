@@ -170,7 +170,8 @@ def test_criterion_7_mechanical_isomorphism_proof():
 
 
 def test_criterion_8_structural_invariants():
-    # centralizer order formula vs brute force on every class
+    # centralizer order formula vs the centralizer listed from its
+    # generators on every class
     for (r, p, n) in [(3, 1, 3), (2, 1, 4)]:
         for cls in conjugacy_classes(r, p, n):
             assert len(centralizer(cls.rep, p)) == centralizer_order_formula(cls.rep)

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 
 from heckeforge import ncalg
 from heckeforge.cli import main
-from heckeforge.group import generators
+from heckeforge.group import GroupElement, RepKind, generators
 from heckeforge.hecke import build_preset
+from heckeforge.hochschild import hochschild_character
+from oracles import solved_centralizer
+from test_group import ORACLE_GROUPS
 
 
 def run(capsys, *argv):
@@ -62,6 +65,21 @@ def test_classes_s3(capsys):
     code, out, _ = run(capsys, "--format", "json", "classes", "--r", "1", "--p", "1", "--n", "3")
     assert code == 0
     assert json.loads(out)["class_count"] == 3
+
+
+@pytest.mark.parametrize("r,p,n", ORACLE_GROUPS)
+def test_classes_centralizer_order_is_the_solved_order(capsys, r, p, n):
+    # centralizer_order is |G| / |class|: the order of the centralizer the
+    # oracle solves for, and the order the Hochschild character claims for
+    # the walk over its generators, split classes (p > 1) included
+    code, out, _ = run(capsys, "--format", "json", "classes", "--r", str(r), "--p", str(p), "--n", str(n))
+    assert code == 0
+    data = json.loads(out)
+    for row in data["classes"]:
+        g, order = GroupElement.from_json(row["rep"]), row["centralizer_order"]
+        assert order == len(solved_centralizer(g, p)), g
+        assert order == hochschild_character(g, RepKind.FAITHFUL, p).subgroup_order, g
+        assert row["size"] * order == data["group"]["order"], g
 
 
 def test_classes_invalid_p(capsys):

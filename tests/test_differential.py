@@ -41,9 +41,9 @@ in `oracles`:
   on every element of the solved centralizer, on every class of the
   groups `test_character_matches_dense_restriction` reads;
 - the generators of the pointwise stabilizer of V^g read off g's cycles
-  against the listed stabilizer, and the determinant filter on them
-  against the scan of the listed character, on every class of the
-  acceptance and extended groups under both actions;
+  against the stabilizer listed from the solved centralizer, and the
+  determinant filter on them against the scan of the listed character, on
+  every class of the acceptance and extended groups under both actions;
 - the filtered class loop of `hh2_total` in cohomological degree
   m = 0..n+1 against `hh_component` on every class, as JSON, on the same
   groups and actions, and the filter at m = 2 against the scan of the
@@ -66,7 +66,6 @@ from heckeforge.cyclo import CycloMatrix, cyclo, one, root_of_unity, zero
 from heckeforge.group import (
     GroupElement,
     RepKind,
-    centralizer,
     closure,
     conjugacy_classes,
     cycle_type,
@@ -127,6 +126,7 @@ from oracles import (
     passes_det_filter_by_listing,
     pbw_check_full_scan,
     reynolds_rows_by_projector,
+    solved_centralizer,
     stack_multiply,
     trivial_character,
 )
@@ -603,7 +603,7 @@ def test_kernel_generators_generate_the_listed_stabilizer(r, p, n, rep):
     for cls in conjugacy_classes(r, p, n):
         g = cls.rep
         fixed = fixed_basis(g, rep)
-        stabilizer = {h for h in centralizer(g, p) if _fixes_space_pointwise(h, rep, fixed)}
+        stabilizer = {h for h in solved_centralizer(g, p) if _fixes_space_pointwise(h, rep, fixed)}
         assert set(closure(r, n, kernel_generators(g, rep, p))[0]) == stabilizer, (g, rep)
         assert _passes_det_filter(g, rep, p) == passes_det_filter_by_listing(g, rep, p), (g, rep)
 

@@ -12,6 +12,7 @@ from heckeforge.group import (
     RepKind,
     centralizer,
     centralizer_generators,
+    centralizer_order,
     centralizer_order_formula,
     conjugacy_classes,
     conjugate,
@@ -32,7 +33,16 @@ from heckeforge.group import (
     transposition,
     xi,
 )
-from oracles import act, class_members, coact, conjugate_in_full_group, in_subgroup, matrix, sort_with_sign
+from oracles import (
+    act,
+    class_members,
+    coact,
+    conjugate_in_full_group,
+    in_subgroup,
+    matrix,
+    solved_centralizer,
+    sort_with_sign,
+)
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -255,11 +265,12 @@ def test_classes_and_centralizers_match_brute_force(r, p, n):
     classes = conjugacy_classes(r, p, n)
     brute = brute_force_classes(r, p, n)
     assert [(c.rep, c.size) for c in classes] == [(rep, size) for rep, size, _ in brute]
+    # the closure of the cycle-read generators and the oracle's solver
     for cls in classes:
-        assert tuple(centralizer(cls.rep, p)) == brute_force_centralizer(cls.rep, p)
+        assert tuple(centralizer(cls.rep, p)) == solved_centralizer(cls.rep, p) == brute_force_centralizer(cls.rep, p)
     # and at a member that is not the representative
     g = max(brute[-1][2], key=GroupElement.sort_key)
-    assert tuple(centralizer(g, p)) == brute_force_centralizer(g, p)
+    assert tuple(centralizer(g, p)) == solved_centralizer(g, p) == brute_force_centralizer(g, p)
 
 
 @pytest.mark.parametrize("r,p,n", ORACLE_GROUPS + [(4, 1, 4), (6, 6, 4)])
@@ -287,9 +298,9 @@ def _every_p(groups):
 @pytest.mark.parametrize("r,p,n", _every_p(ORACLE_GROUPS + [(4, 1, 4), (6, 6, 4)]))
 def test_centralizer_generators_generate_the_solved_centralizer(r, p, n):
     # the generators read off the cycles of each class representative
-    # generate exactly Z_{G(r,p,n)}(g), with no identity among them; at
-    # p = 1 the closure has the order of the formula.  The closure runs on
-    # (exps, perm) pairs
+    # generate exactly Z_{G(r,p,n)}(g), as the oracle solves it, with no
+    # identity among them, and `centralizer_order` is its order.  The
+    # closure runs on (exps, perm) pairs
     for cls in conjugacy_classes(r, p, n):
         g = cls.rep
         gens = centralizer_generators(g, p)
@@ -303,12 +314,12 @@ def test_centralizer_generators_generate_the_solved_centralizer(r, p, n):
                 if y not in seen:
                     seen.add(y)
                     reached.append(y)
-        assert seen == {(h.exps, h.perm) for h in centralizer(g, p)}, g
-        if p == 1:
-            assert len(seen) == centralizer_order_formula(g), g
+        assert seen == {(h.exps, h.perm) for h in solved_centralizer(g, p)}, g
+        assert len(seen) == centralizer_order(g, p), g
 
 
 @pytest.mark.parametrize("r,p,n", ORACLE_GROUPS + [(4, 1, 4), (6, 6, 4)])
 def test_orbit_stabilizer_on_every_class(r, p, n):
     for cls in conjugacy_classes(r, p, n):
         assert cls.size * len(centralizer(cls.rep, p)) == group_order(r, p, n)
+        assert cls.size * centralizer_order(cls.rep, p) == group_order(r, p, n)
