@@ -46,6 +46,7 @@ from .polyforms import (
     PolyForm,
     is_identity_action,
     reynolds_semiinvariant_basis,
+    semiinvariant_rows,
     subspace_action,
     subspace_actions,
 )
@@ -177,19 +178,18 @@ def hh_component(
 ) -> ClassComponent:
     """The g-class contribution in cohomological degree m:
     (S(V^g) (x) Lambda^{m - codim V^g}((V^g)*))^{chi_g}, per polynomial degree
-    up to max_poly_degree.  A negative exterior power gives the zero space."""
+    up to max_poly_degree.  A negative exterior power gives the zero space.
+    Each dimension is the number of orbits the Reynolds walk keeps
+    (`semiinvariant_rows`); the basis elements are assembled only with
+    include_basis."""
     fixed = fixed_basis(g, rep)
     codim = g.n - len(fixed)
     k = m - codim
     chi = hochschild_character(g, rep, p)
-    dims: dict[int, int] = {}
-    bases: dict[int, list[PolyForm]] = {}
-    for d in range(max_poly_degree + 1):
-        basis = reynolds_semiinvariant_basis(chi, rep, d, k, fixed)
-        dims[d] = len(basis)
-        if include_basis:
-            bases[d] = basis
-    return ClassComponent(g, rep, codim, fixed, chi, dims, bases if include_basis else None)
+    degrees = range(max_poly_degree + 1)
+    bases = {d: reynolds_semiinvariant_basis(chi, rep, d, k, fixed) for d in degrees} if include_basis else None
+    dims = {d: len(bases[d] if bases else semiinvariant_rows(chi, rep, d, k, fixed)[0]) for d in degrees}
+    return ClassComponent(g, rep, codim, fixed, chi, dims, bases)
 
 
 def _passes_det_filter(g: GroupElement, rep: RepKind, p: int, m: int = 2) -> bool:
@@ -226,9 +226,11 @@ def hh2_total(
     """All nonzero class components in cohomological degree m (HH^2 by
     default), one per conjugacy class of G(r,p,n).
 
-    Classes failing the determinant/codimension filter are skipped; with
-    validate_skipped=True each skipped class is recomputed at degree <= 2
-    and a FilterDiscrepancyError is raised if anything nonzero shows up."""
+    The dimensions are orbit counts (see `hh_component`); a basis is
+    assembled per degree only with include_basis.  Classes failing the
+    determinant/codimension filter are skipped; with validate_skipped=True
+    each skipped class is recomputed at degree <= 2 and a
+    FilterDiscrepancyError is raised if anything nonzero shows up."""
     out = []
     for cls in conjugacy_classes(r, p, n, budget):
         g = cls.rep

@@ -8,7 +8,8 @@ the wedge indices.  A chi-semi-invariant basis is read off the orbits of
 the monomial-times-wedge basis, walked breadth first under generators of
 the subgroup with integer phases: one basis element per orbit on whose
 stabilizer chi agrees with the action, in reduced echelon form, so
-repeated runs agree byte-for-byte.
+repeated runs agree byte-for-byte.  Counting the orbits gives a dimension;
+the basis elements are assembled only when asked for.
 
 A subspace is given by an integer basis: one tuple of (coordinate, t)
 pairs per vector, w = sum zeta_r^t v_i, on disjoint supports.  A group
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm, prod
+from operator import mul
 
 from .cyclo import CycloMatrix, CycloNum, SparseSum, add_term, cyclo, one, root_of_unity, twist, zero
 from .group import (
@@ -457,24 +459,6 @@ def restriction_matrix(g: GroupElement, rep: RepKind, subspace):
     return C
 
 
-def _monomials_of_degree(m: int, d: int):
-    """Exponent tuples of total degree d in m symbols, lexicographically
-    descending (v_1^d first)."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for k in range(remaining, -1, -1):
-            rec(prefix + (k,), remaining - k, slots - 1)
-
-    if m == 0:
-        return [()] if d == 0 else []
-    rec((), d, m)
-    return out
-
-
 def reynolds_semiinvariant_basis(
     chi: CharacterTable,
     rep: RepKind,
@@ -506,21 +490,28 @@ def reynolds_semiinvariant_basis(
     never listed, and chi is taken as the homomorphism its table claims.
     The generators' action data are built on the first call for a table
     and subspace (`CharacterTable.actions`); later degrees reuse them.
+    The rows come from `semiinvariant_rows`, which alone gives their
+    number; only this function assembles them into PolyForms.
     """
-    r, n = chi.r, chi.n
     if subspace is None:
-        subspace = tuple(((i, 0),) for i in range(n))
+        subspace = tuple(((i, 0),) for i in range(chi.n))
+    rows, basis = semiinvariant_rows(chi, rep, poly_degree, form_degree, subspace)
+    return [_assemble_polyform(row, basis, chi.n, chi.r, chi.order, subspace) for row in rows]
+
+
+def semiinvariant_rows(chi: CharacterTable, rep: RepKind, poly_degree: int, form_degree: int, subspace):
+    """(rows, basis): the monomial-times-wedge basis (mu, S) of the two
+    degrees on the subspace basis, v_1^d first, and its `_phase_rows`, one
+    row per element of `reynolds_semiinvariant_basis`, in order; so the
+    number of rows is the dimension, and nothing is assembled."""
     m = len(subspace)
     if form_degree < 0 or form_degree > m or poly_degree < 0:
-        return []
-
-    monos = _monomials_of_degree(m, poly_degree)
+        return [], []
     wedges = list(combinations(range(m), form_degree))
+    # the multisets of poly_degree symbols in lex order give exponents descending, v_1^d first
+    monos = (tuple(map(c.count, range(m))) for c in combinations_with_replacement(range(m), poly_degree))
     basis = [(mu, S) for mu in monos for S in wedges]
-    if not basis:
-        return []
-    rows = _phase_rows(chi.actions(rep, subspace), chi.order, basis)
-    return [_assemble_polyform(row, basis, n, r, chi.order, subspace) for row in rows]
+    return _phase_rows(chi.actions(rep, subspace), chi.order, basis), basis
 
 
 def _phase_rows(actions, F, basis):
@@ -529,23 +520,34 @@ def _phase_rows(actions, F, basis):
     `actions` as in `CharacterTable.actions` over a generating set S of H.
 
     Each (pi, texp, chi_e) sends b = (mu, S) to zeta_F^e b' with a single
-    integer exponent e (chi's inverse folded in).  A breadth-first walk
-    from each unreached b follows these edges through b's orbit, giving
-    s.b' the phase of b' plus e.  The projector's image of b is a multiple
-    of sum zeta_F^{phase(b')} b' over the orbit if every h in the
-    stabilizer of b has h.b = chi(h) b, and 0 otherwise.  An edge into an
-    element already reached with another phase kills the orbit, and this
-    is exact: if every edge agrees, every word in S, so every stabilizer
-    element, acts on b by chi; if one disagrees, the loop it closes is a
-    Schreier generator of the stabilizer that does not (Schreier's lemma).
+    integer exponent e (chi's inverse folded in).  The wedge part of each
+    action, S's sorted image and the phase of its sorting sign, of the
+    duals' texp and of chi's inverse, is read once per call into a table
+    over the wedges of `basis`, so an edge computes only the monomial
+    part.  A breadth-first walk from each unreached b follows these edges
+    through b's orbit, giving s.b' the phase of b' plus e.  The
+    projector's image of b is a multiple of sum zeta_F^{phase(b')} b' over
+    the orbit if every h in the stabilizer of b has h.b = chi(h) b, and 0
+    otherwise.  An edge into an element already reached with another phase
+    kills the orbit, and this is exact: if every edge agrees, every word in
+    S, so every stabilizer element, acts on b by chi; if one disagrees, the
+    loop it closes is a Schreier generator of the stabilizer that does not
+    (Schreier's lemma).
     Orbits are disjoint and each walk starts at the smallest index of its
     orbit, so these rows, taken in scan order, are already the reduced
     echelon form.  The work is |basis| * |S| edges."""
     # a triple that acts as the identity gives self-loops only
     actions = [(pi, texp, e) for pi, texp, e in actions if e or not is_identity_action(pi, texp)]
     index = {b: i for i, b in enumerate(basis)}
+    wedges = dict.fromkeys(S for _, S in basis)
+    tables = []  # per action: pi^-1, texp or None if 0, and S -> (sorted image, phase offset)
+    for pi, texp, chi_e in actions:
+        table = {}
+        for S in wedges:
+            img = tuple([pi[j] for j in S])
+            table[S] = (tuple(sorted(img)), F // 2 * (perm_sign(img) < 0) - sum(texp[j] for j in S) - chi_e)
+        tables.append((sorted(range(len(pi)), key=pi.__getitem__), texp if any(texp) else None, table))
     phase: list = [None] * len(basis)
-    half = F // 2
     rows = []
     for start in range(len(basis)):
         if phase[start] is not None:
@@ -555,20 +557,11 @@ def _phase_rows(actions, F, basis):
         agree = True
         for i in orbit:  # the list grows while it is read
             mu, S = basis[i]
-            for pi, texp, chi_e in actions:
-                img_mu = [0] * len(mu)
-                e = phase[i] - chi_e
-                for j, k in enumerate(mu):
-                    if k:
-                        img_mu[pi[j]] = k
-                        e += texp[j] * k
-                img = tuple([pi[j] for j in S])
-                for j in S:
-                    e -= texp[j]
-                if perm_sign(img) < 0:
-                    e += half
-                e %= F
-                target = index[tuple(img_mu), tuple(sorted(img))]
+            here = phase[i]
+            for pi_inv, texp, table in tables:  # mu's image is mu read through pi^-1
+                img_S, e = table[S]
+                e = (here + e + sum(map(mul, texp, mu)) if texp else here + e) % F
+                target = index[tuple([mu[j] for j in pi_inv]), img_S]
                 if phase[target] is None:
                     phase[target] = e
                     orbit.append(target)

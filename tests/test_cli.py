@@ -398,9 +398,7 @@ def test_gha_build_to_a_missing_directory_is_bad_input(capsys, tmp_path):
 # wedge duals, with 1/3 and zeta_3 in them, and the permutation action);
 # any intended change to one of these files is a change of output.
 GOLDEN = Path(__file__).parent / "golden"
-
-
-@pytest.mark.parametrize("name,argv", [
+GOLDEN_CASES = [
     ("classes_3_1_3", ["classes", "--r", "3", "--p", "1", "--n", "3"]),
     ("classes_4_2_3", ["classes", "--r", "4", "--p", "2", "--n", "3"]),
     ("gha_dim_3_1_4_permutation", ["gha-dim", "--r", "3", "--p", "1", "--n", "4", "--rep", "permutation"]),
@@ -423,7 +421,10 @@ GOLDEN = Path(__file__).parent / "golden"
                                             "--cohdeg", "3", "--max-degree", "2", "--basis"]),
     ("hh_basis_3_1_3_permutation_cohdeg3_D1", ["hh", "--r", "3", "--p", "1", "--n", "3", "--rep", "permutation",
                                                "--cohdeg", "3", "--max-degree", "1", "--basis"]),
-])
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES)
 def test_json_matches_golden_output(capsys, name, argv):
     code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 0

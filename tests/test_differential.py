@@ -44,6 +44,12 @@ in `oracles`:
   against the stabilizer listed from the solved centralizer, and the
   determinant filter on them against the scan of the listed character, on
   every class of the acceptance and extended groups under both actions;
+- the dims `hh_component` counts from the kept orbits against the length
+  of each degree's assembled basis, on every class of the acceptance and
+  extended groups under both actions, in cohomological degree m = 0..n+1
+  and polynomial degree <= 4, and the `hh` JSON without `--basis` against
+  the `--basis` output with its basis dropped, on the golden `--basis`
+  commands;
 - the filtered class loop of `hh2_total` in cohomological degree
   m = 0..n+1 against `hh_component` on every class, as JSON, on the same
   groups and actions, and the filter at m = 2 against the scan of the
@@ -54,6 +60,7 @@ in `oracles`:
   (r <= 6 at n = 1), under both actions.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -62,6 +69,7 @@ from itertools import product
 import pytest
 
 import heckeforge.polyforms
+from heckeforge.cli import main
 from heckeforge.cyclo import CycloMatrix, cyclo, one, root_of_unity, zero
 from heckeforge.group import (
     GroupElement,
@@ -130,6 +138,7 @@ from oracles import (
     stack_multiply,
     trivial_character,
 )
+from test_cli import GOLDEN_CASES
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -621,6 +630,36 @@ def test_filtered_class_loop_matches_every_class_in_every_degree(r, p, n, rep):
     for cls in classes:
         g = cls.rep
         assert _passes_det_filter(g, rep, p, 2) == passes_det_filter_by_listing(g, rep, p), (g, rep)
+
+
+# -- dims counted from the kept orbits against the assembled bases ----------------
+
+
+@pytest.mark.parametrize("r,p,n,rep", _reynolds_groups(), ids=lambda a: str(getattr(a, "value", a)))
+def test_counted_dims_match_the_assembled_bases(r, p, n, rep):
+    # every class, in every cohomological degree m, including the zero
+    # components: the count without a basis is the length of each degree's basis
+    for cls in conjugacy_classes(r, p, n):
+        for m in range(n + 2):
+            counted = hh_component(cls.rep, rep, m, 4, p).dims_by_degree
+            built = hh_component(cls.rep, rep, m, 4, p, include_basis=True).basis_by_degree
+            assert counted == {d: len(basis) for d, basis in built.items()}, (cls.rep, m)
+
+
+BASIS_GOLDEN_CASES = {name: argv for name, argv in GOLDEN_CASES if "--basis" in argv}
+
+
+@pytest.mark.parametrize("name", list(BASIS_GOLDEN_CASES))
+def test_hh_without_basis_is_the_basis_output_without_it(capsys, name):
+    argv = BASIS_GOLDEN_CASES[name]
+    outputs = []
+    for args in ([a for a in argv if a != "--basis"], argv):
+        assert main(["--format", "json", *args]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    counted, built = outputs
+    for row in built["components"]:
+        assert row.pop("basis")
+    assert counted == built
 
 
 # -- parameter spaces: orbits with phases against the dense assembly ---------------

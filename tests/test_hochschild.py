@@ -5,6 +5,7 @@ import pytest
 import heckeforge.group
 import heckeforge.hochschild
 import heckeforge.polyforms
+from heckeforge.cli import main
 from heckeforge.cyclo import root_of_unity
 from heckeforge.group import (
     RepKind,
@@ -427,3 +428,36 @@ def test_the_class_path_lists_no_group_or_centralizer(monkeypatch):
     ):
         cached.cache_clear()
     assert [case() for case in cases] == before
+
+
+def test_dims_are_counted_without_assembling_a_basis(monkeypatch, capsys):
+    # hh2_total, param_space, the acceptance compare and `hh --compare`
+    # read dims off the orbit counts: with the assembly of basis elements
+    # raising, they come out as before; `hh --basis` still assembles
+    def cli(*argv):
+        assert main(["--format", "json", "hh", *argv]) == 0
+        return capsys.readouterr().out
+
+    cases = [
+        lambda: [c.to_json() for c in hh2_total(2, 1, 5, F, 6)],
+        lambda: param_space(4, 1, 4, F).to_json(),
+        lambda: compare(hh2_total(3, 1, 3, P, 6, validate_skipped=True), closed_form_catalog(3, 1, 3, P), 6).rows,
+        lambda: cli("--r", "2", "--p", "1", "--n", "4", "--rep", "faithful", "--max-degree", "10", "--compare"),
+    ]
+    before = [case() for case in cases]
+    real = heckeforge.polyforms._assemble_polyform
+
+    def refuse(*args):
+        raise AssertionError("assembled a basis element")
+
+    monkeypatch.setattr(heckeforge.polyforms, "_assemble_polyform", refuse)
+    assert [case() for case in cases] == before
+    assembled = []
+
+    def counted(*args):
+        assembled.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(heckeforge.polyforms, "_assemble_polyform", counted)
+    out = cli("--r", "2", "--p", "2", "--n", "4", "--rep", "faithful", "--max-degree", "4", "--basis")
+    assert assembled and len(assembled) == out.count('"components"') - 1
