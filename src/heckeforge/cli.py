@@ -233,18 +233,19 @@ def cmd_gha_build(args) -> int:
 
 
 def cmd_pbw_check(args) -> int:
-    if args.forms == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
-            with open(args.forms) as fh:
-                raw = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        if args.forms == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.forms, encoding="utf-8") as fh:
+                raw = fh.read()
         family = hecke.SkewFormFamily.from_json(json.loads(raw))
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # ValueError: bytes that are not UTF-8, or text that is not JSON;
+    # RecursionError: JSON nested past the interpreter's depth
+    except (KeyError, ValueError, RecursionError) as exc:
         print(f"error: invalid forms file: {exc}", file=sys.stderr)
         return 2
     report = hecke.pbw_check(family)

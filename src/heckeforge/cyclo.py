@@ -5,7 +5,12 @@ A field element is stored as integer numerators on the power basis
 denominator, in lowest terms (Cohen, GTM 138, 4.2), so equality and zero
 testing are exact and cheap and arithmetic costs one gcd per operation.
 Mixed-order arithmetic embeds both operands into Q(zeta_lcm) before
-operating.  All values are immutable; every operation is a pure function.
+operating.  One substitution zeta -> zeta_m^s gives the embedding, complex
+conjugation and the other Galois automorphisms; the inverse is the
+product of the conjugates other than x itself, divided by the norm.
+`echelon_rows` is the one Gauss-Jordan reduction, of sparse rows and of
+`CycloMatrix` rows alike.  All values are immutable; every operation is a
+pure function.
 `add_term` and `SparseSum` are the one arithmetic of finite sums of
 terms, which polynomials, forms and normal-form elements share.
 """
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 Rational = Fraction
 
@@ -24,23 +29,6 @@ def euler_phi(r: int) -> int:
     return sum(1 for k in range(1, r + 1) if gcd(k, r) == 1)
 
 
-def _poly_divmod(num, den):
-    """Exact division of coefficient lists (low degree first); over Z for a monic den."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [0] * max(len(num) - dd, 0)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] if lead == 1 else num[k] / lead
-        if c:
-            quot[k - dd] = c
-            for i, dc in enumerate(den):
-                num[k - dd + i] -= c * dc
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_r, low degree first; computed as
@@ -48,13 +36,17 @@ def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     exact over Z because every Phi_d is monic."""
     if r < 1:
         raise ValueError("r must be positive")
-    num = [0] * (r + 1)
-    num[0], num[r] = -1, 1
+    num = [-1] + [0] * (r - 1) + [1]
     for d in range(1, r):
         if r % d == 0:
-            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-            if rem:
+            den = cyclotomic_polynomial(d)
+            dd = len(den) - 1
+            for k in range(len(num) - 1, dd - 1, -1):  # num[k] becomes quotient coefficient k - dd
+                for i, dc in enumerate(den[:-1]):
+                    num[k - dd + i] -= num[k] * dc
+            if any(num[:dd]):
                 raise ArithmeticError("cyclotomic division left a remainder")
+            num = num[dd:]
     return tuple(num)
 
 
@@ -74,10 +66,6 @@ def _power_table(r: int) -> tuple[tuple[int, ...], ...]:
             nxt = [a + overflow * b for a, b in zip(nxt, top)]
         cur = nxt
     return tuple(rows)
-
-
-def _reduce_power(r: int, k: int) -> tuple[int, ...]:
-    return _power_table(r)[k % r]
 
 
 def _rational(q) -> Fraction | int:
@@ -130,23 +118,28 @@ class CycloNum:
 
     # -- field operations --------------------------------------------------
 
-    def embed(self, new_order: int) -> "CycloNum":
-        """Embed into Q(zeta_new_order); requires order | new_order.  Lowest
-        terms are kept, as Z[zeta_order] is saturated in Z[zeta_new_order]."""
-        r, big = self.order, new_order
-        if big == r:
-            return self
-        if big % r:
-            raise ValueError("embedding target must be a multiple of the order")
-        step = big // r
-        table = _power_table(big)
-        out = [0] * euler_phi(big)
+    def _substitute(self, m: int, s: int) -> "CycloNum":
+        """sum nums[k] zeta_m^(k*s) / den, the image of self under the ring
+        map zeta -> zeta_m^s, for zeta_m^s a primitive root of order
+        `order`: the embedding (s = m / order) or an automorphism (m = order,
+        gcd(s, m) = 1).  Either keeps lowest terms, as Z[zeta_order] maps
+        onto itself or into Z[zeta_m], in which it is saturated."""
+        table = _power_table(m)
+        out = [0] * euler_phi(m)
         for k, c in enumerate(self.nums):
             if c:
-                for t, rv in enumerate(table[(k * step) % big]):
+                for t, rv in enumerate(table[k * s % m]):
                     if rv:
                         out[t] += c * rv
-        return CycloNum(big, tuple(out), self.den)
+        return CycloNum(m, tuple(out), self.den)
+
+    def embed(self, new_order: int) -> "CycloNum":
+        """Embed into Q(zeta_new_order); requires order | new_order."""
+        if new_order == self.order:
+            return self
+        if new_order % self.order:
+            raise ValueError("embedding target must be a multiple of the order")
+        return self._substitute(new_order, new_order // self.order)
 
     def _pair(self, other):
         if not isinstance(other, CycloNum):
@@ -208,30 +201,18 @@ class CycloNum:
     __rmul__ = __mul__
 
     def invert(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        on the power-basis polynomial modulo Phi_order, over Q."""
+        """Multiplicative inverse by the norm: for x != 0, the product of the
+        Galois conjugates sigma_k(x), k in (Z/order)^x, is a nonzero
+        rational N(x), so x^-1 = prod_{k != 1} sigma_k(x) / N(x)
+        (Washington, GTM 83, ch. 2)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
         r, a = self.order, self.nums[0]
         if self.is_rational():
             return CycloNum(r, (self.den if a > 0 else -self.den,) + self.nums[1:], abs(a))
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(r)]
-        r1 = list(self.coeffs)
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [], [Fraction(1)]  # Bezout coefficients on the self side
-        while len(r1) > 1:
-            q, rem = _poly_divmod(r0, r1)
-            s_new = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))  # s0 - q*s1
-            for i, qc in enumerate(q):
-                for j, sc in enumerate(s1):
-                    s_new[i + j] -= qc * sc
-            r0, r1, s0, s1 = r1, rem, s1, s_new
-        if not r1:
-            raise ArithmeticError("element not invertible modulo Phi_r")
-        # s1 has degree < deg(Phi_r) = phi(r)
-        out = [sc / r1[0] for sc in s1] + [0] * (len(self.nums) - len(s1))
-        return CycloNum(r, out)
+        rest = prod(self._substitute(r, k) for k in range(2, r) if gcd(k, r) == 1)
+        norm = self * rest
+        return rest * Fraction(norm.den, norm.nums[0])
 
     def __truediv__(self, other):
         if isinstance(other, CycloNum):
@@ -239,15 +220,8 @@ class CycloNum:
         return self * (1 / Fraction(_rational(other)))
 
     def conjugate(self) -> "CycloNum":
-        """The automorphism zeta -> zeta^-1 of Z[zeta], so lowest terms are kept."""
-        r = self.order
-        out = [0] * len(self.nums)
-        for k, c in enumerate(self.nums):
-            if c:
-                for t, rv in enumerate(_reduce_power(r, -k)):
-                    if rv:
-                        out[t] += c * rv
-        return CycloNum(r, tuple(out), self.den)
+        """The automorphism zeta -> zeta^-1."""
+        return self._substitute(self.order, -1)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -337,11 +311,17 @@ def one(order: int = 1) -> CycloNum:
     return CycloNum.from_rational(1, order)
 
 
+MAX_ORDER = 1024
+
+
 def check_order(order: int, r: int) -> int:
     """`order` if it divides lcm(2, r), which holds for every field order
-    that data over G(r,p,n) needs; ValueError otherwise.  Readers of outside
-    input call it before building Q(zeta_order), whose power table costs
-    time and memory quadratic in the order."""
+    that data over G(r,p,n) needs, and is at most MAX_ORDER; ValueError
+    otherwise.  Readers of outside input call it before building
+    Q(zeta_order), whose power table costs time and memory quadratic in the
+    order: about 17 MB at an order near MAX_ORDER."""
+    if order > MAX_ORDER:
+        raise ValueError(f"a cyclotomic order must be at most {MAX_ORDER}, got {order}")
     if order < 1 or lcm(2, r) % order:
         raise ValueError(f"a cyclotomic order must divide lcm(2, r) = {lcm(2, r)}, got {order}")
     return order
@@ -351,7 +331,7 @@ def root_of_unity(r: int, k: int = 1) -> CycloNum:
     """zeta_r^k, reduced to the power basis."""
     if r < 1:
         raise ValueError("r must be positive")
-    return CycloNum(r, _reduce_power(r, k), 1)
+    return CycloNum(r, _power_table(r)[k % r], 1)
 
 
 def twist(c, r: int, e: int):
@@ -496,27 +476,12 @@ class CycloMatrix:
     # -- elimination -------------------------------------------------------
 
     def _rref(self):
-        """Reduced row echelon form; pivots on the first nonzero entry in
-        row-major order so bases are deterministic."""
-        rows = [list(row) for row in self.entries]
-        pivots = []
-        lead = 0
-        for col in range(self.cols):
-            src = next((i for i in range(lead, self.rows) if not rows[i][col].is_zero()), None)
-            if src is None:
-                continue
-            rows[lead], rows[src] = rows[src], rows[lead]
-            inv = rows[lead][col].invert()
-            rows[lead] = [e * inv for e in rows[lead]]
-            for i in range(self.rows):
-                if i != lead and not rows[i][col].is_zero():
-                    f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[lead])]
-            pivots.append(col)
-            lead += 1
-            if lead == self.rows:
-                break
-        return rows, pivots
+        """(rows, pivots): the nonzero rows of the reduced row echelon form,
+        dense, and their pivot columns.  A row space has one RREF, so this
+        is `echelon_rows` on the rows, keyed by column."""
+        rows = echelon_rows([dict(enumerate(row)) for row in self.entries])
+        z = zero(self.order)
+        return [[row.get(j, z) for j in range(self.cols)] for row in rows], [min(row) for row in rows]
 
     def rank(self) -> int:
         return len(self._rref()[1])
@@ -538,8 +503,7 @@ class CycloMatrix:
 
     def column_space_basis(self) -> list[tuple[CycloNum, ...]]:
         """Canonical basis of the column space: nonzero rows of rref(M^T)."""
-        rows, pivots = self.transpose()._rref()
-        return [tuple(rows[t]) for t in range(len(pivots))]
+        return [tuple(row) for row in self.transpose()._rref()[0]]
 
     def inverse(self) -> "CycloMatrix":
         if self.rows != self.cols:
@@ -552,9 +516,9 @@ class CycloMatrix:
             ]
         )
         rows, pivots = aug._rref()
-        if len(pivots) != n or pivots != list(range(n)):
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return CycloMatrix([row[n:] for row in rows[:n]])
+        return CycloMatrix([row[n:] for row in rows])
 
     def determinant(self) -> CycloNum:
         if self.rows != self.cols:

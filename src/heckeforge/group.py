@@ -5,9 +5,10 @@ An element xi_1^{a_1}...xi_n^{a_n} sigma is stored as the exponent vector
 1-based).  Its matrix has entry zeta^{a_{sigma(i)}} in row sigma(i),
 column i.  Conjugacy in G(r,1,n) is decided by (a,k)-cycle type, so its
 classes are built from the coloured cycle types, with no listing of the
-group; a class of G(r,1,n) that splits in G(r,p,n) is grown and split on
-its own.  Centralizers are held on generators read off cycles, with their
-orders from the cycle type, as is the pointwise stabilizer of V^g.
+group; a class of G(r,1,n) that splits in G(r,p,n) is grown once, and cut
+into its pieces by a label its walk carries.  Centralizers are held on
+generators read off cycles, with their orders from the cycle type, as is
+the pointwise stabilizer of V^g.
 """
 
 from __future__ import annotations
@@ -363,18 +364,21 @@ def _full_group_reps(r: int, n: int) -> list[GroupElement]:
     return reps
 
 
-def _conjugation_orbit(key, r: int, gens) -> list:
-    """The (exps, perm) pairs conjugate to `key` under the group that gens
-    generate, grown breadth first under x -> s^-1 x s: a set closed under
-    conjugation by generators of a finite group is closed under the group."""
-    by = [(inverse(s), s) for s in gens]
-    orbit, seen = [key], {key}
-    for x in orbit:  # the list grows while it is read
-        for t, s in by:
+def _conjugation_orbit(key, r: int, gens, m: int) -> dict:
+    """Each (exps, perm) pair h^-1 key h conjugate to `key` under the group
+    that gens generate, mapped to its label sum(h.exps) mod m, grown breadth
+    first under x -> s^-1 x s, which adds sum(s.exps) to the label: a set
+    closed under conjugation by generators of a finite group is closed
+    under the group.  For m | r, the label is well defined when m divides
+    the exponent sum of every element that commutes with `key`."""
+    by = [(inverse(s), s, sum(s.exps)) for s in gens]
+    orbit, todo = {key: 0}, [key]
+    for x in todo:  # the list grows while it is read
+        for t, s, e in by:
             y = _mul(r, *_mul(r, t.exps, t.perm, *x), s.exps, s.perm)
-            if y not in seen:
-                seen.add(y)
-                orbit.append(y)
+            if y not in orbit:
+                orbit[y] = (orbit[x] + e) % m
+                todo.append(y)
     return orbit
 
 
@@ -382,25 +386,25 @@ def _conjugation_orbit(key, r: int, gens) -> list:
 def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
     # The classes of G(r,1,n) come from their coloured cycle types, of size
     # |G(r,1,n)| / |Z(g)|.  The class of g lies in G(r,p,n) iff its colours
-    # sum to 0 mod p, and splits there into `_split_count` classes.  Only a
-    # class that splits is listed: grown under
-    # G(r,1,n), then cut into G(r,p,n)-orbits in sorted order, so each is
-    # represented by its least member.
+    # sum to 0 mod p, and splits there into s = `_split_count` classes.
+    # Only a class that splits is listed: grown once under G(r,1,n), each
+    # h^-1 g h labelled sum(h.exps) mod s.  Z_{G(r,1,n)}(g) sums onto sZ/p,
+    # so two conjugates lie in one G(r,p,n)-class iff their labels agree;
+    # each of the s pieces is represented by its least member.
     order = r**n * math.factorial(n)
     classes = []
     for g in _full_group_reps(r, n):
         if sum(g.exps) % p:
             continue
-        if p == 1 or _split_count(g, p) == 1:
-            classes.append(ConjClass(g, order // centralizer_order_formula(g)))
+        size = order // centralizer_order_formula(g)
+        s = 1 if p == 1 else _split_count(g, p)
+        if s == 1:
+            classes.append(ConjClass(g, size))
             continue
-        seen: set = set()
-        by = generators(r, p, n)
-        for key in sorted(_conjugation_orbit((g.exps, g.perm), r, generators(r, 1, n))):
-            if key not in seen:
-                orbit = _conjugation_orbit(key, r, by)
-                seen.update(orbit)
-                classes.append(ConjClass(_element(r, n, *key), len(orbit)))
+        least: dict = {}
+        for key, label in _conjugation_orbit((g.exps, g.perm), r, generators(r, 1, n), s).items():
+            least[label] = min(key, least.get(label, key))
+        classes += [ConjClass(_element(r, n, *key), size // s) for key in least.values()]
     classes.sort(key=lambda cls: cls.rep.sort_key())
     return tuple(classes)
 

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from math import comb
@@ -381,6 +382,57 @@ def test_pbw_check_rejects_malformed_forms(capsys, tmp_path, forms):
     code, err = _exit_code(capsys, "pbw-check", str(path))
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _cli_process(argv, stdin: bytes):
+    """(exit code, stderr) of `python -m heckeforge.cli argv` fed the raw
+    bytes `stdin`, under a 2 GB address-space cap, so a runaway allocation
+    ends in a MemoryError."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cap = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckeforge.cli", *argv], input=stdin, capture_output=True, env=env,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("raw", [b"\xff\xfe\x00{", b"[" * 10**5], ids=["not-utf-8", "deep-nesting"])
+def test_pbw_check_unparseable_forms_are_bad_input(tmp_path, source, raw):
+    # bytes that are not UTF-8, and JSON nested past the interpreter's
+    # recursion depth, read from a file or from stdin: one error line, exit 2
+    path = tmp_path / "forms.json"
+    path.write_bytes(raw)
+    if source == "file":
+        code, err = _cli_process(["pbw-check", str(path)], b"")
+    else:
+        code, err = _cli_process(["pbw-check", "-"], raw)
+    assert code == 2, err
+    assert err.startswith("error: invalid forms file: ") and err.count("\n") == 1, err
+
+
+# a prime order below the group-order budget; its power table would hold
+# about 10^12 integers
+_FAR_ORDER = 999983
+_FAR_FORMS = {"r": _FAR_ORDER, "p": 1, "n": 1, "rep": "permutation", "forms": [{
+    "g": {"r": _FAR_ORDER, "n": 1, "exps": [0], "perm": [1]},
+    "matrix": [[{"order": _FAR_ORDER, "terms": [{"exp": 1, "num": "1", "den": "1"}]}]],
+}]}
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["nc-normal-form", "--r", str(_FAR_ORDER), "--n", "1", f"z{_FAR_ORDER}^1"], b""),
+    (["pbw-check", "-"], json.dumps(_FAR_FORMS).encode()),
+], ids=["nc-normal-form", "pbw-check"])
+def test_field_orders_past_the_bound_are_bad_input(argv, stdin):
+    # each order divides lcm(2, r) and the group is within the budget, but
+    # the field is refused before its power table is built
+    code, err = _cli_process(argv, stdin)
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"at most 1024, got {_FAR_ORDER}" in err, err
 
 
 def test_gha_build_to_a_missing_directory_is_bad_input(capsys, tmp_path):

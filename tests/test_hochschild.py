@@ -400,11 +400,13 @@ def test_the_class_path_lists_no_group_or_centralizer(monkeypatch):
     # classes, characters, the det filter and the Reynolds walk read cycles
     # and generators only: with every listing route raising, the parameter
     # spaces, brute-force HH^2, the catalog and the three-cycle classes come
-    # out as before
+    # out as before.  G(2,2,4) has two split classes, each grown once as a
+    # class of G(2,1,4) and cut by labels, with no listing of G or Z(g)
     cases = [
         lambda: param_space(4, 1, 4, F).to_json(),
         lambda: param_space(3, 1, 4, P).to_json(),
         lambda: [c.to_json() for c in hh2_total(2, 1, 5, F, 4)],
+        lambda: [c.to_json() for c in hh2_total(2, 2, 4, F, 4)],
         lambda: closed_form_catalog(2, 1, 5, F),
         lambda: three_cycle_classes(3, 4),
     ]
