@@ -312,6 +312,7 @@ def one(order: int = 1) -> CycloNum:
 
 
 MAX_ORDER = 1024
+MAX_N = 64  # the largest n of a forms file, which `pbw-check` reads with no budget
 
 
 def check_order(order: int, r: int) -> int:

@@ -8,7 +8,8 @@ classes are built from the coloured cycle types, with no listing of the
 group; a class of G(r,1,n) that splits in G(r,p,n) is grown once, and cut
 into its pieces by a label its walk carries.  Centralizers are held on
 generators read off cycles, with their orders from the cycle type, as is
-the pointwise stabilizer of V^g.
+the pointwise stabilizer of V^g.  Every walk from generators, but the hot
+loop of `polyforms._phase_rows`, is the one `walk` and rests on its argument.
 """
 
 from __future__ import annotations
@@ -154,6 +155,15 @@ def _mul(r: int, a, sigma, b, tau):
     return tuple(exps), tuple([sigma[t - 1] for t in tau])
 
 
+def _conj(r: int, a, sigma, b, tau, tau_inv):
+    """(exps, perm) of h^-1 (a, sigma) h, h = (b, tau), in one pass: exponent
+    a_j - b_j + b_k at tau^-1(j), j = sigma(k), and permutation tau^-1 sigma tau."""
+    y = [0] * len(a)
+    for k, j in enumerate(sigma):
+        y[tau_inv[j - 1] - 1] = (a[j - 1] - b[j - 1] + b[k]) % r
+    return tuple(y), tuple([tau_inv[sigma[t - 1] - 1] for t in tau])
+
+
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     """(a, sigma)(b, tau) = (a + sigma.b, sigma o tau), (sigma.b)_i = b_{sigma^-1(i)}."""
     if g.r != h.r or g.n != h.n:
@@ -161,24 +171,40 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     return _element(g.r, g.n, *_mul(g.r, g.exps, g.perm, h.exps, h.perm))
 
 
-def closure(r: int, n: int, gens):
-    """(reached, products): the group that gens generate, listed breadth
-    first from the identity under right multiplication, and
-    products[i][j], the index in reached of reached[i] * gens[j], walked on
-    (exps, perm) pairs."""
-    by = [(s.exps, s.perm) for s in gens]
-    keys = [((0,) * n, tuple(range(1, n + 1)))]
-    index = {keys[0]: 0}
-    products = []
-    for a, sigma in keys:  # the list grows while it is read
-        products.append([])
-        for b, tau in by:
-            y = _mul(r, a, sigma, b, tau)
-            k = index.setdefault(y, len(keys))
-            if k == len(keys):
-                keys.append(y)
-            products[-1].append(k)
-    return [_element(r, n, *key) for key in keys], products
+def walk(start, value, gens, move):
+    """(values, clashes) of the breadth-first walk from `start`, where a
+    point x with value v has an edge (y, w) = move(x, v, s) per s in gens:
+    `values` maps each point reached, in order, to the value of the first
+    path to it, and `clashes` lists each edge (y, w) with w != values[y].
+
+    Words in gens act on points and, by `move`, bijectively on values; for a
+    finite group they reach the orbit of `start`.  By Schreier's lemma
+    (A. Seress, Permutation Group Algorithms, 2003) the words fixing `start`
+    are generated by one u s u'^-1 per edge x -> y, u and u' the first paths
+    to x and y, which moves the start's value iff the edge clashes.  So with
+    no clash each point's value is the one every path to it carries; where
+    values are path products, each clash (y, w) gives the Schreier
+    generator w values[y]^-1 of the stabilizer of `start`."""
+    values, clashes = {start: value}, []
+    todo = [start]
+    for x in todo:  # the list grows while it is read
+        v = values[x]
+        for s in gens:
+            y, w = move(x, v, s)
+            if y not in values:
+                values[y] = w
+                todo.append(y)
+            elif values[y] != w:
+                clashes.append((y, w))
+    return values, clashes
+
+
+def closure(r: int, n: int, gens) -> list[GroupElement]:
+    """The group that gens generate, listed breadth first from the identity
+    under right multiplication (`walk` on (exps, perm) pairs)."""
+    start = ((0,) * n, tuple(range(1, n + 1)))
+    reached, _ = walk(start, None, gens, lambda x, _, s: (_mul(r, *x, s.exps, s.perm), None))
+    return [_element(r, n, *key) for key in reached]
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -271,12 +297,7 @@ class CycleType:
 
 
 def cycle_type(g: GroupElement) -> CycleType:
-    counts: dict[tuple[int, int], int] = {}
-    for cyc in perm_cycles(g.perm):
-        a = sum(g.exps[i - 1] for i in cyc) % g.r
-        key = (a, len(cyc))
-        counts[key] = counts.get(key, 0) + 1
-    return CycleType(tuple(sorted((a, k, m) for (a, k), m in counts.items())))
+    return CycleType(tuple(sorted((a, k, len(same)) for (a, k), same in _cycles_by_type(g).items())))
 
 
 def centralizer_order_formula(g: GroupElement) -> int:
@@ -364,34 +385,17 @@ def _full_group_reps(r: int, n: int) -> list[GroupElement]:
     return reps
 
 
-def _conjugation_orbit(key, r: int, gens, m: int) -> dict:
-    """Each (exps, perm) pair h^-1 key h conjugate to `key` under the group
-    that gens generate, mapped to its label sum(h.exps) mod m, grown breadth
-    first under x -> s^-1 x s, which adds sum(s.exps) to the label: a set
-    closed under conjugation by generators of a finite group is closed
-    under the group.  For m | r, the label is well defined when m divides
-    the exponent sum of every element that commutes with `key`."""
-    by = [(inverse(s), s, sum(s.exps)) for s in gens]
-    orbit, todo = {key: 0}, [key]
-    for x in todo:  # the list grows while it is read
-        for t, s, e in by:
-            y = _mul(r, *_mul(r, t.exps, t.perm, *x), s.exps, s.perm)
-            if y not in orbit:
-                orbit[y] = (orbit[x] + e) % m
-                todo.append(y)
-    return orbit
-
-
 @lru_cache(maxsize=None)
 def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
     # The classes of G(r,1,n) come from their coloured cycle types, of size
     # |G(r,1,n)| / |Z(g)|.  The class of g lies in G(r,p,n) iff its colours
     # sum to 0 mod p, and splits there into s = `_split_count` classes.
-    # Only a class that splits is listed: grown once under G(r,1,n), each
-    # h^-1 g h labelled sum(h.exps) mod s.  Z_{G(r,1,n)}(g) sums onto sZ/p,
-    # so two conjugates lie in one G(r,p,n)-class iff their labels agree;
-    # each of the s pieces is represented by its least member.
+    # Only a class that splits is listed: a `walk` under conjugation by the
+    # generators of G(r,1,n) labels each h^-1 g h with sum(h.exps) mod s.
+    # Z_{G(r,1,n)}(g) sums onto sZ/p, so a clash is an error, and the
+    # label's fibres are the s classes, each represented by its least member.
     order = r**n * math.factorial(n)
+    by = [((t.exps, t.perm, inverse(t).perm), sum(t.exps)) for t in generators(r, 1, n)]
     classes = []
     for g in _full_group_reps(r, n):
         if sum(g.exps) % p:
@@ -401,9 +405,13 @@ def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
         if s == 1:
             classes.append(ConjClass(g, size))
             continue
+        labels, clashes = walk((g.exps, g.perm), 0, by, lambda x, v, t: (_conj(r, *x, *t[0]), (v + t[1]) % s))
+        if clashes:
+            raise RuntimeError(f"the labels mod {s} are not constant on the class of {g!r}")
         least: dict = {}
-        for key, label in _conjugation_orbit((g.exps, g.perm), r, generators(r, 1, n), s).items():
+        for key, label in labels.items():
             least[label] = min(key, least.get(label, key))
+        del labels  # before the next class is walked
         classes += [ConjClass(_element(r, n, *key), size // s) for key in least.values()]
     classes.sort(key=lambda cls: cls.rep.sort_key())
     return tuple(classes)
@@ -454,21 +462,12 @@ def _swaps(g: GroupElement, same) -> list[GroupElement]:
 
 def _within(gens, r: int, n: int, p: int) -> tuple[GroupElement, ...]:
     """Generators of the intersection of <gens> with G(r,p,n), with no
-    identity or repeat.  For p > 1, the Schreier generators t s u^-1 of the
-    kernel of h -> sum(h.exps) mod p (Schreier's lemma): t over one coset
-    representative per value, s over gens, u the representative of t s."""
+    identity or repeat.  For p > 1, the Schreier generators of the kernel of
+    h -> sum(h.exps) mod p, read off the clashes of the `walk` on its
+    values, each carrying a coset representative."""
     if p > 1:
-        reps = {0: identity(r, n)}  # sum(exps) mod p -> a coset representative
-        todo, schreier = list(reps.values()), []
-        for t in todo:  # the list grows while it is read
-            for s in gens:
-                ts = multiply(t, s)
-                u = reps.setdefault(sum(ts.exps) % p, ts)
-                if u is ts:
-                    todo.append(ts)
-                else:
-                    schreier.append(multiply(ts, inverse(u)))
-        gens = schreier
+        reps, clashes = walk(0, identity(r, n), gens, lambda x, t, s: ((x + sum(s.exps)) % p, multiply(t, s)))
+        gens = [multiply(w, inverse(reps[y])) for y, w in clashes]
     return tuple(h for h in dict.fromkeys(gens) if not h.is_identity())
 
 
@@ -499,7 +498,7 @@ def centralizer_order(g: GroupElement, p: int) -> int:
 def centralizer(g: GroupElement, p: int) -> list[GroupElement]:
     """Z_{G(r,p,n)}(g), sorted: the `closure` of `centralizer_generators`,
     work in |Z(g)| and independent of |G|, so no budget applies."""
-    return sorted(closure(g.r, g.n, centralizer_generators(g, p))[0], key=GroupElement.sort_key)
+    return sorted(closure(g.r, g.n, centralizer_generators(g, p)), key=GroupElement.sort_key)
 
 
 def kernel_generators(g: GroupElement, rep: RepKind, p: int) -> tuple[GroupElement, ...]:

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 
 from .cyclo import (
-    CycloNum, add_term, check_order, cyclo, echelon_rows, json_int, one, root_of_unity, twist, zero
+    MAX_N, CycloNum, add_term, check_order, cyclo, echelon_rows, json_int, one, root_of_unity, twist, zero
 )
 from .group import (
     DEFAULT_BUDGET,
+    _conj,
+    _element,
     GroupElement,
     RepKind,
     check_group,
@@ -30,12 +32,12 @@ from .group import (
     cycle_type,
     elements,
     generators,
-    identity,
     inverse,
     is_three_cycle,
     monomial_action,
     multiply,
     three_cycle,
+    walk,
 )
 from .hochschild import fixed_basis, hh2_total
 
@@ -165,6 +167,9 @@ class SkewFormFamily:
         try:
             r, p, n = (json_int(data[k]) for k in "rpn")
             check_group(r, p, n)
+            check_order(r, r)
+            if n > MAX_N:
+                raise ValueError(f"n must be at most {MAX_N}, got {n}")
             rep = RepKind(data["rep"])
             if not isinstance(data["forms"], list):
                 raise ValueError("forms must be a list")
@@ -272,31 +277,27 @@ def _codim2_form(g: GroupElement, rep: RepKind, c: CycloNum) -> SkewForm:
 
 
 def _extend_by_conjugation(seeds: dict, r: int, p: int, n: int, rep: RepKind) -> dict:
-    """Extend class-representative forms to their full classes, growing
-    each class breadth first under `generators(r, p, n)` and carrying the
-    form along each edge x -> s^-1 x s as a_x(s(.), s(.)).
+    """Extend class-representative forms to their full classes: a
+    `group.walk` from each seed under x -> s^-1 x s, s over
+    `generators(r, p, n)`, carrying the form along each edge as
+    a_x(s(.), s(.)).  Both are right actions (see `pbw_check`).
 
-    A member reached again with another form, a seed's class included,
-    raises IllDefinedFamilyError, and the check is exact: every edge agrees
-    iff a_g is Z(g)-invariant.  Both x -> h^-1 x h and A -> a(h(.), h(.))
-    are right actions (see `pbw_check`).  If every edge agrees, the class's
-    forms are equivariant under the generators, so under G, and z in Z(g)
-    gives a_g = a_{z^-1 g z} = a_g(z(.), z(.)).  If Z(g) fixes a_g, then
-    a_{h^-1 g h} = a_g(h(.), h(.)) does not depend on h, since any h' with
-    the same conjugate is z h, z in Z(g); a path of edges with product h
-    carries a_g to a_g(h(.), h(.)), so every edge reaches that one form."""
-    by = [(inverse(s), s) for s in generators(r, p, n)]
+    A clash of the walk, or a member whose form disagrees with another
+    seed's class, raises IllDefinedFamilyError, and the check is exact: the
+    words that fix g are Z(g), so by the walk's argument every edge agrees
+    iff Z(g) fixes a_g, and then every h^-1 g h gets a_g(h(.), h(.))."""
+    by = [((s.exps, s.perm, inverse(s).perm), s) for s in generators(r, p, n)]
+
+    def move(x, A, edge):
+        return _conj(r, *x, *edge[0]), conjugate_form(A, edge[1], rep)
+
     support: dict = {}
     for g0, A0 in seeds.items():
-        reached = [(g0, A0, identity(r, n))]
-        for x, A, via in reached:  # the list grows while it is read
-            if x not in support:
-                support[x] = A
-                reached.extend(
-                    (multiply(multiply(s_inv, x), s), conjugate_form(A, s, rep), s) for s_inv, s in by
-                )
-            elif not support[x] == A:
-                raise IllDefinedFamilyError(f"conjugation extension is inconsistent at {x!r} (via {via!r})")
+        forms, clashes = walk((g0.exps, g0.perm), A0, by, move)
+        for x, A in chain(forms.items(), clashes):
+            g = _element(r, n, *x)
+            if support.setdefault(g, A) != A:
+                raise IllDefinedFamilyError(f"conjugation extension is inconsistent at {g!r}")
     return support
 
 

@@ -30,7 +30,7 @@ from operator import mul
 
 from .cyclo import CycloMatrix, CycloNum, SparseSum, add_term, cyclo, one, root_of_unity, twist, zero
 from .group import (
-    GroupElement, RepKind, closure, monomial_action, monomial_image, perm_sign
+    GroupElement, RepKind, _element, _mul, monomial_action, monomial_image, perm_sign, walk
 )
 
 
@@ -304,26 +304,22 @@ class CharacterTable:
 
     @property
     def exponents(self) -> dict:
-        """Every exponent, keyed by H in sorted order.  Each element takes
-        its value along the breadth-first walk from the identity under the
-        generators S (`group.closure`), e(x s) = e(x) + e(s) mod `order`,
-        and every other edge of the walk must agree.  The walk must also
-        reach exactly `subgroup_order` elements.  Then S generates H, and
-        induction on word length in S gives e(xy) = e(x) + e(y) for all x, y
-        in H.  Raises CharacterError otherwise."""
+        """Every exponent, keyed by H in sorted order: the values of the
+        `group.walk` from the identity under the generators S, with
+        e(x s) = e(x) + e(s) mod `order`.  With no clash, e is a function on
+        H, and e(xy) = e(x) + e(y) for all x, y in H by induction on the
+        length of y in S.  The walk must also reach exactly `subgroup_order`
+        elements, so S generates H.  Raises CharacterError otherwise."""
         if self._exponents is None:
-            reached, products = closure(self.r, self.n, self.generators)
-            e = [0] + [None] * (len(reached) - 1)
-            for i, row in enumerate(products):
-                for k, es in zip(row, self._generator_exponents, strict=True):
-                    x = (e[i] + es) % self.order
-                    if e[k] is None:
-                        e[k] = x
-                    elif e[k] != x:
-                        raise CharacterError("the generator values do not extend to a homomorphism")
-            if len(reached) != self.subgroup_order:
-                raise CharacterError(f"the generators reach {len(reached)} elements, not {self.subgroup_order}")
-            self._exponents = dict(sorted(zip(reached, e), key=lambda item: item[0].sort_key()))
+            r, n, order = self.r, self.n, self.order
+            start = ((0,) * n, tuple(range(1, n + 1)))
+            by = [(s.exps, s.perm, e) for s, e in zip(self.generators, self._generator_exponents, strict=True)]
+            e, clashes = walk(start, 0, by, lambda x, v, s: (_mul(r, *x, s[0], s[1]), (v + s[2]) % order))
+            if clashes:
+                raise CharacterError("the generator values do not extend to a homomorphism")
+            if len(e) != self.subgroup_order:
+                raise CharacterError(f"the generators reach {len(e)} elements, not {self.subgroup_order}")
+            self._exponents = {_element(r, n, *x): e[x] for x in sorted(e)}
         return self._exponents
 
     def __call__(self, h: GroupElement) -> CycloNum:

@@ -390,23 +390,24 @@ def reynolds_rows_by_projector(actions, F, basis) -> list[dict]:
     half = F // 2
     zeta_cache = [root_of_unity(F, e) for e in range(F)]
     inv_order = Fraction(1, len(actions))
-    weights = Counter(actions)
+    weights = list(Counter(actions).items())
+    wedges: dict = {}  # S -> per triple, (the sorted image of S, the exponent S adds)
     for start, (mu, S) in enumerate(basis):
         if visited[start]:
             continue
+        if S not in wedges:
+            wedges[S] = []
+            for (pi, texp, _), _ in weights:
+                imgS, sign = sort_with_sign(pi[j] for j in S)
+                wedges[S].append((imgS, (half if sign < 0 else 0) - sum(texp[j] for j in S)))
         counts: dict = {}
-        for (pi, texp, chi_e), weight in weights.items():
+        for ((pi, texp, chi_e), weight), (imgS, e) in zip(weights, wedges[S]):
             img_mu = [0] * len(mu)
-            e = -chi_e
+            e -= chi_e
             for j, k in enumerate(mu):
                 if k:
                     img_mu[pi[j]] = k
                     e += texp[j] * k
-            imgS, sign = sort_with_sign(pi[j] for j in S)
-            for j in S:
-                e -= texp[j]
-            if sign < 0:
-                e += half
             key = (tuple(img_mu), imgS)
             slot = counts.setdefault(key, [0] * F)
             slot[e % F] += weight

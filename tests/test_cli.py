@@ -435,6 +435,32 @@ def test_field_orders_past_the_bound_are_bad_input(argv, stdin):
     assert f"at most 1024, got {_FAR_ORDER}" in err, err
 
 
+def _rational(num):
+    return {"order": 1, "terms": [{"exp": 0, "num": num, "den": "1"}] if num else []}
+
+
+# a(v_2, v_3) = 1 on xi_1: every entry is rational, but the Jacobi check
+# would build Q(zeta_r) for the group's own r
+_FAR_R_FORMS = {"r": _FAR_ORDER, "p": 1, "n": 3, "rep": "faithful", "forms": [{
+    "g": {"r": _FAR_ORDER, "n": 3, "exps": [1, 0, 0], "perm": [1, 2, 3]},
+    "matrix": [[_rational(None)] * 3, [_rational(None)] * 2 + [_rational("1")],
+               [_rational(None), _rational("-1"), _rational(None)]],
+}]}
+
+
+@pytest.mark.parametrize("forms,message", [
+    (_FAR_R_FORMS, f"at most 1024, got {_FAR_ORDER}"),
+    ({"r": 1, "p": 1, "n": 30000, "rep": "faithful", "forms": []}, "at most 64, got 30000"),
+], ids=["far-r", "wide-n"])
+def test_pbw_check_refuses_r_and_n_past_the_bounds(forms, message):
+    # pbw-check reads no budget, so the forms file's r and n are refused
+    # before any group arithmetic, for either action
+    code, err = _cli_process(["pbw-check", "-"], json.dumps(forms).encode())
+    assert code == 2, err
+    assert err.startswith("error: invalid forms file: ") and err.count("\n") == 1, err
+    assert message in err, err
+
+
 def test_gha_build_to_a_missing_directory_is_bad_input(capsys, tmp_path):
     out = tmp_path / "missing" / "x.json"
     code, err = _exit_code(capsys, "gha-build", "--preset", "a_r1n", "--r", "2", "--n", "3", "--out", str(out))
@@ -447,8 +473,10 @@ def test_gha_build_to_a_missing_directory_is_bad_input(capsys, tmp_path):
 # rewritten (the first five), before the skew group algebra became the
 # empty-family Drinfeld algebra (the next six), and before V^g and its
 # wedge duals were read off g's cycles (the last three, which cover the
-# wedge duals, with 1/3 and zeta_3 in them, and the permutation action);
-# any intended change to one of these files is a change of output.
+# wedge duals, with 1/3 and zeta_3 in them, and the permutation action),
+# and before the split classes were labelled by `group.walk` (the last,
+# whose group has two classes of G(2,1,4) that split); any intended change
+# to one of these files is a change of output.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = [
     ("classes_3_1_3", ["classes", "--r", "3", "--p", "1", "--n", "3"]),
@@ -473,6 +501,7 @@ GOLDEN_CASES = [
                                             "--cohdeg", "3", "--max-degree", "2", "--basis"]),
     ("hh_basis_3_1_3_permutation_cohdeg3_D1", ["hh", "--r", "3", "--p", "1", "--n", "3", "--rep", "permutation",
                                                "--cohdeg", "3", "--max-degree", "1", "--basis"]),
+    ("classes_2_2_4", ["classes", "--r", "2", "--p", "2", "--n", "4"]),
 ]
 
 

@@ -613,7 +613,7 @@ def test_kernel_generators_generate_the_listed_stabilizer(r, p, n, rep):
         g = cls.rep
         fixed = fixed_basis(g, rep)
         stabilizer = {h for h in solved_centralizer(g, p) if _fixes_space_pointwise(h, rep, fixed)}
-        assert set(closure(r, n, kernel_generators(g, rep, p))[0]) == stabilizer, (g, rep)
+        assert set(closure(r, n, kernel_generators(g, rep, p))) == stabilizer, (g, rep)
         assert _passes_det_filter(g, rep, p) == passes_det_filter_by_listing(g, rep, p), (g, rep)
 
 

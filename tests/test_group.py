@@ -4,10 +4,14 @@ from math import lcm
 
 import pytest
 
+import heckeforge.group
 from heckeforge.cyclo import CycloMatrix, root_of_unity
 from heckeforge.group import (
     BudgetExceededError,
+    _conj,
+    _conjugacy_classes,
     _mul,
+    _split_count,
     GroupElement,
     RepKind,
     centralizer,
@@ -31,6 +35,7 @@ from heckeforge.group import (
     perm_sign,
     three_cycle,
     transposition,
+    walk,
     xi,
 )
 from oracles import (
@@ -196,6 +201,15 @@ def test_products_and_inverses_equal_validated_elements():
     assert len(set(multiply(g, h) for g in els for h in els)) == len(els)
 
 
+def test_one_pass_conjugation_matches_the_products():
+    # `_conj`, which the class and family walks run on every edge
+    els = elements(3, 1, 3)
+    for g in els:
+        for h in els:
+            c = conjugate(g, h)
+            assert _conj(3, g.exps, g.perm, h.exps, h.perm, inverse(h).perm) == (c.exps, c.perm), (g, h)
+
+
 def test_perm_sign_matches_insertion_sort():
     # every tuple of distinct values from range(6), of every length 0..6
     for k in range(7):
@@ -323,3 +337,34 @@ def test_orbit_stabilizer_on_every_class(r, p, n):
     for cls in conjugacy_classes(r, p, n):
         assert cls.size * len(centralizer(cls.rep, p)) == group_order(r, p, n)
         assert cls.size * centralizer_order(cls.rep, p) == group_order(r, p, n)
+
+
+def test_walk_queues_each_point_once_and_lists_clashes():
+    # values that agree on every revisit, small ints the interpreter shares:
+    # every point of Z/12 is reached, and each takes one edge per generator
+    calls = []
+
+    def move(x, v, s):
+        calls.append(x)
+        assert len(calls) <= 36, "a point was queued twice"
+        y = (x + s) % 12
+        return y, y % 3
+
+    values, clashes = walk(0, 0, [1, 5, 7], move)
+    assert list(values) == [0, 1, 5, 7, 2, 6, 8, 10, 3, 9, 11, 4]
+    assert values == {x: x % 3 for x in range(12)} and clashes == []
+    assert len(calls) == len(values) * 3
+    # a value that is not a function of the point: the edge 3 -> 0 clashes
+    values, clashes = walk(0, 0, [1], lambda x, v, s: ((x + s) % 4, (v + s) % 3))
+    assert values == {0: 0, 1: 1, 2: 2, 3: 0} and clashes == [(0, 1)]
+
+
+@pytest.mark.parametrize("r,p,n", [(4, 4, 4), (4, 2, 4)])
+def test_split_labels_are_checked(monkeypatch, r, p, n):
+    # with the split count claimed to be p on every class, a class whose
+    # centralizer has an exponent sum that is not 0 mod p gets two labels
+    # on some conjugate, and the walk's clash raises
+    assert any(_split_count(cls.rep, p) < p for cls in conjugacy_classes(r, 1, n) if sum(cls.rep.exps) % p == 0)
+    monkeypatch.setattr(heckeforge.group, "_split_count", lambda g, p: p)
+    with pytest.raises(RuntimeError, match="not constant"):
+        _conjugacy_classes.__wrapped__(r, p, n)

@@ -419,7 +419,7 @@ def test_the_class_path_lists_no_group_or_centralizer(monkeypatch):
         (heckeforge.group, "_elements"),
         (heckeforge.group, "centralizer"),
         (heckeforge.group, "closure"),
-        (heckeforge.polyforms, "closure"),
+        (heckeforge.polyforms, "walk"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     for cached in (

@@ -322,7 +322,7 @@ def test_reynolds_builds_action_data_once_per_table(monkeypatch):
     values = [cached.exponents[s] for s in cached.generators]
     chi = CharacterTable(3, 4, cached.order, cached.generators, values, cached.subgroup_order)
     assert not chi.is_trivial()
-    calls = {"closure": 0, "subspace_actions": 0}
+    calls = {"walk": 0, "subspace_actions": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -331,7 +331,7 @@ def test_reynolds_builds_action_data_once_per_table(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(heckeforge.polyforms, "closure", counting("closure", heckeforge.polyforms.closure))
+    monkeypatch.setattr(heckeforge.polyforms, "walk", counting("walk", heckeforge.polyforms.walk))
     monkeypatch.setattr(
         heckeforge.polyforms,
         "subspace_actions",
@@ -343,7 +343,7 @@ def test_reynolds_builds_action_data_once_per_table(monkeypatch):
         dims.append(len(reynolds_semiinvariant_basis(chi, F, d, 0, fixed)))
         if d == 0:
             first = dict(calls)
-    assert first == {"closure": 0, "subspace_actions": 1}
+    assert first == {"walk": 0, "subspace_actions": 1}
     assert calls == first
     assert dims == [
         len(reynolds_semiinvariant_basis(cached, F, d, 0, fixed))
