@@ -76,10 +76,23 @@ def _rational(q) -> Fraction | int:
     return q if isinstance(q, (int, Fraction)) else Fraction(q)
 
 
+def power_sum(exps, xs, m: int) -> tuple[int, ...]:
+    """The numerators of sum x zeta_m^e over e, x in zip(exps, xs), on the
+    power basis of Q(zeta_m)."""
+    table = _power_table(m)
+    out = [0] * euler_phi(m)
+    for e, x in zip(exps, xs):
+        if x:
+            for t, rv in enumerate(table[e % m]):
+                if rv:
+                    out[t] += x * rv
+    return tuple(out)
+
+
 def _lowest(order: int, nums, den: int) -> "CycloNum":
     """The CycloNum sum nums[k] zeta^k / den, for den > 0, in lowest terms."""
     g = gcd(den, *nums)
-    return CycloNum(order, tuple(a // g for a in nums), den // g)
+    return CycloNum(order, tuple([a // g for a in nums]), den // g)
 
 
 class CycloNum:
@@ -124,14 +137,7 @@ class CycloNum:
         `order`: the embedding (s = m / order) or an automorphism (m = order,
         gcd(s, m) = 1).  Either keeps lowest terms, as Z[zeta_order] maps
         onto itself or into Z[zeta_m], in which it is saturated."""
-        table = _power_table(m)
-        out = [0] * euler_phi(m)
-        for k, c in enumerate(self.nums):
-            if c:
-                for t, rv in enumerate(table[k * s % m]):
-                    if rv:
-                        out[t] += c * rv
-        return CycloNum(m, tuple(out), self.den)
+        return CycloNum(m, power_sum(range(0, s * len(self.nums), s), self.nums, m), self.den)
 
     def embed(self, new_order: int) -> "CycloNum":
         """Embed into Q(zeta_new_order); requires order | new_order."""

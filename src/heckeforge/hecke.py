@@ -67,6 +67,14 @@ class SkewForm:
         self.n = n
         self.matrix = grid
 
+    @classmethod
+    def _of_skew_grid(cls, grid) -> "SkewForm":
+        """The form on a square grid of CycloNums, zeros held as `zero()`,
+        that is skew by construction: nothing is converted or checked."""
+        A = object.__new__(cls)
+        A.n, A.matrix = len(grid), grid
+        return A
+
     @staticmethod
     def zero(n: int) -> "SkewForm":
         return SkewForm([[0] * n for _ in range(n)])
@@ -101,16 +109,13 @@ class SkewForm:
 
 
 def conjugate_form(A: SkewForm, h: GroupElement, rep: RepKind) -> SkewForm:
-    """The form (v,w) |-> a(h(v), h(w)), using the monomial structure of h."""
+    """The form (v,w) |-> a(h(v), h(w)), using the monomial structure of h;
+    the image of a skew form is skew, so it is not checked again."""
     pi, t = monomial_action(h, rep)
-    n = A.n
-    out = [[zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            val = A.matrix[pi[i] - 1][pi[j] - 1]
-            if not val.is_zero():
-                out[i][j] = twist(val, h.r, t[i] + t[j])
-    return SkewForm(out)
+    z, M = zero(), A.matrix
+    return SkewForm._of_skew_grid(tuple(
+        tuple(z if (val := M[a - 1][b - 1]).is_zero() else twist(val, h.r, t[i] + t[j]) for j, b in enumerate(pi))
+        for i, a in enumerate(pi)))
 
 
 @dataclass

@@ -9,9 +9,12 @@ degree-0 corrections of a swap of adjacent variables.  Words are sorted at
 their first descent; termination follows from the lexicographic descent in
 (polynomial degree, inversion count).  The core keeps group parts as
 indices of interned elements, memoizes their products and the normal form of
-each variable word, and H* also memoizes its pushes.  Confluence is not
-assumed; it is certified by small-degree associativity checks, which fail
-for families violating the PBW conditions.
+each variable word, and H* also memoizes its pushes.  It adds integer
+numerators over one common denominator (`_Sum`, Cohen, GTM 138, 4.2) and
+builds a CycloNum only for each term that `multiply` returns.  A
+coefficient's field order is the lcm of the orders added into it since it
+was last zero.  Confluence is not assumed; it is certified by small-degree
+associativity checks, which fail for families violating the PBW conditions.
 
 S(V)#G itself is the Drinfeld algebra of the empty family
 (`skew_group_algebra`), so the two-cocycle mu_1 that a family induces on it
@@ -21,12 +24,13 @@ S(V)#G itself is the Drinfeld algebra of the empty family
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd, lcm
 
-from .cyclo import SparseSum, add_term, cyclo, one, root_of_unity, twist
+from .cyclo import CycloNum, SparseSum, _lowest, add_term, cyclo, one, power_sum, root_of_unity, twist
 from .group import (
     DEFAULT_BUDGET,
     GroupElement,
@@ -44,7 +48,7 @@ from .group import (
 )
 from .hecke import SkewFormFamily, build_preset, psi2
 
-# the unit coefficient of the rewriting rules; the core skips multiplying by it
+# the phase of a Drinfeld push whose exponent sum is 0 mod r, shared
 _ONE = one()
 
 
@@ -127,19 +131,104 @@ class _Products(dict):
         return k
 
 
+class _Sum:
+    """A term dict (exps, group index) -> coeff as the core adds into it:
+    integer numerators over one positive denominator `den`, which grows by
+    lcm when an addend's denominator does not divide it.  While every order
+    met is 1, a key holds one int and nothing else is tracked.  From the
+    first order above 1 on (`mixed`), a key holds its order and numerators
+    on the power basis of Q(zeta_order), and a sum that reaches zero drops
+    its key, which restarts its order."""
+
+    __slots__ = ("den", "nums", "mixed")
+
+    def __init__(self):
+        self.den, self.nums, self.mixed = 1, {}, False
+
+    def add(self, factors, form, relabel) -> None:
+        """Add prod(factors) * form, for factors ints and CycloNums and a
+        cached word form (den, order, entries), its group indices t read as
+        relabel[t]."""
+        den, orders, entries = form
+        num = 1
+        for c in factors:
+            if c.__class__ is int:
+                num *= c
+            else:
+                num, den, orders = num * c.nums[0], den * c.den, orders * c.order
+        if self.den % den:
+            grow = lcm(self.den, den) // self.den
+            self.den *= grow
+            self.nums = {k: (v[0], [x * grow for x in v[1]]) if self.mixed else v * grow for k, v in self.nums.items()}
+        nums, f = self.nums, self.den // den
+        if orders == 1 and not self.mixed:
+            f *= num
+            get = nums.get
+            for exps, t, a in entries:
+                key = exps, relabel[t]
+                nums[key] = get(key, 0) + f * a
+            return
+        if not self.mixed:
+            self.mixed, self.nums = True, {k: (1, (a,)) for k, a in nums.items() if a}
+            nums = self.nums
+        scalar = (1, (f,))
+        for c in factors:
+            scalar = _times(scalar, _numerators(c))
+        for exps, t, a in entries:
+            key, s = (exps, relabel[t]), _times(scalar, _numerators(a))
+            if key in nums:
+                s = _times(nums[key], s, plus=True)
+                if not any(s[1]):
+                    del nums[key]
+                    continue
+            nums[key] = s
+
+    def values(self):
+        """(key, order, numerators) of each nonzero sum."""
+        if self.mixed:
+            return [(key, o, v) for key, (o, v) in self.nums.items() if any(v)]
+        return [(key, 1, (v,)) for key, v in self.nums.items() if v]
+
+    def form(self) -> tuple:
+        """The sum as a cached word form: (den, lcm of the orders, entries
+        (exps, group index, numerator)), in lowest terms; a numerator is an
+        int at order 1 and otherwise a CycloNum over 1."""
+        items = list(self.values())
+        g = gcd(self.den, *(x for _, _, v in items for x in v))
+        return self.den // g, lcm(*(o for _, o, _ in items)), [
+            (exps, t, v[0] // g if o == 1 else CycloNum(o, tuple(x // g for x in v), 1)) for (exps, t), o, v in items]
+
+
+def _numerators(c):
+    """(order, numerators) of an int or a CycloNum, whose den is left out."""
+    return (1, (c,)) if c.__class__ is int else (c.order, c.nums)
+
+
+def _times(x, y, plus=False):
+    """x * y, or x + y with `plus`, for (order, numerators on the power
+    basis), in the field of the lcm of the orders."""
+    m = lcm(x[0], y[0])
+    (ex, u), (ey, v) = (([i * (m // o) for i in range(len(w))], w) for o, w in (x, y))
+    if plus:
+        return m, power_sum(ex + ey, [*u, *v], m)
+    return m, power_sum([e + k for e in ex for k in ey], [a * b for a in u for b in v], m)
+
+
 class _AlgebraBase:
     """The rewriting core of H* and the Drinfeld algebras.  A presentation
     supplies two rules, the two kinds of overlap of the diamond lemma:
     - `_push(g, word)`: the normal form of gbar v_word, a term dict
       (word, group) -> coeff with the group on the right and the words not
-      yet sorted;
+      yet sorted, each coeff an int or a CycloNum;
     - `_bracket(k, m)`: the (group, coeff) corrections in
       v_k v_m = v_m v_k + sum c gbar, for k > m.
     Inside the core a group part is its index in `_elems` (`_ids` maps
-    back), and `_prod[j][i]` memoizes the index of elems[i] * elems[j];
+    back), and `_prod[j][i]` memoizes the index of elems[i] * elems[j].
     `_word_cache` memoizes the normal form of each variable word as
-    (exps, index) -> coeff, its equal coefficients shared through `_coeffs`,
-    and `_push_cache` serves a presentation that memoizes its pushes."""
+    integer numerators over one denominator (`_Sum.form`), and
+    `_push_cache` serves a presentation that memoizes its pushes.  The core
+    adds integers into a `_Sum`; `multiply` builds one CycloNum per term it
+    returns."""
 
     def __init__(self, r: int, p: int, n: int):
         self.r, self.p, self.n = r, p, n
@@ -147,7 +236,6 @@ class _AlgebraBase:
         self._elems, self._ids, self._prod = [], {}, []
         self._id(self._identity)  # index 0
         self._word_cache, self._push_cache = {}, {}
-        self._coeffs = {(_ONE.order, _ONE.nums, _ONE.den): _ONE}
 
     def element(self, terms: dict) -> NCElement:
         return NCElement(self, terms)
@@ -165,12 +253,15 @@ class _AlgebraBase:
         return self.term((0,) * self.n, g)
 
     def multiply(self, x: NCElement, y: NCElement) -> NCElement:
-        out: dict = {}
+        out, push, word_form, prod, id_ = _Sum(), self._push, self._word_form, self._prod, self._id
+        ys = [(tuple(_word_of(nu)), prod[id_(h)], c2) for (nu, h), c2 in y.terms.items()]
         for (mu, g), c1 in x.terms.items():
-            for (nu, h), c2 in y.terms.items():
-                self._term_product(out, mu, g, nu, self._id(h), c1 * c2)
+            prefix = tuple(_word_of(mu))
+            for word, times_h, c2 in ys:
+                for (pushed, g2), e in push(g, word).items():
+                    out.add((c1, c2, e), word_form(prefix + pushed), prod[times_h[id_(g2)]])
         elems = self._elems
-        return NCElement(self, {(exps, elems[t]): c for (exps, t), c in out.items()})
+        return NCElement(self, {(exps, elems[t]): _lowest(o, v, out.den) for (exps, t), o, v in out.values()})
 
     def _id(self, g: GroupElement) -> int:
         """The index of g, interning it on first sight."""
@@ -180,9 +271,9 @@ class _AlgebraBase:
             self._prod.append(_Products(self, i))
         return i
 
-    def _word_form(self, word: tuple) -> dict:
+    def _word_form(self, word: tuple) -> tuple:
         """Normal form of the variable word v_{word[0]} v_{word[1]} ... as a
-        term dict (exps, group index) -> coeff.  Each swap at the first descent
+        cached word form over group indices.  Each swap at the first descent
         adds prefix . c gpbar . suffix per bracket correction, with gpbar
         pushed past the suffix and the words it gives sorted in turn."""
         cached = self._word_cache.get(word)
@@ -190,7 +281,7 @@ class _AlgebraBase:
             return cached
         # the swaps run in a loop, so only corrections recurse, each on a
         # word two letters shorter
-        out: dict = {}
+        out = _Sum()
         w = list(word)
         i = 0
         while True:
@@ -203,26 +294,12 @@ class _AlgebraBase:
             k, m = w[i], w[i + 1]
             prefix, suffix = tuple(w[:i]), tuple(w[i + 2:])
             for gp, a in self._bracket(k, m):
-                for (pushed, g2), c in self._push(gp, suffix).items():
-                    c = a if c is _ONE else a * c
-                    times_g2 = self._prod[self._id(g2)]
-                    for (exps, t), c2 in self._word_form(prefix + pushed).items():
-                        add_term(out, (exps, times_g2[t]), c if c2 is _ONE else c2 * c)
+                for (pushed, g2), e in self._push(gp, suffix).items():
+                    out.add((a, e), self._word_form(prefix + pushed), self._prod[self._id(g2)])
             w[i], w[i + 1] = m, k
-        add_term(out, (_exps_of(w, self.n), 0), _ONE)
-        shared = self._coeffs
-        self._word_cache[word] = out = {k: shared.setdefault((c.order, c.nums, c.den), c) for k, c in out.items()}
+        out.add((), (1, 1, [(_exps_of(w, self.n), 0, 1)]), (0,))
+        self._word_cache[word] = out = out.form()
         return out
-
-    def _term_product(self, out: dict, mu, g, nu, h: int, coeff) -> None:
-        """Add coeff * (v^mu gbar)(v^nu hbar) into the term dict out, keyed
-        (exps, group index), for h the index of hbar."""
-        prefix = tuple(_word_of(mu))
-        for (pushed, g2), c in self._push(g, tuple(_word_of(nu))).items():
-            c = coeff if c is _ONE else coeff * c
-            times_g2h = self._prod[self._prod[h][self._id(g2)]]
-            for (exps, t), c2 in self._word_form(prefix + pushed).items():
-                add_term(out, (exps, times_g2h[t]), c if c2 is _ONE else c2 * c)
 
 
 class HStarAlgebra(_AlgebraBase):
@@ -253,23 +330,23 @@ class HStarAlgebra(_AlgebraBase):
             return cached
         r, n = self.r, self.n
         i = next((i for i in range(1, n) if g.perm.index(i) > g.perm.index(i + 1)), None)
-        out: dict = {}
+        out: Counter = Counter()
         if len(word) > 1:
             for (w1, g1), c1 in self._push(g, word[:1]).items():
                 for (w2, g2), c2 in self._push(g1, word[1:]).items():
-                    add_term(out, (tuple(sorted(w1 + w2)), g2), c1 * c2)
+                    out[(tuple(sorted(w1 + w2)), g2)] += c1 * c2
         elif not word or i is None:  # a diagonal g commutes with v_k
-            out[(word, g)] = _ONE
+            out[(word, g)] = 1
         else:
             s_i = transposition(r, n, i, i + 1)
             for (w, h), c in self._push(multiply(s_i, g), word).items():
-                add_term(out, (tuple(s_i.perm[j - 1] for j in w), multiply(s_i, h)), c)
+                out[(tuple(s_i.perm[j - 1] for j in w), multiply(s_i, h))] += c
                 if w and w[0] in (i, i + 1):
                     # sbar_i v_{i+1} = v_i sbar_i + sum_a ..., sbar_i v_i = v_{i+1} sbar_i - sum_a ...
                     for a in range(r):
-                        add_term(out, ((), multiply(_xi_pair(r, n, i, i + 1, a), h)), c if w[0] > i else -c)
+                        out[((), multiply(_xi_pair(r, n, i, i + 1, a), h))] += c if w[0] > i else -c
             assert [w for (w, _t) in out if w] == [(g.perm[word[0] - 1],)], (g, word)
-        self._push_cache[key] = out
+        self._push_cache[key] = out = {k: c for k, c in out.items() if c}
         return out
 
 
@@ -280,9 +357,8 @@ class DrinfeldAlgebra(_AlgebraBase):
     single exponent sum, and is not memoized.  `_bracket` yields the
     family's nonzero a_g(v_k, v_m) in reverse support order, the order in
     which a depth-first rewrite that stacks the corrections pops them.  A
-    coefficient's field order (the lcm over its additions since it was last
-    zero) can depend on that order when corrections of different orders
-    cancel.  A product reuses a cached word form by right-multiplying its
+    coefficient's field order (see the module docstring) can depend on that
+    order when corrections of different orders cancel.  A product reuses a cached word form by right-multiplying its
     group parts by the pushed g times h, one `_prod` lookup per term.
 
     Arithmetic is only trustworthy for families passing pbw_check; for bad

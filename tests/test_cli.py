@@ -502,6 +502,8 @@ GOLDEN_CASES = [
     ("hh_basis_3_1_3_permutation_cohdeg3_D1", ["hh", "--r", "3", "--p", "1", "--n", "3", "--rep", "permutation",
                                                "--cohdeg", "3", "--max-degree", "1", "--basis"]),
     ("classes_2_2_4", ["classes", "--r", "2", "--p", "2", "--n", "4"]),
+    ("nc_normal_form_a_drinfeld_zeta3_3_3", ["nc-normal-form", "--algebra", "a-drinfeld", "--r", "3", "--n", "3",
+                                             "z3^1", "v3", "v3", "xi1^1", "v2", "v1"]),
 ]
 
 

@@ -3,8 +3,12 @@ in `oracles`:
 
 - the memoized Drinfeld rewriter against the stack rewriter, term for term
   (JSON, so the coefficients' field orders too), on families that pass and
-  fail the PBW conditions, and on one product whose field orders depend on
-  the order in which the bracket corrections are added;
+  fail the PBW conditions, with pushes and forms of orders up to 6 and
+  coefficients of orders 1, 2, 3, 4 and 6, and on one product whose field
+  orders depend on the order in which the bracket corrections are added;
+- conjugate_form, which skips SkewForm's checks, against the checked
+  form of the same conjugated grid, on the support of those families and
+  every generator;
 - the H* product against the bubble-word rewriter, term for term, on every
   gbar v_a v_b v_c over G(2,1,3), every gbar v_a v_b over G(3,1,3) and
   seeded term pairs in H*(3,4) with zeta_3 in the coefficients;
@@ -70,7 +74,7 @@ import pytest
 
 import heckeforge.polyforms
 from heckeforge.cli import main
-from heckeforge.cyclo import CycloMatrix, cyclo, one, root_of_unity, zero
+from heckeforge.cyclo import CycloMatrix, cyclo, one, root_of_unity, twist, zero
 from heckeforge.group import (
     GroupElement,
     RepKind,
@@ -161,6 +165,16 @@ def _rewrite_families():
     out = {f"a_r1n({r},{n})": build_preset("a_r1n", r, n) for r, n in [(2, 3), (3, 3), (4, 3), (2, 4)]}
     out["empty(3,1,3) faithful"] = SkewFormFamily(3, 1, 3, F, {})
     out["empty(3,1,3) permutation"] = SkewFormFamily(3, 1, 3, P, {})
+    # pushes past v_k under xi carry phases of orders 4 and 6
+    out["empty(4,1,3) faithful"] = SkewFormFamily(4, 1, 3, F, {})
+    out["empty(6,1,3) faithful"] = SkewFormFamily(6, 1, 3, F, {})
+    # not PBW: zeta_4 and rational entries on two diagonal elements, so word
+    # forms mix orders 1 and 4 before the products' own phases and scalars
+    z4 = root_of_unity(4)
+    out["zeta4 forms(4,1,3)"] = SkewFormFamily(4, 1, 3, F, {
+        diag(4, 3, [1, 0, 0]): SkewForm([[0, z4, 0], [-z4, 0, 1], [0, -1, 0]]),
+        diag(4, 3, [2, 1, 1]): SkewForm([[0, 0, 1], [0, 0, -z4], [-1, z4, 0]]),
+    })
     out["faithful(2,1,4)"] = faithful_family_2_1_4()
     # not PBW: one entry off an equivariant family, so the normal form
     # depends on the rewriting order, which both rewriters must share
@@ -174,6 +188,14 @@ REWRITE_FAMILIES = _rewrite_families()
 
 def _assert_same_product(x, y):
     assert (x * y).to_json() == stack_multiply(x, y).to_json(), (x, y)
+
+
+def _coefficient(rng):
+    """A random nonzero rational times a root of unity of order 1, 2, 3, 4
+    or 6, in the field of that order."""
+    order = rng.choice([1, 2, 3, 4, 6])
+    q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 4))
+    return root_of_unity(order, rng.randrange(order)) * q
 
 
 @pytest.mark.parametrize("name", sorted(REWRITE_FAMILIES))
@@ -195,7 +217,7 @@ def test_memoized_rewriter_matches_the_stack_rewriter(name):
         mu = [0] * n
         for _ in range(rng.randrange(4)):
             mu[rng.randrange(n)] += 1
-        return alg.term(mu, rng.choice(G), rng.randrange(1, 4))
+        return alg.term(mu, rng.choice(G), _coefficient(rng))
 
     for _ in range(20):
         _assert_same_product(term(), term())
@@ -217,6 +239,21 @@ def test_bracket_order_fixes_the_field_orders():
     _assert_same_product(x, y)
     c = (x * y).terms[((0, 0, 0), diag(3, 3, [0, 1, 1]))]
     assert (c.order, c) == (1, one())
+
+
+@pytest.mark.parametrize("name", sorted(REWRITE_FAMILIES))
+def test_conjugate_form_builds_what_the_checked_constructor_builds(name):
+    # conjugate_form skips SkewForm's conversion and skew check; its image
+    # is the checked form of the entrywise conjugate grid, in value and JSON
+    fam = REWRITE_FAMILIES[name]
+    for A in fam.support.values():
+        for h in generators(fam.r, fam.p, fam.n):
+            pi, t = monomial_action(h, fam.repkind)
+            grid = [[twist(A.matrix[a - 1][b - 1], fam.r, t[i] + t[j]) for j, b in enumerate(pi)]
+                    for i, a in enumerate(pi)]
+            got, want = conjugate_form(A, h, fam.repkind), SkewForm(grid)
+            assert got == want and got.n == want.n
+            assert [[e.to_json() for e in row] for row in got.matrix] == [[e.to_json() for e in row] for row in want.matrix]
 
 
 # -- the H* product against the bubble-word rewriter --------------------------------

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heckeforge.cyclo import one, root_of_unity, twist
+from heckeforge.cyclo import CycloNum, _lowest, add_term, euler_phi, one, root_of_unity, twist
 from heckeforge.group import (
     GroupElement,
     RepKind,
@@ -31,6 +33,7 @@ from heckeforge.ncalg import (
     verify_iso,
     verify_reln4,
 )
+from heckeforge.ncalg import _Sum
 
 
 def sg_mul(x: dict, y: dict, rep: RepKind) -> dict:
@@ -338,3 +341,81 @@ def test_drinfeld_push_phase_is_the_twisted_one(r):
             assert (word, g) == ((1,) * k, xi(r, 2, 1, a))
             assert (c.order, c.coeffs) == (ref.order, ref.coeffs), (a, k)
             assert (c is heckeforge.ncalg._ONE) == (a * k % r == 0)
+
+
+# -- the integer accumulator against cyclo.add_term ------------------------------
+
+
+@st.composite
+def _cyclonums(draw):
+    """A nonzero element of Q(zeta_order), order 1, 2, 3, 4 or 6, with
+    small rational coefficients."""
+    order = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    coeffs = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) for _ in range(euler_phi(order))]
+    coeffs[draw(st.integers(0, len(coeffs) - 1))] = Fraction(draw(st.sampled_from([-2, -1, 1, 3])), draw(st.integers(1, 3)))
+    return CycloNum(order, coeffs)
+
+
+def _unit_form(k):
+    """The cached word form of 1 at the key ((k,), 0)."""
+    return 1, 1, [((k,), 0, 1)]
+
+
+# a step adds prod(factors) times the form of {k: c}, or, given a bare key,
+# minus the running sum there, so that partial sums cross zero
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.lists(st.one_of(st.sampled_from([-2, -1, 2, 3]), _cyclonums()), max_size=2),
+              st.dictionaries(st.integers(0, 3), _cyclonums(), min_size=1, max_size=3)),
+    st.integers(0, 3),
+), max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STEPS)
+def test_integer_sum_matches_add_term(steps):
+    acc, ref = _Sum(), {}
+    for step in steps:
+        if isinstance(step, int):
+            key = ((step,), 0)
+            if key in ref:
+                c = -ref[key]
+                acc.add((c,), _unit_form(step), (0,))
+                add_term(ref, key, c)
+            continue
+        factors, entries = step
+        form = _Sum()
+        for k, c in entries.items():
+            form.add((c,), _unit_form(k), (0,))
+        acc.add(tuple(factors), form.form(), (0,))
+        for k, c in entries.items():
+            for f in factors:
+                c = c * f
+            add_term(ref, ((k,), 0), c)
+    got = {key: _lowest(o, v, acc.den) for key, o, v in acc.values()}
+    assert got.keys() == ref.keys()
+    for key, c in ref.items():
+        assert (got[key].order, got[key].to_json()) == (c.order, c.to_json()), key
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DrinfeldAlgebra(build_preset("a_r1n", 3, 3)),
+    lambda: HStarAlgebra(2, 3),
+    lambda: skew_group_algebra(3, 1, 3, RepKind.FAITHFUL),
+], ids=["a_r1n(3,3)", "H*(2,3)", "empty(3,1,3) faithful"])
+def test_the_core_does_no_cyclonum_arithmetic(make, monkeypatch):
+    # rational order-1 terms: the core adds integers and builds one CycloNum
+    # per term it returns; the faithful action's phases take the order > 1
+    # path, which adds integers too
+    alg, fresh = make(), make()
+    els = elements(alg.r, alg.p, alg.n)
+    rng = random.Random(5)
+    xs = [_random_element(alg, rng, els, count=3) for _ in range(4)]
+    want = [json.dumps((x * y).to_json()) for x in xs for y in xs]
+
+    def refuse(*args):
+        raise AssertionError("CycloNum arithmetic in the rewriting core")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(CycloNum, name, refuse)
+    got = [json.dumps((fresh.element(x.terms) * fresh.element(y.terms)).to_json()) for x in xs for y in xs]
+    assert got == want
