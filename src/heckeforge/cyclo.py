@@ -13,6 +13,8 @@ product of the conjugates other than x itself, divided by the norm.
 pure function.
 `add_term` and `SparseSum` are the one arithmetic of finite sums of
 terms, which polynomials, forms and normal-form elements share.
+`to_json` and `str` print a number in the least field Q(zeta_d), d dividing
+its order, that holds it, so what is printed depends on the value only.
 """
 
 from __future__ import annotations
@@ -243,38 +245,47 @@ class CycloNum:
     def __repr__(self):
         return f"CycloNum({self!s})"
 
+    def _least(self) -> tuple[int, list]:
+        """(d, Fraction coefficients on the power basis of Q(zeta_d)) for the
+        least d dividing the order whose field holds self: Gauss-Jordan on
+        that basis's image zeta_m^(k m/d), k < phi(d), in Q(zeta_m)."""
+        m = self.order
+        for d in (d for d in range(1, m) if m % d == 0):
+            # sigma_s, s = 1 mod d, fixes Q(zeta_d): one that moves self rules d out without a solve
+            s = next(s for s in range(d + 1, m + 2, d) if gcd(s, m) == 1)
+            if self._substitute(m, s).nums != self.nums:
+                continue
+            phi = euler_phi(d)
+            rows = [[Fraction(_power_table(m)[k * m // d][i]) for k in range(phi)] + [Fraction(a, self.den)]
+                    for i, a in enumerate(self.nums)]
+            for k in range(phi):  # the image of a basis is independent: column k has a pivot
+                rows[k:] = sorted(rows[k:], key=lambda row: not row[k])
+                piv = [a / rows[k][k] for a in rows[k]]
+                rows = [piv if i == k else [a - row[k] * b for a, b in zip(row, piv)] if row[k] else row
+                        for i, row in enumerate(rows)]
+            if not any(row[-1] for row in rows[phi:]):
+                return d, [row[-1] for row in rows[:phi]]
+        return m, list(self.coeffs)
+
     def __str__(self):
         if self.is_zero():
             return "0"
+        order, coeffs = self._least()
         bits = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                bits.append(str(c))
-            else:
-                z = f"z{self.order}" + (f"^{k}" if k > 1 else "")
-                if c == 1:
-                    bits.append(z)
-                elif c == -1:
-                    bits.append(f"-{z}")
-                else:
-                    bits.append(f"{c}*{z}")
-        out = bits[0]
-        for b in bits[1:]:
-            out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-        return out
+        for k, c in enumerate(coeffs):
+            z = f"z{order}" + (f"^{k}" if k > 1 else "")
+            if c:
+                bits.append(str(c) if k == 0 else z if c == 1 else f"-{z}" if c == -1 else f"{c}*{z}")
+        return bits[0] + "".join(f" - {b[1:]}" if b.startswith("-") else f" + {b}" for b in bits[1:])
 
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> dict:
-        """Each nonzero coefficient as its own reduced num/den."""
-        terms = []
-        for k, a in enumerate(self.nums):
-            if a:
-                g = gcd(a, self.den)
-                terms.append({"exp": k, "num": str(a // g), "den": str(self.den // g)})
-        return {"order": self.order, "terms": terms}
+        """Each nonzero coefficient as its own reduced num/den, in the least
+        field that holds the number (`_least`)."""
+        order, coeffs = self._least()
+        terms = [{"exp": k, "num": str(c.numerator), "den": str(c.denominator)} for k, c in enumerate(coeffs) if c]
+        return {"order": order, "terms": terms}
 
     @staticmethod
     def from_json(data: dict) -> "CycloNum":
@@ -342,8 +353,8 @@ def root_of_unity(r: int, k: int = 1) -> CycloNum:
 
 
 def twist(c, r: int, e: int):
-    """c * zeta_r^e, and c itself when e = 0 mod r, so a zero phase leaves c
-    in its own field."""
+    """c * zeta_r^e, and c itself when e = 0 mod r, so a family of order 1
+    stays of order 1, which the rewriting core multiplies over the integers."""
     return c * root_of_unity(r, e) if e % r else c
 
 

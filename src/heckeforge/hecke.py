@@ -451,9 +451,9 @@ def forms_from_semiinvariants(entries, r: int, p: int, n: int, rep: RepKind) -> 
     for g, data in entries:
         codim = n - len(fixed_basis(g, rep))
         if codim == 2:
-            # c in Q(zeta_r), so every nonzero entry of the family has one
-            # field order and no rewriting order can change a coefficient's
-            c = cyclo(data, r)
+            # c keeps its own field, so rational data under the permutation
+            # action keeps the rewriting core on its integer path
+            c = cyclo(data)
             if not c.is_zero():
                 seeds[g] = _codim2_form(g, rep, c)
         elif codim == 0:

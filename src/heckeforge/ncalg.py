@@ -10,11 +10,11 @@ their first descent; termination follows from the lexicographic descent in
 (polynomial degree, inversion count).  The core keeps group parts as
 indices of interned elements, memoizes their products and the normal form of
 each variable word, and H* also memoizes its pushes.  It adds integer
-numerators over one common denominator (`_Sum`, Cohen, GTM 138, 4.2) and
-builds a CycloNum only for each term that `multiply` returns.  A
-coefficient's field order is the lcm of the orders added into it since it
-was last zero.  Confluence is not assumed; it is certified by small-degree
-associativity checks, which fail for families violating the PBW conditions.
+numerators over one common denominator (`_Sum`, Cohen, GTM 138, 4.2), in
+one field Q(zeta_K) per product, and builds a CycloNum only for each term
+that `multiply` returns.  Confluence is not assumed; it is certified by
+small-degree associativity checks, which fail for families violating the
+PBW conditions.
 
 S(V)#G itself is the Drinfeld algebra of the empty family
 (`skew_group_algebra`), so the two-cocycle mu_1 that a family induces on it
@@ -132,86 +132,70 @@ class _Products(dict):
 
 
 class _Sum:
-    """A term dict (exps, group index) -> coeff as the core adds into it:
-    integer numerators over one positive denominator `den`, which grows by
-    lcm when an addend's denominator does not divide it.  While every order
-    met is 1, a key holds one int and nothing else is tracked.  From the
-    first order above 1 on (`mixed`), a key holds its order and numerators
-    on the power basis of Q(zeta_order), and a sum that reaches zero drops
-    its key, which restarts its order."""
+    """A term dict (exps, group index) -> coeff in Q(zeta_K), as the core
+    adds into it: integer numerators over one positive denominator `den`,
+    which grows by lcm when an addend's denominator does not divide it.  At
+    K = 1 a key holds one int; above, K ints indexed by the exponent of
+    zeta_K, reduced to the power basis once per key by `values`."""
 
-    __slots__ = ("den", "nums", "mixed")
+    __slots__ = ("K", "den", "nums")
 
-    def __init__(self):
-        self.den, self.nums, self.mixed = 1, {}, False
+    def __init__(self, K: int):
+        self.K, self.den, self.nums = K, 1, {}
 
     def add(self, factors, form, relabel) -> None:
-        """Add prod(factors) * form, for factors ints and CycloNums and a
-        cached word form (den, order, entries), its group indices t read as
-        relabel[t]."""
-        den, orders, entries = form
-        num = 1
+        """Add prod(factors) * form, for factors ints and CycloNums of
+        orders dividing K and a cached word form (den, entries), its group
+        indices t read as relabel[t]."""
+        den, entries = form
+        K, num, scalar = self.K, 1, ((0, 1),)
         for c in factors:
             if c.__class__ is int:
                 num *= c
+            elif K == 1:
+                num, den = num * c.nums[0], den * c.den
             else:
-                num, den, orders = num * c.nums[0], den * c.den, orders * c.order
+                den *= c.den
+                scalar = [((e + k) % K, x * y) for e, x in scalar for k, y in _powers(c, K)]
         if self.den % den:
             grow = lcm(self.den, den) // self.den
             self.den *= grow
-            self.nums = {k: (v[0], [x * grow for x in v[1]]) if self.mixed else v * grow for k, v in self.nums.items()}
-        nums, f = self.nums, self.den // den
-        if orders == 1 and not self.mixed:
-            f *= num
+            self.nums = {k: v * grow if K == 1 else [x * grow for x in v] for k, v in self.nums.items()}
+        nums, f = self.nums, self.den // den * num
+        if K == 1:
             get = nums.get
             for exps, t, a in entries:
                 key = exps, relabel[t]
                 nums[key] = get(key, 0) + f * a
             return
-        if not self.mixed:
-            self.mixed, self.nums = True, {k: (1, (a,)) for k, a in nums.items() if a}
-            nums = self.nums
-        scalar = (1, (f,))
-        for c in factors:
-            scalar = _times(scalar, _numerators(c))
         for exps, t, a in entries:
-            key, s = (exps, relabel[t]), _times(scalar, _numerators(a))
-            if key in nums:
-                s = _times(nums[key], s, plus=True)
-                if not any(s[1]):
-                    del nums[key]
-                    continue
-            nums[key] = s
+            v = nums.setdefault((exps, relabel[t]), [0] * K)
+            for k, y in _powers(a, K):
+                for e, x in scalar:
+                    v[(e + k) % K] += f * x * y
 
     def values(self):
-        """(key, order, numerators) of each nonzero sum."""
-        if self.mixed:
-            return [(key, o, v) for key, (o, v) in self.nums.items() if any(v)]
-        return [(key, 1, (v,)) for key, v in self.nums.items() if v]
+        """(key, numerators on the power basis of Q(zeta_K)) of each nonzero sum."""
+        K = self.K
+        if K == 1:
+            return [(key, (v,)) for key, v in self.nums.items() if v]
+        items = [(key, power_sum(range(K), v, K)) for key, v in self.nums.items()]
+        return [(key, v) for key, v in items if any(v)]
 
     def form(self) -> tuple:
-        """The sum as a cached word form: (den, lcm of the orders, entries
-        (exps, group index, numerator)), in lowest terms; a numerator is an
-        int at order 1 and otherwise a CycloNum over 1."""
-        items = list(self.values())
-        g = gcd(self.den, *(x for _, _, v in items for x in v))
-        return self.den // g, lcm(*(o for _, o, _ in items)), [
-            (exps, t, v[0] // g if o == 1 else CycloNum(o, tuple(x // g for x in v), 1)) for (exps, t), o, v in items]
+        """The sum as a cached word form: (den, entries (exps, group index,
+        numerator)), in lowest terms; a numerator is an int at K = 1 and
+        otherwise a CycloNum of order K over 1."""
+        items, K = self.values(), self.K
+        g = gcd(self.den, *(x for _, v in items for x in v))
+        return self.den // g, [
+            (exps, t, v[0] // g if K == 1 else CycloNum(K, tuple(x // g for x in v), 1)) for (exps, t), v in items]
 
 
-def _numerators(c):
-    """(order, numerators) of an int or a CycloNum, whose den is left out."""
-    return (1, (c,)) if c.__class__ is int else (c.order, c.nums)
-
-
-def _times(x, y, plus=False):
-    """x * y, or x + y with `plus`, for (order, numerators on the power
-    basis), in the field of the lcm of the orders."""
-    m = lcm(x[0], y[0])
-    (ex, u), (ey, v) = (([i * (m // o) for i in range(len(w))], w) for o, w in (x, y))
-    if plus:
-        return m, power_sum(ex + ey, [*u, *v], m)
-    return m, power_sum([e + k for e in ex for k in ey], [a * b for a in u for b in v], m)
+def _powers(c, K: int):
+    """(exponent of zeta_K, numerator) of each nonzero term of an int or of a
+    CycloNum of order dividing K, its den left out."""
+    return ((0, c),) if c.__class__ is int else [(k * (K // c.order), x) for k, x in enumerate(c.nums) if x]
 
 
 class _AlgebraBase:
@@ -227,11 +211,12 @@ class _AlgebraBase:
     `_word_cache` memoizes the normal form of each variable word as
     integer numerators over one denominator (`_Sum.form`), and
     `_push_cache` serves a presentation that memoizes its pushes.  The core
-    adds integers into a `_Sum`; `multiply` builds one CycloNum per term it
-    returns."""
+    adds integers into a `_Sum` over Q(zeta_K), K the lcm of the operands'
+    orders and `_field`, which holds every push phase and bracket
+    coefficient; `multiply` builds one CycloNum per term it returns."""
 
-    def __init__(self, r: int, p: int, n: int):
-        self.r, self.p, self.n = r, p, n
+    def __init__(self, r: int, p: int, n: int, field: int = 1):
+        self.r, self.p, self.n, self._field = r, p, n, field
         self._identity = identity(r, n)
         self._elems, self._ids, self._prod = [], {}, []
         self._id(self._identity)  # index 0
@@ -253,7 +238,8 @@ class _AlgebraBase:
         return self.term((0,) * self.n, g)
 
     def multiply(self, x: NCElement, y: NCElement) -> NCElement:
-        out, push, word_form, prod, id_ = _Sum(), self._push, self._word_form, self._prod, self._id
+        K = lcm(self._field, *{c.order for c in x.terms.values()}, *{c.order for c in y.terms.values()})
+        out, push, word_form, prod, id_ = _Sum(K), self._push, self._word_form, self._prod, self._id
         ys = [(tuple(_word_of(nu)), prod[id_(h)], c2) for (nu, h), c2 in y.terms.items()]
         for (mu, g), c1 in x.terms.items():
             prefix = tuple(_word_of(mu))
@@ -261,7 +247,7 @@ class _AlgebraBase:
                 for (pushed, g2), e in push(g, word).items():
                     out.add((c1, c2, e), word_form(prefix + pushed), prod[times_h[id_(g2)]])
         elems = self._elems
-        return NCElement(self, {(exps, elems[t]): _lowest(o, v, out.den) for (exps, t), o, v in out.values()})
+        return NCElement(self, {(exps, elems[t]): _lowest(K, v, out.den) for (exps, t), v in out.values()})
 
     def _id(self, g: GroupElement) -> int:
         """The index of g, interning it on first sight."""
@@ -281,7 +267,7 @@ class _AlgebraBase:
             return cached
         # the swaps run in a loop, so only corrections recurse, each on a
         # word two letters shorter
-        out = _Sum()
+        out = _Sum(self._field)
         w = list(word)
         i = 0
         while True:
@@ -297,7 +283,7 @@ class _AlgebraBase:
                 for (pushed, g2), e in self._push(gp, suffix).items():
                     out.add((a, e), self._word_form(prefix + pushed), self._prod[self._id(g2)])
             w[i], w[i + 1] = m, k
-        out.add((), (1, 1, [(_exps_of(w, self.n), 0, 1)]), (0,))
+        out.add((), (1, [(_exps_of(w, self.n), 0, 1)]), (0,))
         self._word_cache[word] = out = out.form()
         return out
 
@@ -356,10 +342,11 @@ class DrinfeldAlgebra(_AlgebraBase):
     `_push` gives the one term zeta^{sum t} g(v_word) gbar, its phase a
     single exponent sum, and is not memoized.  `_bracket` yields the
     family's nonzero a_g(v_k, v_m) in reverse support order, the order in
-    which a depth-first rewrite that stacks the corrections pops them.  A
-    coefficient's field order (see the module docstring) can depend on that
-    order when corrections of different orders cancel.  A product reuses a cached word form by right-multiplying its
-    group parts by the pushed g times h, one `_prod` lookup per term.
+    which a depth-first rewrite that stacks the corrections pops them.  Its
+    field is the lcm of the family's nonzero entry orders and, unless the
+    action is the permutation action, whose phases are 0, of r.  A product
+    reuses a cached word form by right-multiplying its group parts by the
+    pushed g times h, one `_prod` lookup per term.
 
     Arithmetic is only trustworthy for families passing pbw_check; for bad
     families the rewriting is still deterministic but associativity fails,
@@ -367,7 +354,8 @@ class DrinfeldAlgebra(_AlgebraBase):
     """
 
     def __init__(self, family: SkewFormFamily):
-        super().__init__(family.r, family.p, family.n)
+        orders = (e.order for A in family.support.values() for row in A.matrix for e in row if e)
+        super().__init__(family.r, family.p, family.n, lcm(family.r if family.repkind == RepKind.FAITHFUL else 1, *orders))
         self.family = family
         self.rep = family.repkind
 

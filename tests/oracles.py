@@ -64,7 +64,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 
 from heckeforge.cyclo import CycloMatrix, add_term, cyclo, echelon_rows, one, root_of_unity, zero
 from heckeforge.group import (
@@ -723,6 +723,8 @@ class FractionCyclo:
 
     def embed(self, big: int) -> "FractionCyclo":
         assert big % self.order == 0
+        if big == self.order:
+            return self
         table, step = fraction_power_table(big), big // self.order
         out = [Fraction(0)] * len(table[0])
         for k, c in enumerate(self.coeffs):
@@ -752,13 +754,39 @@ class FractionCyclo:
                     out[t] += x * y * rv
         return FractionCyclo(a.order, out)
 
-    def conjugate(self) -> "FractionCyclo":
+    def _sigma(self, s: int) -> "FractionCyclo":
+        """The Galois automorphism zeta -> zeta^s, for s prime to the order."""
         r, table = self.order, fraction_power_table(self.order)
         out = [Fraction(0)] * len(self.coeffs)
         for k, c in enumerate(self.coeffs):
-            for t, rv in enumerate(table[-k % r]):
-                out[t] += c * rv
+            if c:
+                for t, rv in enumerate(table[k * s % r]):
+                    if rv:
+                        out[t] += c * rv
         return FractionCyclo(r, out)
+
+    def conjugate(self) -> "FractionCyclo":
+        return self._sigma(-1)
+
+    def least(self) -> "FractionCyclo":
+        """self in Q(zeta_d) for the least d dividing the order whose field
+        holds it, by the Galois criterion: x lies in Q(zeta_d) iff
+        sigma_s(x) = x for every s = 1 (mod d) prime to the order.  The
+        coordinates solve embed(y) = x by elimination on the equations."""
+        m = self.order
+        d = next(d for d in range(1, m + 1) if m % d == 0 and all(
+            self._sigma(s) == self for s in range(2, m + 1) if s % d == 1 % d and gcd(s, m) == 1))
+        phi = len(fraction_power_table(d)[0])
+        basis = [FractionCyclo(d, [int(i == k) for i in range(phi)]).embed(m).coeffs for k in range(phi)]
+        rows = [[b[i] for b in basis] + [x] for i, x in enumerate(self.coeffs)]
+        for k in range(phi):
+            piv, *rest = sorted(rows[k:], key=lambda row: row[k] == 0)  # a pivot row first
+            rows[k:] = [piv] + [[a - row[k] / piv[k] * b for a, b in zip(row, piv)] for row in rest]
+        coords = [Fraction(0)] * phi
+        for k in reversed(range(phi)):
+            coords[k] = (rows[k][-1] - sum(rows[k][j] * coords[j] for j in range(k + 1, phi))) / rows[k][k]
+        assert not any(row[-1] for row in rows[phi:]) and FractionCyclo(d, coords).embed(m) == self
+        return FractionCyclo(d, coords)
 
     def invert(self) -> "FractionCyclo":
         """By the extended Euclidean algorithm modulo Phi_order."""
@@ -781,9 +809,11 @@ class FractionCyclo:
         return a.coeffs == b.coeffs
 
     def to_json(self) -> dict:
+        """In the least field that holds the number (`least`)."""
+        x = self.least()
         terms = [
             {"exp": k, "num": str(c.numerator), "den": str(c.denominator)}
-            for k, c in enumerate(self.coeffs)
+            for k, c in enumerate(x.coeffs)
             if c
         ]
-        return {"order": self.order, "terms": terms}
+        return {"order": x.order, "terms": terms}

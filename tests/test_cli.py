@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeforge import ncalg
+from heckeforge import cyclo, ncalg
 from heckeforge.cli import main
 from heckeforge.group import GroupElement, RepKind, generators
-from heckeforge.hecke import build_preset
+from heckeforge.hecke import SkewForm, SkewFormFamily, build_preset, pbw_check
 from heckeforge.hochschild import hochschild_character
 from oracles import solved_centralizer
 from test_group import ORACLE_GROUPS
@@ -178,6 +178,40 @@ def test_pbw_check_rejects_non_skew(capsys, tmp_path):
     forms.write_text(json.dumps(data))
     code, _, err = run(capsys, "pbw-check", str(forms))
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_equal_coefficients_print_the_same(capsys, fmt):
+    # z6^2 = z3: both words print the coefficient in Q(zeta_3)
+    outs = [run(capsys, "--format", fmt, "nc-normal-form", "--algebra", "a-drinfeld", "--r", "3", "--n", "3", z, "v1")
+            for z in ("z6^2", "z3^1")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert "(z3) v1" in outs[0][1] if fmt == "text" else json.loads(outs[0][1])["terms"][0]["coeff"]["order"] == 3
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["pbw", "not invariant"])
+def test_pbw_check_reads_back_a_zeta6_family(tmp_path, broken):
+    # a_r1n(3,3) scaled by zeta_6 (its entries print at order 3 and its
+    # zeros at order 1); broken, one form is scaled by zeta_6^3 = -1
+    # instead (rational entries of order 6, printed at order 1)
+    preset = build_preset("a_r1n", 3, 3)
+    scalars = [cyclo.root_of_unity(6, 3 if broken and i == 0 else 1) for i in range(len(preset.support))]
+    family = SkewFormFamily(3, 1, 3, RepKind.PERMUTATION, {
+        g: SkewForm([[e * z for e in row] for row in A.matrix]) for (g, A), z in zip(preset.support.items(), scalars)})
+    written = family.to_json()
+    orders = {e["order"] for item in written["forms"] for row in item["matrix"] for e in row}
+    assert orders == {1, 3}
+    assert SkewFormFamily.from_json(json.loads(json.dumps(written))) == family
+    path = tmp_path / "forms.json"
+    path.write_text(json.dumps(written))
+    code, out, err = _run_quietly(["--format", "json", "pbw-check", str(path)])
+    report = pbw_check(family)
+    assert (code, err) == (0 if report.ok else 1, "") and code == int(broken)
+    assert json.loads(out) == {
+        "invariance": report.invariance,
+        "jacobi": report.jacobi,
+        "witnesses": [{"kind": kind, "g": g.to_json(), "at": repr(w)} for kind, g, w in report.witnesses],
+    }
 
 
 def test_nc_verify(capsys):

@@ -198,6 +198,37 @@ def test_integer_arithmetic_matches_the_fraction_reference(p, q, second):
         assert (a + b).den == 1
 
 
+@st.composite
+def _subfield_nums(draw):
+    """Three numbers of Q(zeta_m), m in 1..12: each in Q(zeta_d) for some
+    d | m, stored at an order between d and m."""
+    m = draw(st.integers(1, 12))
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    out = []
+    for _ in range(3):
+        d = draw(st.sampled_from(divisors))
+        x = CycloNum(d, [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) for _ in range(euler_phi(d))])
+        out.append(x.embed(draw(st.sampled_from([s for s in divisors if s % d == 0]))))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subfield_nums())
+def test_the_printed_field_depends_on_the_value_only(nums):
+    for x in nums:
+        printed = x.to_json()
+        assert printed == FractionCyclo(x.order, x.coeffs).to_json()
+        assert all(x.embed(k * x.order).to_json() == printed for k in (2, 3))
+        back = CycloNum.from_json(printed)
+        assert back == x and back.order == printed["order"]
+    # a sum prints the same whatever its operands' orders and its order of summation
+    a, b, c = nums
+    sums = [(a + b) + c, c + (b + a), (a.embed(2 * a.order) + b) + c.embed(3 * c.order), (b + c) + a]
+    assert all(s.to_json() == sums[0].to_json() for s in sums)
+    ref = FractionCyclo(a.order, a.coeffs) + FractionCyclo(b.order, b.coeffs) + FractionCyclo(c.order, c.coeffs)
+    assert sums[0].to_json() == ref.to_json()
+
+
 def test_sums_cancel_and_reduce_to_lowest_terms():
     s = cyclo(Fraction(1, 3)) + cyclo(Fraction(2, 3))
     assert s == 1 and (s.nums, s.den) == ((1,), 1)

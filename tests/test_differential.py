@@ -74,7 +74,7 @@ import pytest
 
 import heckeforge.polyforms
 from heckeforge.cli import main
-from heckeforge.cyclo import CycloMatrix, cyclo, one, root_of_unity, twist, zero
+from heckeforge.cyclo import CycloMatrix, cyclo, euler_phi, one, root_of_unity, twist, zero
 from heckeforge.group import (
     GroupElement,
     RepKind,
@@ -125,6 +125,7 @@ from heckeforge.polyforms import (
 )
 from oracles import (
     FAITHFUL_ENTRIES_2_1_4,
+    FractionCyclo,
     class_members,
     classes_by_search,
     dense_codim2_form,
@@ -142,7 +143,7 @@ from oracles import (
     stack_multiply,
     trivial_character,
 )
-from test_cli import GOLDEN_CASES
+from test_cli import GOLDEN, GOLDEN_CASES
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -226,19 +227,23 @@ def test_memoized_rewriter_matches_the_stack_rewriter(name):
 def test_bracket_order_fixes_the_field_orders():
     # a family failing equivariance, supported on xi_1 and xi_1^2 xi_2 xi_3,
     # both with a(v_2, v_3) = -1.  In (v_3 v_3)(v_2 v_2) the degree-0 term at
-    # xi_2 xi_3 collects corrections of field orders 1 and 3; popped in
-    # reverse support order, a partial sum at that term is 0 just before the
-    # last, rational correction, so the result keeps order 1.  Taken in
-    # support order, the result is the same number with order 3
+    # xi_2 xi_3 collects corrections of field orders 1 and 3 that sum to 1.
+    # Held in one field per product and printed in its least one, the
+    # product prints the same JSON whichever order the support lists the two
+    # forms in, with that coefficient at order 1
     def form(c):
         return SkewForm([[0, 0, 0], [0, 0, c], [0, -c, 0]])
 
-    support = {diag(3, 3, [1, 0, 0]): form(-1), diag(3, 3, [2, 1, 1]): form(-1)}
-    alg = DrinfeldAlgebra(SkewFormFamily(3, 1, 3, F, support))
-    x, y = alg.var(3) * alg.var(3), alg.var(2) * alg.var(2)
-    _assert_same_product(x, y)
-    c = (x * y).terms[((0, 0, 0), diag(3, 3, [0, 1, 1]))]
-    assert (c.order, c) == (1, one())
+    support = [(diag(3, 3, [1, 0, 0]), form(-1)), (diag(3, 3, [2, 1, 1]), form(-1))]
+    printed = []
+    for items in (support, support[::-1]):
+        alg = DrinfeldAlgebra(SkewFormFamily(3, 1, 3, F, dict(items)))
+        x, y = alg.var(3) * alg.var(3), alg.var(2) * alg.var(2)
+        _assert_same_product(x, y)
+        c = (x * y).terms[((0, 0, 0), diag(3, 3, [0, 1, 1]))]
+        assert c == one() and c.to_json() == one().to_json() and c.to_json()["order"] == 1
+        printed.append(json.dumps((x * y).to_json()))
+    assert printed[0] == printed[1]
 
 
 @pytest.mark.parametrize("name", sorted(REWRITE_FAMILIES))
@@ -684,6 +689,29 @@ def test_counted_dims_match_the_assembled_bases(r, p, n, rep):
 
 
 BASIS_GOLDEN_CASES = {name: argv for name, argv in GOLDEN_CASES if "--basis" in argv}
+
+
+def _numbers(node):
+    """Every cyclotomic number {"order", "terms"} in a parsed JSON document."""
+    if isinstance(node, dict):
+        if node.keys() == {"order", "terms"}:
+            yield node
+        else:
+            for v in node.values():
+                yield from _numbers(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _numbers(v)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in GOLDEN_CASES])
+def test_goldens_print_every_number_in_its_least_field(name):
+    # the field the Galois-criterion oracle finds, with its coordinates
+    for num in _numbers(json.loads((GOLDEN / f"{name}.json").read_text())):
+        coeffs = [Fraction(0)] * euler_phi(num["order"])
+        for t in num["terms"]:
+            coeffs[t["exp"]] += Fraction(int(t["num"]), int(t["den"]))
+        assert FractionCyclo(num["order"], coeffs).to_json() == num, (name, num)
 
 
 @pytest.mark.parametrize("name", list(BASIS_GOLDEN_CASES))

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -358,7 +359,7 @@ def _cyclonums(draw):
 
 def _unit_form(k):
     """The cached word form of 1 at the key ((k,), 0)."""
-    return 1, 1, [((k,), 0, 1)]
+    return 1, [((k,), 0, 1)]
 
 
 # a step adds prod(factors) times the form of {k: c}, or, given a bare key,
@@ -373,7 +374,12 @@ _STEPS = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_STEPS)
 def test_integer_sum_matches_add_term(steps):
-    acc, ref = _Sum(), {}
+    # the sum is held in Q(zeta_K), K the lcm of every order in the steps,
+    # and each step's form in the lcm of its own entries' orders, as a word
+    # form is held in its algebra's field
+    K = lcm(1, *(c.order for step in steps if not isinstance(step, int)
+                 for c in [*step[0], *step[1].values()] if isinstance(c, CycloNum)))
+    acc, ref = _Sum(K), {}
     for step in steps:
         if isinstance(step, int):
             key = ((step,), 0)
@@ -383,7 +389,7 @@ def test_integer_sum_matches_add_term(steps):
                 add_term(ref, key, c)
             continue
         factors, entries = step
-        form = _Sum()
+        form = _Sum(lcm(*(c.order for c in entries.values())))
         for k, c in entries.items():
             form.add((c,), _unit_form(k), (0,))
         acc.add(tuple(factors), form.form(), (0,))
@@ -391,10 +397,10 @@ def test_integer_sum_matches_add_term(steps):
             for f in factors:
                 c = c * f
             add_term(ref, ((k,), 0), c)
-    got = {key: _lowest(o, v, acc.den) for key, o, v in acc.values()}
+    got = {key: _lowest(K, v, acc.den) for key, v in acc.values()}
     assert got.keys() == ref.keys()
     for key, c in ref.items():
-        assert (got[key].order, got[key].to_json()) == (c.order, c.to_json()), key
+        assert got[key] == c and got[key].to_json() == c.to_json(), key
 
 
 @pytest.mark.parametrize("make", [
