@@ -477,65 +477,53 @@ def forms_from_semiinvariants(entries, r: int, p: int, n: int, rep: RepKind) -> 
 # -- independent linear-system oracle ---------------------------------------------
 
 
-class PhaseClasses:
-    """Union-find over unknowns x_0 .. x_{size-1} tied by x_a = zeta_M^e x_b.
-
-    Each node keeps one phase exponent mod M against its parent.  An edge
-    that closes a cycle with a phase other than the path's gives
-    x = zeta_M^d x with d != 0, which forces the class to 0."""
-
-    def __init__(self, size: int, M: int):
-        self.M = M
-        self.parent = list(range(size))
-        self.phase = [0] * size  # x_a = zeta_M^phase[a] x_parent[a]
-        self.dead = [False] * size
-
-    def find(self, a: int) -> tuple[int, int]:
-        """(root, e) with x_a = zeta_M^e x_root; compresses the path."""
-        path = []
-        while self.parent[a] != a:
-            path.append(a)
-            a = self.parent[a]
-        e = 0
-        for b in reversed(path):
-            e = (e + self.phase[b]) % self.M
-            self.parent[b], self.phase[b] = a, e
-        return a, e
-
-    def union(self, a: int, b: int, e: int) -> None:
-        """Impose x_a = zeta_M^e x_b."""
-        (ra, ea), (rb, eb) = self.find(a), self.find(b)
-        d = (e + eb - ea) % self.M  # x_ra = zeta_M^d x_rb
-        if ra != rb:
-            self.parent[ra], self.phase[ra] = rb, d
-        self.dead[rb] = self.dead[rb] or self.dead[ra] or (ra == rb and d != 0)
-
-
 def _equivariance_classes(r: int, p: int, n: int, rep: RepKind, budget):
-    """(classes, var) for the unknowns x_{g,(i,j)} = a_g(v_{i+1}, v_{j+1}),
-    i < j, numbered by g's index in `elements` and the pair's in
-    `combinations`.  var(gi, i, j), i != j, is (node, e) with
-    a_g(v_{i+1}, v_{j+1}) = zeta_M^e x_node, M = lcm(2, r).  classes holds
-    every equivariance row: for each generator h of G,
-    x_{h^-1gh,(i,j)} = +-zeta_r^e x_{g,(pi i, pi j)}."""
+    """(root, phase, dead) for the unknowns x_u = a_g(v_{i+1}, v_{j+1}),
+    i < j, u = g's index in `elements` times C(n, 2) plus the pair's index
+    in `combinations`: x_u = zeta_M^phase[u] x_root[u], M = lcm(2, r), and
+    the orbit of root[u] is 0 iff root[u] is in dead.
+
+    Each generator h of G gives the equivariance rows
+    x_{h^-1gh,(i,j)} = +-zeta_r^(t_i + t_j) x_{g,(pi i, pi j)}, h.v_i =
+    zeta_r^t_i v_{pi i}, read off two tables: g -> index(h^-1gh), built on
+    (exps, perm) pairs by `group._conj`, and the pair (pi i, pi j), put in
+    order, -> (index of (i, j), phase), the phase holding the sign's M/2
+    when pi i > pi j.  Each row links two unknowns, so the rows tie them
+    into orbits, and one `group.walk` from each unknown not yet reached
+    carries the phases x = zeta_M^v x_start.  By the walk's argument a
+    clash is a word fixing x_start that moves its phase, x_start =
+    zeta_M^d x_start with d != 0, so the orbit is 0; with no clash every
+    row in the orbit holds."""
     G = elements(r, p, n, budget)
-    idx = {g: i for i, g in enumerate(G)}
-    pos = {pair: t for t, pair in enumerate(combinations(range(n), 2))}
-    M = lcm(2, r)
-
-    def var(gi, i, j):
-        return (gi * len(pos) + pos[i, j], 0) if i < j else (gi * len(pos) + pos[j, i], M // 2)
-
-    classes = PhaseClasses(len(G) * len(pos), M)
+    keys = [(g.exps, g.perm) for g in G]
+    index = {x: gi for gi, x in enumerate(keys)}
+    pairs = list(combinations(range(n), 2))
+    slot = {pair: s for s, pair in enumerate(pairs)}
+    C, M = len(pairs), lcm(2, r)
+    tables = []
     for h in generators(r, p, n):
         pi, t = monomial_action(h, rep)
-        h_inv = inverse(h)
-        for gi, g in enumerate(G):
-            g1 = idx[multiply(multiply(h_inv, g), h)]
-            for i, j in pos:
-                b, e = var(gi, pi[i] - 1, pi[j] - 1)
-                classes.union(var(g1, i, j)[0], b, e + (t[i] + t[j]) * M // r)
-    return classes, var
+        by = h.exps, h.perm, inverse(h).perm
+        pair = [None] * C
+        for s, (i, j) in enumerate(pairs):
+            a, b = pi[i] - 1, pi[j] - 1
+            pair[slot[min(a, b), max(a, b)]] = s, ((t[i] + t[j]) * M // r + (M // 2 if a > b else 0)) % M
+        tables.append(([index[_conj(r, *x, *by)] for x in keys], pair))
+
+    def move(u, v, table):
+        gi, s = divmod(u, C)
+        s, e = table[1][s]
+        return table[0][gi] * C + s, (v + e) % M
+
+    root, phase, dead = [None] * (len(G) * C), [0] * (len(G) * C), set()
+    for u in range(len(root)):
+        if root[u] is None:
+            values, clashes = walk(u, 0, tables, move)
+            for y, v in values.items():
+                root[y], phase[y] = u, v
+            if clashes:
+                dead.add(u)
+    return root, phase, dead
 
 
 def param_space_linear_oracle(
@@ -546,41 +534,48 @@ def param_space_linear_oracle(
     Reynolds route: no characters, semi-invariants or Hochschild data.
 
     Each equivariance row links exactly two unknowns, so those rows are
-    solved as orbits by `_equivariance_classes`.  The Jacobi rows are then
-    written over the live roots, with coefficients kept as integer counts
+    solved as orbits, walked by `_equivariance_classes` over conjugation
+    tables.  The Jacobi rows are then written over the live roots, read
+    off (root, phase) per unknown, with coefficients kept as integer counts
     of powers of zeta_M until exact repeats are removed, and reduced by
     `echelon_rows`.  The dimension is the number of live roots minus their
     rank."""
-    classes, var = _equivariance_classes(r, p, n, rep, budget)
-    M = classes.M
+    root, phase, dead = _equivariance_classes(r, p, n, rep, budget)
+    M = lcm(2, r)
     half = M // 2
+    slot = {pair: s for s, pair in enumerate(combinations(range(n), 2))}
+    C = len(slot)
+    # a_g(v_b, v_c) = zeta_M^e x_{g, slot}: e = half when b > c
+    cyclic = [
+        [(a, slot[min(b, c), max(b, c)], half if b > c else 0) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+        for i, j, k in combinations(range(n), 3)
+    ]
     jacobi = set()
     for gi, g in enumerate(elements(r, p, n, budget)):
         pi, t = monomial_action(g, rep)
-        for i, j, k in combinations(range(n), 3):
+        for triple in cyclic:
             # a(v_j,v_k)(v_i - g v_i) + cyclic, as {(coord, root, e): count}
             # over zeta_M^e, e < half, since zeta_M^(e + half) = -zeta_M^e
             counts: dict = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                node, e = var(gi, b, c)
-                root, f = classes.find(node)
-                if classes.dead[root]:
+            for a, s, e in triple:
+                u = gi * C + s
+                ru = root[u]
+                if ru in dead:
                     continue
-                e += f
+                e += phase[u]
                 for coord, f in ((a, e), (pi[a] - 1, e + t[a] * M // r + half)):
-                    key = (coord, root, f % half)
+                    key = (coord, ru, f % half)
                     counts[key] = counts.get(key, 0) + (1 if f % M < half else -1)
             by_coord: dict = {}
-            for (coord, root, f), c in counts.items():
+            for (coord, ru, f), c in counts.items():
                 if c:
-                    by_coord.setdefault(coord, []).append((root, f, c))
+                    by_coord.setdefault(coord, []).append((ru, f, c))
             jacobi.update(tuple(sorted(row)) for row in by_coord.values())
     powers = [root_of_unity(M, f) for f in range(half)]
     rows = []
     for terms in sorted(jacobi):
         row: dict = {}
-        for root, f, c in terms:
-            add_term(row, root, powers[f] * c)
+        for ru, f, c in terms:
+            add_term(row, ru, powers[f] * c)
         rows.append(row)
-    live = sum(a == b and not classes.dead[a] for a, b in enumerate(classes.parent))
-    return live - len(echelon_rows(rows))
+    return len(set(root)) - len(dead) - len(echelon_rows(rows))

@@ -2,22 +2,30 @@ import json
 import random
 from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 
 import heckeforge.group
+import heckeforge.hecke
+import heckeforge.hochschild
+import heckeforge.polyforms
 from heckeforge.cyclo import cyclo, one, zero
 from heckeforge.group import (
     RepKind,
     elements,
+    generators,
     identity,
     inverse,
+    monomial_action,
+    multiply,
     three_cycle,
     transposition,
+    walk,
     xi,
 )
 from heckeforge.hecke import (
-    PhaseClasses,
     SkewForm,
     SkewFormFamily,
     _equivariance_classes,
@@ -340,40 +348,86 @@ def test_linear_oracle_at_rank_one(r, p, rep):
     (3, 1, 4, P, 27),
     (2, 1, 4, F, 2),
     (2, 1, 5, P, 10),
+    (4, 1, 4, F, 0),
+    (3, 1, 4, F, 0),
 ])
 def test_linear_oracle_on_larger_groups(r, p, n, rep, dim):
+    # with G(2,1,4) among the small cases, every group gha-params runs gha-dim on
     assert param_space_linear_oracle(r, p, n, rep) == param_space(r, p, n, rep).total == dim
 
 
-def _live_roots(classes):
-    return [a for a, b in enumerate(classes.parent) if a == b and not classes.dead[a]]
+def test_linear_oracle_is_independent_of_the_reynolds_route(monkeypatch):
+    # no characters, semi-invariants or Hochschild data: with each of them
+    # refusing, the oracle still counts G(2,1,4)'s parameter spaces
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"took the Reynolds route {args}")
+
+    for module, name in [
+        (heckeforge.hecke, "param_space"),
+        (heckeforge.hecke, "hh2_total"),
+        (heckeforge.hochschild, "hh2_total"),
+        (heckeforge.hochschild, "CharacterTable"),
+        (heckeforge.polyforms, "semiinvariant_rows"),
+        (heckeforge.polyforms, "CharacterTable"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    heckeforge.hochschild._hochschild_character.cache_clear()
+    assert param_space_linear_oracle(2, 1, 4, P) == 7
+    assert param_space_linear_oracle(2, 1, 4, F) == 2
 
 
 def test_phase_classes_force_a_cycle_with_disagreeing_phases_to_zero():
-    # x_0 = zeta_6 x_1, x_1 = zeta_6^2 x_2, and x_2 = zeta_6^e x_0 closes the
-    # cycle: consistent only for e = 3
-    for e, live in ((3, [2, 3]), (1, [3])):
-        classes = PhaseClasses(4, 6)
-        classes.union(0, 1, 1)
-        classes.union(1, 2, 2)
-        classes.union(2, 0, e)
-        assert _live_roots(classes) == live, e
-        assert classes.find(0) == (2, 3)
-    # a self-loop with a nontrivial phase, then merged into a live class
-    classes = PhaseClasses(3, 2)
-    classes.union(0, 0, 0)
-    assert _live_roots(classes) == [0, 1, 2]
-    classes.union(0, 0, 1)
-    classes.union(1, 0, 1)
-    assert _live_roots(classes) == [2]
+    # the walk `_equivariance_classes` runs, where an edge a -> (b, e) means
+    # x_b = zeta_6^e x_a: x_0 = zeta_6 x_1, x_1 = zeta_6^2 x_2 and
+    # x_2 = zeta_6^e x_0 close a cycle, consistent only for e = 3
+    def move(a, v, edges):
+        b, e = edges[a]
+        return b, (v + e) % 6
+
+    for e in range(6):
+        values, clashes = walk(0, 0, [{0: (2, e), 2: (1, 2), 1: (0, 1), 3: (3, 0)}], move)
+        assert values == {0: 0, 2: e, 1: (e + 2) % 6}
+        assert clashes == ([] if e == 3 else [(0, (e + 3) % 6)])
+    # a self-loop with a nontrivial phase, x_3 = zeta_6 x_3, kills its orbit
+    assert walk(3, 0, [{3: (3, 0)}], move) == ({3: 0}, [])
+    assert walk(3, 0, [{3: (3, 0)}, {3: (3, 1)}], move) == ({3: 0}, [(3, 1)])
+
+
+@pytest.mark.parametrize("r,p,n,rep", [(3, 1, 3, P), (2, 1, 4, P), (2, 1, 4, F), (2, 2, 4, F), (4, 2, 3, F)])
+def test_equivariance_orbits_hold_every_row(r, p, n, rep):
+    # x_{h^-1gh,(i,j)} = +-zeta_r^(t_i + t_j) x_{g,(pi i, pi j)} for every
+    # generator h, read off GroupElement products: both sides lie in one
+    # orbit, and their phases agree unless the orbit is dead
+    root, phase, dead = _equivariance_classes(r, p, n, rep, None)
+    G = elements(r, p, n)
+    index = {g: gi for gi, g in enumerate(G)}
+    pairs = list(combinations(range(n), 2))
+    M = lcm(2, r)
+
+    def unknown(g, i, j):  # (u, e) with a_g(v_{i+1}, v_{j+1}) = zeta_M^e x_u
+        return index[g] * len(pairs) + pairs.index((min(i, j), max(i, j))), 0 if i < j else M // 2
+
+    live = 0
+    for h in generators(r, p, n):
+        pi, t = monomial_action(h, rep)
+        for g in G:
+            g1 = multiply(multiply(inverse(h), g), h)
+            for i, j in pairs:
+                (u, _), (w, e) = unknown(g1, i, j), unknown(g, pi[i] - 1, pi[j] - 1)
+                assert root[u] == root[w]
+                if root[u] not in dead:
+                    live += 1
+                    assert (phase[u] - phase[w] - e - (t[i] + t[j]) * M // r) % M == 0
+    assert live
 
 
 def test_equivariance_phases_kill_every_class_of_g313_faithful():
     # the same orbits under both actions; the faithful phases disagree on a
     # cycle in each of them, so the faithful parameter space is 0
-    faithful, _ = _equivariance_classes(3, 1, 3, F, None)
-    permutation, _ = _equivariance_classes(3, 1, 3, P, None)
-    assert sum(a == b for a, b in enumerate(faithful.parent)) == 39
-    assert _live_roots(faithful) == []
-    assert len(_live_roots(permutation)) == 21
+    root, _, dead = _equivariance_classes(3, 1, 3, F, None)
+    permutation, _, permutation_dead = _equivariance_classes(3, 1, 3, P, None)
+    assert root == permutation
+    assert len(set(root)) == 39
+    assert dead == set(root)
+    assert len(set(root) - permutation_dead) == 21
     assert param_space_linear_oracle(3, 1, 3, F) == param_space(3, 1, 3, F).total == 0
