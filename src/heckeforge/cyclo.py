@@ -4,17 +4,17 @@ A field element is stored as integer numerators on the power basis
 1, zeta, ..., zeta^(phi(r)-1) of Q[x]/Phi_r(x) over one positive common
 denominator, in lowest terms (Cohen, GTM 138, 4.2), so equality and zero
 testing are exact and cheap and arithmetic costs one gcd per operation.
-Mixed-order arithmetic embeds both operands into Q(zeta_lcm) before
-operating.  One substitution zeta -> zeta_m^s gives the embedding, complex
-conjugation and the other Galois automorphisms; the inverse is the
-product of the conjugates other than x itself, divided by the norm.
-`echelon_rows` is the one Gauss-Jordan reduction, of sparse rows and of
-`CycloMatrix` rows alike.  All values are immutable; every operation is a
-pure function.
-`add_term` and `SparseSum` are the one arithmetic of finite sums of
-terms, which polynomials, forms and normal-form elements share.
-`to_json` and `str` print a number in the least field Q(zeta_d), d dividing
-its order, that holds it, so what is printed depends on the value only.
+`power_sum` is the one rule from root-of-unity exponents to that basis:
+products, JSON input, the embedding and the Galois automorphisms (one
+substitution zeta -> zeta_m^s) use it, and so does the prime descent that
+prints a number in the least field Q(zeta_d), d | order, that holds it, so
+what is printed depends on the value only.  Mixed-order arithmetic embeds
+both operands into Q(zeta_lcm); the inverse is the product of the
+conjugates other than x, divided by the norm.  `echelon_rows` is the one
+Gauss-Jordan reduction, of sparse rows and of `CycloMatrix` rows alike.
+`add_term` and `SparseSum` are the one arithmetic of finite sums of terms,
+which polynomials, forms and normal-form elements share.  All values are
+immutable; every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def _rational(q) -> Fraction | int:
 
 
 def power_sum(exps, xs, m: int) -> tuple[int, ...]:
-    """The numerators of sum x zeta_m^e over e, x in zip(exps, xs), on the
-    power basis of Q(zeta_m)."""
+    """The coefficients of sum x zeta_m^e over e, x in zip(exps, xs), on the
+    power basis of Q(zeta_m): integers for integer xs."""
     table = _power_table(m)
     out = [0] * euler_phi(m)
     for e, x in zip(exps, xs):
@@ -196,15 +196,8 @@ class CycloNum:
                 for j, b in enumerate(y.nums):
                     if b:
                         conv[i + j] += a * b
-        table = _power_table(x.order)
-        out = conv[:phi]
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                for t, rv in enumerate(table[k]):
-                    if rv:
-                        out[t] += c * rv
-        return _lowest(x.order, out, x.den * y.den)
+        high = power_sum(range(phi, 2 * phi - 1), conv[phi:], x.order)
+        return _lowest(x.order, [a + b for a, b in zip(conv, high)], x.den * y.den)
 
     __rmul__ = __mul__
 
@@ -245,35 +238,40 @@ class CycloNum:
     def __repr__(self):
         return f"CycloNum({self!s})"
 
-    def _least(self) -> tuple[int, list]:
-        """(d, Fraction coefficients on the power basis of Q(zeta_d)) for the
-        least d dividing the order whose field holds self: Gauss-Jordan on
-        that basis's image zeta_m^(k m/d), k < phi(d), in Q(zeta_m)."""
-        m = self.order
-        for d in (d for d in range(1, m) if m % d == 0):
-            # sigma_s, s = 1 mod d, fixes Q(zeta_d): one that moves self rules d out without a solve
-            s = next(s for s in range(d + 1, m + 2, d) if gcd(s, m) == 1)
-            if self._substitute(m, s).nums != self.nums:
-                continue
-            phi = euler_phi(d)
-            rows = [[Fraction(_power_table(m)[k * m // d][i]) for k in range(phi)] + [Fraction(a, self.den)]
-                    for i, a in enumerate(self.nums)]
-            for k in range(phi):  # the image of a basis is independent: column k has a pivot
-                rows[k:] = sorted(rows[k:], key=lambda row: not row[k])
-                piv = [a / rows[k][k] for a in rows[k]]
-                rows = [piv if i == k else [a - row[k] * b for a, b in zip(row, piv)] if row[k] else row
-                        for i, row in enumerate(rows)]
-            if not any(row[-1] for row in rows[phi:]):
-                return d, [row[-1] for row in rows[:phi]]
-        return m, list(self.coeffs)
+    def _least(self) -> "CycloNum":
+        """self in the least Q(zeta_d), d | order, that holds it, by descent
+        over the primes p of the order m, q = m/p: self = sum_{i<p} w^i y_i,
+        y_i in Q(zeta_q), with w = zeta_m, zeta_m^k = w^(k mod p) zeta_q^(k div p)
+        if p | q, else w = zeta_p, zeta_m^k = zeta_p^(ka) zeta_q^(kb), aq + bp = 1.
+        The w^i are a basis over Q(zeta_q), except that for p not dividing q
+        zeta_p^(p-1) is minus the sum of the others.  So self is in Q(zeta_q)
+        iff every y_i, i > 0, equals y_{p-1} (0 if p | q), and is y_0 - y_{p-1}.
+        The fields holding self are closed under gcd (Washington, GTM 83, ch. 2),
+        so a failed prime stays failed and the descent ends at the least field."""
+        m, nums = self.order, self.nums
+        for p in range(2, m + 1):
+            while m % p == 0 and all(p % f for f in range(2, p)):
+                q = m // p
+                a = pow(q, -1, p) if q % p else 0
+                parts = [([], []) for _ in range(p)]
+                for k, c in enumerate(nums):
+                    i, e = (k * a % p, k * (1 - a * q) // p) if a else (k % p, k // p)
+                    parts[i][0].append(e)
+                    parts[i][1].append(c)
+                ys = [power_sum(es, cs, q) for es, cs in parts]
+                last = ys[-1] if a else (0,) * euler_phi(q)
+                if any(y != last for y in ys[1:]):
+                    break
+                m, nums = q, [y - z for y, z in zip(ys[0], last)]
+        return _lowest(m, nums, self.den)
 
     def __str__(self):
         if self.is_zero():
             return "0"
-        order, coeffs = self._least()
+        x = self._least()
         bits = []
-        for k, c in enumerate(coeffs):
-            z = f"z{order}" + (f"^{k}" if k > 1 else "")
+        for k, c in enumerate(x.coeffs):
+            z = f"z{x.order}" + (f"^{k}" if k > 1 else "")
             if c:
                 bits.append(str(c) if k == 0 else z if c == 1 else f"-{z}" if c == -1 else f"{c}*{z}")
         return bits[0] + "".join(f" - {b[1:]}" if b.startswith("-") else f" + {b}" for b in bits[1:])
@@ -283,22 +281,19 @@ class CycloNum:
     def to_json(self) -> dict:
         """Each nonzero coefficient as its own reduced num/den, in the least
         field that holds the number (`_least`)."""
-        order, coeffs = self._least()
-        terms = [{"exp": k, "num": str(c.numerator), "den": str(c.denominator)} for k, c in enumerate(coeffs) if c]
-        return {"order": order, "terms": terms}
+        x = self._least()
+        terms = [{"exp": k, "num": str(c.numerator), "den": str(c.denominator)} for k, c in enumerate(x.coeffs) if c]
+        return {"order": x.order, "terms": terms}
 
     @staticmethod
     def from_json(data: dict) -> "CycloNum":
         r = json_int(data["order"])
         if r < 1:
             raise ValueError(f"a cyclotomic order must be positive, got {r}")
-        out = zero(r)
-        for t in data["terms"]:
-            if not json_int(t["den"]):
-                raise ValueError("a coefficient has a zero denominator")
-            c = Fraction(json_int(t["num"]), json_int(t["den"]))
-            out = out + root_of_unity(r, json_int(t["exp"])) * c
-        return out
+        if not all(json_int(t["den"]) for t in data["terms"]):
+            raise ValueError("a coefficient has a zero denominator")
+        cs = [Fraction(json_int(t["num"]), json_int(t["den"])) for t in data["terms"]]
+        return CycloNum(r, power_sum([json_int(t["exp"]) for t in data["terms"]], cs, r))
 
 
 def json_int(value) -> int:

@@ -324,10 +324,18 @@ def check_group(r: int, p: int, n: int) -> None:
 
 
 def check_budget(r: int, p: int, n: int, budget: int | None = DEFAULT_BUDGET):
-    if budget is not None and group_order(r, p, n) > budget:
-        raise BudgetExceededError(
-            f"|G({r},{p},{n})| = {group_order(r, p, n)} exceeds the budget {budget}"
-        )
+    """BudgetExceededError if |G(r,p,n)| > budget: r^k k! grows to k = n or past budget*p."""
+    if budget is None:
+        return
+    if r % p:
+        raise ValueError("p must divide r")
+    size, k = 1, 0
+    while k < n and size <= budget * p:
+        k += 1
+        size *= r * k
+    if size > budget * p:
+        order = f" = {size // p}" if k == n else ""
+        raise BudgetExceededError(f"|G({r},{p},{n})|{order} exceeds the budget {budget}")
 
 
 @lru_cache(maxsize=None)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
 from math import lcm
 
 from .cyclo import (
-    MAX_N, CycloNum, add_term, check_order, cyclo, echelon_rows, json_int, one, root_of_unity, twist, zero
+    MAX_N, CycloNum, check_order, cyclo, echelon_rows, json_int, one, power_sum, twist, zero
 )
 from .group import (
     DEFAULT_BUDGET,
@@ -537,9 +537,14 @@ def param_space_linear_oracle(
     solved as orbits, walked by `_equivariance_classes` over conjugation
     tables.  The Jacobi rows are then written over the live roots, read
     off (root, phase) per unknown, with coefficients kept as integer counts
-    of powers of zeta_M until exact repeats are removed, and reduced by
-    `echelon_rows`.  The dimension is the number of live roots minus their
-    rank."""
+    of powers of zeta_M until exact repeats are removed, summed by
+    `power_sum` and reduced by `echelon_rows`.  The dimension is the number
+    of live roots minus their rank.
+
+    Rows are written only for the elements that hold a live root: under
+    equivariance the rows of h^-1 g h are those of g with coordinates moved
+    by h, so any one element of a class spans its rows.  A class with a
+    live unknown holds its orbit's root; in one with none, the rows vanish."""
     root, phase, dead = _equivariance_classes(r, p, n, rep, budget)
     M = lcm(2, r)
     half = M // 2
@@ -550,32 +555,29 @@ def param_space_linear_oracle(
         [(a, slot[min(b, c), max(b, c)], half if b > c else 0) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
         for i, j, k in combinations(range(n), 3)
     ]
-    jacobi = set()
-    for gi, g in enumerate(elements(r, p, n, budget)):
-        pi, t = monomial_action(g, rep)
+    G, live, jacobi = elements(r, p, n, budget), set(root) - dead, set()
+    for gi in {u // C for u in live}:
+        pi, t = monomial_action(G[gi], rep)
         for triple in cyclic:
             # a(v_j,v_k)(v_i - g v_i) + cyclic, as {(coord, root, e): count}
             # over zeta_M^e, e < half, since zeta_M^(e + half) = -zeta_M^e
             counts: dict = {}
             for a, s, e in triple:
                 u = gi * C + s
-                ru = root[u]
-                if ru in dead:
+                if root[u] in dead:
                     continue
                 e += phase[u]
                 for coord, f in ((a, e), (pi[a] - 1, e + t[a] * M // r + half)):
-                    key = (coord, ru, f % half)
+                    key = (coord, root[u], f % half)
                     counts[key] = counts.get(key, 0) + (1 if f % M < half else -1)
             by_coord: dict = {}
             for (coord, ru, f), c in counts.items():
                 if c:
                     by_coord.setdefault(coord, []).append((ru, f, c))
             jacobi.update(tuple(sorted(row)) for row in by_coord.values())
-    powers = [root_of_unity(M, f) for f in range(half)]
-    rows = []
-    for terms in sorted(jacobi):
-        row: dict = {}
-        for ru, f, c in terms:
-            add_term(row, ru, powers[f] * c)
-        rows.append(row)
-    return len(set(root)) - len(dead) - len(echelon_rows(rows))
+    rows = [{} for _ in jacobi]
+    for row, terms in zip(rows, sorted(jacobi)):
+        for ru, same in groupby(terms, lambda term: term[0]):
+            _, fs, cs = zip(*same)
+            row[ru] = CycloNum(M, power_sum(fs, cs, M), 1)
+    return len(live) - len(echelon_rows(rows))

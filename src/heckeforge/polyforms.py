@@ -28,7 +28,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import lcm, prod
 from operator import mul
 
-from .cyclo import CycloMatrix, CycloNum, SparseSum, add_term, cyclo, one, root_of_unity, twist, zero
+from .cyclo import CycloMatrix, CycloNum, SparseSum, add_term, cyclo, one, power_sum, root_of_unity, twist, zero
 from .group import (
     GroupElement, RepKind, _element, _mul, monomial_action, monomial_image, perm_sign, walk
 )
@@ -581,12 +581,12 @@ def _assemble_polyform(row, basis, n, r, F, vectors):
     vectors substituted and their duals (`_duals`) expanded.
 
     Every coefficient is carried as an integer phase mod F with a rational
-    weight, and becomes a cyclotomic number once per ambient term.  A
-    product of the vectors has the phase sum e_i t_i on its ambient term
-    v^e, since each coordinate lies in one support.  The duals' supports are
-    disjoint too, so a wedge of them is the sum, over one coordinate taken
-    from each support, of the product of the entries times the sign that
-    sorts the coordinates."""
+    weight, and becomes a cyclotomic number once per ambient term, through
+    `power_sum`.  A product of the vectors has the phase sum e_i t_i on its
+    ambient term v^e, since each coordinate lies in one support.  The duals'
+    supports are disjoint too, so a wedge of them is the sum, over one
+    coordinate taken from each support, of the product of the entries times
+    the sign that sorts the coordinates."""
     step = F // r
     phase_at = {i: t for v in vectors for i, t in v}
     duals = _duals(vectors)
@@ -614,12 +614,7 @@ def _assemble_polyform(row, basis, n, r, F, vectors):
                 slot = terms.setdefault(e, {})
                 x = (a + step * ph) % F
                 slot[x] = slot.get(x, 0) + c * weight
-    zeta = [root_of_unity(F, x) for x in range(F)]
-
-    def value(slot):
-        parts = [zeta[x] if w == 1 else zeta[x] * w for x, w in slot.items() if w]
-        return sum(parts[1:], parts[0]) if parts else zero(F)
-
     return PolyForm(n, {
-        T: Polynomial(n, {e: value(slot) for e, slot in terms.items()}) for T, terms in acc.items()
+        T: Polynomial(n, {e: CycloNum(F, power_sum(slot, slot.values(), F)) for e, slot in terms.items()})
+        for T, terms in acc.items()
     })

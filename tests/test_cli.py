@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -253,6 +254,35 @@ def test_nc_normal_form_accepts_the_orders_of_lcm_2_r(capsys):
     for token in ("z3^1", "z6^1", "z2^1", "z1^0"):
         code, out, _ = run(capsys, "--format", "json", "nc-normal-form", "--r", "3", "--n", "3", token, "v1")
         assert code == 0 and json.loads(out)["terms"], token
+
+
+def test_nc_normal_form_prints_a_subfield_number_in_its_least_field(capsys):
+    # zeta_1001^7 zeta_143 = zeta_143^2 lies in Q(zeta_143), a field of
+    # degree 120 inside one of degree 720
+    argv = ["nc-normal-form", "--algebra", "hstar", "--r", "1001", "--n", "1", "z1001^7", "z143^1"]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "(z143^2)\n"
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert json.loads(out)["terms"][0]["coeff"] == {"order": 143, "terms": [{"exp": 2, "num": "1", "den": "1"}]}
+    assert time.perf_counter() - start < 1.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "--r", "2"],
+    ["hh", "--r", "2", "--rep", "faithful"],
+    ["gha-dim", "--r", "2", "--rep", "permutation"],
+    ["gha-build", "--preset", "a_r1n", "--r", "2"],
+    ["nc-verify", "--preset", "hstar-iso", "--r", "2"],
+    ["nc-normal-form", "--algebra", "hstar", "--r", "2", "v1"],
+], ids=lambda argv: argv[0])
+def test_a_huge_n_is_refused_at_once(capsys, argv):
+    # |G(2,1,10^6)| has millions of digits; the budget check stops its product early
+    start = time.perf_counter()
+    code, err = _exit_code(capsys, *argv, "--n", "1000000")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and err == "error: |G(2,1,1000000)| exceeds the budget 1000000\n"
 
 
 def test_nc_normal_form_bad_token(capsys):

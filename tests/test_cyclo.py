@@ -229,6 +229,29 @@ def test_the_printed_field_depends_on_the_value_only(nums):
     assert sums[0].to_json() == ref.to_json()
 
 
+@pytest.mark.parametrize("m", range(1, 41))
+def test_least_field_descent_matches_the_galois_oracle(m):
+    # one number of every subfield Q(zeta_d), d | m, stored in Q(zeta_m)
+    rng = random.Random(m)
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        cs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(euler_phi(d))]
+        cs[-1] = cs[-1] or Fraction(1)
+        x = CycloNum(d, cs).embed(m)
+        got, want = x._least(), FractionCyclo(m, x.coeffs).least()
+        assert (got.order, got.coeffs) == (want.order, want.coeffs), (m, d)
+        assert got.den > 0 and gcd(got.den, *got.nums) == 1
+
+
+@pytest.mark.parametrize("m", [512, 720, 1001, 1024])
+def test_a_root_of_unity_prints_at_its_own_order_in_a_large_field(m):
+    # Q(zeta_d) = Q(zeta_(d/2)) when d = 2 mod 4, so zeta_d prints at d/2 there
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        x = root_of_unity(d).embed(m)
+        printed = x.to_json()
+        assert printed["order"] == (d // 2 if d % 4 == 2 else d), (m, d)
+        assert CycloNum.from_json(printed) == x
+
+
 def test_sums_cancel_and_reduce_to_lowest_terms():
     s = cyclo(Fraction(1, 3)) + cyclo(Fraction(2, 3))
     assert s == 1 and (s.nums, s.den) == ((1,), 1)
