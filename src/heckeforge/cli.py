@@ -75,7 +75,7 @@ def cmd_classes(args) -> int:
             {
                 "rep": cls.rep.to_json(),
                 "size": cls.size,
-                "cycle_type": [[a, k, m] for a, k, m in group.cycle_type(cls.rep).pairs],
+                "cycle_type": [[a, k, m] for a, k, m in group.cycle_type(cls.rep)],
                 "centralizer_formula": group.centralizer_order_formula(cls.rep),
                 "centralizer_order": order // cls.size,
             }
@@ -390,10 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=int, required=True)
         p.add_argument("--p", type=int, default=1)
         p.add_argument("--n", type=int, required=True)
-        if rep_required:
-            p.add_argument("--rep", choices=["faithful", "permutation"], required=True)
-        else:
-            p.add_argument("--rep", choices=["faithful", "permutation"], default="faithful")
+        p.add_argument("--rep", choices=["faithful", "permutation"], required=rep_required, default="faithful")
 
     p = sub.add_parser("classes", parents=[shared], help="conjugacy class table")
     common(p)

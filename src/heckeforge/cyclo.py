@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm, prod
 
 Rational = Fraction
@@ -33,22 +34,24 @@ def euler_phi(r: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_r, low degree first; computed as
-    (x^r - 1) / prod of Phi_d over proper divisors d of r, each division
-    exact over Z because every Phi_d is monic."""
+    """Integer coefficients of Phi_r, low degree first: the product of the
+    (x^d - 1)^mu(r/d) over the d | r with r/d squarefree, one pass each.
+    The factors with mu = 1 come first, so each division is exact over Z."""
     if r < 1:
         raise ValueError("r must be positive")
-    num = [-1] + [0] * (r - 1) + [1]
-    for d in range(1, r):
-        if r % d == 0:
-            den = cyclotomic_polynomial(d)
-            dd = len(den) - 1
-            for k in range(len(num) - 1, dd - 1, -1):  # num[k] becomes quotient coefficient k - dd
-                for i, dc in enumerate(den[:-1]):
-                    num[k - dd + i] -= num[k] * dc
-            if any(num[:dd]):
-                raise ArithmeticError("cyclotomic division left a remainder")
-            num = num[dd:]
+    primes = [q for q in range(2, r + 1) if r % q == 0 and all(q % f for f in range(2, q))]
+    squarefree = [s for c in range(len(primes) + 1) for s in combinations(primes, c)]
+    num = [1]
+    for sub in sorted(squarefree, key=lambda s: len(s) % 2):
+        d = r // prod(sub)
+        if len(sub) % 2 == 0:  # times x^d - 1, from the top
+            num += [0] * d
+            for i in reversed(range(len(num))):
+                num[i] = (num[i - d] if i >= d else 0) - num[i]
+        else:  # divided by x^d - 1, from the bottom: num_i = q_{i-d} - q_i
+            for i in range(len(num) - d):
+                num[i] = (num[i - d] if i >= d else 0) - num[i]
+            del num[-d:]
     return tuple(num)
 
 

@@ -4,9 +4,10 @@ An element xi_1^{a_1}...xi_n^{a_n} sigma is stored as the exponent vector
 (a_1..a_n) over Z/r together with the permutation sigma (image list,
 1-based).  Its matrix has entry zeta^{a_{sigma(i)}} in row sigma(i),
 column i.  Conjugacy in G(r,1,n) is decided by (a,k)-cycle type, so its
-classes are built from the coloured cycle types, with no listing of the
-group; a class of G(r,1,n) that splits in G(r,p,n) is grown once, and cut
-into its pieces by a label its walk carries.  Centralizers are held on
+classes are its coloured cycle types, each least member built directly,
+with no listing of the group, and the number of G(r,p,n)-classes a class
+splits into is read off its type.  A class that splits is grown once, and
+cut into its pieces by a label its walk carries.  Centralizers are held on
 generators read off cycles, with their orders from the cycle type, as is
 the pointwise stabilizer of V^g.  Every walk from generators, but the hot
 loop of `polyforms._phase_rows`, is the one `walk` and rests on its argument.
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 
 from .cyclo import CycloNum, json_int, root_of_unity
 
@@ -286,26 +287,14 @@ def det(g: GroupElement, rep: RepKind) -> CycloNum:
 # -- cycle types, conjugacy -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """Multiset of (a,k)-cycles, stored as a sorted tuple of (a, k, multiplicity)."""
-
-    pairs: tuple[tuple[int, int, int], ...]
-
-    def __repr__(self):
-        return "{" + ", ".join(f"({a},{k}):{m}" for a, k, m in self.pairs) + "}"
-
-
-def cycle_type(g: GroupElement) -> CycleType:
-    return CycleType(tuple(sorted((a, k, len(same)) for (a, k), same in _cycles_by_type(g).items())))
+def cycle_type(g: GroupElement) -> tuple[tuple[int, int, int], ...]:
+    """The multiset of g's (a,k)-cycles, as a sorted tuple of (a, k, multiplicity)."""
+    return tuple(sorted((a, k, len(same)) for (a, k), same in _cycles_by_type(g).items()))
 
 
 def centralizer_order_formula(g: GroupElement) -> int:
     """|Z_{G(r,1,n)}(g)| = prod m_{a,k}! k^m r^m over the cycle type."""
-    out = 1
-    for _, k, m in cycle_type(g).pairs:
-        out *= math.factorial(m) * (k**m) * (g.r**m)
-    return out
+    return math.prod(math.factorial(m) * (k * g.r) ** m for _, k, m in cycle_type(g))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -340,14 +329,10 @@ def check_budget(r: int, p: int, n: int, budget: int | None = DEFAULT_BUDGET):
 
 @lru_cache(maxsize=None)
 def _elements(r: int, p: int, n: int) -> tuple[GroupElement, ...]:
-    out = []
-    for exps in product(range(r), repeat=n):
-        if sum(exps) % p:
-            continue
-        for perm in permutations(range(1, n + 1)):
-            out.append(_element(r, n, exps, perm))
-    out.sort(key=GroupElement.sort_key)
-    return tuple(out)
+    """G(r,p,n) in (exps, perm) order, in which `product` and `permutations` list."""
+    diagonals = [exps for exps in product(range(r), repeat=n) if sum(exps) % p == 0]
+    perms = list(permutations(range(1, n + 1)))
+    return tuple(_element(r, n, exps, perm) for exps in diagonals for perm in perms)
 
 
 def elements(r: int, p: int, n: int, budget: int | None = DEFAULT_BUDGET):
@@ -372,32 +357,49 @@ class ConjClass:
     size: int
 
 
-def _full_group_reps(r: int, n: int) -> list[GroupElement]:
-    """The least member of each class of G(r,1,n), unsorted.  A class is a
-    multiset of (colour, length) cycles.  Each of its c cycles of nonzero
-    colour needs a nonzero exponent, so its least exponent vector is
-    (0, ..., 0, a_1, ..., a_c), the nonzero colours ascending, one on each
-    of those cycles, and its least permutation is the first, in
-    lexicographic order, whose cycles take these colours."""
-    reps = []
-    for c in range(n + 1):
-        for colours in combinations_with_replacement(range(1, r), c):
-            exps = (0,) * (n - c) + colours
-            found = set()
-            for perm in permutations(range(1, n + 1)):
-                cycles = perm_cycles(perm)
-                kind = tuple(sorted((sum(exps[i - 1] for i in cyc) % r, len(cyc)) for cyc in cycles))
-                if kind not in found and tuple(a for a, _ in kind if a) == colours:
-                    found.add(kind)
-                    reps.append(_element(r, n, exps, perm))
-    return reps
+def _cycle_types(r: int, n: int, least=(0, 1)):
+    """Every (a,k)-cycle type of total length n with no (a,k) below least,
+    as `cycle_type` gives it: for least = (0, 1), the r-coloured
+    multipartitions of n (I. G. Macdonald, Symmetric Functions and Hall
+    Polynomials, 2nd ed., App. B)."""
+    if not n:
+        yield ()
+    for a, k in product(range(r), range(1, n + 1)):
+        for m in range(1, n // k + 1) if (a, k) >= least else ():
+            for rest in _cycle_types(r, n - k * m, (a, k + 1)):
+                yield ((a, k, m),) + rest
+
+
+def _least_member(r: int, n: int, ctype) -> GroupElement:
+    """The least member, in (exps, perm) order, of the class of G(r,1,n) of
+    cycle type ctype.  Each of its c coloured cycles needs a nonzero exponent:
+    its exponents are n - c zeros, then those colours ascending.  Its cycles
+    take consecutive points: the colour-0 cycles, shortest first, then the
+    coloured ones of length k > 1, longest first, ties by ascending colour,
+    each the next k - 1 points and the first unused point of its colour;
+    the coloured points left over are fixed."""
+    colours = [a for a, _, m in ctype if a for _ in range(m)]
+    exps = (0,) * (n - len(colours)) + tuple(colours)
+    unused = {a: i for i, a in reversed(list(enumerate(exps, 1)))}  # first point of each colour
+    cycles, at = [], 1
+    for a, k, m in ctype:  # sorted, so the colour-0 cycles come shortest first
+        for _ in range(m if a == 0 else 0):
+            cycles.append(list(range(at, at + k)))
+            at += k
+    for a, k, m in sorted(ctype, key=lambda t: (-t[1], t[0])):
+        for _ in range(m if a and k > 1 else 0):
+            cycles.append(list(range(at, at + k - 1)) + [unused[a]])
+            at += k - 1
+            unused[a] += 1
+    return from_cycles(r, n, cycles, exps)
 
 
 @lru_cache(maxsize=None)
 def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
-    # The classes of G(r,1,n) come from their coloured cycle types, of size
-    # |G(r,1,n)| / |Z(g)|.  The class of g lies in G(r,p,n) iff its colours
-    # sum to 0 mod p, and splits there into s = `_split_count` classes.
+    # The classes of G(r,1,n) are its coloured cycle types, each built as its
+    # `_least_member` g, of size |G(r,1,n)| / |Z(g)|.  The class of g lies in
+    # G(r,p,n) iff its colours sum to 0 mod p, and splits there into
+    # s = `_split_count` classes.
     # Only a class that splits is listed: a `walk` under conjugation by the
     # generators of G(r,1,n) labels each h^-1 g h with sum(h.exps) mod s.
     # Z_{G(r,1,n)}(g) sums onto sZ/p, so a clash is an error, and the
@@ -405,7 +407,8 @@ def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
     order = r**n * math.factorial(n)
     by = [((t.exps, t.perm, inverse(t).perm), sum(t.exps)) for t in generators(r, 1, n)]
     classes = []
-    for g in _full_group_reps(r, n):
+    for ctype in _cycle_types(r, n):
+        g = _least_member(r, n, ctype)
         if sum(g.exps) % p:
             continue
         size = order // centralizer_order_formula(g)
@@ -492,9 +495,10 @@ def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
 
 
 def _split_count(g: GroupElement, p: int) -> int:
-    """The number of G(r,p,n)-classes in g's G(r,1,n)-class: the index in Z/p
-    of the image of Z_{G(r,1,n)}(g) under h -> sum(h.exps), which its generators span."""
-    return math.gcd(p, *(sum(h.exps) for h in centralizer_generators(g, 1)))
+    """The number of G(r,p,n)-classes in g's G(r,1,n)-class: the index in Z/p of
+    the image of Z_{G(r,1,n)}(g) under h -> sum(h.exps), spanned by the sums of
+    `centralizer_generators`: each cycle's length and colour, and 0 per swap."""
+    return math.gcd(p, *(x for a, k, _ in cycle_type(g) for x in (a, k)))
 
 
 def centralizer_order(g: GroupElement, p: int) -> int:

@@ -247,11 +247,7 @@ def param_space(
 
 def three_cycle_classes(r: int, n: int, budget: int | None = DEFAULT_BUDGET):
     """Conjugacy classes of G(r,1,n) of diagonal-times-3-cycle form."""
-    out = []
-    for cls in conjugacy_classes(r, 1, n, budget):
-        if is_three_cycle(cls.rep.perm):
-            out.append(cls)
-    return out
+    return [cls for cls in conjugacy_classes(r, 1, n, budget) if is_three_cycle(cls.rep.perm)]
 
 
 def _codim2_form(g: GroupElement, rep: RepKind, c: CycloNum) -> SkewForm:

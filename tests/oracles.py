@@ -47,6 +47,9 @@ paths in the library, and a faithful family shared by the tests:
 - `classes_by_search`: the conjugacy classes of G(r,p,n) found by walking
   the group in sorted order and growing the class of each first unseen
   element breadth first under conjugation by generators;
+- `least_members_by_scan`: the least member of each class of G(r,1,n),
+  found by scanning all n! permutations for each multiset of colours, as
+  `group` found them before it built them from the coloured cycle types;
 - `listed_hochschild_character`: the Hochschild character listed as
   plain data, `solved_centralizer` and det(h|V) / det(h|V^g) as an
   exponent computed on each of its elements, and
@@ -63,7 +66,7 @@ paths in the library, and a faithful family shared by the tests:
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd, lcm
 
 from heckeforge.cyclo import CycloMatrix, add_term, cyclo, echelon_rows, one, root_of_unity, zero
@@ -542,6 +545,27 @@ def classes_by_search(r, p, n):
                     orbit.append(y)
         classes.append(ConjClass(rep=GroupElement(r, n, *key), size=len(orbit)))
     return classes
+
+
+def least_members_by_scan(r: int, n: int) -> list[GroupElement]:
+    """The least member of each class of G(r,1,n), unsorted.  A class is a
+    multiset of (colour, length) cycles.  Each of its c cycles of nonzero
+    colour needs a nonzero exponent, so its least exponent vector is
+    (0, ..., 0, a_1, ..., a_c), the nonzero colours ascending, one on each
+    of those cycles, and its least permutation is the first, in
+    lexicographic order, whose cycles take these colours."""
+    reps = []
+    for c in range(n + 1):
+        for colours in combinations_with_replacement(range(1, r), c):
+            exps = (0,) * (n - c) + colours
+            found = set()
+            for perm in permutations(range(1, n + 1)):
+                cycles = perm_cycles(perm)
+                kind = tuple(sorted((sum(exps[i - 1] for i in cyc) % r, len(cyc)) for cyc in cycles))
+                if kind not in found and tuple(a for a, _ in kind if a) == colours:
+                    found.add(kind)
+                    reps.append(_element(r, n, exps, perm))
+    return reps
 
 
 def solved_centralizer(g, p) -> tuple:

@@ -269,6 +269,16 @@ def test_nc_normal_form_prints_a_subfield_number_in_its_least_field(capsys):
     assert time.perf_counter() - start < 1.5
 
 
+def test_classes_of_g_2_1_9_are_built_at_once(capsys):
+    # |G(2,1,9)| = 185,794,560: the classes come from the coloured cycle
+    # types, with no scan of the 9! permutations
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--format", "json", "classes", "--r", "2", "--p", "1", "--n", "9", "--budget", "1000000000")
+    assert time.perf_counter() - start < 2
+    data = json.loads(out)
+    assert code == 0 and data["class_count"] == len(data["classes"]) == 300
+
+
 @pytest.mark.parametrize("argv", [
     ["classes", "--r", "2"],
     ["hh", "--r", "2", "--rep", "faithful"],

@@ -29,7 +29,7 @@ from heckeforge.cyclo import (
 )
 from heckeforge.ncalg import NCElement
 from heckeforge.polyforms import PolyForm, Polynomial
-from oracles import FractionCyclo
+from oracles import FractionCyclo, fraction_cyclotomic_polynomial
 
 
 def test_cyclotomic_poly_small():
@@ -44,6 +44,13 @@ def test_cyclotomic_poly_matches_sympy(r):
     ours = [int(c) for c in cyclotomic_polynomial(r)]
     theirs = list(reversed(Poly(cyclotomic_poly(r, sym_x)).all_coeffs()))
     assert ours == [int(c) for c in theirs]
+
+
+def test_cyclotomic_poly_matches_the_division_oracle():
+    # the product over squarefree r/d against long division of x^r - 1 by
+    # every Phi_d, d a proper divisor, in Fractions
+    for r in [*range(1, 301), 1001, 1024]:
+        assert cyclotomic_polynomial(r) == fraction_cyclotomic_polynomial(r), r
 
 
 @pytest.mark.parametrize("r", range(1, 31))

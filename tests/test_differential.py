@@ -41,6 +41,11 @@ in `oracles`:
 - the conjugacy classes built from coloured cycle types against the
   classes grown breadth first over the whole group, representative, size
   and order, on every G(r,p,n) with r <= 12 and |G| <= 50,000;
+- the least member built from each coloured cycle type against the scan
+  of all n! permutations per colour multiset, on every G(r,1,n) with
+  n <= 7, r <= 12 and |G| <= 10^7, and the split count read off the type
+  against the exponent sums of the centralizer's generators, on every
+  class of every G(r,1,n) with |G| <= 10^5 and every p dividing r;
 - the Hochschild character held on generators against the table computed
   on every element of the solved centralizer, on every class of the
   groups `test_character_matches_dense_restriction` reads;
@@ -78,6 +83,10 @@ from heckeforge.cyclo import CycloMatrix, cyclo, euler_phi, one, root_of_unity, 
 from heckeforge.group import (
     GroupElement,
     RepKind,
+    _cycle_types,
+    _least_member,
+    _split_count,
+    centralizer_generators,
     closure,
     conjugacy_classes,
     cycle_type,
@@ -133,6 +142,7 @@ from oracles import (
     extend_by_listing,
     faithful_family_2_1_4,
     hstar_reference_multiply,
+    least_members_by_scan,
     listed_hochschild_character,
     param_space_by_reynolds,
     param_space_dense_oracle,
@@ -629,6 +639,27 @@ def _class_groups():
 def test_classes_from_cycle_types_match_the_search(r, p, n):
     built = [(c.rep.exps, c.rep.perm, c.size) for c in conjugacy_classes(r, p, n)]
     assert built == [(c.rep.exps, c.rep.perm, c.size) for c in classes_by_search(r, p, n)]
+
+
+def _full_groups(max_order):
+    return [(r, n) for n in range(1, 8) for r in range(1, 13) if group_order(r, 1, n) <= max_order]
+
+
+@pytest.mark.parametrize("r,n", _full_groups(10**7))
+def test_least_members_match_the_scan(r, n):
+    types = list(_cycle_types(r, n))
+    built = [_least_member(r, n, ctype) for ctype in types]
+    assert [cycle_type(g) for g in built] == types
+    assert len(set(types)) == len(types)
+    assert set(built) == set(least_members_by_scan(r, n))
+
+
+@pytest.mark.parametrize("r,n", _full_groups(10**5))
+def test_split_count_read_off_the_type_matches_the_centralizer_generators(r, n):
+    for cls in conjugacy_classes(r, 1, n):
+        sums = [sum(h.exps) for h in centralizer_generators(cls.rep, 1)]
+        for p in [d for d in range(1, r + 1) if r % d == 0]:
+            assert _split_count(cls.rep, p) == math.gcd(p, *sums), (cls.rep, p)
 
 
 def _character_groups():

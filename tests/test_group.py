@@ -1,6 +1,6 @@
 import random
 from itertools import permutations
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
@@ -111,7 +111,7 @@ def test_in_subgroup():
 
 def test_cycle_type_and_full_group_conjugacy():
     g = three_cycle(3, 4, 1, 2, 3)
-    assert cycle_type(g).pairs == ((0, 1, 1), (0, 3, 1))
+    assert cycle_type(g) == ((0, 1, 1), (0, 3, 1))
     # xi_3^b (1,2,3) are pairwise non-conjugate for b = 0..r-1
     reps = [from_cycles(3, 3, [(1, 2, 3)], exps=(0, 0, b)) for b in range(3)]
     for i in range(3):
@@ -164,6 +164,26 @@ def test_class_reps_are_lex_minimal():
 def test_cycle_type_constant_on_classes():
     for cls in conjugacy_classes(3, 1, 3):
         assert all(cycle_type(m) == cycle_type(cls.rep) for m in class_members(cls.rep, 3, 1, 3))
+
+
+def _multipartition_count(r, n):
+    """The coefficient of x^n in prod_k (1 - x^k)^-r: the series times
+    1 / (1 - x^k), r times for each k."""
+    coeffs = [1] + [0] * n
+    for k in range(1, n + 1):
+        for _ in range(r):
+            for i in range(k, n + 1):
+                coeffs[i] += coeffs[i - k]
+    return coeffs[n]
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_class_count_is_the_multipartition_count(r):
+    # past any listing of the group: |G(4,1,12)| is about 8 * 10^15
+    for n in range(1, 13):
+        classes = conjugacy_classes(r, 1, n, budget=None)
+        assert len(classes) == _multipartition_count(r, n), (r, n)
+        assert sum(cls.size for cls in classes) == r**n * factorial(n), (r, n)
 
 
 def test_budget():
