@@ -2,8 +2,8 @@
 
 Exit codes: 0 = verified/success, 1 = a mathematical check failed,
 2 = input or configuration error.  JSON is the machine format; the text
-tables are derived from the same data.  HECKEFORGE_BUDGET overrides the
-group-order enumeration budget.
+tables are derived from the same data.  Every group command checks |G(r,p,n)|
+against --budget, else HECKEFORGE_BUDGET, else 10^6, before it starts.
 """
 
 from __future__ import annotations
@@ -19,14 +19,17 @@ from . import cyclo, group, hecke, hochschild, ncalg
 from .group import BudgetExceededError, RepKind
 
 
-def _group_args(args) -> tuple[RepKind, int]:
-    """(rep, budget) for a group-level command, after checking r, p and n."""
+def _group_args(args) -> RepKind:
+    """The rep of a group command, once G(r,p,n) exists and |G| is within
+    the budget; `main` reports the BudgetExceededError otherwise."""
+    r, p, n = args.r, getattr(args, "p", 1), args.n
     try:
-        group.check_group(args.r, getattr(args, "p", 1), args.n)
+        group.check_group(r, p, n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    return RepKind(getattr(args, "rep", "faithful")), _budget(args)
+    group.check_budget(r, p, n, _budget(args))
+    return RepKind(getattr(args, "rep", "faithful"))
 
 
 def _budget(args) -> int:
@@ -66,8 +69,8 @@ def _emit(data, args, text_renderer):
 
 
 def cmd_classes(args) -> int:
-    _, budget = _group_args(args)
-    classes = group.conjugacy_classes(args.r, args.p, args.n, budget)
+    _group_args(args)
+    classes = group.conjugacy_classes(args.r, args.p, args.n)
     order = group.group_order(args.r, args.p, args.n)
     rows = []
     for cls in classes:
@@ -105,7 +108,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_hh(args) -> int:
-    rep, budget = _group_args(args)
+    rep = _group_args(args)
     if args.max_degree < 0:
         print("error: --max-degree must be nonnegative", file=sys.stderr)
         return 2
@@ -114,7 +117,7 @@ def cmd_hh(args) -> int:
         return 2
     comps = hochschild.hh2_total(
         args.r, args.p, args.n, rep, args.max_degree,
-        include_basis=args.basis, budget=budget, m=args.cohdeg,
+        include_basis=args.basis, m=args.cohdeg,
     )
 
     rows = [c.to_json() for c in comps]
@@ -127,7 +130,7 @@ def cmd_hh(args) -> int:
     status = 0
     if args.closed_form or args.compare:
         try:
-            catalog = hochschild.closed_form_catalog(args.r, args.p, args.n, rep, budget)
+            catalog = hochschild.closed_form_catalog(args.r, args.p, args.n, rep)
         except hochschild.NotApplicableError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -183,8 +186,8 @@ def cmd_hh(args) -> int:
 
 
 def cmd_gha_dim(args) -> int:
-    rep, budget = _group_args(args)
-    report = hecke.param_space(args.r, args.p, args.n, rep, budget)
+    rep = _group_args(args)
+    report = hecke.param_space(args.r, args.p, args.n, rep)
     data = report.to_json()
 
     def text(d):
@@ -206,7 +209,7 @@ def cmd_gha_build(args) -> int:
     if args.n < 3:
         print("error: presets need n >= 3", file=sys.stderr)
         return 2
-    _, budget = _group_args(args)
+    _group_args(args)
     scalars = None
     if args.scalars is not None:
         try:
@@ -215,7 +218,7 @@ def cmd_gha_build(args) -> int:
             print("error: scalars must be comma-separated rationals", file=sys.stderr)
             return 2
     try:
-        family = hecke.build_preset(args.preset, args.r, args.n, scalars, budget)
+        family = hecke.build_preset(args.preset, args.r, args.n, scalars)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -271,18 +274,17 @@ def cmd_pbw_check(args) -> int:
 
 
 def cmd_nc_verify(args) -> int:
-    _, budget = _group_args(args)
+    _group_args(args)
     if args.n < 3:
         print("error: the bracket relation needs n >= 3", file=sys.stderr)
         return 2
-    group.check_budget(args.r, 1, args.n, budget)
     alg = ncalg.HStarAlgebra(args.r, args.n)
     reln4 = {}
     for j in range(1, args.n + 1):
         for k in range(j + 1, args.n + 1):
             for m in range(1, args.n + 1):
                 reln4[f"({j},{k})v{m}"] = ncalg.verify_reln4(j, k, m, args.r, args.n, alg)
-    iso = ncalg.verify_iso(args.r, args.n, budget)
+    iso = ncalg.verify_iso(args.r, args.n)
     ok = all(reln4.values()) and iso.ok
     data = {"reln4": reln4, "iso": iso.to_json(), "ok": ok}
 
@@ -345,13 +347,12 @@ def _parse_token(tok: str, alg) -> "ncalg.NCElement":
 
 
 def cmd_nc_normal_form(args) -> int:
-    _, budget = _group_args(args)
+    _group_args(args)
     if args.algebra == "hstar":
-        group.check_budget(args.r, 1, args.n, budget)
         alg = ncalg.HStarAlgebra(args.r, args.n)
     else:
         try:
-            alg = ncalg.DrinfeldAlgebra(hecke.build_preset("a_r1n", args.r, args.n, budget=budget))
+            alg = ncalg.DrinfeldAlgebra(hecke.build_preset("a_r1n", args.r, args.n))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -125,15 +125,17 @@ def xi(r: int, n: int, i: int, a: int = 1) -> GroupElement:
 def from_cycles(r: int, n: int, cycles, exps=None) -> GroupElement:
     """Element with permutation given by disjoint cycles and optional exps.
     Raises ValueError for an index outside 1..n or one used twice."""
-    perm = list(range(1, n + 1))
     used = [i for cyc in cycles for i in cyc]
     if len(set(used)) < len(used) or not all(1 <= i <= n for i in used):
         raise ValueError(f"cycles need distinct indices in 1..{n}: {list(cycles)}")
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            perm[a - 1] = b
     e = tuple(a % r for a in exps) if exps is not None else (0,) * n
-    return GroupElement(r, n, e, tuple(perm))
+    return GroupElement(r, n, e, _cycles_perm(n, cycles))
+
+
+def _cycles_perm(n: int, cycles) -> tuple:
+    """The image list of the product of disjoint cycles in 1..n, unchecked."""
+    image = {a: b for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+    return tuple(image.get(i, i) for i in range(1, n + 1))
 
 
 def transposition(r: int, n: int, i: int, j: int) -> GroupElement:
@@ -292,9 +294,10 @@ def cycle_type(g: GroupElement) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted((a, k, len(same)) for (a, k), same in _cycles_by_type(g).items()))
 
 
-def centralizer_order_formula(g: GroupElement) -> int:
-    """|Z_{G(r,1,n)}(g)| = prod m_{a,k}! k^m r^m over the cycle type."""
-    return math.prod(math.factorial(m) * (k * g.r) ** m for _, k, m in cycle_type(g))
+def centralizer_order_formula(g: GroupElement, ctype=None) -> int:
+    """|Z_{G(r,1,n)}(g)| = prod m_{a,k}! k^m r^m over the cycle type: ctype,
+    if the caller holds g's, else `cycle_type(g)`."""
+    return math.prod(math.factorial(m) * (k * g.r) ** m for _, k, m in ctype or cycle_type(g))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -391,15 +394,15 @@ def _least_member(r: int, n: int, ctype) -> GroupElement:
             cycles.append(list(range(at, at + k - 1)) + [unused[a]])
             at += k - 1
             unused[a] += 1
-    return from_cycles(r, n, cycles, exps)
+    return _element(r, n, exps, _cycles_perm(n, cycles))
 
 
 @lru_cache(maxsize=None)
-def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
+def conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
     # The classes of G(r,1,n) are its coloured cycle types, each built as its
-    # `_least_member` g, of size |G(r,1,n)| / |Z(g)|.  The class of g lies in
-    # G(r,p,n) iff its colours sum to 0 mod p, and splits there into
-    # s = `_split_count` classes.
+    # `_least_member` g, of size |G(r,1,n)| / |Z(g)|, both read off the type.
+    # The class of g lies in G(r,p,n) iff its colours sum to 0 mod p, and
+    # splits there into s = `_split_count` classes.
     # Only a class that splits is listed: a `walk` under conjugation by the
     # generators of G(r,1,n) labels each h^-1 g h with sum(h.exps) mod s.
     # Z_{G(r,1,n)}(g) sums onto sZ/p, so a clash is an error, and the
@@ -408,11 +411,11 @@ def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
     by = [((t.exps, t.perm, inverse(t).perm), sum(t.exps)) for t in generators(r, 1, n)]
     classes = []
     for ctype in _cycle_types(r, n):
-        g = _least_member(r, n, ctype)
-        if sum(g.exps) % p:
+        if sum(a * m for a, _, m in ctype) % p:
             continue
-        size = order // centralizer_order_formula(g)
-        s = 1 if p == 1 else _split_count(g, p)
+        g = _least_member(r, n, ctype)
+        size = order // centralizer_order_formula(g, ctype)
+        s = _split_count(ctype, p)
         if s == 1:
             classes.append(ConjClass(g, size))
             continue
@@ -426,11 +429,6 @@ def _conjugacy_classes(r: int, p: int, n: int) -> tuple[ConjClass, ...]:
         classes += [ConjClass(_element(r, n, *key), size // s) for key in least.values()]
     classes.sort(key=lambda cls: cls.rep.sort_key())
     return tuple(classes)
-
-
-def conjugacy_classes(r: int, p: int, n: int, budget: int | None = DEFAULT_BUDGET):
-    check_budget(r, p, n, budget)
-    return _conjugacy_classes(r, p, n)
 
 
 def _cycles_by_type(g: GroupElement) -> dict:
@@ -482,7 +480,6 @@ def _within(gens, r: int, n: int, p: int) -> tuple[GroupElement, ...]:
     return tuple(h for h in dict.fromkeys(gens) if not h.is_identity())
 
 
-@lru_cache(maxsize=4096)
 def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
     """Generators of Z_{G(r,p,n)}(g) read off g's cycles, with no identity
     or repeat.  Per (a,k) type: `_scalar_and_cycle` of its first cycle, and
@@ -494,22 +491,24 @@ def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
     return _within(gens, g.r, g.n, p)
 
 
-def _split_count(g: GroupElement, p: int) -> int:
-    """The number of G(r,p,n)-classes in g's G(r,1,n)-class: the index in Z/p of
-    the image of Z_{G(r,1,n)}(g) under h -> sum(h.exps), spanned by the sums of
-    `centralizer_generators`: each cycle's length and colour, and 0 per swap."""
-    return math.gcd(p, *(x for a, k, _ in cycle_type(g) for x in (a, k)))
+def _split_count(ctype, p: int) -> int:
+    """The number of G(r,p,n)-classes in the G(r,1,n)-class of cycle type
+    ctype: the index in Z/p of the image of Z_{G(r,1,n)}(g) under
+    h -> sum(h.exps), spanned by the sums of `centralizer_generators`: each
+    cycle's length and colour, and 0 per swap."""
+    return math.gcd(p, *(x for a, k, _ in ctype for x in (a, k)))
 
 
 def centralizer_order(g: GroupElement, p: int) -> int:
     """|Z_{G(r,p,n)}(g)|: the kernel of h -> sum(h.exps) mod p on
     Z_{G(r,1,n)}(g), whose image has order p / `_split_count`."""
-    return centralizer_order_formula(g) * _split_count(g, p) // p
+    ctype = cycle_type(g)
+    return centralizer_order_formula(g, ctype) * _split_count(ctype, p) // p
 
 
 def centralizer(g: GroupElement, p: int) -> list[GroupElement]:
     """Z_{G(r,p,n)}(g), sorted: the `closure` of `centralizer_generators`,
-    work in |Z(g)| and independent of |G|, so no budget applies."""
+    work in |Z(g)| and independent of |G|."""
     return sorted(closure(g.r, g.n, centralizer_generators(g, p)), key=GroupElement.sort_key)
 
 

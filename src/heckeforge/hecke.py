@@ -22,7 +22,6 @@ from .cyclo import (
     MAX_N, CycloNum, check_order, cyclo, echelon_rows, json_int, one, power_sum, twist, zero
 )
 from .group import (
-    DEFAULT_BUDGET,
     _conj,
     _element,
     GroupElement,
@@ -218,18 +217,16 @@ class GHAParamReport:
         }
 
 
-def param_space(
-    r: int, p: int, n: int, rep: RepKind, budget: int | None = DEFAULT_BUDGET
-) -> GHAParamReport:
+def param_space(r: int, p: int, n: int, rep: RepKind) -> GHAParamReport:
     """Dimension data for the space of graded-Hecke parameters, read off the
     polynomial-degree-0 part of HH^2 (`hh2_total` at degree 0): d counts the
     codimension-2 classes with a component there (those whose Hochschild
     character is trivial), and every class acting trivially on V
     (codimension 0) contributes the Z(g)-invariant alternating 2-forms,
     0 where `hh2_total` dropped the class."""
-    comps = {c.rep: c for c in hh2_total(r, p, n, rep, 0, budget=budget)}
+    comps = {c.rep: c for c in hh2_total(r, p, n, rep, 0)}
     d = sum(c.codim == 2 for c in comps.values())
-    classes = [cls.rep for cls in conjugacy_classes(r, p, n, budget)]
+    classes = [cls.rep for cls in conjugacy_classes(r, p, n)]
     lambda2 = {
         g: comps[g].dims_by_degree[0] if g in comps else 0
         for g in classes
@@ -245,9 +242,9 @@ def param_space(
 # -- preset families ----------------------------------------------------------
 
 
-def three_cycle_classes(r: int, n: int, budget: int | None = DEFAULT_BUDGET):
+def three_cycle_classes(r: int, n: int):
     """Conjugacy classes of G(r,1,n) of diagonal-times-3-cycle form."""
-    return [cls for cls in conjugacy_classes(r, 1, n, budget) if is_three_cycle(cls.rep.perm)]
+    return [cls for cls in conjugacy_classes(r, 1, n) if is_three_cycle(cls.rep.perm)]
 
 
 def _codim2_form(g: GroupElement, rep: RepKind, c: CycloNum) -> SkewForm:
@@ -302,13 +299,7 @@ def _extend_by_conjugation(seeds: dict, r: int, p: int, n: int, rep: RepKind) ->
     return support
 
 
-def build_preset(
-    preset: str,
-    r: int,
-    n: int,
-    scalars=None,
-    budget: int | None = DEFAULT_BUDGET,
-) -> SkewFormFamily:
+def build_preset(preset: str, r: int, n: int, scalars=None) -> SkewFormFamily:
     """Preset parameter families for G(r,1,n) under the permutation action.
 
     "a_r1n": supported on the class of (1,2,3), normalized by
@@ -316,7 +307,7 @@ def build_preset(
     diagonal-times-3-cycle class, in the order of `three_cycle_classes`."""
     if n < 3:
         raise ValueError("presets need n >= 3")
-    classes = three_cycle_classes(r, n, budget)
+    classes = three_cycle_classes(r, n)
     if preset == "a_r1n":
         base = cycle_type(three_cycle(r, n, 1, 2, 3))  # a complete invariant for p = 1
         weights = [one() if cycle_type(cls.rep) == base else zero() for cls in classes]
@@ -473,7 +464,7 @@ def forms_from_semiinvariants(entries, r: int, p: int, n: int, rep: RepKind) -> 
 # -- independent linear-system oracle ---------------------------------------------
 
 
-def _equivariance_classes(r: int, p: int, n: int, rep: RepKind, budget):
+def _equivariance_classes(r: int, p: int, n: int, rep: RepKind):
     """(root, phase, dead) for the unknowns x_u = a_g(v_{i+1}, v_{j+1}),
     i < j, u = g's index in `elements` times C(n, 2) plus the pair's index
     in `combinations`: x_u = zeta_M^phase[u] x_root[u], M = lcm(2, r), and
@@ -490,7 +481,7 @@ def _equivariance_classes(r: int, p: int, n: int, rep: RepKind, budget):
     clash is a word fixing x_start that moves its phase, x_start =
     zeta_M^d x_start with d != 0, so the orbit is 0; with no clash every
     row in the orbit holds."""
-    G = elements(r, p, n, budget)
+    G = elements(r, p, n)
     keys = [(g.exps, g.perm) for g in G]
     index = {x: gi for gi, x in enumerate(keys)}
     pairs = list(combinations(range(n), 2))
@@ -522,9 +513,7 @@ def _equivariance_classes(r: int, p: int, n: int, rep: RepKind, budget):
     return root, phase, dead
 
 
-def param_space_linear_oracle(
-    r: int, p: int, n: int, rep: RepKind, budget: int | None = DEFAULT_BUDGET
-) -> int:
+def param_space_linear_oracle(r: int, p: int, n: int, rep: RepKind) -> int:
     """Dimension of the space of families passing pbw_check, computed as an
     exact linear system over free per-element forms.  Independent of the
     Reynolds route: no characters, semi-invariants or Hochschild data.
@@ -541,7 +530,7 @@ def param_space_linear_oracle(
     equivariance the rows of h^-1 g h are those of g with coordinates moved
     by h, so any one element of a class spans its rows.  A class with a
     live unknown holds its orbit's root; in one with none, the rows vanish."""
-    root, phase, dead = _equivariance_classes(r, p, n, rep, budget)
+    root, phase, dead = _equivariance_classes(r, p, n, rep)
     M = lcm(2, r)
     half = M // 2
     slot = {pair: s for s, pair in enumerate(combinations(range(n), 2))}
@@ -551,7 +540,7 @@ def param_space_linear_oracle(
         [(a, slot[min(b, c), max(b, c)], half if b > c else 0) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
         for i, j, k in combinations(range(n), 3)
     ]
-    G, live, jacobi = elements(r, p, n, budget), set(root) - dead, set()
+    G, live, jacobi = elements(r, p, n), set(root) - dead, set()
     for gi in {u // C for u in live}:
         pi, t = monomial_action(G[gi], rep)
         for triple in cyclic:

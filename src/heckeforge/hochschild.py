@@ -26,7 +26,6 @@ from math import lcm
 
 from .cyclo import root_of_unity, zero
 from .group import (
-    DEFAULT_BUDGET,
     GroupElement,
     RepKind,
     centralizer_generators,
@@ -101,7 +100,8 @@ def fixed_space(g: GroupElement, rep: RepKind):
 # -- Hochschild character ------------------------------------------------------
 
 
-def hochschild_character(g: GroupElement, rep: RepKind, p: int = 1) -> CharacterTable:
+@lru_cache(maxsize=4096)
+def hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTable:
     """chi_g(h) = det of h restricted to (V^g)-perp, for h in Z_{G(r,p,n)}(g),
     computed as det(h|V) / det(h|V^g) from the monomial action on V^g and
     held as exponents mod lcm(2, r).  A ratio of the determinants of two
@@ -109,13 +109,8 @@ def hochschild_character(g: GroupElement, rep: RepKind, p: int = 1) -> Character
     on `centralizer_generators` only, and claims |Z(g)| = `centralizer_order`.
     Z(g) is listed only if `subgroup`, `exponents` or `chi(h)` are read, by
     the walk over the generators that proves the claim.  One table per
-    (g, rep, p) is cached, however p is passed, so its action data serve
-    every degree."""
-    return _hochschild_character(g, rep, p)
-
-
-@lru_cache(maxsize=4096)
-def _hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTable:
+    (g, rep, p) is cached, so its action data serve every polynomial and
+    cohomological degree."""
     # V = V^g (+) im(g - 1) with both summands Z(g)-stable, so
     # det(h | perp) = det(h | V) / det(h | V^g).  det(h | V) is
     # sign(h.perm) zeta_r^{sum h.exps}, or sign(h.perm) under the permutation
@@ -220,7 +215,6 @@ def hh2_total(
     max_poly_degree: int,
     include_basis: bool = False,
     validate_skipped: bool = False,
-    budget: int | None = DEFAULT_BUDGET,
     m: int = 2,
 ) -> list[ClassComponent]:
     """All nonzero class components in cohomological degree m (HH^2 by
@@ -232,7 +226,7 @@ def hh2_total(
     each skipped class is recomputed at degree <= 2 and a
     FilterDiscrepancyError is raised if anything nonzero shows up."""
     out = []
-    for cls in conjugacy_classes(r, p, n, budget):
+    for cls in conjugacy_classes(r, p, n):
         g = cls.rep
         if _passes_det_filter(g, rep, p, m):
             comp = hh_component(g, rep, m, max_poly_degree, p, include_basis)
@@ -399,9 +393,7 @@ def _diag_blocks(exps) -> tuple[int, ...]:
 # -- catalog assembly ------------------------------------------------------------
 
 
-def closed_form_catalog(
-    r: int, p: int, n: int, rep: RepKind, budget: int | None = DEFAULT_BUDGET
-) -> dict[GroupElement, CatalogEntry]:
+def closed_form_catalog(r: int, p: int, n: int, rep: RepKind) -> dict[GroupElement, CatalogEntry]:
     """Closed-form HH^2 description for every conjugacy class of G(r,p,n).
 
     Faithful action: requires n >= 4.  Permutation action: requires p = 1
@@ -415,7 +407,7 @@ def closed_form_catalog(
         if n < 3:
             raise NotApplicableError("nonfaithful closed forms need n >= 3")
     out = {}
-    for cls in conjugacy_classes(r, p, n, budget):
+    for cls in conjugacy_classes(r, p, n):
         if rep == RepKind.FAITHFUL:
             out[cls.rep] = _faithful_entry(r, p, n, cls.rep)
         else:

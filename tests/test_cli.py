@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import inspect
 import io
 import json
 import os
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeforge import cyclo, ncalg
+from heckeforge import cyclo
 from heckeforge.cli import main
 from heckeforge.group import GroupElement, RepKind, generators
 from heckeforge.hecke import SkewForm, SkewFormFamily, build_preset, pbw_check
@@ -337,19 +336,26 @@ def test_budget_env_not_an_integer(capsys, monkeypatch):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_nc_verify_passes_the_budget_to_the_preset(capsys, monkeypatch):
-    seen = []
+_GROUP_COMMANDS = {
+    "classes": ["classes", "--r", "2", "--p", "1", "--n", "3"],
+    "hh": ["hh", "--r", "2", "--p", "1", "--n", "3", "--rep", "faithful", "--max-degree", "1"],
+    "gha-dim": ["gha-dim", "--r", "2", "--p", "1", "--n", "3", "--rep", "permutation"],
+    "gha-build": ["gha-build", "--preset", "a_r1n", "--r", "2", "--n", "3"],
+    "nc-verify": ["nc-verify", "--preset", "hstar-iso", "--r", "2", "--n", "3"],
+    "nc-normal-form": ["nc-normal-form", "--algebra", "hstar", "--r", "2", "--n", "3", "s1", "v2"],
+}
 
-    def recording_build_preset(*args, **kwargs):
-        bound = inspect.signature(build_preset).bind(*args, **kwargs)
-        bound.apply_defaults()
-        seen.append(bound.arguments["budget"])
-        return build_preset(*args, **kwargs)
 
-    monkeypatch.setattr(ncalg, "build_preset", recording_build_preset)
-    code, _ = _exit_code(capsys, "--budget", "12345", "nc-verify", "--preset", "hstar-iso", "--r", "2", "--n", "3")
-    assert code == 0
-    assert seen == [12345]
+@pytest.mark.parametrize("argv", _GROUP_COMMANDS.values(), ids=_GROUP_COMMANDS)
+def test_every_group_command_checks_the_budget(capsys, monkeypatch, argv):
+    # |G(2,1,3)| = 48: a budget of 47, from the flag or the environment, is
+    # refused with one line, and the default budget lets the command run
+    refused = (2, "error: |G(2,1,3)| = 48 exceeds the budget 47\n")
+    monkeypatch.delenv("HECKEFORGE_BUDGET", raising=False)
+    assert _exit_code(capsys, "--budget", "47", *argv) == refused
+    assert _exit_code(capsys, *argv) == (0, "")
+    monkeypatch.setenv("HECKEFORGE_BUDGET", "47")
+    assert _exit_code(capsys, *argv) == refused
 
 
 def test_nc_verify_rejects_r_zero(capsys):

@@ -134,6 +134,7 @@ from heckeforge.polyforms import (
 )
 from oracles import (
     FAITHFUL_ENTRIES_2_1_4,
+    _HStarReference,
     FractionCyclo,
     class_members,
     classes_by_search,
@@ -654,12 +655,27 @@ def test_least_members_match_the_scan(r, n):
     assert set(built) == set(least_members_by_scan(r, n))
 
 
+@pytest.mark.parametrize("r,n", _full_groups(2000))
+def test_hstar_push_closed_form_matches_the_bubble_word_push(r, n):
+    # gbar v_k for every g and k, against the reference that pushes gbar
+    # through a reduced word of g's permutation one sbar_i at a time
+    alg, ref = HStarAlgebra(r, n), _HStarReference(r, n)
+    for g in elements(r, 1, n):
+        for k in range(1, n + 1):
+            got = {key: cyclo(c) for key, c in alg.group_move(g, k).items()}
+            want = {
+                (tuple(i + 1 for i, x in enumerate(mu) for _ in range(x)), h): c
+                for (mu, h), c in ref.group_move(g, k).items()
+            }
+            assert got == want, (g, k)
+
+
 @pytest.mark.parametrize("r,n", _full_groups(10**5))
 def test_split_count_read_off_the_type_matches_the_centralizer_generators(r, n):
     for cls in conjugacy_classes(r, 1, n):
         sums = [sum(h.exps) for h in centralizer_generators(cls.rep, 1)]
         for p in [d for d in range(1, r + 1) if r % d == 0]:
-            assert _split_count(cls.rep, p) == math.gcd(p, *sums), (cls.rep, p)
+            assert _split_count(cycle_type(cls.rep), p) == math.gcd(p, *sums), (cls.rep, p)
 
 
 def _character_groups():

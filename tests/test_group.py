@@ -9,7 +9,6 @@ from heckeforge.cyclo import CycloMatrix, root_of_unity
 from heckeforge.group import (
     BudgetExceededError,
     _conj,
-    _conjugacy_classes,
     _mul,
     _split_count,
     GroupElement,
@@ -38,6 +37,7 @@ from heckeforge.group import (
     walk,
     xi,
 )
+from heckeforge.hochschild import hh2_total
 from oracles import (
     act,
     class_members,
@@ -181,7 +181,7 @@ def _multipartition_count(r, n):
 def test_class_count_is_the_multipartition_count(r):
     # past any listing of the group: |G(4,1,12)| is about 8 * 10^15
     for n in range(1, 13):
-        classes = conjugacy_classes(r, 1, n, budget=None)
+        classes = conjugacy_classes(r, 1, n)
         assert len(classes) == _multipartition_count(r, n), (r, n)
         assert sum(cls.size for cls in classes) == r**n * factorial(n), (r, n)
 
@@ -189,6 +189,15 @@ def test_class_count_is_the_multipartition_count(r):
 def test_budget():
     with pytest.raises(BudgetExceededError):
         elements(10, 1, 6, budget=1000)
+
+
+def test_only_the_listing_of_g_is_budgeted():
+    # |G(2,1,9)| = 185,794,560 is past the default budget: the class routes
+    # take none and run, and only `elements`, which lists G, refuses
+    assert len(conjugacy_classes(2, 1, 9)) == 300
+    assert hh2_total(2, 1, 9, F, 2)
+    with pytest.raises(BudgetExceededError, match=r"\|G\(2,1,9\)\| exceeds the budget 1000000"):
+        elements(2, 1, 9)
 
 
 def test_json_round_trip():
@@ -384,7 +393,7 @@ def test_split_labels_are_checked(monkeypatch, r, p, n):
     # with the split count claimed to be p on every class, a class whose
     # centralizer has an exponent sum that is not 0 mod p gets two labels
     # on some conjugate, and the walk's clash raises
-    assert any(_split_count(cls.rep, p) < p for cls in conjugacy_classes(r, 1, n) if sum(cls.rep.exps) % p == 0)
-    monkeypatch.setattr(heckeforge.group, "_split_count", lambda g, p: p)
+    assert any(_split_count(cycle_type(cls.rep), p) < p for cls in conjugacy_classes(r, 1, n) if sum(cls.rep.exps) % p == 0)
+    monkeypatch.setattr(heckeforge.group, "_split_count", lambda ctype, p: p)
     with pytest.raises(RuntimeError, match="not constant"):
-        _conjugacy_classes.__wrapped__(r, p, n)
+        conjugacy_classes.__wrapped__(r, p, n)

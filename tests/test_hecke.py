@@ -154,7 +154,7 @@ def test_hecke_lists_g_only_in_its_linear_oracle(monkeypatch):
         raise AssertionError(f"listed {args}")
 
     monkeypatch.setattr(heckeforge.group, "_elements", refuse)
-    heckeforge.group._conjugacy_classes.cache_clear()
+    heckeforge.group.conjugacy_classes.cache_clear()
     assert [case() for case in cases] == before
 
 
@@ -371,7 +371,7 @@ def test_linear_oracle_is_independent_of_the_reynolds_route(monkeypatch):
         (heckeforge.polyforms, "CharacterTable"),
     ]:
         monkeypatch.setattr(module, name, refuse)
-    heckeforge.hochschild._hochschild_character.cache_clear()
+    heckeforge.hochschild.hochschild_character.cache_clear()
     assert param_space_linear_oracle(2, 1, 4, P) == 7
     assert param_space_linear_oracle(2, 1, 4, F) == 2
 
@@ -398,7 +398,7 @@ def test_equivariance_orbits_hold_every_row(r, p, n, rep):
     # x_{h^-1gh,(i,j)} = +-zeta_r^(t_i + t_j) x_{g,(pi i, pi j)} for every
     # generator h, read off GroupElement products: both sides lie in one
     # orbit, and their phases agree unless the orbit is dead
-    root, phase, dead = _equivariance_classes(r, p, n, rep, None)
+    root, phase, dead = _equivariance_classes(r, p, n, rep)
     G = elements(r, p, n)
     index = {g: gi for gi, g in enumerate(G)}
     pairs = list(combinations(range(n), 2))
@@ -424,8 +424,8 @@ def test_equivariance_orbits_hold_every_row(r, p, n, rep):
 def test_equivariance_phases_kill_every_class_of_g313_faithful():
     # the same orbits under both actions; the faithful phases disagree on a
     # cycle in each of them, so the faithful parameter space is 0
-    root, _, dead = _equivariance_classes(3, 1, 3, F, None)
-    permutation, _, permutation_dead = _equivariance_classes(3, 1, 3, P, None)
+    root, _, dead = _equivariance_classes(3, 1, 3, F)
+    permutation, _, permutation_dead = _equivariance_classes(3, 1, 3, P)
     assert root == permutation
     assert len(set(root)) == 39
     assert dead == set(root)
