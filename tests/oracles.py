@@ -28,6 +28,12 @@ paths in the library, and a faithful family shared by the tests:
 - `param_space_dense_oracle`: the dimension of the parameter space from
   every equivariance and Jacobi row assembled into one sparse system and
   echelon-reduced, with no elimination by orbits;
+- `param_space_by_orbits` and `_equivariance_classes`: the dimension of
+  the parameter space over free per-element forms, the two-term
+  equivariance rows solved as orbits with phases by one `group.walk` per
+  orbit over conjugation tables on all of G, and the Jacobi rows written
+  for one element per live class, as `hecke.param_space_linear_oracle`
+  computed it before it counted class by class;
 - `param_space_by_reynolds`: the parameter-space report by its own loop
   over the classes, as `hecke.param_space` computed it before it read
   `hh2_total`: the Hochschild character's triviality for each
@@ -66,14 +72,17 @@ paths in the library, and a faithful family shared by the tests:
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 from math import gcd, lcm
 
-from heckeforge.cyclo import CycloMatrix, add_term, cyclo, echelon_rows, one, root_of_unity, zero
+from heckeforge.cyclo import (
+    CycloMatrix, CycloNum, add_term, cyclo, echelon_rows, one, power_sum, root_of_unity, zero
+)
 from heckeforge.group import (
     ConjClass,
     GroupElement,
     RepKind,
+    _conj,
     _element,
     _mul,
     conjugacy_classes,
@@ -91,6 +100,7 @@ from heckeforge.group import (
     perm_cycles,
     three_cycle,
     transposition,
+    walk,
 )
 from heckeforge.hecke import (
     GHAParamReport,
@@ -692,6 +702,115 @@ def param_space_by_reynolds(r, p, n, rep):
     if rep == RepKind.PERMUTATION:
         return GHAParamReport(d, lambda2, total, paper_count, paper_count != total)
     return GHAParamReport(d, lambda2, total, None, False)
+
+
+# -- the G-listing linear oracle -------------------------------------------------
+
+
+def _equivariance_classes(r: int, p: int, n: int, rep: RepKind):
+    """(root, phase, dead) for the unknowns x_u = a_g(v_{i+1}, v_{j+1}),
+    i < j, u = g's index in `elements` times C(n, 2) plus the pair's index
+    in `combinations`: x_u = zeta_M^phase[u] x_root[u], M = lcm(2, r), and
+    the orbit of root[u] is 0 iff root[u] is in dead.
+
+    Each generator h of G gives the equivariance rows
+    x_{h^-1gh,(i,j)} = +-zeta_r^(t_i + t_j) x_{g,(pi i, pi j)}, h.v_i =
+    zeta_r^t_i v_{pi i}, read off two tables: g -> index(h^-1gh), built on
+    (exps, perm) pairs by `group._conj`, and the pair (pi i, pi j), put in
+    order, -> (index of (i, j), phase), the phase holding the sign's M/2
+    when pi i > pi j.  Each row links two unknowns, so the rows tie them
+    into orbits, and one `group.walk` from each unknown not yet reached
+    carries the phases x = zeta_M^v x_start.  By the walk's argument a
+    clash is a word fixing x_start that moves its phase, x_start =
+    zeta_M^d x_start with d != 0, so the orbit is 0; with no clash every
+    row in the orbit holds."""
+    G = elements(r, p, n)
+    keys = [(g.exps, g.perm) for g in G]
+    index = {x: gi for gi, x in enumerate(keys)}
+    pairs = list(combinations(range(n), 2))
+    slot = {pair: s for s, pair in enumerate(pairs)}
+    C, M = len(pairs), lcm(2, r)
+    tables = []
+    for h in generators(r, p, n):
+        pi, t = monomial_action(h, rep)
+        by = h.exps, h.perm, inverse(h).perm
+        pair = [None] * C
+        for s, (i, j) in enumerate(pairs):
+            a, b = pi[i] - 1, pi[j] - 1
+            pair[slot[min(a, b), max(a, b)]] = s, ((t[i] + t[j]) * M // r + (M // 2 if a > b else 0)) % M
+        tables.append(([index[_conj(r, *x, *by)] for x in keys], pair))
+
+    def move(u, v, table):
+        gi, s = divmod(u, C)
+        s, e = table[1][s]
+        return table[0][gi] * C + s, (v + e) % M
+
+    root, phase, dead = [None] * (len(G) * C), [0] * (len(G) * C), set()
+    for u in range(len(root)):
+        if root[u] is None:
+            values, clashes = walk(u, 0, tables, move)
+            for y, v in values.items():
+                root[y], phase[y] = u, v
+            if clashes:
+                dead.add(u)
+    return root, phase, dead
+
+
+def param_space_by_orbits(r: int, p: int, n: int, rep: RepKind) -> int:
+    """Dimension of the space of families passing pbw_check, computed as an
+    exact linear system over free per-element forms, as
+    `hecke.param_space_linear_oracle` computed it before it counted class
+    by class.  Independent of the Reynolds route: no characters,
+    semi-invariants or Hochschild data.
+
+    Each equivariance row links exactly two unknowns, so those rows are
+    solved as orbits, walked by `_equivariance_classes` over conjugation
+    tables.  The Jacobi rows are then written over the live roots, read
+    off (root, phase) per unknown, with coefficients kept as integer counts
+    of powers of zeta_M until exact repeats are removed, summed by
+    `power_sum` and reduced by `echelon_rows`.  The dimension is the number
+    of live roots minus their rank.
+
+    Rows are written only for the elements that hold a live root: under
+    equivariance the rows of h^-1 g h are those of g with coordinates moved
+    by h, so any one element of a class spans its rows.  A class with a
+    live unknown holds its orbit's root; in one with none, the rows vanish."""
+    root, phase, dead = _equivariance_classes(r, p, n, rep)
+    M = lcm(2, r)
+    half = M // 2
+    slot = {pair: s for s, pair in enumerate(combinations(range(n), 2))}
+    C = len(slot)
+    # a_g(v_b, v_c) = zeta_M^e x_{g, slot}: e = half when b > c
+    cyclic = [
+        [(a, slot[min(b, c), max(b, c)], half if b > c else 0) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+        for i, j, k in combinations(range(n), 3)
+    ]
+    G, live, jacobi = elements(r, p, n), set(root) - dead, set()
+    for gi in {u // C for u in live}:
+        pi, t = monomial_action(G[gi], rep)
+        for triple in cyclic:
+            # a(v_j,v_k)(v_i - g v_i) + cyclic, as {(coord, root, e): count}
+            # over zeta_M^e, e < half, since zeta_M^(e + half) = -zeta_M^e
+            counts: dict = {}
+            for a, s, e in triple:
+                u = gi * C + s
+                if root[u] in dead:
+                    continue
+                e += phase[u]
+                for coord, f in ((a, e), (pi[a] - 1, e + t[a] * M // r + half)):
+                    key = (coord, root[u], f % half)
+                    counts[key] = counts.get(key, 0) + (1 if f % M < half else -1)
+            by_coord: dict = {}
+            for (coord, ru, f), c in counts.items():
+                if c:
+                    by_coord.setdefault(coord, []).append((ru, f, c))
+            jacobi.update(tuple(sorted(row)) for row in by_coord.values())
+    rows = [{} for _ in jacobi]
+    for row, terms in zip(rows, sorted(jacobi)):
+        for ru, same in groupby(terms, lambda term: term[0]):
+            _, fs, cs = zip(*same)
+            row[ru] = CycloNum(M, power_sum(fs, cs, M), 1)
+    return len(live) - len(echelon_rows(rows))
 
 
 # -- the Fraction-tuple cyclotomic arithmetic ---------------------------------

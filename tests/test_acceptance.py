@@ -44,6 +44,7 @@ from heckeforge.ncalg import (
     verify_reln4,
 )
 from heckeforge.polyforms import basic_derivations, solomon_check
+from oracles import param_space_by_orbits
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -147,10 +148,14 @@ def test_criterion_5_pbw_check_and_perturbations():
 
 
 def test_criterion_6_parameter_space_cross_oracle():
-    for (r, p, n, rep) in [(1, 1, 3, F), (2, 1, 3, F), (2, 1, 3, P)]:
+    # the class-local linear system against the Reynolds route, and both
+    # against the G-listing system over free per-element forms
+    for (r, p, n, rep) in [(1, 1, 3, F), (2, 1, 3, F), (2, 1, 3, P), (2, 2, 4, F), (3, 1, 4, P)]:
         reynolds_total = param_space(r, p, n, rep).total
         kernel_dim = param_space_linear_oracle(r, p, n, rep)
-        assert reynolds_total == kernel_dim, (r, p, n, rep, reynolds_total, kernel_dim)
+        assert reynolds_total == kernel_dim == param_space_by_orbits(r, p, n, rep), (
+            r, p, n, rep, reynolds_total, kernel_dim)
+    assert param_space_linear_oracle(3, 1, 4, P) == 27
     _passline(6, "Reynolds route equals the assembled linear system, exact")
 
 

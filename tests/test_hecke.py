@@ -16,6 +16,7 @@ from heckeforge.group import (
     RepKind,
     elements,
     generators,
+    group_order,
     identity,
     inverse,
     monomial_action,
@@ -28,7 +29,6 @@ from heckeforge.group import (
 from heckeforge.hecke import (
     SkewForm,
     SkewFormFamily,
-    _equivariance_classes,
     build_preset,
     conjugate_form,
     forms_from_semiinvariants,
@@ -40,7 +40,14 @@ from heckeforge.hecke import (
 )
 from heckeforge.ncalg import Mu1, cocycle_spot_check, commutator_sum, sample_cocycle_triples
 from chain_support import psi1
-from oracles import FAITHFUL_ENTRIES_2_1_4, class_members, dense_spaces, faithful_family_2_1_4
+from oracles import (
+    FAITHFUL_ENTRIES_2_1_4,
+    _equivariance_classes,
+    class_members,
+    dense_spaces,
+    faithful_family_2_1_4,
+    param_space_by_orbits,
+)
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -134,7 +141,8 @@ def test_pbw_check_perturbation_fails_with_witness():
 def test_hecke_lists_g_only_in_its_linear_oracle(monkeypatch):
     # presets, forms from semi-invariants and pbw_check walk generators
     # only: with the listing of G refusing, each answer is the one computed
-    # with listing allowed
+    # with listing allowed.  The linear oracle's cases are in
+    # test_hochschild's test of the class path
     n_generic = len(three_cycle_classes(2, 4))
     perturbed = dict(build_preset("a_r1n", 3, 4).support)
     g0 = three_cycle(3, 4, 1, 2, 3)
@@ -350,10 +358,17 @@ def test_linear_oracle_at_rank_one(r, p, rep):
     (2, 1, 5, P, 10),
     (4, 1, 4, F, 0),
     (3, 1, 4, F, 0),
+    (3, 1, 6, P, 75),
+    (2, 1, 8, P, 19),
+    (6, 2, 4, P, 174),
+    (4, 2, 5, F, 0),
 ])
 def test_linear_oracle_on_larger_groups(r, p, n, rep, dim):
-    # with G(2,1,4) among the small cases, every group gha-params runs gha-dim on
+    # with G(2,1,4) among the small cases, every group gha-params runs gha-dim
+    # on, and groups past the G-listing reference's reach: |G(2,1,8)| > 10^7
     assert param_space_linear_oracle(r, p, n, rep) == param_space(r, p, n, rep).total == dim
+    if group_order(r, p, n) <= 10**4:
+        assert param_space_by_orbits(r, p, n, rep) == dim
 
 
 def test_linear_oracle_is_independent_of_the_reynolds_route(monkeypatch):

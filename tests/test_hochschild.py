@@ -41,7 +41,7 @@ from heckeforge.hochschild import (
     permutation_three_cycle_module,
     three_cycle_component_module,
 )
-from heckeforge.hecke import param_space, three_cycle_classes
+from heckeforge.hecke import param_space, param_space_linear_oracle, three_cycle_classes
 from heckeforge.polyforms import CharacterError, CharacterTable, restriction_matrix, subspace_actions
 from oracles import dense_spaces, dimension_by_enumeration, solved_centralizer
 
@@ -397,14 +397,17 @@ def test_phase_rows_walk_the_generators_only(monkeypatch):
 
 
 def test_the_class_path_lists_no_group_or_centralizer(monkeypatch):
-    # classes, characters, the det filter and the Reynolds walk read cycles
-    # and generators only: with every listing route raising, the parameter
-    # spaces, brute-force HH^2, the catalog and the three-cycle classes come
-    # out as before.  G(2,2,4) has two split classes, each grown once as a
-    # class of G(2,1,4) and cut by labels, with no listing of G or Z(g)
+    # classes, characters, the det filter, the Reynolds walk and the linear
+    # oracle's class-local rows read cycles and generators only: with every
+    # listing route raising, the parameter spaces, both ways, brute-force
+    # HH^2, the catalog and the three-cycle classes come out as before.
+    # G(2,2,4) has two split classes, each grown once as a class of
+    # G(2,1,4) and cut by labels, with no listing of G or Z(g)
     cases = [
         lambda: param_space(4, 1, 4, F).to_json(),
         lambda: param_space(3, 1, 4, P).to_json(),
+        lambda: [param_space_linear_oracle(3, 1, 4, rep) for rep in (F, P)],
+        lambda: [param_space_linear_oracle(2, 2, 4, rep) for rep in (F, P)],
         lambda: [c.to_json() for c in hh2_total(2, 1, 5, F, 4)],
         lambda: [c.to_json() for c in hh2_total(2, 2, 4, F, 4)],
         lambda: closed_form_catalog(2, 1, 5, F),
