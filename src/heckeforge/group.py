@@ -9,8 +9,10 @@ with no listing of the group, and the number of G(r,p,n)-classes a class
 splits into is read off its type.  A class that splits is grown once, and
 cut into its pieces by a label its walk carries.  Centralizers are held on
 generators read off cycles, with their orders from the cycle type, as is
-the pointwise stabilizer of V^g.  Every walk from generators, but the hot
-loop of `polyforms._phase_rows`, is the one `walk` and rests on its argument.
+the pointwise stabilizer of V^g.  Every walk from generators is the one
+`walk` and rests on its argument, but `polyforms._phase_rows`, which keeps
+its own loop: (|monos| + |wedges|) * |S| integer table entries, built once
+per call, and |basis| * |S| edges, each two list lookups.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from math import lcm, prod
+from math import comb, lcm, prod
 from operator import mul
 
 from .cyclo import CycloMatrix, CycloNum, SparseSum, add_term, cyclo, one, power_sum, root_of_unity, twist, zero
@@ -513,36 +513,42 @@ def semiinvariant_rows(chi: CharacterTable, rep: RepKind, poly_degree: int, form
 def _phase_rows(actions, F, basis):
     """Reduced echelon basis of the span of the chi-semi-invariants, as
     sparse rows {index into `basis`: e}, each entry meaning zeta_F^e;
-    `actions` as in `CharacterTable.actions` over a generating set S of H.
+    `actions` as in `CharacterTable.actions` over a generating set S of H;
+    `basis` holds (mu_a, S_b) at a * W + b, W = C(m, k) (`semiinvariant_rows`).
 
     Each (pi, texp, chi_e) sends b = (mu, S) to zeta_F^e b' with a single
-    integer exponent e (chi's inverse folded in).  The wedge part of each
-    action, S's sorted image and the phase of its sorting sign, of the
-    duals' texp and of chi's inverse, is read once per call into a table
-    over the wedges of `basis`, so an edge computes only the monomial
-    part.  A breadth-first walk from each unreached b follows these edges
-    through b's orbit, giving s.b' the phase of b' plus e.  The
-    projector's image of b is a multiple of sum zeta_F^{phase(b')} b' over
-    the orbit if every h in the stabilizer of b has h.b = chi(h) b, and 0
-    otherwise.  An edge into an element already reached with another phase
-    kills the orbit, and this is exact: if every edge agrees, every word in
-    S, so every stabilizer element, acts on b by chi; if one disagrees, the
-    loop it closes is a Schreier generator of the stabilizer that does not
-    (Schreier's lemma).
-    Orbits are disjoint and each walk starts at the smallest index of its
-    orbit, so these rows, taken in scan order, are already the reduced
-    echelon form.  The work is |basis| * |S| edges."""
+    integer exponent e (chi's inverse folded in), where b' = (mu read
+    through pi^-1, the sorted image of S).  So each action is read once
+    per call into two integer tables: per monomial, its image's index
+    times W and the phase texp . mu; per wedge, its image's index and the
+    phase of its sorting sign, of the duals' texp and of chi's inverse.
+    An edge adds one entry of each.  A breadth-first walk from each
+    unreached b follows these edges through b's orbit, giving s.b' the
+    phase of b' plus e.  The projector's image of b is a multiple of
+    sum zeta_F^{phase(b')} b' over the orbit if every h in the stabilizer
+    of b has h.b = chi(h) b, and 0 otherwise.  An edge into an element
+    already reached with another phase kills the orbit, and this is exact:
+    if every edge agrees, every word in S, so every stabilizer element,
+    acts on b by chi; if one disagrees, the loop it closes is a Schreier
+    generator of the stabilizer that does not (Schreier's lemma).  Orbits
+    are disjoint and each walk starts at the smallest index of its orbit,
+    so these rows, taken in scan order, are already the reduced echelon
+    form.  The work is (|monos| + W) * |S| table entries, |basis| * |S| edges."""
+    if not basis:  # V^g = 0 in a positive degree
+        return []
     # a triple that acts as the identity gives self-loops only
     actions = [(pi, texp, e) for pi, texp, e in actions if e or not is_identity_action(pi, texp)]
-    index = {b: i for i, b in enumerate(basis)}
-    wedges = dict.fromkeys(S for _, S in basis)
-    tables = []  # per action: pi^-1, texp or None if 0, and S -> (sorted image, phase offset)
+    W = comb(len(basis[0][0]), len(basis[0][1]))
+    monos, wedges = [mu for mu, _ in basis[::W]], [S for _, S in basis[:W]]
+    mono_at, wedge_at = {mu: a * W for a, mu in enumerate(monos)}, {S: b for b, S in enumerate(wedges)}
+    tables = []  # per action: monomial a -> (image's index * W, phase), wedge b -> (image's index, phase)
     for pi, texp, chi_e in actions:
-        table = {}
-        for S in wedges:
-            img = tuple([pi[j] for j in S])
-            table[S] = (tuple(sorted(img)), F // 2 * (perm_sign(img) < 0) - sum(texp[j] for j in S) - chi_e)
-        tables.append((sorted(range(len(pi)), key=pi.__getitem__), texp if any(texp) else None, table))
+        pi_inv, phased = sorted(range(len(pi)), key=pi.__getitem__), any(texp)
+        tables.append((
+            [(mono_at[tuple([mu[j] for j in pi_inv])], sum(map(mul, texp, mu)) if phased else 0) for mu in monos],
+            [(wedge_at[tuple(sorted(img := tuple([pi[j] for j in S])))],
+              F // 2 * (perm_sign(img) < 0) - sum(texp[j] for j in S) - chi_e) for S in wedges],
+        ))
     phase: list = [None] * len(basis)
     rows = []
     for start in range(len(basis)):
@@ -552,12 +558,12 @@ def _phase_rows(actions, F, basis):
         orbit = [start]
         agree = True
         for i in orbit:  # the list grows while it is read
-            mu, S = basis[i]
+            a, b = i // W, i % W
             here = phase[i]
-            for pi_inv, texp, table in tables:  # mu's image is mu read through pi^-1
-                img_S, e = table[S]
-                e = (here + e + sum(map(mul, texp, mu)) if texp else here + e) % F
-                target = index[tuple([mu[j] for j in pi_inv]), img_S]
+            for mono, wedge in tables:
+                ta, ea = mono[a]
+                tb, eb = wedge[b]
+                target, e = ta + tb, (here + ea + eb) % F
                 if phase[target] is None:
                     phase[target] = e
                     orbit.append(target)

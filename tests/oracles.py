@@ -16,6 +16,9 @@ paths in the library, and a faithful family shared by the tests:
 - `reynolds_rows_by_projector`: the semi-invariant rows from the Reynolds
   projector summed over every h in the subgroup, orbit by orbit, then
   echelon-reduced, with wedge signs from `sort_with_sign`;
+- `phase_rows_by_basis_walk`: the Reynolds orbit walk with one tuple
+  target per edge, looked up in a dict over the whole basis, as
+  `polyforms._phase_rows` walked before it read integer index tables;
 - `sort_with_sign`: a sorted tuple and the sign of its sorting permutation,
   by insertion sort, independent of `group.perm_sign`;
 - `dense_spaces`: V^g and im(g - 1) as the reduced echelon kernel and
@@ -74,6 +77,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 from math import gcd, lcm
+from operator import mul
 
 from heckeforge.cyclo import (
     CycloMatrix, CycloNum, add_term, cyclo, echelon_rows, one, power_sum, root_of_unity, zero
@@ -98,6 +102,7 @@ from heckeforge.group import (
     monomial_action,
     multiply,
     perm_cycles,
+    perm_sign,
     three_cycle,
     transposition,
     walk,
@@ -437,6 +442,49 @@ def reynolds_rows_by_projector(actions, F, basis) -> list[dict]:
         if vec:
             out.append(vec)
     return echelon_rows(out)
+
+
+def phase_rows_by_basis_walk(actions, F, basis):
+    """`polyforms._phase_rows` as it walked before it read integer tables:
+    the same rows, in the same order and phases, from a walk that builds
+    each edge's target (mu', S') as a tuple and looks it up in a dict over
+    the whole basis, with the wedge part of each action read once per call
+    into a table keyed by S, so an edge computes only the monomial part.
+    It takes any listing of the basis, not only the monomial-major one."""
+    # a triple that acts as the identity gives self-loops only
+    actions = [(pi, texp, e) for pi, texp, e in actions if e or not is_identity_action(pi, texp)]
+    index = {b: i for i, b in enumerate(basis)}
+    wedges = dict.fromkeys(S for _, S in basis)
+    tables = []  # per action: pi^-1, texp or None if 0, and S -> (sorted image, phase offset)
+    for pi, texp, chi_e in actions:
+        table = {}
+        for S in wedges:
+            img = tuple([pi[j] for j in S])
+            table[S] = (tuple(sorted(img)), F // 2 * (perm_sign(img) < 0) - sum(texp[j] for j in S) - chi_e)
+        tables.append((sorted(range(len(pi)), key=pi.__getitem__), texp if any(texp) else None, table))
+    phase: list = [None] * len(basis)
+    rows = []
+    for start in range(len(basis)):
+        if phase[start] is not None:
+            continue
+        phase[start] = 0
+        orbit = [start]
+        agree = True
+        for i in orbit:  # the list grows while it is read
+            mu, S = basis[i]
+            here = phase[i]
+            for pi_inv, texp, table in tables:  # mu's image is mu read through pi^-1
+                img_S, e = table[S]
+                e = (here + e + sum(map(mul, texp, mu)) if texp else here + e) % F
+                target = index[tuple([mu[j] for j in pi_inv]), img_S]
+                if phase[target] is None:
+                    phase[target] = e
+                    orbit.append(target)
+                elif phase[target] != e:
+                    agree = False
+        if agree:
+            rows.append({i: phase[i] for i in orbit})
+    return rows
 
 
 def dense_spaces(g, rep):

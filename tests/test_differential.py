@@ -25,6 +25,9 @@ in `oracles`:
   projector sums followed by echelon reduction, index, field order and
   coefficients, on every class of the acceptance and extended groups under
   both actions, and on three non-standard subspace bases;
+- the table-driven Reynolds walk against the walk over tuple targets in a
+  basis-wide dict, row for row, index and phase, on the same cases two
+  polynomial degrees further;
 - V^g and the wedge duals read off g's cycles against the dense kernel of
   g - 1 and the inverse of [V^g | im(g - 1)], values and field orders, on
   each class representative and its lex-max member, for the same groups
@@ -130,6 +133,7 @@ from heckeforge.polyforms import (
     _duals,
     reflection_root,
     reynolds_semiinvariant_basis,
+    semiinvariant_rows,
     subspace_actions,
 )
 from oracles import (
@@ -149,6 +153,7 @@ from oracles import (
     param_space_dense_oracle,
     passes_det_filter_by_listing,
     pbw_check_full_scan,
+    phase_rows_by_basis_walk,
     reynolds_rows_by_projector,
     solved_centralizer,
     stack_multiply,
@@ -542,6 +547,23 @@ def test_phase_rows_match_the_projector_sums(monkeypatch, name):
             for k in range(len(subspace) + 1):
                 reynolds_semiinvariant_basis(chi, rep, d, k, subspace)
     assert seen["calls"] and seen["killed"], seen
+
+
+@pytest.mark.parametrize("name", list(REYNOLDS_CASES))
+def test_phase_rows_match_the_basis_walk(name):
+    # every polynomial degree up to D + 2 (8 where |G| <= 400) and every
+    # form degree: the same rows in the same order, each the same dict of
+    # index -> phase.  Some orbit must be kept and some killed
+    seen = {"kept": 0, "killed": 0}
+    for chi, rep, subspace, D in REYNOLDS_CASES[name]():
+        actions = chi.actions(rep, subspace)
+        for d in range(D + 3):
+            for k in range(len(subspace) + 1):
+                rows, basis = semiinvariant_rows(chi, rep, d, k, subspace)
+                assert rows == phase_rows_by_basis_walk(actions, chi.order, basis), (chi.generators, d, k)
+                seen["kept"] += len(rows)
+                seen["killed"] += sum(map(len, rows)) < len(basis)
+    assert seen["kept"] and seen["killed"], seen
 
 
 # -- V^g, the wedge duals and the codimension-2 forms from cycles against dense elimination

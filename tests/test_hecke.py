@@ -138,11 +138,11 @@ def test_pbw_check_perturbation_fails_with_witness():
     assert report.witnesses and report.witnesses[0][0] == "invariance"
 
 
-def test_hecke_lists_g_only_in_its_linear_oracle(monkeypatch):
-    # presets, forms from semi-invariants and pbw_check walk generators
-    # only: with the listing of G refusing, each answer is the one computed
-    # with listing allowed.  The linear oracle's cases are in
-    # test_hochschild's test of the class path
+def test_presets_forms_and_pbw_check_agree_with_the_listing_refused(monkeypatch):
+    # build_preset, forms_from_semiinvariants and pbw_check walk generators
+    # only: with `group._elements` refusing, each answer is the one computed
+    # with listing allowed.  The linear oracle's no-listing cases are in
+    # test_hochschild.py::test_the_class_path_lists_no_group_or_centralizer
     n_generic = len(three_cycle_classes(2, 4))
     perturbed = dict(build_preset("a_r1n", 3, 4).support)
     g0 = three_cycle(3, 4, 1, 2, 3)
