@@ -228,6 +228,8 @@ class CycloNum:
         return self._substitute(self.order, -1)
 
     def __eq__(self, other):
+        if other.__class__ is CycloNum and other.order == self.order:
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.nums[0] * other.denominator == other.numerator * self.den
         if not isinstance(other, CycloNum):

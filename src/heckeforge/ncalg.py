@@ -7,14 +7,14 @@ multiplies in every presentation, which supplies two rules: `_push` moves a
 group element rightward past a variable word, and `_bracket` gives the
 degree-0 corrections of a swap of adjacent variables.  Words are sorted at
 their first descent; termination follows from the lexicographic descent in
-(polynomial degree, inversion count).  The core keeps group parts as
-indices of interned elements, memoizes their products and the normal form of
-each variable word, and H* also memoizes its pushes.  It adds integer
-numerators over one common denominator (`_Sum`, Cohen, GTM 138, 4.2), in
-one field Q(zeta_K) per product, and builds a CycloNum only for each term
-that `multiply` returns.  Confluence is not assumed; it is certified by
-small-degree associativity checks, which fail for families violating the
-PBW conditions.
+(polynomial degree, inversion count).  The core works on integers from
+operand to returned term: group parts are indices of interned elements, and
+it memoizes their products, the normal form of each variable word and, for
+H*, each push.  A term pair and push entry give one integer scalar, added
+over one common denominator (`_Sum`, Cohen, GTM 138, 4.2) in one field
+Q(zeta_K) per product; `multiply` builds a CycloNum only for each term it
+returns.  Confluence is not assumed; it is certified by small-degree
+associativity checks, which fail for families violating the PBW conditions.
 
 S(V)#G itself is the Drinfeld algebra of the empty family
 (`skew_group_algebra`), so the two-cocycle mu_1 that a family induces on it
@@ -27,14 +27,16 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb, gcd, lcm
 
-from .cyclo import CycloNum, SparseSum, _lowest, add_term, cyclo, one, power_sum, root_of_unity, twist
+from .cyclo import CycloNum, SparseSum, add_term, cyclo, power_sum, twist
 from .group import (
     GroupElement,
     RepKind,
     _element,
+    _mul,
     diag,
     elements,
     from_cycles,
@@ -48,9 +50,6 @@ from .group import (
 )
 from .hecke import SkewFormFamily, build_preset, psi2
 
-# the phase of a Drinfeld push whose exponent sum is 0 mod r, shared
-_ONE = one()
-
 
 def _term_order(item):
     """Print order of a ((exps, g), coeff) item: degree, exponents, g."""
@@ -59,13 +58,14 @@ def _term_order(item):
 
 
 class NCElement(SparseSum):
-    """Sum of c * v^mu gbar in a fixed presentation."""
+    """Sum of c * v^mu gbar in a fixed presentation.  A product the core
+    builds keeps its terms as given and carries their order as `_field`."""
 
-    __slots__ = ("algebra",)
+    __slots__ = ("algebra", "_field")
 
-    def __init__(self, algebra, terms: dict):
-        self.algebra = algebra
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+    def __init__(self, algebra, terms: dict, field: int | None = None):
+        self.algebra, self._field = algebra, field
+        self.terms = terms if field else {k: c for k, c in terms.items() if not c.is_zero()}
 
     def _like(self, terms: dict) -> "NCElement":
         return NCElement(self.algebra, terms)
@@ -118,17 +118,26 @@ def _exps_of(word, n):
     return tuple(mu)
 
 
-class _Products(dict):
-    """t -> the index of elems[t] * elems[j] in an algebra's interned
-    elements, for one right factor j; each product is made on first lookup."""
+class _Memo(dict):
+    """key -> make(key), each value made on first lookup."""
 
-    def __init__(self, algebra, j: int):
-        self.algebra, self.j = algebra, j
+    def __init__(self, make):
+        self.make = make
 
-    def __missing__(self, t: int) -> int:
-        elems = self.algebra._elems
-        self[t] = k = self.algebra._id(multiply(elems[t], elems[self.j]))
-        return k
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
+def _scalar(c: CycloNum, K: int):
+    """(x, den) with c = x / den, c of order dividing K; the core's scalar x is
+    an int at K = 1, above a list of (exponent of zeta_K, int) pairs."""
+    return c.nums[0] if K == 1 else [(k * (K // c.order), x) for k, x in enumerate(c.nums) if x], c.den
+
+
+def _times(x, y, K: int):
+    """The product of two scalars."""
+    return x * y if K == 1 else [((e + k) % K, a * b) for e, a in x for k, b in y]
 
 
 class _Sum:
@@ -136,33 +145,25 @@ class _Sum:
     adds into it: integer numerators over one positive denominator `den`,
     which grows by lcm when an addend's denominator does not divide it.  At
     K = 1 a key holds one int; above, K ints indexed by the exponent of
-    zeta_K, reduced to the power basis once per key by `values`."""
+    zeta_K, reduced to the power basis once per key by `values`.  The word
+    forms it adds are over Q(zeta_F), F | K, zeta_F = zeta_K^step."""
 
-    __slots__ = ("K", "den", "nums")
+    __slots__ = ("K", "step", "den", "nums")
 
-    def __init__(self, K: int):
-        self.K, self.den, self.nums = K, 1, {}
+    def __init__(self, K: int, F: int):
+        self.K, self.step, self.den, self.nums = K, K // F, 1, {}
 
-    def add(self, factors, form, relabel) -> None:
-        """Add prod(factors) * form, for factors ints and CycloNums of
-        orders dividing K and a cached word form (den, entries), its group
-        indices t read as relabel[t]."""
-        den, entries = form
-        K, num, scalar = self.K, 1, ((0, 1),)
-        for c in factors:
-            if c.__class__ is int:
-                num *= c
-            elif K == 1:
-                num, den = num * c.nums[0], den * c.den
-            else:
-                den *= c.den
-                scalar = [((e + k) % K, x * y) for e, x in scalar for k, y in _powers(c, K)]
+    def add(self, num, den: int, form, relabel) -> None:
+        """Add num / den * form, for a scalar num and a cached word form
+        (den, entries), its group indices t read as relabel[t]."""
+        den, entries, K = den * form[0], form[1], self.K
         if self.den % den:
             grow = lcm(self.den, den) // self.den
             self.den *= grow
             self.nums = {k: v * grow if K == 1 else [x * grow for x in v] for k, v in self.nums.items()}
-        nums, f = self.nums, self.den // den * num
+        nums, f, step = self.nums, self.den // den, self.step
         if K == 1:
+            f *= num
             get = nums.get
             for exps, t, a in entries:
                 key = exps, relabel[t]
@@ -170,9 +171,9 @@ class _Sum:
             return
         for exps, t, a in entries:
             v = nums.setdefault((exps, relabel[t]), [0] * K)
-            for k, y in _powers(a, K):
-                for e, x in scalar:
-                    v[(e + k) % K] += f * x * y
+            for k, y in ((0, a),) if step == K else a:  # a form over Q holds ints
+                for e, x in num:
+                    v[(e + k * step) % K] += f * x * y
 
     def values(self):
         """(key, numerators on the power basis of Q(zeta_K)) of each nonzero sum."""
@@ -184,43 +185,54 @@ class _Sum:
 
     def form(self) -> tuple:
         """The sum as a cached word form: (den, entries (exps, group index,
-        numerator)), in lowest terms; a numerator is an int at K = 1 and
-        otherwise a CycloNum of order K over 1."""
+        numerator)), in lowest terms, each numerator a scalar."""
         items, K = self.values(), self.K
         g = gcd(self.den, *(x for _, v in items for x in v))
         return self.den // g, [
-            (exps, t, v[0] // g if K == 1 else CycloNum(K, tuple(x // g for x in v), 1)) for (exps, t), v in items]
+            (exps, t, v[0] // g if K == 1 else [(k, x // g) for k, x in enumerate(v) if x]) for (exps, t), v in items]
 
-
-def _powers(c, K: int):
-    """(exponent of zeta_K, numerator) of each nonzero term of an int or of a
-    CycloNum of order dividing K, its den left out."""
-    return ((0, c),) if c.__class__ is int else [(k * (K // c.order), x) for k, x in enumerate(c.nums) if x]
+    def terms(self, elems) -> dict:
+        """The sum as a term dict (exps, elems[t]) -> CycloNum of order K."""
+        out, den = {}, self.den
+        if self.K == 1:
+            for (exps, t), v in self.nums.items():
+                if v:
+                    g = gcd(den, v)
+                    out[exps, elems[t]] = CycloNum(1, (v // g,), den // g)
+            return out
+        for (exps, t), v in self.values():
+            g = gcd(den, *v)
+            out[exps, elems[t]] = CycloNum(self.K, tuple([x // g for x in v]), den // g)
+        return out
 
 
 class _AlgebraBase:
     """The rewriting core of H* and the Drinfeld algebras.  A presentation
     supplies two rules, the two kinds of overlap of the diamond lemma:
-    - `_push(g, word)`: the normal form of gbar v_word, a term dict
-      (word, group) -> coeff with the group on the right and the words not
-      yet sorted, each coeff an int or a CycloNum;
-    - `_bracket(k, m)`: the (group, coeff) corrections in
-      v_k v_m = v_m v_k + sum c gbar, for k > m.
-    Inside the core a group part is its index in `_elems` (`_ids` maps
-    back), and `_prod[j][i]` memoizes the index of elems[i] * elems[j].
-    `_word_cache` memoizes the normal form of each variable word as
-    integer numerators over one denominator (`_Sum.form`), and
-    `_push_cache` serves a presentation that memoizes its pushes.  The core
-    adds integers into a `_Sum` over Q(zeta_K), K the lcm of the operands'
-    orders and `_field`, which holds every push phase and bracket
-    coefficient; `multiply` builds one CycloNum per term it returns."""
+    - `_push(t, word)`: the normal form of gbar v_word, g = `_elems[t]`, as
+      entries (w, u, e, a), each the term a zeta_F^e v_w ubar of u =
+      `_elems[u]`, with the group on the right and w not yet sorted;
+    - `_bracket(k, m)`: the (group, CycloNum) corrections in
+      v_k v_m = v_m v_k + sum c gbar, for k > m, read once per (k, m).
+    F = `_field` holds every push phase and bracket coefficient.  Group
+    parts are indices into `_elems`.  Memos fill on first lookup: `_ids` by
+    (exps, perm), whose `_intern` is the one place the core builds a
+    GroupElement, `_id` by GroupElement, `_prod[j][i]` the index of
+    elems[i] * elems[j], `_words`, `_word_cache` (`_Sum.form` of each
+    variable word) and `_brackets`.  `multiply` adds one scalar per term
+    pair and push entry into a `_Sum` over Q(zeta_K), K the lcm of F and
+    the operands' fields, and builds one CycloNum per term it returns; the
+    product carries K."""
 
     def __init__(self, r: int, p: int, n: int, field: int = 1):
         self.r, self.p, self.n, self._field = r, p, n, field
         self._identity = identity(r, n)
-        self._elems, self._ids, self._prod = [], {}, []
-        self._id(self._identity)  # index 0
-        self._word_cache, self._push_cache = {}, {}
+        self._elems, self._ids, self._prod = [], _Memo(self._intern), []
+        self._id = _Memo(self._element_id)
+        self._id[self._identity]  # index 0
+        self._words = _Memo(lambda mu: tuple(_word_of(mu)))
+        self._word_cache = _Memo(self._word_form)
+        self._brackets = _Memo(lambda km: [(self._id[g], *_scalar(c, field)) for g, c in self._bracket(*km)])
 
     def element(self, terms: dict) -> NCElement:
         return NCElement(self, terms)
@@ -238,36 +250,45 @@ class _AlgebraBase:
         return self.term((0,) * self.n, g)
 
     def multiply(self, x: NCElement, y: NCElement) -> NCElement:
-        K = lcm(self._field, *{c.order for c in x.terms.values()}, *{c.order for c in y.terms.values()})
-        out, push, word_form, prod, id_ = _Sum(K), self._push, self._word_form, self._prod, self._id
-        ys = [(tuple(_word_of(nu)), prod[id_(h)], c2) for (nu, h), c2 in y.terms.items()]
-        for (mu, g), c1 in x.terms.items():
-            prefix = tuple(_word_of(mu))
-            for word, times_h, c2 in ys:
-                for (pushed, g2), e in push(g, word).items():
-                    out.add((c1, c2, e), word_form(prefix + pushed), prod[times_h[id_(g2)]])
-        elems = self._elems
-        return NCElement(self, {(exps, elems[t]): _lowest(K, v, out.den) for (exps, t), v in out.values()})
+        F = self._field
+        K = lcm(F, *(z._field or lcm(*{c.order for c in z.terms.values()}) for z in (x, y)))
+        out, push, forms, prod = _Sum(K, F), self._push, self._word_cache, self._prod
+        ids, words, step = self._id, self._words, out.step
+        ys = [(words[nu], prod[ids[h]], *_scalar(c, K)) for (nu, h), c in y.terms.items()]
+        for (mu, g), c in x.terms.items():
+            prefix, t, (n1, d1) = words[mu], ids[g], _scalar(c, K)
+            for word, times_h, n2, d2 in ys:
+                num, den = _times(n1, n2, K), d1 * d2
+                for pushed, t2, e, a in push(t, word):
+                    num2 = _times(num, a if K == 1 else [(e * step, a)], K)
+                    out.add(num2, den, forms[prefix + pushed], prod[times_h[t2]])
+        return NCElement(self, out.terms(self._elems), K)
 
-    def _id(self, g: GroupElement) -> int:
-        """The index of g, interning it on first sight."""
-        i = self._ids.setdefault(g, len(self._elems))
-        if i == len(self._elems):
-            self._elems.append(g)
-            self._prod.append(_Products(self, i))
-        return i
+    def _element_id(self, g: GroupElement) -> int:
+        if g.r != self.r or g.n != self.n:
+            raise ValueError("elements live in different groups")
+        return self._ids[g.exps, g.perm]
+
+    def _intern(self, parts: tuple) -> int:
+        """The index of a new element with these (exps, perm) parts."""
+        self._elems.append(_element(self.r, self.n, *parts))
+        self._prod.append(_Memo(partial(self._product, len(self._prod))))
+        return len(self._prod) - 1
+
+    def _product(self, j: int, t: int) -> int:
+        """The index of elems[t] * elems[j], by `group._mul` on their parts."""
+        g, h = self._elems[t], self._elems[j]
+        return self._ids[_mul(self.r, g.exps, g.perm, h.exps, h.perm)]
 
     def _word_form(self, word: tuple) -> tuple:
         """Normal form of the variable word v_{word[0]} v_{word[1]} ... as a
-        cached word form over group indices.  Each swap at the first descent
-        adds prefix . c gpbar . suffix per bracket correction, with gpbar
-        pushed past the suffix and the words it gives sorted in turn."""
-        cached = self._word_cache.get(word)
-        if cached is not None:
-            return cached
+        word form over group indices.  Each swap at the first descent adds
+        prefix . c gpbar . suffix per bracket correction, with gpbar pushed
+        past the suffix and the words it gives sorted in turn."""
         # the swaps run in a loop, so only corrections recurse, each on a
         # word two letters shorter
-        out = _Sum(self._field)
+        F = self._field
+        out = _Sum(F, F)
         w = list(word)
         i = 0
         while True:
@@ -279,13 +300,14 @@ class _AlgebraBase:
                 break
             k, m = w[i], w[i + 1]
             prefix, suffix = tuple(w[:i]), tuple(w[i + 2:])
-            for gp, a in self._bracket(k, m):
-                for (pushed, g2), e in self._push(gp, suffix).items():
-                    out.add((a, e), self._word_form(prefix + pushed), self._prod[self._id(g2)])
+            for t, num, den in self._brackets[k, m]:
+                for pushed, t2, e, a in self._push(t, suffix):
+                    num2 = _times(num, a if F == 1 else [(e, a)], F)
+                    out.add(num2, den, self._word_cache[prefix + pushed], self._prod[t2])
             w[i], w[i + 1] = m, k
-        out.add((), (1, [(_exps_of(w, self.n), 0, 1)]), (0,))
-        self._word_cache[word] = out = out.form()
-        return out
+        unit = 1 if F == 1 else [(0, 1)]
+        out.add(unit, 1, (1, [(_exps_of(w, self.n), 0, unit)]), (0,))
+        return out.form()
 
 
 class HStarAlgebra(_AlgebraBase):
@@ -294,26 +316,32 @@ class HStarAlgebra(_AlgebraBase):
     sbar_i v_{i+1} = v_i sbar_i + sum_a xibar_i^a xibar_{i+1}^{-a}.
 
     The variables commute, so `_bracket` is empty, and `_push` keeps sorted
-    words, memoized in `_push_cache` per (g, word).  gbar v_k has a closed
-    form (`_push`), and a longer word is pushed one letter at a time."""
+    words, memoized in `_push_cache` per (group index, word), with integer
+    coefficients and phase 0.  gbar v_k has a closed form (`_pushed`), and
+    a longer word is pushed one letter at a time."""
 
     def __init__(self, r: int, n: int):
         super().__init__(r, 1, n)
+        self._push_cache = _Memo(lambda key: self._pushed(*key))
 
     def group_move(self, g: GroupElement, k: int) -> dict:
         """Normal form of gbar v_k as a term dict; the one main term is
         v_{sigma(k)} gbar, every correction has degree 0."""
-        return self._push(g, (k,))
+        return {(w, self._elems[t]): a for w, t, _e, a in self._push(self._id[g], (k,))}
 
     def _bracket(self, k: int, m: int):
         return ()
 
-    def _push(self, g: GroupElement, word: tuple) -> dict:
-        """The normal form of gbar v_word.  For g = (a, sigma) and a letter k,
-        gbar v_k = v_{sigma(k)} gbar + D(g, k): D(g, k) sums +E_j over j < k
-        with sigma(j) > sigma(k) and -E_j over j > k with sigma(j) < sigma(k),
-        E_j = sum_{c in Z/r} (g (j k) xi_j^c xi_k^-c)bar, whose parts are sigma
-        with j and k swapped, and a plus c at sigma(k) and minus c at sigma(j).
+    def _push(self, t: int, word: tuple):
+        return self._push_cache[t, word]
+
+    def _pushed(self, t: int, word: tuple):
+        """The normal form of gbar v_word, g = (a, sigma) = `_elems[t]`.  For a
+        letter k, gbar v_k = v_{sigma(k)} gbar + D(g, k): D(g, k) sums +E_j
+        over j < k with sigma(j) > sigma(k) and -E_j over j > k with
+        sigma(j) < sigma(k), E_j = sum_{c in Z/r} (g (j k) xi_j^c xi_k^-c)bar,
+        whose parts are sigma with j and k swapped, and a plus c at sigma(k)
+        and minus c at sigma(j).
         Proof, by induction on the length of sigma; a diagonal g commutes
         with v_k.  Else g = s_i w at a left descent i of sigma, tau = s_i sigma
         is w's permutation, and gbar v_k = sbar_i (v_{tau(k)} wbar + D(w, k))
@@ -322,21 +350,18 @@ class HStarAlgebra(_AlgebraBase):
         to g's.  sigma's inversions at k are tau's and, if e != 0, the pair
         of k and j' = tau^-1(s_i tau(k)), on the side of k that e gives; and
         s_i tau = tau (j' k), so the middle sum is e times g's E_j'."""
-        key = (g, word)
-        cached = self._push_cache.get(key)
-        if cached is not None:
-            return cached
         out: Counter = Counter()
         if len(word) > 1:
-            for (w1, g1), c1 in self._push(g, word[:1]).items():
-                for (w2, g2), c2 in self._push(g1, word[1:]).items():
-                    out[(tuple(sorted(w1 + w2)), g2)] += c1 * c2
+            for w1, t1, _e, a1 in self._push(t, word[:1]):
+                for w2, t2, _e, a2 in self._push(t1, word[1:]):
+                    out[tuple(sorted(w1 + w2)), t2] += a1 * a2
         elif not word:
-            out[(word, g)] = 1
+            out[word, t] = 1
         else:
-            r, n, a, sigma, k = self.r, self.n, g.exps, g.perm, word[0]
+            r, g, k = self.r, self._elems[t], word[0]
+            a, sigma = g.exps, g.perm
             sk = sigma[k - 1]
-            out[((sk,), g)] = 1
+            out[(sk,), t] = 1
             for j, sj in enumerate(sigma, 1):
                 sign = (j < k and sj > sk) - (j > k and sj < sk)
                 if not sign:
@@ -346,22 +371,22 @@ class HStarAlgebra(_AlgebraBase):
                 perm = tuple(perm)
                 for c in range(r):
                     exps[sk - 1], exps[sj - 1] = (a[sk - 1] + c) % r, (a[sj - 1] - c) % r
-                    out[((), _element(r, n, tuple(exps), perm))] = sign
-        self._push_cache[key] = out = {k: c for k, c in out.items() if c}
-        return out
+                    out[(), self._ids[tuple(exps), perm]] = sign
+        return [(w, t2, 0, c) for (w, t2), c in out.items() if c]
 
 
 class DrinfeldAlgebra(_AlgebraBase):
     """T(V)#G modulo vw - wv = sum_g a_g(v,w) gbar, for a skew-form family.
 
-    `_push` gives the one term zeta^{sum t} g(v_word) gbar, its phase a
-    single exponent sum, and is not memoized.  `_bracket` yields the
-    family's nonzero a_g(v_k, v_m) in reverse support order, the order in
-    which a depth-first rewrite that stacks the corrections pops them.  Its
-    field is the lcm of the family's nonzero entry orders and, unless the
-    action is the permutation action, whose phases are 0, of r.  A product
-    reuses a cached word form by right-multiplying its group parts by the
-    pushed g times h, one `_prod` lookup per term.
+    `_push` gives the one entry zeta^{sum t} g(v_word) gbar, its phase a
+    single exponent sum, and is not memoized; it reads `monomial_action`
+    once per group index.  `_bracket` yields the family's nonzero
+    a_g(v_k, v_m) in reverse support order, the order in which a depth-first
+    rewrite that stacks the corrections pops them.  Its field is the lcm of
+    the family's nonzero entry orders and, unless the action is the
+    permutation action, whose phases are 0, of r.  A product reuses a cached
+    word form by right-multiplying its group parts by the pushed g times h,
+    one `_prod` lookup per term.
 
     Arithmetic is only trustworthy for families passing pbw_check; for bad
     families the rewriting is still deterministic but associativity fails,
@@ -373,12 +398,16 @@ class DrinfeldAlgebra(_AlgebraBase):
         super().__init__(family.r, family.p, family.n, lcm(family.r if family.repkind == RepKind.FAITHFUL else 1, *orders))
         self.family = family
         self.rep = family.repkind
+        self._actions = _Memo(self._action)
 
-    def _push(self, g: GroupElement, word: tuple) -> dict:
-        pi, tvals = monomial_action(g, self.rep)
-        zexp = sum(tvals[s - 1] for s in word)
-        c = root_of_unity(self.r, zexp) if zexp % self.r else _ONE
-        return {(tuple(pi[s - 1] for s in word), g): c}
+    def _action(self, t: int):
+        """pi and the zeta_F phase exponents (None if all 0) of `_elems[t]`."""
+        pi, tvals = monomial_action(self._elems[t], self.rep)
+        return pi, [s * (self._field // self.r) for s in tvals] if any(tvals) else None
+
+    def _push(self, t: int, word: tuple):
+        pi, phases = self._actions[t]
+        return ((tuple([pi[s - 1] for s in word]), t, sum([phases[s - 1] for s in word]) if phases else 0, 1),)
 
     def _bracket(self, k: int, m: int):
         for gp, A in reversed(self.family.support.items()):
@@ -660,7 +689,7 @@ def pbw_dimension_check(
             mu = [0] * n
             for _ in range(rng.randrange(3)):
                 mu[rng.randrange(n)] += 1
-            return algebra.term(mu, rng.choice(G), Fraction(rng.randrange(1, 4)))
+            return algebra.term(mu, rng.choice(G), rng.randrange(1, 4))
 
         check(rand_term(), rand_term(), rand_term())
     return PBWDimensionReport(count, expected, associative, witness)

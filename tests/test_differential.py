@@ -6,12 +6,18 @@ in `oracles`:
   fail the PBW conditions, with pushes and forms of orders up to 6 and
   coefficients of orders 1, 2, 3, 4 and 6, and on one product whose field
   orders depend on the order in which the bracket corrections are added;
+  and both bracketings of seeded triples, whose second product has a
+  many-term operand, as `pbw_dimension_check` multiplies them;
+- the sampled PBW surrogate's witness against the first triple it draws
+  on which chained stack products fail to associate, on the 20
+  criterion-5 perturbations;
 - conjugate_form, which skips SkewForm's checks, against the checked
   form of the same conjugated grid, on the support of those families and
   every generator;
 - the H* product against the bubble-word rewriter, term for term, on every
   gbar v_a v_b v_c over G(2,1,3), every gbar v_a v_b over G(3,1,3) and
-  seeded term pairs in H*(3,4) with zeta_3 in the coefficients;
+  seeded term pairs and triples in H*(3,4) with zeta_3 in the
+  coefficients, a triple's second product with a many-term left operand;
 - generator-only pbw_check against the scan over all of G, verdicts and
   Jacobi witnesses (an invariance witness is a generator failing the
   scan's condition), on every group with |G| <= 400 that the acceptance
@@ -128,7 +134,7 @@ from heckeforge.hochschild import (
     hh_component,
     hochschild_character,
 )
-from heckeforge.ncalg import DrinfeldAlgebra, HStarAlgebra
+from heckeforge.ncalg import DrinfeldAlgebra, HStarAlgebra, pbw_dimension_check
 from heckeforge.polyforms import (
     _duals,
     reflection_root,
@@ -192,6 +198,12 @@ def _rewrite_families():
         diag(4, 3, [1, 0, 0]): SkewForm([[0, z4, 0], [-z4, 0, 1], [0, -1, 0]]),
         diag(4, 3, [2, 1, 1]): SkewForm([[0, 0, 1], [0, 0, -z4], [-1, z4, 0]]),
     })
+    # not PBW: a zeta_6 entry over G(3,1,3) makes the field order 6, so a
+    # push phase zeta_3^e enters the field as zeta_6^(2e)
+    z6 = root_of_unity(6)
+    out["zeta6 form(3,1,3)"] = SkewFormFamily(3, 1, 3, F, {
+        diag(3, 3, [1, 0, 0]): SkewForm([[0, z6, 0], [-z6, 0, 1], [0, -1, 0]]),
+    })
     out["faithful(2,1,4)"] = faithful_family_2_1_4()
     # not PBW: one entry off an equivariant family, so the normal form
     # depends on the rewriting order, which both rewriters must share
@@ -238,6 +250,33 @@ def test_memoized_rewriter_matches_the_stack_rewriter(name):
 
     for _ in range(20):
         _assert_same_product(term(), term())
+
+
+@pytest.mark.parametrize("name", sorted(REWRITE_FAMILIES))
+def test_chained_products_match_the_stack_rewriter(name):
+    # pbw_dimension_check's hot path: (x y) z multiplies a product with many
+    # terms by a short operand, and x (y z) the other way round.  Both
+    # bracketings, against stack_multiply chained in the same order; the
+    # faithful empty families' pushes carry phases, so K > 1 is covered.  A
+    # product carries the field all its coefficients were built in
+    fam = REWRITE_FAMILIES[name]
+    alg = DrinfeldAlgebra(fam)
+    n = alg.n
+    G = elements(alg.r, fam.p, n)
+    rng = random.Random(sum(map(ord, name)) + 1)
+
+    def term():
+        mu = [0] * n
+        for _ in range(rng.randrange(3)):
+            mu[rng.randrange(n)] += 1
+        return alg.term(mu, rng.choice(G), _coefficient(rng))
+
+    for _ in range(6):
+        x, y, z = (term() + term() for _ in range(3))
+        for got, want in [((x * y) * z, stack_multiply(stack_multiply(x, y), z)),
+                          (x * (y * z), stack_multiply(x, stack_multiply(y, z)))]:
+            assert got.to_json() == want.to_json(), (x, y, z)
+            assert all(c.order == got._field for c in got.terms.values())
 
 
 def test_bracket_order_fixes_the_field_orders():
@@ -289,28 +328,30 @@ def _hstar_words(r, n, length):
             yield [alg.group(g)] + [alg.var(k) for k in word]
 
 
-def _hstar_term_pairs():
-    """20 seeded pairs of terms of degree <= 3 in H*(3,4); a coefficient is a
-    rational times zeta_3^e, e in {0, 1, 2}, with e = 0 left rational."""
+def _hstar_term_folds(seed, count, factors, max_degree):
+    """`count` seeded lists of `factors` sums of two terms of degree
+    <= max_degree in H*(3,4); a coefficient is a rational times zeta_3^e,
+    e in {0, 1, 2}, with e = 0 left rational."""
     alg = HStarAlgebra(3, 4)
     G = elements(3, 1, 4)
-    rng = random.Random(34)
+    rng = random.Random(seed)
 
     def term():
         mu = [0] * 4
-        for _ in range(rng.randrange(4)):
+        for _ in range(rng.randrange(max_degree + 1)):
             mu[rng.randrange(4)] += 1
         e = rng.randrange(3)
         c = Fraction(rng.randrange(1, 5), rng.randrange(1, 4))
         return alg.term(mu, rng.choice(G), root_of_unity(3, e) * c if e else c)
 
-    for _ in range(20):
-        yield [term() + term(), term() + term()]
+    for _ in range(count):
+        yield [term() + term() for _ in range(factors)]
 
 
 @pytest.mark.parametrize("cases", [
-    lambda: _hstar_words(2, 3, 3), lambda: _hstar_words(3, 3, 2), _hstar_term_pairs,
-], ids=["G(2,1,3)-gbar-vvv", "G(3,1,3)-gbar-vv", "H*(3,4)-zeta3-pairs"])
+    lambda: _hstar_words(2, 3, 3), lambda: _hstar_words(3, 3, 2), lambda: _hstar_term_folds(34, 20, 2, 3),
+    lambda: _hstar_term_folds(35, 8, 3, 2),
+], ids=["G(2,1,3)-gbar-vvv", "G(3,1,3)-gbar-vv", "H*(3,4)-zeta3-pairs", "H*(3,4)-zeta3-triples"])
 def test_hstar_core_matches_the_bubble_word_rewriter(cases):
     for factors in cases():
         x = ref = factors[0]
@@ -339,6 +380,41 @@ def _criterion_5_perturbations():
                 j = rng.randrange(n)
             out[f"a_r1n({r},{n}) perturbation {t}"] = _perturbed(fam, g, min(i, j), max(i, j))
     return out
+
+
+CRITERION_5_PERTURBATIONS = _criterion_5_perturbations()
+
+
+def _surrogate_triples(alg, n_triples, seed):
+    """The triples pbw_dimension_check(alg, N, n_triples, seed) multiplies,
+    in its order: every variable triple, then seeded terms of degree <= 2."""
+    n = alg.n
+    for i, j, k in product(range(1, n + 1), repeat=3):
+        yield alg.var(i), alg.var(j), alg.var(k)
+    rng = random.Random(seed)
+    G = elements(alg.r, alg.p, n)
+
+    def term():
+        mu = [0] * n
+        for _ in range(rng.randrange(3)):
+            mu[rng.randrange(n)] += 1
+        return alg.term(mu, rng.choice(G), rng.randrange(1, 4))
+
+    for _ in range(n_triples):
+        yield term(), term(), term()
+
+
+@pytest.mark.parametrize("name", sorted(CRITERION_5_PERTURBATIONS))
+def test_the_sampled_surrogate_finds_the_first_stack_witness(name):
+    # each perturbation fails Jacobi, and the surrogate must see it: its
+    # witness is the first triple it draws on which the stack rewriter's
+    # two bracketings differ
+    alg = DrinfeldAlgebra(CRITERION_5_PERTURBATIONS[name])
+    report = pbw_dimension_check(alg, 3, 200, seed=21)
+    assert not report.associative
+    first = next((x, y, z) for x, y, z in _surrogate_triples(alg, 200, 21)
+                 if not stack_multiply(stack_multiply(x, y), z) == stack_multiply(x, stack_multiply(y, z)))
+    assert [w.to_json() for w in report.witness] == [w.to_json() for w in first]
 
 
 def _pbw_families():

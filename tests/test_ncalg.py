@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeforge.cyclo import CycloNum, _lowest, add_term, euler_phi, one, root_of_unity, twist
+from heckeforge.cyclo import CycloNum, add_term, cyclo, euler_phi, one, root_of_unity, twist
 from heckeforge.group import (
     GroupElement,
     RepKind,
@@ -22,7 +22,6 @@ from heckeforge.group import (
     xi,
 )
 from heckeforge.hecke import SkewForm, SkewFormFamily, build_preset, pbw_check
-import heckeforge.ncalg
 from heckeforge.ncalg import (
     DrinfeldAlgebra,
     HStarAlgebra,
@@ -34,7 +33,7 @@ from heckeforge.ncalg import (
     verify_iso,
     verify_reln4,
 )
-from heckeforge.ncalg import _Sum
+from heckeforge.ncalg import _Sum, _scalar, _times
 
 
 def sg_mul(x: dict, y: dict, rep: RepKind) -> dict:
@@ -139,6 +138,23 @@ def test_normal_forms_reproducible():
     x = alg.group(transposition(2, 3, 1, 3)) * alg.var(2)
     y = alg.group(transposition(2, 3, 1, 3)) * alg.var(2)
     assert x.terms == y.terms
+
+
+def test_the_presentations_share_one_product():
+    # one rewriting core: no presentation overrides multiply, so every
+    # product runs through _AlgebraBase.multiply, where the benchmark's
+    # ncalg.multiply span sees it
+    assert "multiply" not in vars(HStarAlgebra) and "multiply" not in vars(DrinfeldAlgebra)
+    assert HStarAlgebra.multiply is DrinfeldAlgebra.multiply
+
+
+def test_a_group_element_of_another_group_is_refused():
+    # the core reads group parts as exponents mod its own r, so an element
+    # of another G(r,1,n) must not reach it
+    alg = DrinfeldAlgebra(build_preset("a_r1n", 2, 3))
+    for g in (xi(4, 3, 1, 3), identity(2, 4)):
+        with pytest.raises(ValueError, match="different groups"):
+            alg.term((0, 0, 0), g) * alg.var(1)
 
 
 CACHE_ALGEBRAS = {
@@ -332,16 +348,19 @@ def test_associativity_hstar_sample():
 
 @pytest.mark.parametrize("r", [2, 3, 4, 6])
 def test_drinfeld_push_phase_is_the_twisted_one(r):
-    # xi_1^a v_1^k: the phase a k runs past r; value and field order agree
-    # with twist(1, r, a k), and a zero phase is the shared unit
+    # xi_1^a v_1^k: the phase a k runs past r; the push's exponent of
+    # zeta_F agrees in value and printed field with twist(1, r, a k), and a
+    # zero phase is exponent 0 mod F
     alg = skew_group_algebra(r, 1, 2, RepKind.FAITHFUL)
+    F = alg._field
     for a in range(r):
+        g = xi(r, 2, 1, a)
         for k in range(3):
-            ((word, g), c), = alg._push(xi(r, 2, 1, a), (1,) * k).items()
-            ref = twist(one(), r, a * k)
-            assert (word, g) == ((1,) * k, xi(r, 2, 1, a))
-            assert (c.order, c.coeffs) == (ref.order, ref.coeffs), (a, k)
-            assert (c is heckeforge.ncalg._ONE) == (a * k % r == 0)
+            (word, t, e, c), = alg._push(alg._id[g], (1,) * k)
+            ref, got = twist(one(), r, a * k), root_of_unity(F, e) * c
+            assert (word, alg._elems[t]) == ((1,) * k, g)
+            assert got == ref and got.to_json() == ref.to_json(), (a, k)
+            assert (e % F == 0) == (a * k % r == 0)
 
 
 # -- the integer accumulator against cyclo.add_term ------------------------------
@@ -357,11 +376,6 @@ def _cyclonums(draw):
     return CycloNum(order, coeffs)
 
 
-def _unit_form(k):
-    """The cached word form of 1 at the key ((k,), 0)."""
-    return 1, [((k,), 0, 1)]
-
-
 # a step adds prod(factors) times the form of {k: c}, or, given a bare key,
 # minus the running sum there, so that partial sums cross zero
 _STEPS = st.lists(st.one_of(
@@ -374,30 +388,41 @@ _STEPS = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_STEPS)
 def test_integer_sum_matches_add_term(steps):
-    # the sum is held in Q(zeta_K), K the lcm of every order in the steps,
-    # and each step's form in the lcm of its own entries' orders, as a word
-    # form is held in its algebra's field
-    K = lcm(1, *(c.order for step in steps if not isinstance(step, int)
-                 for c in [*step[0], *step[1].values()] if isinstance(c, CycloNum)))
-    acc, ref = _Sum(K), {}
+    # every step's form is held in Q(zeta_F), F the lcm of the orders of
+    # all forms' entries, as an algebra holds its word forms in its field;
+    # the sum is held in Q(zeta_K), K the lcm of F and the factors' orders,
+    # as a product is
+    F = lcm(1, *(c.order for step in steps if not isinstance(step, int) for c in step[1].values()))
+    K = lcm(F, *(c.order for step in steps if not isinstance(step, int)
+                 for c in step[0] if isinstance(c, CycloNum)))
+    acc, ref = _Sum(K, F), {}
+
+    def unit_form(k):
+        """The cached word form of 1 at the key ((k,), 0)."""
+        return 1, [((k,), 0, 1 if F == 1 else ((0, 1),))]
+
     for step in steps:
         if isinstance(step, int):
             key = ((step,), 0)
             if key in ref:
                 c = -ref[key]
-                acc.add((c,), _unit_form(step), (0,))
+                acc.add(*_scalar(c, K), unit_form(step), (0,))
                 add_term(ref, key, c)
             continue
         factors, entries = step
-        form = _Sum(lcm(*(c.order for c in entries.values())))
+        form = _Sum(F, F)
         for k, c in entries.items():
-            form.add((c,), _unit_form(k), (0,))
-        acc.add(tuple(factors), form.form(), (0,))
+            form.add(*_scalar(c, F), unit_form(k), (0,))
+        num, den = _scalar(one(K), K)
+        for f in factors:
+            x, d = _scalar(cyclo(f), K)
+            num, den = _times(num, x, K), den * d
+        acc.add(num, den, form.form(), (0,))
         for k, c in entries.items():
             for f in factors:
                 c = c * f
             add_term(ref, ((k,), 0), c)
-    got = {key: _lowest(K, v, acc.den) for key, v in acc.values()}
+    got = acc.terms((0,))
     assert got.keys() == ref.keys()
     for key, c in ref.items():
         assert got[key] == c and got[key].to_json() == c.to_json(), key
