@@ -7,9 +7,9 @@ column i.  Conjugacy in G(r,1,n) is decided by (a,k)-cycle type, so its
 classes are its coloured cycle types, each least member built directly,
 with no listing of the group, and the number of G(r,p,n)-classes a class
 splits into is read off its type.  A class that splits is grown once, and
-cut into its pieces by a label its walk carries.  Centralizers are held on
-generators read off cycles, with their orders from the cycle type, as is
-the pointwise stabilizer of V^g.  Every walk from generators is the one
+cut into its pieces by a label its walk carries.  Each centralizer is read
+once off g's cycles as D.P (`centralizer_of`): generators, order and the
+pointwise stabilizer of V^g.  Every walk from generators is the one
 `walk` and rests on its argument, but `polyforms._phase_rows`, which keeps
 its own loop: (|monos| + |wedges|) * |S| integer table entries, built once
 per call, and |basis| * |S| edges, each two list lookups.
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .cyclo import CycloNum, json_int, root_of_unity
 
@@ -441,24 +442,12 @@ def _cycles_by_type(g: GroupElement) -> dict:
     return by_type
 
 
-def _scalar_and_cycle(g: GroupElement, cyc) -> list[GroupElement]:
-    """The scalar xi on the support of the cycle cyc of g, and the element
-    that is g on that support and the identity off it; they generate the
-    cycle's cyclic centralizer of order rk."""
-    r, n = g.r, g.n
-    on = [i + 1 in cyc for i in range(n)]
-    return [diag(r, n, on), _element(
-        r, n, tuple(g.exps[i] if on[i] else 0 for i in range(n)),
-        tuple(g.perm[i] if on[i] else i + 1 for i in range(n)),
-    )]
-
-
 def _swaps(g: GroupElement, same) -> list[GroupElement]:
     """A swap of each adjacent pair c1, c2 of the cycles `same` of one (a,k)
     type: tau swaps the j-th points of c1 and c2, and b solves
     b_{sigma(x)} = b_x + a_{sigma(x)} - a_{tau^-1 sigma(x)}, which (b, tau)
-    must solve to commute with g = (a, sigma).  They permute the cycles and
-    conjugate the first cycle's `_scalar_and_cycle` onto each."""
+    must solve to commute with g = (a, sigma).  They permute the cycles,
+    conjugating the first cycle's xi_c and g_c (`Centralizer`) onto each."""
     r, n, a = g.r, g.n, g.exps
     out = []
     for c1, c2 in zip(same, same[1:]):
@@ -482,55 +471,69 @@ def _within(gens, r: int, n: int, p: int) -> tuple[GroupElement, ...]:
     return tuple(h for h in dict.fromkeys(gens) if not h.is_identity())
 
 
-def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
-    """Generators of Z_{G(r,p,n)}(g) read off g's cycles, with no identity
-    or repeat.  Per (a,k) type: `_scalar_and_cycle` of its first cycle, and
-    the `_swaps` of its cycles: `centralizer_order_formula` in all.  For
-    p > 1, cut down by `_within`."""
-    by_type = _cycles_by_type(g).values()
-    gens = [h for same in by_type for h in _scalar_and_cycle(g, same[0])]
-    gens += [h for same in by_type for h in _swaps(g, same)]
-    return _within(gens, g.r, g.n, p)
-
-
 def _split_count(ctype, p: int) -> int:
     """The number of G(r,p,n)-classes in the G(r,1,n)-class of cycle type
     ctype: the index in Z/p of the image of Z_{G(r,1,n)}(g) under
-    h -> sum(h.exps), spanned by the sums of `centralizer_generators`: each
+    h -> sum(h.exps), spanned by the sums of `Centralizer`'s D and P: each
     cycle's length and colour, and 0 per swap."""
     return math.gcd(p, *(x for a, k, _ in ctype for x in (a, k)))
 
 
-def centralizer_order(g: GroupElement, p: int) -> int:
-    """|Z_{G(r,p,n)}(g)|: the kernel of h -> sum(h.exps) mod p on
-    Z_{G(r,1,n)}(g), whose image has order p / `_split_count`."""
-    ctype = cycle_type(g)
-    return centralizer_order_formula(g, ctype) * _split_count(ctype, p) // p
+class Centralizer(NamedTuple):
+    """Z = Z_{G(r,p,n)}(g), g = (a, sigma), read off g's cycles as D_p.P
+    (Macdonald, App. B).  For a cycle c of length k and colour a_c, xi_c is
+    the scalar xi on c's support and g_c is g there and 1 elsewhere.  Both
+    commute with g and each other, and g_c^k = xi_c^(a_c), so <xi_c, g_c>
+    = {xi_c^i g_c^j : i < r, j < k} is abelian of order rk, not always
+    cyclic: for g = (1,2) in G(2,1,2) it is a Klein four group.  D is their
+    product over the cycles and P is generated by the `_swaps` of each
+    type's cycles, of exponent sum 0 mod r.  Z_{G(r,1,n)}(g) = D x| P: an h
+    in it permutes the cycles of each type, and past an element of P it
+    fixes each cycle, so lies in D.  Its order is `centralizer_order_formula`,
+    and Z is its part of exponent sum 0 mod p, of index p / `_split_count`."""
+
+    g: GroupElement
+    p: int
+    cycles: tuple  # (a_c, xi_c, g_c) per cycle c
+    swaps: tuple  # (colour of its type, swap) per swap
+    generators: tuple  # per type the first xi_c, g_c (P moves them onto the rest), then the swaps, cut by `_within`
+    order: int
+
+    def kernel(self, rep: RepKind) -> tuple[GroupElement, ...]:
+        """Generators of K = ker(Z -> GL(V^g)).  V^g has a vector per cycle,
+        of colour 0 under the faithful action (`hochschild.fixed_basis`).
+        g_c fixes V^g, as g does; xi_c scales c's vector by zeta_r under the
+        faithful action and fixes every other; a swap exchanges its cycles'
+        vectors if they have them.  So for h = d.pi in K, d in D and pi in P,
+        pi fixes each cycle with a vector, so pi and then d lie in K.  K is
+        cut by `_within` from D and P less, under the faithful action, the
+        xi_c of colour-0 cycles and the swaps of colour-0 types, and under
+        the permutation action every swap."""
+        faithful = rep == RepKind.FAITHFUL
+        gens = [h for a, x, c in self.cycles for h in ((x, c) if a or not faithful else (c,))]
+        gens += [s for a, s in self.swaps if a and faithful]
+        return _within(gens, self.g.r, self.g.n, self.p)
+
+
+@lru_cache(maxsize=4096)
+def centralizer_of(g: GroupElement, p: int) -> Centralizer:
+    """g's `Centralizer` in G(r,p,n), in one pass over its cycles."""
+    r, n = g.r, g.n
+    cycles, swaps, firsts, ctype = [], [], [], []
+    for (a, k), same in _cycles_by_type(g).items():
+        ctype.append((a, k, len(same)))
+        for cyc in same:
+            on = [i + 1 in cyc for i in range(n)]
+            g_c = _element(r, n, tuple(x if o else 0 for x, o in zip(g.exps, on)), _cycles_perm(n, [cyc]))
+            cycles.append((a, diag(r, n, on), g_c))
+        firsts += cycles[-len(same)][1:]
+        swaps += [(a, s) for s in _swaps(g, same)]
+    gens = _within(firsts + [s for _, s in swaps], r, n, p)
+    order = centralizer_order_formula(g, ctype) * _split_count(ctype, p) // p
+    return Centralizer(g, p, tuple(cycles), tuple(swaps), gens, order)
 
 
 def centralizer(g: GroupElement, p: int) -> list[GroupElement]:
-    """Z_{G(r,p,n)}(g), sorted: the `closure` of `centralizer_generators`,
-    work in |Z(g)| and independent of |G|."""
-    return sorted(closure(g.r, g.n, centralizer_generators(g, p)), key=GroupElement.sort_key)
-
-
-def kernel_generators(g: GroupElement, rep: RepKind, p: int) -> tuple[GroupElement, ...]:
-    """Generators of K = ker(Z_{G(r,p,n)}(g) -> GL(V^g)), the centralizer
-    elements fixing V^g pointwise, read off g's cycles.  Z(g) is a direct
-    product over g's (a,k) types, and so is K.  V^g has one vector on each
-    cycle of colour 0 under the faithful action, and on each cycle under the
-    permutation action.  A type without fixed vectors puts its whole factor
-    into K, as in `centralizer_generators`.  On a type with them, no
-    element that moves its cycles is in K, and per cycle K takes the cycle,
-    which fixes the cycle's vector, and under the permutation action, where
-    scalars act trivially, its scalar; under the faithful action the scalar
-    moves that vector by zeta_r.  For p > 1, cut down by `_within`."""
-    faithful = rep == RepKind.FAITHFUL
-    gens: list = []
-    for (a, _), same in _cycles_by_type(g).items():
-        if faithful and a:
-            gens += _scalar_and_cycle(g, same[0]) + _swaps(g, same)
-        else:
-            for cyc in same:
-                gens += _scalar_and_cycle(g, cyc)[faithful:]  # faithful: no scalar
-    return _within(gens, g.r, g.n, p)
+    """Z_{G(r,p,n)}(g), sorted: the `closure` of `centralizer_of`'s
+    generators, work in |Z(g)| and independent of |G|."""
+    return sorted(closure(g.r, g.n, centralizer_of(g, p).generators), key=GroupElement.sort_key)

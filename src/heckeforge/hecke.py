@@ -27,7 +27,7 @@ from .group import (
     GroupElement,
     RepKind,
     check_group,
-    centralizer_generators,
+    centralizer_of,
     conjugacy_classes,
     cycle_type,
     generators,
@@ -474,7 +474,7 @@ def param_space_linear_oracle(r: int, p: int, n: int, rep: RepKind) -> int:
     h^-1 g h -> a_g(h(.), h(.)) (`_extend_by_conjugation`).  Jacobi at
     h^-1 g h for that extension is h applied to Jacobi at g, so it holds iff
     Jacobi holds at g.  The h fixing a form are a group, so Z(g)-invariance
-    is invariance under `centralizer_generators(g, p)`.  The dimension is
+    is invariance under the generators of `centralizer_of(g, p)`.  The dimension is
     therefore the sum over the classes of C(n, 2) minus the rank of the rows
     on the unknowns x_s = a_g(v_{i+1}, v_{j+1}), s the index of i < j in
     `combinations`: for each generator h, h.v_i = zeta_r^t_i v_{pi i}, the
@@ -501,7 +501,7 @@ def param_space_linear_oracle(r: int, p: int, n: int, rep: RepKind) -> int:
     for cls in conjugacy_classes(r, p, n):
         g = cls.rep
         rows = set()
-        for h in centralizer_generators(g, p):
+        for h in centralizer_of(g, p).generators:
             pi, t = monomial_action(h, rep)
             for (i, j), s in slot.items():
                 rows.add(row([term(pi[i] - 1, pi[j] - 1, (t[i] + t[j]) * M // r), (s, half)]))

@@ -28,14 +28,12 @@ from .cyclo import root_of_unity, zero
 from .group import (
     GroupElement,
     RepKind,
-    centralizer_generators,
-    centralizer_order,
+    centralizer_of,
     conjugacy_classes,
     cycle_type,
     det_exponent,
     from_cycles,
     is_three_cycle,
-    kernel_generators,
     monomial_action,
     perm_cycles,
     three_cycle,
@@ -106,7 +104,7 @@ def hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTabl
     computed as det(h|V) / det(h|V^g) from the monomial action on V^g and
     held as exponents mod lcm(2, r).  A ratio of the determinants of two
     representations of Z(g) is a homomorphism, so the table holds its values
-    on `centralizer_generators` only, and claims |Z(g)| = `centralizer_order`.
+    on the generators of `centralizer_of(g, p)` only, and claims its order.
     Z(g) is listed only if `subgroup`, `exponents` or `chi(h)` are read, by
     the walk over the generators that proves the claim.  One table per
     (g, rep, p) is cached, so its action data serve every polynomial and
@@ -117,16 +115,15 @@ def hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTabl
     # action; h permutes the fixed basis monomially, so
     # det(h | V^g) = sign(pi) zeta_r^{sum texp}.  Both are `det_exponent`s
     # mod F = lcm(2, r).  The table keeps the generators' fixed-basis pairs.
-    r = g.r
-    gens = centralizer_generators(g, p)
+    r, Z = g.r, centralizer_of(g, p)
     fixed = fixed_basis(g, rep)
-    pairs = subspace_actions(gens, rep, fixed)
+    pairs = subspace_actions(Z.generators, rep, fixed)
     faithful = rep == RepKind.FAITHFUL
     exps = [
         det_exponent(h.perm, h.exps if faithful else (), r) - det_exponent(pi, texp, r)
-        for h, (pi, texp) in zip(gens, pairs)
+        for h, (pi, texp) in zip(Z.generators, pairs)
     ]
-    chi = CharacterTable(r, g.n, lcm(2, r), gens, exps, centralizer_order(g, p))
+    chi = CharacterTable(r, g.n, lcm(2, r), Z.generators, exps, Z.order)
     chi.keep_actions(rep, fixed, pairs)
     return chi
 
@@ -204,7 +201,7 @@ def _passes_det_filter(g: GroupElement, rep: RepKind, p: int, m: int = 2) -> boo
         return False
     # on an h fixing V^g pointwise, det(h | V^g) = 1, so chi_g(h) = det(h);
     # chi_g is a homomorphism, so it is trivial on K iff on K's generators
-    return not any(det_exponent(*monomial_action(h, rep), g.r) for h in kernel_generators(g, rep, p))
+    return not any(det_exponent(*monomial_action(h, rep), g.r) for h in centralizer_of(g, p).kernel(rep))
 
 
 def hh2_total(

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from .cyclo import CycloMatrix, CycloNum, SparseSum, add_term, cyclo, one, power_sum, root_of_unity, twist, zero
@@ -491,30 +491,29 @@ def reynolds_semiinvariant_basis(
     """
     if subspace is None:
         subspace = tuple(((i, 0),) for i in range(chi.n))
-    rows, basis = semiinvariant_rows(chi, rep, poly_degree, form_degree, subspace)
-    return [_assemble_polyform(row, basis, chi.n, chi.r, chi.order, subspace) for row in rows]
+    rows, monos, wedges = semiinvariant_rows(chi, rep, poly_degree, form_degree, subspace)
+    return [_assemble_polyform(row, monos, wedges, chi.n, chi.r, chi.order, subspace) for row in rows]
 
 
 def semiinvariant_rows(chi: CharacterTable, rep: RepKind, poly_degree: int, form_degree: int, subspace):
-    """(rows, basis): the monomial-times-wedge basis (mu, S) of the two
-    degrees on the subspace basis, v_1^d first, and its `_phase_rows`, one
-    row per element of `reynolds_semiinvariant_basis`, in order; so the
-    number of rows is the dimension, and nothing is assembled."""
+    """(rows, monos, wedges): the monomials mu of the polynomial degree on
+    the subspace basis, v_1^d first, the wedges S of the form degree, and
+    the `_phase_rows` of the basis they span, one row per element of
+    `reynolds_semiinvariant_basis`: so the row count is the dimension."""
     m = len(subspace)
     if form_degree < 0 or form_degree > m or poly_degree < 0:
-        return [], []
+        return [], [], []
     wedges = list(combinations(range(m), form_degree))
     # the multisets of poly_degree symbols in lex order give exponents descending, v_1^d first
-    monos = (tuple(map(c.count, range(m))) for c in combinations_with_replacement(range(m), poly_degree))
-    basis = [(mu, S) for mu in monos for S in wedges]
-    return _phase_rows(chi.actions(rep, subspace), chi.order, basis), basis
+    monos = [tuple(map(c.count, range(m))) for c in combinations_with_replacement(range(m), poly_degree)]
+    return _phase_rows(chi.actions(rep, subspace), chi.order, monos, wedges), monos, wedges
 
 
-def _phase_rows(actions, F, basis):
+def _phase_rows(actions, F, monos, wedges):
     """Reduced echelon basis of the span of the chi-semi-invariants, as
-    sparse rows {index into `basis`: e}, each entry meaning zeta_F^e;
-    `actions` as in `CharacterTable.actions` over a generating set S of H;
-    `basis` holds (mu_a, S_b) at a * W + b, W = C(m, k) (`semiinvariant_rows`).
+    sparse rows {a * W + b: e}, each entry meaning zeta_F^e at the basis
+    element (monos[a], wedges[b]), W = len(wedges); `actions` as in
+    `CharacterTable.actions` over a generating set S of H.
 
     Each (pi, texp, chi_e) sends b = (mu, S) to zeta_F^e b' with a single
     integer exponent e (chi's inverse folded in), where b' = (mu read
@@ -533,13 +532,10 @@ def _phase_rows(actions, F, basis):
     generator of the stabilizer that does not (Schreier's lemma).  Orbits
     are disjoint and each walk starts at the smallest index of its orbit,
     so these rows, taken in scan order, are already the reduced echelon
-    form.  The work is (|monos| + W) * |S| table entries, |basis| * |S| edges."""
-    if not basis:  # V^g = 0 in a positive degree
-        return []
+    form.  The work is (|monos| + W) * |S| table entries, |monos| * W * |S| edges."""
     # a triple that acts as the identity gives self-loops only
     actions = [(pi, texp, e) for pi, texp, e in actions if e or not is_identity_action(pi, texp)]
-    W = comb(len(basis[0][0]), len(basis[0][1]))
-    monos, wedges = [mu for mu, _ in basis[::W]], [S for _, S in basis[:W]]
+    W = len(wedges)
     mono_at, wedge_at = {mu: a * W for a, mu in enumerate(monos)}, {S: b for b, S in enumerate(wedges)}
     tables = []  # per action: monomial a -> (image's index * W, phase), wedge b -> (image's index, phase)
     for pi, texp, chi_e in actions:
@@ -549,9 +545,9 @@ def _phase_rows(actions, F, basis):
             [(wedge_at[tuple(sorted(img := tuple([pi[j] for j in S])))],
               F // 2 * (perm_sign(img) < 0) - sum(texp[j] for j in S) - chi_e) for S in wedges],
         ))
-    phase: list = [None] * len(basis)
+    phase: list = [None] * (len(monos) * W)  # no monomial: V^g = 0 in a positive degree
     rows = []
-    for start in range(len(basis)):
+    for start in range(len(phase)):
         if phase[start] is not None:
             continue
         phase[start] = 0
@@ -582,7 +578,7 @@ def _duals(vectors) -> list:
     return [(len(v), tuple((i, -t) for i, t in v)) for v in vectors]
 
 
-def _assemble_polyform(row, basis, n, r, F, vectors):
+def _assemble_polyform(row, monos, wedges, n, r, F, vectors):
     """The ambient PolyForm of a row of `_phase_rows`, with the subspace
     vectors substituted and their duals (`_duals`) expanded.
 
@@ -598,7 +594,7 @@ def _assemble_polyform(row, basis, n, r, F, vectors):
     duals = _duals(vectors)
     acc: dict = {}  # wedge -> exponents -> {phase mod F: weight}
     for idx, a in row.items():
-        mu, S = basis[idx]
+        mu, S = monos[idx // len(wedges)], wedges[idx % len(wedges)]
         poly = {(0,) * n: 1}  # prod w_j^{mu_j} without its phases
         for j, k in enumerate(mu):
             for _ in range(k):

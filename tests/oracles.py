@@ -50,6 +50,13 @@ paths in the library, and a faithful family shared by the tests:
   its own Fraction tables (`fraction_cyclotomic_polynomial`,
   `fraction_power_table`), the reference for `CycloNum`'s integer
   numerators over one denominator;
+- `centralizer_generators` and `kernel_generators`: the generators of
+  Z_{G(r,p,n)}(g) and of its pointwise stabilizer of V^g as `group` read
+  them off g's cycles, by its own case split per (action, colour), before
+  it held each centralizer as one `group.Centralizer` record, with
+  `_scalar_and_cycle`, the per-cycle pair they share;
+- `a_conjugate`: a member of g's class other than g, where it has one,
+  conjugated by seeded draws from G(r,p,n);
 - `solved_centralizer`: Z_{G(r,p,n)}(g) solved for from the cycle
   structure of g, one candidate permutation at a time over all n! of
   them, independent of the generators read off the cycles;
@@ -72,6 +79,7 @@ paths in the library, and a faithful family shared by the tests:
   `matrix`, `conjugate_in_full_group` and `dimension_by_enumeration`.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -87,8 +95,11 @@ from heckeforge.group import (
     GroupElement,
     RepKind,
     _conj,
+    _cycles_by_type,
     _element,
     _mul,
+    _swaps,
+    _within,
     conjugacy_classes,
     cycle_type,
     det_exponent,
@@ -660,6 +671,64 @@ def solved_centralizer(g, p) -> tuple:
                     out.append(_element(r, n, tuple(b), tau))
     out.sort(key=GroupElement.sort_key)
     return tuple(out)
+
+
+def _scalar_and_cycle(g: GroupElement, cyc) -> list[GroupElement]:
+    """The scalar xi on the support of the cycle cyc of g, and the element
+    that is g on that support and the identity off it; they generate an
+    abelian group of order rk, not always cyclic."""
+    r, n = g.r, g.n
+    on = [i + 1 in cyc for i in range(n)]
+    return [diag(r, n, on), _element(
+        r, n, tuple(g.exps[i] if on[i] else 0 for i in range(n)),
+        tuple(g.perm[i] if on[i] else i + 1 for i in range(n)),
+    )]
+
+
+def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
+    """Generators of Z_{G(r,p,n)}(g) read off g's cycles, with no identity
+    or repeat.  Per (a,k) type: `_scalar_and_cycle` of its first cycle, and
+    the `_swaps` of its cycles: `centralizer_order_formula` in all.  For
+    p > 1, cut down by `_within`."""
+    by_type = _cycles_by_type(g).values()
+    gens = [h for same in by_type for h in _scalar_and_cycle(g, same[0])]
+    gens += [h for same in by_type for h in _swaps(g, same)]
+    return _within(gens, g.r, g.n, p)
+
+
+def kernel_generators(g: GroupElement, rep: RepKind, p: int) -> tuple[GroupElement, ...]:
+    """Generators of K = ker(Z_{G(r,p,n)}(g) -> GL(V^g)), the centralizer
+    elements fixing V^g pointwise, read off g's cycles.  Z(g) is a direct
+    product over g's (a,k) types, and so is K.  V^g has one vector on each
+    cycle of colour 0 under the faithful action, and on each cycle under the
+    permutation action.  A type without fixed vectors puts its whole factor
+    into K, as in `centralizer_generators`.  On a type with them, no
+    element that moves its cycles is in K, and per cycle K takes the cycle,
+    which fixes the cycle's vector, and under the permutation action, where
+    scalars act trivially, its scalar; under the faithful action the scalar
+    moves that vector by zeta_r.  For p > 1, cut down by `_within`."""
+    faithful = rep == RepKind.FAITHFUL
+    gens: list = []
+    for (a, _), same in _cycles_by_type(g).items():
+        if faithful and a:
+            gens += _scalar_and_cycle(g, same[0]) + _swaps(g, same)
+        else:
+            for cyc in same:
+                gens += _scalar_and_cycle(g, cyc)[faithful:]  # faithful: no scalar
+    return _within(gens, g.r, g.n, p)
+
+
+def a_conjugate(g, p, draws=20):
+    """h^-1 g h for the first of `draws` seeded draws h from G(r,p,n) with
+    h^-1 g h != g, or g if every draw centralizes it."""
+    rng = random.Random(repr((g, p)))
+    G = elements(g.r, p, g.n)
+    for _ in range(draws):
+        h = rng.choice(G)
+        other = multiply(multiply(inverse(h), g), h)
+        if other != g:
+            return other
+    return g
 
 
 def listed_hochschild_character(g, rep, p):

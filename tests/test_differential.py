@@ -56,12 +56,15 @@ in `oracles`:
   against the exponent sums of the centralizer's generators, on every
   class of every G(r,1,n) with |G| <= 10^5 and every p dividing r;
 - the Hochschild character held on generators against the table computed
-  on every element of the solved centralizer, on every class of the
-  groups `test_character_matches_dense_restriction` reads;
-- the generators of the pointwise stabilizer of V^g read off g's cycles
-  against the stabilizer listed from the solved centralizer, and the
-  determinant filter on them against the scan of the listed character, on
-  every class of the acceptance and extended groups under both actions;
+  on every element of the solved centralizer, on each class representative
+  and one other member of its class, of the groups
+  `test_character_matches_dense_restriction` reads;
+- the generators of the pointwise stabilizer of V^g that the centralizer
+  record reads off g's cycles against the stabilizer listed from the
+  solved centralizer, and the determinant filter on them against the scan
+  of the listed character, on each class representative and one other
+  member of its class, of the acceptance and extended groups under both
+  actions;
 - the dims `hh_component` counts from the kept orbits against the length
   of each degree's assembled basis, on every class of the acceptance and
   extended groups under both actions, in cohomological degree m = 0..n+1
@@ -95,7 +98,7 @@ from heckeforge.group import (
     _cycle_types,
     _least_member,
     _split_count,
-    centralizer_generators,
+    centralizer_of,
     closure,
     conjugacy_classes,
     cycle_type,
@@ -106,7 +109,6 @@ from heckeforge.group import (
     group_order,
     identity,
     inverse,
-    kernel_generators,
     monomial_action,
     multiply,
     three_cycle,
@@ -146,6 +148,7 @@ from oracles import (
     FAITHFUL_ENTRIES_2_1_4,
     _HStarReference,
     FractionCyclo,
+    a_conjugate,
     class_members,
     classes_by_search,
     dense_codim2_form,
@@ -608,8 +611,9 @@ def test_phase_rows_match_the_projector_sums(monkeypatch, name):
     def as_data(rows):  # each row as index -> value, whatever order its keys came in
         return [{i: (c.order, c.coeffs) for i, c in row.items()} for row in rows]
 
-    def compared(actions, order, basis):
-        rows = real(actions, order, basis)
+    def compared(actions, order, monos, wedges):
+        rows = real(actions, order, monos, wedges)
+        basis = [(mu, S) for mu in monos for S in wedges]
         values = [{i: root_of_unity(order, e) for i, e in row.items()} for row in rows]
         assert as_data(values) == as_data(reynolds_rows_by_projector(per_element, order, basis))
         seen["calls"] += 1
@@ -635,7 +639,8 @@ def test_phase_rows_match_the_basis_walk(name):
         actions = chi.actions(rep, subspace)
         for d in range(D + 3):
             for k in range(len(subspace) + 1):
-                rows, basis = semiinvariant_rows(chi, rep, d, k, subspace)
+                rows, monos, wedges = semiinvariant_rows(chi, rep, d, k, subspace)
+                basis = [(mu, S) for mu in monos for S in wedges]
                 assert rows == phase_rows_by_basis_walk(actions, chi.order, basis), (chi.generators, d, k)
                 seen["kept"] += len(rows)
                 seen["killed"] += sum(map(len, rows)) < len(basis)
@@ -771,7 +776,7 @@ def test_hstar_push_closed_form_matches_the_bubble_word_push(r, n):
 @pytest.mark.parametrize("r,n", _full_groups(10**5))
 def test_split_count_read_off_the_type_matches_the_centralizer_generators(r, n):
     for cls in conjugacy_classes(r, 1, n):
-        sums = [sum(h.exps) for h in centralizer_generators(cls.rep, 1)]
+        sums = [sum(h.exps) for h in centralizer_of(cls.rep, 1).generators]
         for p in [d for d in range(1, r + 1) if r % d == 0]:
             assert _split_count(cycle_type(cls.rep), p) == math.gcd(p, *sums), (cls.rep, p)
 
@@ -784,24 +789,27 @@ def _character_groups():
 
 @pytest.mark.parametrize("r,p,n,rep", _character_groups(), ids=lambda a: str(getattr(a, "value", a)))
 def test_generator_character_matches_the_listed_table(r, p, n, rep):
+    # on each class representative and one other member of its class, as
+    # the det-filter sample reads the character off listed elements
     for cls in conjugacy_classes(r, p, n):
-        chi = hochschild_character(cls.rep, rep, p)
-        Z, listed = listed_hochschild_character(cls.rep, rep, p)
-        assert chi.subgroup == Z, cls.rep
-        # reading chi.exponents walks Z(g) and proves chi multiplicative, so
-        # element-wise equality makes the listed values a character too
-        assert list(chi.exponents.items()) == list(listed.items()), (cls.rep, rep)
-        assert chi.is_trivial() == (not any(listed.values())), (cls.rep, rep)
+        for g in dict.fromkeys([cls.rep, a_conjugate(cls.rep, p)]):
+            chi = hochschild_character(g, rep, p)
+            Z, listed = listed_hochschild_character(g, rep, p)
+            assert chi.subgroup == Z, g
+            # reading chi.exponents walks Z(g) and proves chi multiplicative, so
+            # element-wise equality makes the listed values a character too
+            assert list(chi.exponents.items()) == list(listed.items()), (g, rep)
+            assert chi.is_trivial() == (not any(listed.values())), (g, rep)
 
 
 @pytest.mark.parametrize("r,p,n,rep", _reynolds_groups(), ids=lambda a: str(getattr(a, "value", a)))
 def test_kernel_generators_generate_the_listed_stabilizer(r, p, n, rep):
     for cls in conjugacy_classes(r, p, n):
-        g = cls.rep
-        fixed = fixed_basis(g, rep)
-        stabilizer = {h for h in solved_centralizer(g, p) if _fixes_space_pointwise(h, rep, fixed)}
-        assert set(closure(r, n, kernel_generators(g, rep, p))) == stabilizer, (g, rep)
-        assert _passes_det_filter(g, rep, p) == passes_det_filter_by_listing(g, rep, p), (g, rep)
+        for g in dict.fromkeys([cls.rep, a_conjugate(cls.rep, p)]):
+            fixed = fixed_basis(g, rep)
+            stabilizer = {h for h in solved_centralizer(g, p) if _fixes_space_pointwise(h, rep, fixed)}
+            assert set(closure(r, n, centralizer_of(g, p).kernel(rep))) == stabilizer, (g, rep)
+            assert _passes_det_filter(g, rep, p) == passes_det_filter_by_listing(g, rep, p), (g, rep)
 
 
 @pytest.mark.parametrize("r,p,n,rep", _reynolds_groups(), ids=lambda a: str(getattr(a, "value", a)))

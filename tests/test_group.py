@@ -11,12 +11,13 @@ from heckeforge.group import (
     _conj,
     _mul,
     _split_count,
+    _within,
     GroupElement,
     RepKind,
     centralizer,
-    centralizer_generators,
-    centralizer_order,
+    centralizer_of,
     centralizer_order_formula,
+    closure,
     conjugacy_classes,
     conjugate,
     cycle_type,
@@ -31,6 +32,7 @@ from heckeforge.group import (
     inverse,
     monomial_action,
     multiply,
+    perm_cycles,
     perm_sign,
     three_cycle,
     transposition,
@@ -39,11 +41,14 @@ from heckeforge.group import (
 )
 from heckeforge.hochschild import hh2_total
 from oracles import (
+    a_conjugate,
     act,
+    centralizer_generators,
     class_members,
     coact,
     conjugate_in_full_group,
     in_subgroup,
+    kernel_generators,
     matrix,
     solved_centralizer,
     sort_with_sign,
@@ -340,32 +345,56 @@ def _every_p(groups):
 
 @pytest.mark.parametrize("r,p,n", _every_p(ORACLE_GROUPS + [(4, 1, 4), (6, 6, 4)]))
 def test_centralizer_generators_generate_the_solved_centralizer(r, p, n):
-    # the generators read off the cycles of each class representative
-    # generate exactly Z_{G(r,p,n)}(g), as the oracle solves it, with no
-    # identity among them, and `centralizer_order` is its order.  The
-    # closure runs on (exps, perm) pairs
+    # the generators read off the cycles of each class representative and
+    # of one other member of its class generate exactly Z_{G(r,p,n)}(g), as
+    # the oracle solves it, with no identity among them, and the record's
+    # order is its order.  The closure runs on (exps, perm) pairs
     for cls in conjugacy_classes(r, p, n):
-        g = cls.rep
-        gens = centralizer_generators(g, p)
-        assert not any(h.is_identity() for h in gens), g
-        one = identity(r, n)
-        reached = [(one.exps, one.perm)]
-        seen = set(reached)
-        for x in reached:
-            for s in gens:
-                y = _mul(r, *x, s.exps, s.perm)
-                if y not in seen:
-                    seen.add(y)
-                    reached.append(y)
-        assert seen == {(h.exps, h.perm) for h in solved_centralizer(g, p)}, g
-        assert len(seen) == centralizer_order(g, p), g
+        for g in dict.fromkeys([cls.rep, a_conjugate(cls.rep, p)]):
+            Z = centralizer_of(g, p)
+            assert not any(h.is_identity() for h in Z.generators), g
+            one = identity(r, n)
+            reached = [(one.exps, one.perm)]
+            seen = set(reached)
+            for x in reached:
+                for s in Z.generators:
+                    y = _mul(r, *x, s.exps, s.perm)
+                    if y not in seen:
+                        seen.add(y)
+                        reached.append(y)
+            assert seen == {(h.exps, h.perm) for h in solved_centralizer(g, p)}, g
+            assert len(seen) == Z.order, g
+
+
+@pytest.mark.parametrize("r,p,n", _every_p(ORACLE_GROUPS + [(4, 1, 4), (6, 6, 4)]))
+def test_the_centralizer_record_matches_the_cycle_readings_it_replaced(r, p, n):
+    # on each class representative and one other member of its class: the
+    # record's generators are the old tuple, element for element, and its
+    # kernel has the old kernel's closure under both actions; each D
+    # generator maps every cycle of g to itself, each swap has exponent sum
+    # 0 mod r, <D u P> is Z_{G(r,1,n)}(g) by its order, and
+    # <_within(D, p) u P> is the solved Z_{G(r,p,n)}(g)
+    for cls in conjugacy_classes(r, p, n):
+        for g in dict.fromkeys([cls.rep, a_conjugate(cls.rep, p)]):
+            Z = centralizer_of(g, p)
+            assert Z.generators == centralizer_generators(g, p), g
+            for rep in (F, P):
+                assert set(closure(r, n, Z.kernel(rep))) == set(closure(r, n, kernel_generators(g, rep, p))), (g, rep)
+            cycles = [set(c) for c in perm_cycles(g.perm)]
+            D = [h for _, x, c in Z.cycles for h in (x, c)]
+            assert all({h.perm[i - 1] for i in c} == c for h in D for c in cycles), g
+            assert [a for a, _, _ in Z.cycles] == [sum(c.exps) % r for _, _, c in Z.cycles], g
+            swaps = [s for _, s in Z.swaps]
+            assert all(sum(s.exps) % r == 0 for s in swaps), g
+            assert len(closure(r, n, D + swaps)) == centralizer_order_formula(g), g
+            assert set(closure(r, n, [*_within(D, r, n, p), *swaps])) == set(solved_centralizer(g, p)), g
 
 
 @pytest.mark.parametrize("r,p,n", ORACLE_GROUPS + [(4, 1, 4), (6, 6, 4)])
 def test_orbit_stabilizer_on_every_class(r, p, n):
     for cls in conjugacy_classes(r, p, n):
         assert cls.size * len(centralizer(cls.rep, p)) == group_order(r, p, n)
-        assert cls.size * centralizer_order(cls.rep, p) == group_order(r, p, n)
+        assert cls.size * centralizer_of(cls.rep, p).order == group_order(r, p, n)
 
 
 def test_walk_queues_each_point_once_and_lists_clashes():

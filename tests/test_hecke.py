@@ -39,6 +39,7 @@ from heckeforge.hecke import (
     three_cycle_classes,
 )
 from heckeforge.ncalg import Mu1, cocycle_spot_check, commutator_sum, sample_cocycle_triples
+from caches import clear_caches
 from chain_support import psi1
 from oracles import (
     FAITHFUL_ENTRIES_2_1_4,
@@ -162,7 +163,7 @@ def test_presets_forms_and_pbw_check_agree_with_the_listing_refused(monkeypatch)
         raise AssertionError(f"listed {args}")
 
     monkeypatch.setattr(heckeforge.group, "_elements", refuse)
-    heckeforge.group.conjugacy_classes.cache_clear()
+    clear_caches()
     assert [case() for case in cases] == before
 
 
@@ -386,7 +387,7 @@ def test_linear_oracle_is_independent_of_the_reynolds_route(monkeypatch):
         (heckeforge.polyforms, "CharacterTable"),
     ]:
         monkeypatch.setattr(module, name, refuse)
-    heckeforge.hochschild.hochschild_character.cache_clear()
+    clear_caches()
     assert param_space_linear_oracle(2, 1, 4, P) == 7
     assert param_space_linear_oracle(2, 1, 4, F) == 2
 

@@ -9,7 +9,7 @@ from heckeforge.cli import main
 from heckeforge.cyclo import root_of_unity
 from heckeforge.group import (
     RepKind,
-    centralizer_generators,
+    centralizer_of,
     conjugacy_classes,
     conjugate,
     diag,
@@ -43,6 +43,7 @@ from heckeforge.hochschild import (
 )
 from heckeforge.hecke import param_space, param_space_linear_oracle, three_cycle_classes
 from heckeforge.polyforms import CharacterError, CharacterTable, restriction_matrix, subspace_actions
+from caches import clear_caches
 from oracles import dense_spaces, dimension_by_enumeration, solved_centralizer
 
 F = RepKind.FAITHFUL
@@ -355,7 +356,7 @@ def test_class_action_data_are_built_once(monkeypatch):
 
     monkeypatch.setattr(heckeforge.polyforms, "subspace_actions", counting)
     monkeypatch.setattr(heckeforge.hochschild, "subspace_actions", counting)
-    heckeforge.hochschild.hochschild_character.cache_clear()
+    clear_caches()
     for g, m in [(three_cycle(3, 4, 1, 2, 3), 2), (identity(2, 3), 2)]:
         del calls[:]
         assert _passes_det_filter(g, F, 1)
@@ -384,16 +385,16 @@ def test_phase_rows_walk_the_generators_only(monkeypatch):
     sizes = []
     real = heckeforge.polyforms._phase_rows
 
-    def recording(actions, order, basis):
+    def recording(actions, order, monos, wedges):
         sizes.append(len(actions))
-        return real(actions, order, basis)
+        return real(actions, order, monos, wedges)
 
     monkeypatch.setattr(heckeforge.polyforms, "_phase_rows", recording)
     g = identity(2, 4)
     Z = hochschild_character(g, F, 1).subgroup
     assert len(set(subspace_actions(Z, F, fixed_basis(g, F)))) == 384
     assert any(hh_component(g, F, 2, 4).dims_by_degree.values())
-    assert sizes and max(sizes) <= len(centralizer_generators(g, 1)) < 384, sizes
+    assert sizes and max(sizes) <= len(centralizer_of(g, 1).generators) < 384, sizes
 
 
 def test_the_class_path_lists_no_group_or_centralizer(monkeypatch):
@@ -425,12 +426,7 @@ def test_the_class_path_lists_no_group_or_centralizer(monkeypatch):
         (heckeforge.polyforms, "walk"),
     ]:
         monkeypatch.setattr(module, name, refuse)
-    for cached in (
-        heckeforge.group.conjugacy_classes,
-        heckeforge.hochschild.hochschild_character,
-        heckeforge.hochschild.fixed_basis,
-    ):
-        cached.cache_clear()
+    clear_caches()
     assert [case() for case in cases] == before
 
 
