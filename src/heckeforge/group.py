@@ -10,9 +10,7 @@ splits into is read off its type.  A class that splits is grown once, and
 cut into its pieces by a label its walk carries.  Each centralizer is read
 once off g's cycles as D.P (`centralizer_of`): generators, order and the
 pointwise stabilizer of V^g.  Every walk from generators is the one
-`walk` and rests on its argument, but `polyforms._phase_rows`, which keeps
-its own loop: (|monos| + |wedges|) * |S| integer table entries, built once
-per call, and |basis| * |S| edges, each two list lookups.
+`walk` and rests on its argument.
 """
 
 from __future__ import annotations
@@ -525,7 +523,7 @@ def centralizer_of(g: GroupElement, p: int) -> Centralizer:
         for cyc in same:
             on = [i + 1 in cyc for i in range(n)]
             g_c = _element(r, n, tuple(x if o else 0 for x, o in zip(g.exps, on)), _cycles_perm(n, [cyc]))
-            cycles.append((a, diag(r, n, on), g_c))
+            cycles.append((a, _element(r, n, tuple(o % r for o in on), tuple(range(1, n + 1))), g_c))
         firsts += cycles[-len(same)][1:]
         swaps += [(a, s) for s in _swaps(g, same)]
     gens = _within(firsts + [s for _, s in swaps], r, n, p)

@@ -165,7 +165,8 @@ class SkewFormFamily:
     @staticmethod
     def from_json(data: dict) -> "SkewFormFamily":
         """The family `to_json` wrote; ValueError (KeyError for a missing
-        key) on data that is not one, before any group arithmetic runs."""
+        key) on data that is not one, before any group arithmetic runs,
+        also on two forms for one support element."""
         if not isinstance(data, dict):
             raise ValueError("a forms file holds a JSON object")
         try:
@@ -186,7 +187,10 @@ class SkewFormFamily:
                 for e in (e for row in item["matrix"] for e in row):
                     check_order(json_int(e["order"]), r)
                 A = SkewForm([[CycloNum.from_json(e) for e in row] for row in item["matrix"]])
-                support[GroupElement.from_json(item["g"])] = A
+                g = GroupElement.from_json(item["g"])
+                if g in support:
+                    raise ValueError(f"two forms for the support element {g!r}")
+                support[g] = A
         except (TypeError, OverflowError) as exc:  # a value of the wrong JSON type, or infinite
             raise ValueError(str(exc)) from None
         return SkewFormFamily(r, p, n, rep, support)

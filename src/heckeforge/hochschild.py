@@ -3,8 +3,10 @@ cohomological degree m, 2 by default.
 
 The brute-force path realizes each class contribution as the chi_g-semi-
 invariant part of S(V^g) (x) Lambda^{m-codim}((V^g)*) over the centralizer
-Z(g), computed degree by degree with the Reynolds projector, on every class
-that a determinant filter, valid in each degree m, does not prove zero.
+Z(g) = D_p . P, counted in every degree at once from the orbits' block-sorted
+representatives that the Reynolds projector keeps (`class_action`), on
+every class that a determinant filter, valid in each degree m, does not
+prove zero.
 V^g is read off the cycles of g as integers (`fixed_basis`): one vector per
 cycle whose phases sum to 0 mod r, with root-of-unity entries on the
 cycle's support, so Z(g) permutes the basis up to phases and the wedge
@@ -28,6 +30,7 @@ from .cyclo import root_of_unity, zero
 from .group import (
     GroupElement,
     RepKind,
+    _cycles_by_type,
     centralizer_of,
     conjugacy_classes,
     cycle_type,
@@ -37,13 +40,15 @@ from .group import (
     monomial_action,
     perm_cycles,
     three_cycle,
+    walk,
 )
 from .polyforms import (
     CharacterTable,
+    ClassAction,
     PolyForm,
     is_identity_action,
     reynolds_semiinvariant_basis,
-    semiinvariant_rows,
+    semiinvariant_dims,
     subspace_action,
     subspace_actions,
 )
@@ -106,26 +111,65 @@ def hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTabl
     representations of Z(g) is a homomorphism, so the table holds its values
     on the generators of `centralizer_of(g, p)` only, and claims its order.
     Z(g) is listed only if `subgroup`, `exponents` or `chi(h)` are read, by
-    the walk over the generators that proves the claim.  One table per
-    (g, rep, p) is cached, so its action data serve every polynomial and
-    cohomological degree."""
+    the walk over the generators that proves the claim.  (`class_action`
+    reads chi on D_p and the swaps in closed form.)"""
     # V = V^g (+) im(g - 1) with both summands Z(g)-stable, so
     # det(h | perp) = det(h | V) / det(h | V^g).  det(h | V) is
     # sign(h.perm) zeta_r^{sum h.exps}, or sign(h.perm) under the permutation
     # action; h permutes the fixed basis monomially, so
     # det(h | V^g) = sign(pi) zeta_r^{sum texp}.  Both are `det_exponent`s
-    # mod F = lcm(2, r).  The table keeps the generators' fixed-basis pairs.
+    # mod F = lcm(2, r).
     r, Z = g.r, centralizer_of(g, p)
-    fixed = fixed_basis(g, rep)
-    pairs = subspace_actions(Z.generators, rep, fixed)
     faithful = rep == RepKind.FAITHFUL
     exps = [
         det_exponent(h.perm, h.exps if faithful else (), r) - det_exponent(pi, texp, r)
-        for h, (pi, texp) in zip(Z.generators, pairs)
+        for h, (pi, texp) in zip(Z.generators, subspace_actions(Z.generators, rep, fixed_basis(g, rep)))
     ]
-    chi = CharacterTable(r, g.n, lcm(2, r), Z.generators, exps, Z.order)
-    chi.keep_actions(rep, fixed, pairs)
-    return chi
+    return CharacterTable(r, g.n, lcm(2, r), Z.generators, exps, Z.order)
+
+
+@lru_cache(maxsize=4096)
+def class_action(g: GroupElement, rep: RepKind, p: int) -> ClassAction:
+    """Z(g) = D_p . P and chi_g as a `ClassAction`, read off g's cycles in
+    closed form with D and P as `centralizer_of` splits them.  chi_g(h) is
+    det(h|V) - det(h|V^g) mod F = lcm(2, r), and a cycle c of type (a, k)
+    carries at most one vector u_c of V^g, of colour 0 if faithful:
+    - xi_c, of exponent sum k, scales u_c by zeta_r if faithful and else
+      fixes V^g: chi = (F/r)(k - [u_c]) if faithful, else 0.
+    - g_c, a k-cycle of colour a, fixes V^g as g does:
+      chi = (F/2)[k even] + (F/r) a, less the colour if not faithful.
+    - a swap of two cycles of one type, k transpositions of exponent sum 0,
+      exchanges their vectors if they have them, with phases that cancel
+      (it is an involution): chi = (F/2)(k + [u_c]).
+    D_p is cut from D = <xi_c, g_c> by the `walk` over the cosets of the
+    exponent sum mod p on these integer values, each clash a Schreier
+    generator (as in `group._within`)."""
+    r, F, faithful = g.r, lcm(2, g.r), rep == RepKind.FAITHFUL
+    step, half = F // r, F // 2
+    fixed = fixed_basis(g, rep)
+    m = len(fixed)
+    vector = {i: j for j, v in enumerate(fixed) for i, _ in v}  # coordinate -> the vector it supports
+    gens, diagonal, chain = [], [], []  # gens: (exponent sum mod p, texp on V^g + (chi,)) of xi_c and g_c
+    for (a, k), same in _cycles_by_type(g).items():
+        has = same[0][0] - 1 in vector
+        for c in same:
+            xi = [0] * m + [step * (k - has) * faithful % F]
+            if has and faithful:
+                xi[vector[c[0] - 1]] = step % F
+            gens += [(k % p, tuple(xi)), (a % p, (0,) * m + ((half * (k % 2 == 0) + step * a * faithful) % F,))]
+        e = half * ((k + has) % 2)  # chi of each swap of the type
+        if has:
+            chain += [(vector[c[0] - 1], e if i else None) for i, c in enumerate(same)]
+        elif len(same) > 1:
+            diagonal.append(((0,) * m, e))
+    gens = [(s, w) for s, w in gens if s or any(w)]  # the rest close no coset and no clash
+    values, clashes = walk(
+        0, (0,) * (m + 1), gens, lambda x, v, s: ((x + s[0]) % p, tuple((a + b) % F for a, b in zip(v, s[1])))
+    )
+    for h in dict.fromkeys(tuple((a - b) % F for a, b in zip(w, values[y])) for y, w in clashes):
+        if any(h):  # a Schreier generator that scales some vector or has chi != 1
+            diagonal.append((h[:m], h[m]))
+    return ClassAction(g.n, r, F, fixed, tuple(diagonal), tuple(chain))
 
 
 def _fixes_space_pointwise(h: GroupElement, rep: RepKind, vectors) -> bool:
@@ -171,17 +215,17 @@ def hh_component(
     """The g-class contribution in cohomological degree m:
     (S(V^g) (x) Lambda^{m - codim V^g}((V^g)*))^{chi_g}, per polynomial degree
     up to max_poly_degree.  A negative exterior power gives the zero space.
-    Each dimension is the number of orbits the Reynolds walk keeps
-    (`semiinvariant_rows`); the basis elements are assembled only with
+    Each dimension is the number of surviving orbit representatives
+    (`semiinvariant_dims`); the basis elements are assembled only with
     include_basis."""
     fixed = fixed_basis(g, rep)
     codim = g.n - len(fixed)
     k = m - codim
-    chi = hochschild_character(g, rep, p)
+    action = class_action(g, rep, p)
     degrees = range(max_poly_degree + 1)
-    bases = {d: reynolds_semiinvariant_basis(chi, rep, d, k, fixed) for d in degrees} if include_basis else None
-    dims = {d: len(bases[d] if bases else semiinvariant_rows(chi, rep, d, k, fixed)[0]) for d in degrees}
-    return ClassComponent(g, rep, codim, fixed, chi, dims, bases)
+    bases = {d: reynolds_semiinvariant_basis(action, d, k) for d in degrees} if include_basis else None
+    dims = {d: len(bases[d]) for d in degrees} if bases else semiinvariant_dims(action, max_poly_degree, k)
+    return ClassComponent(g, rep, codim, fixed, hochschild_character(g, rep, p), dims, bases)
 
 
 def _passes_det_filter(g: GroupElement, rep: RepKind, p: int, m: int = 2) -> bool:

@@ -4,12 +4,14 @@ G-actions: the algebra S(V) (x) Lambda(V*).
 A PolyForm maps strictly increasing wedge index sets x_S to polynomials.
 Group elements act on polynomials by substitution and on wedge factors by
 the contragredient action, with the sign of the permutation that re-sorts
-the wedge indices.  A chi-semi-invariant basis is read off the orbits of
-the monomial-times-wedge basis, walked breadth first under generators of
-the subgroup with integer phases: one basis element per orbit on whose
-stabilizer chi agrees with the action, in reduced echelon form, so
-repeated runs agree byte-for-byte.  Counting the orbits gives a dimension;
-the basis elements are assembled only when asked for.
+the wedge indices.  A class's chi-semi-invariant basis is read off the
+orbits of its centralizer Z(g) = D_p . P on the monomial-times-wedge basis
+of S(V^g) (x) Lambda((V^g)*): one element per block-sorted representative
+on whose stabilizer chi agrees with the action, tested on generators with
+integer phases (`_survivors`).  Counting the survivors gives a dimension
+with no basis listed; only for a basis is each survivor's orbit walked over
+the swaps, into rows in reduced echelon form, so repeated runs agree
+byte-for-byte.
 
 A subspace is given by an integer basis: one tuple of (coordinate, t)
 pairs per vector, w = sum zeta_r^t v_i, on disjoint supports.  A group
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm, prod
-from operator import mul
+from typing import NamedTuple
 
 from .cyclo import CycloMatrix, CycloNum, SparseSum, add_term, cyclo, one, power_sum, root_of_unity, twist, zero
 from .group import (
@@ -283,8 +285,6 @@ class CharacterTable:
 
     H is listed only if `subgroup`, `exponents` or `chi(h)` are read, by the
     walk that extends the values over H and proves the claim (`exponents`).
-    The table keeps the generators' integer action data per subspace
-    (`actions`), so every polynomial degree reuses them.
     """
 
     def __init__(self, r: int, n: int, order: int, generators, exponents, subgroup_order: int):
@@ -295,7 +295,6 @@ class CharacterTable:
         self._generator_exponents = tuple(e % order for e in exponents)
         self.subgroup_order = subgroup_order
         self._exponents = None
-        self._actions: dict = {}
 
     @property
     def subgroup(self) -> tuple:
@@ -327,24 +326,6 @@ class CharacterTable:
 
     def is_trivial(self) -> bool:
         return not any(self._generator_exponents)
-
-    def actions(self, rep: RepKind, subspace) -> list:
-        """The distinct triples (pi, texp * F / r, e(s)) over the generators
-        s, in the order of their first s, where s.w_j = zeta_r^{texp[j]}
-        w_{pi[j]} on the integer subspace basis w (see `subspace_actions`);
-        equal triples act alike on every monomial-times-wedge element.
-        Built once and kept on the table."""
-        if (rep, subspace) not in self._actions:
-            self.keep_actions(rep, subspace, subspace_actions(self.generators, rep, subspace))
-        return self._actions[rep, subspace]
-
-    def keep_actions(self, rep: RepKind, subspace, pairs) -> None:
-        """Keep the `subspace_actions(generators, rep, subspace)` pairs of a
-        caller that already has them, as `actions(rep, subspace)`."""
-        step = self.order // self.r
-        self._actions[rep, subspace] = list(dict.fromkeys(
-            (pi, tuple(t * step for t in texp), e) for (pi, texp), e in zip(pairs, self._generator_exponents)
-        ))
 
 
 def is_identity_action(pi, texp) -> bool:
@@ -455,119 +436,142 @@ def restriction_matrix(g: GroupElement, rep: RepKind, subspace):
     return C
 
 
-def reynolds_semiinvariant_basis(
-    chi: CharacterTable,
-    rep: RepKind,
-    poly_degree: int,
-    form_degree: int,
-    subspace=None,
-) -> list[PolyForm]:
-    """Reduced echelon basis of the chi-semi-invariants of polynomial
-    degree exactly `poly_degree` and form degree `form_degree`, inside the
-    span of monomial-times-wedge elements built on an integer subspace
-    basis w, a tuple of tuples of pairs (see `subspace_action`): polynomial
-    variables from the w_j, wedge factors from their duals.
-    `subspace=None` means the coordinate basis.  The dual of w_j = sum zeta_r^t v_i is (1/|c_j|) sum zeta_r^{-t} x_i
-    over its support c_j: it is 1 on w_j and vanishes on the other w_k, on
-    the coordinates outside every support, and on the vectors of each
-    support orthogonal to w_j in this pairing.  For `hochschild.fixed_basis`
-    that complement is im(g - 1), so the duals are those of V^g in
-    V = V^g (+) im(g - 1).
+class ClassAction(NamedTuple):
+    """Z(g) = D_p . P (`group.centralizer_of`) and chi_g on the
+    monomial-times-wedge basis of S(V^g) (x) Lambda((V^g)*), on the integer
+    basis w = `vectors` of V^g, in exponents mod F = lcm(2, r)
+    (`hochschild.class_action`).  `diagonal` holds (texp, e) per element h
+    with h.w_j = zeta_F^{texp[j]} w_j and chi(h) = zeta_F^e: the generators
+    of D_p, and the swaps of cycles with no vector.  `chain` lists the
+    vectors block by block, one block per (a,k) type in `_swaps` order, as
+    (j, e): e is None at a block's start, else chi(s) = zeta_F^e for the
+    swap s of w_j's cycle with the one before."""
 
-    Every generator of H, the group of chi, must permute the subspace basis
-    up to roots of unity, so H permutes the monomial-times-wedge basis up
-    to phases zeta_F^e.  The Reynolds projector
-    (1/|H|) sum chi(h)^{-1} h then maps a basis element b into the span of
-    its orbit, and is nonzero there exactly when every h in the stabilizer
-    of b has h.b = chi(h) b: the stabilizer's twisted character is
-    otherwise nontrivial and sums to 0.  So each surviving orbit gives one
-    basis element, read off by walking the orbit under `chi.generators`
-    only and comparing integer phases (see `_phase_rows`); H itself is
-    never listed, and chi is taken as the homomorphism its table claims.
-    The generators' action data are built on the first call for a table
-    and subspace (`CharacterTable.actions`); later degrees reuse them.
-    The rows come from `semiinvariant_rows`, which alone gives their
-    number; only this function assembles them into PolyForms.
-    """
-    if subspace is None:
-        subspace = tuple(((i, 0),) for i in range(chi.n))
-    rows, monos, wedges = semiinvariant_rows(chi, rep, poly_degree, form_degree, subspace)
-    return [_assemble_polyform(row, monos, wedges, chi.n, chi.r, chi.order, subspace) for row in rows]
+    n: int
+    r: int
+    F: int
+    vectors: tuple
+    diagonal: tuple
+    chain: tuple
 
 
-def semiinvariant_rows(chi: CharacterTable, rep: RepKind, poly_degree: int, form_degree: int, subspace):
-    """(rows, monos, wedges): the monomials mu of the polynomial degree on
-    the subspace basis, v_1^d first, the wedges S of the form degree, and
-    the `_phase_rows` of the basis they span, one row per element of
-    `reynolds_semiinvariant_basis`: so the row count is the dimension."""
-    m = len(subspace)
-    if form_degree < 0 or form_degree > m or poly_degree < 0:
+def _survivors(action: ClassAction, max_degree: int, form_degree: int, listing: bool) -> dict:
+    """Per polynomial degree d <= max_degree, the number of chi-semi-invariant
+    orbits of form degree `form_degree`, or with `listing` (degree
+    max_degree only) their representatives, as tuples of keys
+    (mu_j, [j in S]) in chain order.
+
+    The Reynolds projector (1/|Z|) sum chi(h)^-1 h is nonzero on the orbit
+    of a basis element b iff its stabilizer acts on b by chi.  D_p scales
+    every basis element and P permutes each block's vectors as the
+    symmetric group on its cycles, up to phases.  So each orbit has one
+    representative whose keys do not decrease along each block, whose
+    stabilizer D_p times the permutations of equal keys is generated by
+    `diagonal` and the swaps of equal neighbours.  Both act by characters,
+    so b survives iff each h in `diagonal` gives sum_j texp[j] (mu_j -
+    [j in S]) = e (monomial and dual phases), and each swap of equal keys
+    (mu, f), whose phases t and -t cancel there, gives its wedge sign:
+    (F/2) f = e.  One pass over the chain builds the representatives key by
+    key, merging prefixes with equal last key, degree, form degree and
+    pending phases: a `diagonal` phase, offset by -e, is pending until the
+    last vector it scales, where it must be 0."""
+    F, chain, K = action.F, action.chain, form_degree
+    pending = tuple(-e % F for _, e in action.diagonal)
+    coefs = [tuple(texp[j] for texp, _ in action.diagonal) for j, _ in chain]
+    last = {h: i for i, coef in enumerate(coefs) for h, x in enumerate(coef) if x}
+    if K < 0 or any(x and h not in last for h, x in enumerate(pending)):
+        return {}  # no wedges, or an element fixing every basis element acts by chi != 1
+    lowest = max_degree if listing else 0  # a listing serves one degree
+    states = {(None, 0, 0, pending): [()] if listing else 1}
+    for i, (coef, (_, e)) in enumerate(zip(coefs, chain)):
+        tied = e is not None  # to the last key, by a swap with chi e
+        scales, closing = any(coef), [h for h, x in enumerate(coef) if x and last[h] == i]
+        final = i + 1 == len(chain)
+        ends_block = final or chain[i + 1][1] is None  # so the next key need not see this one
+        # the flags [j in S] open after k factors; at the last vector, the one that makes K
+        flags = [((K - k,) if K - k < 2 else ()) if final else (0, 1)[: K - k + 1] for k in range(K + 1)]
+        nxt: dict = {}
+        for (prev, d, k, phases), val in states.items():
+            fs, low = flags[k], lowest - d if final and lowest > d else 0
+            for mu in range(prev[0] if tied and prev[0] > low else low, max_degree - d + 1):
+                for f in fs:
+                    key = (mu, f)
+                    if tied and (key < prev or key == prev and (F // 2 * f - e) % F):
+                        continue
+                    phases_ = tuple((y + x * (mu - f)) % F for y, x in zip(phases, coef)) if scales else phases
+                    if closing and any(phases_[h] for h in closing):
+                        continue
+                    state = (None if ends_block else key, d + mu, k + f, phases_)
+                    add = [t + (key,) for t in val] if listing else val
+                    nxt[state] = nxt[state] + add if state in nxt else add
+        states = nxt
+    out: dict = {}
+    for (_, d, k, _), val in states.items():
+        if k == form_degree:
+            out[d] = out[d] + val if d in out else val
+    return out
+
+
+def semiinvariant_dims(action: ClassAction, max_degree: int, form_degree: int) -> dict[int, int]:
+    """Per polynomial degree up to max_degree, the number of surviving
+    representatives (`_survivors`): the dimension, with no basis listed."""
+    counts = _survivors(action, max_degree, form_degree, False)
+    return {d: counts.get(d, 0) for d in range(max_degree + 1)}
+
+
+def semiinvariant_rows(action: ClassAction, poly_degree: int, form_degree: int):
+    """(rows, monos, wedges): the monomials of the polynomial degree on the
+    vectors, v_1^d first, the wedges of the form degree, and the reduced
+    echelon basis of the chi-semi-invariants as rows {a * W + b: e}, each
+    meaning zeta_F^e at (monos[a], wedges[b]), W = len(wedges).
+
+    Each survivor (`_survivors`) gives one row: its orbit, walked over the
+    swaps (`group.walk`) with phase 0 at its least index, each edge adding
+    the swap's phase less chi.  A swap of w_i and w_j, with phases t and -t,
+    acts on (mu, S) by its wedge sign and t ((mu_i - [i in S]) - (mu_j -
+    [j in S])), which is 0 on a survivor's orbit: under the faithful action
+    xi_i xi_j^-1 lies in D_p, has chi 0 and acts by that difference times
+    F/r, and under the permutation action t = 0.  So no edge clashes, and
+    the disjoint orbits, in order of least index, are the echelon form."""
+    m, F = len(action.vectors), action.F
+    if not 0 <= form_degree <= m:
         return [], [], []
     wedges = list(combinations(range(m), form_degree))
     # the multisets of poly_degree symbols in lex order give exponents descending, v_1^d first
     monos = [tuple(map(c.count, range(m))) for c in combinations_with_replacement(range(m), poly_degree)]
-    return _phase_rows(chi.actions(rep, subspace), chi.order, monos, wedges), monos, wedges
-
-
-def _phase_rows(actions, F, monos, wedges):
-    """Reduced echelon basis of the span of the chi-semi-invariants, as
-    sparse rows {a * W + b: e}, each entry meaning zeta_F^e at the basis
-    element (monos[a], wedges[b]), W = len(wedges); `actions` as in
-    `CharacterTable.actions` over a generating set S of H.
-
-    Each (pi, texp, chi_e) sends b = (mu, S) to zeta_F^e b' with a single
-    integer exponent e (chi's inverse folded in), where b' = (mu read
-    through pi^-1, the sorted image of S).  So each action is read once
-    per call into two integer tables: per monomial, its image's index
-    times W and the phase texp . mu; per wedge, its image's index and the
-    phase of its sorting sign, of the duals' texp and of chi's inverse.
-    An edge adds one entry of each.  A breadth-first walk from each
-    unreached b follows these edges through b's orbit, giving s.b' the
-    phase of b' plus e.  The projector's image of b is a multiple of
-    sum zeta_F^{phase(b')} b' over the orbit if every h in the stabilizer
-    of b has h.b = chi(h) b, and 0 otherwise.  An edge into an element
-    already reached with another phase kills the orbit, and this is exact:
-    if every edge agrees, every word in S, so every stabilizer element,
-    acts on b by chi; if one disagrees, the loop it closes is a Schreier
-    generator of the stabilizer that does not (Schreier's lemma).  Orbits
-    are disjoint and each walk starts at the smallest index of its orbit,
-    so these rows, taken in scan order, are already the reduced echelon
-    form.  The work is (|monos| + W) * |S| table entries, |monos| * W * |S| edges."""
-    # a triple that acts as the identity gives self-loops only
-    actions = [(pi, texp, e) for pi, texp, e in actions if e or not is_identity_action(pi, texp)]
     W = len(wedges)
     mono_at, wedge_at = {mu: a * W for a, mu in enumerate(monos)}, {S: b for b, S in enumerate(wedges)}
-    tables = []  # per action: monomial a -> (image's index * W, phase), wedge b -> (image's index, phase)
-    for pi, texp, chi_e in actions:
-        pi_inv, phased = sorted(range(len(pi)), key=pi.__getitem__), any(texp)
-        tables.append((
-            [(mono_at[tuple([mu[j] for j in pi_inv])], sum(map(mul, texp, mu)) if phased else 0) for mu in monos],
-            [(wedge_at[tuple(sorted(img := tuple([pi[j] for j in S])))],
-              F // 2 * (perm_sign(img) < 0) - sum(texp[j] for j in S) - chi_e) for S in wedges],
-        ))
-    phase: list = [None] * (len(monos) * W)  # no monomial: V^g = 0 in a positive degree
+    swaps = [(action.chain[i - 1][0], j, e) for i, (j, e) in enumerate(action.chain) if e is not None]
+
+    def move(x, v, s):
+        (mu, S), (i, j, e) = x, s
+        img = tuple(j if a == i else i if a == j else a for a in S)
+        nu = list(mu)
+        nu[i], nu[j] = mu[j], mu[i]
+        return (tuple(nu), tuple(sorted(img))), (v + F // 2 * (perm_sign(img) < 0) - e) % F
+
     rows = []
-    for start in range(len(phase)):
-        if phase[start] is not None:
-            continue
-        phase[start] = 0
-        orbit = [start]
-        agree = True
-        for i in orbit:  # the list grows while it is read
-            a, b = i // W, i % W
-            here = phase[i]
-            for mono, wedge in tables:
-                ta, ea = mono[a]
-                tb, eb = wedge[b]
-                target, e = ta + tb, (here + ea + eb) % F
-                if phase[target] is None:
-                    phase[target] = e
-                    orbit.append(target)
-                elif phase[target] != e:
-                    agree = False
-        if agree:
-            rows.append({i: phase[i] for i in orbit})
-    return rows
+    for keys in _survivors(action, poly_degree, form_degree, True).get(poly_degree, []):
+        placed = sorted(zip([j for j, _ in action.chain], keys))  # the chain holds each vector once
+        mu, S = tuple(x for _, (x, _) in placed), tuple(j for j, (_, f) in placed if f)
+        phase, clashes = walk((mu, S), 0, swaps, move)
+        if clashes:
+            raise RuntimeError("a kept orbit's stabilizer does not act by chi")
+        at = {mono_at[nu] + wedge_at[T]: e for (nu, T), e in phase.items()}
+        base = at[min(at)]
+        rows.append({i: (at[i] - base) % F for i in sorted(at)})
+    rows.sort(key=min)
+    return rows, monos, wedges
+
+
+# bench/tracer.py binds this function by name
+def reynolds_semiinvariant_basis(action: ClassAction, poly_degree: int, form_degree: int) -> list[PolyForm]:
+    """The reduced echelon basis of the chi-semi-invariants of polynomial
+    degree `poly_degree` and form degree `form_degree`: a PolyForm per row
+    of `semiinvariant_rows`, in the vectors w_j and their duals (`_duals`),
+    for `hochschild.fixed_basis` those of V^g along im(g - 1)."""
+    rows, monos, wedges = semiinvariant_rows(action, poly_degree, form_degree)
+    return [_assemble_polyform(row, monos, wedges, action.n, action.r, action.F, action.vectors) for row in rows]
 
 
 def _duals(vectors) -> list:
@@ -579,7 +583,7 @@ def _duals(vectors) -> list:
 
 
 def _assemble_polyform(row, monos, wedges, n, r, F, vectors):
-    """The ambient PolyForm of a row of `_phase_rows`, with the subspace
+    """The ambient PolyForm of a row of `semiinvariant_rows`, with the subspace
     vectors substituted and their duals (`_duals`) expanded.
 
     Every coefficient is carried as an integer phase mod F with a rational

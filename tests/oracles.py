@@ -18,7 +18,14 @@ paths in the library, and a faithful family shared by the tests:
   echelon-reduced, with wedge signs from `sort_with_sign`;
 - `phase_rows_by_basis_walk`: the Reynolds orbit walk with one tuple
   target per edge, looked up in a dict over the whole basis, as
-  `polyforms._phase_rows` walked before it read integer index tables;
+  `_phase_rows` walked before it read integer index tables;
+- `reynolds_basis_by_walk`, `semiinvariant_rows_by_walk`, `_phase_rows`
+  and `generator_actions`: the semi-invariant basis of any listed
+  character on any integer subspace basis that its generators permute up
+  to phases, by walking every monomial-times-wedge element along every
+  generator on integer tables, as `polyforms` computed each class's rows
+  before it read them off `group.centralizer_of`'s block-sorted
+  representatives; the tests' characters of listed subgroups use it too;
 - `sort_with_sign`: a sorted tuple and the sign of its sorting permutation,
   by insertion sort, independent of `group.perm_sign`;
 - `dense_spaces`: V^g and im(g - 1) as the reduced echelon kernel and
@@ -132,9 +139,9 @@ from heckeforge.polyforms import (
     CharacterTable,
     PolyForm,
     Polynomial,
+    _assemble_polyform,
     _power_derivation,
     is_identity_action,
-    reynolds_semiinvariant_basis,
     subspace_actions,
 )
 
@@ -456,7 +463,7 @@ def reynolds_rows_by_projector(actions, F, basis) -> list[dict]:
 
 
 def phase_rows_by_basis_walk(actions, F, basis):
-    """`polyforms._phase_rows` as it walked before it read integer tables:
+    """`_phase_rows` as it walked before it read integer tables:
     the same rows, in the same order and phases, from a walk that builds
     each edge's target (mu', S') as a tuple and looks it up in a dict over
     the whole basis, with the wedge part of each action read once per call
@@ -488,6 +495,136 @@ def phase_rows_by_basis_walk(actions, F, basis):
                 img_S, e = table[S]
                 e = (here + e + sum(map(mul, texp, mu)) if texp else here + e) % F
                 target = index[tuple([mu[j] for j in pi_inv]), img_S]
+                if phase[target] is None:
+                    phase[target] = e
+                    orbit.append(target)
+                elif phase[target] != e:
+                    agree = False
+        if agree:
+            rows.append({i: phase[i] for i in orbit})
+    return rows
+
+
+@lru_cache(maxsize=None)
+def generator_actions(chi, rep, subspace) -> list:
+    """`CharacterTable.actions` as the table kept it for the generic walk:
+    the distinct triples (pi, texp * F / r, e(s)) over the generators
+    s, in the order of their first s, where s.w_j = zeta_r^{texp[j]}
+    w_{pi[j]} on the integer subspace basis w (see `subspace_actions`);
+    equal triples act alike on every monomial-times-wedge element.
+    Built once per table and subspace."""
+    step = chi.order // chi.r
+    return list(dict.fromkeys(
+        (pi, tuple(t * step for t in texp), e)
+        for (pi, texp), e in zip(subspace_actions(chi.generators, rep, subspace), chi._generator_exponents)
+    ))
+
+
+def reynolds_basis_by_walk(
+    chi: CharacterTable,
+    rep: RepKind,
+    poly_degree: int,
+    form_degree: int,
+    subspace=None,
+) -> list[PolyForm]:
+    """Reduced echelon basis of the chi-semi-invariants of polynomial
+    degree exactly `poly_degree` and form degree `form_degree`, inside the
+    span of monomial-times-wedge elements built on an integer subspace
+    basis w, a tuple of tuples of pairs (see `subspace_action`): polynomial
+    variables from the w_j, wedge factors from their duals.
+    `subspace=None` means the coordinate basis.  The dual of w_j = sum zeta_r^t v_i is (1/|c_j|) sum zeta_r^{-t} x_i
+    over its support c_j: it is 1 on w_j and vanishes on the other w_k, on
+    the coordinates outside every support, and on the vectors of each
+    support orthogonal to w_j in this pairing.  For `hochschild.fixed_basis`
+    that complement is im(g - 1), so the duals are those of V^g in
+    V = V^g (+) im(g - 1).
+
+    Every generator of H, the group of chi, must permute the subspace basis
+    up to roots of unity, so H permutes the monomial-times-wedge basis up
+    to phases zeta_F^e.  The Reynolds projector
+    (1/|H|) sum chi(h)^{-1} h then maps a basis element b into the span of
+    its orbit, and is nonzero there exactly when every h in the stabilizer
+    of b has h.b = chi(h) b: the stabilizer's twisted character is
+    otherwise nontrivial and sums to 0.  So each surviving orbit gives one
+    basis element, read off by walking the orbit under `chi.generators`
+    only and comparing integer phases (see `_phase_rows`); H itself is
+    never listed, and chi is taken as the homomorphism its table claims.
+    The generators' action data are built on the first call for a table
+    and subspace (`generator_actions`); later degrees reuse them.
+    The rows come from `semiinvariant_rows_by_walk`, which alone gives their
+    number; only this function assembles them into PolyForms.
+    """
+    if subspace is None:
+        subspace = tuple(((i, 0),) for i in range(chi.n))
+    rows, monos, wedges = semiinvariant_rows_by_walk(chi, rep, poly_degree, form_degree, subspace)
+    return [_assemble_polyform(row, monos, wedges, chi.n, chi.r, chi.order, subspace) for row in rows]
+
+
+def semiinvariant_rows_by_walk(chi: CharacterTable, rep: RepKind, poly_degree: int, form_degree: int, subspace):
+    """(rows, monos, wedges): the monomials mu of the polynomial degree on
+    the subspace basis, v_1^d first, the wedges S of the form degree, and
+    the `_phase_rows` of the basis they span, one row per element of
+    `reynolds_basis_by_walk`: so the row count is the dimension."""
+    m = len(subspace)
+    if form_degree < 0 or form_degree > m or poly_degree < 0:
+        return [], [], []
+    wedges = list(combinations(range(m), form_degree))
+    # the multisets of poly_degree symbols in lex order give exponents descending, v_1^d first
+    monos = [tuple(map(c.count, range(m))) for c in combinations_with_replacement(range(m), poly_degree)]
+    return _phase_rows(generator_actions(chi, rep, subspace), chi.order, monos, wedges), monos, wedges
+
+
+def _phase_rows(actions, F, monos, wedges):
+    """Reduced echelon basis of the span of the chi-semi-invariants, as
+    sparse rows {a * W + b: e}, each entry meaning zeta_F^e at the basis
+    element (monos[a], wedges[b]), W = len(wedges); `actions` as in
+    `CharacterTable.actions` over a generating set S of H.
+
+    Each (pi, texp, chi_e) sends b = (mu, S) to zeta_F^e b' with a single
+    integer exponent e (chi's inverse folded in), where b' = (mu read
+    through pi^-1, the sorted image of S).  So each action is read once
+    per call into two integer tables: per monomial, its image's index
+    times W and the phase texp . mu; per wedge, its image's index and the
+    phase of its sorting sign, of the duals' texp and of chi's inverse.
+    An edge adds one entry of each.  A breadth-first walk from each
+    unreached b follows these edges through b's orbit, giving s.b' the
+    phase of b' plus e.  The projector's image of b is a multiple of
+    sum zeta_F^{phase(b')} b' over the orbit if every h in the stabilizer
+    of b has h.b = chi(h) b, and 0 otherwise.  An edge into an element
+    already reached with another phase kills the orbit, and this is exact:
+    if every edge agrees, every word in S, so every stabilizer element,
+    acts on b by chi; if one disagrees, the loop it closes is a Schreier
+    generator of the stabilizer that does not (Schreier's lemma).  Orbits
+    are disjoint and each walk starts at the smallest index of its orbit,
+    so these rows, taken in scan order, are already the reduced echelon
+    form.  The work is (|monos| + W) * |S| table entries, |monos| * W * |S| edges."""
+    # a triple that acts as the identity gives self-loops only
+    actions = [(pi, texp, e) for pi, texp, e in actions if e or not is_identity_action(pi, texp)]
+    W = len(wedges)
+    mono_at, wedge_at = {mu: a * W for a, mu in enumerate(monos)}, {S: b for b, S in enumerate(wedges)}
+    tables = []  # per action: monomial a -> (image's index * W, phase), wedge b -> (image's index, phase)
+    for pi, texp, chi_e in actions:
+        pi_inv, phased = sorted(range(len(pi)), key=pi.__getitem__), any(texp)
+        tables.append((
+            [(mono_at[tuple([mu[j] for j in pi_inv])], sum(map(mul, texp, mu)) if phased else 0) for mu in monos],
+            [(wedge_at[tuple(sorted(img := tuple([pi[j] for j in S])))],
+              F // 2 * (perm_sign(img) < 0) - sum(texp[j] for j in S) - chi_e) for S in wedges],
+        ))
+    phase: list = [None] * (len(monos) * W)  # no monomial: V^g = 0 in a positive degree
+    rows = []
+    for start in range(len(phase)):
+        if phase[start] is not None:
+            continue
+        phase[start] = 0
+        orbit = [start]
+        agree = True
+        for i in orbit:  # the list grows while it is read
+            a, b = i // W, i % W
+            here = phase[i]
+            for mono, wedge in tables:
+                ta, ea = mono[a]
+                tb, eb = wedge[b]
+                target, e = ta + tb, (here + ea + eb) % F
                 if phase[target] is None:
                     phase[target] = e
                     orbit.append(target)
@@ -814,7 +951,7 @@ def param_space_by_reynolds(r, p, n, rep):
         pi, t = monomial_action(g, rep)
         if pi == tuple(range(1, n + 1)) and all(x % r == 0 for x in t):
             chi = trivial_character(solved_centralizer(g, p))
-            lambda2[g] = len(reynolds_semiinvariant_basis(chi, rep, 0, 2))
+            lambda2[g] = len(reynolds_basis_by_walk(chi, rep, 0, 2))
     total = d + sum(lambda2.values())
     if rep == RepKind.PERMUTATION:
         return GHAParamReport(d, lambda2, total, paper_count, paper_count != total)

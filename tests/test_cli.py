@@ -409,6 +409,24 @@ def test_pbw_check_rejects_form_of_wrong_size(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("copy_last", [True, False], ids=["copy-last", "copy-first"])
+def test_pbw_check_rejects_a_repeated_support_element(capsys, tmp_path, copy_last):
+    # the golden a_r1n(2,3) family with a second form for its first support
+    # element, -5 times the first: whichever order the two come in, the file
+    # is bad input naming the element, not a family missing one of them
+    data = json.loads((Path(__file__).parent / "golden" / "gha_build_a_r1n_2_3.json").read_text())
+    first = copy.deepcopy(data["forms"][0])
+    for e in (e for row in first["matrix"] for e in row):
+        for term in e["terms"]:
+            term["num"] = str(-5 * int(term["num"]))
+    data["forms"] = data["forms"] + [first] if copy_last else [first] + data["forms"]
+    forms = tmp_path / "forms.json"
+    forms.write_text(json.dumps(data))
+    code, err = _exit_code(capsys, "pbw-check", str(forms))
+    g = GroupElement.from_json(first["g"])
+    assert (code, err) == (2, f"error: invalid forms file: two forms for the support element {g!r}\n")
+
+
 def _preset_forms_with(path, value):
     """The a_r1n(2,3) forms JSON with the entry at `path` set to `value`."""
     data = build_preset("a_r1n", 2, 3).to_json()

@@ -29,11 +29,17 @@ in `oracles`:
   extends and those of `faithful_family_2_1_4`, under both actions;
 - the semi-invariant rows from phase agreement against the Reynolds
   projector sums followed by echelon reduction, index, field order and
-  coefficients, on every class of the acceptance and extended groups under
-  both actions, and on three non-standard subspace bases;
-- the table-driven Reynolds walk against the walk over tuple targets in a
-  basis-wide dict, row for row, index and phase, on the same cases two
-  polynomial degrees further;
+  coefficients: the class route's on every class of the acceptance and
+  extended groups under both actions, and the oracle walk's on three
+  non-standard subspace bases;
+- the same rows against the walk over tuple targets in a basis-wide dict,
+  row for row, index and phase, on the same cases two polynomial degrees
+  further;
+- the class route's rows from block-sorted representatives against the
+  table-driven walk over every basis element, rows, monomials and wedges
+  in order, with its counted dims, on each class representative and one
+  other member of its class, of the same groups under both actions, in
+  cohomological degrees 0 to 3 and polynomial degrees up to 6;
 - V^g and the wedge duals read off g's cycles against the dense kernel of
   g - 1 and the inverse of [V^g | im(g - 1)], values and field orders, on
   each class representative and its lex-max member, for the same groups
@@ -130,6 +136,7 @@ from heckeforge.hecke import (
 from heckeforge.hochschild import (
     _fixes_space_pointwise,
     _passes_det_filter,
+    class_action,
     fixed_basis,
     fixed_space,
     hh2_total,
@@ -141,9 +148,11 @@ from heckeforge.polyforms import (
     _duals,
     reflection_root,
     reynolds_semiinvariant_basis,
+    semiinvariant_dims,
     semiinvariant_rows,
     subspace_actions,
 )
+import oracles
 from oracles import (
     FAITHFUL_ENTRIES_2_1_4,
     _HStarReference,
@@ -155,6 +164,7 @@ from oracles import (
     dense_spaces,
     extend_by_listing,
     faithful_family_2_1_4,
+    generator_actions,
     hstar_reference_multiply,
     least_members_by_scan,
     listed_hochschild_character,
@@ -163,7 +173,9 @@ from oracles import (
     passes_det_filter_by_listing,
     pbw_check_full_scan,
     phase_rows_by_basis_walk,
+    reynolds_basis_by_walk,
     reynolds_rows_by_projector,
+    semiinvariant_rows_by_walk,
     solved_centralizer,
     stack_multiply,
     trivial_character,
@@ -551,11 +563,13 @@ def _max_degree(r, p, n):
 
 
 def _class_cases(r, p, n, rep):
-    """(chi, rep, subspace, D) for every class, as hh_component passes them."""
+    """(chi, rep, subspace, D, action) for every class, as hh_component
+    reads them: `action` is the class route's `class_action`."""
     out = []
     for cls in conjugacy_classes(r, p, n):
         g = cls.rep
-        out.append((hochschild_character(g, rep, p), rep, fixed_basis(g, rep), _max_degree(r, p, n)))
+        out.append((hochschild_character(g, rep, p), rep, fixed_basis(g, rep), _max_degree(r, p, n),
+                    class_action(g, rep, p)))
     return out
 
 
@@ -563,13 +577,13 @@ def _scaled_fixed_basis_case():
     # the fixed basis of (1,2,3) in G(3,1,4), each vector scaled by a power of zeta_3
     g = three_cycle(3, 4, 1, 2, 3)
     scaled = tuple(tuple((i, t + j + 1) for i, t in v) for j, v in enumerate(fixed_basis(g, F)))
-    return [(hochschild_character(g, F, 1), F, scaled, _max_degree(3, 1, 4))]
+    return [(hochschild_character(g, F, 1), F, scaled, _max_degree(3, 1, 4), None)]
 
 
 def _reversed_basis_case():
     # S_3 with the trivial character on the coordinate basis in reverse order
     std = tuple(((i, 0),) for i in range(3))
-    return [(trivial_character(elements(1, 1, 3)), F, std[::-1], _max_degree(1, 1, 3))]
+    return [(trivial_character(elements(1, 1, 3)), F, std[::-1], _max_degree(1, 1, 3), None)]
 
 
 def _scaled_coordinate_basis_case():
@@ -579,7 +593,7 @@ def _scaled_coordinate_basis_case():
     # class cases never do
     S3 = [h for h in elements(3, 1, 3) if not any(h.exps)]
     scaled = tuple(((j, j),) for j in range(3))
-    return [(trivial_character(S3), F, scaled, _max_degree(1, 1, 3))]
+    return [(trivial_character(S3), F, scaled, _max_degree(1, 1, 3), None)]
 
 
 REYNOLDS_CASES = {
@@ -589,6 +603,13 @@ REYNOLDS_CASES = {
 REYNOLDS_CASES["scaled fixed basis"] = _scaled_fixed_basis_case
 REYNOLDS_CASES["reversed coordinate basis"] = _reversed_basis_case
 REYNOLDS_CASES["scaled coordinate basis"] = _scaled_coordinate_basis_case
+
+
+def _case_rows(case, d, k):
+    """(rows, monos, wedges) of a case: the class route's for a class, the
+    oracle walk's for a non-standard subspace basis."""
+    chi, rep, subspace, _, action = case
+    return semiinvariant_rows(action, d, k) if action else semiinvariant_rows_by_walk(chi, rep, d, k, subspace)
 
 
 def _per_element_actions(chi, rep, subspace):
@@ -602,30 +623,37 @@ def _per_element_actions(chi, rep, subspace):
 @pytest.mark.parametrize("name", list(REYNOLDS_CASES))
 def test_phase_rows_match_the_projector_sums(monkeypatch, name):
     # every polynomial degree up to D and every form degree, through the
-    # public entry point; the projector sums run over every element of the
-    # subgroup.  Some orbit must be killed, or the comparison would not
-    # reach the stabilizer condition
+    # public entry points, the class route's for a class and the oracle
+    # walk's for a non-standard subspace basis; the projector sums run over
+    # every element of the subgroup.  Some orbit must be killed, or the
+    # comparison would not reach the stabilizer condition
     seen = {"calls": 0, "killed": 0}
-    real = heckeforge.polyforms._phase_rows
 
     def as_data(rows):  # each row as index -> value, whatever order its keys came in
         return [{i: (c.order, c.coeffs) for i, c in row.items()} for row in rows]
 
-    def compared(actions, order, monos, wedges):
-        rows = real(actions, order, monos, wedges)
-        basis = [(mu, S) for mu in monos for S in wedges]
-        values = [{i: root_of_unity(order, e) for i, e in row.items()} for row in rows]
-        assert as_data(values) == as_data(reynolds_rows_by_projector(per_element, order, basis))
-        seen["calls"] += 1
-        seen["killed"] += sum(map(len, rows)) < len(basis)
-        return rows
+    def compared(real):
+        def rows_of(*args):
+            rows, monos, wedges = real(*args)
+            basis = [(mu, S) for mu in monos for S in wedges]
+            values = [{i: root_of_unity(order, e) for i, e in row.items()} for row in rows]
+            assert as_data(values) == as_data(reynolds_rows_by_projector(per_element, order, basis))
+            seen["calls"] += 1
+            seen["killed"] += sum(map(len, rows)) < len(basis)
+            return rows, monos, wedges
 
-    monkeypatch.setattr(heckeforge.polyforms, "_phase_rows", compared)
-    for chi, rep, subspace, D in REYNOLDS_CASES[name]():
-        per_element = _per_element_actions(chi, rep, subspace)
+        return rows_of
+
+    monkeypatch.setattr(heckeforge.polyforms, "semiinvariant_rows", compared(heckeforge.polyforms.semiinvariant_rows))
+    monkeypatch.setattr(oracles, "semiinvariant_rows_by_walk", compared(oracles.semiinvariant_rows_by_walk))
+    for chi, rep, subspace, D, action in REYNOLDS_CASES[name]():
+        per_element, order = _per_element_actions(chi, rep, subspace), chi.order
         for d in range(D + 1):
             for k in range(len(subspace) + 1):
-                reynolds_semiinvariant_basis(chi, rep, d, k, subspace)
+                if action:
+                    reynolds_semiinvariant_basis(action, d, k)
+                else:
+                    reynolds_basis_by_walk(chi, rep, d, k, subspace)
     assert seen["calls"] and seen["killed"], seen
 
 
@@ -635,16 +663,70 @@ def test_phase_rows_match_the_basis_walk(name):
     # form degree: the same rows in the same order, each the same dict of
     # index -> phase.  Some orbit must be kept and some killed
     seen = {"kept": 0, "killed": 0}
-    for chi, rep, subspace, D in REYNOLDS_CASES[name]():
-        actions = chi.actions(rep, subspace)
+    for case in REYNOLDS_CASES[name]():
+        chi, rep, subspace, D, _ = case
+        actions = generator_actions(chi, rep, subspace)
         for d in range(D + 3):
             for k in range(len(subspace) + 1):
-                rows, monos, wedges = semiinvariant_rows(chi, rep, d, k, subspace)
+                rows, monos, wedges = _case_rows(case, d, k)
                 basis = [(mu, S) for mu in monos for S in wedges]
                 assert rows == phase_rows_by_basis_walk(actions, chi.order, basis), (chi.generators, d, k)
                 seen["kept"] += len(rows)
                 seen["killed"] += sum(map(len, rows)) < len(basis)
     assert seen["kept"] and seen["killed"], seen
+
+
+@pytest.mark.parametrize("r,p,n,rep", _reynolds_groups(), ids=lambda a: str(getattr(a, "value", a)))
+def test_class_rows_match_the_oracle_walk(r, p, n, rep):
+    # the rows read off block-sorted representatives against the oracle's
+    # table-driven walk over every basis element: the same rows in the same
+    # order, each the same dict of index -> phase, on the same monomials
+    # and wedges, and as many as the counted dims, in cohomological degrees
+    # 0 to 3 and every polynomial degree up to 6, on each class
+    # representative and one other member of its class.  Some orbit must be
+    # kept and some killed
+    seen = {"kept": 0, "killed": 0}
+    for g in (g for cls in conjugacy_classes(r, p, n) for g in dict.fromkeys([cls.rep, a_conjugate(cls.rep, p)])):
+        _assert_class_rows_match(g, rep, p, 6, [m - (n - len(fixed_basis(g, rep))) for m in range(4)], seen)
+    assert seen["kept"] and seen["killed"], seen
+
+
+def _assert_class_rows_match(g, rep, p, D, form_degrees, seen):
+    fixed, chi, action = fixed_basis(g, rep), hochschild_character(g, rep, p), class_action(g, rep, p)
+    for k in form_degrees:
+        dims = semiinvariant_dims(action, D, k)
+        for d in range(D + 1):
+            rows, monos, wedges = semiinvariant_rows(action, d, k)
+            assert (rows, monos, wedges) == semiinvariant_rows_by_walk(chi, rep, d, k, fixed), (g, k, d)
+            assert dims[d] == len(rows), (g, k, d)
+            seen["kept"] += len(rows)
+            seen["killed"] += sum(map(len, rows)) < len(monos) * len(wedges)
+
+
+@pytest.mark.parametrize("r,p", [(2, 1), (3, 1), (3, 3), (4, 2), (6, 1)])
+def test_class_rows_match_the_oracle_walk_on_phased_swaps(r, p):
+    # the class route drops the phases with which a swap exchanges two fixed
+    # vectors, which the oracle walk keeps.  A swap carries one only between
+    # cycles of length >= 3 whose largest points, where the fixed vectors
+    # have phase 0, sit at different places: two or three colour-0 3-cycles
+    # with exponents, and fixed points, under both actions, in every form
+    # degree and polynomial degrees up to 6.  Some swap must carry a phase,
+    # and some kept orbit must move along it
+    cases = [
+        (6, [(1, 5, 3), (2, 4, 6)], (0, 0, -1, 0, 1, 0)),
+        (8, [(1, 5, 3), (2, 4, 6)], (0, 0, -1, 0, 1, 0, 1, -1)),
+        (9, [(1, 5, 3), (2, 4, 6), (7, 9, 8)], (0, 0, -1, 0, 1, 0, 0, 1, -1)),
+    ]
+    seen = {"kept": 0, "killed": 0, "phased": 0}
+    for n, cycles, exps in cases:
+        g = from_cycles(r, n, cycles, exps=exps)
+        for rep in (F, P):
+            kept = seen["kept"]
+            _assert_class_rows_match(g, rep, p, 6, range(len(fixed_basis(g, rep)) + 1), seen)
+            swaps = [s for _, s in centralizer_of(g, p).swaps]
+            phased = any(any(texp) for _, texp in subspace_actions(swaps, rep, fixed_basis(g, rep)))
+            seen["phased"] += phased and seen["kept"] > kept
+    assert seen["kept"] and seen["killed"] and seen["phased"], seen
 
 
 # -- V^g, the wedge duals and the codimension-2 forms from cycles against dense elimination

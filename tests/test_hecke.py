@@ -384,6 +384,7 @@ def test_linear_oracle_is_independent_of_the_reynolds_route(monkeypatch):
         (heckeforge.hochschild, "hh2_total"),
         (heckeforge.hochschild, "CharacterTable"),
         (heckeforge.polyforms, "semiinvariant_rows"),
+        (heckeforge.polyforms, "semiinvariant_dims"),
         (heckeforge.polyforms, "CharacterTable"),
     ]:
         monkeypatch.setattr(module, name, refuse)

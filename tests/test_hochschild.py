@@ -44,7 +44,10 @@ from heckeforge.hochschild import (
 from heckeforge.hecke import param_space, param_space_linear_oracle, three_cycle_classes
 from heckeforge.polyforms import CharacterError, CharacterTable, restriction_matrix, subspace_actions
 from caches import clear_caches
-from oracles import dense_spaces, dimension_by_enumeration, solved_centralizer
+import oracles
+from oracles import (
+    dense_spaces, dimension_by_enumeration, generator_actions, semiinvariant_rows_by_walk, solved_centralizer
+)
 
 F = RepKind.FAITHFUL
 P = RepKind.PERMUTATION
@@ -137,6 +140,19 @@ def test_conjugate_representatives_have_equal_dims():
         h = rng.choice(elements(2, 1, 3))
         comp2 = hh_component(conjugate(g, h), F, 2, 3)
         assert comp2.dims_by_degree == comp.dims_by_degree
+
+
+def test_frontier_dims_list_no_basis(monkeypatch):
+    # G(2,1,8) under the faithful action up to degree 10: with the oracle
+    # walk and the monomial listing of the rows raising, the dims still
+    # come out and match the catalog, so the dims path lists no basis
+    def refuse(*args):
+        raise AssertionError("listed a basis")
+
+    monkeypatch.setattr(oracles, "_phase_rows", refuse)
+    monkeypatch.setattr(heckeforge.polyforms, "combinations_with_replacement", refuse)
+    clear_caches()
+    assert compare(hh2_total(2, 1, 8, F, 10), closed_form_catalog(2, 1, 8, F), 10).ok
 
 
 def test_codim_one_classes_are_zero():
@@ -345,8 +361,9 @@ def test_generator_check_matches_all_pairs_check(r, p, n):
 
 def test_class_action_data_are_built_once(monkeypatch):
     # the Hochschild character computes the fixed-basis action of Z(g) once;
-    # the det filter and every Reynolds degree read it from the table, both
-    # for a proper fixed space and for the coordinate basis of the identity
+    # the det filter reads the centralizer record and every Reynolds degree
+    # the cycles, with no second pass, both for a proper fixed space and for
+    # the coordinate basis of the identity
     calls = []
     real = heckeforge.polyforms.subspace_actions
 
@@ -369,31 +386,35 @@ def test_class_action_data_are_built_once(monkeypatch):
         fixed = fixed_basis(g, F)
         values = [chi.exponents[s] for s in chi.generators]
         fresh = CharacterTable(chi.r, chi.n, chi.order, chi.generators, values, chi.subgroup_order)
-        assert fresh.actions(F, fixed) == chi.actions(F, fixed)
+        assert generator_actions(fresh, F, fixed) == generator_actions(chi, F, fixed)
         step = chi.order // g.r
         every = {
             (pi, tuple(t * step for t in texp), chi.exponents[h])
             for h, (pi, texp) in zip(chi.subgroup, real(chi.subgroup, F, fixed))
         }
-        assert set(chi.actions(F, fixed)) <= every
+        assert set(generator_actions(chi, F, fixed)) <= every
 
 
 def test_phase_rows_walk_the_generators_only(monkeypatch):
-    # the identity class of G(2,1,4) under the faithful action: the walk
-    # receives one action per generator of Z(1) = G at most, not one per
-    # distinct action of its 384 elements
+    # the identity class of G(2,1,4) under the faithful action: the oracle
+    # walk, over the degrees hh_component counts, receives one action per
+    # generator of Z(1) = G at most, not one per distinct action of its 384
+    # elements
     sizes = []
-    real = heckeforge.polyforms._phase_rows
+    real = oracles._phase_rows
 
     def recording(actions, order, monos, wedges):
         sizes.append(len(actions))
         return real(actions, order, monos, wedges)
 
-    monkeypatch.setattr(heckeforge.polyforms, "_phase_rows", recording)
+    monkeypatch.setattr(oracles, "_phase_rows", recording)
     g = identity(2, 4)
-    Z = hochschild_character(g, F, 1).subgroup
+    chi = hochschild_character(g, F, 1)
+    Z = chi.subgroup
     assert len(set(subspace_actions(Z, F, fixed_basis(g, F)))) == 384
     assert any(hh_component(g, F, 2, 4).dims_by_degree.values())
+    for d in range(5):
+        semiinvariant_rows_by_walk(chi, F, d, 2, fixed_basis(g, F))
     assert sizes and max(sizes) <= len(centralizer_of(g, 1).generators) < 384, sizes
 
 

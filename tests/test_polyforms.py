@@ -3,6 +3,7 @@ import random
 import pytest
 
 import heckeforge.polyforms
+import oracles
 from heckeforge.cyclo import one, root_of_unity
 from heckeforge.group import (
     GroupElement,
@@ -17,7 +18,7 @@ from heckeforge.group import (
     transposition,
     xi,
 )
-from heckeforge.hochschild import fixed_basis, hochschild_character
+from heckeforge.hochschild import class_action, fixed_basis, hochschild_character
 from heckeforge.polyforms import (
     CharacterError,
     CharacterTable,
@@ -33,6 +34,7 @@ from heckeforge.polyforms import (
 from oracles import (
     elementary_symmetric,
     invariant_ring_generators,
+    reynolds_basis_by_walk,
     root_exponent,
     symmetric_group_derivations,
     trivial_character,
@@ -165,21 +167,20 @@ def test_solomon_check_flags_wrong_exponents_for_symmetric_blocks():
 
 def test_reynolds_symmetrization():
     s2 = sym_elements(2)
-    basis = reynolds_semiinvariant_basis(trivial_character(s2), F, 1, 0)
+    basis = reynolds_basis_by_walk(trivial_character(s2), F, 1, 0)
     assert basis == [PolyForm(2, {(): Polynomial(2, {(1, 0): one(), (0, 1): one()})})]
 
 
 def test_reynolds_trivial_subgroup_gives_full_basis():
     e = [identity(1, 2)]
-    basis = reynolds_semiinvariant_basis(trivial_character(e), F, 2, 1)
+    basis = reynolds_basis_by_walk(trivial_character(e), F, 2, 1)
     assert len(basis) == 3 * 2
 
 
 def test_reynolds_centralizer_example():
     # Z((1,2,3)) in G(1,1,4), chi = chi_g, degree 1, form degree 0 on V^g
     g = three_cycle(1, 4, 1, 2, 3)
-    chi = hochschild_character(g, F, 1)
-    basis = reynolds_semiinvariant_basis(chi, F, 1, 0, fixed_basis(g, F))
+    basis = reynolds_semiinvariant_basis(class_action(g, F, 1), 1, 0)
     assert len(basis) == 2
     expected = [
         PolyForm(4, {(): Polynomial(4, {(1, 0, 0, 0): one(), (0, 1, 0, 0): one(), (0, 0, 1, 0): one()})}),
@@ -192,7 +193,7 @@ def test_reynolds_centralizer_example():
 def test_reynolds_outputs_are_semiinvariant():
     g = three_cycle(3, 4, 1, 2, 3)
     chi = hochschild_character(g, F, 1)
-    basis = reynolds_semiinvariant_basis(chi, F, 2, 0, fixed_basis(g, F))
+    basis = reynolds_semiinvariant_basis(class_action(g, F, 1), 2, 0)
     for s in basis:
         for h in chi.subgroup:
             assert act_form(h, s, F) == s.scale(chi(h))
@@ -208,7 +209,7 @@ def test_forms_on_interleaved_cycles_with_phases_are_invariant():
     assert fixed == (((0, 1), (2, 0)), ((1, 0), (3, 0)))
     chi = trivial_character(hochschild_character(g, F, 1).subgroup)
     for d, k in [(3, 0), (1, 1), (5, 2)]:
-        basis = reynolds_semiinvariant_basis(chi, F, d, k, fixed)
+        basis = reynolds_basis_by_walk(chi, F, d, k, fixed)
         assert basis, (d, k)
         for s in basis:
             for h in chi.subgroup:
@@ -221,7 +222,7 @@ def test_reynolds_dimension_independent_of_basis_order():
     std = tuple(((i, 0),) for i in range(3))
     dims = []
     for subspace in (std, std[::-1]):
-        basis = reynolds_semiinvariant_basis(chi, F, 2, 1, subspace)
+        basis = reynolds_basis_by_walk(chi, F, 2, 1, subspace)
         dims.append(len(basis))
     assert dims[0] == dims[1]
 
@@ -231,16 +232,18 @@ def test_reynolds_rejects_non_monomial_subspace_basis():
     # supports, so S_3 does not permute it up to roots of unity
     chi = trivial_character(sym_elements(3))
     with pytest.raises(ValueError):
-        reynolds_semiinvariant_basis(chi, F, 1, 0, (((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0),)))
+        reynolds_basis_by_walk(chi, F, 1, 0, (((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0),)))
 
 
 def test_reynolds_dims_independent_of_root_of_unity_scaling():
+    # the class route on the fixed basis, the oracle walk on the scaled one
     g = three_cycle(3, 4, 1, 2, 3)
     chi = hochschild_character(g, F, 1)
     fixed = fixed_basis(g, F)
     scaled = tuple(tuple((i, t + j + 1) for i, t in v) for j, v in enumerate(fixed))
     for d, k in [(0, 0), (2, 0), (3, 1), (4, 2)]:
-        dims = [len(reynolds_semiinvariant_basis(chi, F, d, k, basis)) for basis in (fixed, scaled)]
+        dims = [len(reynolds_semiinvariant_basis(class_action(g, F, 1), d, k)),
+                len(reynolds_basis_by_walk(chi, F, d, k, scaled))]
         assert dims[0] == dims[1], (d, k, dims)
 
 
@@ -314,9 +317,10 @@ def test_exponent_table_answers_with_root_values():
 
 
 def test_reynolds_builds_action_data_once_per_table(monkeypatch):
-    # a fresh table on the generators of a cached one: no degree lists or
-    # walks the subgroup, the generators' action data are built on the
-    # first degree only, and every degree gives the cached table's dims
+    # the oracle walk on a fresh table on the generators of a cached one: no
+    # degree lists or walks the subgroup, the generators' action data are
+    # built on the first degree only, and every degree gives the class
+    # route's dims
     g = three_cycle(3, 4, 1, 2, 3)
     cached = hochschild_character(g, F, 1)
     values = [cached.exponents[s] for s in cached.generators]
@@ -332,20 +336,16 @@ def test_reynolds_builds_action_data_once_per_table(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(heckeforge.polyforms, "walk", counting("walk", heckeforge.polyforms.walk))
-    monkeypatch.setattr(
-        heckeforge.polyforms,
-        "subspace_actions",
-        counting("subspace_actions", heckeforge.polyforms.subspace_actions),
-    )
+    monkeypatch.setattr(oracles, "subspace_actions", counting("subspace_actions", oracles.subspace_actions))
     fixed = fixed_basis(g, F)
     dims = []
     for d in range(4):
-        dims.append(len(reynolds_semiinvariant_basis(chi, F, d, 0, fixed)))
+        dims.append(len(reynolds_basis_by_walk(chi, F, d, 0, fixed)))
         if d == 0:
             first = dict(calls)
     assert first == {"walk": 0, "subspace_actions": 1}
     assert calls == first
     assert dims == [
-        len(reynolds_semiinvariant_basis(cached, F, d, 0, fixed))
+        len(reynolds_semiinvariant_basis(class_action(g, F, 1), d, 0))
         for d in range(4)
     ]
