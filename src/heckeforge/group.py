@@ -8,9 +8,9 @@ classes are its coloured cycle types, each least member built directly,
 with no listing of the group, and the number of G(r,p,n)-classes a class
 splits into is read off its type.  A class that splits is grown once, and
 cut into its pieces by a label its walk carries.  Each centralizer is read
-once off g's cycles as D.P (`centralizer_of`): generators, order and the
-pointwise stabilizer of V^g.  Every walk from generators is the one
-`walk` and rests on its argument.
+once off g's cycles as D.P (`centralizer_of`), as group elements; the HH
+class path reads the cycles as integers (`hochschild.class_action`).  Every
+walk from generators is the one `walk` and rests on its argument.
 """
 
 from __future__ import annotations
@@ -490,27 +490,10 @@ class Centralizer(NamedTuple):
     fixes each cycle, so lies in D.  Its order is `centralizer_order_formula`,
     and Z is its part of exponent sum 0 mod p, of index p / `_split_count`."""
 
-    g: GroupElement
-    p: int
     cycles: tuple  # (a_c, xi_c, g_c) per cycle c
     swaps: tuple  # (colour of its type, swap) per swap
     generators: tuple  # per type the first xi_c, g_c (P moves them onto the rest), then the swaps, cut by `_within`
     order: int
-
-    def kernel(self, rep: RepKind) -> tuple[GroupElement, ...]:
-        """Generators of K = ker(Z -> GL(V^g)).  V^g has a vector per cycle,
-        of colour 0 under the faithful action (`hochschild.fixed_basis`).
-        g_c fixes V^g, as g does; xi_c scales c's vector by zeta_r under the
-        faithful action and fixes every other; a swap exchanges its cycles'
-        vectors if they have them.  So for h = d.pi in K, d in D and pi in P,
-        pi fixes each cycle with a vector, so pi and then d lie in K.  K is
-        cut by `_within` from D and P less, under the faithful action, the
-        xi_c of colour-0 cycles and the swaps of colour-0 types, and under
-        the permutation action every swap."""
-        faithful = rep == RepKind.FAITHFUL
-        gens = [h for a, x, c in self.cycles for h in ((x, c) if a or not faithful else (c,))]
-        gens += [s for a, s in self.swaps if a and faithful]
-        return _within(gens, self.g.r, self.g.n, self.p)
 
 
 @lru_cache(maxsize=4096)
@@ -528,7 +511,7 @@ def centralizer_of(g: GroupElement, p: int) -> Centralizer:
         swaps += [(a, s) for s in _swaps(g, same)]
     gens = _within(firsts + [s for _, s in swaps], r, n, p)
     order = centralizer_order_formula(g, ctype) * _split_count(ctype, p) // p
-    return Centralizer(g, p, tuple(cycles), tuple(swaps), gens, order)
+    return Centralizer(tuple(cycles), tuple(swaps), gens, order)
 
 
 def centralizer(g: GroupElement, p: int) -> list[GroupElement]:

@@ -6,7 +6,8 @@ invariant part of S(V^g) (x) Lambda^{m-codim}((V^g)*) over the centralizer
 Z(g) = D_p . P, counted in every degree at once from the orbits' block-sorted
 representatives that the Reynolds projector keeps (`class_action`), on
 every class that a determinant filter, valid in each degree m, does not
-prove zero.
+prove zero.  Both read Z(g) only as `class_action`'s integers per cycle;
+chi_g's table (`hochschild_character`) is built only when it is read.
 V^g is read off the cycles of g as integers (`fixed_basis`): one vector per
 cycle whose phases sum to 0 mod r, with root-of-unity entries on the
 cycle's support, so Z(g) permutes the basis up to phases and the wedge
@@ -106,19 +107,13 @@ def fixed_space(g: GroupElement, rep: RepKind):
 @lru_cache(maxsize=4096)
 def hochschild_character(g: GroupElement, rep: RepKind, p: int) -> CharacterTable:
     """chi_g(h) = det of h restricted to (V^g)-perp, for h in Z_{G(r,p,n)}(g),
-    computed as det(h|V) / det(h|V^g) from the monomial action on V^g and
-    held as exponents mod lcm(2, r).  A ratio of the determinants of two
-    representations of Z(g) is a homomorphism, so the table holds its values
-    on the generators of `centralizer_of(g, p)` only, and claims its order.
-    Z(g) is listed only if `subgroup`, `exponents` or `chi(h)` are read, by
-    the walk over the generators that proves the claim.  (`class_action`
-    reads chi on D_p and the swaps in closed form.)"""
-    # V = V^g (+) im(g - 1) with both summands Z(g)-stable, so
-    # det(h | perp) = det(h | V) / det(h | V^g).  det(h | V) is
-    # sign(h.perm) zeta_r^{sum h.exps}, or sign(h.perm) under the permutation
-    # action; h permutes the fixed basis monomially, so
-    # det(h | V^g) = sign(pi) zeta_r^{sum texp}.  Both are `det_exponent`s
-    # mod F = lcm(2, r).
+    as exponents mod lcm(2, r).  V = V^g (+) im(g - 1), both Z(g)-stable,
+    so it is det(h|V) / det(h|V^g), the `det_exponent`s of h's monomial
+    actions on V and on the fixed basis.  A ratio of determinants is a
+    homomorphism, so the table holds its values on the generators of
+    `centralizer_of(g, p)` only, and claims its order; Z(g) is listed only
+    when read, by the walk that proves the claim.  No dim or filter reads
+    the table: `ClassComponent.chi` builds it on first read."""
     r, Z = g.r, centralizer_of(g, p)
     faithful = rep == RepKind.FAITHFUL
     exps = [
@@ -143,7 +138,9 @@ def class_action(g: GroupElement, rep: RepKind, p: int) -> ClassAction:
       (it is an involution): chi = (F/2)(k + [u_c]).
     D_p is cut from D = <xi_c, g_c> by the `walk` over the cosets of the
     exponent sum mod p on these integer values, each clash a Schreier
-    generator (as in `group._within`)."""
+    generator (as in `group._within`).  `kernel` takes the generators of D
+    that fix V^g, each with det(h|V) = chi + det(h|V^g), the sum of its
+    integers, and the swaps of the types with no vector (`_passes_det_filter`)."""
     r, F, faithful = g.r, lcm(2, g.r), rep == RepKind.FAITHFUL
     step, half = F // r, F // 2
     fixed = fixed_basis(g, rep)
@@ -163,13 +160,14 @@ def class_action(g: GroupElement, rep: RepKind, p: int) -> ClassAction:
         elif len(same) > 1:
             diagonal.append(((0,) * m, e))
     gens = [(s, w) for s, w in gens if s or any(w)]  # the rest close no coset and no clash
+    kernel = tuple((s, sum(w) % F) for s, w in gens if not any(w[:m])) + tuple((0, e) for _, e in diagonal)
     values, clashes = walk(
         0, (0,) * (m + 1), gens, lambda x, v, s: ((x + s[0]) % p, tuple((a + b) % F for a, b in zip(v, s[1])))
     )
     for h in dict.fromkeys(tuple((a - b) % F for a, b in zip(w, values[y])) for y, w in clashes):
         if any(h):  # a Schreier generator that scales some vector or has chi != 1
             diagonal.append((h[:m], h[m]))
-    return ClassAction(g.n, r, F, fixed, tuple(diagonal), tuple(chain))
+    return ClassAction(g.n, r, F, fixed, tuple(diagonal), tuple(chain), kernel)
 
 
 def _fixes_space_pointwise(h: GroupElement, rep: RepKind, vectors) -> bool:
@@ -186,11 +184,16 @@ def _fixes_space_pointwise(h: GroupElement, rep: RepKind, vectors) -> bool:
 class ClassComponent:
     rep: GroupElement
     repkind: RepKind
+    p: int
     codim: int
     fixed_basis: tuple
-    chi: CharacterTable
     dims_by_degree: dict[int, int]
     basis_by_degree: dict[int, list[PolyForm]] | None = None
+
+    @property
+    def chi(self) -> CharacterTable:
+        """chi_g as the cached `hochschild_character`, built on first read."""
+        return hochschild_character(self.rep, self.repkind, self.p)
 
     def is_zero(self) -> bool:
         return not any(self.dims_by_degree.values())
@@ -216,16 +219,14 @@ def hh_component(
     (S(V^g) (x) Lambda^{m - codim V^g}((V^g)*))^{chi_g}, per polynomial degree
     up to max_poly_degree.  A negative exterior power gives the zero space.
     Each dimension is the number of surviving orbit representatives
-    (`semiinvariant_dims`); the basis elements are assembled only with
-    include_basis."""
+    (`semiinvariant_dims`); include_basis only lists the basis elements."""
     fixed = fixed_basis(g, rep)
     codim = g.n - len(fixed)
     k = m - codim
     action = class_action(g, rep, p)
-    degrees = range(max_poly_degree + 1)
-    bases = {d: reynolds_semiinvariant_basis(action, d, k) for d in degrees} if include_basis else None
-    dims = {d: len(bases[d]) for d in degrees} if bases else semiinvariant_dims(action, max_poly_degree, k)
-    return ClassComponent(g, rep, codim, fixed, hochschild_character(g, rep, p), dims, bases)
+    dims = semiinvariant_dims(action, max_poly_degree, k)
+    bases = {d: reynolds_semiinvariant_basis(action, d, k) for d in dims} if include_basis else None
+    return ClassComponent(g, rep, p, codim, fixed, dims, bases)
 
 
 def _passes_det_filter(g: GroupElement, rep: RepKind, p: int, m: int = 2) -> bool:
@@ -238,14 +239,25 @@ def _passes_det_filter(g: GroupElement, rep: RepKind, p: int, m: int = 2) -> boo
     chi_g(g) = det(g), as g fixes V^g.  The exterior power Lambda^{m - codim}
     of the (n - codim)-dimensional (V^g)* is zero unless codim <= m <= n.
     At m = 2 a g with det(g) = 1 is not a reflection, so codim <= 2 is
-    codim in {0, 2}."""
+    codim in {0, 2}.
+
+    K is the part of exponent sum 0 mod p of the pointwise stabilizer K_1
+    of V^g in D.P = Z_{G(r,1,n)}(g) (`group.Centralizer`).  g_c fixes V^g;
+    xi_c scales its cycle's vector, if any, by zeta_r under the faithful
+    action; a swap exchanges its cycles' vectors, if any.  So for h = d.pi
+    in K_1, pi lies in the symmetric groups on the types with no vector,
+    which fix V^g, and so d lies in K_1.  Where xi_c moves a vector, the
+    colour is 0 and <xi_c, g_c> = <xi_c> x <g_c> meets K_1 in <g_c>.  So
+    `class_action`'s `kernel` generates K_1, and chi_g = det on it.  Both
+    det and the exponent sum are homomorphisms, so the `walk` over the p
+    cosets of the exponent sum, adding det, clashes iff two words have one
+    exponent sum and two dets, that is iff chi_g is nontrivial on K."""
     if det_exponent(*monomial_action(g, rep), g.r):
         return False
     if not g.n - len(fixed_basis(g, rep)) <= m <= g.n:
         return False
-    # on an h fixing V^g pointwise, det(h | V^g) = 1, so chi_g(h) = det(h);
-    # chi_g is a homomorphism, so it is trivial on K iff on K's generators
-    return not any(det_exponent(*monomial_action(h, rep), g.r) for h in centralizer_of(g, p).kernel(rep))
+    F = lcm(2, g.r)
+    return not walk(0, 0, class_action(g, rep, p).kernel, lambda x, v, s: ((x + s[0]) % p, (v + s[1]) % F))[1]
 
 
 def hh2_total(

@@ -445,7 +445,9 @@ class ClassAction(NamedTuple):
     of D_p, and the swaps of cycles with no vector.  `chain` lists the
     vectors block by block, one block per (a,k) type in `_swaps` order, as
     (j, e): e is None at a block's start, else chi(s) = zeta_F^e for the
-    swap s of w_j's cycle with the one before."""
+    swap s of w_j's cycle with the one before.  `kernel` holds (exponent
+    sum mod p, e) with det(h|V) = zeta_F^e per generator h of the pointwise
+    stabilizer of V^g in D.P, for the filter; no count reads it."""
 
     n: int
     r: int
@@ -453,6 +455,7 @@ class ClassAction(NamedTuple):
     vectors: tuple
     diagonal: tuple
     chain: tuple
+    kernel: tuple
 
 
 def _survivors(action: ClassAction, max_degree: int, form_degree: int, listing: bool) -> dict:

@@ -57,11 +57,9 @@ paths in the library, and a faithful family shared by the tests:
   its own Fraction tables (`fraction_cyclotomic_polynomial`,
   `fraction_power_table`), the reference for `CycloNum`'s integer
   numerators over one denominator;
-- `centralizer_generators` and `kernel_generators`: the generators of
-  Z_{G(r,p,n)}(g) and of its pointwise stabilizer of V^g as `group` read
-  them off g's cycles, by its own case split per (action, colour), before
-  it held each centralizer as one `group.Centralizer` record, with
-  `_scalar_and_cycle`, the per-cycle pair they share;
+- `centralizer_generators`: the generators of Z_{G(r,p,n)}(g) as `group`
+  read them off g's cycles before it held each centralizer as one
+  `group.Centralizer` record, with `_scalar_and_cycle`, the per-cycle pair;
 - `a_conjugate`: a member of g's class other than g, where it has one,
   conjugated by seeded draws from G(r,p,n);
 - `solved_centralizer`: Z_{G(r,p,n)}(g) solved for from the cycle
@@ -830,28 +828,6 @@ def centralizer_generators(g: GroupElement, p: int) -> tuple[GroupElement, ...]:
     by_type = _cycles_by_type(g).values()
     gens = [h for same in by_type for h in _scalar_and_cycle(g, same[0])]
     gens += [h for same in by_type for h in _swaps(g, same)]
-    return _within(gens, g.r, g.n, p)
-
-
-def kernel_generators(g: GroupElement, rep: RepKind, p: int) -> tuple[GroupElement, ...]:
-    """Generators of K = ker(Z_{G(r,p,n)}(g) -> GL(V^g)), the centralizer
-    elements fixing V^g pointwise, read off g's cycles.  Z(g) is a direct
-    product over g's (a,k) types, and so is K.  V^g has one vector on each
-    cycle of colour 0 under the faithful action, and on each cycle under the
-    permutation action.  A type without fixed vectors puts its whole factor
-    into K, as in `centralizer_generators`.  On a type with them, no
-    element that moves its cycles is in K, and per cycle K takes the cycle,
-    which fixes the cycle's vector, and under the permutation action, where
-    scalars act trivially, its scalar; under the faithful action the scalar
-    moves that vector by zeta_r.  For p > 1, cut down by `_within`."""
-    faithful = rep == RepKind.FAITHFUL
-    gens: list = []
-    for (a, _), same in _cycles_by_type(g).items():
-        if faithful and a:
-            gens += _scalar_and_cycle(g, same[0]) + _swaps(g, same)
-        else:
-            for cyc in same:
-                gens += _scalar_and_cycle(g, cyc)[faithful:]  # faithful: no scalar
     return _within(gens, g.r, g.n, p)
 
 

@@ -7,7 +7,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from heckeforge.hochschild import ClassComponent
+from heckeforge.group import GroupElement, RepKind, transposition
+from heckeforge.hochschild import hh_component
 from heckeforge.polyforms import CharacterTable
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -40,5 +41,7 @@ def test_worker_reads_resolve():
     assert ("heckeforge.hochschild", "_fixes_space_pointwise") in names
     for module, attr in names:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
-    assert "chi" in ClassComponent.__dataclass_fields__
+    # the worker's read, on (1,2) in G(2,1,2), whose centralizer is a Klein four group
+    subgroup = hh_component(transposition(2, 2, 1, 2), RepKind.FAITHFUL, 2, 1).chi.subgroup
+    assert len(subgroup) == 4 and all(isinstance(h, GroupElement) for h in subgroup)
     assert isinstance(CharacterTable.__dict__["subgroup"], property)

@@ -48,7 +48,6 @@ from oracles import (
     coact,
     conjugate_in_full_group,
     in_subgroup,
-    kernel_generators,
     matrix,
     solved_centralizer,
     sort_with_sign,
@@ -369,8 +368,7 @@ def test_centralizer_generators_generate_the_solved_centralizer(r, p, n):
 @pytest.mark.parametrize("r,p,n", _every_p(ORACLE_GROUPS + [(4, 1, 4), (6, 6, 4)]))
 def test_the_centralizer_record_matches_the_cycle_readings_it_replaced(r, p, n):
     # on each class representative and one other member of its class: the
-    # record's generators are the old tuple, element for element, and its
-    # kernel has the old kernel's closure under both actions; each D
+    # record's generators are the old tuple, element for element; each D
     # generator maps every cycle of g to itself, each swap has exponent sum
     # 0 mod r, <D u P> is Z_{G(r,1,n)}(g) by its order, and
     # <_within(D, p) u P> is the solved Z_{G(r,p,n)}(g)
@@ -378,8 +376,6 @@ def test_the_centralizer_record_matches_the_cycle_readings_it_replaced(r, p, n):
         for g in dict.fromkeys([cls.rep, a_conjugate(cls.rep, p)]):
             Z = centralizer_of(g, p)
             assert Z.generators == centralizer_generators(g, p), g
-            for rep in (F, P):
-                assert set(closure(r, n, Z.kernel(rep))) == set(closure(r, n, kernel_generators(g, rep, p))), (g, rep)
             cycles = [set(c) for c in perm_cycles(g.perm)]
             D = [h for _, x, c in Z.cycles for h in (x, c)]
             assert all({h.perm[i - 1] for i in c} == c for h in D for c in cycles), g

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import heckeforge.group
+import heckeforge.hecke
 import heckeforge.hochschild
 import heckeforge.polyforms
 from heckeforge.cli import main
@@ -360,10 +361,11 @@ def test_generator_check_matches_all_pairs_check(r, p, n):
 
 
 def test_class_action_data_are_built_once(monkeypatch):
-    # the Hochschild character computes the fixed-basis action of Z(g) once;
-    # the det filter reads the centralizer record and every Reynolds degree
-    # the cycles, with no second pass, both for a proper fixed space and for
-    # the coordinate basis of the identity
+    # the det filter and every Reynolds degree read the cycles, with no
+    # fixed-basis action of Z(g); the first read of the component's chi
+    # builds the Hochschild character, which computes that action once, and
+    # later reads share it; both for a proper fixed space and for the
+    # coordinate basis of the identity
     calls = []
     real = heckeforge.polyforms.subspace_actions
 
@@ -377,12 +379,14 @@ def test_class_action_data_are_built_once(monkeypatch):
     for g, m in [(three_cycle(3, 4, 1, 2, 3), 2), (identity(2, 3), 2)]:
         del calls[:]
         assert _passes_det_filter(g, F, 1)
-        dims = hh_component(g, F, m, 4).dims_by_degree
+        comp = hh_component(g, F, m, 4)
+        assert not calls, g
+        assert any(comp.dims_by_degree.values())
+        chi = comp.chi
         assert len(calls) == 1, g
-        assert any(dims.values())
+        assert comp.chi is chi is hochschild_character(g, F, 1) and len(calls) == 1, g
         # the kept generator triples are those a fresh table builds, and
         # each is the triple of its generator among all of Z(g)'s
-        chi = hochschild_character(g, F, 1)
         fixed = fixed_basis(g, F)
         values = [chi.exponents[s] for s in chi.generators]
         fresh = CharacterTable(chi.r, chi.n, chi.order, chi.generators, values, chi.subgroup_order)
@@ -419,12 +423,17 @@ def test_phase_rows_walk_the_generators_only(monkeypatch):
 
 
 def test_the_class_path_lists_no_group_or_centralizer(monkeypatch):
-    # classes, characters, the det filter, the Reynolds walk and the linear
-    # oracle's class-local rows read cycles and generators only: with every
-    # listing route raising, the parameter spaces, both ways, brute-force
-    # HH^2, the catalog and the three-cycle classes come out as before.
-    # G(2,2,4) has two split classes, each grown once as a class of
-    # G(2,1,4) and cut by labels, with no listing of G or Z(g)
+    # classes, the det filter, the Reynolds walk and the linear oracle's
+    # class-local rows read cycles and generators only: with every listing
+    # route raising, the parameter spaces, both ways, brute-force HH^2, the
+    # catalog and the three-cycle classes come out as before.  G(2,2,4) has
+    # two split classes, each grown once as a class of G(2,1,4) and cut by
+    # labels, with no listing of G or Z(g).  The HH class path reads Z(g)
+    # only as class_action's integers: with the centralizer record and the
+    # Hochschild character raising too, brute-force HH^2 with every skipped
+    # class validated and the parameter spaces come out as before on the
+    # acceptance groups under both actions.  The linear oracle reads the
+    # record by design, so it runs before that refusal
     cases = [
         lambda: param_space(4, 1, 4, F).to_json(),
         lambda: param_space(3, 1, 4, P).to_json(),
@@ -435,7 +444,16 @@ def test_the_class_path_lists_no_group_or_centralizer(monkeypatch):
         lambda: closed_form_catalog(2, 1, 5, F),
         lambda: three_cycle_classes(3, 4),
     ]
+    class_path = [
+        lambda r=r, p=p, n=n, rep=rep: (
+            [c.to_json() for c in hh2_total(r, p, n, rep, 4, validate_skipped=True)],
+            param_space(r, p, n, rep).to_json(),
+        )
+        for r, p, n in [(1, 1, 4), (2, 1, 4), (2, 2, 4), (3, 1, 4), (3, 3, 4), (4, 2, 4), (3, 1, 3)]
+        for rep in (F, P)
+    ]
     before = [case() for case in cases]
+    before_class_path = [case() for case in class_path]
 
     def refuse(*args):
         raise AssertionError(f"listed {args}")
@@ -449,6 +467,15 @@ def test_the_class_path_lists_no_group_or_centralizer(monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     clear_caches()
     assert [case() for case in cases] == before
+    for module, name in [
+        (heckeforge.group, "centralizer_of"),
+        (heckeforge.hochschild, "centralizer_of"),
+        (heckeforge.hecke, "centralizer_of"),
+        (heckeforge.hochschild, "hochschild_character"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    clear_caches()
+    assert [case() for case in class_path] == before_class_path
 
 
 def test_dims_are_counted_without_assembling_a_basis(monkeypatch, capsys):
