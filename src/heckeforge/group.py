@@ -490,8 +490,6 @@ class Centralizer(NamedTuple):
     fixes each cycle, so lies in D.  Its order is `centralizer_order_formula`,
     and Z is its part of exponent sum 0 mod p, of index p / `_split_count`."""
 
-    cycles: tuple  # (a_c, xi_c, g_c) per cycle c
-    swaps: tuple  # (colour of its type, swap) per swap
     generators: tuple  # per type the first xi_c, g_c (P moves them onto the rest), then the swaps, cut by `_within`
     order: int
 
@@ -500,18 +498,15 @@ class Centralizer(NamedTuple):
 def centralizer_of(g: GroupElement, p: int) -> Centralizer:
     """g's `Centralizer` in G(r,p,n), in one pass over its cycles."""
     r, n = g.r, g.n
-    cycles, swaps, firsts, ctype = [], [], [], []
+    firsts, swaps, ctype = [], [], []
     for (a, k), same in _cycles_by_type(g).items():
         ctype.append((a, k, len(same)))
-        for cyc in same:
-            on = [i + 1 in cyc for i in range(n)]
-            g_c = _element(r, n, tuple(x if o else 0 for x, o in zip(g.exps, on)), _cycles_perm(n, [cyc]))
-            cycles.append((a, _element(r, n, tuple(o % r for o in on), tuple(range(1, n + 1))), g_c))
-        firsts += cycles[-len(same)][1:]
-        swaps += [(a, s) for s in _swaps(g, same)]
-    gens = _within(firsts + [s for _, s in swaps], r, n, p)
+        on = [i + 1 in same[0] for i in range(n)]
+        firsts.append(_element(r, n, tuple(o % r for o in on), tuple(range(1, n + 1))))
+        firsts.append(_element(r, n, tuple(x if o else 0 for x, o in zip(g.exps, on)), _cycles_perm(n, [same[0]])))
+        swaps += _swaps(g, same)
     order = centralizer_order_formula(g, ctype) * _split_count(ctype, p) // p
-    return Centralizer(tuple(cycles), tuple(swaps), gens, order)
+    return Centralizer(_within(firsts + swaps, r, n, p), order)
 
 
 def centralizer(g: GroupElement, p: int) -> list[GroupElement]:

@@ -34,7 +34,6 @@ from .group import (
     inverse,
     is_three_cycle,
     monomial_action,
-    multiply,
     three_cycle,
     walk,
 )
@@ -278,6 +277,11 @@ def _codim2_form(g: GroupElement, rep: RepKind, c: CycloNum) -> SkewForm:
     return SkewForm(grid)
 
 
+def _conjugation_edges(r: int, p: int, n: int) -> list:
+    """Per generator s of G(r,p,n), s's parts for `group._conj`'s s^-1 x s, and s."""
+    return [((s.exps, s.perm, inverse(s).perm), s) for s in generators(r, p, n)]
+
+
 def _extend_by_conjugation(seeds: dict, r: int, p: int, n: int, rep: RepKind) -> dict:
     """Extend class-representative forms to their full classes: a
     `group.walk` from each seed under x -> s^-1 x s, s over
@@ -288,7 +292,7 @@ def _extend_by_conjugation(seeds: dict, r: int, p: int, n: int, rep: RepKind) ->
     seed's class, raises IllDefinedFamilyError, and the check is exact: the
     words that fix g are Z(g), so by the walk's argument every edge agrees
     iff Z(g) fixes a_g, and then every h^-1 g h gets a_g(h(.), h(.))."""
-    by = [((s.exps, s.perm, inverse(s).perm), s) for s in generators(r, p, n)]
+    by = _conjugation_edges(r, p, n)
 
     def move(x, A, edge):
         return _conj(r, *x, *edge[0]), conjugate_form(A, edge[1], rep)
@@ -360,14 +364,13 @@ def pbw_check(F: SkewFormFamily) -> PBWReport:
     since conjugate_form(A, h1 h2) = conjugate_form(conjugate_form(A, h1), h2),
     so they are all of G once they include the generators.  The witness of
     a failure is the first (g, s) of the scan, s a generator."""
-    by = [(inverse(s), s) for s in generators(F.r, F.p, F.n)]
-    bad = next(((g, s) for g, A in F.support.items() for s_inv, s in by
-                if not F.form(multiply(multiply(s_inv, g), s)) == conjugate_form(A, s, F.repkind)), None)
+    r, n, rep = F.r, F.n, F.repkind
+    by = _conjugation_edges(r, F.p, n)
+    bad = next(((g, s) for g, A in F.support.items() for parts, s in by
+                if not F.form(_element(r, n, *_conj(r, g.exps, g.perm, *parts))) == conjugate_form(A, s, rep)), None)
     invariance = bad is None
     witnesses = [] if invariance else [("invariance", *bad)]
-    rep = F.repkind
     jacobi = True
-    n = F.n
     for g, A in F.support.items():
         pi, t = monomial_action(g, rep)
         for i, j, k in combinations(range(n), 3):

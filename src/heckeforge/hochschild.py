@@ -219,13 +219,18 @@ def hh_component(
     (S(V^g) (x) Lambda^{m - codim V^g}((V^g)*))^{chi_g}, per polynomial degree
     up to max_poly_degree.  A negative exterior power gives the zero space.
     Each dimension is the number of surviving orbit representatives
-    (`semiinvariant_dims`); include_basis only lists the basis elements."""
+    (`semiinvariant_dims`); include_basis only lists the basis elements,
+    of every degree from one `reynolds_semiinvariant_basis` call."""
     fixed = fixed_basis(g, rep)
     codim = g.n - len(fixed)
     k = m - codim
     action = class_action(g, rep, p)
     dims = semiinvariant_dims(action, max_poly_degree, k)
-    bases = {d: reynolds_semiinvariant_basis(action, d, k) for d in dims} if include_basis else None
+    bases = None
+    if include_basis:
+        bases = {d: [] for d in dims}
+        for pf in reynolds_semiinvariant_basis(action, max_poly_degree, k):
+            bases[pf.poly_degree()].append(pf)
     return ClassComponent(g, rep, p, codim, fixed, dims, bases)
 
 

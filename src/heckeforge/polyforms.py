@@ -10,8 +10,8 @@ of S(V^g) (x) Lambda((V^g)*): one element per block-sorted representative
 on whose stabilizer chi agrees with the action, tested on generators with
 integer phases (`_survivors`).  Counting the survivors gives a dimension
 with no basis listed; only for a basis is each survivor's orbit walked over
-the swaps, into rows in reduced echelon form, so repeated runs agree
-byte-for-byte.
+the swaps, into rows keyed by (mu, S) in reduced echelon form, every
+degree from one pass, so repeated runs agree byte-for-byte.
 
 A subspace is given by an integer basis: one tuple of (coordinate, t)
 pairs per vector, w = sum zeta_r^t v_i, on disjoint supports.  A group
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import product
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -460,9 +460,8 @@ class ClassAction(NamedTuple):
 
 def _survivors(action: ClassAction, max_degree: int, form_degree: int, listing: bool) -> dict:
     """Per polynomial degree d <= max_degree, the number of chi-semi-invariant
-    orbits of form degree `form_degree`, or with `listing` (degree
-    max_degree only) their representatives, as tuples of keys
-    (mu_j, [j in S]) in chain order.
+    orbits of form degree `form_degree`, or with `listing` their
+    representatives, as tuples of keys (mu_j, [j in S]) in chain order.
 
     The Reynolds projector (1/|Z|) sum chi(h)^-1 h is nonzero on the orbit
     of a basis element b iff its stabilizer acts on b by chi.  D_p scales
@@ -484,7 +483,6 @@ def _survivors(action: ClassAction, max_degree: int, form_degree: int, listing: 
     last = {h: i for i, coef in enumerate(coefs) for h, x in enumerate(coef) if x}
     if K < 0 or any(x and h not in last for h, x in enumerate(pending)):
         return {}  # no wedges, or an element fixing every basis element acts by chi != 1
-    lowest = max_degree if listing else 0  # a listing serves one degree
     states = {(None, 0, 0, pending): [()] if listing else 1}
     for i, (coef, (_, e)) in enumerate(zip(coefs, chain)):
         tied = e is not None  # to the last key, by a swap with chi e
@@ -495,9 +493,8 @@ def _survivors(action: ClassAction, max_degree: int, form_degree: int, listing: 
         flags = [((K - k,) if K - k < 2 else ()) if final else (0, 1)[: K - k + 1] for k in range(K + 1)]
         nxt: dict = {}
         for (prev, d, k, phases), val in states.items():
-            fs, low = flags[k], lowest - d if final and lowest > d else 0
-            for mu in range(prev[0] if tied and prev[0] > low else low, max_degree - d + 1):
-                for f in fs:
+            for mu in range(prev[0] if tied else 0, max_degree - d + 1):
+                for f in flags[k]:
                     key = (mu, f)
                     if tied and (key < prev or key == prev and (F // 2 * f - e) % F):
                         continue
@@ -522,28 +519,26 @@ def semiinvariant_dims(action: ClassAction, max_degree: int, form_degree: int) -
     return {d: counts.get(d, 0) for d in range(max_degree + 1)}
 
 
-def semiinvariant_rows(action: ClassAction, poly_degree: int, form_degree: int):
-    """(rows, monos, wedges): the monomials of the polynomial degree on the
-    vectors, v_1^d first, the wedges of the form degree, and the reduced
-    echelon basis of the chi-semi-invariants as rows {a * W + b: e}, each
-    meaning zeta_F^e at (monos[a], wedges[b]), W = len(wedges).
+def _key_order(key):
+    """(mu descending, S ascending): v_1^d first, the order of rows and keys."""
+    return tuple(-x for x in key[0]), key[1]
 
-    Each survivor (`_survivors`) gives one row: its orbit, walked over the
-    swaps (`group.walk`) with phase 0 at its least index, each edge adding
-    the swap's phase less chi.  A swap of w_i and w_j, with phases t and -t,
-    acts on (mu, S) by its wedge sign and t ((mu_i - [i in S]) - (mu_j -
-    [j in S])), which is 0 on a survivor's orbit: under the faithful action
-    xi_i xi_j^-1 lies in D_p, has chi 0 and acts by that difference times
-    F/r, and under the permutation action t = 0.  So no edge clashes, and
-    the disjoint orbits, in order of least index, are the echelon form."""
-    m, F = len(action.vectors), action.F
-    if not 0 <= form_degree <= m:
-        return [], [], []
-    wedges = list(combinations(range(m), form_degree))
-    # the multisets of poly_degree symbols in lex order give exponents descending, v_1^d first
-    monos = [tuple(map(c.count, range(m))) for c in combinations_with_replacement(range(m), poly_degree)]
-    W = len(wedges)
-    mono_at, wedge_at = {mu: a * W for a, mu in enumerate(monos)}, {S: b for b, S in enumerate(wedges)}
+
+def semiinvariant_rows(action: ClassAction, max_degree: int, form_degree: int) -> dict:
+    """Per polynomial degree d <= max_degree, the reduced echelon basis of
+    the chi-semi-invariants of form degree `form_degree` as rows {(mu, S): e},
+    each meaning zeta_F^e at mu (x) S, rows and keys in `_key_order`.
+
+    Each survivor (`_survivors`, one pass for every degree) gives one row:
+    its orbit, walked over the swaps (`group.walk`) with phase 0 at its
+    least key, each edge adding the swap's phase less chi.  A swap of w_i
+    and w_j, with phases t and -t, acts on (mu, S) by its wedge sign and
+    t ((mu_i - [i in S]) - (mu_j - [j in S])), which is 0 on a survivor's
+    orbit: under the faithful action xi_i xi_j^-1 lies in D_p, has chi 0
+    and acts by that difference times F/r, and under the permutation action
+    t = 0.  So no edge clashes, and the disjoint orbits, in order of least
+    key, are the echelon form."""
+    F = action.F
     swaps = [(action.chain[i - 1][0], j, e) for i, (j, e) in enumerate(action.chain) if e is not None]
 
     def move(x, v, s):
@@ -553,28 +548,27 @@ def semiinvariant_rows(action: ClassAction, poly_degree: int, form_degree: int):
         nu[i], nu[j] = mu[j], mu[i]
         return (tuple(nu), tuple(sorted(img))), (v + F // 2 * (perm_sign(img) < 0) - e) % F
 
-    rows = []
-    for keys in _survivors(action, poly_degree, form_degree, True).get(poly_degree, []):
-        placed = sorted(zip([j for j, _ in action.chain], keys))  # the chain holds each vector once
-        mu, S = tuple(x for _, (x, _) in placed), tuple(j for j, (_, f) in placed if f)
-        phase, clashes = walk((mu, S), 0, swaps, move)
-        if clashes:
-            raise RuntimeError("a kept orbit's stabilizer does not act by chi")
-        at = {mono_at[nu] + wedge_at[T]: e for (nu, T), e in phase.items()}
-        base = at[min(at)]
-        rows.append({i: (at[i] - base) % F for i in sorted(at)})
-    rows.sort(key=min)
-    return rows, monos, wedges
+    out: dict = {d: [] for d in range(max_degree + 1)}
+    for d, survivors in _survivors(action, max_degree, form_degree, True).items():
+        for keys in survivors:
+            placed = sorted(zip([j for j, _ in action.chain], keys))  # the chain holds each vector once
+            mu, S = tuple(x for _, (x, _) in placed), tuple(j for j, (_, f) in placed if f)
+            phase, clashes = walk((mu, S), 0, swaps, move)
+            if clashes:
+                raise RuntimeError("a kept orbit's stabilizer does not act by chi")
+            order = sorted(phase, key=_key_order)
+            out[d].append({x: (phase[x] - phase[order[0]]) % F for x in order})
+        out[d].sort(key=lambda row: _key_order(next(iter(row))))
+    return out
 
 
 # bench/tracer.py binds this function by name
-def reynolds_semiinvariant_basis(action: ClassAction, poly_degree: int, form_degree: int) -> list[PolyForm]:
-    """The reduced echelon basis of the chi-semi-invariants of polynomial
-    degree `poly_degree` and form degree `form_degree`: a PolyForm per row
-    of `semiinvariant_rows`, in the vectors w_j and their duals (`_duals`),
-    for `hochschild.fixed_basis` those of V^g along im(g - 1)."""
-    rows, monos, wedges = semiinvariant_rows(action, poly_degree, form_degree)
-    return [_assemble_polyform(row, monos, wedges, action.n, action.r, action.F, action.vectors) for row in rows]
+def reynolds_semiinvariant_basis(action: ClassAction, max_degree: int, form_degree: int) -> list[PolyForm]:
+    """A PolyForm per row of `semiinvariant_rows`, every degree up to
+    max_degree in order, in the vectors w_j and their duals (`_duals`), for
+    `hochschild.fixed_basis` those of V^g along im(g - 1)."""
+    by_degree = semiinvariant_rows(action, max_degree, form_degree).values()
+    return [_assemble_polyform(row, action.n, action.r, action.F, action.vectors) for rows in by_degree for row in rows]
 
 
 def _duals(vectors) -> list:
@@ -585,7 +579,7 @@ def _duals(vectors) -> list:
     return [(len(v), tuple((i, -t) for i, t in v)) for v in vectors]
 
 
-def _assemble_polyform(row, monos, wedges, n, r, F, vectors):
+def _assemble_polyform(row, n, r, F, vectors):
     """The ambient PolyForm of a row of `semiinvariant_rows`, with the subspace
     vectors substituted and their duals (`_duals`) expanded.
 
@@ -600,8 +594,7 @@ def _assemble_polyform(row, monos, wedges, n, r, F, vectors):
     phase_at = {i: t for v in vectors for i, t in v}
     duals = _duals(vectors)
     acc: dict = {}  # wedge -> exponents -> {phase mod F: weight}
-    for idx, a in row.items():
-        mu, S = monos[idx // len(wedges)], wedges[idx % len(wedges)]
+    for (mu, S), a in row.items():
         poly = {(0,) * n: 1}  # prod w_j^{mu_j} without its phases
         for j, k in enumerate(mu):
             for _ in range(k):

@@ -25,7 +25,9 @@ paths in the library, and a faithful family shared by the tests:
   to phases, by walking every monomial-times-wedge element along every
   generator on integer tables, as `polyforms` computed each class's rows
   before it read them off `group.centralizer_of`'s block-sorted
-  representatives; the tests' characters of listed subgroups use it too;
+  representatives; the tests' characters of listed subgroups use it too.
+  Its rows are keyed by index into `monomials_and_wedges`; `keyed_rows`
+  keys them by (mu, S), as `polyforms` does;
 - `sort_with_sign`: a sorted tuple and the sign of its sorting permutation,
   by insertion sort, independent of `group.perm_sign`;
 - `dense_spaces`: V^g and im(g - 1) as the reduced echelon kernel and
@@ -554,8 +556,8 @@ def reynolds_basis_by_walk(
     """
     if subspace is None:
         subspace = tuple(((i, 0),) for i in range(chi.n))
-    rows, monos, wedges = semiinvariant_rows_by_walk(chi, rep, poly_degree, form_degree, subspace)
-    return [_assemble_polyform(row, monos, wedges, chi.n, chi.r, chi.order, subspace) for row in rows]
+    rows = keyed_rows(*semiinvariant_rows_by_walk(chi, rep, poly_degree, form_degree, subspace))
+    return [_assemble_polyform(row, chi.n, chi.r, chi.order, subspace) for row in rows]
 
 
 def semiinvariant_rows_by_walk(chi: CharacterTable, rep: RepKind, poly_degree: int, form_degree: int, subspace):
@@ -566,10 +568,24 @@ def semiinvariant_rows_by_walk(chi: CharacterTable, rep: RepKind, poly_degree: i
     m = len(subspace)
     if form_degree < 0 or form_degree > m or poly_degree < 0:
         return [], [], []
+    monos, wedges = monomials_and_wedges(m, poly_degree, form_degree)
+    return _phase_rows(generator_actions(chi, rep, subspace), chi.order, monos, wedges), monos, wedges
+
+
+def monomials_and_wedges(m: int, poly_degree: int, form_degree: int):
+    """(monos, wedges): the monomials of the polynomial degree on m vectors,
+    v_1^d first, and the wedges of the form degree, in the order the index
+    a * W + b of (monos[a], wedges[b]) runs, W = len(wedges)."""
     wedges = list(combinations(range(m), form_degree))
     # the multisets of poly_degree symbols in lex order give exponents descending, v_1^d first
-    monos = [tuple(map(c.count, range(m))) for c in combinations_with_replacement(range(m), poly_degree)]
-    return _phase_rows(generator_actions(chi, rep, subspace), chi.order, monos, wedges), monos, wedges
+    return [tuple(map(c.count, range(m))) for c in combinations_with_replacement(range(m), poly_degree)], wedges
+
+
+def keyed_rows(rows, monos, wedges) -> list[dict]:
+    """Index-keyed rows {a * W + b: e} keyed instead by basis[a * W + b] =
+    (monos[a], wedges[b]), as `polyforms.semiinvariant_rows` keys them."""
+    basis = [(mu, S) for mu in monos for S in wedges]
+    return [{basis[i]: e for i, e in row.items()} for row in rows]
 
 
 def _phase_rows(actions, F, monos, wedges):

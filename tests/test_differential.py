@@ -102,8 +102,10 @@ from heckeforge.group import (
     GroupElement,
     RepKind,
     _cycle_types,
+    _cycles_by_type,
     _least_member,
     _split_count,
+    _swaps,
     centralizer_of,
     conjugacy_classes,
     cycle_type,
@@ -164,8 +166,10 @@ from oracles import (
     faithful_family_2_1_4,
     generator_actions,
     hstar_reference_multiply,
+    keyed_rows,
     least_members_by_scan,
     listed_hochschild_character,
+    monomials_and_wedges,
     param_space_by_reynolds,
     param_space_dense_oracle,
     passes_det_filter_by_listing,
@@ -602,11 +606,20 @@ REYNOLDS_CASES["reversed coordinate basis"] = _reversed_basis_case
 REYNOLDS_CASES["scaled coordinate basis"] = _scaled_coordinate_basis_case
 
 
-def _case_rows(case, d, k):
-    """(rows, monos, wedges) of a case: the class route's for a class, the
-    oracle walk's for a non-standard subspace basis."""
+def _case_rows(case, D, k):
+    """Per polynomial degree d <= D, the rows {(mu, S): e} of a case: the
+    class route's for a class, the oracle walk's, keyed by its basis, for a
+    non-standard subspace basis."""
     chi, rep, subspace, _, action = case
-    return semiinvariant_rows(action, d, k) if action else semiinvariant_rows_by_walk(chi, rep, d, k, subspace)
+    if action:
+        return semiinvariant_rows(action, D, k)
+    return {d: keyed_rows(*semiinvariant_rows_by_walk(chi, rep, d, k, subspace)) for d in range(D + 1)}
+
+
+def _basis(m, d, k):
+    """The (mu, S) of polynomial degree d and form degree k on m vectors, in index order."""
+    monos, wedges = monomials_and_wedges(m, d, k)
+    return [(mu, S) for mu in monos for S in wedges]
 
 
 def _per_element_actions(chi, rep, subspace):
@@ -626,30 +639,42 @@ def test_phase_rows_match_the_projector_sums(monkeypatch, name):
     # comparison would not reach the stabilizer condition
     seen = {"calls": 0, "killed": 0}
 
-    def as_data(rows):  # each row as index -> value, whatever order its keys came in
-        return [{i: (c.order, c.coeffs) for i, c in row.items()} for row in rows]
+    def as_data(rows):  # each row as key -> value, whatever order its keys came in
+        return [{x: (c.order, c.coeffs) for x, c in row.items()} for row in rows]
 
-    def compared(real):
+    def check(rows, basis):
+        values = [{x: root_of_unity(order, e) for x, e in row.items()} for row in rows]
+        summed = [{basis[i]: c for i, c in row.items()} for row in reynolds_rows_by_projector(per_element, order, basis)]
+        assert as_data(values) == as_data(summed)
+        seen["calls"] += 1
+        seen["killed"] += sum(map(len, rows)) < len(basis)
+
+    def class_rows(real):
+        def rows_of(action, D, k):
+            by_degree = real(action, D, k)
+            for d, rows in by_degree.items():
+                check(rows, _basis(len(action.vectors), d, k))
+            return by_degree
+
+        return rows_of
+
+    def walked_rows(real):
         def rows_of(*args):
             rows, monos, wedges = real(*args)
-            basis = [(mu, S) for mu in monos for S in wedges]
-            values = [{i: root_of_unity(order, e) for i, e in row.items()} for row in rows]
-            assert as_data(values) == as_data(reynolds_rows_by_projector(per_element, order, basis))
-            seen["calls"] += 1
-            seen["killed"] += sum(map(len, rows)) < len(basis)
+            check(keyed_rows(rows, monos, wedges), [(mu, S) for mu in monos for S in wedges])
             return rows, monos, wedges
 
         return rows_of
 
-    monkeypatch.setattr(heckeforge.polyforms, "semiinvariant_rows", compared(heckeforge.polyforms.semiinvariant_rows))
-    monkeypatch.setattr(oracles, "semiinvariant_rows_by_walk", compared(oracles.semiinvariant_rows_by_walk))
+    monkeypatch.setattr(heckeforge.polyforms, "semiinvariant_rows", class_rows(heckeforge.polyforms.semiinvariant_rows))
+    monkeypatch.setattr(oracles, "semiinvariant_rows_by_walk", walked_rows(oracles.semiinvariant_rows_by_walk))
     for chi, rep, subspace, D, action in REYNOLDS_CASES[name]():
         per_element, order = _per_element_actions(chi, rep, subspace), chi.order
-        for d in range(D + 1):
-            for k in range(len(subspace) + 1):
-                if action:
-                    reynolds_semiinvariant_basis(action, d, k)
-                else:
+        for k in range(len(subspace) + 1):
+            if action:
+                reynolds_semiinvariant_basis(action, D, k)
+            else:
+                for d in range(D + 1):
                     reynolds_basis_by_walk(chi, rep, d, k, subspace)
     assert seen["calls"] and seen["killed"], seen
 
@@ -658,16 +683,16 @@ def test_phase_rows_match_the_projector_sums(monkeypatch, name):
 def test_phase_rows_match_the_basis_walk(name):
     # every polynomial degree up to D + 2 (8 where |G| <= 400) and every
     # form degree: the same rows in the same order, each the same dict of
-    # index -> phase.  Some orbit must be kept and some killed
+    # (mu, S) -> phase.  Some orbit must be kept and some killed
     seen = {"kept": 0, "killed": 0}
     for case in REYNOLDS_CASES[name]():
         chi, rep, subspace, D, _ = case
         actions = generator_actions(chi, rep, subspace)
-        for d in range(D + 3):
-            for k in range(len(subspace) + 1):
-                rows, monos, wedges = _case_rows(case, d, k)
-                basis = [(mu, S) for mu in monos for S in wedges]
-                assert rows == phase_rows_by_basis_walk(actions, chi.order, basis), (chi.generators, d, k)
+        for k in range(len(subspace) + 1):
+            for d, rows in _case_rows(case, D + 2, k).items():
+                basis = _basis(len(subspace), d, k)
+                walked = phase_rows_by_basis_walk(actions, chi.order, basis)
+                assert rows == [{basis[i]: e for i, e in row.items()} for row in walked], (chi.generators, d, k)
                 seen["kept"] += len(rows)
                 seen["killed"] += sum(map(len, rows)) < len(basis)
     assert seen["kept"] and seen["killed"], seen
@@ -677,8 +702,8 @@ def test_phase_rows_match_the_basis_walk(name):
 def test_class_rows_match_the_oracle_walk(r, p, n, rep):
     # the rows read off block-sorted representatives against the oracle's
     # table-driven walk over every basis element: the same rows in the same
-    # order, each the same dict of index -> phase, on the same monomials
-    # and wedges, and as many as the counted dims, in cohomological degrees
+    # order, each the same dict of (mu, S) -> phase with its keys in index
+    # order, and as many as the counted dims, in cohomological degrees
     # 0 to 3 and every polynomial degree up to 6, on each class
     # representative and one other member of its class.  Some orbit must be
     # kept and some killed
@@ -691,10 +716,13 @@ def test_class_rows_match_the_oracle_walk(r, p, n, rep):
 def _assert_class_rows_match(g, rep, p, D, form_degrees, seen):
     fixed, chi, action = fixed_basis(g, rep), hochschild_character(g, rep, p), class_action(g, rep, p)
     for k in form_degrees:
-        dims = semiinvariant_dims(action, D, k)
-        for d in range(D + 1):
-            rows, monos, wedges = semiinvariant_rows(action, d, k)
-            assert (rows, monos, wedges) == semiinvariant_rows_by_walk(chi, rep, d, k, fixed), (g, k, d)
+        dims, by_degree = semiinvariant_dims(action, D, k), semiinvariant_rows(action, D, k)
+        assert list(by_degree) == list(range(D + 1)), (g, k)
+        for d, rows in by_degree.items():
+            walked, monos, wedges = semiinvariant_rows_by_walk(chi, rep, d, k, fixed)
+            index = {x: i for i, x in enumerate((mu, S) for mu in monos for S in wedges)}
+            assert rows == keyed_rows(walked, monos, wedges), (g, k, d)
+            assert [list(row) for row in rows] == [sorted(row, key=index.__getitem__) for row in rows], (g, k, d)
             assert dims[d] == len(rows), (g, k, d)
             seen["kept"] += len(rows)
             seen["killed"] += sum(map(len, rows)) < len(monos) * len(wedges)
@@ -720,7 +748,7 @@ def test_class_rows_match_the_oracle_walk_on_phased_swaps(r, p):
         for rep in (F, P):
             kept = seen["kept"]
             _assert_class_rows_match(g, rep, p, 6, range(len(fixed_basis(g, rep)) + 1), seen)
-            swaps = [s for _, s in centralizer_of(g, p).swaps]
+            swaps = [s for same in _cycles_by_type(g).values() for s in _swaps(g, same)]
             phased = any(any(texp) for _, texp in subspace_actions(swaps, rep, fixed_basis(g, rep)))
             seen["phased"] += phased and seen["kept"] > kept
     assert seen["kept"] and seen["killed"] and seen["phased"], seen

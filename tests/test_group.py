@@ -9,8 +9,10 @@ from heckeforge.cyclo import CycloMatrix, root_of_unity
 from heckeforge.group import (
     BudgetExceededError,
     _conj,
+    _cycles_by_type,
     _mul,
     _split_count,
+    _swaps,
     _within,
     GroupElement,
     RepKind,
@@ -41,6 +43,7 @@ from heckeforge.group import (
 )
 from heckeforge.hochschild import hh2_total
 from oracles import (
+    _scalar_and_cycle,
     a_conjugate,
     act,
     centralizer_generators,
@@ -368,19 +371,23 @@ def test_centralizer_generators_generate_the_solved_centralizer(r, p, n):
 @pytest.mark.parametrize("r,p,n", _every_p(ORACLE_GROUPS + [(4, 1, 4), (6, 6, 4)]))
 def test_the_centralizer_record_matches_the_cycle_readings_it_replaced(r, p, n):
     # on each class representative and one other member of its class: the
-    # record's generators are the old tuple, element for element; each D
-    # generator maps every cycle of g to itself, each swap has exponent sum
-    # 0 mod r, <D u P> is Z_{G(r,1,n)}(g) by its order, and
-    # <_within(D, p) u P> is the solved Z_{G(r,p,n)}(g)
+    # record's generators are the old tuple, element for element.  With D
+    # the oracle's xi_c and g_c of every cycle and P the `_swaps` of each
+    # type: each D generator maps every cycle of g to itself, each cycle's
+    # colour is its g_c's exponent sum, each swap has exponent sum 0 mod r,
+    # <D u P> is Z_{G(r,1,n)}(g) by its order, and <_within(D, p) u P> is
+    # the solved Z_{G(r,p,n)}(g)
     for cls in conjugacy_classes(r, p, n):
         for g in dict.fromkeys([cls.rep, a_conjugate(cls.rep, p)]):
             Z = centralizer_of(g, p)
             assert Z.generators == centralizer_generators(g, p), g
             cycles = [set(c) for c in perm_cycles(g.perm)]
-            D = [h for _, x, c in Z.cycles for h in (x, c)]
+            by_type = _cycles_by_type(g).items()
+            per_cycle = [(a, *_scalar_and_cycle(g, c)) for (a, _), same in by_type for c in same]
+            D = [h for _, x, c in per_cycle for h in (x, c)]
             assert all({h.perm[i - 1] for i in c} == c for h in D for c in cycles), g
-            assert [a for a, _, _ in Z.cycles] == [sum(c.exps) % r for _, _, c in Z.cycles], g
-            swaps = [s for _, s in Z.swaps]
+            assert [a for a, _, _ in per_cycle] == [sum(c.exps) % r for _, _, c in per_cycle], g
+            swaps = [s for _, same in by_type for s in _swaps(g, same)]
             assert all(sum(s.exps) % r == 0 for s in swaps), g
             assert len(closure(r, n, D + swaps)) == centralizer_order_formula(g), g
             assert set(closure(r, n, [*_within(D, r, n, p), *swaps])) == set(solved_centralizer(g, p)), g

@@ -145,13 +145,13 @@ def test_conjugate_representatives_have_equal_dims():
 
 def test_frontier_dims_list_no_basis(monkeypatch):
     # G(2,1,8) under the faithful action up to degree 10: with the oracle
-    # walk and the monomial listing of the rows raising, the dims still
-    # come out and match the catalog, so the dims path lists no basis
+    # walk and the listing of the rows raising, the dims still come out and
+    # match the catalog, so the dims path lists no basis
     def refuse(*args):
         raise AssertionError("listed a basis")
 
     monkeypatch.setattr(oracles, "_phase_rows", refuse)
-    monkeypatch.setattr(heckeforge.polyforms, "combinations_with_replacement", refuse)
+    monkeypatch.setattr(heckeforge.polyforms, "semiinvariant_rows", refuse)
     clear_caches()
     assert compare(hh2_total(2, 1, 8, F, 10), closed_form_catalog(2, 1, 8, F), 10).ok
 
@@ -476,6 +476,28 @@ def test_the_class_path_lists_no_group_or_centralizer(monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     clear_caches()
     assert [case() for case in class_path] == before_class_path
+
+
+def test_a_basis_is_listed_in_one_survivor_pass_per_class(monkeypatch):
+    # with include_basis, hh_component counts the dims in one pass of
+    # `_survivors` and lists the basis of every degree up to the bound in
+    # one more, on every class of two groups, under both actions and in
+    # cohomological degrees 0 to 3
+    real = heckeforge.polyforms._survivors
+    passes = []
+
+    def recorded(action, max_degree, form_degree, listing):
+        passes.append(listing)
+        return real(action, max_degree, form_degree, listing)
+
+    monkeypatch.setattr(heckeforge.polyforms, "_survivors", recorded)
+    for r, p, n in [(2, 2, 4), (3, 1, 3)]:
+        for cls in conjugacy_classes(r, p, n):
+            for rep in (F, P):
+                for m in range(4):
+                    passes.clear()
+                    hh_component(cls.rep, rep, m, 4, p, include_basis=True)
+                    assert passes == [False, True], (cls.rep, rep, m)
 
 
 def test_dims_are_counted_without_assembling_a_basis(monkeypatch, capsys):
