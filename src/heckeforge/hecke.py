@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations
 from math import lcm
 
 from .cyclo import (
@@ -473,59 +473,59 @@ def forms_from_semiinvariants(entries, r: int, p: int, n: int, rep: RepKind) -> 
 
 def param_space_linear_oracle(r: int, p: int, n: int, rep: RepKind) -> int:
     """Dimension of the space of families passing pbw_check, counted as an
-    exact linear system class by class.  Independent of the Reynolds route:
-    no characters, semi-invariants or Hochschild data.
+    exact linear system class by class.  Independent of the Reynolds route,
+    it reads the classes, `centralizer_of(g, p).generators`, monomial
+    actions and `walk`: no character, class action or survivor count.
 
     A family is equivariant iff each class representative g's form a_g is
-    Z(g)-invariant and the rest of the family is its conjugation extension
-    h^-1 g h -> a_g(h(.), h(.)) (`_extend_by_conjugation`).  Jacobi at
-    h^-1 g h for that extension is h applied to Jacobi at g, so it holds iff
-    Jacobi holds at g.  The h fixing a form are a group, so Z(g)-invariance
-    is invariance under the generators of `centralizer_of(g, p)`.  The dimension is
-    therefore the sum over the classes of C(n, 2) minus the rank of the rows
-    on the unknowns x_s = a_g(v_{i+1}, v_{j+1}), s the index of i < j in
-    `combinations`: for each generator h, h.v_i = zeta_r^t_i v_{pi i}, the
-    rows a_g(h v_i, h v_j) - a_g(v_i, v_j), and the Jacobi rows
-    a_g(v_j,v_k)(v_i - g v_i) + cyclic, one per coordinate.  A term
-    zeta_M^e x_s, M = lcm(2, r), is kept as an integer count at (s, e mod
-    M/2), since zeta_M^(e + M/2) = -zeta_M^e, so rows that vanish or repeat
-    exactly are dropped before each is summed by `power_sum` and the class's
-    rows are reduced by `echelon_rows`."""
+    invariant under the generators h of Z(g) (the h fixing a form are a group)
+    and the rest is its conjugation extension, which carries Jacobi at g over
+    g's class (`_extend_by_conjugation`).  On the slots
+    x_s = a_g(v_{i+1}, v_{j+1}), i < j the s-th pair of `combinations`,
+    h.v_i = zeta_r^t_i v_{pi i} gives x_s = zeta_M^c x_s', M = lcm(2, r), s'
+    the slot of (pi i, pi j), c = (t_i + t_j) M / r + M/2 [pi i > pi j]: the
+    edge of a `walk` from s along h, carrying x_s = zeta_M^v X to
+    x_s' = zeta_M^(v - c) X, X the start's unknown.  By the walk's argument
+    the words fixing the start are generated by one Schreier generator per
+    edge, which moves the start's phase iff its edge clashes: a clash gives
+    X = zeta_M^d X, d != 0, so the orbit is 0; with none, its rows all hold,
+    and it is one unknown.  The Jacobi rows at g, one per coordinate of
+    a_g(v_j,v_k)(v_i - g v_i) + cyclic, over the live orbits, are integer
+    counts: rows that vanish or repeat drop, rational ones (all, under the
+    permutation action) are built in Q; the class adds live orbits - rank."""
     M = lcm(2, r)
     half = M // 2
-    slot = {pair: s for s, pair in enumerate(combinations(range(n), 2))}
+    pairs = list(combinations(range(n), 2))
+    signed = {bc: (s, half * (bc != pair)) for s, pair in enumerate(pairs) for bc in (pair, pair[::-1])}
 
-    def term(b, c, e):  # zeta_M^e a_g(v_{b+1}, v_{c+1}) as (slot, e), b != c
-        return slot[min(b, c), max(b, c)], e + half * (b > c)
-
-    def row(terms):  # the sorted nonzero (slot, e < half, count) of a row
-        counts: dict = {}
-        for s, e in terms:
-            counts[s, e % half] = counts.get((s, e % half), 0) + (1 if e % M < half else -1)
-        return tuple(sorted((s, e, c) for (s, e), c in counts.items() if c))
+    def move(s, v, act):  # signed[b, c] = (s, e) where a_g(v_{b+1}, v_{c+1}) = zeta_M^e x_s
+        (pi, t), (i, j) = act, pairs[s]
+        s2, e = signed[pi[i] - 1, pi[j] - 1]
+        return s2, (v - e - (t[i] + t[j]) * M // r) % M
 
     total = 0
     for cls in conjugacy_classes(r, p, n):
-        g = cls.rep
-        rows = set()
-        for h in centralizer_of(g, p).generators:
-            pi, t = monomial_action(h, rep)
-            for (i, j), s in slot.items():
-                rows.add(row([term(pi[i] - 1, pi[j] - 1, (t[i] + t[j]) * M // r), (s, half)]))
+        g, orbit, live = cls.rep, {}, 0  # orbit: slot -> (orbit start, phase), None if dead
+        acts = [monomial_action(h, rep) for h in centralizer_of(g, p).generators]
+        for s0 in range(len(pairs)):
+            if s0 not in orbit:
+                phases, clashes = walk(s0, 0, acts, move)
+                live += not clashes
+                orbit.update((s, None if clashes else (s0, v)) for s, v in phases.items())
+        if not live:
+            continue
         pi, t = monomial_action(g, rep)
+        jac: dict = {}  # (triple, coordinate) -> orbit -> counts x[f] of zeta_M^f = -zeta_M^(f + half)
         for i, j, k in combinations(range(n), 3):
-            by_coord: dict = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                s, e = term(b, c, 0)
-                by_coord.setdefault(a, []).append((s, e))
-                by_coord.setdefault(pi[a] - 1, []).append((s, e + t[a] * M // r + half))
-            rows.update(row(terms) for terms in by_coord.values())
-        rows.discard(())
+            for a, (s, e) in ((i, signed[j, k]), (j, signed[k, i]), (k, signed[i, j])):
+                if orbit[s]:
+                    o, v = orbit[s]
+                    for d, f in ((a, e + v), (pi[a] - 1, e + v + t[a] * M // r + half)):
+                        jac.setdefault((i, j, k, d), {}).setdefault(o, [0] * half)[f % half] += 1 if f % M < half else -1
         reduced = []
-        for terms in rows:
-            reduced.append({})
-            for s, same in groupby(terms, lambda x: x[0]):
-                _, es, cs = zip(*same)
-                reduced[-1][s] = CycloNum(M, power_sum(es, cs, M), 1)
-        total += len(slot) - len(echelon_rows(reduced))
+        for row in {tuple(sorted((o, tuple(x)) for o, x in row.items() if any(x))) for row in jac.values()} - {()}:
+            rational = not any(any(x[1:]) for _, x in row)
+            reduced.append({o: CycloNum(1, x[:1], 1) if rational else CycloNum(M, power_sum(range(half), x, M), 1)
+                            for o, x in row})
+        total += live - len(echelon_rows(reduced))
     return total

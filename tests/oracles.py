@@ -46,6 +46,12 @@ paths in the library, and a faithful family shared by the tests:
   orbit over conjugation tables on all of G, and the Jacobi rows written
   for one element per live class, as `hecke.param_space_linear_oracle`
   computed it before it counted class by class;
+- `param_space_by_class_rank`: the dimension of the parameter space class
+  by class, every invariance row under the generators of
+  `centralizer_of(g, p)` and every Jacobi row at the representative
+  ranked together in Q(zeta_M) by `echelon_rows`, as
+  `hecke.param_space_linear_oracle` computed it before it solved the
+  invariance rows as phased orbits;
 - `param_space_by_reynolds`: the parameter-space report by its own loop
   over the classes, as `hecke.param_space` computed it before it read
   `hh2_total`: the Hochschild character's triviality for each
@@ -107,6 +113,7 @@ from heckeforge.group import (
     _mul,
     _swaps,
     _within,
+    centralizer_of,
     conjugacy_classes,
     cycle_type,
     det_exponent,
@@ -1057,6 +1064,69 @@ def param_space_by_orbits(r: int, p: int, n: int, rep: RepKind) -> int:
             _, fs, cs = zip(*same)
             row[ru] = CycloNum(M, power_sum(fs, cs, M), 1)
     return len(live) - len(echelon_rows(rows))
+
+
+def param_space_by_class_rank(r: int, p: int, n: int, rep: RepKind) -> int:
+    """Dimension of the space of families passing pbw_check, counted as an
+    exact linear system class by class, as `hecke.param_space_linear_oracle`
+    computed it before it solved the invariance rows as orbits: every
+    invariance and Jacobi row of a class ranked together in Q(zeta_M).
+    Independent of the Reynolds route: no characters, semi-invariants or
+    Hochschild data.
+
+    A family is equivariant iff each class representative g's form a_g is
+    Z(g)-invariant and the rest of the family is its conjugation extension
+    h^-1 g h -> a_g(h(.), h(.)) (`_extend_by_conjugation`).  Jacobi at
+    h^-1 g h for that extension is h applied to Jacobi at g, so it holds iff
+    Jacobi holds at g.  The h fixing a form are a group, so Z(g)-invariance
+    is invariance under the generators of `centralizer_of(g, p)`.  The dimension is
+    therefore the sum over the classes of C(n, 2) minus the rank of the rows
+    on the unknowns x_s = a_g(v_{i+1}, v_{j+1}), s the index of i < j in
+    `combinations`: for each generator h, h.v_i = zeta_r^t_i v_{pi i}, the
+    rows a_g(h v_i, h v_j) - a_g(v_i, v_j), and the Jacobi rows
+    a_g(v_j,v_k)(v_i - g v_i) + cyclic, one per coordinate.  A term
+    zeta_M^e x_s, M = lcm(2, r), is kept as an integer count at (s, e mod
+    M/2), since zeta_M^(e + M/2) = -zeta_M^e, so rows that vanish or repeat
+    exactly are dropped before each is summed by `power_sum` and the class's
+    rows are reduced by `echelon_rows`."""
+    M = lcm(2, r)
+    half = M // 2
+    slot = {pair: s for s, pair in enumerate(combinations(range(n), 2))}
+
+    def term(b, c, e):  # zeta_M^e a_g(v_{b+1}, v_{c+1}) as (slot, e), b != c
+        return slot[min(b, c), max(b, c)], e + half * (b > c)
+
+    def row(terms):  # the sorted nonzero (slot, e < half, count) of a row
+        counts: dict = {}
+        for s, e in terms:
+            counts[s, e % half] = counts.get((s, e % half), 0) + (1 if e % M < half else -1)
+        return tuple(sorted((s, e, c) for (s, e), c in counts.items() if c))
+
+    total = 0
+    for cls in conjugacy_classes(r, p, n):
+        g = cls.rep
+        rows = set()
+        for h in centralizer_of(g, p).generators:
+            pi, t = monomial_action(h, rep)
+            for (i, j), s in slot.items():
+                rows.add(row([term(pi[i] - 1, pi[j] - 1, (t[i] + t[j]) * M // r), (s, half)]))
+        pi, t = monomial_action(g, rep)
+        for i, j, k in combinations(range(n), 3):
+            by_coord: dict = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                s, e = term(b, c, 0)
+                by_coord.setdefault(a, []).append((s, e))
+                by_coord.setdefault(pi[a] - 1, []).append((s, e + t[a] * M // r + half))
+            rows.update(row(terms) for terms in by_coord.values())
+        rows.discard(())
+        reduced = []
+        for terms in rows:
+            reduced.append({})
+            for s, same in groupby(terms, lambda x: x[0]):
+                _, es, cs = zip(*same)
+                reduced[-1][s] = CycloNum(M, power_sum(es, cs, M), 1)
+        total += len(slot) - len(echelon_rows(reduced))
+    return total
 
 
 # -- the Fraction-tuple cyclotomic arithmetic ---------------------------------

@@ -170,6 +170,7 @@ from oracles import (
     least_members_by_scan,
     listed_hochschild_character,
     monomials_and_wedges,
+    param_space_by_class_rank,
     param_space_by_reynolds,
     param_space_dense_oracle,
     passes_det_filter_by_listing,
@@ -1007,4 +1008,5 @@ def test_linear_oracle_matches_the_dense_assembly(r, p, n, rep):
     dim = param_space_linear_oracle(r, p, n, rep)
     report = param_space(r, p, n, rep)
     assert dim == param_space_dense_oracle(r, p, n, rep) == report.total
+    assert dim == param_space_by_class_rank(r, p, n, rep)
     assert report.to_json() == param_space_by_reynolds(r, p, n, rep).to_json()

@@ -3,7 +3,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
@@ -11,9 +11,12 @@ import heckeforge.group
 import heckeforge.hecke
 import heckeforge.hochschild
 import heckeforge.polyforms
-from heckeforge.cyclo import cyclo, one, zero
+from heckeforge.cyclo import cyclo, echelon_rows, one, zero
 from heckeforge.group import (
+    ConjClass,
     RepKind,
+    centralizer_of,
+    conjugacy_classes,
     elements,
     generators,
     group_order,
@@ -44,9 +47,11 @@ from chain_support import psi1
 from oracles import (
     FAITHFUL_ENTRIES_2_1_4,
     _equivariance_classes,
+    a_conjugate,
     class_members,
     dense_spaces,
     faithful_family_2_1_4,
+    param_space_by_class_rank,
     param_space_by_orbits,
 )
 
@@ -363,11 +368,13 @@ def test_linear_oracle_at_rank_one(r, p, rep):
     (2, 1, 8, P, 19),
     (6, 2, 4, P, 174),
     (4, 2, 5, F, 0),
+    (4, 1, 8, F, 0),
 ])
 def test_linear_oracle_on_larger_groups(r, p, n, rep, dim):
     # with G(2,1,4) among the small cases, every group gha-params runs gha-dim
     # on, and groups past the G-listing reference's reach: |G(2,1,8)| > 10^7
     assert param_space_linear_oracle(r, p, n, rep) == param_space(r, p, n, rep).total == dim
+    assert param_space_by_class_rank(r, p, n, rep) == dim
     if group_order(r, p, n) <= 10**4:
         assert param_space_by_orbits(r, p, n, rep) == dim
 
@@ -383,14 +390,81 @@ def test_linear_oracle_is_independent_of_the_reynolds_route(monkeypatch):
         (heckeforge.hecke, "hh2_total"),
         (heckeforge.hochschild, "hh2_total"),
         (heckeforge.hochschild, "CharacterTable"),
+        (heckeforge.hochschild, "class_action"),
         (heckeforge.polyforms, "semiinvariant_rows"),
         (heckeforge.polyforms, "semiinvariant_dims"),
+        (heckeforge.polyforms, "_survivors"),
         (heckeforge.polyforms, "CharacterTable"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     clear_caches()
     assert param_space_linear_oracle(2, 1, 4, P) == 7
     assert param_space_linear_oracle(2, 1, 4, F) == 2
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("rep", [F, P])
+def test_linear_oracle_matches_param_space_on_every_small_g_r1n(r, n, rep):
+    assert param_space_linear_oracle(r, 1, n, rep) == param_space(r, 1, n, rep).total
+
+
+@pytest.mark.parametrize("r,p,n", [(4, 2, 3), (4, 4, 3), (5, 5, 3), (8, 8, 3), (3, 3, 4), (2, 1, 4), (3, 1, 4)])
+@pytest.mark.parametrize("rep", [F, P])
+def test_linear_oracle_counts_the_same_from_another_class_member(monkeypatch, r, p, n, rep):
+    # a member with coloured cycles can carry phases other than +-1 along a
+    # live orbit that meets a nonzero Jacobi row (G(r,r,3)'s 3-cycles under
+    # the faithful action), where the least representatives carry only +-1;
+    # each class's count is the same from any member
+    dim = param_space_linear_oracle(r, p, n, rep)
+    real_classes = heckeforge.hecke.conjugacy_classes
+    monkeypatch.setattr(heckeforge.hecke, "conjugacy_classes", lambda *args: [
+        ConjClass(a_conjugate(cls.rep, p), cls.size) for cls in real_classes(*args)])
+    assert param_space_linear_oracle(r, p, n, rep) == dim
+
+
+def _invariant_form_dim(g, p, rep):
+    # dim of the skew forms fixed by the generators of Z(g), by the rank of
+    # the dense rows conjugate_form(A, h) - A on the basis forms
+    n = g.n
+    pairs = list(combinations(range(n), 2))
+    basis = [SkewForm([[((a, b) == (i, j)) - ((b, a) == (i, j)) for b in range(n)] for a in range(n)]) for i, j in pairs]
+    rows = []
+    for h in centralizer_of(g, p).generators:
+        moved = [conjugate_form(A, h, rep) for A in basis]
+        rows += [{s: moved[s].entry(i + 1, j + 1) - basis[s].entry(i + 1, j + 1) for s in range(len(pairs))}
+                 for i, j in pairs]
+    return len(pairs) - len(echelon_rows(rows))
+
+
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("rep", [F, P])
+def test_linear_oracle_ranks_the_jacobi_rows_only(monkeypatch, r, rep):
+    # the invariance rows are solved as orbits, so echelon_rows sees at most
+    # the 6 C(n,3) Jacobi rows per class, and none for a class whose
+    # centralizer fixes no skew form
+    n, seen, received = 4, [], defaultdict(int)
+    dim = param_space(r, 1, n, rep).total
+    real_classes, real_echelon = heckeforge.hecke.conjugacy_classes, heckeforge.hecke.echelon_rows
+
+    def classes(*args):
+        for cls in real_classes(*args):
+            seen.append(cls.rep)
+            yield cls
+
+    def counted_echelon(rows):
+        rows = list(rows)
+        received[seen[-1]] += len(rows)
+        return real_echelon(rows)
+
+    monkeypatch.setattr(heckeforge.hecke, "conjugacy_classes", classes)
+    monkeypatch.setattr(heckeforge.hecke, "echelon_rows", counted_echelon)
+    assert param_space_linear_oracle(r, 1, n, rep) == dim
+    assert seen == [cls.rep for cls in conjugacy_classes(r, 1, n)]
+    for g in seen:
+        assert received[g] <= 6 * comb(n, 3), g
+        if not _invariant_form_dim(g, 1, rep):
+            assert not received[g], g
 
 
 def test_phase_classes_force_a_cycle_with_disagreeing_phases_to_zero():
